@@ -9,7 +9,6 @@ the upper bound.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,12 +19,13 @@ from typing import IO, Iterable, Mapping, Sequence
 from .core import (
     AccuracyTable,
     ExecutionRecord,
+    QueryGrid,
     Sample,
     World,
-    group_records,
+    csv_writer,
     weighted_average,
 )
-from .errors import CoverageError, InvalidInputError
+from .errors import InvalidInputError
 
 STRATEGIES = ("chance", "average", "voting", "router", "oracle", "upper_bound")
 COST_ROW = {
@@ -88,69 +88,37 @@ def oracle_accuracy(table: AccuracyTable, heldout_dataset: str) -> float:
     return max(table.marginal(m, heldout_dataset) for m in models)
 
 
-def _dataset_groups(
-    records: Iterable[ExecutionRecord],
-    dataset_id: str,
-    model_pool: Sequence[str] | None,
-):
-    groups = {
-        key: per_model
-        for key, per_model in group_records(records).items()
-        if key[0] == dataset_id
-    }
-    if not groups:
-        raise InvalidInputError(f"no records for dataset {dataset_id!r}")
-    pool = set(model_pool) if model_pool is not None else set().union(
-        *(set(g) for g in groups.values())
-    )
-    gaps = [
-        (ds, sid, vid, tuple(sorted(pool - set(per_model))))
-        for (ds, sid, vid), per_model in groups.items()
-        if pool - set(per_model)
-    ]
-    if gaps:
-        raise CoverageError(
-            f"{len(gaps)} (sample, variant) groups on {dataset_id} are missing "
-            f"model outcomes", gaps=gaps,
-        )
-    return groups
+def _upper_bound(grid: QueryGrid, dataset_id: str) -> float:
+    rows = grid.rows(dataset_id)
+    return grid.variant_mean(rows, grid.correct[rows].any(axis=1))
+
+
+def _voting(grid: QueryGrid, dataset_id: str) -> float:
+    rows = grid.rows(dataset_id)
+    return grid.variant_mean(rows, [
+        voting_predict(grid.predicted[i].tolist()) == grid.queries[i][1].gold_index
+        for i in rows
+    ])
 
 
 def upper_bound_accuracy(
-    records: Iterable[ExecutionRecord],
-    heldout_dataset: str,
-    model_pool: Sequence[str] | None = None,
+    records: Iterable[ExecutionRecord], world: World, dataset_id: str
 ) -> float:
     """Per-query any-model-correct rate, averaged across prompt variants;
     the ceiling for any selection strategy."""
-    groups = _dataset_groups(records, heldout_dataset, model_pool)
-    per_variant: dict[str, list[bool]] = {}
-    for (_, _, vid), per_model in groups.items():
-        per_variant.setdefault(vid, []).append(
-            any(rec.correct for rec in per_model.values())
-        )
-    accs = [sum(v) / len(v) for v in per_variant.values()]
-    return sum(accs) / len(accs)
+    grid = QueryGrid.build(world, records)
+    grid.require_coverage()
+    return _upper_bound(grid, dataset_id)
 
 
 def voting_accuracy(
-    records: Iterable[ExecutionRecord],
-    world: World,
-    dataset_id: str,
-    model_pool: Sequence[str] | None = None,
+    records: Iterable[ExecutionRecord], world: World, dataset_id: str
 ) -> float:
     """Accuracy of the modal prediction, per (sample, variant), averaged
     across prompt variants."""
-    groups = _dataset_groups(records, dataset_id, model_pool or world.model_pool)
-    samples = world.sample_index()
-    per_variant: dict[str, list[bool]] = {}
-    for (ds, sid, vid), per_model in groups.items():
-        votes = [rec.predicted_index for _, rec in sorted(per_model.items())]
-        modal = voting_predict(votes)
-        gold = samples[(ds, sid)].gold_index
-        per_variant.setdefault(vid, []).append(modal == gold)
-    accs = [sum(v) / len(v) for v in per_variant.values()]
-    return sum(accs) / len(accs)
+    grid = QueryGrid.build(world, records)
+    grid.require_coverage()
+    return _voting(grid, dataset_id)
 
 
 @dataclass
@@ -199,10 +167,7 @@ class ComparisonReport:
     def write_csv(self, target: str | Path | IO[str]) -> None:
         """Table-2 shaped export: strategies as columns, datasets as rows,
         two summary rows, one cost row."""
-        own = isinstance(target, (str, Path))
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh)
+        with csv_writer(target) as writer:
             writer.writerow(["dataset", *STRATEGIES])
             for ds in self.dataset_ids:
                 writer.writerow([ds, *(_fmt_pct(self.cells[s].get(ds)) for s in STRATEGIES)])
@@ -211,9 +176,6 @@ class ComparisonReport:
                 ["average_weighted", *(_fmt_pct(self.weighted_averages[s]) for s in STRATEGIES)]
             )
             writer.writerow(["cost_over_n_models", *(COST_ROW[s] for s in STRATEGIES)])
-        finally:
-            if own:
-                fh.close()
 
     def to_dict(self) -> dict:
         return {
@@ -239,8 +201,6 @@ def build_comparison_report(
     world: World,
     router=None,
     router_accuracies: Mapping[str, float] | None = None,
-    records: Sequence[ExecutionRecord] | None = None,
-    accuracy_table: AccuracyTable | None = None,
     chance_kind: str = "uniform",
     failed_folds: Sequence[str] = (),
 ) -> ComparisonReport:
@@ -250,33 +210,23 @@ def build_comparison_report(
     e.g. per-fold held-out replay results) or from replaying ``router``
     over every dataset; with neither, the column is left empty.
 
-    Every column is computed over the valid prompt variants only (the
-    empty-question variants are removed for all models), so the six
-    strategies share one (sample, variant) universe and the ordering
-    guarantees among them hold exactly.
+    Every column is computed from one query grid over the valid prompt
+    variants (the empty-question variants are removed for all models), so
+    the six strategies share one (sample, variant) universe and the
+    ordering guarantees among them hold exactly.
     """
     if chance_kind not in ("uniform", "majority"):
         raise InvalidInputError(f"unknown chance kind {chance_kind!r}")
-    from .core import aggregate_accuracy
-    from .routerdata import filter_valid_prompts
-
-    recs = filter_valid_prompts(
-        list(records) if records is not None else list(world.records),
-        world.prompt_configs,
-    )
-    if not recs:
-        raise InvalidInputError("no records on valid prompt variants")
-    table = accuracy_table if accuracy_table is not None else aggregate_accuracy(
-        recs, world.sample_index()
-    )
+    grid = QueryGrid.build(world)
+    grid.require_coverage()
 
     router_col: dict[str, float | None]
     if router_accuracies is not None:
         router_col = {ds: router_accuracies.get(ds) for ds in world.datasets}
     elif router is not None:
-        from .router import evaluate_router
+        from .router import replay_accuracy
 
-        router_col = dict(evaluate_router(router, recs, world))
+        router_col = replay_accuracy(router, grid)
     else:
         router_col = {ds: None for ds in world.datasets}
 
@@ -284,14 +234,12 @@ def build_comparison_report(
     cells: dict[str, dict[str, float | None]] = {s: {} for s in STRATEGIES}
     for ds_id, manifest in world.datasets.items():
         cells["chance"][ds_id] = 100.0 * chance_fn(manifest.samples)
-        cells["average"][ds_id] = 100.0 * average_baseline(table, ds_id)
-        cells["voting"][ds_id] = 100.0 * voting_accuracy(recs, world, ds_id)
+        cells["average"][ds_id] = 100.0 * average_baseline(grid.table, ds_id)
+        cells["voting"][ds_id] = 100.0 * _voting(grid, ds_id)
         r = router_col.get(ds_id)
         cells["router"][ds_id] = None if r is None else 100.0 * r
-        cells["oracle"][ds_id] = 100.0 * oracle_accuracy(table, ds_id)
-        cells["upper_bound"][ds_id] = 100.0 * upper_bound_accuracy(
-            recs, ds_id, world.model_pool
-        )
+        cells["oracle"][ds_id] = 100.0 * oracle_accuracy(grid.table, ds_id)
+        cells["upper_bound"][ds_id] = 100.0 * _upper_bound(grid, ds_id)
     return ComparisonReport(
         dataset_ids=tuple(world.datasets),
         cells=cells,

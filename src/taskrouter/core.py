@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, InvalidInputError
+from .errors import CoverageError, IntegrityError, InvalidInputError
 
 TASK_KINDS = ("recognition", "reasoning")
 
@@ -187,13 +188,18 @@ class ExecutionRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExecutionRecord":
+        predicted, correct = d["predicted_index"], d["correct"]
+        if isinstance(predicted, bool) or not isinstance(predicted, int):
+            raise InvalidInputError(f"predicted_index must be an integer, got {predicted!r}")
+        if not isinstance(correct, bool):
+            raise InvalidInputError(f"correct must be true or false, got {correct!r}")
         return cls(
             sample_id=d["sample_id"],
             dataset_id=d["dataset_id"],
             model_id=d["model_id"],
             prompt_variant_id=d["prompt_variant_id"],
-            predicted_index=int(d["predicted_index"]),
-            correct=bool(d["correct"]),
+            predicted_index=predicted,
+            correct=correct,
         )
 
 
@@ -208,6 +214,10 @@ class AccuracyTable:
 
     def __init__(self, counts: Mapping[tuple[str, str, str], tuple[int, int]] | None = None):
         self._counts: dict[tuple[str, str, str], tuple[int, int]] = dict(counts or {})
+        # (model, dataset) -> [(variant, correct, total)], sorted: marginals ignore cell order
+        self._by_pair: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+        for (m, d, v), (c, t) in sorted(self._counts.items()):
+            self._by_pair.setdefault((m, d), []).append((v, c, t))
 
     @property
     def counts(self) -> dict[tuple[str, str, str], tuple[int, int]]:
@@ -217,18 +227,11 @@ class AccuracyTable:
         correct, total = self._counts[(model_id, dataset_id, variant_id)]
         return correct / total
 
-    def has_cell(self, model_id: str, dataset_id: str, variant_id: str) -> bool:
-        return (model_id, dataset_id, variant_id) in self._counts
-
     def marginal(self, model_id: str, dataset_id: str) -> float:
-        cells = [
-            correct / total
-            for (m, d, _), (correct, total) in self._counts.items()
-            if m == model_id and d == dataset_id
-        ]
+        cells = self._by_pair.get((model_id, dataset_id))
         if not cells:
             raise KeyError((model_id, dataset_id))
-        return sum(cells) / len(cells)
+        return sum(correct / total for _, correct, total in cells) / len(cells)
 
     def models(self) -> list[str]:
         return sorted({m for m, _, _ in self._counts})
@@ -237,9 +240,7 @@ class AccuracyTable:
         return sorted({d for _, d, _ in self._counts})
 
     def variants(self, model_id: str, dataset_id: str) -> list[str]:
-        return sorted(
-            v for (m, d, v) in self._counts if m == model_id and d == dataset_id
-        )
+        return [v for v, _, _ in self._by_pair.get((model_id, dataset_id), ())]
 
     def merge(self, other: "AccuracyTable") -> "AccuracyTable":
         merged = dict(self._counts)
@@ -256,16 +257,21 @@ class AccuracyTable:
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
         """Export cells as CSV: model_id,dataset_id,prompt_variant_id,accuracy."""
-        own = isinstance(target, (str, Path))
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh)
+        with csv_writer(target) as writer:
             writer.writerow(["model_id", "dataset_id", "prompt_variant_id", "accuracy"])
             for (m, d, v) in sorted(self._counts):
                 writer.writerow([m, d, v, repr(self.cell(m, d, v))])
-        finally:
-            if own:
-                fh.close()
+
+
+@contextmanager
+def csv_writer(target: str | Path | IO[str]):
+    """A csv.writer over ``target``: a path, opened and closed here, or an
+    open text handle, left open."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", newline="") as fh:
+            yield csv.writer(fh)
+    else:
+        yield csv.writer(target)
 
 
 def summarize_image(pixels) -> MetadataSummary:
@@ -291,6 +297,25 @@ def summarize_image(pixels) -> MetadataSummary:
     )
 
 
+def _check_record(rec: ExecutionRecord, sample: Sample | None) -> None:
+    """IntegrityError for a dangling sample reference, an out-of-range
+    prediction or a correct flag inconsistent with the gold index."""
+    if sample is None:
+        raise IntegrityError(
+            f"record references unknown sample {rec.dataset_id}/{rec.sample_id}"
+        )
+    if not 0 <= rec.predicted_index < len(sample.response_options):
+        raise IntegrityError(
+            f"record for {rec.sample_id}: predicted_index "
+            f"{rec.predicted_index} outside option range"
+        )
+    if rec.correct != (rec.predicted_index == sample.gold_index):
+        raise IntegrityError(
+            f"record for {rec.sample_id}: correct flag inconsistent "
+            f"with predicted_index"
+        )
+
+
 def aggregate_accuracy(
     records: Iterable[ExecutionRecord],
     samples: Mapping[tuple[str, str], Sample] | None = None,
@@ -306,22 +331,7 @@ def aggregate_accuracy(
     for rec in records:
         n += 1
         if samples is not None:
-            sample = samples.get((rec.dataset_id, rec.sample_id))
-            if sample is None:
-                raise IntegrityError(
-                    f"record references unknown sample "
-                    f"{rec.dataset_id}/{rec.sample_id}"
-                )
-            if not 0 <= rec.predicted_index < len(sample.response_options):
-                raise IntegrityError(
-                    f"record for {rec.sample_id}: predicted_index "
-                    f"{rec.predicted_index} outside option range"
-                )
-            if rec.correct != (rec.predicted_index == sample.gold_index):
-                raise IntegrityError(
-                    f"record for {rec.sample_id}: correct flag inconsistent "
-                    f"with predicted_index"
-                )
+            _check_record(rec, samples.get((rec.dataset_id, rec.sample_id)))
         key = (rec.model_id, rec.dataset_id, rec.prompt_variant_id)
         cell = counts.setdefault(key, [0, 0])
         cell[0] += int(rec.correct)
@@ -397,6 +407,129 @@ class World:
 
     def accuracy_table(self) -> AccuracyTable:
         return aggregate_accuracy(self.records, self.sample_index())
+
+
+@dataclass(frozen=True)
+class QueryGrid:
+    """The (query, model) outcome grid that labeling, the baselines, router
+    replay and the selection heatmap read, built once per (world, record
+    subset). Rows are every (dataset, sample, valid variant) query, in
+    ``world.datasets``, manifest and ``prompt_variants`` order, so nothing
+    read from the grid depends on record order. Columns are the sorted
+    model pool; ``covered`` marks cells with a record.
+    """
+
+    world: World
+    models: tuple[str, ...]
+    queries: list[tuple[str, Sample, object]]  # (dataset_id, sample, PromptVariant)
+    spans: dict[str, range]  # dataset_id -> its rows
+    variant_index: np.ndarray  # (n_rows,) position of the row's variant in its dataset
+    correct: np.ndarray  # (n_rows, n_models) bool
+    predicted: np.ndarray  # (n_rows, n_models) int
+    covered: np.ndarray  # (n_rows, n_models) bool
+    table: AccuracyTable  # of the grid's records
+
+    @classmethod
+    def build(
+        cls, world: World, records: Iterable[ExecutionRecord] | None = None
+    ) -> "QueryGrid":
+        """Grid over ``records`` (default: the world's) on valid variants.
+        Records are checked as ``aggregate_accuracy`` and ``group_records``
+        check them, and for models outside the pool (IntegrityError)."""
+        from .prompts import prompt_variants, valid_variant_ids
+        from .routerdata import filter_valid_prompts
+
+        groups = group_records(filter_valid_prompts(
+            world.records if records is None else records, world.prompt_configs
+        ))
+        models = tuple(sorted(world.model_pool))
+        column = {m: j for j, m in enumerate(models)}
+        queries, spans, variant_index, cells, placed, counts = [], {}, [], [], [], {}
+        for ds_id, manifest in world.datasets.items():
+            config = world.prompt_configs[ds_id]
+            valid = valid_variant_ids(config)
+            variants = [v for v in prompt_variants(config) if v.variant_id in valid]
+            start = len(queries)
+            for sample in manifest.samples:
+                for v, variant in enumerate(variants):
+                    row = len(queries) * len(models)
+                    for model, rec in groups.pop((ds_id, sample.sample_id, variant.variant_id),
+                                                 {}).items():
+                        if model not in column:
+                            raise IntegrityError(f"record of model {model!r} outside the "
+                                                 f"pool {list(models)}")
+                        _check_record(rec, sample)
+                        cells.append(row + column[model])
+                        placed.append(rec)
+                        cell = counts.setdefault((model, ds_id, variant.variant_id), [0, 0])
+                        cell[0] += rec.correct
+                        cell[1] += 1
+                    queries.append((ds_id, sample, variant))
+                    variant_index.append(v)
+            spans[ds_id] = range(start, len(queries))
+        for ds_id, sample_id, _ in groups:
+            raise IntegrityError(f"record references unknown sample {ds_id}/{sample_id}")
+
+        shape = (len(queries), len(models))
+        grid = cls(
+            world=world, models=models, queries=queries, spans=spans,
+            variant_index=np.array(variant_index, dtype=np.int64),
+            correct=np.zeros(shape, dtype=bool),
+            predicted=np.full(shape, -1, dtype=np.int64), covered=np.zeros(shape, dtype=bool),
+            table=AccuracyTable({k: (c, t) for k, (c, t) in counts.items()}),
+        )
+        grid.covered.flat[cells] = True
+        grid.correct.flat[cells] = [r.correct for r in placed]
+        grid.predicted.flat[cells] = [r.predicted_index for r in placed]
+        return grid
+
+    def rows(self, dataset_id: str) -> np.ndarray:
+        """The dataset's rows that have at least one record."""
+        span = self.spans.get(dataset_id, range(0))
+        return span.start + np.flatnonzero(self.covered[span.start:span.stop].any(axis=1))
+
+    def require_coverage(self) -> None:
+        """CoverageError listing (dataset, sample, variant, missing models)
+        for every row with some records but not one of each pool model."""
+        gaps = []
+        for i in np.flatnonzero(self.covered.any(axis=1) & ~self.covered.all(axis=1)):
+            ds_id, sample, variant = self.queries[i]
+            missing = tuple(m for m, ok in zip(self.models, self.covered[i]) if not ok)
+            gaps.append((ds_id, sample.sample_id, variant.variant_id, missing))
+        if gaps:
+            shown = ", ".join(
+                f"{ds}/{sid}/{vid} missing {list(miss)}" for ds, sid, vid, miss in gaps[:5]
+            )
+            raise CoverageError(
+                f"{len(gaps)} (sample, variant) groups lack full model coverage: "
+                f"{shown}{'...' if len(gaps) > 5 else ''}",
+                gaps=gaps,
+            )
+
+    def outcome(self, rows: Iterable[int], choices: Iterable[str]) -> np.ndarray:
+        """Recorded correctness of the chosen model on each row
+        (CoverageError when there is none)."""
+        column = {m: j for j, m in enumerate(self.models)}
+        hits = []
+        for i, model in zip(rows, choices):
+            j = column.get(model)
+            if j is None or not self.covered[i, j]:
+                ds_id, sample, variant = self.queries[i]
+                raise CoverageError(f"no recorded outcome for routed model {model!r} on "
+                                    f"{ds_id}/{sample.sample_id}/{variant.variant_id}")
+            hits.append(self.correct[i, j])
+        return np.array(hits, dtype=bool)
+
+    def variant_mean(self, rows: np.ndarray, hits: Sequence[bool]) -> float:
+        """Hit rate per prompt variant over ``rows`` (one dataset's), averaged
+        over the variants in canonical order; ``hits`` is aligned with ``rows``."""
+        if not len(rows):
+            raise InvalidInputError("no recorded queries to average")
+        codes = self.variant_index[rows]
+        rights = np.bincount(codes, weights=np.asarray(hits, dtype=float))
+        totals = np.bincount(codes)
+        rates = [r / t for r, t in zip(rights.tolist(), totals.tolist()) if t]
+        return sum(rates) / len(rates)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,20 @@ and a failed fold never aborts the remaining ones.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import ComparisonReport, build_comparison_report
-from .core import World
-from .errors import CoverageError, InvalidInputError, TaskRouterError
-from .router import FeaturizerConfig, RouterModel, TrainConfig, evaluate_router, train_router
+from .core import QueryGrid, World, csv_writer
+from .errors import IntegrityError, InvalidInputError, TaskRouterError
+from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
+                     route_rows, train_router)
 from .routerdata import (
     ALL_FLAG_COMBOS,
     RouterExample,
@@ -153,18 +153,19 @@ def _run_fold(
 ) -> FoldResult:
     train_records = [r for r in world.records if r.dataset_id != heldout]
     examples = build_router_dataset(world, flags, records=train_records)
+    if any(ex.provenance[1] == heldout for ex in examples):
+        raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
     train, validate, test = split_80_10_10(examples, seed=fold_seed)
-    assert not any(ex.provenance[1] == heldout for ex in examples)
 
     model = train_router(
         train, validate,
-        config=_with_seed(train_config, fold_seed),
+        config=replace(train_config, seed=fold_seed),
         flags=flags,
         featurizer=featurizer,
         vocabulary=sorted(world.model_pool),
     )
     heldout_records = [r for r in world.records if r.dataset_id == heldout]
-    accuracy = evaluate_router(model, heldout_records, world, datasets=[heldout])[heldout]
+    accuracy = evaluate_router(model, heldout_records, world)[heldout]
 
     result = FoldResult(
         heldout_dataset=heldout,
@@ -190,16 +191,6 @@ def _run_fold(
     return result
 
 
-def _with_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_iterations=config.max_iterations,
-        eval_every=config.eval_every,
-        seed=seed,
-    )
-
-
 @dataclass
 class AblationResult:
     """Held-out router accuracy per dataset for each flag combination,
@@ -215,10 +206,7 @@ class AblationResult:
         return sum(vals) / len(vals) if vals else None
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        own = isinstance(target, (str, Path))
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh)
+        with csv_writer(target) as writer:
             tags = list(self.columns)
             header = ["dataset", *tags]
             if self.in_distribution is not None:
@@ -236,9 +224,6 @@ class AblationResult:
                 vals = list(self.in_distribution.values())
                 avg_row.append(_fmt(sum(vals) / len(vals) if vals else None))
             writer.writerow(avg_row)
-        finally:
-            if own:
-                fh.close()
 
     def to_dict(self) -> dict:
         return {
@@ -311,24 +296,16 @@ def run_in_distribution(
     examples = build_router_dataset(world, flags)
     train, validate, test = split_80_10_10(examples, seed=seed)
     model = train_router(
-        train, validate, config=_with_seed(train_config, seed), flags=flags,
+        train, validate, config=replace(train_config, seed=seed), flags=flags,
         featurizer=featurizer, vocabulary=sorted(world.model_pool),
     )
-    outcomes = {
-        (r.dataset_id, r.sample_id, r.prompt_variant_id, r.model_id): r
-        for r in world.records
-    }
+    grid = QueryGrid.build(world)
+    row = {(s.sample_id, ds_id, v.variant_id): i for i, (ds_id, s, v) in enumerate(grid.queries)}
+    rows = [row[ex.provenance] for ex in test]
+    hits = grid.outcome(rows, route_rows(model, grid, rows))
     per_dataset: dict[str, list[bool]] = {}
-    for ex in test:
-        sample_id, ds_id, variant_id = ex.provenance
-        choice = model.route_text(ex.serialized_input)
-        outcome = outcomes.get((ds_id, sample_id, variant_id, choice))
-        if outcome is None:
-            raise CoverageError(
-                f"no recorded outcome for routed model {choice!r} on "
-                f"{ds_id}/{sample_id}/{variant_id}"
-            )
-        per_dataset.setdefault(ds_id, []).append(outcome.correct)
+    for ex, hit in zip(test, hits.tolist()):
+        per_dataset.setdefault(ex.provenance[1], []).append(hit)
     return {ds: sum(v) / len(v) for ds, v in sorted(per_dataset.items())}
 
 
@@ -349,16 +326,10 @@ class SelectionDistribution:
             )
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        own = isinstance(target, (str, Path))
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh)
+        with csv_writer(target) as writer:
             writer.writerow(["model_id", *self.dataset_ids])
             for i, model in enumerate(self.model_ids):
                 writer.writerow([model, *(repr(float(x)) for x in self.fractions[i])])
-        finally:
-            if own:
-                fh.close()
 
     def render_image(self, path: str | Path) -> bool:
         """Best-effort heatmap image; returns False when matplotlib is
@@ -390,26 +361,15 @@ def selection_heatmap(
     datasets: Sequence[str] | None = None,
 ) -> SelectionDistribution:
     """How often the router picks each model per dataset, over every
-    (sample, valid variant) query."""
-    from .prompts import prompt_variants, render, rendered_options, valid_variant_ids
-
+    (sample, valid variant) query; records play no part."""
+    grid = QueryGrid.build(world, ())
     chosen = list(datasets) if datasets is not None else list(world.datasets)
     models = list(router.vocabulary)
     index = {m: i for i, m in enumerate(models)}
     counts = np.zeros((len(models), len(chosen)))
     for j, ds_id in enumerate(chosen):
-        manifest = world.datasets[ds_id]
-        config = world.prompt_configs[ds_id]
-        valid = valid_variant_ids(config)
-        variants = [v for v in prompt_variants(config) if v.variant_id in valid]
-        for sample in manifest.samples:
-            for variant in variants:
-                choice = router.route(
-                    world.metadata.get(sample.sample_id),
-                    render(variant.question, sample, config),
-                    rendered_options(sample, config, variant),
-                )
-                counts[index[choice], j] += 1
+        for choice in route_rows(router, grid, grid.spans[ds_id]):
+            counts[index[choice], j] += 1
         if counts[:, j].sum() == 0:
             raise InvalidInputError(f"no queries for dataset {ds_id!r}")
     return SelectionDistribution(

@@ -1,9 +1,8 @@
 """Trainable text-to-model router.
 
-The default learner is a multinomial logistic regression over signed
-hashed character n-grams: dependency-free, deterministic, and fast enough
-to train at desk scale. The learner interface is pluggable so a generative
-LM can be swapped in later without touching the data pipeline.
+The learner is a multinomial logistic regression over signed hashed
+character n-grams: dependency-free, deterministic, and fast enough to
+train at desk scale.
 
 Serialized inputs are featurized as character n-grams (orders 2-4 by
 default) hashed into 2^18 signed buckets. Hashing uses a fixed polynomial
@@ -18,13 +17,13 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ExecutionRecord, MetadataSummary, World, group_records
-from .errors import CoverageError, InvalidInputError
-from .prompts import prompt_variants, render, rendered_options, valid_variant_ids
+from .core import ExecutionRecord, MetadataSummary, QueryGrid, World
+from .errors import InvalidInputError
+from .prompts import render, rendered_options
 from .routerdata import RouterExample, SerializationFlags, serialize_input
 
 logger = logging.getLogger(__name__)
@@ -107,21 +106,22 @@ def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
     all_buckets = []
     all_signs = []
     for order in config.ngram_orders:
-        if len(codes) < order:
+        n = len(codes) - order + 1
+        if n < 1:
             continue
-        windows = np.lib.stride_tricks.sliding_window_view(codes, order)
-        hashes = (windows * _atoms(order)[None, :]).sum(axis=1, dtype=np.uint64)
+        # hash of the n-gram starting at i: sum_k codes[i + k] * atoms[k] mod 2^64
+        atoms = _atoms(order)
+        hashes = codes[:n] * atoms[0]
+        for k in range(1, order):
+            hashes += codes[k:k + n] * atoms[k]
         all_buckets.append((hashes % np.uint64(config.hash_dim)).astype(np.int64))
-        signs = ((hashes >> np.uint64(63)) & np.uint64(1)).astype(np.float64)
-        all_signs.append(1.0 - 2.0 * signs)
+        all_signs.append(1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64))
     if not all_buckets:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     buckets = np.concatenate(all_buckets)
     signs = np.concatenate(all_signs)
     uniq, inverse = np.unique(buckets, return_inverse=True)
-    values = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(values, inverse, signs)
-    return uniq, values
+    return uniq, np.bincount(inverse, weights=signs, minlength=len(uniq))
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,6 @@ class RouterModel:
     seed: int
     weights: np.ndarray  # (n_models, hash_dim)
     bias: np.ndarray  # (n_models,)
-    learner_kind: str = "linear_hashed_ngram"
 
     def __post_init__(self):
         if not self.vocabulary:
@@ -256,11 +255,12 @@ class RouterModel:
     # -- persistence --------------------------------------------------------
 
     MAGIC = b"TROUTER\x01"
+    LEARNER_KIND = "linear_hashed_ngram"
 
     def save(self, path: str | Path) -> None:
         header = {
             "format_version": 1,
-            "learner_kind": self.learner_kind,
+            "learner_kind": self.LEARNER_KIND,
             "vocabulary": list(self.vocabulary),
             "flags": self.flags.to_dict(),
             "featurization": self.featurizer.to_dict(),
@@ -277,28 +277,46 @@ class RouterModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RouterModel":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(cls.MAGIC))
-            if magic != cls.MAGIC:
-                raise InvalidInputError(f"{path} is not a router file")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            if header.get("format_version") != 1:
-                raise InvalidInputError(
-                    f"unsupported router file version {header.get('format_version')}"
-                )
-            shape = tuple(header["weights_shape"])
-            n = shape[0] * shape[1]
-            weights = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
-            bias = np.frombuffer(fh.read(8 * shape[0]), dtype="<f8").copy()
+        """Read a router file, checking the magic, the header fields, the
+        exact parameter byte length and that every parameter is finite."""
+        data = Path(path).read_bytes()
+        start = len(cls.MAGIC) + 4
+        if len(data) < start or not data.startswith(cls.MAGIC):
+            raise InvalidInputError(f"{path} is not a router file")
+        (hlen,) = struct.unpack_from("<I", data, len(cls.MAGIC))
+        try:
+            header = json.loads(data[start:start + hlen].decode("utf-8"))
+            kind = (header.get("format_version"), header.get("learner_kind"))
+            if kind != (1, cls.LEARNER_KIND):
+                raise InvalidInputError(f"unsupported router file version/learner {kind}")
+            vocabulary = tuple(header["vocabulary"])
+            featurizer = FeaturizerConfig.from_dict(header["featurization"])
+            flags = SerializationFlags.from_dict(header["flags"])
+            seed = int(header["seed"])
+            shape = header["weights_shape"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{path}: bad router header: {exc}") from exc
+        k, dim = len(vocabulary), featurizer.hash_dim
+        if shape != [k, dim]:
+            raise InvalidInputError(
+                f"{path}: weights_shape {shape} does not match {k} models x {dim} buckets"
+            )
+        body = data[start + hlen:]
+        if len(body) != 8 * k * (dim + 1):
+            raise InvalidInputError(
+                f"{path}: expected {8 * k * (dim + 1)} parameter bytes after the "
+                f"header, found {len(body)}"
+            )
+        params = np.frombuffer(body, dtype="<f8")
+        if not np.isfinite(params).all():
+            raise InvalidInputError(f"{path}: non-finite router parameters")
         return cls(
-            vocabulary=tuple(header["vocabulary"]),
-            featurizer=FeaturizerConfig.from_dict(header["featurization"]),
-            flags=SerializationFlags.from_dict(header["flags"]),
-            seed=int(header["seed"]),
-            weights=weights,
-            bias=bias,
-            learner_kind=header["learner_kind"],
+            vocabulary=vocabulary,
+            featurizer=featurizer,
+            flags=flags,
+            seed=seed,
+            weights=params[:k * dim].reshape(k, dim).copy(),
+            bias=params[k * dim:].copy(),
         )
 
 
@@ -402,45 +420,35 @@ def _infer_flags(example: RouterExample) -> SerializationFlags:
     )
 
 
-def evaluate_router(
-    router: RouterModel,
-    records: Sequence[ExecutionRecord],
-    world: World,
-    datasets: Sequence[str] | None = None,
-) -> dict[str, float]:
-    """Recorded-outcome replay: per (sample, valid variant), ask the router
-    for a model and score the sample by that model's stored correctness.
-    No model is executed. Returns per-dataset accuracy averaged across
-    prompt variants."""
-    groups = group_records(records)
-    chosen = list(datasets) if datasets is not None else list(world.datasets)
+def route_rows(router, grid: QueryGrid, rows: Iterable[int]) -> list[str]:
+    """The model ``router.route`` picks for each of the grid's ``rows``,
+    given the query's image metadata, rendered prompt and options."""
+    choices = []
+    for i in rows:
+        ds_id, sample, variant = grid.queries[i]
+        config = grid.world.prompt_configs[ds_id]
+        choices.append(router.route(grid.world.metadata.get(sample.sample_id),
+                                    render(variant.question, sample, config),
+                                    rendered_options(sample, config, variant)))
+    return choices
+
+
+def replay_accuracy(router, grid: QueryGrid) -> dict[str, float]:
+    """Recorded-outcome replay over the grid: per recorded query, ask the
+    router for a model and score the query by that model's stored
+    correctness. No model is executed. Returns per-dataset accuracy
+    averaged across prompt variants, for the datasets that have records."""
     out: dict[str, float] = {}
-    for ds_id in chosen:
-        manifest = world.datasets[ds_id]
-        config = world.prompt_configs[ds_id]
-        valid = valid_variant_ids(config)
-        variants = [v for v in prompt_variants(config) if v.variant_id in valid]
-        per_variant: dict[str, list[bool]] = {v.variant_id: [] for v in variants}
-        for sample in manifest.samples:
-            for variant in variants:
-                per_model = groups.get((ds_id, sample.sample_id, variant.variant_id))
-                if per_model is None:
-                    continue
-                choice = router.route(
-                    world.metadata.get(sample.sample_id),
-                    render(variant.question, sample, config),
-                    rendered_options(sample, config, variant),
-                )
-                outcome = per_model.get(choice)
-                if outcome is None:
-                    raise CoverageError(
-                        f"no recorded outcome for routed model {choice!r} on "
-                        f"{ds_id}/{sample.sample_id}/{variant.variant_id}"
-                    )
-                per_variant[variant.variant_id].append(outcome.correct)
-        variant_accs = [
-            sum(flags_) / len(flags_) for flags_ in per_variant.values() if flags_
-        ]
-        if variant_accs:
-            out[ds_id] = sum(variant_accs) / len(variant_accs)
+    for ds_id in grid.spans:
+        rows = grid.rows(ds_id)
+        if len(rows):
+            hits = grid.outcome(rows, route_rows(router, grid, rows))
+            out[ds_id] = grid.variant_mean(rows, hits)
     return out
+
+
+def evaluate_router(
+    router: RouterModel, records: Sequence[ExecutionRecord], world: World
+) -> dict[str, float]:
+    """``replay_accuracy`` over the grid of ``records``."""
+    return replay_accuracy(router, QueryGrid.build(world, records))

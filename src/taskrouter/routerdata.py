@@ -23,18 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    AccuracyTable,
-    ExecutionRecord,
-    MetadataSummary,
-    World,
-    group_records,
-)
-from .errors import CoverageError, IntegrityError, InvalidInputError, ParseError
+import numpy as np
+
+from .core import ExecutionRecord, MetadataSummary, QueryGrid, World
+from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import (
     DatasetPromptConfig,
     PromptVariant,
-    prompt_variants,
     render,
     rendered_options,
     valid_variant_ids,
@@ -399,68 +394,30 @@ def build_router_dataset(
     world: World,
     flags: SerializationFlags,
     records: Sequence[ExecutionRecord] | None = None,
-    accuracy_table: AccuracyTable | None = None,
     return_counts: bool = False,
 ):
-    """Turn execution records into router examples: one per retained
-    (sample, prompt variant), labeled with its best model.
+    """Turn execution records into router examples: one per query of the
+    grid, labeled with its best model under the ``select_best_model`` rule.
 
-    ``records``/``accuracy_table`` default to the world's own; passing a
-    subset (e.g. all datasets except a held-out one) restricts the corpus
-    and the averages the labels see.
+    ``records`` defaults to the world's own; passing a subset (e.g. all
+    datasets except a held-out one) restricts the corpus and the averages
+    the labels see.
     """
-    recs = list(records) if records is not None else list(world.records)
-    raw_count = len(recs)
-    recs = filter_valid_prompts(recs, world.prompt_configs)
-    table = accuracy_table
-    if table is None:
-        from .core import aggregate_accuracy
-
-        table = aggregate_accuracy(recs, world.sample_index()) if recs else AccuracyTable()
-
-    pool = sorted(world.model_pool)
-    samples = world.sample_index()
-    groups = group_records(recs)
-
-    gaps = []
-    for (ds, sid, vid), per_model in groups.items():
-        if (ds, sid) not in samples:
-            raise IntegrityError(f"record references unknown sample {ds}/{sid}")
-        missing = [m for m in pool if m not in per_model]
-        if missing:
-            gaps.append((ds, sid, vid, tuple(missing)))
-    if gaps:
-        shown = ", ".join(
-            f"{ds}/{sid}/{vid} missing {list(miss)}" for ds, sid, vid, miss in gaps[:5]
-        )
-        raise CoverageError(
-            f"{len(gaps)} (sample, variant) groups lack full model coverage: "
-            f"{shown}{'...' if len(gaps) > 5 else ''}",
-            gaps=gaps,
-        )
-
-    variants_by_ds = {
-        ds: {v.variant_id: v for v in prompt_variants(cfg)}
-        for ds, cfg in world.prompt_configs.items()
-    }
-
+    recs = world.records if records is None else records
+    grid = QueryGrid.build(world, recs)
+    grid.require_coverage()
     examples: list[RouterExample] = []
-    for ds_id, manifest in world.datasets.items():
-        config = world.prompt_configs[ds_id]
-        for sample in manifest.samples:
-            for vid, variant in variants_by_ds[ds_id].items():
-                per_model = groups.get((ds_id, sample.sample_id, vid))
-                if per_model is None:
-                    continue
-                correct = {m: rec.correct for m, rec in per_model.items()}
-                avgs = {m: table.cell(m, ds_id, vid) for m in per_model}
-                label = select_best_model(correct, avgs)
-                example = _make_example(
-                    world, sample, config, variant, label,
-                    per_model[label].correct, table.marginal(label, ds_id), flags,
-                )
-                examples.append(example)
-    counts = CorpusCounts(raw_records=raw_count, valid_records=len(recs),
+    for i in np.flatnonzero(grid.covered.any(axis=1)):
+        ds_id, sample, variant = grid.queries[i]
+        correct = dict(zip(grid.models, grid.correct[i].tolist()))
+        label = select_best_model(
+            correct, {m: grid.table.cell(m, ds_id, variant.variant_id) for m in grid.models}
+        )
+        examples.append(_make_example(
+            world, sample, world.prompt_configs[ds_id], variant, label,
+            correct[label], grid.table.marginal(label, ds_id), flags,
+        ))
+    counts = CorpusCounts(raw_records=len(recs), valid_records=int(grid.covered.sum()),
                           examples=len(examples))
     if return_counts:
         return examples, counts

@@ -242,7 +242,7 @@ def test_criterion_5_baseline_ordering():
             for rec in world.records:
                 by_ds.setdefault(rec.dataset_id, []).append(rec)
             for ds, records in by_ds.items():
-                upper = upper_bound_accuracy(records, ds, world.model_pool)
+                upper = upper_bound_accuracy(records, world, ds)
                 oracle = oracle_accuracy(table, ds)
                 average = average_baseline(table, ds)
                 voting = voting_accuracy(records, world, ds)
@@ -285,8 +285,7 @@ def test_criterion_6_router_learning():
         replay = evaluate_router(model, world.records, world)
         upper = {
             ds: upper_bound_accuracy(
-                [r for r in world.records if r.dataset_id == ds], ds,
-                world.model_pool,
+                [r for r in world.records if r.dataset_id == ds], world, ds,
             )
             for ds in world.datasets
         }

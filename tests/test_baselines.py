@@ -142,7 +142,7 @@ class TestUpperBound:
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
         records = [r for r in world.records if r.prompt_variant_id == "q1-o0"]
-        acc = upper_bound_accuracy(records, "micro", world.model_pool)
+        acc = upper_bound_accuracy(records, world, "micro")
         assert acc == pytest.approx(2 / 3)
 
     def test_dominant_model_means_100(self):
@@ -151,7 +151,7 @@ class TestUpperBound:
             for i in range(4) for v in ("q0-o0", "q1-o0")
         }
         world = make_micro_world(n_samples=4, correctness=correctness)
-        assert upper_bound_accuracy(world.records, "micro", world.model_pool) == 1.0
+        assert upper_bound_accuracy(world.records, world, "micro") == 1.0
 
     def test_matches_counting_oracle(self, rng):
         spec = WorldSpec(
@@ -160,7 +160,7 @@ class TestUpperBound:
             signal_mode="none", seed=4,
         )
         world = generate_world(spec)
-        got = upper_bound_accuracy(world.records, "ds00", world.model_pool)
+        got = upper_bound_accuracy(world.records, world, "ds00")
         by_pair = {}
         for r in world.records:
             by_pair.setdefault((r.sample_id, r.prompt_variant_id), []).append(r.correct)
@@ -176,7 +176,7 @@ class TestUpperBound:
             r.model_id == "gamma" and r.sample_id == "s1"
         )]
         with pytest.raises(CoverageError):
-            upper_bound_accuracy(partial, "micro", world.model_pool)
+            upper_bound_accuracy(partial, world, "micro")
 
 
 class TestComparisonReport:

@@ -157,6 +157,32 @@ def test_error_record_on_failure(tmp_path, capsys):
     assert set(record) == {"error", "message"}
 
 
+@pytest.mark.parametrize("damage", ["truncated", "trailing_bytes", "nan_weights"])
+def test_router_route_rejects_damaged_router_file(damage, tmp_path, capsys):
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    feats = FeaturizerConfig(hash_dim=64)
+    weights = np.ones((2, feats.hash_dim))
+    if damage == "nan_weights":
+        weights[1, 7] = np.nan
+    path = tmp_path / "router.bin"
+    RouterModel(("a", "b"), feats, SerializationFlags(False, False), 0,
+                weights, np.zeros(2)).save(path)
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[:-13])
+    elif damage == "trailing_bytes":
+        path.write_bytes(data + b"junk")
+    code = main(["router", "route", "--router", str(path), "--input", "[prompt]x"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "InvalidInputError"
+
+
 def test_error_record_on_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     spec = keyword_world_spec().to_dict()

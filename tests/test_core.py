@@ -217,6 +217,16 @@ class TestTypes:
         save_records(records, tmp_path / "r.jsonl")
         assert load_records(tmp_path / "r.jsonl") == records
 
+    @pytest.mark.parametrize("field, value", [
+        ("correct", "False"), ("correct", 0), ("correct", None),
+        ("predicted_index", True), ("predicted_index", "1"), ("predicted_index", 1.0),
+    ])
+    def test_record_from_dict_rejects_wrong_types(self, field, value):
+        d = _record("m", "d", "v", False).to_dict()
+        ExecutionRecord.from_dict(d)
+        with pytest.raises(InvalidInputError):
+            ExecutionRecord.from_dict({**d, field: value})
+
     def test_accuracy_table_counts_exposed(self):
         table = AccuracyTable({("m", "d", "v"): (3, 4)})
         assert table.cell("m", "d", "v") == 0.75

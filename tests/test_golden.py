@@ -1,0 +1,183 @@
+"""Persisted artifacts pinned by sha256, and their independence of record
+order.
+
+The digests were recorded with the implementation that regrouped records
+per consumer; any change to labeling, the baselines, router replay or the
+LODO loop that alters a byte of a report, corpus or router file fails here.
+"""
+
+import hashlib
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from taskrouter import (
+    ExecutionRecord,
+    RouterModel,
+    SerializationFlags,
+    build_comparison_report,
+    build_router_dataset,
+    generate_world,
+    run_lodo,
+    split_80_10_10,
+)
+from taskrouter.prompts import PromptTemplate
+from taskrouter.router import FeaturizerConfig, TrainConfig
+from taskrouter.routerdata import save_corpus
+from taskrouter.synth import WorldSpec
+
+FLAGS = SerializationFlags(True, True)
+FEATS = FeaturizerConfig(hash_dim=256)
+TRAIN = TrainConfig(learning_rate=0.05, max_iterations=60, eval_every=20)
+
+
+def four_form_world():
+    """3 datasets x 37 samples, 2-6 options, 4 question forms, no signal."""
+    return generate_world(WorldSpec(
+        n_datasets=3, samples_per_dataset=37, options_range=(2, 6),
+        competence={"m0": (0.7, 0.4, 0.5), "m1": (0.5, 0.6, 0.5),
+                    "m2": (0.3, 0.5, 0.6), "m3": (0.6, 0.5, 0.4)},
+        signal_mode="none", question_forms_per_dataset=4, seed=0,
+    ))
+
+
+def empty_question_world():
+    """A generated 2-form world whose datasets gain a third, empty question
+    form; its records sit after each model's last valid-variant record and
+    must be filtered out everywhere."""
+    world = generate_world(WorldSpec(
+        n_datasets=2, samples_per_dataset=20, options_range=(3, 4),
+        competence={"a": (0.8, 0.3), "b": (0.4, 0.7), "c": (0.5, 0.5)},
+        signal_mode="none", question_forms_per_dataset=2, seed=3,
+    ))
+    world.prompt_configs = {
+        ds: replace(cfg, question_forms=(*cfg.question_forms, PromptTemplate("")))
+        for ds, cfg in world.prompt_configs.items()
+    }
+    records = []
+    for rec in world.records:
+        records.append(rec)
+        if rec.prompt_variant_id == "q1-o0":
+            records.append(replace(rec, prompt_variant_id="q2-o0"))
+    world.records = records
+    return world
+
+
+def fixed_router(world) -> RouterModel:
+    rng = np.random.default_rng(11)
+    k = len(world.model_pool)
+    return RouterModel(
+        vocabulary=tuple(sorted(world.model_pool)), featurizer=FEATS, flags=FLAGS,
+        seed=0, weights=rng.normal(size=(k, FEATS.hash_dim)), bias=rng.normal(size=k),
+    )
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def report_and_corpus_digests(world, out) -> dict[str, str]:
+    out.mkdir(parents=True, exist_ok=True)
+    report = build_comparison_report(world, router=fixed_router(world))
+    report.write_csv(out / "report.csv")
+    report.write_json(out / "report.json")
+    examples = build_router_dataset(world, FLAGS)
+    for name, split in zip(("train", "validate", "test"), split_80_10_10(examples, seed=5)):
+        save_corpus(split, out / f"{name}.txt")
+    return {p.name: _sha(p) for p in sorted(out.iterdir())}
+
+
+def lodo_digests(world, out) -> dict[str, str]:
+    run_lodo(world, flags=FLAGS, train_config=TRAIN, featurizer=FEATS, seed=2,
+             out_dir=out)
+    paths = [out / "report.json"] + sorted(out.glob("fold_*/router.bin"))
+    return {str(p.relative_to(out)): _sha(p) for p in paths}
+
+
+GOLDEN = {
+    "four_form": {
+        "lodo/fold_ds00/router.bin":
+            "c756f8ebdf4a4fd0757e9536b51ef515a2e9a6ffa40a91d1447d93d9dd3431dc",
+        "lodo/fold_ds01/router.bin":
+            "d35573855969525646ebafcdd79b5f96b3184c53b2d3aedeacc7d8d6067f7393",
+        "lodo/fold_ds02/router.bin":
+            "e88a7a1a95de6b6e802886415f8f5519e5977241c075f1712ed192b1ba3dbf49",
+        "lodo/report.json":
+            "fc1accec02986830f2ff8822ad2a6f179f53996e102c68dbc083b5b3a10519c5",
+        "report.csv":
+            "4560e7e58e0521531e9ccad4c3b12d8f74c07f97fab368f55ebbffc3fbca4aff",
+        "report.json":
+            "5127ac7e4b0c0c0f0429bbe2fae3ddadcb647aeda0615d186c4f0abb4df17ee8",
+        "test.txt":
+            "c5bf52f997f5a124722ba500d52a9c60956b30fbbe7650480ad1039ff541dd0b",
+        "test.txt.index.jsonl":
+            "2202ad56600253402b2465eca52bde0d3bffe88d5428f08989e44c1f2cda0053",
+        "train.txt":
+            "e189f74977eb130032ed03a29b1c4e9169044fe52da63f979cf3cb5d2bbecb73",
+        "train.txt.index.jsonl":
+            "d84321ea3f0aa39c4c32fdbfcaed0387d9fa40541734858f41f481ca28010a5c",
+        "validate.txt":
+            "f7c460e73805154cbea59b0f273cf7e8d50febdced602f434f6751c74975937d",
+        "validate.txt.index.jsonl":
+            "e864c8970cac077ca74258ba344dcf83828993981c548acf1030cc46c2a410d8",
+    },
+    "empty_question": {
+        "lodo/fold_ds00/router.bin":
+            "ba95fa6a909c7c0d380ad1f63ab02e83c8bfcf73873e3e690a67a15a1e791cb2",
+        "lodo/fold_ds01/router.bin":
+            "bcbee2e10167dc15034e4873640b2466dd98c7a0f2f7724de21917089b27a276",
+        "lodo/report.json":
+            "1b18ffdb3815111c349830063bd6e9ff11ca6281b2dd9027b3e80b836edeb432",
+        "report.csv":
+            "7d5a5dbc1553d67dc628dc3146733697701bf44ccdd56ffa7f29766bf46f1dc7",
+        "report.json":
+            "a19809ccba66d8dbea0897108dfb3a73bf5c3f2c2fc70c070c5cd855341c4871",
+        "test.txt":
+            "35502c18b19db77c3292247b23ccd1306b537286c73d1ea78a71be07e1b8d87e",
+        "test.txt.index.jsonl":
+            "2fbdbd076b2b74cb64c82aa63ab135d17be5dd73e4bc646782679412a041d4f9",
+        "train.txt":
+            "56862509293585268ece9f19d778b55ed89f7aa342c32f052d42687deca00b6b",
+        "train.txt.index.jsonl":
+            "7ec5d1549149b8ce6368d09ca2a648c27bf773db6f8788fcc0322a97b099d7c0",
+        "validate.txt":
+            "c095d0055339d228e412aeac547345cc7f4ec51372d4c40786ea767c058ef520",
+        "validate.txt.index.jsonl":
+            "f7bfa07aadcb3b199aa3b32c1476fcee5d04dede408696a43d2cb3ed70b1388f",
+    },
+}
+
+WORLDS = {"four_form": four_form_world, "empty_question": empty_question_world}
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_artifacts_match_recorded_digests(name, tmp_path):
+    world = WORLDS[name]()
+    got = report_and_corpus_digests(world, tmp_path / "report")
+    got.update({f"lodo/{k}": v for k, v in lodo_digests(world, tmp_path / "lodo").items()})
+    assert got == GOLDEN[name]
+
+
+def test_report_and_corpus_independent_of_record_order(tmp_path):
+    world = four_form_world()
+    baseline = report_and_corpus_digests(world, tmp_path / "generated")
+    for seed in range(3):
+        random.Random(seed).shuffle(world.records)
+        assert report_and_corpus_digests(world, tmp_path / f"shuffled{seed}") == baseline
+
+
+def test_out_of_pool_record_is_rejected():
+    from taskrouter import IntegrityError
+
+    world = four_form_world()
+    rec = world.records[0]
+    world.records.append(ExecutionRecord(
+        rec.sample_id, rec.dataset_id, "stranger", rec.prompt_variant_id,
+        rec.predicted_index, rec.correct,
+    ))
+    with pytest.raises(IntegrityError):
+        build_comparison_report(world)
+    with pytest.raises(IntegrityError):
+        build_router_dataset(world, FLAGS)

@@ -157,6 +157,20 @@ class TestRunLodo:
         # the report still carries the other strategies for every dataset
         assert result.report.cell("ds00", "oracle") is not None
 
+    def test_heldout_example_in_fold_corpus_fails_the_fold(self, monkeypatch, paired_world):
+        from taskrouter import harness
+
+        real = harness.build_router_dataset
+
+        def leaky(world, flags, records=None, **kwargs):
+            return real(world, flags, **kwargs)  # ignores the fold's record subset
+
+        monkeypatch.setattr(harness, "build_router_dataset", leaky)
+        result = run_lodo(paired_world, flags=SerializationFlags(True, False),
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert result.failed_folds == list(paired_world.datasets)
+        assert all("held-out" in fold.error for fold in result.folds.values())
+
     def test_needs_two_datasets_and_models(self):
         world = make_micro_world()
         with pytest.raises(InvalidInputError):
@@ -257,6 +271,29 @@ class TestHeatmap:
                     total += 1
             for i, m in enumerate(dist.model_ids):
                 assert dist.fractions[i, j] == pytest.approx(tally[m] / total)
+
+    def test_independent_of_records(self, paired_world):
+        # the heatmap routes every valid query from the manifests, so a
+        # world with records for one dataset only gives the same fractions
+        from dataclasses import replace
+
+        from taskrouter.router import RouterModel
+
+        world = paired_world
+        rng = np.random.default_rng(4)
+        router = RouterModel(
+            vocabulary=tuple(sorted(world.model_pool)),
+            featurizer=FAST_FEATS,
+            flags=SerializationFlags(True, False),
+            seed=0,
+            weights=rng.normal(size=(len(world.model_pool), FAST_FEATS.hash_dim)),
+            bias=np.zeros(len(world.model_pool)),
+        )
+        first = next(iter(world.datasets))
+        partial = replace(world, records=[r for r in world.records if r.dataset_id == first])
+        full, part = selection_heatmap(router, world), selection_heatmap(router, partial)
+        assert part.dataset_ids == full.dataset_ids
+        np.testing.assert_array_equal(part.fractions, full.fractions)
 
     def test_training_label_distribution(self, paired_world):
         world = paired_world

@@ -337,7 +337,7 @@ class TestEvaluateRouter:
         assert replay["micro"] == pytest.approx(
             upper_bound_accuracy(
                 [r for r in world.records if r.prompt_variant_id == "q1-o0"],
-                "micro", world.model_pool,
+                world, "micro",
             )
         )
 
@@ -407,6 +407,6 @@ class TestEvaluateRouter:
 
                 valid = filter_valid_prompts(world.records, world.prompt_configs)
                 ub = upper_bound_accuracy(
-                    [r for r in valid if r.dataset_id == ds], ds, world.model_pool
+                    [r for r in valid if r.dataset_id == ds], world, ds
                 )
                 assert acc <= ub + 1e-12
