@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,21 +76,6 @@ def _atoms(order: int) -> np.ndarray:
     if order not in _ATOM_CACHE:
         _ATOM_CACHE[order] = _hash_atoms(order)
     return _ATOM_CACHE[order]
-
-
-def char_ngrams(text: str, order: int) -> list[str]:
-    """Plain enumeration of the character n-grams of one order; the
-    reference the vectorized hasher is checked against."""
-    return [text[i:i + order] for i in range(len(text) - order + 1)]
-
-
-def ngram_hash(gram: str) -> int:
-    """Hash of one n-gram under the same polynomial the vectorized path uses."""
-    atoms = _atoms(len(gram))
-    h = 0
-    for code, a in zip((ord(c) for c in gram), atoms.tolist()):
-        h = (h + code * a) % (2 ** 64)
-    return h
 
 
 def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
@@ -168,9 +154,11 @@ def softmax_loss_and_grads(
 ):
     """Mean cross-entropy over a mini-batch plus its analytic gradients.
 
-    Returns (loss, grad_bias, grad_cols) where grad_cols maps a feature
-    column index to its (n_classes,) weight gradient. Gradients for columns
-    no example touches are identically zero and therefore omitted.
+    Returns (loss, grad_bias, cols, grad_cols): ``cols`` is the sorted union
+    of the batch's feature columns and ``grad_cols`` the (n_classes,
+    len(cols)) weight gradient over them. Every other column's gradient is
+    identically zero. Each column sums its examples' ``delta * value`` terms
+    in batch order, then scales by 1/n.
     """
     n = len(feats)
     if n == 0:
@@ -178,31 +166,23 @@ def softmax_loss_and_grads(
     k = weights.shape[0]
     loss = 0.0
     grad_bias = np.zeros(k)
-    grad_cols: dict[int, np.ndarray] = {}
+    terms = []
     for (idx, vals), label in zip(feats, labels):
         scores = weights[:, idx] @ vals + bias
         scores -= scores.max()
         exp = np.exp(scores)
-        probs = exp / exp.sum()
-        loss -= float(np.log(max(probs[label], 1e-300)))
-        delta = probs.copy()
+        delta = exp / exp.sum()
+        loss -= float(np.log(max(delta[label], 1e-300)))
         delta[label] -= 1.0
         grad_bias += delta
-        for col, val in zip(idx.tolist(), vals.tolist()):
-            acc = grad_cols.get(col)
-            if acc is None:
-                acc = np.zeros(k)
-                grad_cols[col] = acc
-            acc += delta * val
+        terms.append(np.outer(delta, vals))
+    cols, where = np.unique(np.concatenate([idx for idx, _ in feats]), return_inverse=True)
+    grad_cols = np.zeros((k, len(cols)))
+    # unbuffered, so a column shared by several examples adds them in batch order
+    np.add.at(grad_cols, (slice(None), where), np.concatenate(terms, axis=1))
     inv = 1.0 / n
-    for col in grad_cols:
-        grad_cols[col] *= inv
-    return loss * inv, grad_bias * inv, grad_cols
-
-
-def batch_loss(weights, bias, feats, labels) -> float:
-    loss, _, _ = softmax_loss_and_grads(weights, bias, feats, labels)
-    return loss
+    grad_cols *= inv
+    return loss * inv, grad_bias * inv, cols, grad_cols
 
 
 @dataclass
@@ -258,6 +238,9 @@ class RouterModel:
     LEARNER_KIND = "linear_hashed_ngram"
 
     def save(self, path: str | Path) -> None:
+        """Write the router file atomically: into a temporary file in the
+        same directory, which then replaces ``path``. A failed write leaves
+        any earlier file at ``path`` as it was."""
         header = {
             "format_version": 1,
             "learner_kind": self.LEARNER_KIND,
@@ -268,12 +251,19 @@ class RouterModel:
             "weights_shape": list(self.weights.shape),
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.bias, dtype="<f8").tobytes())
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(self.MAGIC)
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+                fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(self.bias, dtype="<f8").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "RouterModel":
@@ -382,12 +372,11 @@ def train_router(
         pos += config.batch_size
         batch_feats = [feats[i] for i in batch]
         batch_labels = [labels[i] for i in batch]
-        _, grad_bias, grad_cols = softmax_loss_and_grads(
+        _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
             weights, bias, batch_feats, batch_labels
         )
         bias -= lr * grad_bias
-        for col, g in grad_cols.items():
-            weights[:, col] -= lr * g
+        weights[:, cols] -= lr * grad_cols
 
         if step % config.eval_every == 0 or step == config.max_iterations:
             if val_feats:

@@ -321,31 +321,6 @@ class SeededLogprobBackend:
         return out
 
 
-class FlakyBackend:
-    """Wraps another backend and fails on a fixed set of sample refs; used
-    to exercise the skip path."""
-
-    def __init__(self, inner, failing_refs: Iterable[str]):
-        self._inner = inner
-        self._failing = set(failing_refs)
-        self.info = inner.info
-
-    def _check(self, image_ref: str):
-        if image_ref in self._failing:
-            raise BackendError(f"simulated failure for {image_ref}")
-
-    def embed_image(self, image_ref: str):
-        self._check(image_ref)
-        return self._inner.embed_image(image_ref)
-
-    def embed_texts(self, prompts):
-        return self._inner.embed_texts(prompts)
-
-    def option_token_logprobs(self, image_ref, prompts):
-        self._check(image_ref)
-        return self._inner.option_token_logprobs(image_ref, prompts)
-
-
 def gold_index_by_ref(manifests: Iterable[DatasetManifest]) -> dict[str, int]:
     """Image-ref -> gold option index lookup used by the gold mocks."""
     return {

@@ -38,7 +38,6 @@ from taskrouter.router import (
     FeaturizerConfig,
     RouterModel,
     TrainConfig,
-    batch_loss,
     featurize,
     softmax_loss_and_grads,
 )
@@ -46,6 +45,7 @@ from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec
+from oracles import batch_loss
 from test_routerdata import (
     REFERENCE_FIELDS,
     REFERENCE_LINE,
@@ -193,7 +193,7 @@ def test_criterion_4_scoring_oracles():
             picks = rng.choice(len(feats), size=3, replace=False)
             batch = [feats[i] for i in picks]
             labels = [int(rng.integers(k)) for _ in batch]
-            _, grad_bias, grad_cols = softmax_loss_and_grads(
+            _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
                 weights, bias, batch, labels)
             for j in range(k):
                 hi, lo = bias.copy(), bias.copy()
@@ -203,14 +203,14 @@ def test_criterion_4_scoring_oracles():
                       - batch_loss(weights, lo, batch, labels)) / (2 * eps)
                 rel = abs(fd - grad_bias[j]) / max(abs(fd), abs(grad_bias[j]), 1e-10)
                 assert rel <= 1e-4
-            for col in list(grad_cols)[:4]:
+            for pos, col in enumerate(cols[:4].tolist()):
                 for j in range(k):
                     hi, lo = weights.copy(), weights.copy()
                     hi[j, col] += eps
                     lo[j, col] -= eps
                     fd = (batch_loss(hi, bias, batch, labels)
                           - batch_loss(lo, bias, batch, labels)) / (2 * eps)
-                    a = grad_cols[col][j]
+                    a = grad_cols[j, pos]
                     rel = abs(fd - a) / max(abs(fd), abs(a), 1e-10)
                     assert rel <= 1e-4
 

@@ -22,6 +22,7 @@ from taskrouter import (
     generate_world,
     run_lodo,
     split_80_10_10,
+    train_router,
 )
 from taskrouter.prompts import PromptTemplate
 from taskrouter.router import FeaturizerConfig, TrainConfig
@@ -151,6 +152,10 @@ GOLDEN = {
 
 WORLDS = {"four_form": four_form_world, "empty_question": empty_question_world}
 
+# router.bin of a 3-example mini-batch run that reshuffles once (150 steps
+# over 355 training examples), recorded with the per-column SGD update
+MINI_BATCH_ROUTER = "14e21830855bc94ad2a8a6aba94af617a42ae509756ef85cb620d7cfe5526dd2"
+
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_artifacts_match_recorded_digests(name, tmp_path):
@@ -158,6 +163,13 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
     got = report_and_corpus_digests(world, tmp_path / "report")
     got.update({f"lodo/{k}": v for k, v in lodo_digests(world, tmp_path / "lodo").items()})
     assert got == GOLDEN[name]
+
+
+def test_mini_batch_router_matches_recorded_digest(tmp_path):
+    train, validate, _ = split_80_10_10(build_router_dataset(four_form_world(), FLAGS), seed=5)
+    config = replace(TRAIN, batch_size=3, max_iterations=150, eval_every=50, seed=4)
+    train_router(train, validate, config, FLAGS, FEATS).save(tmp_path / "router.bin")
+    assert _sha(tmp_path / "router.bin") == MINI_BATCH_ROUTER
 
 
 def test_report_and_corpus_independent_of_record_order(tmp_path):

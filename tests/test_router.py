@@ -21,12 +21,10 @@ from taskrouter.router import (
     FeaturizerConfig,
     RouterModel,
     TrainConfig,
-    batch_loss,
-    char_ngrams,
-    ngram_hash,
     softmax_loss_and_grads,
 )
 from conftest import make_micro_world
+from oracles import batch_loss, char_ngrams, column_grads, ngram_hash
 
 SMALL = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=1024)
 
@@ -124,7 +122,7 @@ class TestGradients:
             batch_idx = rng.choice(len(feats), size=3, replace=False)
             batch = [feats[i] for i in batch_idx]
             labels = [int(rng.integers(k)) for _ in batch]
-            loss, grad_bias, grad_cols = softmax_loss_and_grads(
+            loss, grad_bias, cols, grad_cols = softmax_loss_and_grads(
                 weights, bias, batch, labels
             )
             assert loss > 0
@@ -138,22 +136,42 @@ class TestGradients:
                 rel = abs(fd - grad_bias[j]) / max(abs(fd), abs(grad_bias[j]), 1e-10)
                 assert rel <= 1e-4
             # a sample of touched weight coordinates
-            cols = list(grad_cols)
-            for col in cols[:5]:
+            for pos, col in enumerate(cols[:5].tolist()):
                 for j in range(k):
                     hi, lo = weights.copy(), weights.copy()
                     hi[j, col] += eps
                     lo[j, col] -= eps
                     fd = (batch_loss(hi, bias, batch, labels)
                           - batch_loss(lo, bias, batch, labels)) / (2 * eps)
-                    a = grad_cols[col][j]
+                    a = grad_cols[j, pos]
                     rel = abs(fd - a) / max(abs(fd), abs(a), 1e-10)
                     assert rel <= 1e-4
             # untouched columns have exactly zero gradient
-            untouched = next(c for c in range(config.hash_dim) if c not in grad_cols)
+            touched = set(cols.tolist())
+            untouched = next(c for c in range(config.hash_dim) if c not in touched)
             hi = weights.copy()
             hi[0, untouched] += eps
             assert batch_loss(hi, bias, batch, labels) == loss
+
+    @pytest.mark.parametrize("texts", [
+        ["alpha route one"],
+        ["alpha route one", "alpha route two", "alpha route one", "route alpha"],
+    ], ids=["batch-of-one", "shared-columns"])
+    def test_gathered_columns_equal_per_column_oracle(self, rng, texts):
+        config = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=64)
+        feats = [featurize(t, config) for t in texts]
+        k = 3
+        weights = rng.normal(scale=0.1, size=(k, config.hash_dim))
+        bias = rng.normal(scale=0.1, size=k)
+        labels = [i % k for i in range(len(feats))]
+        _, _, cols, grad_cols = softmax_loss_and_grads(weights, bias, feats, labels)
+        oracle = column_grads(weights, bias, feats, labels)
+        assert cols.tolist() == sorted(oracle)
+        assert grad_cols.shape == (k, len(cols))
+        for pos, col in enumerate(cols.tolist()):
+            assert np.array_equal(grad_cols[:, pos], oracle[col])
+        if len(feats) > 1:
+            assert sum(len(idx) for idx, _ in feats) > len(cols)
 
 
 class TestTraining:
@@ -276,6 +294,35 @@ class TestRoute:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_array_equal(loaded.bias, model.bias)
         assert loaded.route_text("[prompt]abc") == model.route_text("[prompt]abc")
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "router.bin"
+        self._model(vocab=("a", "b")).save(path)
+        before = path.read_bytes()
+
+        class DiskFullAfterTwoWrites:
+            def __init__(self, fh):
+                self._fh, self._left = fh, 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                if not self._left:
+                    raise OSError("simulated full disk")
+                self._left -= 1
+                return self._fh.write(data)
+
+        monkeypatch.setattr("taskrouter.router.open",
+                            lambda *a, **kw: DiskFullAfterTwoWrites(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="simulated full disk"):
+            self._model(vocab=("a", "b", "c")).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["router.bin"]
 
     def test_load_rejects_foreign_file(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"not a router")

@@ -10,7 +10,6 @@ from taskrouter import (
 )
 from taskrouter.scoring import (
     ConstantEmbeddingBackend,
-    FlakyBackend,
     GoldEmbeddingBackend,
     GoldLogprobBackend,
     SeededEmbeddingBackend,
@@ -20,6 +19,7 @@ from taskrouter.scoring import (
 )
 from taskrouter.core import aggregate_accuracy
 from taskrouter.synth import WorldSpec, generate_world
+from oracles import FlakyBackend
 
 from conftest import make_micro_world
 
