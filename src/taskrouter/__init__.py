@@ -23,6 +23,7 @@ from .core import (
     DatasetManifest,
     ExecutionRecord,
     MetadataSummary,
+    QueryGrid,
     Sample,
     World,
     aggregate_accuracy,
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .harness import (
     AblationResult,
-    ExperimentConfig,
     LodoResult,
     SelectionDistribution,
     run_ablation,

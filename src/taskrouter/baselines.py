@@ -16,16 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .core import (
-    AccuracyTable,
-    ExecutionRecord,
-    QueryGrid,
-    Sample,
-    World,
-    csv_writer,
-    weighted_average,
-)
+from .core import AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average
 from .errors import InvalidInputError
+from .router import evaluate_router
 
 STRATEGIES = ("chance", "average", "voting", "router", "oracle", "upper_bound")
 COST_ROW = {
@@ -88,37 +81,23 @@ def oracle_accuracy(table: AccuracyTable, heldout_dataset: str) -> float:
     return max(table.marginal(m, heldout_dataset) for m in models)
 
 
-def _upper_bound(grid: QueryGrid, dataset_id: str) -> float:
+def upper_bound_accuracy(grid: QueryGrid, dataset_id: str) -> float:
+    """Per-query any-model-correct rate, averaged across prompt variants;
+    the ceiling for any selection strategy."""
+    grid.require_coverage()
     rows = grid.rows(dataset_id)
     return grid.variant_mean(rows, grid.correct[rows].any(axis=1))
 
 
-def _voting(grid: QueryGrid, dataset_id: str) -> float:
+def voting_accuracy(grid: QueryGrid, dataset_id: str) -> float:
+    """Accuracy of the modal prediction, per (sample, variant), averaged
+    across prompt variants."""
+    grid.require_coverage()
     rows = grid.rows(dataset_id)
     return grid.variant_mean(rows, [
         voting_predict(grid.predicted[i].tolist()) == grid.queries[i][1].gold_index
         for i in rows
     ])
-
-
-def upper_bound_accuracy(
-    records: Iterable[ExecutionRecord], world: World, dataset_id: str
-) -> float:
-    """Per-query any-model-correct rate, averaged across prompt variants;
-    the ceiling for any selection strategy."""
-    grid = QueryGrid.build(world, records)
-    grid.require_coverage()
-    return _upper_bound(grid, dataset_id)
-
-
-def voting_accuracy(
-    records: Iterable[ExecutionRecord], world: World, dataset_id: str
-) -> float:
-    """Accuracy of the modal prediction, per (sample, variant), averaged
-    across prompt variants."""
-    grid = QueryGrid.build(world, records)
-    grid.require_coverage()
-    return _voting(grid, dataset_id)
 
 
 @dataclass
@@ -198,7 +177,7 @@ def _fmt_pct(value: float | None) -> str:
 
 
 def build_comparison_report(
-    world: World,
+    grid: QueryGrid,
     router=None,
     router_accuracies: Mapping[str, float] | None = None,
     chance_kind: str = "uniform",
@@ -210,36 +189,27 @@ def build_comparison_report(
     e.g. per-fold held-out replay results) or from replaying ``router``
     over every dataset; with neither, the column is left empty.
 
-    Every column is computed from one query grid over the valid prompt
-    variants (the empty-question variants are removed for all models), so
-    the six strategies share one (sample, variant) universe and the
-    ordering guarantees among them hold exactly.
+    Every column is read from ``grid``, whose rows are the valid prompt
+    variants only (the empty-question variants are removed for all
+    models), so the six strategies share one (sample, variant) universe and
+    the ordering guarantees among them hold exactly.
     """
     if chance_kind not in ("uniform", "majority"):
         raise InvalidInputError(f"unknown chance kind {chance_kind!r}")
-    grid = QueryGrid.build(world)
-    grid.require_coverage()
-
-    router_col: dict[str, float | None]
-    if router_accuracies is not None:
-        router_col = {ds: router_accuracies.get(ds) for ds in world.datasets}
-    elif router is not None:
-        from .router import replay_accuracy
-
-        router_col = replay_accuracy(router, grid)
-    else:
-        router_col = {ds: None for ds in world.datasets}
-
+    world = grid.world
     chance_fn = chance_uniform if chance_kind == "uniform" else chance_majority
     cells: dict[str, dict[str, float | None]] = {s: {} for s in STRATEGIES}
     for ds_id, manifest in world.datasets.items():
         cells["chance"][ds_id] = 100.0 * chance_fn(manifest.samples)
         cells["average"][ds_id] = 100.0 * average_baseline(grid.table, ds_id)
-        cells["voting"][ds_id] = 100.0 * _voting(grid, ds_id)
-        r = router_col.get(ds_id)
+        cells["voting"][ds_id] = 100.0 * voting_accuracy(grid, ds_id)
+        if router_accuracies is not None:
+            r = router_accuracies.get(ds_id)
+        else:
+            r = None if router is None else evaluate_router(router, grid, ds_id)
         cells["router"][ds_id] = None if r is None else 100.0 * r
         cells["oracle"][ds_id] = 100.0 * oracle_accuracy(grid.table, ds_id)
-        cells["upper_bound"][ds_id] = 100.0 * _upper_bound(grid, ds_id)
+        cells["upper_bound"][ds_id] = 100.0 * upper_bound_accuracy(grid, ds_id)
     return ComparisonReport(
         dataset_ids=tuple(world.datasets),
         cells=cells,

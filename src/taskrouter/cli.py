@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import load_world, save_records, save_world
+from .core import QueryGrid, load_world, save_records, save_world
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -27,6 +27,7 @@ from .prompts import (
 )
 from .router import FeaturizerConfig, RouterModel, TrainConfig, train_router
 from .routerdata import (
+    CorpusCounts,
     SerializationFlags,
     build_router_dataset,
     save_corpus,
@@ -46,10 +47,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.config_data = _load_config(args.config)
         args.handler(args)
         return 0
-    except TaskRouterError as exc:
-        _emit_error(exc)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (TaskRouterError, OSError, ValueError, TypeError, KeyError) as exc:
         _emit_error(exc)
         return 1
 
@@ -62,7 +60,10 @@ def _emit_error(exc: Exception) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"{path}: a config file holds one JSON object")
+    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,7 +282,10 @@ def _cmd_routerdata_build(args) -> None:
     flags = SerializationFlags.parse(args.flags)
     seed = _seed(args)
     out = _out_dir(args, "routerdata_out")
-    examples, counts = build_router_dataset(world, flags, return_counts=True)
+    grid = QueryGrid.build(world)
+    examples = build_router_dataset(grid, flags)
+    counts = CorpusCounts(raw_records=len(world.records),
+                          valid_records=int(grid.covered.sum()), examples=len(examples))
     train, validate, test = split_80_10_10(examples, seed=seed)
     save_corpus(train, out / "train.txt")
     save_corpus(validate, out / "validate.txt")
@@ -301,7 +305,7 @@ def _cmd_router_train(args) -> None:
     flags = SerializationFlags.parse(args.flags)
     seed = _seed(args)
     out = _out_dir(args, "router_out")
-    examples = build_router_dataset(world, flags)
+    examples = build_router_dataset(QueryGrid.build(world), flags)
     train, validate, _ = split_80_10_10(examples, seed=seed)
     model = train_router(
         train, validate,
@@ -334,7 +338,8 @@ def _cmd_baselines_report(args) -> None:
     world = load_world(args.world)
     out = _out_dir(args, "baselines_out")
     router = RouterModel.load(args.router) if args.router else None
-    report = build_comparison_report(world, router=router, chance_kind=args.chance)
+    report = build_comparison_report(QueryGrid.build(world), router=router,
+                                     chance_kind=args.chance)
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
     print((out / "report.csv").read_text(), end="")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,13 +98,16 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Sample":
+        gold = d["gold_index"]
+        if isinstance(gold, bool) or not isinstance(gold, int):
+            raise InvalidInputError(f"gold_index must be an integer, got {gold!r}")
         return cls(
             sample_id=d["sample_id"],
             dataset_id=d["dataset_id"],
             image_ref=d["image_ref"],
             context=dict(d.get("context", {})),
             response_options=tuple(d["response_options"]),
-            gold_index=int(d["gold_index"]),
+            gold_index=gold,
         )
 
 
@@ -274,6 +278,22 @@ def csv_writer(target: str | Path | IO[str]):
         yield csv.writer(target)
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """A file handle on a temporary file in ``path``'s directory, which
+    replaces ``path`` once the block completes. A failed write removes the
+    temporary file and leaves any earlier file at ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def summarize_image(pixels) -> MetadataSummary:
     """Summarize a decoded H x W x C pixel array into resolution plus
     per-channel population mean/std, rounded to one decimal place.
@@ -412,11 +432,12 @@ class World:
 @dataclass(frozen=True)
 class QueryGrid:
     """The (query, model) outcome grid that labeling, the baselines, router
-    replay and the selection heatmap read, built once per (world, record
-    subset). Rows are every (dataset, sample, valid variant) query, in
-    ``world.datasets``, manifest and ``prompt_variants`` order, so nothing
-    read from the grid depends on record order. Columns are the sorted
-    model pool; ``covered`` marks cells with a record.
+    replay and the selection heatmap read. Entry points build it once per
+    run; every function below them takes the built grid. Rows are every
+    (dataset, sample, valid variant) query, in ``world.datasets``, manifest
+    and ``prompt_variants`` order, so nothing read from the grid depends on
+    record order. Columns are the sorted model pool; ``covered`` marks
+    cells with a record.
     """
 
     world: World
@@ -537,7 +558,7 @@ class QueryGrid:
 # rest. Field names match the type definitions.
 
 def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
@@ -553,7 +574,7 @@ def load_records(path: str | Path) -> list[ExecutionRecord]:
 
 
 def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for m in manifests:
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
 
@@ -569,7 +590,7 @@ def load_manifests(path: str | Path) -> list[DatasetManifest]:
 
 
 def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for sample_id in metadata:
             row = {"sample_id": sample_id, **metadata[sample_id].to_dict()}
             fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -2,9 +2,11 @@
 metadata/response-option ablation grid, selection-distribution heatmaps,
 and run manifests.
 
-Every fold is self-contained: its corpus, router file, and metrics land in
-their own directory, so reports can be rebuilt from persisted artifacts
-and a failed fold never aborts the remaining ones.
+A LODO run builds one query grid and labels one corpus; a fold trains on
+the examples outside its held-out dataset and replays on that dataset's
+rows. Every fold is self-contained: its corpus, router file, and metrics
+land in their own directory, so reports can be rebuilt from persisted
+artifacts and a failed fold never aborts the remaining ones.
 """
 
 from __future__ import annotations
@@ -33,35 +35,6 @@ from .routerdata import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: where the world comes from, which flag combinations
-    to run, the shared training configuration, and the master seed."""
-
-    world_dir: str | None = None
-    world_spec: Mapping | None = None
-    flag_grid: tuple[SerializationFlags, ...] = (SerializationFlags(),)
-    train: TrainConfig = TrainConfig()
-    featurizer: FeaturizerConfig = FeaturizerConfig()
-    seed: int = 0
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        if self.world_dir is None and self.world_spec is None:
-            raise InvalidInputError("an experiment needs a world directory or spec")
-        if not self.flag_grid:
-            raise InvalidInputError("flag grid must be non-empty")
-
-    def load_world(self) -> World:
-        if self.world_dir is not None:
-            from .core import load_world
-
-            return load_world(self.world_dir)
-        from .synth import WorldSpec, generate_world
-
-        return generate_world(WorldSpec.from_dict(dict(self.world_spec)))
 
 
 @dataclass
@@ -97,14 +70,17 @@ def run_lodo(
     out_dir: str | Path | None = None,
     chance_kind: str = "uniform",
 ) -> LodoResult:
-    """For each dataset D: build a router corpus from every other dataset,
+    """For each dataset D: take the corpus examples of every other dataset,
     split 80/10/10, train, and evaluate on D by recorded-outcome replay.
-    Fold failures are recorded and the remaining folds continue."""
+    Fold failures are recorded and the remaining folds continue; a bad
+    record or a coverage gap fails the run before any fold starts."""
     if len(world.datasets) < 2:
         raise InvalidInputError("leave-one-dataset-out needs at least two datasets")
     if len(world.model_pool) < 2:
         raise InvalidInputError("leave-one-dataset-out needs at least two models")
 
+    grid = QueryGrid.build(world)
+    corpus = build_router_dataset(grid, flags)
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
@@ -116,7 +92,7 @@ def run_lodo(
             fold_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _run_fold(
-                world, heldout, flags, train_config, featurizer,
+                grid, corpus, heldout, flags, train_config, featurizer,
                 _fold_seed(seed, fold_index), fold_dir,
             )
             folds[heldout] = result
@@ -131,7 +107,7 @@ def run_lodo(
                 ) + "\n")
 
     report = build_comparison_report(
-        world,
+        grid,
         router_accuracies=router_accuracies,
         chance_kind=chance_kind,
         failed_folds=[ds for ds, f in folds.items() if f.status == "failed"],
@@ -143,7 +119,8 @@ def run_lodo(
 
 
 def _run_fold(
-    world: World,
+    grid: QueryGrid,
+    corpus: Sequence[RouterExample],
     heldout: str,
     flags: SerializationFlags,
     train_config: TrainConfig,
@@ -151,21 +128,20 @@ def _run_fold(
     fold_seed: int,
     fold_dir: Path | None,
 ) -> FoldResult:
-    train_records = [r for r in world.records if r.dataset_id != heldout]
-    examples = build_router_dataset(world, flags, records=train_records)
-    if any(ex.provenance[1] == heldout for ex in examples):
+    train, validate, test = split_80_10_10(
+        [ex for ex in corpus if ex.provenance[1] != heldout], seed=fold_seed
+    )
+    if any(ex.provenance[1] == heldout for ex in train + validate + test):
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
-    train, validate, test = split_80_10_10(examples, seed=fold_seed)
 
     model = train_router(
         train, validate,
         config=replace(train_config, seed=fold_seed),
         flags=flags,
         featurizer=featurizer,
-        vocabulary=sorted(world.model_pool),
+        vocabulary=grid.models,
     )
-    heldout_records = [r for r in world.records if r.dataset_id == heldout]
-    accuracy = evaluate_router(model, heldout_records, world)[heldout]
+    accuracy = evaluate_router(model, grid, heldout)
 
     result = FoldResult(
         heldout_dataset=heldout,
@@ -293,13 +269,12 @@ def run_in_distribution(
 ) -> dict[str, float]:
     """Train one router on an 80/10/10 split of every dataset and replay
     it on the test split, grouped per dataset."""
-    examples = build_router_dataset(world, flags)
-    train, validate, test = split_80_10_10(examples, seed=seed)
+    grid = QueryGrid.build(world)
+    train, validate, test = split_80_10_10(build_router_dataset(grid, flags), seed=seed)
     model = train_router(
         train, validate, config=replace(train_config, seed=seed), flags=flags,
-        featurizer=featurizer, vocabulary=sorted(world.model_pool),
+        featurizer=featurizer, vocabulary=grid.models,
     )
-    grid = QueryGrid.build(world)
     row = {(s.sample_id, ds_id, v.variant_id): i for i, (ds_id, s, v) in enumerate(grid.queries)}
     rows = [row[ex.provenance] for ex in test]
     hits = grid.outcome(rows, route_rows(model, grid, rows))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ExecutionRecord, MetadataSummary, QueryGrid, World
+from .core import MetadataSummary, QueryGrid, atomic_open
 from .errors import InvalidInputError
 from .prompts import render, rendered_options
 from .routerdata import RouterExample, SerializationFlags, serialize_input
@@ -251,19 +250,12 @@ class RouterModel:
             "weights_shape": list(self.weights.shape),
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(self.MAGIC)
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-                fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(self.bias, dtype="<f8").tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_open(path, "wb") as fh:
+            fh.write(self.MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.bias, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "RouterModel":
@@ -422,22 +414,10 @@ def route_rows(router, grid: QueryGrid, rows: Iterable[int]) -> list[str]:
     return choices
 
 
-def replay_accuracy(router, grid: QueryGrid) -> dict[str, float]:
-    """Recorded-outcome replay over the grid: per recorded query, ask the
+def evaluate_router(router: RouterModel, grid: QueryGrid, dataset_id: str) -> float:
+    """Recorded-outcome replay on one dataset: per recorded query, ask the
     router for a model and score the query by that model's stored
-    correctness. No model is executed. Returns per-dataset accuracy
-    averaged across prompt variants, for the datasets that have records."""
-    out: dict[str, float] = {}
-    for ds_id in grid.spans:
-        rows = grid.rows(ds_id)
-        if len(rows):
-            hits = grid.outcome(rows, route_rows(router, grid, rows))
-            out[ds_id] = grid.variant_mean(rows, hits)
-    return out
-
-
-def evaluate_router(
-    router: RouterModel, records: Sequence[ExecutionRecord], world: World
-) -> dict[str, float]:
-    """``replay_accuracy`` over the grid of ``records``."""
-    return replay_accuracy(router, QueryGrid.build(world, records))
+    correctness. No model is executed. Returns the accuracy averaged
+    across prompt variants."""
+    rows = grid.rows(dataset_id)
+    return grid.variant_mean(rows, grid.outcome(rows, route_rows(router, grid, rows)))

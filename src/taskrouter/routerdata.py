@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ExecutionRecord, MetadataSummary, QueryGrid, World
+from .core import ExecutionRecord, MetadataSummary, QueryGrid, atomic_open
 from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import (
     DatasetPromptConfig,
@@ -390,21 +390,15 @@ class CorpusCounts:
         }
 
 
-def build_router_dataset(
-    world: World,
-    flags: SerializationFlags,
-    records: Sequence[ExecutionRecord] | None = None,
-    return_counts: bool = False,
-):
-    """Turn execution records into router examples: one per query of the
-    grid, labeled with its best model under the ``select_best_model`` rule.
+def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[RouterExample]:
+    """Router examples in grid row order: one per recorded query, labeled
+    with its best model under the ``select_best_model`` rule.
 
-    ``records`` defaults to the world's own; passing a subset (e.g. all
-    datasets except a held-out one) restricts the corpus and the averages
-    the labels see.
+    A label and its ``avg_accuracy`` read only their own dataset's cells, so
+    the examples of a dataset are the same whichever other datasets the
+    grid holds.
     """
-    recs = world.records if records is None else records
-    grid = QueryGrid.build(world, recs)
+    world = grid.world
     grid.require_coverage()
     examples: list[RouterExample] = []
     for i in np.flatnonzero(grid.covered.any(axis=1)):
@@ -417,10 +411,6 @@ def build_router_dataset(
             world, sample, world.prompt_configs[ds_id], variant, label,
             correct[label], grid.table.marginal(label, ds_id), flags,
         ))
-    counts = CorpusCounts(raw_records=len(recs), valid_records=int(grid.covered.sum()),
-                          examples=len(examples))
-    if return_counts:
-        return examples, counts
     return examples
 
 
@@ -473,11 +463,11 @@ def split_80_10_10(
 
 def save_corpus(examples: Sequence[RouterExample], path: str | Path) -> None:
     path = Path(path)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for ex in examples:
             fh.write(ex.raw_line + "\n")
     sidecar = path.with_suffix(path.suffix + ".index.jsonl")
-    with open(sidecar, "w") as fh:
+    with atomic_open(sidecar) as fh:
         for i, ex in enumerate(examples):
             fh.write(json.dumps({
                 "line": i,

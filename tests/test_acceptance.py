@@ -32,7 +32,7 @@ from taskrouter.baselines import (
     voting_accuracy,
 )
 from taskrouter.cli import main as cli_main
-from taskrouter.core import Sample, aggregate_accuracy
+from taskrouter.core import QueryGrid, Sample, aggregate_accuracy
 from taskrouter.harness import run_ablation, run_lodo
 from taskrouter.router import (
     FeaturizerConfig,
@@ -237,17 +237,15 @@ def test_criterion_5_baseline_ordering():
                 weights=rng.normal(size=(4, feats.hash_dim)),
                 bias=rng.normal(size=4),
             )
-            replay = evaluate_router(router, world.records, world)
-            by_ds = {}
-            for rec in world.records:
-                by_ds.setdefault(rec.dataset_id, []).append(rec)
-            for ds, records in by_ds.items():
-                upper = upper_bound_accuracy(records, world, ds)
+            grid = QueryGrid.build(world)
+            for ds in world.datasets:
+                replay = evaluate_router(router, grid, ds)
+                upper = upper_bound_accuracy(grid, ds)
                 oracle = oracle_accuracy(table, ds)
                 average = average_baseline(table, ds)
-                voting = voting_accuracy(records, world, ds)
+                voting = voting_accuracy(grid, ds)
                 if not (upper + tol >= oracle and oracle + tol >= average
-                        and upper + tol >= voting and upper + tol >= replay[ds]):
+                        and upper + tol >= voting and upper + tol >= replay):
                     violations += 1
         assert violations == 0
 
@@ -270,7 +268,8 @@ def test_criterion_6_router_learning():
             n_datasets=4, samples_per_dataset=250, question_forms=2, seed=61,
         )
         world = generate_world(spec)
-        examples = build_router_dataset(world, flags)
+        grid = QueryGrid.build(world)
+        examples = build_router_dataset(grid, flags)
         assert len(examples) == 2000
         train, validate, test = split_80_10_10(examples, seed=6)
         model = train_router(  # default TrainConfig: the reference budget
@@ -282,13 +281,8 @@ def test_criterion_6_router_learning():
         ) / len(test)
         assert label_acc >= 0.99
 
-        replay = evaluate_router(model, world.records, world)
-        upper = {
-            ds: upper_bound_accuracy(
-                [r for r in world.records if r.dataset_id == ds], world, ds,
-            )
-            for ds in world.datasets
-        }
+        replay = {ds: evaluate_router(model, grid, ds) for ds in world.datasets}
+        upper = {ds: upper_bound_accuracy(grid, ds) for ds in world.datasets}
         replay_avg = sum(replay.values()) / len(replay)
         optimum_avg = sum(upper.values()) / len(upper)
         assert replay_avg >= optimum_avg - 0.01

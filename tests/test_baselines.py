@@ -9,6 +9,7 @@ import pytest
 from taskrouter import (
     CoverageError,
     InvalidInputError,
+    QueryGrid,
     Sample,
     average_baseline,
     build_comparison_report,
@@ -142,7 +143,7 @@ class TestUpperBound:
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
         records = [r for r in world.records if r.prompt_variant_id == "q1-o0"]
-        acc = upper_bound_accuracy(records, world, "micro")
+        acc = upper_bound_accuracy(QueryGrid.build(world, records), "micro")
         assert acc == pytest.approx(2 / 3)
 
     def test_dominant_model_means_100(self):
@@ -151,7 +152,7 @@ class TestUpperBound:
             for i in range(4) for v in ("q0-o0", "q1-o0")
         }
         world = make_micro_world(n_samples=4, correctness=correctness)
-        assert upper_bound_accuracy(world.records, world, "micro") == 1.0
+        assert upper_bound_accuracy(QueryGrid.build(world), "micro") == 1.0
 
     def test_matches_counting_oracle(self, rng):
         spec = WorldSpec(
@@ -160,7 +161,7 @@ class TestUpperBound:
             signal_mode="none", seed=4,
         )
         world = generate_world(spec)
-        got = upper_bound_accuracy(world.records, world, "ds00")
+        got = upper_bound_accuracy(QueryGrid.build(world), "ds00")
         by_pair = {}
         for r in world.records:
             by_pair.setdefault((r.sample_id, r.prompt_variant_id), []).append(r.correct)
@@ -176,7 +177,7 @@ class TestUpperBound:
             r.model_id == "gamma" and r.sample_id == "s1"
         )]
         with pytest.raises(CoverageError):
-            upper_bound_accuracy(partial, world, "micro")
+            upper_bound_accuracy(QueryGrid.build(world, partial), "micro")
 
 
 class TestComparisonReport:
@@ -189,7 +190,7 @@ class TestComparisonReport:
         )
         world = generate_world(spec)
         report = build_comparison_report(
-            world, router_accuracies={"ds00": 1.0, "ds01": 1.0}
+            QueryGrid.build(world), router_accuracies={"ds00": 1.0, "ds01": 1.0}
         )
         for ds in ("ds00", "ds01"):
             for strategy in ("average", "voting", "router", "oracle", "upper_bound"):
@@ -198,7 +199,7 @@ class TestComparisonReport:
 
     def test_weighted_average_self_consistent(self, small_keyword_world):
         world = small_keyword_world
-        report = build_comparison_report(world)
+        report = build_comparison_report(QueryGrid.build(world))
         from taskrouter import weighted_average
 
         for strategy in ("chance", "average", "voting", "oracle", "upper_bound"):
@@ -209,14 +210,14 @@ class TestComparisonReport:
             assert report.averages[strategy] == pytest.approx(plain)
 
     def test_cost_row(self, small_keyword_world):
-        report = build_comparison_report(small_keyword_world)
+        report = build_comparison_report(QueryGrid.build(small_keyword_world))
         assert report.cost_row == {
             "chance": "-", "average": "O(1)", "voting": "O(N)",
             "router": "O(1)", "oracle": "O(N)", "upper_bound": "O(N)",
         }
 
     def test_csv_layout(self, small_keyword_world):
-        report = build_comparison_report(small_keyword_world)
+        report = build_comparison_report(QueryGrid.build(small_keyword_world))
         buf = io.StringIO()
         report.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -238,7 +239,7 @@ class TestComparisonReport:
                 signal_mode="none", seed=seed,
             )
             world = generate_world(spec)
-            report = build_comparison_report(world)
+            report = build_comparison_report(QueryGrid.build(world))
             for ds in report.dataset_ids:
                 upper = report.cell(ds, "upper_bound")
                 assert upper + 1e-9 >= report.cell(ds, "oracle")
@@ -246,7 +247,8 @@ class TestComparisonReport:
                 assert upper + 1e-9 >= report.cell(ds, "voting")
 
     def test_majority_chance_kind(self, small_keyword_world):
-        report = build_comparison_report(small_keyword_world, chance_kind="majority")
+        report = build_comparison_report(QueryGrid.build(small_keyword_world),
+                                         chance_kind="majority")
         assert report.chance_kind == "majority"
         for ds, manifest in small_keyword_world.datasets.items():
             assert report.cell(ds, "chance") == pytest.approx(
@@ -254,7 +256,7 @@ class TestComparisonReport:
             )
 
     def test_router_column_blank_without_router(self, small_keyword_world):
-        report = build_comparison_report(small_keyword_world)
+        report = build_comparison_report(QueryGrid.build(small_keyword_world))
         assert all(report.cell(ds, "router") is None for ds in report.dataset_ids)
         assert report.averages["router"] is None
         buf = io.StringIO()
@@ -263,7 +265,7 @@ class TestComparisonReport:
         assert first_data_row[4] == ""  # router column empty
 
     def test_json_export(self, tmp_path, small_keyword_world):
-        report = build_comparison_report(small_keyword_world)
+        report = build_comparison_report(QueryGrid.build(small_keyword_world))
         report.write_json(tmp_path / "report.json")
         import json
 
@@ -283,7 +285,8 @@ def test_voting_accuracy_micro():
         correctness[("beta", i, "q1-o0")] = True
     world = make_micro_world(n_samples=4, correctness=correctness)
     acc = voting_accuracy(
-        [r for r in world.records if r.prompt_variant_id == "q1-o0"], world, "micro"
+        QueryGrid.build(world, [r for r in world.records if r.prompt_variant_id == "q1-o0"]),
+        "micro",
     )
     assert acc == 1.0
 
@@ -295,7 +298,7 @@ def test_voting_accuracy_matches_per_pair_oracle(small_keyword_world):
     valid = filter_valid_prompts(world.records, world.prompt_configs)
     samples = world.sample_index()
     for ds in world.datasets:
-        got = voting_accuracy(valid, world, ds)
+        got = voting_accuracy(QueryGrid.build(world, valid), ds)
         by_pair = {}
         for r in valid:
             if r.dataset_id == ds:

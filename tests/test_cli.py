@@ -183,6 +183,25 @@ def test_router_route_rejects_damaged_router_file(damage, tmp_path, capsys):
     assert json.loads(captured.err.strip())["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("case, error", [
+    ("ngram_orders", "ValueError"),
+    ("config_list", "InvalidInputError"),
+    ("config_batch_size", "TypeError"),
+])
+def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path, capsys):
+    argv = ["--out", str(tmp_path / "lodo"), "lodo", "run", "--world", str(world_dir), *FAST]
+    if case == "ngram_orders":
+        argv += ["--ngram-orders", "2,x"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            [1, 2] if case == "config_list" else {"train": {"batch_size": "x"}}))
+        argv = ["--config", str(config), *argv]
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+
+
 def test_error_record_on_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     spec = keyword_world_spec().to_dict()

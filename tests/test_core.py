@@ -227,6 +227,27 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             ExecutionRecord.from_dict({**d, field: value})
 
+    @pytest.mark.parametrize("gold", [2.9, True, "1", None])
+    def test_sample_from_dict_rejects_non_integer_gold_index(self, gold):
+        d = Sample("s0", "d", "img", {}, ("a", "b", "c"), 1).to_dict()
+        Sample.from_dict(d)
+        with pytest.raises(InvalidInputError):
+            Sample.from_dict({**d, "gold_index": gold})
+
+    def test_failed_save_keeps_old_bytes_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        save_records([_record("m", "d", "v", True)], path)
+        before = path.read_bytes()
+
+        def records_then_full_disk():
+            yield _record("m", "d", "v2", False)
+            raise OSError("simulated full disk")
+
+        with pytest.raises(OSError, match="simulated full disk"):
+            save_records(records_then_full_disk(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
     def test_accuracy_table_counts_exposed(self):
         table = AccuracyTable({("m", "d", "v"): (3, 4)})
         assert table.cell("m", "d", "v") == 0.75

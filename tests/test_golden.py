@@ -15,6 +15,7 @@ import pytest
 
 from taskrouter import (
     ExecutionRecord,
+    QueryGrid,
     RouterModel,
     SerializationFlags,
     build_comparison_report,
@@ -81,10 +82,11 @@ def _sha(path) -> str:
 
 def report_and_corpus_digests(world, out) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
-    report = build_comparison_report(world, router=fixed_router(world))
+    grid = QueryGrid.build(world)
+    report = build_comparison_report(grid, router=fixed_router(world))
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
-    examples = build_router_dataset(world, FLAGS)
+    examples = build_router_dataset(grid, FLAGS)
     for name, split in zip(("train", "validate", "test"), split_80_10_10(examples, seed=5)):
         save_corpus(split, out / f"{name}.txt")
     return {p.name: _sha(p) for p in sorted(out.iterdir())}
@@ -166,7 +168,8 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
 
 
 def test_mini_batch_router_matches_recorded_digest(tmp_path):
-    train, validate, _ = split_80_10_10(build_router_dataset(four_form_world(), FLAGS), seed=5)
+    train, validate, _ = split_80_10_10(
+        build_router_dataset(QueryGrid.build(four_form_world()), FLAGS), seed=5)
     config = replace(TRAIN, batch_size=3, max_iterations=150, eval_every=50, seed=4)
     train_router(train, validate, config, FLAGS, FEATS).save(tmp_path / "router.bin")
     assert _sha(tmp_path / "router.bin") == MINI_BATCH_ROUTER
@@ -190,6 +193,6 @@ def test_out_of_pool_record_is_rejected():
         rec.predicted_index, rec.correct,
     ))
     with pytest.raises(IntegrityError):
-        build_comparison_report(world)
+        build_comparison_report(QueryGrid.build(world))
     with pytest.raises(IntegrityError):
-        build_router_dataset(world, FLAGS)
+        build_router_dataset(QueryGrid.build(world), FLAGS)

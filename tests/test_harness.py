@@ -2,12 +2,16 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from taskrouter import (
+    CoverageError,
+    IntegrityError,
     InvalidInputError,
+    QueryGrid,
     SerializationFlags,
     build_router_dataset,
     run_in_distribution,
@@ -15,7 +19,7 @@ from taskrouter import (
     selection_heatmap,
     training_label_distribution,
 )
-from taskrouter.harness import ExperimentConfig, run_ablation, write_run_manifest
+from taskrouter.harness import run_ablation, write_run_manifest
 from taskrouter.router import FeaturizerConfig, TrainConfig
 from taskrouter.routerdata import ALL_FLAG_COMBOS, load_corpus
 from taskrouter.synth import WorldSpec, generate_world
@@ -113,7 +117,7 @@ class TestRunLodo:
             else:
                 failed.append(ds)
         rebuilt = build_comparison_report(
-            world, router_accuracies=accuracies, failed_folds=failed
+            QueryGrid.build(world), router_accuracies=accuracies, failed_folds=failed
         )
         rebuilt.write_csv(tmp_path / "rebuilt.csv")
         assert (tmp_path / "rebuilt.csv").read_bytes() == \
@@ -160,16 +164,59 @@ class TestRunLodo:
     def test_heldout_example_in_fold_corpus_fails_the_fold(self, monkeypatch, paired_world):
         from taskrouter import harness
 
-        real = harness.build_router_dataset
+        flags = SerializationFlags(True, False)
+        corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
+        strays = list({ex.provenance[1]: ex for ex in corpus}.values())  # one per dataset
+        real = harness.split_80_10_10
 
-        def leaky(world, flags, records=None, **kwargs):
-            return real(world, flags, **kwargs)  # ignores the fold's record subset
+        def leaky(examples, seed):
+            train, validate, test = real(examples, seed)
+            return train + strays, validate, test
 
-        monkeypatch.setattr(harness, "build_router_dataset", leaky)
-        result = run_lodo(paired_world, flags=SerializationFlags(True, False),
+        monkeypatch.setattr(harness, "split_80_10_10", leaky)
+        result = run_lodo(paired_world, flags=flags,
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
         assert result.failed_folds == list(paired_world.datasets)
         assert all("held-out" in fold.error for fold in result.folds.values())
+
+    @pytest.mark.parametrize("damage, error", [
+        ("coverage_gap", CoverageError), ("bad_record", IntegrityError),
+    ])
+    def test_damaged_records_fail_before_any_fold(self, damage, error, tmp_path,
+                                                 paired_world):
+        *records, last = paired_world.records
+        if damage == "bad_record":
+            records.append(replace(last, correct=not last.correct))
+        world = replace(paired_world, records=records)
+        with pytest.raises(error):
+            run_lodo(world, flags=SerializationFlags(True, False),
+                     train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0,
+                     out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_one_grid_per_entry_point(self, monkeypatch, tmp_path, paired_world):
+        from taskrouter.cli import main
+        from taskrouter.core import save_world
+
+        builds = []
+        real = QueryGrid.build.__func__
+
+        def counted(cls, *args, **kwargs):
+            builds.append(1)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(QueryGrid, "build", classmethod(counted))
+        assert len(paired_world.datasets) == 4
+        run_lodo(paired_world, flags=SerializationFlags(True, False),
+                 train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert len(builds) == 1
+        run_in_distribution(paired_world, flags=SerializationFlags(True, False),
+                            train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert len(builds) == 2
+        save_world(paired_world, tmp_path / "world")
+        assert main(["--out", str(tmp_path / "report"), "baselines", "report",
+                     "--world", str(tmp_path / "world")]) == 0
+        assert len(builds) == 3
 
     def test_needs_two_datasets_and_models(self):
         world = make_micro_world()
@@ -297,7 +344,7 @@ class TestHeatmap:
 
     def test_training_label_distribution(self, paired_world):
         world = paired_world
-        examples = build_router_dataset(world, SerializationFlags(True, False))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, False))
         dist = training_label_distribution(examples, sorted(world.model_pool))
         np.testing.assert_allclose(dist.fractions.sum(axis=0), 1.0, atol=1e-9)
         # designated best dominates labels in a keyword world
@@ -321,18 +368,6 @@ class TestHeatmap:
 
 
 class TestPlumbing:
-    def test_experiment_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig()
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(world_dir="somewhere", flag_grid=())
-
-    def test_experiment_config_loads_synth_world(self):
-        spec = keyword_world_spec(samples_per_dataset=5)
-        config = ExperimentConfig(world_spec=spec.to_dict())
-        world = config.load_world()
-        assert len(world.datasets) == spec.n_datasets
-
     def test_run_manifest(self, tmp_path):
         f = tmp_path / "input.bin"
         f.write_bytes(b"payload")

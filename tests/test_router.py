@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from taskrouter import (
     CoverageError,
     InvalidInputError,
+    QueryGrid,
     RouterExample,
     SerializationFlags,
     build_router_dataset,
@@ -316,7 +317,7 @@ class TestRoute:
                 self._left -= 1
                 return self._fh.write(data)
 
-        monkeypatch.setattr("taskrouter.router.open",
+        monkeypatch.setattr("taskrouter.core.open",
                             lambda *a, **kw: DiskFullAfterTwoWrites(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError, match="simulated full disk"):
@@ -344,7 +345,8 @@ class TestEvaluateRouter:
     def test_constant_router_equals_model_marginal(self, small_keyword_world):
         world = small_keyword_world
         router = constant_router("m1", world.model_pool)
-        replay = evaluate_router(router, world.records, world)
+        grid = QueryGrid.build(world)
+        replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
         from taskrouter.core import aggregate_accuracy
         from taskrouter.routerdata import filter_valid_prompts
 
@@ -362,7 +364,7 @@ class TestEvaluateRouter:
             ("gamma", 2, "q1-o0"): False,
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
-        examples = build_router_dataset(world, SerializationFlags(True, True))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
         # a lookup router that answers with the corpus label per input text
         class LabelLookupRouter:
             vocabulary = tuple(sorted(world.model_pool))
@@ -378,13 +380,14 @@ class TestEvaluateRouter:
                 return self.by_input[serialize_input(
                     metadata, prompt_text, options, self.flags)]
 
-        replay = evaluate_router(LabelLookupRouter(), world.records, world)
+        replay = evaluate_router(LabelLookupRouter(), QueryGrid.build(world), "micro")
         from taskrouter.baselines import upper_bound_accuracy
 
-        assert replay["micro"] == pytest.approx(
+        assert replay == pytest.approx(
             upper_bound_accuracy(
-                [r for r in world.records if r.prompt_variant_id == "q1-o0"],
-                world, "micro",
+                QueryGrid.build(
+                    world, [r for r in world.records if r.prompt_variant_id == "q1-o0"]),
+                "micro",
             )
         )
 
@@ -399,7 +402,8 @@ class TestEvaluateRouter:
             weights=rng.normal(size=(len(world.model_pool), SMALL.hash_dim)),
             bias=np.zeros(len(world.model_pool)),
         )
-        replay = evaluate_router(router, world.records, world)
+        grid = QueryGrid.build(world)
+        replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
 
         # independent replay: walk raw records, re-deriving prompts inline
         from taskrouter.prompts import (
@@ -432,7 +436,7 @@ class TestEvaluateRouter:
         router = constant_router("alpha", world.model_pool)
         partial = [r for r in world.records if r.model_id != "alpha"]
         with pytest.raises(CoverageError):
-            evaluate_router(router, partial, world)
+            evaluate_router(router, QueryGrid.build(world, partial), "micro")
 
     def test_replay_never_exceeds_upper_bound(self, small_keyword_world):
         from taskrouter.baselines import upper_bound_accuracy
@@ -448,12 +452,13 @@ class TestEvaluateRouter:
                 weights=rng.normal(size=(len(world.model_pool), SMALL.hash_dim)),
                 bias=rng.normal(size=len(world.model_pool)),
             )
-            replay = evaluate_router(router, world.records, world)
+            grid = QueryGrid.build(world)
+            replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
             for ds, acc in replay.items():
                 from taskrouter.routerdata import filter_valid_prompts
 
                 valid = filter_valid_prompts(world.records, world.prompt_configs)
                 ub = upper_bound_accuracy(
-                    [r for r in valid if r.dataset_id == ds], world, ds
+                    QueryGrid.build(world, [r for r in valid if r.dataset_id == ds]), ds
                 )
                 assert acc <= ub + 1e-12

@@ -11,6 +11,7 @@ from taskrouter import (
     InvalidInputError,
     MetadataSummary,
     ParseError,
+    QueryGrid,
     SerializationFlags,
     build_router_dataset,
     builtin_prompt_configs,
@@ -285,7 +286,7 @@ class TestBuildRouterDataset:
         # micro world has 2 question forms (one empty) x 1 option form
         valid_records = [r for r in world.records if r.prompt_variant_id == "q1-o0"]
         assert len(valid_records) == 6  # 3 models x 2 samples x 1 valid variant
-        examples = build_router_dataset(world, SerializationFlags(True, True))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
         assert len(examples) == 2  # 2 samples x 1 valid variant
 
     def test_dominant_model_labels(self):
@@ -294,7 +295,7 @@ class TestBuildRouterDataset:
             for i in range(3) for v in ("q0-o0", "q1-o0")
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
-        examples = build_router_dataset(world, SerializationFlags(True, True))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
         assert examples
         assert all(ex.label_model_id == "alpha" for ex in examples)
 
@@ -306,7 +307,7 @@ class TestBuildRouterDataset:
         )
         world = generate_world(spec)
         flags = SerializationFlags(True, True)
-        examples = build_router_dataset(world, flags)
+        examples = build_router_dataset(QueryGrid.build(world), flags)
         from taskrouter.core import aggregate_accuracy
         from taskrouter.routerdata import filter_valid_prompts as fvp
 
@@ -328,7 +329,7 @@ class TestBuildRouterDataset:
     def test_example_lines_parse_and_match_flags(self):
         world = make_micro_world(n_samples=2)
         for flags in ALL_FLAG_COMBOS:
-            for ex in build_router_dataset(world, flags):
+            for ex in build_router_dataset(QueryGrid.build(world), flags):
                 parsed = parse_example(ex.raw_line)
                 assert parsed.flags == flags
                 assert parsed.model_id == ex.label_model_id
@@ -337,7 +338,7 @@ class TestBuildRouterDataset:
     def test_avg_accuracy_is_label_marginal(self):
         correctness = {("alpha", i, "q1-o0"): i == 0 for i in range(4)}
         world = make_micro_world(n_samples=4, correctness=correctness)
-        examples = build_router_dataset(world, SerializationFlags(False, False))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(False, False))
         parsed = parse_example(examples[0].raw_line)
         # alpha is correct on 1 of 4 samples of the only valid variant
         assert parsed.avg_accuracy == pytest.approx(0.25)
@@ -349,14 +350,14 @@ class TestBuildRouterDataset:
                    if not (r.model_id == "beta" and r.sample_id == "s0"
                            and r.prompt_variant_id == "q1-o0")]
         with pytest.raises(CoverageError) as err:
-            build_router_dataset(world, SerializationFlags(True, True), records=records)
+            build_router_dataset(QueryGrid.build(world, records), SerializationFlags(True, True))
         assert err.value.gaps == [("micro", "s0", "q1-o0", ("beta",))]
 
 
 class TestSplit:
     def _examples(self, n):
         world = make_micro_world(n_samples=n, with_empty_question=False)
-        return build_router_dataset(world, SerializationFlags(True, True))
+        return build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
 
     def test_sizes_1000(self):
         train, val, test = split_80_10_10(self._examples(1000), seed=0)
@@ -385,9 +386,20 @@ class TestSplit:
             split_80_10_10(self._examples(4), seed=0)
 
 
+def test_failed_corpus_save_keeps_old_files(tmp_path):
+    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                    SerializationFlags(True, True))
+    path = tmp_path / "corpus.txt"
+    save_corpus(examples, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(AttributeError):
+        save_corpus([examples[0], None], path)  # the corpus write fails on its second line
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_corpus_save_and_load(tmp_path):
     world = make_micro_world(n_samples=3)
-    examples = build_router_dataset(world, SerializationFlags(True, True))
+    examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
     save_corpus(examples, path)
     assert (tmp_path / "corpus.txt.index.jsonl").exists()

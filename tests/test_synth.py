@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from taskrouter import InvalidInputError, SerializationFlags, build_router_dataset
+from taskrouter import InvalidInputError, QueryGrid, SerializationFlags, build_router_dataset
 from taskrouter.core import save_world, load_world
 from taskrouter.prompts import prompt_variants, validate_manifest
 from taskrouter.synth import WorldSpec, generate_world
@@ -129,7 +129,7 @@ class TestGeneration:
 
     def test_router_corpus_preconditions_hold(self):
         world = generate_world(basic_spec(samples_per_dataset=10))
-        examples = build_router_dataset(world, SerializationFlags(True, True))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
         n_valid = sum(
             m.size * len(prompt_variants(world.prompt_configs[ds]))
             for ds, m in world.datasets.items()
@@ -160,7 +160,7 @@ class TestSignalModes:
     def test_prompt_keyword_labels_follow_designated_model(self):
         spec = keyword_world_spec(samples_per_dataset=30)
         world = generate_world(spec)
-        examples = build_router_dataset(world, SerializationFlags(False, False))
+        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(False, False))
         for ex in examples:
             ds_index = int(ex.provenance[1][2:])
             assert ex.label_model_id == spec.designated_best(ds_index)
