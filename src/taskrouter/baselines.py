@@ -9,14 +9,14 @@ the upper bound.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .core import AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average
+from .core import (AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average,
+                   write_json)
 from .errors import InvalidInputError
 from .router import evaluate_router
 
@@ -169,7 +169,7 @@ class ComparisonReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
 
 def _fmt_pct(value: float | None) -> str:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import QueryGrid, load_world, save_records, save_world
+from .core import QueryGrid, load_world, save_records, save_world, write_json
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -27,7 +27,6 @@ from .prompts import (
 )
 from .router import FeaturizerConfig, RouterModel, TrainConfig, train_router
 from .routerdata import (
-    CorpusCounts,
     SerializationFlags,
     build_router_dataset,
     save_corpus,
@@ -271,9 +270,7 @@ def _cmd_eval_run(args) -> None:
         "records": len(all_records),
         "skipped": total_skips,
     }
-    (out / "eval_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "eval_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -284,8 +281,6 @@ def _cmd_routerdata_build(args) -> None:
     out = _out_dir(args, "routerdata_out")
     grid = QueryGrid.build(world)
     examples = build_router_dataset(grid, flags)
-    counts = CorpusCounts(raw_records=len(world.records),
-                          valid_records=int(grid.covered.sum()), examples=len(examples))
     train, validate, test = split_80_10_10(examples, seed=seed)
     save_corpus(train, out / "train.txt")
     save_corpus(validate, out / "validate.txt")
@@ -293,10 +288,11 @@ def _cmd_routerdata_build(args) -> None:
     payload = {
         "flags": flags.to_dict(),
         "seed": seed,
-        "counts": counts.to_dict(),
+        "counts": {"raw_records": len(world.records),
+                   "valid_records": int(grid.covered.sum()), "examples": len(examples)},
         "splits": {"train": len(train), "validate": len(validate), "test": len(test)},
     }
-    (out / "counts.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "counts.json", payload)
     print(json.dumps(payload, sort_keys=True))
 
 

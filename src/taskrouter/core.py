@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -269,24 +269,25 @@ class AccuracyTable:
 
 @contextmanager
 def csv_writer(target: str | Path | IO[str]):
-    """A csv.writer over ``target``: a path, opened and closed here, or an
-    open text handle, left open."""
+    """A csv.writer over ``target``: a path, replaced atomically once the
+    block completes, or an open text handle, left open."""
     if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as fh:
+        with atomic_open(target, newline="") as fh:
             yield csv.writer(fh)
     else:
         yield csv.writer(target)
 
 
 @contextmanager
-def atomic_open(path: str | Path, mode: str = "w"):
+def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None):
     """A file handle on a temporary file in ``path``'s directory, which
     replaces ``path`` once the block completes. A failed write removes the
-    temporary file and leaves any earlier file at ``path`` as it was."""
+    temporary file and leaves any earlier file at ``path`` as it was.
+    This is the package's one way of writing a file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -555,56 +556,60 @@ class QueryGrid:
 
 # ---------------------------------------------------------------------------
 # Persistence: line-delimited JSON for records and manifests, JSON for the
-# rest. Field names match the type definitions.
+# rest. Field names match the type definitions. Every file is written
+# through ``atomic_open``.
 
-def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON."""
     with atomic_open(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def load_records(path: str | Path) -> list[ExecutionRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(ExecutionRecord.from_dict(json.loads(line)))
-    return records
-
-
-def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> None:
+def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
+    """Write one key-sorted JSON object per line."""
     with atomic_open(path) as fh:
-        for m in manifests:
-            fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
-
-
-def load_manifests(path: str | Path) -> list[DatasetManifest]:
-    manifests = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                manifests.append(DatasetManifest.from_dict(json.loads(line)))
-    return manifests
-
-
-def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        for sample_id in metadata:
-            row = {"sample_id": sample_id, **metadata[sample_id].to_dict()}
+        for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
-    out: dict[str, MetadataSummary] = {}
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """The JSON object on each non-blank line of ``path``. A line that is not
+    a JSON object raises InvalidInputError naming ``path:line``."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                d = json.loads(line)
-                out[d["sample_id"]] = MetadataSummary.from_dict(d)
-    return out
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise InvalidInputError(f"{path}:{lineno}: not a JSON object")
+                yield row
+
+
+def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
+    write_jsonl(path, (rec.to_dict() for rec in records))
+
+
+def load_records(path: str | Path) -> list[ExecutionRecord]:
+    return [ExecutionRecord.from_dict(d) for d in read_jsonl(path)]
+
+
+def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> None:
+    write_jsonl(path, (m.to_dict() for m in manifests))
+
+
+def load_manifests(path: str | Path) -> list[DatasetManifest]:
+    return [DatasetManifest.from_dict(d) for d in read_jsonl(path)]
+
+
+def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
+    write_jsonl(path, ({"sample_id": sample_id, **summary.to_dict()}
+                       for sample_id, summary in metadata.items()))
+
+
+def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
+    return {d["sample_id"]: MetadataSummary.from_dict(d) for d in read_jsonl(path)}
 
 
 WORLD_FILES = ("datasets.jsonl", "prompt_configs.json", "metadata.jsonl",
@@ -622,19 +627,10 @@ def save_world(world: World, out_dir: str | Path) -> Path:
         ds: cfg.to_dict() if isinstance(cfg, DatasetPromptConfig) else cfg
         for ds, cfg in world.prompt_configs.items()
     }
-    (out / "prompt_configs.json").write_text(
-        json.dumps(configs, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "prompt_configs.json", configs)
     save_metadata(world.metadata, out / "metadata.jsonl")
     save_records(world.records, out / "records.jsonl")
-    (out / "world.json").write_text(
-        json.dumps(
-            {"model_pool": list(world.model_pool), "seed": world.seed},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    write_json(out / "world.json", {"model_pool": list(world.model_pool), "seed": world.seed})
     return out
 
 

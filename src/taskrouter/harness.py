@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .baselines import ComparisonReport, build_comparison_report
-from .core import QueryGrid, World, csv_writer
+from .core import QueryGrid, World, atomic_open, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
 from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
                      route_rows, train_router)
@@ -102,9 +102,7 @@ def run_lodo(
             logger.warning("fold %s failed: %s", heldout, exc)
             folds[heldout] = FoldResult(heldout, "failed", error=str(exc))
             if fold_dir is not None:
-                (fold_dir / "metrics.json").write_text(json.dumps(
-                    {"status": "failed", "error": str(exc)}, indent=2, sort_keys=True
-                ) + "\n")
+                write_json(fold_dir / "metrics.json", {"status": "failed", "error": str(exc)})
 
     report = build_comparison_report(
         grid,
@@ -156,14 +154,14 @@ def _run_fold(
         router_path = fold_dir / "router.bin"
         model.save(router_path)
         result.router_path = str(router_path)
-        (fold_dir / "metrics.json").write_text(json.dumps({
+        write_json(fold_dir / "metrics.json", {
             "status": "ok",
             "heldout_dataset": heldout,
             "router_accuracy": accuracy,
             "corpus_sizes": result.corpus_sizes,
             "flags": flags.to_dict(),
             "seed": fold_seed,
-        }, indent=2, sort_keys=True) + "\n")
+        })
     return result
 
 
@@ -254,9 +252,7 @@ def run_ablation(
     )
     if out is not None:
         result.write_csv(out / "ablation.csv")
-        (out / "ablation.json").write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "ablation.json", result.to_dict())
     return result
 
 
@@ -325,7 +321,8 @@ class SelectionDistribution:
         ax.set_yticks(range(len(self.model_ids)), self.model_ids)
         fig.colorbar(im, ax=ax)
         fig.tight_layout()
-        fig.savefig(path)
+        with atomic_open(path, "wb") as fh:
+            fig.savefig(fh, format=Path(path).suffix[1:] or "png")
         plt.close(fig)
         return True
 
@@ -395,5 +392,5 @@ def write_run_manifest(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path

@@ -51,9 +51,6 @@ class PromptTemplate:
     def tags(self) -> tuple[Tag, ...]:
         return tuple(s for s in self.segments if isinstance(s, Tag))
 
-    def uses_class_name(self) -> bool:
-        return any(t.key == CLASS_NAME_KEY for t in self.tags)
-
     def context_keys(self) -> tuple[str, ...]:
         return tuple(t.key for t in self.tags if t.key != CLASS_NAME_KEY)
 

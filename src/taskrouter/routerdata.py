@@ -16,7 +16,6 @@ and response segments after it carry the label and bookkeeping.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ExecutionRecord, MetadataSummary, QueryGrid, atomic_open
+from .core import (ExecutionRecord, MetadataSummary, QueryGrid, atomic_open, read_jsonl,
+                   write_jsonl)
 from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import (
     DatasetPromptConfig,
@@ -374,22 +374,6 @@ def select_best_model(
     return min(candidates, key=lambda m: (-per_model_prompt_dataset_avg[m], m))
 
 
-@dataclass
-class CorpusCounts:
-    """Stage-wise sizes, so corpus reductions are auditable."""
-
-    raw_records: int
-    valid_records: int
-    examples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "raw_records": self.raw_records,
-            "valid_records": self.valid_records,
-            "examples": self.examples,
-        }
-
-
 def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[RouterExample]:
     """Router examples in grid row order: one per recorded query, labeled
     with its best model under the ``select_best_model`` rule.
@@ -462,35 +446,29 @@ def split_80_10_10(
 # line numbers to provenance.
 
 def save_corpus(examples: Sequence[RouterExample], path: str | Path) -> None:
+    """Write the corpus and its sidecar. Both are complete in temporary
+    files before either replaces its old file, so a failed write leaves
+    the old pair as it was."""
     path = Path(path)
     with atomic_open(path) as fh:
         for ex in examples:
             fh.write(ex.raw_line + "\n")
-    sidecar = path.with_suffix(path.suffix + ".index.jsonl")
-    with atomic_open(sidecar) as fh:
-        for i, ex in enumerate(examples):
-            fh.write(json.dumps({
-                "line": i,
-                "sample_id": ex.provenance[0],
-                "dataset_id": ex.provenance[1],
-                "prompt_variant_id": ex.provenance[2],
-                "label_model_id": ex.label_model_id,
-            }, sort_keys=True) + "\n")
+        write_jsonl(_sidecar(path), ({
+            "line": i,
+            "sample_id": ex.provenance[0],
+            "dataset_id": ex.provenance[1],
+            "prompt_variant_id": ex.provenance[2],
+            "label_model_id": ex.label_model_id,
+        } for i, ex in enumerate(examples)))
 
 
 def load_corpus(path: str | Path) -> list[RouterExample]:
+    """Load a corpus; when its sidecar exists, every corpus line must have
+    one sidecar entry with the same label, and no entry another line
+    (IntegrityError otherwise)."""
     path = Path(path)
-    sidecar = path.with_suffix(path.suffix + ".index.jsonl")
-    provenance = {}
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    d = json.loads(line)
-                    provenance[d["line"]] = (
-                        d["sample_id"], d["dataset_id"], d["prompt_variant_id"]
-                    )
+    sidecar = _sidecar(path)
+    index = {d["line"]: d for d in read_jsonl(sidecar)} if sidecar.exists() else None
     examples = []
     with open(path) as fh:
         for i, raw in enumerate(fh):
@@ -498,10 +476,22 @@ def load_corpus(path: str | Path) -> list[RouterExample]:
             if not raw:
                 continue
             parsed = parse_example(raw)
+            provenance = ("?", "?", "?")
+            if index is not None:
+                d = index.pop(i, None)
+                if d is None or d["label_model_id"] != parsed.model_id:
+                    raise IntegrityError(f"{sidecar} does not match {path} at line {i}")
+                provenance = (d["sample_id"], d["dataset_id"], d["prompt_variant_id"])
             examples.append(RouterExample(
                 serialized_input=raw.split(SEP_MARK, 1)[0],
                 label_model_id=parsed.model_id,
-                provenance=provenance.get(i, ("?", "?", "?")),
+                provenance=provenance,
                 raw_line=raw,
             ))
+    if index:
+        raise IntegrityError(f"{sidecar} indexes lines {sorted(index)[:5]} that {path} lacks")
     return examples
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".index.jsonl")

@@ -33,19 +33,13 @@ NORMALIZATIONS = ("sum", "mean")
 
 @dataclass(frozen=True)
 class BackendInfo:
-    """Capability descriptor a backend must expose.
-
-    ``token_span`` records which tokens a generative backend scores
-    (e.g. "full_prompt" or "option_only"); the framework stores it but does
-    not interpret it.
-    """
+    """Capability descriptor a backend must expose."""
 
     name: str
     family: str
     deterministic: bool = True
     concurrent_safe: bool = True
     embedding_dim: int | None = None
-    token_span: str | None = None
 
     def __post_init__(self):
         if self.family not in (EMBEDDING, GENERATIVE):
@@ -296,7 +290,7 @@ class GoldLogprobBackend:
 
     def __init__(self, gold_by_ref: Mapping[str, int], name: str = "gold-gen"):
         self._gold = dict(gold_by_ref)
-        self.info = BackendInfo(name=name, family=GENERATIVE, token_span="full_prompt")
+        self.info = BackendInfo(name=name, family=GENERATIVE)
 
     def option_token_logprobs(self, image_ref, prompts):
         gold = self._gold[image_ref]
@@ -311,7 +305,7 @@ class SeededLogprobBackend:
     def __init__(self, seed: int = 0, tokens: int = 4, name: str = "seeded-gen"):
         self._seed = seed
         self._tokens = tokens
-        self.info = BackendInfo(name=name, family=GENERATIVE, token_span="full_prompt")
+        self.info = BackendInfo(name=name, family=GENERATIVE)
 
     def option_token_logprobs(self, image_ref, prompts):
         out = []

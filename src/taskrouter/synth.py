@@ -35,6 +35,7 @@ from .core import (
     Sample,
     World,
     summarize_image,
+    write_json,
 )
 from .errors import InvalidInputError
 from .prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
@@ -140,7 +141,7 @@ class WorldSpec:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
 
 _QUESTION_STEMS = (

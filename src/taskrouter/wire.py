@@ -48,7 +48,6 @@ def serve_backend(backend, rin: IO[str], rout: IO[str]) -> None:
                     "deterministic": info.deterministic,
                     "concurrent_safe": info.concurrent_safe,
                     "embedding_dim": info.embedding_dim,
-                    "token_span": info.token_span,
                 }
             elif op == "embed_image":
                 result = [float(x) for x in backend.embed_image(req["image_ref"])]
@@ -84,7 +83,6 @@ class WireBackendClient:
             deterministic=d.get("deterministic", True),
             concurrent_safe=False,
             embedding_dim=d.get("embedding_dim"),
-            token_span=d.get("token_span"),
         )
 
     def _call(self, req: dict):

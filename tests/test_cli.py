@@ -183,6 +183,23 @@ def test_router_route_rejects_damaged_router_file(damage, tmp_path, capsys):
     assert json.loads(captured.err.strip())["error"] == "InvalidInputError"
 
 
+def test_truncated_records_file_names_file_and_line(world_dir, tmp_path, capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    records = world / "records.jsonl"
+    data = records.read_bytes()
+    records.write_bytes(data[:-20])  # cut the last line part way, as a torn write would
+    last_line = data.count(b"\n")
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert f"records.jsonl:{last_line}" in record["message"]
+
+
 @pytest.mark.parametrize("case, error", [
     ("ngram_orders", "ValueError"),
     ("config_list", "InvalidInputError"),

@@ -21,7 +21,8 @@ from taskrouter import (
     summarize_image,
     weighted_average,
 )
-from taskrouter.core import load_manifests, load_records, save_manifests, save_records
+from taskrouter.core import (load_manifests, load_records, read_jsonl, save_manifests,
+                            save_records)
 
 
 class TestSummarizeImage:
@@ -247,6 +248,24 @@ class TestTypes:
             save_records(records_then_full_disk(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    @pytest.mark.parametrize("bad_line", ['{"a": 2', '[1, 2]'])
+    def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(self, tmp_path, bad_line):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n' + bad_line + "\n")
+        rows = read_jsonl(path)
+        assert next(rows) == {"a": 1}
+        with pytest.raises(InvalidInputError, match="rows.jsonl:4"):
+            next(rows)
+
+    def test_failed_csv_export_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        AccuracyTable({("m", "d", "v"): (3, 4)}).write_csv(path)
+        before = path.read_bytes()
+        with pytest.raises(ZeroDivisionError):  # fails after the header row
+            AccuracyTable({("m", "d", "v"): (0, 0)}).write_csv(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cells.csv"]
 
     def test_accuracy_table_counts_exposed(self):
         table = AccuracyTable({("m", "d", "v"): (3, 4)})

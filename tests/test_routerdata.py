@@ -1,6 +1,7 @@
 """Serialization format, prompt filtering, best-model labeling, corpus
 construction, and splitting."""
 
+import json
 import random
 
 import pytest
@@ -395,6 +396,44 @@ def test_failed_corpus_save_keeps_old_files(tmp_path):
     with pytest.raises(AttributeError):
         save_corpus([examples[0], None], path)  # the corpus write fails on its second line
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_sidecar_write_keeps_old_corpus_pair(tmp_path, monkeypatch):
+    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                    SerializationFlags(True, True))
+    path = tmp_path / "corpus.txt"
+    save_corpus(examples[:3], path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def disk_full(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dumps", disk_full)  # only the sidecar is JSON
+    with pytest.raises(OSError):
+        save_corpus(examples[:1], path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(load_corpus(path)) == 3
+
+
+@pytest.mark.parametrize("edit", ["drop_entry", "extra_entry", "other_label"])
+def test_mismatched_sidecar_fails_to_load(edit, tmp_path):
+    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                    SerializationFlags(True, True))
+    path = tmp_path / "corpus.txt"
+    save_corpus(examples[:3], path)
+    sidecar = tmp_path / "corpus.txt.index.jsonl"
+    entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
+    if edit == "drop_entry":
+        entries.pop(1)
+    elif edit == "extra_entry":
+        entries.append({**entries[0], "line": 3})
+    else:
+        entries[2]["label_model_id"] = next(
+            m for m in ("alpha", "beta") if m != entries[2]["label_model_id"])
+    sidecar.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    with pytest.raises(IntegrityError, match="index.jsonl"):
+        load_corpus(path)
 
 
 def test_corpus_save_and_load(tmp_path):

@@ -14,3 +14,38 @@ def test_no_invariant_is_guarded_by_assert():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A ``write_text``/``write_bytes`` call, or an ``open`` whose mode may
+    write, append or create (a mode that is not a string literal counts)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) takes the mode second; Path(...).open(mode) first
+    position = 1 if isinstance(func, ast.Name) else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[position] if len(call.args) > position else None)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def test_files_are_written_only_through_atomic_open():
+    # a write in place leaves a torn file when it fails part way
+    sources = sorted(Path(taskrouter.__file__).parent.glob("*.py"))
+    writes = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and path.name == "core.py"
+                   and fn.name == "atomic_open" for node in ast.walk(fn)}
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in allowed
+                   and _writes_a_file(node)]
+    assert writes == []
