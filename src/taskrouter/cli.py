@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import QueryGrid, load_world, save_records, save_world, write_json
+from .core import QueryGrid, load_world, read_json, save_records, save_world, write_json
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -57,12 +57,7 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    config = json.loads(Path(path).read_text())
-    if not isinstance(config, dict):
-        raise InvalidInputError(f"{path}: a config file holds one JSON object")
-    return config
+    return {} if path is None else read_json(path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,7 +212,7 @@ def _resolve_prompt_config(spec: str) -> DatasetPromptConfig:
         return builtin[spec]
     path = Path(spec)
     if path.exists():
-        return DatasetPromptConfig.from_dict(json.loads(path.read_text()))
+        return DatasetPromptConfig.from_dict(read_json(path))
     raise InvalidInputError(
         f"{spec!r} is neither a builtin dataset id {sorted(builtin)} nor a config file"
     )

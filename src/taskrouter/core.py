@@ -2,8 +2,7 @@
 records, and accuracy aggregation.
 
 Everything here is an immutable value after construction; the operations
-are pure functions, so they are safe to run concurrently over disjoint
-record partitions. Partial accuracy tables merge by weighted counts.
+are pure functions.
 """
 
 from __future__ import annotations
@@ -210,10 +209,7 @@ class ExecutionRecord:
 class AccuracyTable:
     """Accuracy per (model, dataset, prompt variant) cell plus the
     (model, dataset) marginal, an unweighted mean over the prompt variants
-    present for that pair.
-
-    Internally the table stores (correct, total) counts so that partial
-    tables built over disjoint record sets merge exactly.
+    present for that pair, kept as (correct, total) counts.
     """
 
     def __init__(self, counts: Mapping[tuple[str, str, str], tuple[int, int]] | None = None):
@@ -245,13 +241,6 @@ class AccuracyTable:
 
     def variants(self, model_id: str, dataset_id: str) -> list[str]:
         return [v for v, _, _ in self._by_pair.get((model_id, dataset_id), ())]
-
-    def merge(self, other: "AccuracyTable") -> "AccuracyTable":
-        merged = dict(self._counts)
-        for key, (c, t) in other._counts.items():
-            c0, t0 = merged.get(key, (0, 0))
-            merged[key] = (c0 + c, t0 + t)
-        return AccuracyTable(merged)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AccuracyTable) and self._counts == other._counts
@@ -572,19 +561,49 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; anything else raises InvalidInputError
+    naming ``path``."""
+    try:
+        obj = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInputError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{path}: not a JSON object")
+    return obj
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of ``path`` with its number (from 1), decoded as UTF-8 and
+    without its line end. A line that is not UTF-8 raises InvalidInputError
+    naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            yield lineno, line.rstrip("\r\n")
+
+
+def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each non-blank line of ``path``. A line
+    that is not a JSON object raises InvalidInputError naming ``path:line``."""
+    for lineno, line in read_lines(path):
+        if line.strip():
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise InvalidInputError(f"{path}:{lineno}: not a JSON object")
+            yield lineno, row
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """The JSON object on each non-blank line of ``path``. A line that is not
-    a JSON object raises InvalidInputError naming ``path:line``."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-                if not isinstance(row, dict):
-                    raise InvalidInputError(f"{path}:{lineno}: not a JSON object")
-                yield row
+    """The JSON object on each non-blank line of ``path`` (see
+    ``read_numbered_jsonl``)."""
+    return (row for _, row in read_numbered_jsonl(path))
 
 
 def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
@@ -639,11 +658,11 @@ def load_world(world_dir: str | Path) -> World:
 
     root = Path(world_dir)
     manifests = load_manifests(root / "datasets.jsonl")
-    configs_raw = json.loads((root / "prompt_configs.json").read_text())
-    configs = {ds: DatasetPromptConfig.from_dict(d) for ds, d in configs_raw.items()}
+    configs = {ds: DatasetPromptConfig.from_dict(d)
+               for ds, d in read_json(root / "prompt_configs.json").items()}
     meta = load_metadata(root / "metadata.jsonl")
     records = load_records(root / "records.jsonl")
-    info = json.loads((root / "world.json").read_text())
+    info = read_json(root / "world.json")
     return World(
         datasets={m.dataset_id: m for m in manifests},
         prompt_configs=configs,

@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .baselines import ComparisonReport, build_comparison_report
-from .core import QueryGrid, World, atomic_open, csv_writer, write_json
+from .core import QueryGrid, World, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
 from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
                      route_rows, train_router)
@@ -301,30 +301,6 @@ class SelectionDistribution:
             writer.writerow(["model_id", *self.dataset_ids])
             for i, model in enumerate(self.model_ids):
                 writer.writerow([model, *(repr(float(x)) for x in self.fractions[i])])
-
-    def render_image(self, path: str | Path) -> bool:
-        """Best-effort heatmap image; returns False when matplotlib is
-        unavailable."""
-        try:
-            import matplotlib
-
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError:
-            logger.warning("matplotlib unavailable; skipping heatmap image")
-            return False
-        fig, ax = plt.subplots(figsize=(1.2 + 0.6 * len(self.dataset_ids),
-                                        1.2 + 0.5 * len(self.model_ids)))
-        im = ax.imshow(self.fractions, vmin=0.0, vmax=1.0, cmap="viridis")
-        ax.set_xticks(range(len(self.dataset_ids)), self.dataset_ids, rotation=45,
-                      ha="right")
-        ax.set_yticks(range(len(self.model_ids)), self.model_ids)
-        fig.colorbar(im, ax=ax)
-        fig.tight_layout()
-        with atomic_open(path, "wb") as fh:
-            fig.savefig(fh, format=Path(path).suffix[1:] or "png")
-        plt.close(fig)
-        return True
 
 
 def selection_heatmap(

@@ -276,7 +276,8 @@ class RouterModel:
             flags = SerializationFlags.from_dict(header["flags"])
             seed = int(header["seed"])
             shape = header["weights_shape"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError,
+                RecursionError) as exc:
             raise InvalidInputError(f"{path}: bad router header: {exc}") from exc
         k, dim = len(vocabulary), featurizer.hash_dim
         if shape != [k, dim]:

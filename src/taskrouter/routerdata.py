@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (ExecutionRecord, MetadataSummary, QueryGrid, atomic_open, read_jsonl,
-                   write_jsonl)
+from .core import (ExecutionRecord, MetadataSummary, QueryGrid, atomic_open, read_lines,
+                   read_numbered_jsonl, write_jsonl)
 from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import (
     DatasetPromptConfig,
@@ -41,8 +41,9 @@ PROMPT_MARK = "[prompt]"
 RESPONSE_MARK = "[response]"
 OPTIONS_MARK = ";;;["
 
-_FLOAT_1DP = re.compile(r"-?\d+\.\d$")
-_AVG_5DP = re.compile(r"\d+\.\d{5}$")
+_DIM = re.compile(r"\d+", re.ASCII)
+_FLOAT_1DP = re.compile(r"-?\d+\.\d", re.ASCII)
+_AVG_5DP = re.compile(r"\d+\.\d{5}", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ class ParsedExample:
 
 
 def _byte_offset(line: str, pos: int) -> int:
-    return len(line[:pos].encode("utf-8"))
+    # a lone surrogate (from a JSON escape or surrogateescape stdin) counts as 3 bytes
+    return len(line[:pos].encode("utf-8", "surrogatepass"))
 
 
 def _parse_paren_group(line: str, pos: int, label: str) -> tuple[str, int]:
@@ -231,7 +233,7 @@ def parse_example(line: str) -> ParsedExample:
         pos += len("dim::")
         dims_text, pos = _parse_paren_group(line, pos, "dim")
         dim_parts = dims_text.split(",")
-        if len(dim_parts) != 3 or not all(p.isdigit() for p in dim_parts):
+        if len(dim_parts) != 3 or not all(_DIM.fullmatch(p) for p in dim_parts):
             raise ParseError(f"bad dims {dims_text!r}", _byte_offset(line, pos))
         dims = tuple(int(p) for p in dim_parts)
         if not line.startswith("ave::", pos):
@@ -296,7 +298,7 @@ def parse_example(line: str) -> ParsedExample:
         raise ParseError("expected ;;;avg_accuracy::", _byte_offset(line, pos))
     pos += len(";;;avg_accuracy::")
     avg_text = line[pos:]
-    if not _AVG_5DP.match(avg_text):
+    if not _AVG_5DP.fullmatch(avg_text):
         raise ParseError(
             f"avg_accuracy must be a 5-decimal value, got {avg_text!r}",
             _byte_offset(line, pos),
@@ -319,7 +321,7 @@ def _parse_1dp_floats(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     values = []
     for p in parts:
-        if not _FLOAT_1DP.match(p):
+        if not _FLOAT_1DP.fullmatch(p):
             raise ValueError(f"expected a 1-decimal value, got {p!r}")
         values.append(float(p))
     return tuple(values)
@@ -468,29 +470,46 @@ def load_corpus(path: str | Path) -> list[RouterExample]:
     (IntegrityError otherwise)."""
     path = Path(path)
     sidecar = _sidecar(path)
-    index = {d["line"]: d for d in read_jsonl(sidecar)} if sidecar.exists() else None
+    index = _read_sidecar(sidecar) if sidecar.exists() else None
     examples = []
-    with open(path) as fh:
-        for i, raw in enumerate(fh):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parsed = parse_example(raw)
-            provenance = ("?", "?", "?")
-            if index is not None:
-                d = index.pop(i, None)
-                if d is None or d["label_model_id"] != parsed.model_id:
-                    raise IntegrityError(f"{sidecar} does not match {path} at line {i}")
-                provenance = (d["sample_id"], d["dataset_id"], d["prompt_variant_id"])
-            examples.append(RouterExample(
-                serialized_input=raw.split(SEP_MARK, 1)[0],
-                label_model_id=parsed.model_id,
-                provenance=provenance,
-                raw_line=raw,
-            ))
+    for lineno, raw in read_lines(path):
+        if not raw:
+            continue
+        parsed = parse_example(raw)
+        provenance = ("?", "?", "?")
+        if index is not None:
+            entry = index.pop(lineno - 1, None)
+            if entry is None or entry[0] != parsed.model_id:
+                raise IntegrityError(f"{sidecar} does not match {path} at line {lineno - 1}")
+            provenance = entry[1]
+        examples.append(RouterExample(
+            serialized_input=raw.split(SEP_MARK, 1)[0],
+            label_model_id=parsed.model_id,
+            provenance=provenance,
+            raw_line=raw,
+        ))
     if index:
         raise IntegrityError(f"{sidecar} indexes lines {sorted(index)[:5]} that {path} lacks")
     return examples
+
+
+def _read_sidecar(sidecar: Path) -> dict[int, tuple[str, tuple[str, str, str]]]:
+    """Corpus line -> (label, provenance). An entry without an int ``line``
+    or string label and provenance fields, or a second entry for a line,
+    raises IntegrityError naming ``sidecar:line``."""
+    index = {}
+    for lineno, d in read_numbered_jsonl(sidecar):
+        try:
+            line, label = d["line"], d["label_model_id"]
+            provenance = (d["sample_id"], d["dataset_id"], d["prompt_variant_id"])
+        except KeyError as exc:
+            raise IntegrityError(f"{sidecar}:{lineno}: entry lacks {exc}") from exc
+        if type(line) is not int or not all(isinstance(x, str) for x in (label, *provenance)):
+            raise IntegrityError(f"{sidecar}:{lineno}: malformed entry {d}")
+        if line in index:
+            raise IntegrityError(f"{sidecar}:{lineno}: second entry for line {line}")
+        index[line] = (label, provenance)
+    return index
 
 
 def _sidecar(path: Path) -> Path:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -38,8 +36,6 @@ class BackendInfo:
     name: str
     family: str
     deterministic: bool = True
-    concurrent_safe: bool = True
-    embedding_dim: int | None = None
 
     def __post_init__(self):
         if self.family not in (EMBEDDING, GENERATIVE):
@@ -135,14 +131,16 @@ def evaluate(
     normalization: str = "sum",
     max_workers: int = 1,
 ) -> EvaluationRun:
-    """Run one backend over every (sample, variant) of a dataset.
+    """Run one backend over every (sample, variant) of a dataset, one query
+    at a time.
 
     Prompts are built via closed_prompt_set, so option order aligns with
     gold_index. A backend failure on a sample skips that record and logs
-    the sample id; the returned run reports the skip count. Backends that
-    declare concurrent_safe=False are serialized behind a lock even when
-    max_workers > 1.
+    the sample id; the returned run reports the skip count. ``max_workers``
+    must be 1: scoring is serial.
     """
+    if max_workers != 1:
+        raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
     info: BackendInfo = backend.info
     if info.family == EMBEDDING and not isinstance(backend, EmbeddingBackend):
         raise InvalidInputError(f"backend {info.name} does not implement embedding ops")
@@ -150,55 +148,34 @@ def evaluate(
         raise InvalidInputError(f"backend {info.name} does not implement generative ops")
 
     chosen = list(variants) if variants is not None else prompt_variants(config)
-    lock = threading.Lock() if not info.concurrent_safe else None
-
-    def score_one(sample: Sample, variant: PromptVariant):
-        prompts = closed_prompt_set(sample, config, variant)
-        if lock is not None:
-            with lock:
-                return _predict(backend, info, sample, prompts, normalization)
-        return _predict(backend, info, sample, prompts, normalization)
-
-    tasks = [(s, v) for s in manifest.samples for v in chosen]
-    results: list[tuple[Sample, PromptVariant, Prediction | Exception]] = []
-    if max_workers <= 1:
-        for sample, variant in tasks:
-            try:
-                results.append((sample, variant, score_one(sample, variant)))
-            except Exception as exc:  # noqa: BLE001 - backend failures are data
-                results.append((sample, variant, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(score_one, s, v) for s, v in tasks]
-            for (sample, variant), fut in zip(tasks, futures):
-                try:
-                    results.append((sample, variant, fut.result()))
-                except Exception as exc:  # noqa: BLE001
-                    results.append((sample, variant, exc))
-
     run = EvaluationRun(records=[])
-    for sample, variant, outcome in results:
-        if isinstance(outcome, Exception):
-            logger.warning(
-                "backend %s failed on sample %s (%s): %s",
-                info.name, sample.sample_id, variant.variant_id, outcome,
+    for sample in manifest.samples:
+        for variant in chosen:
+            try:
+                prompts = closed_prompt_set(sample, config, variant)
+                outcome = _predict(backend, info, sample, prompts, normalization)
+            except Exception as exc:  # noqa: BLE001 - backend failures are data
+                logger.warning(
+                    "backend %s failed on sample %s (%s): %s",
+                    info.name, sample.sample_id, variant.variant_id, exc,
+                )
+                run.skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(exc)))
+                continue
+            run.records.append(
+                ExecutionRecord(
+                    sample_id=sample.sample_id,
+                    dataset_id=manifest.dataset_id,
+                    model_id=info.name,
+                    prompt_variant_id=variant.variant_id,
+                    predicted_index=outcome.predicted_index,
+                    correct=outcome.predicted_index == sample.gold_index,
+                )
             )
-            run.skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(outcome)))
-            continue
-        run.records.append(
-            ExecutionRecord(
-                sample_id=sample.sample_id,
-                dataset_id=manifest.dataset_id,
-                model_id=info.name,
-                prompt_variant_id=variant.variant_id,
-                predicted_index=outcome.predicted_index,
-                correct=outcome.predicted_index == sample.gold_index,
-            )
-        )
     if run.skipped:
         logger.warning(
             "backend %s on %s: %d of %d evaluations skipped",
-            info.name, manifest.dataset_id, run.skip_count, len(tasks),
+            info.name, manifest.dataset_id, run.skip_count,
+            len(manifest.samples) * len(chosen),
         )
     return run
 
@@ -236,7 +213,7 @@ class GoldEmbeddingBackend:
     def __init__(self, gold_by_ref: Mapping[str, int], dim: int, name: str = "gold-embed"):
         self._gold = dict(gold_by_ref)
         self._dim = dim
-        self.info = BackendInfo(name=name, family=EMBEDDING, embedding_dim=dim)
+        self.info = BackendInfo(name=name, family=EMBEDDING)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         v = np.zeros(self._dim)
@@ -255,7 +232,7 @@ class ConstantEmbeddingBackend:
 
     def __init__(self, dim: int = 4, name: str = "constant-embed"):
         self._dim = dim
-        self.info = BackendInfo(name=name, family=EMBEDDING, embedding_dim=dim)
+        self.info = BackendInfo(name=name, family=EMBEDDING)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return np.ones(self._dim)
@@ -270,7 +247,7 @@ class SeededEmbeddingBackend:
     def __init__(self, seed: int = 0, dim: int = 16, name: str = "seeded-embed"):
         self._seed = seed
         self._dim = dim
-        self.info = BackendInfo(name=name, family=EMBEDDING, embedding_dim=dim)
+        self.info = BackendInfo(name=name, family=EMBEDDING)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         rng = np.random.default_rng(_stable_seed(self._seed, "img", image_ref))

@@ -21,7 +21,6 @@ model's competence; predicted indices agree with the correctness flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -34,6 +33,7 @@ from .core import (
     MetadataSummary,
     Sample,
     World,
+    read_json,
     summarize_image,
     write_json,
 )
@@ -138,7 +138,7 @@ class WorldSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorldSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

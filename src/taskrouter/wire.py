@@ -46,8 +46,6 @@ def serve_backend(backend, rin: IO[str], rout: IO[str]) -> None:
                     "name": info.name,
                     "family": info.family,
                     "deterministic": info.deterministic,
-                    "concurrent_safe": info.concurrent_safe,
-                    "embedding_dim": info.embedding_dim,
                 }
             elif op == "embed_image":
                 result = [float(x) for x in backend.embed_image(req["image_ref"])]
@@ -81,8 +79,6 @@ class WireBackendClient:
             name=d["name"],
             family=d["family"],
             deterministic=d.get("deterministic", True),
-            concurrent_safe=False,
-            embedding_dim=d.get("embedding_dim"),
         )
 
     def _call(self, req: dict):

@@ -200,6 +200,21 @@ def test_truncated_records_file_names_file_and_line(world_dir, tmp_path, capsys)
     assert f"records.jsonl:{last_line}" in record["message"]
 
 
+def test_cut_world_json_names_the_file(world_dir, tmp_path, capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    info = world / "world.json"
+    info.write_bytes(info.read_bytes()[:30])
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert "world.json" in record["message"]
+
+
 @pytest.mark.parametrize("case, error", [
     ("ngram_orders", "ValueError"),
     ("config_list", "InvalidInputError"),

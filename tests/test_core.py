@@ -21,8 +21,8 @@ from taskrouter import (
     summarize_image,
     weighted_average,
 )
-from taskrouter.core import (load_manifests, load_records, read_jsonl, save_manifests,
-                            save_records)
+from taskrouter.core import (load_manifests, load_records, read_json, read_jsonl,
+                            save_manifests, save_records)
 
 
 class TestSummarizeImage:
@@ -111,13 +111,6 @@ class TestAggregateAccuracy:
                 if variants:
                     expected = sum(table.cell(m, d, v) for v in variants) / len(variants)
                     assert table.marginal(m, d) == pytest.approx(expected)
-
-    def test_merge_by_counts(self, rng):
-        records = [_record("m", "d", "v", bool(rng.integers(2)), sample=f"s{i}")
-                   for i in range(40)]
-        whole = aggregate_accuracy(records)
-        merged = aggregate_accuracy(records[:13]).merge(aggregate_accuracy(records[13:]))
-        assert merged == whole
 
     def test_unknown_sample_is_integrity_error(self):
         sample = Sample("s0", "d", "img", {}, ("a", "b"), 0)
@@ -257,6 +250,23 @@ class TestTypes:
         assert next(rows) == {"a": 1}
         with pytest.raises(InvalidInputError, match="rows.jsonl:4"):
             next(rows)
+
+    def test_read_jsonl_names_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+        rows = read_jsonl(path)
+        assert next(rows) == {"a": 1}
+        with pytest.raises(InvalidInputError, match="rows.jsonl:2"):
+            next(rows)
+
+    @pytest.mark.parametrize("data", [b'{"a": 1', b"[1, 2]", b'{"a": "\xff"}'])
+    def test_read_json_names_the_file(self, tmp_path, data):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        with pytest.raises(InvalidInputError, match="spec.json"):
+            read_json(path)
+        path.write_text('{"a": [1]}')
+        assert read_json(path) == {"a": [1]}
 
     def test_failed_csv_export_keeps_old_bytes(self, tmp_path):
         path = tmp_path / "cells.csv"

@@ -1,0 +1,153 @@
+"""Fuzzing of the readers of stored lines and files: every input gives a
+value or a TaskRouterError, never another exception."""
+
+import json
+import struct
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from taskrouter import TaskRouterError, parse_example
+from taskrouter.core import read_jsonl
+from taskrouter.router import RouterModel
+from taskrouter.routerdata import load_corpus
+
+LINES = (
+    "[img]dim::(2,3,1)ave::(0.5)std::(1.0)[prompt]What is this? ;;;['a cat', 'a dog'"
+    "[SEP]model::alpha[response]correct::True;;;avg_accuracy::0.50000",
+    "[prompt]Is it red?[SEP]model::beta[response]correct::False;;;avg_accuracy::1.00000",
+)
+# characters the grammar gives meaning to, non-ASCII digits among them
+GRAMMAR_CHARS = st.sampled_from("0123456789²١٥.,-()[]:;' \n\r") | st.characters()
+
+
+@st.composite
+def damaged_lines(draw):
+    """A well-formed line with up to three short spans replaced."""
+    line = draw(st.sampled_from(LINES))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(len(line), start + 8)))
+        line = line[:start] + draw(st.text(GRAMMAR_CHARS, max_size=6)) + line[end:]
+    return line
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+SIDECAR_KEYS = ("line", "sample_id", "dataset_id", "prompt_variant_id", "label_model_id")
+
+
+@st.composite
+def sidecar_entries(draw, line: int):
+    """A well-formed entry for ``line`` with some fields dropped or replaced."""
+    entry = {"line": line, "sample_id": "s0", "dataset_id": "d", "prompt_variant_id": "q0",
+             "label_model_id": draw(st.sampled_from(["alpha", "beta"]))}
+    for key in draw(st.lists(st.sampled_from(SIDECAR_KEYS), max_size=2)):
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(JSON_VALUES)
+    return entry
+
+
+@st.composite
+def corpus_pairs(draw):
+    """(corpus bytes, sidecar bytes or None) with damage in either."""
+    lines = draw(st.lists(st.sampled_from(LINES) | damaged_lines(), max_size=4))
+    corpus = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        corpus = draw(st.binary(max_size=8)) + corpus
+    if draw(st.booleans()):
+        return corpus, None
+    entries = [draw(sidecar_entries(i)) for i in range(len(lines))]
+    sidecar = "".join(json.dumps(e) + "\n" for e in draw(st.permutations(entries)))
+    return corpus, sidecar.encode("utf-8") + draw(st.binary(max_size=4))
+
+
+def _load_corpus(corpus: bytes, sidecar: bytes | None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        path.write_bytes(corpus)
+        if sidecar is not None:
+            Path(tmp, "corpus.txt.index.jsonl").write_bytes(sidecar)
+        return load_corpus(path)
+
+
+def _read_jsonl(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(data)
+        return list(read_jsonl(path))
+
+
+def _load_router(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "router.bin"
+        path.write_bytes(data)
+        return RouterModel.load(path)
+
+
+def _value_or_error(read, *args):
+    try:
+        read(*args)
+    except TaskRouterError:
+        pass
+
+
+@given(damaged_lines())
+@example("[img]dim::(²,1,1)ave::(0.0)std::(0.0)[prompt]p[SEP]model::m[response]"
+         "correct::True;;;avg_accuracy::0.50000")
+@example("[img]dim::(\ud800,1,1)ave::(0.0)std::(0.0)[prompt]p[SEP]model::m[response]"
+         "correct::True;;;avg_accuracy::0.50000")
+@settings(max_examples=300, deadline=None)
+def test_parse_example_gives_a_value_or_an_error(line):
+    _value_or_error(parse_example, line)
+
+
+@given(corpus_pairs())
+@example(((LINES[1] + "\n").encode(), b'{"line": 0, "label_model_id": "beta"}\n'))
+@example(((LINES[1] + "\n").encode(), b'{"line": [0], "label_model_id": "beta"}\n'))
+@example((b"\xff\n", None))
+@settings(max_examples=200, deadline=None)
+def test_load_corpus_gives_a_value_or_an_error(pair):
+    _value_or_error(_load_corpus, *pair)
+
+
+@given(st.lists(st.sampled_from([b'{"a": 1}', b"[1]", b"", b"  ", b"{", b"\xff\xfe"])
+                | st.binary(max_size=12), max_size=5).map(b"\n".join))
+@example(b'{"a": 1}\n{"a": "\xff"}\n')
+@settings(max_examples=200, deadline=None)
+def test_read_jsonl_gives_a_value_or_an_error(data):
+    _value_or_error(_read_jsonl, data)
+
+
+VALID_HEADER = {
+    "format_version": 1, "learner_kind": RouterModel.LEARNER_KIND, "vocabulary": ["a", "b"],
+    "flags": {"include_metadata": True, "include_response_options": False},
+    "featurization": {"ngram_orders": [2], "hash_dim": 2, "lowercase": True},
+    "seed": 0, "weights_shape": [2, 2],
+}
+
+
+@st.composite
+def router_headers(draw):
+    """Arbitrary bytes, or the JSON of a valid header with a field replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    header = dict(VALID_HEADER)
+    header[draw(st.sampled_from(sorted(header)))] = draw(JSON_VALUES)
+    return json.dumps(header).encode("utf-8")
+
+
+@given(router_headers(), st.integers(-4, 4), st.binary(max_size=64))
+@example(b"[" * 100_000, 0, b"")
+@settings(max_examples=300, deadline=None)
+def test_router_load_gives_a_value_or_an_error(header, length_error, body):
+    length = max(0, len(header) + length_error)
+    _value_or_error(_load_router, RouterModel.MAGIC + struct.pack("<I", length) + header + body)

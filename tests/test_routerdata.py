@@ -156,6 +156,20 @@ class TestParseExample:
         with pytest.raises(ParseError):
             parse_example(line)
 
+    @pytest.mark.parametrize("line", [
+        # a superscript passes str.isdigit but not int()
+        "[img]dim::(²,1,1)ave::(0.0)std::(0.0)[prompt]p[SEP]model::m[response]"
+        "correct::True;;;avg_accuracy::0.50000",
+        # Arabic-Indic digits parse as floats but do not reserialize
+        "[img]dim::(1,1,1)ave::(١.٥)std::(0.0)[prompt]p[SEP]model::m[response]"
+        "correct::True;;;avg_accuracy::0.50000",
+        "[prompt]p[SEP]model::m[response]correct::True;;;avg_accuracy::٠.٥٠٠٠٠",
+        "[prompt]p[SEP]model::m[response]correct::True;;;avg_accuracy::0.50000\n",
+    ], ids=["superscript_dim", "arabic_mean", "arabic_avg", "trailing_newline"])
+    def test_numbers_are_ascii_and_whole_fields(self, line):
+        with pytest.raises(ParseError):
+            parse_example(line)
+
     def test_offsets_point_into_the_line(self):
         line = "[prompt]p[SEP]model::m[response]correct::Maybe;;;avg_accuracy::0.50000"
         with pytest.raises(ParseError) as err:
@@ -433,6 +447,27 @@ def test_mismatched_sidecar_fails_to_load(edit, tmp_path):
             m for m in ("alpha", "beta") if m != entries[2]["label_model_id"])
     sidecar.write_text("".join(json.dumps(e) + "\n" for e in entries))
     with pytest.raises(IntegrityError, match="index.jsonl"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("edit", ["no_line", "no_label", "no_sample_id", "list_line",
+                                  "second_entry"])
+def test_damaged_sidecar_entry_names_sidecar_line(edit, tmp_path):
+    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                    SerializationFlags(True, True))
+    path = tmp_path / "corpus.txt"
+    save_corpus(examples[:3], path)
+    sidecar = tmp_path / "corpus.txt.index.jsonl"
+    entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
+    if edit == "list_line":
+        entries[1]["line"] = [1]
+    elif edit == "second_entry":
+        entries[1]["line"] = 0
+    else:
+        del entries[1][{"no_line": "line", "no_label": "label_model_id",
+                        "no_sample_id": "sample_id"}[edit]]
+    sidecar.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    with pytest.raises(IntegrityError, match=r"index\.jsonl:2"):
         load_corpus(path)
 
 

@@ -185,14 +185,16 @@ class TestEvaluate:
         recorded = {r.sample_id for r in run.records}
         assert recorded == {"s1", "s2", "s4", "s5"}
 
-    def test_concurrent_matches_serial(self):
+    def test_max_workers_other_than_one_is_rejected(self):
+        # scoring is serial; a request for threads fails instead of being ignored
         world = self._world()
         manifest = world.datasets["micro"]
         backend = SeededEmbeddingBackend(seed=2, dim=4, name="only")
-        serial = evaluate(backend, manifest, world.prompt_configs["micro"])
-        parallel = evaluate(backend, manifest, world.prompt_configs["micro"],
-                            max_workers=4)
-        assert serial.records == parallel.records
+        serial = evaluate(backend, manifest, world.prompt_configs["micro"], max_workers=1)
+        assert serial.records == evaluate(backend, manifest, world.prompt_configs["micro"]).records
+        for workers in (0, 2, 4):
+            with pytest.raises(InvalidInputError, match="max_workers"):
+                evaluate(backend, manifest, world.prompt_configs["micro"], max_workers=workers)
 
     def test_variant_subset(self):
         from taskrouter.prompts import prompt_variants

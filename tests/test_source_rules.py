@@ -49,3 +49,22 @@ def test_files_are_written_only_through_atomic_open():
                    if isinstance(node, ast.Call) and id(node) not in allowed
                    and _writes_a_file(node)]
     assert writes == []
+
+
+def _parses_read_text(call: ast.Call) -> bool:
+    """``json.loads(<x>.read_text())``."""
+    func = call.func
+    arg = call.args[0] if call.args else None
+    return (isinstance(func, ast.Attribute) and func.attr == "loads"
+            and isinstance(func.value, ast.Name) and func.value.id == "json"
+            and isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+            and arg.func.attr == "read_text")
+
+
+def test_json_files_are_read_only_through_read_json():
+    # a bare json.loads names no file when the JSON in it is damaged
+    sources = sorted(Path(taskrouter.__file__).parent.glob("*.py"))
+    reads = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and _parses_read_text(node)]
+    assert reads == []
