@@ -321,8 +321,7 @@ def _cmd_router_route(args) -> None:
         lines = [args.input]
     else:
         lines = [ln.rstrip("\n") for ln in sys.stdin if ln.strip()]
-    for line in lines:
-        print(model.route_text(line))
+    sys.stdout.write("".join(choice + "\n" for choice in model.route_batch(lines)))
 
 
 def _cmd_baselines_report(args) -> None:

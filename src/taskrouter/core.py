@@ -13,13 +13,15 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import CoverageError, IntegrityError, InvalidInputError
 
 TASK_KINDS = ("recognition", "reasoning")
+
+_Row = TypeVar("_Row")
 
 
 @dataclass(frozen=True)
@@ -606,12 +608,22 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
     return (row for _, row in read_numbered_jsonl(path))
 
 
+def _read_rows(path: str | Path, from_dict: Callable[[dict], _Row]) -> Iterator[_Row]:
+    """``from_dict`` of each JSON object in ``path``; a row that lacks a
+    field raises IntegrityError naming ``path:line`` and the field."""
+    for lineno, row in read_numbered_jsonl(path):
+        try:
+            yield from_dict(row)
+        except KeyError as exc:
+            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+
+
 def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
     write_jsonl(path, (rec.to_dict() for rec in records))
 
 
 def load_records(path: str | Path) -> list[ExecutionRecord]:
-    return [ExecutionRecord.from_dict(d) for d in read_jsonl(path)]
+    return list(_read_rows(path, ExecutionRecord.from_dict))
 
 
 def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> None:
@@ -619,7 +631,7 @@ def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> No
 
 
 def load_manifests(path: str | Path) -> list[DatasetManifest]:
-    return [DatasetManifest.from_dict(d) for d in read_jsonl(path)]
+    return list(_read_rows(path, DatasetManifest.from_dict))
 
 
 def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
@@ -628,7 +640,7 @@ def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> 
 
 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
-    return {d["sample_id"]: MetadataSummary.from_dict(d) for d in read_jsonl(path)}
+    return dict(_read_rows(path, lambda d: (d["sample_id"], MetadataSummary.from_dict(d))))
 
 
 WORLD_FILES = ("datasets.jsonl", "prompt_configs.json", "metadata.jsonl",

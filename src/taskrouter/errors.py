@@ -36,11 +36,12 @@ class ParseError(TaskRouterError, ValueError):
     """A serialized router example could not be parsed.
 
     ``offset`` is the byte offset (UTF-8) into the line at which parsing
-    failed.
+    failed, and ``reason`` the message without it.
     """
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
 
 

@@ -30,7 +30,6 @@ logger = logging.getLogger(__name__)
 
 # Fixed hashing constants: featurization must agree across runs and hosts.
 _HASH_SEED = 0x7461736B726F7574
-_MAX_UINT64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,111 @@ def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
     signs = np.concatenate(all_signs)
     uniq, inverse = np.unique(buckets, return_inverse=True)
     return uniq, np.bincount(inverse, weights=signs, minlength=len(uniq))
+
+
+# Lines are scored in chunks of at most this many characters (a longer line
+# is a chunk of its own), so scoring memory does not grow with the input.
+_CHUNK_CHARS = 1 << 15
+_EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+
+_ATOM_TABLE_CACHE: dict[tuple[int, ...], np.ndarray] = {}
+
+
+def _atom_table(orders: tuple[int, ...]) -> np.ndarray:
+    """(max order, len(orders)) uint64 matrix whose column j holds the atoms
+    of ``orders[j]``, zero below them: a window of codes times this table
+    is every order's n-gram hash at once."""
+    if orders not in _ATOM_TABLE_CACHE:
+        table = np.zeros((max(orders), len(orders)), dtype=np.uint64)
+        for j, order in enumerate(orders):
+            table[:order, j] = _atoms(order)
+        _ATOM_TABLE_CACHE[orders] = table
+    return _ATOM_TABLE_CACHE[orders]
+
+
+def _exact_choice(weights, bias, config: FeaturizerConfig, text: str) -> int:
+    """The reference choice: featurize, one matrix-vector product, and the
+    argmax, whose ties go to the lowest index."""
+    idx, vals = featurize(text, config)
+    return int(np.argmax(weights[:, idx] @ vals + bias))
+
+
+def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
+            texts: Sequence[str]) -> np.ndarray:
+    """The index of the highest-scoring class for each of ``texts``; equal
+    to ``_exact_choice`` on every line (see ``_choose_chunk``)."""
+    choices = np.empty(len(texts), dtype=np.intp)
+    start = 0
+    while start < len(texts):
+        stop, size = start + 1, len(texts[start])
+        while stop < len(texts) and size + len(texts[stop]) <= _CHUNK_CHARS:
+            size += len(texts[stop])
+            stop += 1
+        choices[start:stop] = _choose_chunk(weights, bias, config, texts[start:stop])
+        start = stop
+    return choices
+
+
+def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
+    """Score a chunk of lines without building their feature vectors.
+
+    Every position of the chunk's joined code points hashes one n-gram of
+    each order, as ``featurize`` does; an n-gram that runs past the end of
+    its line gets sign 0. Each line's score is then the sum of its gathered
+    ``weights[c, bucket] * sign`` terms plus the bias.
+
+    The sum is rounded in another order than the reference
+    ``weights[:, idx] @ vals + bias``, so the two scores may differ in the
+    last bits. Let u = 2^-53, n the line's term count, A_c the sum of its
+    |weights[c, bucket] * sign| and S_c = A_c + |bias[c]|. Any order of
+    summing n terms errs by at most gamma_{n-1} * A_c, with gamma_k =
+    k*u / (1 - k*u), and the bias add rounds once more, so this score lies
+    within gamma_n * S_c of the true one. The reference's products fold the
+    same terms bucket by bucket (|vals[j]| is at most the number of terms
+    in bucket j, so its absolute terms also sum to at most A_c) and it sums
+    at most n of them, so it lies within gamma_{n+1} * S_c. The two scores
+    of a class thus differ by at most 2 * gamma_{n+1} * S_c, and if the
+    top score here beats the runner-up by more than 4 * gamma_{n+1} *
+    max_c S_c, the reference has the same unique argmax. Since gamma_{n+1}
+    <= 1.01 * (n + 1) * u, ``bound`` below (with eps = 2u) is twice that
+    margin, which also covers the rounding of the bound and the gap
+    themselves; the subnormal term covers underflow in the reference's
+    products. A line whose gap is not above its bound (a tie, a near tie, a
+    NaN) is rescored by ``_exact_choice``.
+    """
+    if not all(texts):
+        raise InvalidInputError("cannot featurize an empty string")
+    lines = [t.lower() for t in texts] if config.lowercase else texts
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
+    orders = config.ngram_orders
+    span = max(orders)
+    padded = np.zeros(len(codes) + span - 1, dtype=np.uint64)
+    padded[:len(codes)] = codes
+    windows = np.ndarray((len(codes), span), dtype=np.uint64, buffer=padded,
+                         strides=(8, 8))
+    hashes = windows @ _atom_table(orders)  # (position, order), mod 2^64
+    ends = np.cumsum(lengths)
+    fits = (np.repeat(ends, lengths) - np.arange(len(codes)))[:, None] >= np.array(orders)
+    # a hash's top bit sets its sign, and so does the sign of its int64 view
+    signs = np.copysign(fits, hashes.view(np.int64))
+    buckets = (hashes % np.uint64(config.hash_dim)).astype(np.intp)
+
+    terms = weights.take(buckets.ravel(), axis=1)
+    terms *= signs.ravel()
+    starts = (ends - lengths) * len(orders)
+    scores = np.add.reduceat(terms, starts, axis=1)
+    scores += bias[:, None]
+    best = scores.argmax(axis=0)
+    if len(bias) > 1:
+        scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1)
+        scale += np.abs(bias)[:, None]
+        bound = 4.0 * (lengths * len(orders) + 2) * (_EPS * scale.max(axis=0) + _TINY)
+        top2 = np.sort(scores, axis=0)[-2:]
+        for i in np.flatnonzero(~(top2[1] - top2[0] > bound)).tolist():
+            best[i] = _exact_choice(weights, bias, config, texts[i])
+    return best
 
 
 @dataclass(frozen=True)
@@ -206,14 +310,14 @@ class RouterModel:
                 f"{len(self.vocabulary)} models x {self.featurizer.hash_dim} buckets"
             )
 
-    def scores_for(self, serialized_input: str) -> np.ndarray:
-        idx, vals = featurize(serialized_input, self.featurizer)
-        if len(idx) == 0:
-            return self.bias.copy()
-        return self.weights[:, idx] @ vals + self.bias
+    def route_batch(self, texts: Sequence[str]) -> list[str]:
+        """The model picked for each serialized input line: every line
+        scored in one batched pass, with near ties rescored exactly."""
+        return [self.vocabulary[i]
+                for i in _choose(self.weights, self.bias, self.featurizer, texts).tolist()]
 
     def route_text(self, serialized_input: str) -> str:
-        return self.vocabulary[int(np.argmax(self.scores_for(serialized_input)))]
+        return self.route_batch([serialized_input])[0]
 
     def route(
         self,
@@ -222,14 +326,8 @@ class RouterModel:
         options: Sequence[str] | None,
     ) -> str:
         """Route one query: serialize the input portion with the train-time
-        flags, featurize, and return the argmax-probability model."""
-        text = serialize_input(
-            metadata if self.flags.include_metadata else None,
-            prompt_text,
-            options if self.flags.include_response_options else None,
-            self.flags,
-        )
-        return self.route_text(text)
+        flags and return the argmax-probability model."""
+        return self.route_text(router_input(self.flags, metadata, prompt_text, options))
 
     # -- persistence --------------------------------------------------------
 
@@ -303,17 +401,6 @@ class RouterModel:
         )
 
 
-def _label_accuracy(weights, bias, feats, labels) -> float:
-    if not feats:
-        return 0.0
-    hits = 0
-    for (idx, vals), label in zip(feats, labels):
-        scores = weights[:, idx] @ vals + bias
-        if int(np.argmax(scores)) == label:
-            hits += 1
-    return hits / len(feats)
-
-
 def train_router(
     train: Sequence[RouterExample],
     validate: Sequence[RouterExample],
@@ -344,8 +431,8 @@ def train_router(
 
     feats = [featurize(ex.serialized_input, featurizer) for ex in train]
     labels = [vocab_index[ex.label_model_id] for ex in train]
-    val_feats = [featurize(ex.serialized_input, featurizer) for ex in validate]
-    val_labels = [vocab_index[ex.label_model_id] for ex in validate]
+    val_texts = [ex.serialized_input for ex in validate]
+    val_labels = np.array([vocab_index[ex.label_model_id] for ex in validate], dtype=np.intp)
 
     k = len(vocab)
     weights = np.zeros((k, featurizer.hash_dim))
@@ -372,8 +459,9 @@ def train_router(
         weights[:, cols] -= lr * grad_cols
 
         if step % config.eval_every == 0 or step == config.max_iterations:
-            if val_feats:
-                acc = _label_accuracy(weights, bias, val_feats, val_labels)
+            if val_texts:
+                hits = int((_choose(weights, bias, featurizer, val_texts) == val_labels).sum())
+                acc = hits / len(val_texts)
                 logger.info("step %d: validation label accuracy %.4f", step, acc)
                 if best is None or acc > best[0]:
                     best = (acc, weights.copy(), bias.copy())
@@ -402,17 +490,29 @@ def _infer_flags(example: RouterExample) -> SerializationFlags:
     )
 
 
+def router_input(flags: SerializationFlags, metadata: MetadataSummary | None,
+                 prompt_text: str, options: Sequence[str] | None) -> str:
+    """A query's router input, serialized with a router's train-time flags."""
+    return serialize_input(
+        metadata if flags.include_metadata else None,
+        prompt_text,
+        options if flags.include_response_options else None,
+        flags,
+    )
+
+
 def route_rows(router, grid: QueryGrid, rows: Iterable[int]) -> list[str]:
-    """The model ``router.route`` picks for each of the grid's ``rows``,
-    given the query's image metadata, rendered prompt and options."""
-    choices = []
+    """The model ``router.route_batch`` picks for each of the grid's
+    ``rows``, given the query's image metadata, rendered prompt and
+    options: every row is serialized, then routed in one call."""
+    texts = []
     for i in rows:
         ds_id, sample, variant = grid.queries[i]
         config = grid.world.prompt_configs[ds_id]
-        choices.append(router.route(grid.world.metadata.get(sample.sample_id),
-                                    render(variant.question, sample, config),
-                                    rendered_options(sample, config, variant)))
-    return choices
+        texts.append(router_input(router.flags, grid.world.metadata.get(sample.sample_id),
+                                  render(variant.question, sample, config),
+                                  rendered_options(sample, config, variant)))
+    return router.route_batch(texts)
 
 
 def evaluate_router(router: RouterModel, grid: QueryGrid, dataset_id: str) -> float:

@@ -233,7 +233,10 @@ def parse_example(line: str) -> ParsedExample:
         pos += len("dim::")
         dims_text, pos = _parse_paren_group(line, pos, "dim")
         dim_parts = dims_text.split(",")
-        if len(dim_parts) != 3 or not all(_DIM.fullmatch(p) for p in dim_parts):
+        # every number must be in the form serialization writes, so that
+        # a parsed line reserializes byte for byte
+        if len(dim_parts) != 3 or not all(_DIM.fullmatch(p) and str(int(p)) == p
+                                          for p in dim_parts):
             raise ParseError(f"bad dims {dims_text!r}", _byte_offset(line, pos))
         dims = tuple(int(p) for p in dim_parts)
         if not line.startswith("ave::", pos):
@@ -267,6 +270,8 @@ def parse_example(line: str) -> ParsedExample:
     opts_at = input_body.rfind(OPTIONS_MARK)
     if opts_at != -1:
         prompt_text = input_body[:opts_at]
+        if OPTIONS_MARK in prompt_text:
+            raise ParseError(f"prompt holds a second {OPTIONS_MARK!r}", _byte_offset(line, pos))
         opts_body = input_body[opts_at + len(OPTIONS_MARK):]
         options = _parse_options(opts_body, line, pos + opts_at + len(OPTIONS_MARK))
     else:
@@ -280,8 +285,8 @@ def parse_example(line: str) -> ParsedExample:
     if resp_at == -1:
         raise ParseError("missing [response] segment", _byte_offset(line, pos))
     model_id = line[pos:resp_at]
-    if not model_id:
-        raise ParseError("empty model id", _byte_offset(line, pos))
+    if not model_id or SEP_MARK in model_id:
+        raise ParseError(f"model id empty or holding {SEP_MARK!r}", _byte_offset(line, pos))
     pos = resp_at + len(RESPONSE_MARK)
 
     if not line.startswith("correct::", pos):
@@ -298,12 +303,12 @@ def parse_example(line: str) -> ParsedExample:
         raise ParseError("expected ;;;avg_accuracy::", _byte_offset(line, pos))
     pos += len(";;;avg_accuracy::")
     avg_text = line[pos:]
-    if not _AVG_5DP.fullmatch(avg_text):
+    avg = float(avg_text) if _AVG_5DP.fullmatch(avg_text) else None
+    if avg is None or f"{avg:.5f}" != avg_text:
         raise ParseError(
             f"avg_accuracy must be a 5-decimal value, got {avg_text!r}",
             _byte_offset(line, pos),
         )
-    avg = float(avg_text)
     if not 0.0 <= avg <= 1.0:
         raise ParseError(f"avg_accuracy {avg} outside [0, 1]", _byte_offset(line, pos))
 
@@ -321,7 +326,7 @@ def _parse_1dp_floats(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     values = []
     for p in parts:
-        if not _FLOAT_1DP.fullmatch(p):
+        if not _FLOAT_1DP.fullmatch(p) or f"{float(p):.1f}" != p:
             raise ValueError(f"expected a 1-decimal value, got {p!r}")
         values.append(float(p))
     return tuple(values)
@@ -475,7 +480,10 @@ def load_corpus(path: str | Path) -> list[RouterExample]:
     for lineno, raw in read_lines(path):
         if not raw:
             continue
-        parsed = parse_example(raw)
+        try:
+            parsed = parse_example(raw)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc.reason}", exc.offset) from exc
         provenance = ("?", "?", "?")
         if index is not None:
             entry = index.pop(lineno - 1, None)

@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from taskrouter import BackendError
-from taskrouter.router import _atoms, softmax_loss_and_grads
+from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
 
 
 def char_ngrams(text: str, order: int) -> list[str]:
@@ -24,6 +24,14 @@ def ngram_hash(gram: str) -> int:
     for code, a in zip((ord(c) for c in gram), atoms.tolist()):
         h = (h + code * a) % (2 ** 64)
     return h
+
+
+def exact_choice(router, text: str) -> int:
+    """The vocabulary index one line routes to when scored on its own: its
+    feature vector, one matrix-vector product with the weights plus the
+    bias, and the first maximum, so that ties go to the lowest index."""
+    idx, vals = featurize(text, router.featurizer)
+    return int(np.argmax(router.weights[:, idx] @ vals + router.bias))
 
 
 def batch_loss(weights, bias, feats, labels) -> float:

@@ -200,6 +200,23 @@ def test_truncated_records_file_names_file_and_line(world_dir, tmp_path, capsys)
     assert f"records.jsonl:{last_line}" in record["message"]
 
 
+def test_record_missing_a_field_names_file_line_and_field(world_dir, tmp_path, capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    records = world / "records.jsonl"
+    rows = [json.loads(line) for line in records.read_text().splitlines()]
+    del rows[2]["correct"]
+    records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "IntegrityError"
+    assert "records.jsonl:3: missing field 'correct'" in record["message"]
+
+
 def test_cut_world_json_names_the_file(world_dir, tmp_path, capsys):
     import shutil
 

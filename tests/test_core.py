@@ -2,6 +2,7 @@
 and persistence."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ from taskrouter import (
     summarize_image,
     weighted_average,
 )
-from taskrouter.core import (load_manifests, load_records, read_json, read_jsonl,
-                            save_manifests, save_records)
+from taskrouter.core import (load_manifests, load_metadata, load_records, read_json,
+                             read_jsonl, save_manifests, save_metadata, save_records)
 
 
 class TestSummarizeImage:
@@ -258,6 +259,31 @@ class TestTypes:
         assert next(rows) == {"a": 1}
         with pytest.raises(InvalidInputError, match="rows.jsonl:2"):
             next(rows)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("records", "correct"), ("manifests", "task_kind"), ("manifests", "image_ref"),
+        ("metadata", "sample_id"), ("metadata", "channel_stds"),
+    ])
+    def test_a_row_missing_a_field_names_file_line_and_field(self, tmp_path, kind, field):
+        path = tmp_path / f"{kind}.jsonl"
+        save, load = {
+            "records": (lambda: save_records([_record("m", "d", "v", True),
+                                              _record("m", "d", "w", False)], path),
+                        load_records),
+            "manifests": (lambda: save_manifests([DatasetManifest("d", "recognition", (
+                Sample("s0", "d", "img", {}, ("a", "b"), 0),), "d")] * 2, path),
+                load_manifests),
+            "metadata": (lambda: save_metadata({f"s{i}": MetadataSummary((1, 1, 1), (0.5,),
+                                                                         (0.0,))
+                                                for i in range(2)}, path),
+                         load_metadata),
+        }[kind]
+        save()
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        (rows[1]["samples"][0] if field == "image_ref" else rows[1]).pop(field)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(IntegrityError, match=f"{kind}.jsonl:2: missing field '{field}'"):
+            load(path)
 
     @pytest.mark.parametrize("data", [b'{"a": 1', b"[1, 2]", b'{"a": "\xff"}'])
     def test_read_json_names_the_file(self, tmp_path, data):

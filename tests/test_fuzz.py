@@ -151,3 +151,18 @@ def router_headers(draw):
 def test_router_load_gives_a_value_or_an_error(header, length_error, body):
     length = max(0, len(header) + length_error)
     _value_or_error(_load_router, RouterModel.MAGIC + struct.pack("<I", length) + header + body)
+
+
+@given(damaged_lines())
+@example(LINES[0].replace("(2,3,1)", "(02,3,1)"))
+@example(LINES[0].replace("ave::(0.5)", "ave::(00.5)"))
+@example(LINES[1].replace("::1.00000", "::01.00000"))
+@example(LINES[0].replace("What is this?", "What ;;;[is this?"))
+@example(LINES[1].replace("model::beta", "model::be[SEP]ta"))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_line_reserializes_byte_for_byte(line):
+    try:
+        parsed = parse_example(line)
+    except TaskRouterError:
+        return
+    assert parsed.reserialize() == line

@@ -1,6 +1,8 @@
 """Featurizer, learner gradients, training, routing, and replay
 evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from taskrouter import (
     split_80_10_10,
     train_router,
 )
+import taskrouter.router as router_module
 from taskrouter.router import (
     FeaturizerConfig,
     RouterModel,
@@ -25,7 +28,7 @@ from taskrouter.router import (
     softmax_loss_and_grads,
 )
 from conftest import make_micro_world
-from oracles import batch_loss, char_ngrams, column_grads, ngram_hash
+from oracles import batch_loss, char_ngrams, column_grads, exact_choice, ngram_hash
 
 SMALL = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=1024)
 
@@ -331,6 +334,129 @@ class TestRoute:
             RouterModel.load(tmp_path / "junk.bin")
 
 
+# characters whose lowercase form is longer (İ) or depends on context (Σ),
+# the serialization markers' characters, and any other character that
+# UTF-32 can encode (a lone surrogate cannot be featurized; see below)
+ROUTE_CHARS = st.sampled_from("aAbB İΣσς[]:;',") | st.characters(exclude_categories=("Cs",))
+ROUTE_LINES = st.lists(st.text(ROUTE_CHARS, min_size=1, max_size=24), min_size=1, max_size=10)
+
+
+@st.composite
+def routers(draw):
+    """A router whose weights are random, integer-valued (exact ties in
+    sums), hold a duplicated or a one-ulp-apart class row (ties and near
+    ties), or are all zero."""
+    k = draw(st.integers(1, 4))
+    orders = tuple(sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3))))
+    config = FeaturizerConfig(ngram_orders=orders, hash_dim=draw(st.sampled_from([2, 16, 256])),
+                              lowercase=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "duplicated", "one_ulp", "zero"]))
+    shape = (k, config.hash_dim)
+    if kind == "integer":
+        weights = rng.integers(-2, 3, size=shape).astype(float)
+        bias = rng.integers(-2, 3, size=k).astype(float)
+    elif kind == "zero":
+        weights, bias = np.zeros(shape), np.zeros(k)
+    else:
+        weights, bias = rng.normal(size=shape), rng.normal(size=k)
+    if kind in ("duplicated", "one_ulp"):
+        weights[-1], bias[-1] = weights[0], bias[0]
+        if kind == "one_ulp":
+            weights[-1] = np.nextafter(weights[0], np.inf)
+    return RouterModel(vocabulary=tuple(f"m{i}" for i in range(k)), featurizer=config,
+                       flags=SerializationFlags(False, False), seed=0,
+                       weights=weights, bias=bias)
+
+
+class TestRouteBatch:
+    @given(routers(), ROUTE_LINES, st.sampled_from([1, 7, 40, 1 << 15]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_choice_equals_the_per_line_oracle(self, router, texts, chunk_chars):
+        with mock.patch.object(router_module, "_CHUNK_CHARS", chunk_chars):
+            got = router.route_batch(texts)
+            assert [router.route_text(t) for t in texts] == got
+        assert got == [router.vocabulary[exact_choice(router, t)] for t in texts]
+
+    def test_batch_longer_than_a_chunk(self):
+        router = RouterModel(vocabulary=("a", "b", "c"), featurizer=FeaturizerConfig(),
+                             flags=SerializationFlags(False, False), seed=0,
+                             weights=np.random.default_rng(4).normal(size=(3, 2 ** 18)),
+                             bias=np.zeros(3))
+        # lines of at least 40 characters, over two chunks' worth of them
+        texts = [f"[prompt]line {i:05d} of a batch, {'x' * (10 + i % 50)}"
+                 for i in range(router_module._CHUNK_CHARS // 20 + 1)]
+        assert router.route_batch(texts) == [router.vocabulary[exact_choice(router, t)]
+                                             for t in texts]
+
+    def test_line_shorter_than_every_order_routes_by_bias(self):
+        router = RouterModel(vocabulary=("a", "b", "c"), featurizer=SMALL,
+                             flags=SerializationFlags(False, False), seed=0,
+                             weights=np.random.default_rng(2).normal(size=(3, SMALL.hash_dim)),
+                             bias=np.array([0.0, 3.0, 1.0]))
+        assert router.route_batch(["X", "a longer line", "Y"])[::2] == ["b", "b"]
+        assert router.route_text("X") == "b"
+
+    def test_lowercase_that_changes_length(self):
+        assert len("İ".lower()) == 2
+        router = RouterModel(vocabulary=("a", "b", "c"), featurizer=SMALL,
+                             flags=SerializationFlags(False, False), seed=0,
+                             weights=np.random.default_rng(3).normal(size=(3, SMALL.hash_dim)),
+                             bias=np.zeros(3))
+        texts = ["İ", "İstanbul İİ", "ΣΑΣ ΟΔΟΣ", "İ"]
+        assert router.route_batch(texts) == [router.vocabulary[exact_choice(router, t)]
+                                             for t in texts]
+
+    def test_one_ulp_near_ties_follow_the_oracle(self):
+        # class 1 is class 0 raised by one ulp, so their scores differ only in
+        # rounding, where the batched sum and the oracle's may disagree
+        config = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=16)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            weights, bias = rng.normal(size=(2, 16)), rng.normal(size=2)
+            weights[1], bias[1] = np.nextafter(weights[0], np.inf), bias[0]
+            router = RouterModel(vocabulary=("a", "b"), featurizer=config,
+                                 flags=SerializationFlags(False, False), seed=0,
+                                 weights=weights, bias=bias)
+            texts = ["".join(rng.choice(list("abcdefgh "), size=int(rng.integers(2, 12))))
+                     for _ in range(4)]
+            assert router.route_batch(texts) == [router.vocabulary[exact_choice(router, t)]
+                                                 for t in texts]
+
+    def test_empty_line_raises(self):
+        router = constant_router("b", ("a", "b"))
+        with pytest.raises(InvalidInputError):
+            router.route_batch(["fine", ""])
+        with pytest.raises(InvalidInputError):
+            router.route_text("")
+
+    def test_lone_surrogate_raises_as_featurize_does(self):
+        router = constant_router("b", ("a", "b"))
+        with pytest.raises(UnicodeEncodeError):
+            featurize("x\ud800", SMALL)
+        with pytest.raises(UnicodeEncodeError):
+            router.route_batch(["fine", "x\ud800"])
+
+    def test_rescoring_only_where_the_gap_is_within_the_bound(self, monkeypatch):
+        calls = []
+
+        def counting_featurize(text, config):
+            calls.append(text)
+            return featurize(text, config)
+
+        monkeypatch.setattr(router_module, "featurize", counting_featurize)
+        texts = ["[prompt]one", "[prompt]two", "x"]
+        # every score ties on an all-zero router, so every line is rescored
+        zero = RouterModel(vocabulary=("a", "b"), featurizer=SMALL,
+                           flags=SerializationFlags(False, False), seed=0,
+                           weights=np.zeros((2, SMALL.hash_dim)), bias=np.zeros(2))
+        assert zero.route_batch(texts) == ["a", "a", "a"]
+        assert calls == texts
+        calls.clear()
+        assert constant_router("b", ("a", "b")).route_batch(texts) == ["b", "b", "b"]
+        assert calls == []
+
+
 def constant_router(model_id: str, vocab, flags=SerializationFlags(True, True)):
     vocab = tuple(vocab)
     bias = np.zeros(len(vocab))
@@ -374,11 +500,8 @@ class TestEvaluateRouter:
                 self.by_input = {e.serialized_input: e.label_model_id
                                  for e in examples}
 
-            def route(self, metadata, prompt_text, options):
-                from taskrouter.routerdata import serialize_input
-
-                return self.by_input[serialize_input(
-                    metadata, prompt_text, options, self.flags)]
+            def route_batch(self, texts):
+                return [self.by_input[text] for text in texts]
 
         replay = evaluate_router(LabelLookupRouter(), QueryGrid.build(world), "micro")
         from taskrouter.baselines import upper_bound_accuracy

@@ -481,3 +481,13 @@ def test_corpus_save_and_load(tmp_path):
     assert [e.raw_line for e in loaded] == [e.raw_line for e in examples]
     assert [e.provenance for e in loaded] == [e.provenance for e in examples]
     assert [e.label_model_id for e in loaded] == [e.label_model_id for e in examples]
+
+
+def test_unparsable_corpus_line_names_path_and_line(tmp_path):
+    world = make_micro_world(n_samples=3)
+    examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+    path = tmp_path / "corpus.txt"
+    path.write_text(examples[0].raw_line + "\ngarbage line\n")
+    with pytest.raises(ParseError, match=r"corpus\.txt:2: expected \[prompt\] segment "
+                                         r"\(byte offset 0\)"):
+        load_corpus(path)

@@ -68,3 +68,40 @@ def test_json_files_are_read_only_through_read_json():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call) and _parses_read_text(node)]
     assert reads == []
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _calls_in_loops(fn: ast.FunctionDef, names: set[str]) -> list[str]:
+    """Calls of ``names`` that a loop in ``fn`` repeats: anywhere in a loop
+    but the iterable of a ``for`` or of a comprehension's first generator,
+    which is evaluated once."""
+    found = []
+    for loop in ast.walk(fn):
+        if not isinstance(loop, _LOOPS):
+            continue
+        once = (None if isinstance(loop, ast.While) else
+                loop.iter if isinstance(loop, (ast.For, ast.AsyncFor)) else
+                loop.generators[0].iter)
+        skip = {id(node) for node in ast.walk(once)} if once is not None else set()
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and id(node) not in skip:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append(f"{fn.name}:{node.lineno} {name}")
+    return found
+
+
+def test_routing_scores_each_batch_in_one_call():
+    # routing many lines one at a time pays the scorer's set-up per line
+    package = Path(taskrouter.__file__).parent
+    looped = []
+    for module, function in (("router.py", "route_rows"), ("cli.py", "_cmd_router_route")):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        fn = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == function)
+        looped += _calls_in_loops(fn, {"route", "route_text", "scores_for"})
+    assert looped == []
