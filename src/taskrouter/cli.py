@@ -320,8 +320,24 @@ def _cmd_router_route(args) -> None:
     if args.input is not None:
         lines = [args.input]
     else:
-        lines = [ln.rstrip("\n") for ln in sys.stdin if ln.strip()]
+        text = sys.stdin.read()
+        _check_utf8(text)
+        lines = [ln for ln in text.split("\n") if ln.strip()]
     sys.stdout.write("".join(choice + "\n" for choice in model.route_batch(lines)))
+
+
+def _check_utf8(text: str) -> None:
+    """Raise ``InvalidInputError`` naming the first line of ``text`` (stdin)
+    that is not UTF-8: stdin decodes such a byte to a lone surrogate, which
+    does not encode. All-ASCII text, the common case, passes in one step."""
+    if text.isascii():
+        return
+    for number, line in enumerate(text.split("\n"), 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidInputError(
+                f"stdin:{number}: not valid UTF-8 at character {exc.start}") from None
 
 
 def _cmd_baselines_report(args) -> None:

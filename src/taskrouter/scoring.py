@@ -36,6 +36,10 @@ class BackendInfo:
     name: str
     family: str
     deterministic: bool = True
+    """A promise that ``embed_image`` is a function of its image ref and
+    ``embed_texts`` of its whole prompt list (a row may depend on the other
+    prompts and on its position). ``evaluate`` then reuses each result for
+    the rest of its call instead of asking again."""
 
     def __post_init__(self):
         if self.family not in (EMBEDDING, GENERATIVE):
@@ -138,6 +142,10 @@ def evaluate(
     gold_index. A backend failure on a sample skips that record and logs
     the sample id; the returned run reports the skip count. ``max_workers``
     must be 1: scoring is serial.
+
+    For a ``deterministic`` embedding backend, each image ref and each
+    distinct prompt list is embedded once per call; only results are kept,
+    so a failed call is made again for the next variant.
     """
     if max_workers != 1:
         raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
@@ -148,12 +156,13 @@ def evaluate(
         raise InvalidInputError(f"backend {info.name} does not implement generative ops")
 
     chosen = list(variants) if variants is not None else prompt_variants(config)
+    memo = {} if info.deterministic else None
     run = EvaluationRun(records=[])
     for sample in manifest.samples:
         for variant in chosen:
             try:
                 prompts = closed_prompt_set(sample, config, variant)
-                outcome = _predict(backend, info, sample, prompts, normalization)
+                outcome = _predict(backend, info, sample, prompts, normalization, memo)
             except Exception as exc:  # noqa: BLE001 - backend failures are data
                 logger.warning(
                     "backend %s failed on sample %s (%s): %s",
@@ -180,10 +189,11 @@ def evaluate(
     return run
 
 
-def _predict(backend, info: BackendInfo, sample: Sample, prompts, normalization):
+def _predict(backend, info: BackendInfo, sample: Sample, prompts, normalization,
+             memo: dict | None):
     if info.family == EMBEDDING:
-        v = backend.embed_image(sample.image_ref)
-        m = backend.embed_texts(prompts)
+        v = _reuse(memo, ("img", sample.image_ref), backend.embed_image, sample.image_ref)
+        m = _reuse(memo, ("txt", tuple(prompts)), backend.embed_texts, prompts)
         return predict_contrastive(v, m)
     lps = backend.option_token_logprobs(sample.image_ref, prompts)
     if len(lps) != len(prompts):
@@ -192,6 +202,16 @@ def _predict(backend, info: BackendInfo, sample: Sample, prompts, normalization)
             f"{len(prompts)} prompts"
         )
     return predict_generative(lps, normalization)
+
+
+def _reuse(memo: dict | None, key, call, arg):
+    """``call(arg)``, or the result stored under ``key`` in ``memo``. Only a
+    result is stored: a call that raised is made again next time."""
+    if memo is None:
+        return call(arg)
+    if key not in memo:
+        memo[key] = call(arg)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

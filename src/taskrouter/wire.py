@@ -9,8 +9,11 @@ Each message is one JSON object per line. Requests:
     {"op": "shutdown"}
 
 Responses carry {"ok": true, "result": ...} with arrays of reals, or
-{"ok": false, "error": "..."}. The module can also serve the builtin mock
-backends on stdio: ``python -m taskrouter.wire --kind seeded --family
+{"ok": false, "error": "..."}. The ``info`` result holds ``name`` (a
+string), ``family`` (``embedding`` or ``generative``) and, optionally,
+``deterministic`` (a bool, false when absent). The client waits at most
+``REPLY_TIMEOUT_S`` for each reply. The module can also serve the builtin
+mock backends on stdio: ``python -m taskrouter.wire --kind seeded --family
 embedding --world <dir>``.
 """
 
@@ -18,14 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import select
 import subprocess
 import sys
+import tempfile
+import time
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import BackendError, InvalidInputError
 from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend
+
+REPLY_TIMEOUT_S = 60.0  # longest wait for one reply, server start-up included
+CLOSE_TIMEOUT_S = 10.0  # longest wait for a server to exit after shutdown
 
 
 def serve_backend(backend, rin: IO[str], rout: IO[str]) -> None:
@@ -69,31 +79,64 @@ def _reply(rout: IO[str], payload: dict) -> None:
 
 class WireBackendClient:
     """Client side of the wire protocol; usable wherever an in-process
-    backend is. Not safe for concurrent calls (one request in flight)."""
+    backend is. Not safe for concurrent calls (one request in flight).
+
+    A reply that does not come within ``REPLY_TIMEOUT_S``, a closed channel
+    or a line that is not a reply object raises ``BackendError`` and breaks
+    the channel: every later call raises too, because a late or extra line
+    would be taken as the reply to the next request."""
 
     def __init__(self, rin: IO[str], rout: IO[str]):
+        # replies are read from the descriptor with os.read, never through
+        # ``rin``: a reply held in its buffer would not wake poll()
         self._rin = rin
         self._rout = rout
-        d = self._call({"op": "info"})
-        self.info = BackendInfo(
-            name=d["name"],
-            family=d["family"],
-            deterministic=d.get("deterministic", True),
-        )
+        self._fd = rin.fileno()
+        self._poll = select.poll()
+        self._poll.register(self._fd, select.POLLIN)
+        self._pending = bytearray()  # bytes received after the last reply line
+        self._broken: str | None = None
+        self.info = _parse_info(self._call({"op": "info"}))
 
     def _call(self, req: dict):
-        self._rout.write(json.dumps(req, sort_keys=True) + "\n")
-        self._rout.flush()
-        line = self._rin.readline()
-        if not line:
-            raise BackendError("wire backend closed the channel")
+        if self._broken is not None:
+            raise BackendError(self._broken)
         try:
-            resp = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"malformed wire response: {exc}") from exc
-        if not resp.get("ok"):
-            raise BackendError(resp.get("error", "wire backend error"))
+            self._rout.write(json.dumps(req, sort_keys=True) + "\n")
+            self._rout.flush()
+        except OSError as exc:
+            raise self._break(f"wire backend closed the channel ({exc})") from exc
+        line = self._read_line()
+        try:
+            resp = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise self._break(f"malformed wire response: {exc}") from exc
+        if not isinstance(resp, dict) or "ok" not in resp:
+            raise self._break(f"malformed wire response: {bytes(line[:200])!r}")
+        if resp["ok"] is not True:
+            raise BackendError(str(resp.get("error", "wire backend error")))
+        if "result" not in resp:
+            raise self._break("malformed wire response: no result")
         return resp["result"]
+
+    def _read_line(self) -> bytearray:
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        while (end := self._pending.find(b"\n")) < 0:
+            wait_ms = max(0, round((deadline - time.monotonic()) * 1000))
+            if not self._poll.poll(wait_ms):
+                raise self._break(f"wire backend sent no reply within {REPLY_TIMEOUT_S} s")
+            chunk = os.read(self._fd, 1 << 16)
+            if not chunk:
+                raise self._break("wire backend closed the channel")
+            self._pending += chunk
+        line = self._pending[:end]
+        del self._pending[:end + 1]
+        return line
+
+    def _break(self, message: str) -> BackendError:
+        """Mark the channel unusable and return the error to raise."""
+        self._broken = message
+        return BackendError(message)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
         return np.asarray(self._call({"op": "embed_image", "image_ref": image_ref}),
@@ -115,23 +158,79 @@ class WireBackendClient:
             pass
 
 
+def _parse_info(d) -> BackendInfo:
+    """The ``info`` reply, checked field by field."""
+    if not isinstance(d, dict):
+        raise BackendError(f"info reply must be an object, got {d!r}")
+    if not isinstance(d.get("name"), str):
+        raise BackendError(f"info field 'name' must be a string, got {d.get('name')!r}")
+    if d.get("family") not in (EMBEDDING, GENERATIVE):
+        raise BackendError(f"info field 'family' must be {EMBEDDING!r} or "
+                           f"{GENERATIVE!r}, got {d.get('family')!r}")
+    deterministic = d.get("deterministic", False)
+    if not isinstance(deterministic, bool):
+        raise BackendError(
+            f"info field 'deterministic' must be true or false, got {deterministic!r}")
+    return BackendInfo(name=d["name"], family=d["family"], deterministic=deterministic)
+
+
 class SubprocessBackend(WireBackendClient):
     """Spawn a backend server command and speak the wire protocol over its
-    stdio."""
+    stdio.
+
+    The server's stderr goes to an unnamed temporary file (a pipe nobody
+    reads could fill and stall a chatty server), and its tail is added to
+    the ``BackendError`` when the channel fails."""
 
     def __init__(self, command: Sequence[str]):
+        self._stderr = tempfile.TemporaryFile()
         self._proc = subprocess.Popen(
             list(command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
+            stderr=self._stderr,
             text=True,
         )
-        super().__init__(self._proc.stdout, self._proc.stdin)
+        try:
+            super().__init__(self._proc.stdout, self._proc.stdin)
+        except BaseException:
+            self._proc.kill()
+            self._release()
+            raise
+
+    def _break(self, message: str) -> BackendError:
+        self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(0, self._stderr.tell() - 2000))
+        tail = self._stderr.read().decode("utf-8", "replace").strip()
+        return super()._break(f"{message}; server stderr: {tail}" if tail else message)
 
     def close(self) -> None:
+        """Shut the server down and reap it. A server that has not exited
+        ``CLOSE_TIMEOUT_S`` after its stdin closes is killed, and
+        ``BackendError`` raised."""
         self.shutdown()
-        self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass  # the server is gone; _release reaps it
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            raise self._break(
+                f"wire backend did not exit within {CLOSE_TIMEOUT_S} s of shutdown; killed it"
+            ) from None
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Reap the server and close every file shared with it."""
+        self._proc.wait()
+        for fh in (self._proc.stdin, self._proc.stdout, self._stderr):
+            try:
+                fh.close()
+            except OSError:
+                pass
 
 
 def main(argv: Sequence[str] | None = None) -> int:

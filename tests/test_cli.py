@@ -183,6 +183,35 @@ def test_router_route_rejects_damaged_router_file(damage, tmp_path, capsys):
     assert json.loads(captured.err.strip())["error"] == "InvalidInputError"
 
 
+def test_router_route_names_a_stdin_line_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    import io
+
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    feats = FeaturizerConfig(hash_dim=64)
+    path = tmp_path / "router.bin"
+    RouterModel(("a", "b"), feats, SerializationFlags(False, False), 0,
+                np.ones((2, feats.hash_dim)), np.zeros(2)).save(path)
+    # a pipe as Python reads it in UTF-8 mode: a bad byte becomes a lone surrogate
+    piped = b"[prompt]hello\n[prompt]bad \xff byte\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(piped), encoding="utf-8", errors="surrogateescape"))
+    code = main(["router", "route", "--router", str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the lines are routed as one batch, or not at all
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert record["message"].startswith("stdin:2: ")
+    # text that is not ASCII but is UTF-8 still routes
+    monkeypatch.setattr("sys.stdin", io.StringIO("[prompt]h\u00e9llo\n\n[prompt]\u732b\n"))
+    assert main(["router", "route", "--router", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_truncated_records_file_names_file_and_line(world_dir, tmp_path, capsys):
     import shutil
 

@@ -1,5 +1,8 @@
 """Prediction procedures and batch evaluation."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from taskrouter.scoring import (
     gold_index_by_ref,
 )
 from taskrouter.core import aggregate_accuracy
+from taskrouter.prompts import closed_prompt_set, prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
 from oracles import FlakyBackend
 
@@ -197,8 +201,6 @@ class TestEvaluate:
                 evaluate(backend, manifest, world.prompt_configs["micro"], max_workers=workers)
 
     def test_variant_subset(self):
-        from taskrouter.prompts import prompt_variants
-
         world = self._world()
         manifest = world.datasets["micro"]
         config = world.prompt_configs["micro"]
@@ -206,3 +208,89 @@ class TestEvaluate:
         backend = ConstantEmbeddingBackend(dim=2, name="only")
         run = evaluate(backend, manifest, config, variants=variants)
         assert {r.prompt_variant_id for r in run.records} == {variants[0].variant_id}
+
+
+class _CountingBackend:
+    """Wraps an embedding backend, counts its calls per input, and makes
+    the ``deterministic`` promise it is told to."""
+
+    def __init__(self, inner, deterministic=True):
+        self._inner = inner
+        self.info = dataclasses.replace(inner.info, deterministic=deterministic)
+        self.images = Counter()
+        self.texts = Counter()
+
+    def embed_image(self, image_ref):
+        self.images[image_ref] += 1
+        return self._inner.embed_image(image_ref)
+
+    def embed_texts(self, prompts):
+        self.texts[tuple(prompts)] += 1
+        return self._inner.embed_texts(prompts)
+
+
+class TestEvaluateMemo:
+    """A deterministic backend is asked once per image and once per
+    distinct prompt list within one evaluate call."""
+
+    def _world(self):
+        # two question forms, so every sample is scored under two variants
+        return make_micro_world(n_samples=6, models=("only",))
+
+    def test_one_call_per_distinct_input(self):
+        world = self._world()
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        seeded = SeededEmbeddingBackend(seed=4, dim=4, name="only")
+        counting = _CountingBackend(seeded)
+        run = evaluate(counting, manifest, config)
+        variants = prompt_variants(config)
+        assert len(variants) == 2 and len(run.records) == 12
+        assert counting.images == Counter({s.image_ref: 1 for s in manifest.samples})
+        distinct = {tuple(closed_prompt_set(s, config, v))
+                    for s in manifest.samples for v in variants}
+        assert len(distinct) == 2
+        assert counting.texts == Counter(dict.fromkeys(distinct, 1))
+        uncached = evaluate(_CountingBackend(seeded, deterministic=False), manifest, config)
+        assert run.records == uncached.records
+
+    def test_no_memo_without_the_promise(self):
+        world = self._world()
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        counting = _CountingBackend(SeededEmbeddingBackend(seed=4, dim=4, name="only"),
+                                    deterministic=False)
+        evaluate(counting, manifest, config)
+        assert counting.images == Counter({s.image_ref: 2 for s in manifest.samples})
+        assert sum(counting.texts.values()) == 12
+
+    def test_prompt_lists_are_keyed_whole(self):
+        # "red" is option 0 of one sample and option 1 of the next; the gold
+        # mock embeds option i as e_i, so a row kept per prompt would be wrong
+        world = self._world()
+        manifest = world.datasets["micro"]
+        samples = tuple(
+            dataclasses.replace(s, response_options=("blue", "red") if i % 2 else ("red", "blue"))
+            for i, s in enumerate(manifest.samples))
+        manifest = dataclasses.replace(manifest, samples=samples)
+        backend = GoldEmbeddingBackend(gold_index_by_ref([manifest]), dim=2, name="only")
+        assert backend.info.deterministic
+        run = evaluate(backend, manifest, world.prompt_configs["micro"])
+        assert run.skip_count == 0 and len(run.records) == 12
+        assert all(r.correct for r in run.records)
+
+    def test_failures_are_not_stored(self):
+        world = self._world()
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        counting = _CountingBackend(FlakyBackend(
+            GoldEmbeddingBackend(gold_index_by_ref([manifest]), dim=2, name="only"),
+            failing_refs={"micro/s0", "micro/s3"},
+        ))
+        run = evaluate(counting, manifest, config)
+        variant_ids = [v.variant_id for v in prompt_variants(config)]
+        assert sorted((s.sample_id, s.prompt_variant_id) for s in run.skipped) == sorted(
+            (sample_id, v) for sample_id in ("s0", "s3") for v in variant_ids)
+        assert {s.error for s in run.skipped} == {
+            "simulated failure for micro/s0", "simulated failure for micro/s3"}
+        # each variant of a failing sample asks the backend again
+        assert counting.images["micro/s0"] == counting.images["micro/s3"] == 2
+        assert counting.images["micro/s1"] == 1
+        assert all(r.correct for r in run.records) and len(run.records) == 8

@@ -2,8 +2,10 @@
 stdio server subprocess."""
 
 import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from taskrouter.scoring import (
     evaluate,
     gold_index_by_ref,
 )
+from taskrouter import wire
 from taskrouter.wire import SubprocessBackend, WireBackendClient, serve_backend
 
 from conftest import make_micro_world
@@ -119,5 +122,161 @@ def test_stdio_server_subprocess(tmp_path, micro_world):
         manifest = micro_world.datasets["micro"]
         run = evaluate(backend, manifest, micro_world.prompt_configs["micro"])
         assert all(r.correct for r in run.records)
+    finally:
+        backend.close()
+
+
+# A fake server: answers ``info`` with INFO and runs ACTION for any other
+# request, then AFTER_EOF once its stdin closes. It imports nothing slow, so
+# it answers ``info`` well inside the default reply deadline.
+_FAKE_SERVER = """\
+import json, sys, time
+
+INFO = __INFO__
+
+def reply(result):
+    sys.stdout.write(json.dumps({"ok": True, "result": result}) + "\\n")
+    sys.stdout.flush()
+
+for line in sys.stdin:
+    if json.loads(line)["op"] == "info":
+        reply(INFO)
+    else:
+        __ACTION__
+__AFTER_EOF__
+"""
+_INFO = {"name": "fake", "family": "embedding", "deterministic": True}
+
+
+def _fake_server(tmp_path, action="reply([1.0, 0.0])", after_eof="pass", info=_INFO):
+    script = tmp_path / "server.py"
+    script.write_text(_FAKE_SERVER.replace("__INFO__", repr(info))
+                      .replace("__ACTION__", action).replace("__AFTER_EOF__", after_eof))
+    return [sys.executable, str(script)]
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every server process started during the test; any left alive at the
+    end is killed, so a failing test leaks none."""
+    procs = []
+    popen = subprocess.Popen
+
+    def record(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(wire.subprocess, "Popen", record)
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
+def _reaped(procs) -> bool:
+    return bool(procs) and all(proc.returncode is not None for proc in procs)
+
+
+def _short_deadlines(monkeypatch):
+    monkeypatch.setattr(wire, "REPLY_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(wire, "CLOSE_TIMEOUT_S", 0.5)
+
+
+def test_server_that_exits_at_start_reports_its_stderr(spawned):
+    # the gold mock cannot start without a world, and says so on stderr
+    with pytest.raises(BackendError, match="gold backend needs manifests"):
+        SubprocessBackend([sys.executable, "-m", "taskrouter.wire", "--kind", "gold"])
+    assert _reaped(spawned)
+
+
+def test_server_silent_at_start_times_out(spawned, monkeypatch):
+    _short_deadlines(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(BackendError, match="no reply within 0.5 s"):
+        SubprocessBackend([sys.executable, "-c", "import time; time.sleep(600)"])
+    assert time.monotonic() - start < 10
+    assert _reaped(spawned)
+
+
+def test_stalled_server_times_out_and_is_killed_on_close(spawned, tmp_path, monkeypatch):
+    backend = SubprocessBackend(_fake_server(tmp_path, action="time.sleep(600)"))
+    _short_deadlines(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(BackendError, match="no reply within"):
+        backend.embed_image("img")
+    # a late reply would answer the wrong request, so the channel stays broken
+    with pytest.raises(BackendError, match="no reply within"):
+        backend.embed_texts(["a"])
+    with pytest.raises(BackendError, match="did not exit"):
+        backend.close()
+    assert time.monotonic() - start < 10
+    assert _reaped(spawned)
+
+
+def test_dying_server_error_carries_its_stderr(spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(
+        tmp_path, action="sys.stderr.write('fake model lost\\n'); sys.exit(3)"))
+    with pytest.raises(BackendError, match="closed the channel.*fake model lost"):
+        backend.embed_image("img")
+    backend.close()
+    assert spawned[0].returncode == 3
+
+
+def test_reply_split_across_reads_is_joined(spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(tmp_path, action=(
+        "sys.stdout.write('{\"ok\": true, '); sys.stdout.flush(); time.sleep(0.05); "
+        "sys.stdout.write('\"result\": [2.0]}\\n'); sys.stdout.flush()")))
+    try:
+        np.testing.assert_array_equal(backend.embed_image("img"), [2.0])
+        np.testing.assert_array_equal(backend.embed_image("img"), [2.0])
+    finally:
+        backend.close()
+    assert _reaped(spawned)
+
+
+@pytest.mark.parametrize("junk", [b"<html>busy</html>", b"\xff\xfe", b"[1, 2]",
+                                  b'{"ok": true}', b'{"result": 1}'])
+def test_junk_reply_breaks_the_channel(junk, spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(
+        tmp_path, action=f"sys.stdout.buffer.write({junk!r} + b'\\n'); sys.stdout.flush()"))
+    with pytest.raises(BackendError, match="malformed wire response"):
+        backend.embed_image("img")
+    with pytest.raises(BackendError, match="malformed wire response"):
+        backend.embed_image("img")
+    backend.close()
+    assert _reaped(spawned)
+
+
+def test_server_ignoring_shutdown_is_killed(spawned, tmp_path, monkeypatch):
+    backend = SubprocessBackend(_fake_server(tmp_path, action="reply([1.0])",
+                                         after_eof="time.sleep(600)"))
+    np.testing.assert_array_equal(backend.embed_image("img"), [1.0])
+    _short_deadlines(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(BackendError, match="did not exit within 0.5 s"):
+        backend.close()
+    assert time.monotonic() - start < 10
+    assert _reaped(spawned)
+
+
+@pytest.mark.parametrize("info, field", [
+    ({"family": "embedding"}, "name"),
+    ({"name": 7, "family": "embedding"}, "name"),
+    ({"name": "x", "family": "vision"}, "family"),
+    ({"name": "x", "family": "embedding", "deterministic": "yes"}, "deterministic"),
+    ({"name": "x", "family": "embedding", "deterministic": 1}, "deterministic"),
+    (["x", "embedding"], "object"),
+])
+def test_info_reply_is_checked_field_by_field(info, field, spawned, tmp_path):
+    with pytest.raises(BackendError, match=field):
+        SubprocessBackend(_fake_server(tmp_path, info=info))
+    assert _reaped(spawned)
+
+
+def test_info_without_deterministic_makes_no_promise(spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(tmp_path, info={"name": "x", "family": "generative"}))
+    try:
+        assert backend.info.deterministic is False
     finally:
         backend.close()
