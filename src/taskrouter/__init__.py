@@ -24,6 +24,7 @@ from .core import (
     ExecutionRecord,
     MetadataSummary,
     QueryGrid,
+    Records,
     Sample,
     World,
     aggregate_accuracy,

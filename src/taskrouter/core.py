@@ -12,6 +12,8 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -20,6 +22,8 @@ import numpy as np
 from .errors import CoverageError, IntegrityError, InvalidInputError
 
 TASK_KINDS = ("recognition", "reasoning")
+ID_FIELDS = ("sample_id", "dataset_id", "model_id", "prompt_variant_id")
+RECORD_FIELDS = (*ID_FIELDS, "predicted_index", "correct")  # ExecutionRecord's, in order
 
 _Row = TypeVar("_Row")
 
@@ -193,19 +197,203 @@ class ExecutionRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExecutionRecord":
-        predicted, correct = d["predicted_index"], d["correct"]
-        if isinstance(predicted, bool) or not isinstance(predicted, int):
-            raise InvalidInputError(f"predicted_index must be an integer, got {predicted!r}")
-        if not isinstance(correct, bool):
-            raise InvalidInputError(f"correct must be true or false, got {correct!r}")
-        return cls(
-            sample_id=d["sample_id"],
-            dataset_id=d["dataset_id"],
-            model_id=d["model_id"],
-            prompt_variant_id=d["prompt_variant_id"],
-            predicted_index=predicted,
-            correct=correct,
-        )
+        return cls(*_record_fields(d))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _record_fields(d: Mapping) -> tuple:
+    """A record row's ``RECORD_FIELDS``. A missing field raises KeyError; a
+    field of the wrong type, InvalidInputError."""
+    predicted, correct = d["predicted_index"], d["correct"]
+    if isinstance(predicted, bool) or not isinstance(predicted, int):
+        raise InvalidInputError(f"predicted_index must be an integer, got {predicted!r}")
+    if not isinstance(correct, bool):
+        raise InvalidInputError(f"correct must be true or false, got {correct!r}")
+    ids = tuple(d[name] for name in ID_FIELDS)
+    for name, value in zip(ID_FIELDS, ids):
+        if not isinstance(value, str):
+            raise InvalidInputError(f"{name} must be a string, got {value!r}")
+    if not _INT64.min <= predicted <= _INT64.max:
+        raise InvalidInputError(f"predicted_index {predicted} outside the int64 range")
+    return (*ids, predicted, correct)
+
+
+@dataclass(frozen=True, eq=False)
+class IdColumn:
+    """A dictionary-encoded string column: row ``i`` holds
+    ``values[codes[i]]``, so each distinct id is stored once."""
+
+    codes: np.ndarray  # (n,) int32
+    values: tuple[str, ...]
+
+    def __getitem__(self, i: int) -> str:
+        return self.values[self.codes[i]]
+
+    def tolist(self) -> list[str]:
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+
+class _Encoder:
+    """Builds one IdColumn block by block, keeping each distinct id once."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.parts: list[np.ndarray] = []
+
+    def add(self, ids: Sequence[str]) -> None:
+        index = self.index
+        for value in dict.fromkeys(ids):
+            index.setdefault(value, len(index))
+        self.parts.append(np.fromiter(map(index.__getitem__, ids), np.int32, len(ids)))
+
+    def column(self) -> IdColumn:
+        return IdColumn(_concat(self.parts, np.int32), tuple(self.index))
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+
+_READ_BLOCK_BYTES = 1 << 20  # records.jsonl is read this many bytes of lines at a time
+_WRITE_BLOCK_ROWS = 1 << 16
+_scan_json = json.JSONDecoder().scan_once
+_row_fields = itemgetter(*RECORD_FIELDS)
+# json.dumps(rec.to_dict(), sort_keys=True), with each id already JSON-quoted
+_RECORD_LINE = ('{"correct": %s, "dataset_id": %s, "model_id": %s, "predicted_index": %d, '
+                '"prompt_variant_id": %s, "sample_id": %s}\n')
+
+
+class Records:
+    """Execution records as parallel columns, after the Apache Arrow
+    columnar layout: a dictionary-encoded ``IdColumn`` per id field,
+    ``predicted`` (int64) and ``correct`` (bool). ``records.jsonl`` loads
+    straight into these columns and the query grid places them with numpy.
+    Iterating yields ``ExecutionRecord``s for callers that want single
+    records; two tables are equal when their rows are."""
+
+    def __init__(self, sample_id: IdColumn, dataset_id: IdColumn, model_id: IdColumn,
+                 prompt_variant_id: IdColumn, predicted: np.ndarray, correct: np.ndarray):
+        self.sample_id, self.dataset_id = sample_id, dataset_id
+        self.model_id, self.prompt_variant_id = model_id, prompt_variant_id
+        self.predicted = np.asarray(predicted, dtype=np.int64)
+        self.correct = np.asarray(correct, dtype=bool)
+        if any(len(col.codes) != len(self.predicted) for col in self.ids()) \
+                or len(self.correct) != len(self.predicted):
+            raise InvalidInputError("record columns differ in length")
+
+    @classmethod
+    def of(cls, records: "Records | Iterable[ExecutionRecord]") -> "Records":
+        """``records`` itself when it is a table, else a table of its rows."""
+        if isinstance(records, Records):
+            return records
+        return cls._from_blocks([tuple(zip(*map(attrgetter(*RECORD_FIELDS), records)))])
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Records":
+        """Read a ``records.jsonl`` in blocks of lines, each line through the
+        C JSON scanner, straight into columns; no row outlives its block. A
+        block with any irregular line is read again line by line, so a bad
+        line fails as ``read_numbered_jsonl`` and ``ExecutionRecord.from_dict``
+        fail on it, naming ``path:line`` where they do."""
+        with open(path, "rb") as fh:
+            return cls._from_blocks(_read_blocks(path, fh))
+
+    @classmethod
+    def _from_blocks(cls, blocks: Iterable[tuple]) -> "Records":
+        """A table of blocks, each a sequence per ``RECORD_FIELDS`` (or
+        empty)."""
+        encoders = [_Encoder() for _ in ID_FIELDS]
+        predicted, correct = [], []
+        for block in blocks:
+            if block:
+                *ids, preds, flags = block
+                for encoder, column in zip(encoders, ids):
+                    encoder.add(column)
+                predicted.append(np.array(preds, dtype=np.int64))
+                correct.append(np.array(flags, dtype=bool))
+        return cls(*(encoder.column() for encoder in encoders),
+                   _concat(predicted, np.int64), _concat(correct, bool))
+
+    def save(self, path: str | Path) -> None:
+        """Write one key-sorted JSON object per record: the bytes
+        ``write_jsonl`` gives for ``rec.to_dict()``, each line from one
+        template and each distinct id JSON-quoted once."""
+        quoted = [list(map(json.dumps, col.values)) for col in self.ids()]
+        with atomic_open(path) as fh:
+            for lo in range(0, len(self), _WRITE_BLOCK_ROWS):
+                rows = slice(lo, lo + _WRITE_BLOCK_ROWS)
+                sample, dataset, model, variant = (
+                    map(q.__getitem__, col.codes[rows].tolist())
+                    for q, col in zip(quoted, self.ids()))
+                flags = map(("false", "true").__getitem__, self.correct[rows].tolist())
+                fh.writelines(map(_RECORD_LINE.__mod__, zip(
+                    flags, dataset, model, self.predicted[rows].tolist(), variant, sample)))
+
+    def ids(self) -> tuple[IdColumn, IdColumn, IdColumn, IdColumn]:
+        """The id columns, in ``ID_FIELDS`` order."""
+        return self.sample_id, self.dataset_id, self.model_id, self.prompt_variant_id
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+    def __iter__(self) -> Iterator[ExecutionRecord]:
+        return map(ExecutionRecord, *(col.tolist() for col in self.ids()),
+                   self.predicted.tolist(), self.correct.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Records):
+            return NotImplemented
+        return (np.array_equal(self.predicted, other.predicted)
+                and np.array_equal(self.correct, other.correct)
+                and all(a.tolist() == b.tolist() for a, b in zip(self.ids(), other.ids())))
+
+    def __repr__(self) -> str:
+        return f"Records(<{len(self)} rows>)"
+
+
+def _read_blocks(path: str | Path, fh: IO[bytes]) -> Iterator[tuple]:
+    """The columns of each block of lines of an open ``records.jsonl``."""
+    lineno = 1
+    while lines := fh.readlines(_READ_BLOCK_BYTES):
+        yield _scan_block(lines) or _check_block(path, lineno, lines)
+        lineno += len(lines)
+
+
+def _scan_block(lines: list[bytes]) -> tuple | None:
+    """The columns of a block whose every line is blank or exactly one
+    record object as ``save`` writes it (well-typed, no surrounding
+    space); None for any other block."""
+    rows = []
+    try:
+        for text in b"".join(lines).decode("utf-8").split("\n"):
+            if text:
+                row, end = _scan_json(text, 0)  # each row dict is dropped at once
+                if end != len(text):
+                    return None
+                rows.append(_row_fields(row))
+    except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
+        return None
+    if not rows:
+        return ()
+    *ids, preds, flags = columns = tuple(zip(*rows))
+    if (set(map(type, flags)) != {bool} or set(map(type, preds)) != {int}
+            or set(map(type, chain(*ids))) != {str}
+            or not _INT64.min <= min(preds) <= max(preds) <= _INT64.max):
+        return None
+    return columns
+
+
+def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tuple:
+    """The columns of a block, read line by line; the first bad line raises."""
+    rows = []
+    for lineno, row in _numbered_objects(path, enumerate(lines, first_lineno)):
+        try:
+            rows.append(_record_fields(row))
+        except KeyError as exc:
+            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+    return tuple(zip(*rows))
 
 
 class AccuracyTable:
@@ -309,48 +497,87 @@ def summarize_image(pixels) -> MetadataSummary:
     )
 
 
-def _check_record(rec: ExecutionRecord, sample: Sample | None) -> None:
-    """IntegrityError for a dangling sample reference, an out-of-range
-    prediction or a correct flag inconsistent with the gold index."""
+def _check_outcome(recs: Records, i: int, sample: Sample | None) -> None:
+    """IntegrityError for record ``i``'s dangling sample reference,
+    out-of-range prediction or correct flag inconsistent with the gold
+    index."""
+    sample_id, predicted = recs.sample_id[i], int(recs.predicted[i])
     if sample is None:
         raise IntegrityError(
-            f"record references unknown sample {rec.dataset_id}/{rec.sample_id}"
+            f"record references unknown sample {recs.dataset_id[i]}/{sample_id}"
         )
-    if not 0 <= rec.predicted_index < len(sample.response_options):
+    if not 0 <= predicted < len(sample.response_options):
         raise IntegrityError(
-            f"record for {rec.sample_id}: predicted_index "
-            f"{rec.predicted_index} outside option range"
+            f"record for {sample_id}: predicted_index {predicted} outside option range"
         )
-    if rec.correct != (rec.predicted_index == sample.gold_index):
+    if bool(recs.correct[i]) != (predicted == sample.gold_index):
         raise IntegrityError(
-            f"record for {rec.sample_id}: correct flag inconsistent "
-            f"with predicted_index"
+            f"record for {sample_id}: correct flag inconsistent with predicted_index"
         )
+
+
+def _bad_outcomes(recs: Records, rows: np.ndarray, samples: Sequence[Sample | None],
+                  of_sample: np.ndarray) -> np.ndarray:
+    """Which ``rows`` fail ``_check_outcome`` against their samples, row
+    ``k``'s being ``samples[of_sample[k]]``."""
+    n_options = np.array([len(s.response_options) if s else 0 for s in samples],
+                         dtype=np.int64)[of_sample]
+    gold = np.array([s.gold_index if s else -1 for s in samples], dtype=np.int64)[of_sample]
+    predicted = recs.predicted[rows]
+    return (predicted < 0) | (predicted >= n_options) | (recs.correct[rows] != (predicted == gold))
+
+
+def _groups(rows: np.ndarray, *columns: IdColumn,
+            codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``rows`` by their ids in ``columns`` (within the groups that
+    ``codes`` already gives them). Returns each row's group code and, for
+    each code, the position in ``rows`` of the group's first row."""
+    codes = np.zeros(len(rows), np.int64) if codes is None else codes
+    for col in columns:
+        _, first, codes = np.unique(codes * len(col.values) + col.codes[rows],
+                                    return_index=True, return_inverse=True)
+    return codes, first
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """The position of the first true entry of ``mask``, if any."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _accuracy_counts(recs: Records, rows: np.ndarray) -> AccuracyTable:
+    """The AccuracyTable of ``rows``, counted per (model, dataset, variant)."""
+    cell, first = _groups(rows, recs.model_id, recs.dataset_id, recs.prompt_variant_id)
+    totals = np.bincount(cell, minlength=len(first))
+    rights = np.bincount(cell[recs.correct[rows]], minlength=len(first))
+    return AccuracyTable({
+        (recs.model_id[i], recs.dataset_id[i], recs.prompt_variant_id[i]): (r, t)
+        for i, r, t in zip(rows[first].tolist(), rights.tolist(), totals.tolist())
+    })
 
 
 def aggregate_accuracy(
-    records: Iterable[ExecutionRecord],
+    records: Records | Iterable[ExecutionRecord],
     samples: Mapping[tuple[str, str], Sample] | None = None,
 ) -> AccuracyTable:
     """Aggregate correctness flags into an AccuracyTable.
 
     When ``samples`` (keyed by (dataset_id, sample_id)) is supplied, every
     record is checked against it: dangling references, out-of-range
-    predictions, and inconsistent correct flags raise IntegrityError.
+    predictions, and inconsistent correct flags raise IntegrityError, for
+    the first faulty record.
     """
-    counts: dict[tuple[str, str, str], list[int]] = {}
-    n = 0
-    for rec in records:
-        n += 1
-        if samples is not None:
-            _check_record(rec, samples.get((rec.dataset_id, rec.sample_id)))
-        key = (rec.model_id, rec.dataset_id, rec.prompt_variant_id)
-        cell = counts.setdefault(key, [0, 0])
-        cell[0] += int(rec.correct)
-        cell[1] += 1
-    if n == 0:
+    recs = Records.of(records)
+    if not len(recs):
         raise InvalidInputError("no records to aggregate")
-    return AccuracyTable({k: (c, t) for k, (c, t) in counts.items()})
+    everything = np.arange(len(recs))
+    if samples is not None:
+        of_sample, first = _groups(everything, recs.dataset_id, recs.sample_id)
+        found = [samples.get((recs.dataset_id[i], recs.sample_id[i])) for i in first.tolist()]
+        i = _first(_bad_outcomes(recs, everything, found, of_sample))
+        if i is not None:
+            _check_outcome(recs, i, found[of_sample[i]])
+    return _accuracy_counts(recs, everything)
 
 
 def weighted_average(
@@ -402,10 +629,13 @@ class World:
     datasets: dict[str, DatasetManifest]
     prompt_configs: dict[str, "object"]  # DatasetPromptConfig; untyped to avoid a cycle
     metadata: dict[str, MetadataSummary]
-    records: list[ExecutionRecord]
+    records: Records  # any iterable of ExecutionRecord is converted
     model_pool: list[str]
     seed: int | None = None
     pixels: dict[str, np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.records = Records.of(self.records)
 
     def sample_index(self) -> dict[tuple[str, str], Sample]:
         return {
@@ -444,56 +674,93 @@ class QueryGrid:
 
     @classmethod
     def build(
-        cls, world: World, records: Iterable[ExecutionRecord] | None = None
+        cls, world: World, records: Records | Iterable[ExecutionRecord] | None = None
     ) -> "QueryGrid":
         """Grid over ``records`` (default: the world's) on valid variants.
         Records are checked as ``aggregate_accuracy`` and ``group_records``
-        check them, and for models outside the pool (IntegrityError)."""
+        check them, and for models outside the pool (IntegrityError). Of
+        several faults, the one raised is the first by check (prompt config,
+        duplicate, model/outcome, unknown sample), then by row, then by
+        record order."""
         from .prompts import prompt_variants, valid_variant_ids
-        from .routerdata import filter_valid_prompts
 
-        groups = group_records(filter_valid_prompts(
-            world.records if records is None else records, world.prompt_configs
-        ))
+        recs = Records.of(world.records if records is None else records)
+        i = _first(np.isin(recs.dataset_id.codes, [
+            c for c, ds in enumerate(recs.dataset_id.values) if ds not in world.prompt_configs]))
+        if i is not None:
+            raise IntegrityError(
+                f"record references dataset {recs.dataset_id[i]!r} with no prompt config"
+            )
         models = tuple(sorted(world.model_pool))
-        column = {m: j for j, m in enumerate(models)}
-        queries, spans, variant_index, cells, placed, counts = [], {}, [], [], [], {}
+        queries, spans, variant_index = [], {}, []
+        sample_rows = {}  # (dataset_id, sample_id) -> (the sample's first row, sample)
+        positions = {}  # (dataset_id, valid variant_id) -> position among the valid variants
         for ds_id, manifest in world.datasets.items():
             config = world.prompt_configs[ds_id]
             valid = valid_variant_ids(config)
             variants = [v for v in prompt_variants(config) if v.variant_id in valid]
+            positions.update(((ds_id, v.variant_id), k) for k, v in enumerate(variants))
             start = len(queries)
             for sample in manifest.samples:
-                for v, variant in enumerate(variants):
-                    row = len(queries) * len(models)
-                    for model, rec in groups.pop((ds_id, sample.sample_id, variant.variant_id),
-                                                 {}).items():
-                        if model not in column:
-                            raise IntegrityError(f"record of model {model!r} outside the "
-                                                 f"pool {list(models)}")
-                        _check_record(rec, sample)
-                        cells.append(row + column[model])
-                        placed.append(rec)
-                        cell = counts.setdefault((model, ds_id, variant.variant_id), [0, 0])
-                        cell[0] += rec.correct
-                        cell[1] += 1
-                    queries.append((ds_id, sample, variant))
-                    variant_index.append(v)
+                sample_rows[(ds_id, sample.sample_id)] = (len(queries), sample)
+                queries.extend([(ds_id, sample, variant) for variant in variants])
+            variant_index.append(np.tile(np.arange(len(variants)), manifest.size))
             spans[ds_id] = range(start, len(queries))
-        for ds_id, sample_id, _ in groups:
-            raise IntegrityError(f"record references unknown sample {ds_id}/{sample_id}")
+
+        # drop records on variants with an empty question form
+        everything = np.arange(len(recs))
+        pair, pair_first = _groups(everything, recs.dataset_id, recs.prompt_variant_id)
+        valid_ids = {ds: valid_variant_ids(world.prompt_configs[ds])
+                     for ds in recs.dataset_id.values}
+        pairs = [(recs.dataset_id[i], recs.prompt_variant_id[i]) for i in pair_first.tolist()]
+        kept = np.flatnonzero(np.array([v in valid_ids[ds] for ds, v in pairs],
+                                       dtype=bool)[pair])
+        position = np.array([positions.get(p, -1) for p in pairs], dtype=np.int64)[pair[kept]]
+
+        of_sample, sample_first = _groups(kept, recs.dataset_id, recs.sample_id)
+        _, cell_first = _groups(kept, recs.prompt_variant_id, recs.model_id, codes=of_sample)
+        repeated = np.ones(len(kept), dtype=bool)
+        repeated[cell_first] = False
+        i = _first(repeated)
+        if i is not None:
+            i = kept[i]
+            raise IntegrityError(
+                f"duplicate record for model {recs.model_id[i]} on {recs.dataset_id[i]}/"
+                f"{recs.sample_id[i]}/{recs.prompt_variant_id[i]}"
+            )
+
+        found = [sample_rows.get((recs.dataset_id[i], recs.sample_id[i]), (-1, None))
+                 for i in kept[sample_first].tolist()]
+        samples = [sample for _, sample in found]
+        row = np.array([r for r, _ in found], dtype=np.int64)[of_sample]
+        column = {m: j for j, m in enumerate(models)}
+        col = np.array([column.get(m, -1) for m in recs.model_id.values],
+                       dtype=np.int64)[recs.model_id.codes[kept]]
+        known = row >= 0
+        row += position
+        bad = np.flatnonzero(known & ((col < 0) | _bad_outcomes(recs, kept, samples, of_sample)))
+        if len(bad):
+            j = bad[np.lexsort((bad, row[bad]))[0]]  # grid order, then record order
+            if col[j] < 0:
+                raise IntegrityError(f"record of model {recs.model_id[kept[j]]!r} outside the "
+                                     f"pool {list(models)}")
+            _check_outcome(recs, kept[j], samples[of_sample[j]])
+        i = _first(~known)
+        if i is not None:
+            _check_outcome(recs, kept[i], None)
 
         shape = (len(queries), len(models))
         grid = cls(
             world=world, models=models, queries=queries, spans=spans,
-            variant_index=np.array(variant_index, dtype=np.int64),
+            variant_index=_concat(variant_index, np.int64),
             correct=np.zeros(shape, dtype=bool),
             predicted=np.full(shape, -1, dtype=np.int64), covered=np.zeros(shape, dtype=bool),
-            table=AccuracyTable({k: (c, t) for k, (c, t) in counts.items()}),
+            table=_accuracy_counts(recs, kept),
         )
+        cells = row * len(models) + col
         grid.covered.flat[cells] = True
-        grid.correct.flat[cells] = [r.correct for r in placed]
-        grid.predicted.flat[cells] = [r.predicted_index for r in placed]
+        grid.correct.flat[cells] = recs.correct[kept]
+        grid.predicted.flat[cells] = recs.predicted[kept]
         return grid
 
     def rows(self, dataset_id: str) -> np.ndarray:
@@ -580,18 +847,28 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     without its line end. A line that is not UTF-8 raises InvalidInputError
     naming ``path:line``."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            yield lineno, line.rstrip("\r\n")
+        yield from _decoded(path, enumerate(fh, 1))
+
+
+def _decoded(path: str | Path, lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, str]]:
+    for lineno, raw in lines:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        yield lineno, line.rstrip("\r\n")
 
 
 def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each non-blank line of ``path``. A line
     that is not a JSON object raises InvalidInputError naming ``path:line``."""
-    for lineno, line in read_lines(path):
+    with open(path, "rb") as fh:
+        yield from _numbered_objects(path, enumerate(fh, 1))
+
+
+def _numbered_objects(path: str | Path,
+                      lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, dict]]:
+    for lineno, line in _decoded(path, lines):
         if line.strip():
             try:
                 row = json.loads(line)
@@ -618,12 +895,8 @@ def _read_rows(path: str | Path, from_dict: Callable[[dict], _Row]) -> Iterator[
             raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
 
 
-def save_records(records: Iterable[ExecutionRecord], path: str | Path) -> None:
-    write_jsonl(path, (rec.to_dict() for rec in records))
-
-
-def load_records(path: str | Path) -> list[ExecutionRecord]:
-    return list(_read_rows(path, ExecutionRecord.from_dict))
+def save_records(records: Records | Iterable[ExecutionRecord], path: str | Path) -> None:
+    Records.of(records).save(path)
 
 
 def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> None:
@@ -673,7 +946,7 @@ def load_world(world_dir: str | Path) -> World:
     configs = {ds: DatasetPromptConfig.from_dict(d)
                for ds, d in read_json(root / "prompt_configs.json").items()}
     meta = load_metadata(root / "metadata.jsonl")
-    records = load_records(root / "records.jsonl")
+    records = Records.load(root / "records.jsonl")
     info = read_json(root / "world.json")
     return World(
         datasets={m.dataset_id: m for m in manifests},

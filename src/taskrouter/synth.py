@@ -29,8 +29,9 @@ import numpy as np
 
 from .core import (
     DatasetManifest,
-    ExecutionRecord,
+    IdColumn,
     MetadataSummary,
+    Records,
     Sample,
     World,
     read_json,
@@ -188,7 +189,9 @@ def generate_world(spec: WorldSpec) -> World:
     configs: dict[str, DatasetPromptConfig] = {}
     metadata: dict[str, MetadataSummary] = {}
     pixels: dict[str, np.ndarray] = {}
-    records: list[ExecutionRecord] = []
+    sample_ids: list[str] = []
+    variant_codes: dict[str, int] = {}
+    blocks = []  # per (dataset, model): (sample, dataset, model, variant) codes, predicted, correct
 
     for d, ds_id in enumerate(spec.dataset_ids()):
         n_options = int(rng.integers(spec.options_range[0], spec.options_range[1] + 1))
@@ -228,29 +231,28 @@ def generate_world(spec: WorldSpec) -> World:
         )
         datasets[ds_id] = manifest
 
-        variants = prompt_variants(config)
-        for model in pool:
-            p = spec.competence[model][d]
-            correct = rng.random((spec.samples_per_dataset, len(variants))) < p
-            wrong_step = rng.integers(
-                1, n_options, size=(spec.samples_per_dataset, len(variants))
-            )
-            for i, sample in enumerate(samples):
-                gold = sample.gold_index
-                for v, variant in enumerate(variants):
-                    ok = bool(correct[i, v])
-                    predicted = gold if ok else (gold + int(wrong_step[i, v])) % n_options
-                    records.append(
-                        ExecutionRecord(
-                            sample_id=sample.sample_id,
-                            dataset_id=ds_id,
-                            model_id=model,
-                            prompt_variant_id=variant.variant_id,
-                            predicted_index=predicted,
-                            correct=ok,
-                        )
-                    )
+        variants = np.array([variant_codes.setdefault(v.variant_id, len(variant_codes))
+                             for v in prompt_variants(config)], dtype=np.int32)
+        shape = (spec.samples_per_dataset, len(variants))
+        sample_codes = np.repeat(np.arange(len(sample_ids), len(sample_ids) + len(samples),
+                                           dtype=np.int32), len(variants))
+        sample_ids.extend(s.sample_id for s in samples)
+        gold = golds[:, None]
+        for m, model in enumerate(pool):
+            correct = rng.random(shape) < spec.competence[model][d]
+            wrong_step = rng.integers(1, n_options, size=shape)
+            predicted = np.where(correct, gold, (gold + wrong_step) % n_options)
+            blocks.append((sample_codes, np.full(correct.size, d, dtype=np.int32),
+                           np.full(correct.size, m, dtype=np.int32),
+                           np.tile(variants, len(samples)), predicted.ravel(), correct.ravel()))
 
+    sample_col, dataset_col, model_col, variant_col, predicted, correct = map(
+        np.concatenate, zip(*blocks))
+    records = Records(
+        IdColumn(sample_col, tuple(sample_ids)), IdColumn(dataset_col, tuple(datasets)),
+        IdColumn(model_col, tuple(pool)), IdColumn(variant_col, tuple(variant_codes)),
+        predicted, correct,
+    )
     return World(
         datasets=datasets,
         prompt_configs=configs,

@@ -27,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
@@ -250,9 +251,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     manifests = None
     if args.world is not None:
-        from .core import load_world
+        from .core import load_manifests
 
-        manifests = list(load_world(args.world).datasets.values())
+        manifests = load_manifests(Path(args.world) / "datasets.jsonl")
     try:
         backend = make_mock_backend(
             args.kind, args.family, name=args.name, seed=args.seed,

@@ -7,8 +7,11 @@ from typing import Iterable
 
 import numpy as np
 
-from taskrouter import BackendError
+from taskrouter import BackendError, IntegrityError
+from taskrouter.core import ExecutionRecord, _read_rows, group_records
+from taskrouter.prompts import prompt_variants, valid_variant_ids
 from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
+from taskrouter.routerdata import filter_valid_prompts
 
 
 def char_ngrams(text: str, order: int) -> list[str]:
@@ -61,6 +64,73 @@ def column_grads(weights, bias, feats, labels) -> dict[int, np.ndarray]:
     for col in grad_cols:
         grad_cols[col] *= inv
     return grad_cols
+
+
+def object_records(path) -> list[ExecutionRecord]:
+    """``records.jsonl`` read one ``ExecutionRecord.from_dict`` row at a
+    time; the reference the block-wise columnar reader is checked against."""
+    return list(_read_rows(path, ExecutionRecord.from_dict))
+
+
+def _check_record(rec, sample) -> None:
+    if sample is None:
+        raise IntegrityError(
+            f"record references unknown sample {rec.dataset_id}/{rec.sample_id}"
+        )
+    if not 0 <= rec.predicted_index < len(sample.response_options):
+        raise IntegrityError(
+            f"record for {rec.sample_id}: predicted_index "
+            f"{rec.predicted_index} outside option range"
+        )
+    if rec.correct != (rec.predicted_index == sample.gold_index):
+        raise IntegrityError(
+            f"record for {rec.sample_id}: correct flag inconsistent "
+            f"with predicted_index"
+        )
+
+
+def object_grid(world, records=None) -> dict:
+    """The query grid as record objects build it: keep the valid variants,
+    group the records by (dataset, sample, variant), then walk the rows and
+    place each group's records, checking each. The reference the columnar
+    ``QueryGrid.build`` is checked against; returns its fields by name."""
+    groups = group_records(filter_valid_prompts(
+        world.records if records is None else records, world.prompt_configs
+    ))
+    models = tuple(sorted(world.model_pool))
+    column = {m: j for j, m in enumerate(models)}
+    queries, spans, variant_index, placed, counts = [], {}, [], [], {}
+    for ds_id, manifest in world.datasets.items():
+        config = world.prompt_configs[ds_id]
+        valid = valid_variant_ids(config)
+        variants = [v for v in prompt_variants(config) if v.variant_id in valid]
+        start = len(queries)
+        for sample in manifest.samples:
+            for v, variant in enumerate(variants):
+                for model, rec in groups.pop((ds_id, sample.sample_id, variant.variant_id),
+                                             {}).items():
+                    if model not in column:
+                        raise IntegrityError(f"record of model {model!r} outside the "
+                                             f"pool {list(models)}")
+                    _check_record(rec, sample)
+                    placed.append((len(queries), column[model], rec))
+                    cell = counts.setdefault((model, ds_id, variant.variant_id), [0, 0])
+                    cell[0] += rec.correct
+                    cell[1] += 1
+                queries.append((ds_id, sample.sample_id, variant.variant_id))
+                variant_index.append(v)
+        spans[ds_id] = range(start, len(queries))
+    for ds_id, sample_id, _ in groups:
+        raise IntegrityError(f"record references unknown sample {ds_id}/{sample_id}")
+    shape = (len(queries), len(models))
+    covered, correct = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    predicted = np.full(shape, -1, dtype=np.int64)
+    for i, j, rec in placed:
+        covered[i, j], correct[i, j], predicted[i, j] = True, rec.correct, rec.predicted_index
+    return {"models": models, "queries": queries, "spans": spans,
+            "variant_index": np.array(variant_index, dtype=np.int64), "covered": covered,
+            "correct": correct, "predicted": predicted,
+            "counts": {k: (c, t) for k, (c, t) in counts.items()}}
 
 
 class FlakyBackend:

@@ -22,8 +22,8 @@ from taskrouter import (
     summarize_image,
     weighted_average,
 )
-from taskrouter.core import (load_manifests, load_metadata, load_records, read_json,
-                             read_jsonl, save_manifests, save_metadata, save_records)
+from taskrouter.core import (Records, load_manifests, load_metadata, read_json, read_jsonl,
+                             save_manifests, save_metadata, save_records)
 
 
 class TestSummarizeImage:
@@ -210,7 +210,7 @@ class TestTypes:
 
         records = [_record("m", "d", "v", True), _record("m", "d", "v2", False)]
         save_records(records, tmp_path / "r.jsonl")
-        assert load_records(tmp_path / "r.jsonl") == records
+        assert list(Records.load(tmp_path / "r.jsonl")) == records
 
     @pytest.mark.parametrize("field, value", [
         ("correct", "False"), ("correct", 0), ("correct", None),
@@ -269,7 +269,7 @@ class TestTypes:
         save, load = {
             "records": (lambda: save_records([_record("m", "d", "v", True),
                                               _record("m", "d", "w", False)], path),
-                        load_records),
+                        Records.load),
             "manifests": (lambda: save_manifests([DatasetManifest("d", "recognition", (
                 Sample("s0", "d", "img", {}, ("a", "b"), 0),), "d")] * 2, path),
                 load_manifests),

@@ -8,9 +8,10 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import object_records
 
-from taskrouter import TaskRouterError, parse_example
-from taskrouter.core import read_jsonl
+from taskrouter import ExecutionRecord, TaskRouterError, World, parse_example
+from taskrouter.core import Records, load_world, read_jsonl, save_records, save_world, write_jsonl
 from taskrouter.router import RouterModel
 from taskrouter.routerdata import load_corpus
 
@@ -166,3 +167,74 @@ def test_every_accepted_line_reserializes_byte_for_byte(line):
     except TaskRouterError:
         return
     assert parsed.reserialize() == line
+
+
+# ids with characters JSON escapes: quotes, backslashes, control and
+# non-ASCII characters, text outside the BMP and a lone surrogate
+RECORD_IDS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800", 'a"b\\c\n'])
+RECORD_ROWS = st.lists(st.builds(
+    ExecutionRecord, RECORD_IDS, RECORD_IDS, RECORD_IDS, RECORD_IDS,
+    st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()), max_size=6)
+
+
+@given(RECORD_ROWS)
+@example([ExecutionRecord('q"\\\x00', "é\ud800", "\U0001f600", "\u2028\x85", -2 ** 63, True)])
+@settings(max_examples=200, deadline=None)
+def test_record_writer_bytes_equal_json_dumps_and_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        template, dumps = Path(tmp, "template.jsonl"), Path(tmp, "dumps.jsonl")
+        save_records(records, template)
+        write_jsonl(dumps, (rec.to_dict() for rec in records))
+        assert template.read_bytes() == dumps.read_bytes()
+        assert list(Records.load(template)) == records
+        save_world(World(datasets={}, prompt_configs={}, metadata={}, records=records,
+                         model_pool=[]), tmp)
+        assert list(load_world(tmp).records) == records
+
+
+RECORD_LINE = json.dumps(ExecutionRecord("s0", "d", "m", "q0-o0", 1, False).to_dict(),
+                         sort_keys=True)
+RECORD_CHARS = st.sampled_from('{}[]:,"\\ 0123456789-.eE\r\t') | st.characters()
+
+
+@st.composite
+def record_lines(draw):
+    """A well-formed record line with a field dropped or replaced, or with
+    up to three short spans replaced."""
+    if draw(st.booleans()):
+        row = json.loads(RECORD_LINE)
+        key = draw(st.sampled_from(sorted(row)))
+        if draw(st.booleans()):
+            row.pop(key)
+        else:
+            row[key] = draw(JSON_VALUES | st.integers())
+        return json.dumps(row).encode("utf-8")
+    line = RECORD_LINE
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(len(line), start + 8)))
+        line = line[:start] + draw(st.text(RECORD_CHARS, max_size=6)) + line[end:]
+    return line.encode("utf-8", "surrogatepass")
+
+
+@given(st.lists(st.sampled_from([RECORD_LINE.encode(), b"", b" ", b"\r", b"{", b"[1]"])
+                | record_lines() | st.binary(max_size=12), max_size=6).map(b"\n".join))
+@example(b"\xef\xbb\xbf" + RECORD_LINE.encode())
+@example(RECORD_LINE.encode() + b"\r\n" + RECORD_LINE.replace(" ", "\n").encode())
+@example(RECORD_LINE.replace("1", "9" * 5000).encode())
+@example(RECORD_LINE.replace('"s0"', "[" * 100_000).encode())
+@settings(max_examples=300, deadline=None)
+def test_records_file_gives_a_value_or_an_error_as_line_by_line(data):
+    # any bytes read as records.jsonl give a table or a TaskRouterError, and
+    # the same rows or words as reading it one record object at a time
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes(data)
+        for read in (Records.load, object_records):
+            try:
+                outcomes.append(list(read(path)))
+            except TaskRouterError as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]

@@ -178,8 +178,10 @@ def test_mini_batch_router_matches_recorded_digest(tmp_path):
 def test_report_and_corpus_independent_of_record_order(tmp_path):
     world = four_form_world()
     baseline = report_and_corpus_digests(world, tmp_path / "generated")
+    records = list(world.records)
     for seed in range(3):
-        random.Random(seed).shuffle(world.records)
+        random.Random(seed).shuffle(records)
+        world.records = records
         assert report_and_corpus_digests(world, tmp_path / f"shuffled{seed}") == baseline
 
 
@@ -187,11 +189,11 @@ def test_out_of_pool_record_is_rejected():
     from taskrouter import IntegrityError
 
     world = four_form_world()
-    rec = world.records[0]
-    world.records.append(ExecutionRecord(
+    rec = next(iter(world.records))
+    world.records = [*world.records, ExecutionRecord(
         rec.sample_id, rec.dataset_id, "stranger", rec.prompt_variant_id,
         rec.predicted_index, rec.correct,
-    ))
+    )]
     with pytest.raises(IntegrityError):
         build_comparison_report(QueryGrid.build(world))
     with pytest.raises(IntegrityError):

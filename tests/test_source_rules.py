@@ -105,3 +105,25 @@ def test_routing_scores_each_batch_in_one_call():
                   if isinstance(node, ast.FunctionDef) and node.name == function)
         looped += _calls_in_loops(fn, {"route", "route_text", "scores_for"})
     assert looped == []
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_record_paths_build_no_record_objects():
+    # an object per record costs more than parsing it; these paths keep columns
+    package = Path(taskrouter.__file__).parent
+    built = []
+    for module, path in (("core.py", "load_world"), ("core.py", "Records.load"),
+                         ("core.py", "QueryGrid.build"), ("synth.py", "generate_world")):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        for name in path.split("."):
+            tree = _function(tree, name) if name[0].islower() else next(
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == name)
+        # any use of the class in the body (a call, ``from_dict``, a ``map``), not annotations
+        built += [f"{path}:{node.lineno}" for stmt in tree.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and node.id == "ExecutionRecord"]
+    assert built == []

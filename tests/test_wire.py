@@ -126,6 +126,25 @@ def test_stdio_server_subprocess(tmp_path, micro_world):
         backend.close()
 
 
+def test_gold_server_reads_only_the_manifests(tmp_path, micro_world, spawned):
+    # the gold answers are in datasets.jsonl; damaged records or metadata do not matter
+    world_dir = tmp_path / "world"
+    save_world(micro_world, world_dir)
+    (world_dir / "records.jsonl").write_bytes(b'{"correct": tru\n\xff\n')
+    (world_dir / "metadata.jsonl").write_bytes(b"[]\n")
+    backend = SubprocessBackend([
+        sys.executable, "-m", "taskrouter.wire", "--kind", "gold", "--family", "embedding",
+        "--world", str(world_dir), "--dim", "2", "--name", "only",
+    ])
+    try:
+        run = evaluate(backend, micro_world.datasets["micro"], micro_world.prompt_configs["micro"])
+    finally:
+        backend.close()
+    assert run.skip_count == 0 and len(run.records) == 4
+    assert all(r.correct for r in run.records)
+    assert _reaped(spawned)
+
+
 # A fake server: answers ``info`` with INFO and runs ACTION for any other
 # request, then AFTER_EOF once its stdin closes. It imports nothing slow, so
 # it answers ``info`` well inside the default reply deadline.
