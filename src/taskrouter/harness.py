@@ -2,11 +2,12 @@
 metadata/response-option ablation grid, selection-distribution heatmaps,
 and run manifests.
 
-A LODO run builds one query grid and labels one corpus; a fold trains on
-the examples outside its held-out dataset and replays on that dataset's
-rows. Every fold is self-contained: its corpus, router file, and metrics
-land in their own directory, so reports can be rebuilt from persisted
-artifacts and a failed fold never aborts the remaining ones.
+A LODO run builds one query grid, labels one corpus and featurizes it in
+one batch; a fold trains on the examples outside its held-out dataset,
+with their feature rows, and replays on that dataset's rows. Every fold
+is self-contained: its corpus, router file, and metrics land in their own
+directory, so reports can be rebuilt from persisted artifacts and a
+failed fold never aborts the remaining ones.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from .baselines import ComparisonReport, build_comparison_report
 from .core import QueryGrid, World, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
-from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
-                     route_rows, train_router)
+from .router import (FeaturizerConfig, Features, RouterModel, TrainConfig, evaluate_router,
+                     featurize_batch, route_rows, train_router)
 from .routerdata import (
     ALL_FLAG_COMBOS,
     RouterExample,
@@ -81,6 +82,9 @@ def run_lodo(
 
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
+    # equal examples have equal rows, so the examples themselves are the keys
+    features = dict(zip(corpus, featurize_batch([ex.serialized_input for ex in corpus],
+                                                featurizer)))
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
@@ -92,7 +96,7 @@ def run_lodo(
             fold_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _run_fold(
-                grid, corpus, heldout, flags, train_config, featurizer,
+                grid, corpus, features, heldout, flags, train_config, featurizer,
                 _fold_seed(seed, fold_index), fold_dir,
             )
             folds[heldout] = result
@@ -119,6 +123,7 @@ def run_lodo(
 def _run_fold(
     grid: QueryGrid,
     corpus: Sequence[RouterExample],
+    features: Mapping[RouterExample, Features],
     heldout: str,
     flags: SerializationFlags,
     train_config: TrainConfig,
@@ -138,6 +143,7 @@ def _run_fold(
         flags=flags,
         featurizer=featurizer,
         vocabulary=grid.models,
+        features=[features[ex] for ex in train],
     )
     accuracy = evaluate_router(model, grid, heldout)
 

@@ -69,6 +69,8 @@ def _hash_atoms(order: int) -> np.ndarray:
 
 _ATOM_CACHE: dict[int, np.ndarray] = {}
 
+Features = tuple[np.ndarray, np.ndarray]
+
 
 def _atoms(order: int) -> np.ndarray:
     if order not in _ATOM_CACHE:
@@ -80,37 +82,17 @@ def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
     """Signed hashed n-gram counts of a serialized input.
 
     Returns (indices, values): sorted unique bucket indices and the signed
-    counts that landed in them.
+    counts that landed in them. It is row 0 of ``featurize_batch([text])``.
     """
-    if not text:
-        raise InvalidInputError("cannot featurize an empty string")
-    if config.lowercase:
-        text = text.lower()
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    all_buckets = []
-    all_signs = []
-    for order in config.ngram_orders:
-        n = len(codes) - order + 1
-        if n < 1:
-            continue
-        # hash of the n-gram starting at i: sum_k codes[i + k] * atoms[k] mod 2^64
-        atoms = _atoms(order)
-        hashes = codes[:n] * atoms[0]
-        for k in range(1, order):
-            hashes += codes[k:k + n] * atoms[k]
-        all_buckets.append((hashes % np.uint64(config.hash_dim)).astype(np.int64))
-        all_signs.append(1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64))
-    if not all_buckets:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    buckets = np.concatenate(all_buckets)
-    signs = np.concatenate(all_signs)
-    uniq, inverse = np.unique(buckets, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=signs, minlength=len(uniq))
+    return featurize_batch([text], config)[0]
 
 
 # Lines are scored in chunks of at most this many characters (a longer line
 # is a chunk of its own), so scoring memory does not grow with the input.
 _CHUNK_CHARS = 1 << 15
+# Featurized rows outlive their chunk, and the chunk's temporaries leave heap
+# holes between them; smaller chunks measured a lower peak RSS, no slower.
+_FEATURIZE_CHUNK_CHARS = 1 << 13
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -136,28 +118,95 @@ def _exact_choice(weights, bias, config: FeaturizerConfig, text: str) -> int:
     return int(np.argmax(weights[:, idx] @ vals + bias))
 
 
+def _chunks(texts: Sequence[str], limit: int) -> Iterable[tuple[int, int]]:
+    """(start, stop) spans of ``texts`` holding at most ``limit``
+    characters each; a longer line is a span of its own."""
+    start = 0
+    while start < len(texts):
+        stop, size = start + 1, len(texts[start])
+        while stop < len(texts) and size + len(texts[stop]) <= limit:
+            size += len(texts[stop])
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
+    """Every n-gram of a chunk of lines, hashed in one pass.
+
+    Each position of the chunk's joined code points hashes one n-gram of
+    each order, as a uint64 product of a strided window view with
+    ``_atom_table``. Returns (lengths, ends, buckets, signs): each line's
+    code point count and end offset in the chunk, and the (position, order)
+    buckets and signs, where an n-gram that runs past the end of its line
+    gets sign 0.
+    """
+    if not all(texts):
+        raise InvalidInputError("cannot featurize an empty string")
+    lines = [t.lower() for t in texts] if config.lowercase else texts
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
+    orders = config.ngram_orders
+    span = max(orders)
+    padded = np.zeros(len(codes) + span - 1, dtype=np.uint64)
+    padded[:len(codes)] = codes
+    windows = np.ndarray((len(codes), span), dtype=np.uint64, buffer=padded,
+                         strides=(8, 8))
+    # the hash of the n-gram at i: sum_k codes[i + k] * atoms[k] mod 2^64
+    hashes = windows @ _atom_table(orders)
+    ends = np.cumsum(lengths)
+    fits = (np.repeat(ends, lengths) - np.arange(len(codes)))[:, None] >= np.array(orders)
+    # a hash's top bit sets its sign, and so does the sign of its int64 view
+    signs = np.copysign(fits, hashes.view(np.int64))
+    buckets = (hashes % np.uint64(config.hash_dim)).astype(np.int64)
+    return lengths, ends, buckets, signs
+
+
+def featurize_batch(texts: Sequence[str],
+                    config: FeaturizerConfig = FeaturizerConfig()) -> list[Features]:
+    """``featurize`` of each of ``texts``, hashed a chunk of lines at a time.
+
+    A chunk becomes one compressed sparse row (CSR) matrix: one
+    ``np.unique`` of ``row * hash_dim + bucket`` over its fitting n-grams
+    gives each row's sorted unique buckets, and one ``np.bincount`` sums
+    their signs. Sums of +-1.0 are exact in any order, so every row equals
+    the one-line result bit for bit, a bucket whose signs cancel keeps its
+    0.0, and a line shorter than every order gets an empty row. Row i is
+    a view ``(indices[indptr[i]:indptr[i + 1]], values[...])`` of its
+    chunk's arrays. A chunk of more than one line has fewer rows than
+    ``_FEATURIZE_CHUNK_CHARS``, so keys stay below that times ``hash_dim``:
+    far inside int64 for any ``hash_dim`` a weight matrix can hold.
+    """
+    rows: list[Features] = []
+    dim = config.hash_dim
+    for start, stop in _chunks(texts, _FEATURIZE_CHUNK_CHARS):
+        lengths, _, buckets, signs = _hash_chunk(config, texts[start:stop])
+        fits = signs != 0
+        keys = (np.repeat(np.arange(stop - start, dtype=np.int64), lengths)[:, None] * dim
+                + buckets)[fits]
+        keys, inverse = np.unique(keys, return_inverse=True)
+        # astype: a bincount of no items is int64 even with float weights
+        values = np.bincount(inverse, weights=signs[fits], minlength=len(keys)).astype(np.float64)
+        row_ends = np.cumsum(np.bincount(keys // dim, minlength=stop - start))
+        rows += zip(np.split(keys % dim, row_ends[:-1]), np.split(values, row_ends[:-1]))
+    return rows
+
+
 def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
             texts: Sequence[str]) -> np.ndarray:
     """The index of the highest-scoring class for each of ``texts``; equal
     to ``_exact_choice`` on every line (see ``_choose_chunk``)."""
     choices = np.empty(len(texts), dtype=np.intp)
-    start = 0
-    while start < len(texts):
-        stop, size = start + 1, len(texts[start])
-        while stop < len(texts) and size + len(texts[stop]) <= _CHUNK_CHARS:
-            size += len(texts[stop])
-            stop += 1
+    for start, stop in _chunks(texts, _CHUNK_CHARS):
         choices[start:stop] = _choose_chunk(weights, bias, config, texts[start:stop])
-        start = stop
     return choices
 
 
 def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
     """Score a chunk of lines without building their feature vectors.
 
-    Every position of the chunk's joined code points hashes one n-gram of
-    each order, as ``featurize`` does; an n-gram that runs past the end of
-    its line gets sign 0. Each line's score is then the sum of its gathered
+    ``_hash_chunk`` gives every n-gram's bucket and sign, as ``featurize``
+    would. Each line's score is then the sum of its gathered
     ``weights[c, bucket] * sign`` terms plus the bias.
 
     The sum is rounded in another order than the reference
@@ -179,34 +228,18 @@ def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
     products. A line whose gap is not above its bound (a tie, a near tie, a
     NaN) is rescored by ``_exact_choice``.
     """
-    if not all(texts):
-        raise InvalidInputError("cannot featurize an empty string")
-    lines = [t.lower() for t in texts] if config.lowercase else texts
-    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
-    orders = config.ngram_orders
-    span = max(orders)
-    padded = np.zeros(len(codes) + span - 1, dtype=np.uint64)
-    padded[:len(codes)] = codes
-    windows = np.ndarray((len(codes), span), dtype=np.uint64, buffer=padded,
-                         strides=(8, 8))
-    hashes = windows @ _atom_table(orders)  # (position, order), mod 2^64
-    ends = np.cumsum(lengths)
-    fits = (np.repeat(ends, lengths) - np.arange(len(codes)))[:, None] >= np.array(orders)
-    # a hash's top bit sets its sign, and so does the sign of its int64 view
-    signs = np.copysign(fits, hashes.view(np.int64))
-    buckets = (hashes % np.uint64(config.hash_dim)).astype(np.intp)
-
+    lengths, ends, buckets, signs = _hash_chunk(config, texts)
     terms = weights.take(buckets.ravel(), axis=1)
     terms *= signs.ravel()
-    starts = (ends - lengths) * len(orders)
+    n_orders = len(config.ngram_orders)
+    starts = (ends - lengths) * n_orders
     scores = np.add.reduceat(terms, starts, axis=1)
     scores += bias[:, None]
     best = scores.argmax(axis=0)
     if len(bias) > 1:
         scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1)
         scale += np.abs(bias)[:, None]
-        bound = 4.0 * (lengths * len(orders) + 2) * (_EPS * scale.max(axis=0) + _TINY)
+        bound = 4.0 * (lengths * n_orders + 2) * (_EPS * scale.max(axis=0) + _TINY)
         top2 = np.sort(scores, axis=0)[-2:]
         for i in np.flatnonzero(~(top2[1] - top2[0] > bound)).tolist():
             best[i] = _exact_choice(weights, bias, config, texts[i])
@@ -246,9 +279,6 @@ class TrainConfig:
                        "eval_every", "seed") if k in d})
 
 
-Features = tuple[np.ndarray, np.ndarray]
-
-
 def softmax_loss_and_grads(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -261,7 +291,8 @@ def softmax_loss_and_grads(
     of the batch's feature columns and ``grad_cols`` the (n_classes,
     len(cols)) weight gradient over them. Every other column's gradient is
     identically zero. Each column sums its examples' ``delta * value`` terms
-    in batch order, then scales by 1/n.
+    in batch order, then scales by 1/n. A batch of one takes its example's
+    columns and terms as they are, which gives the same bits.
     """
     n = len(feats)
     if n == 0:
@@ -279,6 +310,11 @@ def softmax_loss_and_grads(
         delta[label] -= 1.0
         grad_bias += delta
         terms.append(np.outer(delta, vals))
+    if n == 1:
+        # one example's columns are sorted and unique already, and 1/n is 1;
+        # adding 0.0 turns a -0.0 term into the 0.0 the general path sums to
+        terms[0] += 0.0
+        return loss, grad_bias, feats[0][0], terms[0]
     cols, where = np.unique(np.concatenate([idx for idx, _ in feats]), return_inverse=True)
     grad_cols = np.zeros((k, len(cols)))
     # unbuffered, so a column shared by several examples adds them in batch order
@@ -408,12 +444,16 @@ def train_router(
     flags: SerializationFlags | None = None,
     featurizer: FeaturizerConfig = FeaturizerConfig(),
     vocabulary: Sequence[str] | None = None,
+    features: Sequence[Features] | None = None,
 ) -> RouterModel:
     """Fit the default learner with seeded SGD over the training examples.
 
-    Every ``eval_every`` steps (and at the final step) the validation label
-    accuracy is measured and the best checkpoint kept. With no validation
-    examples the final parameters are returned with a warning.
+    ``features`` holds each training example's ``featurize`` row, for a
+    caller that featurized a larger corpus once; without it the training
+    set is featurized in one ``featurize_batch`` call. Every ``eval_every``
+    steps (and at the final step) the validation label accuracy is
+    measured and the best checkpoint kept. With no validation examples the
+    final parameters are returned with a warning.
     """
     if not train:
         raise InvalidInputError("empty training set")
@@ -429,7 +469,11 @@ def train_router(
     if flags is None:
         flags = _infer_flags(train[0])
 
-    feats = [featurize(ex.serialized_input, featurizer) for ex in train]
+    if features is None:
+        features = featurize_batch([ex.serialized_input for ex in train], featurizer)
+    elif len(features) != len(train):
+        raise InvalidInputError(
+            f"{len(features)} feature rows for {len(train)} training examples")
     labels = [vocab_index[ex.label_model_id] for ex in train]
     val_texts = [ex.serialized_input for ex in validate]
     val_labels = np.array([vocab_index[ex.label_model_id] for ex in validate], dtype=np.intp)
@@ -450,7 +494,7 @@ def train_router(
             pos = 0
         batch = order[pos:pos + config.batch_size]
         pos += config.batch_size
-        batch_feats = [feats[i] for i in batch]
+        batch_feats = [features[i] for i in batch]
         batch_labels = [labels[i] for i in batch]
         _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
             weights, bias, batch_feats, batch_labels

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from taskrouter import BackendError, IntegrityError
+from taskrouter import BackendError, IntegrityError, InvalidInputError
 from taskrouter.core import ExecutionRecord, _read_rows, group_records
 from taskrouter.prompts import prompt_variants, valid_variant_ids
 from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
@@ -27,6 +27,34 @@ def ngram_hash(gram: str) -> int:
     for code, a in zip((ord(c) for c in gram), atoms.tolist()):
         h = (h + code * a) % (2 ** 64)
     return h
+
+
+def line_features(text: str, config) -> tuple[np.ndarray, np.ndarray]:
+    """One line's signed hashed n-gram counts, hashed order by order from
+    slices of its code points and summed per bucket; the reference the
+    batched featurizer is checked against."""
+    if not text:
+        raise InvalidInputError("cannot featurize an empty string")
+    if config.lowercase:
+        text = text.lower()
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
+    all_buckets = []
+    all_signs = []
+    for order in config.ngram_orders:
+        n = len(codes) - order + 1
+        if n < 1:
+            continue
+        # hash of the n-gram starting at i: sum_k codes[i + k] * atoms[k] mod 2^64
+        atoms = _atoms(order)
+        hashes = codes[:n] * atoms[0]
+        for k in range(1, order):
+            hashes += codes[k:k + n] * atoms[k]
+        all_buckets.append((hashes % np.uint64(config.hash_dim)).astype(np.int64))
+        all_signs.append(1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64))
+    if not all_buckets:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    uniq, inverse = np.unique(np.concatenate(all_buckets), return_inverse=True)
+    return uniq, np.bincount(inverse, weights=np.concatenate(all_signs), minlength=len(uniq))
 
 
 def exact_choice(router, text: str) -> int:

@@ -113,6 +113,26 @@ def test_router_train_and_route(world_dir, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "m0"
 
 
+def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkeypatch):
+    from taskrouter import (QueryGrid, SerializationFlags, build_router_dataset, load_world,
+                            router, split_80_10_10)
+
+    hashed = []
+    real = router.featurize_batch
+
+    def counting(texts, config):
+        hashed.extend(texts)
+        return real(texts, config)
+
+    monkeypatch.setattr(router, "featurize_batch", counting)
+    assert main(["--out", str(tmp_path), "--seed", "3", "router", "train",
+                 "--world", str(world_dir), "--flags", "md=off,ro=off", *FAST]) == 0
+    corpus = build_router_dataset(QueryGrid.build(load_world(world_dir)),
+                                  SerializationFlags(False, False))
+    train, _, _ = split_80_10_10(corpus, seed=3)
+    assert sorted(hashed) == sorted(ex.serialized_input for ex in train)
+
+
 def test_baselines_report(world_dir, tmp_path, capsys):
     out = tmp_path / "base"
     code = main(["--out", str(out), "baselines", "report",

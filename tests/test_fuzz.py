@@ -1,18 +1,23 @@
 """Fuzzing of the readers of stored lines and files: every input gives a
-value or a TaskRouterError, never another exception."""
+value or a TaskRouterError, never another exception. Also the batched
+featurizer, row by row against the one-line reference."""
 
 import json
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import object_records
+from oracles import line_features, object_records
 
-from taskrouter import ExecutionRecord, TaskRouterError, World, parse_example
+import taskrouter.router as router_module
+from taskrouter import ExecutionRecord, InvalidInputError, TaskRouterError, World, parse_example
 from taskrouter.core import Records, load_world, read_jsonl, save_records, save_world, write_jsonl
-from taskrouter.router import RouterModel
+from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
 from taskrouter.routerdata import load_corpus
 
 LINES = (
@@ -238,3 +243,55 @@ def test_records_file_gives_a_value_or_an_error_as_line_by_line(data):
             except TaskRouterError as exc:
                 outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+# cased letters, one whose lowercase form is longer (İ), non-BMP code
+# points, and any other character that UTF-32 can encode
+FEATURE_CHARS = (st.sampled_from("aAbBzZ İΣσ[];:") | st.characters(min_codepoint=0x10000)
+                 | st.characters(exclude_categories=("Cs",)))
+
+
+@st.composite
+def featurizer_configs(draw):
+    """Orders up to 5, so short lines fit none of them, and hash spaces
+    down to 2 buckets, where signs cancel to a stored 0.0."""
+    return FeaturizerConfig(
+        ngram_orders=tuple(sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))),
+        hash_dim=draw(st.sampled_from([2, 3, 16, 1024, 2 ** 18])),
+        lowercase=draw(st.booleans()),
+    )
+
+
+@given(featurizer_configs(),
+       st.lists(st.text(FEATURE_CHARS, min_size=1, max_size=24), min_size=1, max_size=12),
+       st.sampled_from([1, 7, 40, 1 << 13]))
+# unigrams of "a" and "c" share a bucket of 2 and cancel to 0.0
+@example(FeaturizerConfig((1,), 2, lowercase=False), ["ac", "AC", "a"], 1 << 13)
+# a line longer than a chunk, and a batch spanning several real chunks
+@example(FeaturizerConfig(), ["x", "İ\U0001f600" * (1 << 14) + "y", "Mixed Case"], 1 << 13)
+@example(FeaturizerConfig(), [f"[prompt]line {i} " * 300 for i in range(8)], 1 << 13)
+@settings(max_examples=300, deadline=None)
+def test_every_batched_row_equals_the_one_line_featurizer(config, texts, chunk_chars):
+    with mock.patch.object(router_module, "_FEATURIZE_CHUNK_CHARS", chunk_chars):
+        rows = featurize_batch(texts, config)
+    assert len(rows) == len(texts)
+    for text, (idx, vals) in zip(texts, rows):
+        for ref_idx, ref_vals in (featurize(text, config), line_features(text, config)):
+            assert (idx.dtype, vals.dtype) == (ref_idx.dtype, ref_vals.dtype) == \
+                (np.dtype(np.int64), np.dtype(np.float64))
+            assert idx.tobytes() == ref_idx.tobytes()
+            assert vals.tobytes() == ref_vals.tobytes()
+
+
+def test_batched_featurizer_keeps_a_cancelled_bucket():
+    (idx, vals), = featurize_batch(["ac"], FeaturizerConfig((1,), 2, lowercase=False))
+    assert idx.tolist() == [1] and vals.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("bad, error", [("", InvalidInputError),
+                                        ("x\ud800", UnicodeEncodeError)])
+def test_batched_featurizer_rejects_what_featurize_rejects(bad, error):
+    with pytest.raises(error):
+        featurize_batch(["fine", bad], FeaturizerConfig())
+    with pytest.raises(error):
+        featurize(bad, FeaturizerConfig())

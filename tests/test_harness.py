@@ -161,6 +161,25 @@ class TestRunLodo:
         # the report still carries the other strategies for every dataset
         assert result.report.cell("ds00", "oracle") is not None
 
+    def test_each_corpus_line_is_hashed_once(self, monkeypatch, paired_world):
+        from taskrouter import harness, router
+
+        hashed = []
+        real = router.featurize_batch
+
+        def counting(texts, config):
+            hashed.extend(texts)
+            return real(texts, config)
+
+        for module in (harness, router):
+            monkeypatch.setattr(module, "featurize_batch", counting)
+        flags = SerializationFlags(True, False)
+        result = run_lodo(paired_world, flags=flags,
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert len(result.folds) == 4 and not result.failed_folds
+        corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
+        assert sorted(hashed) == sorted(ex.serialized_input for ex in corpus)
+
     def test_heldout_example_in_fold_corpus_fails_the_fold(self, monkeypatch, paired_world):
         from taskrouter import harness
 

@@ -177,6 +177,25 @@ class TestGradients:
         if len(feats) > 1:
             assert sum(len(idx) for idx, _ in feats) > len(cols)
 
+    def test_batch_of_one_equals_the_general_path_bit_for_bit(self, rng):
+        # 64 buckets: n-grams collide, so values exceed 1 or cancel to 0.0
+        config = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=64)
+        k = 3
+        for text in ["alpha route one", "alpha route two", "bravo charlie delta echo"]:
+            feat = featurize(text, config)
+            assert (feat[1] == 0.0).any() and (np.abs(feat[1]) > 1.0).any()
+            weights = rng.normal(scale=0.1, size=(k, config.hash_dim))
+            bias = rng.normal(scale=0.1, size=k)
+            for label in range(k):
+                one = softmax_loss_and_grads(weights, bias, [feat], [label])
+                # the general path: an example twice over has the same mean,
+                # since x + x and 2x * 0.5 are exact
+                two = softmax_loss_and_grads(weights, bias, [feat, feat], [label, label])
+                assert one[0] == two[0]
+                for got, want in zip(one[1:], two[1:]):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
 
 class TestTraining:
     def test_constant_label_predicts_constant(self):

@@ -107,6 +107,18 @@ def test_routing_scores_each_batch_in_one_call():
     assert looped == []
 
 
+def test_training_featurizes_each_corpus_in_one_call():
+    # featurizing line by line pays the hashing set-up per line, and a fold
+    # that featurizes its own corpus repeats the others' work
+    package = Path(taskrouter.__file__).parent
+    looped = []
+    for module, function in (("router.py", "train_router"), ("harness.py", "run_lodo"),
+                             ("harness.py", "_run_fold")):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        looped += _calls_in_loops(_function(tree, function), {"featurize", "featurize_batch"})
+    assert looped == []
+
+
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
