@@ -75,7 +75,6 @@ from .routerdata import (
     RouterExample,
     SerializationFlags,
     build_router_dataset,
-    filter_valid_prompts,
     parse_example,
     select_best_model,
     serialize_example,

@@ -885,14 +885,21 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
     return (row for _, row in read_numbered_jsonl(path))
 
 
-def _read_rows(path: str | Path, from_dict: Callable[[dict], _Row]) -> Iterator[_Row]:
-    """``from_dict`` of each JSON object in ``path``; a row that lacks a
-    field raises IntegrityError naming ``path:line`` and the field."""
+def _read_keyed(path: str | Path, id_field: str,
+                from_dict: Callable[[dict], _Row]) -> dict[str, _Row]:
+    """``from_dict`` of each JSON object in ``path``, keyed by its
+    ``id_field``. A row that lacks a field, or repeats an earlier row's id,
+    raises IntegrityError naming ``path:line``."""
+    rows: dict[str, _Row] = {}
     for lineno, row in read_numbered_jsonl(path):
         try:
-            yield from_dict(row)
+            key, value = row[id_field], from_dict(row)
         except KeyError as exc:
             raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+        if key in rows:
+            raise IntegrityError(f"{path}:{lineno}: repeats {id_field} {key!r}")
+        rows[key] = value
+    return rows
 
 
 def save_records(records: Records | Iterable[ExecutionRecord], path: str | Path) -> None:
@@ -904,7 +911,7 @@ def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> No
 
 
 def load_manifests(path: str | Path) -> list[DatasetManifest]:
-    return list(_read_rows(path, DatasetManifest.from_dict))
+    return list(_read_keyed(path, "dataset_id", DatasetManifest.from_dict).values())
 
 
 def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
@@ -913,7 +920,7 @@ def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> 
 
 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
-    return dict(_read_rows(path, lambda d: (d["sample_id"], MetadataSummary.from_dict(d))))
+    return _read_keyed(path, "sample_id", MetadataSummary.from_dict)
 
 
 WORLD_FILES = ("datasets.jsonl", "prompt_configs.json", "metadata.jsonl",

@@ -3,11 +3,11 @@ metadata/response-option ablation grid, selection-distribution heatmaps,
 and run manifests.
 
 A LODO run builds one query grid, labels one corpus and featurizes it in
-one batch; a fold trains on the examples outside its held-out dataset,
-with their feature rows, and replays on that dataset's rows. Every fold
-is self-contained: its corpus, router file, and metrics land in their own
-directory, so reports can be rebuilt from persisted artifacts and a
-failed fold never aborts the remaining ones.
+one batch; a fold splits the corpus positions outside its held-out
+dataset, trains on their examples and feature rows, and replays on that
+dataset's rows. Every fold is self-contained: its corpus, router file,
+and metrics land in their own directory, so reports can be rebuilt from
+persisted artifacts and a failed fold never aborts the remaining ones.
 """
 
 from __future__ import annotations
@@ -82,9 +82,7 @@ def run_lodo(
 
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
-    # equal examples have equal rows, so the examples themselves are the keys
-    features = dict(zip(corpus, featurize_batch([ex.serialized_input for ex in corpus],
-                                                featurizer)))
+    features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
@@ -123,7 +121,7 @@ def run_lodo(
 def _run_fold(
     grid: QueryGrid,
     corpus: Sequence[RouterExample],
-    features: Mapping[RouterExample, Features],
+    features: Sequence[Features],
     heldout: str,
     flags: SerializationFlags,
     train_config: TrainConfig,
@@ -131,11 +129,12 @@ def _run_fold(
     fold_seed: int,
     fold_dir: Path | None,
 ) -> FoldResult:
-    train, validate, test = split_80_10_10(
-        [ex for ex in corpus if ex.provenance[1] != heldout], seed=fold_seed
+    positions = split_80_10_10(
+        [i for i, ex in enumerate(corpus) if ex.provenance[1] != heldout], seed=fold_seed
     )
-    if any(ex.provenance[1] == heldout for ex in train + validate + test):
+    if any(corpus[i].provenance[1] == heldout for part in positions for i in part):
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
+    train, validate, test = ([corpus[i] for i in part] for part in positions)
 
     model = train_router(
         train, validate,
@@ -143,7 +142,7 @@ def _run_fold(
         flags=flags,
         featurizer=featurizer,
         vocabulary=grid.models,
-        features=[features[ex] for ex in train],
+        features=[features[i] for i in positions[0]],
     )
     accuracy = evaluate_router(model, grid, heldout)
 
@@ -272,17 +271,19 @@ def run_in_distribution(
     """Train one router on an 80/10/10 split of every dataset and replay
     it on the test split, grouped per dataset."""
     grid = QueryGrid.build(world)
-    train, validate, test = split_80_10_10(build_router_dataset(grid, flags), seed=seed)
+    corpus = build_router_dataset(grid, flags)
+    train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
     model = train_router(
-        train, validate, config=replace(train_config, seed=seed), flags=flags,
+        [corpus[i] for i in train], [corpus[i] for i in validate],
+        config=replace(train_config, seed=seed), flags=flags,
         featurizer=featurizer, vocabulary=grid.models,
     )
-    row = {(s.sample_id, ds_id, v.variant_id): i for i, (ds_id, s, v) in enumerate(grid.queries)}
-    rows = [row[ex.provenance] for ex in test]
+    # the corpus holds one example per covered row, in row order
+    rows = np.flatnonzero(grid.covered.any(axis=1))[test]
     hits = grid.outcome(rows, route_rows(model, grid, rows))
     per_dataset: dict[str, list[bool]] = {}
-    for ex, hit in zip(test, hits.tolist()):
-        per_dataset.setdefault(ex.provenance[1], []).append(hit)
+    for i, hit in zip(test, hits.tolist()):
+        per_dataset.setdefault(corpus[i].provenance[1], []).append(hit)
     return {ds: sum(v) / len(v) for ds, v in sorted(per_dataset.items())}
 
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .core import MetadataSummary, QueryGrid, atomic_open
 from .errors import InvalidInputError
-from .prompts import render, rendered_options
-from .routerdata import RouterExample, SerializationFlags, serialize_input
+from .routerdata import RouterExample, SerializationFlags, router_inputs, serialize_input
 
 logger = logging.getLogger(__name__)
 
@@ -363,7 +362,7 @@ class RouterModel:
     ) -> str:
         """Route one query: serialize the input portion with the train-time
         flags and return the argmax-probability model."""
-        return self.route_text(router_input(self.flags, metadata, prompt_text, options))
+        return self.route_text(serialize_input(metadata, prompt_text, options, self.flags))
 
     # -- persistence --------------------------------------------------------
 
@@ -534,29 +533,10 @@ def _infer_flags(example: RouterExample) -> SerializationFlags:
     )
 
 
-def router_input(flags: SerializationFlags, metadata: MetadataSummary | None,
-                 prompt_text: str, options: Sequence[str] | None) -> str:
-    """A query's router input, serialized with a router's train-time flags."""
-    return serialize_input(
-        metadata if flags.include_metadata else None,
-        prompt_text,
-        options if flags.include_response_options else None,
-        flags,
-    )
-
-
 def route_rows(router, grid: QueryGrid, rows: Iterable[int]) -> list[str]:
     """The model ``router.route_batch`` picks for each of the grid's
-    ``rows``, given the query's image metadata, rendered prompt and
-    options: every row is serialized, then routed in one call."""
-    texts = []
-    for i in rows:
-        ds_id, sample, variant = grid.queries[i]
-        config = grid.world.prompt_configs[ds_id]
-        texts.append(router_input(router.flags, grid.world.metadata.get(sample.sample_id),
-                                  render(variant.question, sample, config),
-                                  rendered_options(sample, config, variant)))
-    return router.route_batch(texts)
+    ``rows``, from their ``router_inputs`` under the router's flags."""
+    return router.route_batch(router_inputs(grid, rows, router.flags))
 
 
 def evaluate_router(router: RouterModel, grid: QueryGrid, dataset_id: str) -> float:

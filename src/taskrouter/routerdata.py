@@ -20,20 +20,14 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import (ExecutionRecord, MetadataSummary, QueryGrid, atomic_open, read_lines,
-                   read_numbered_jsonl, write_jsonl)
+from .core import (MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl,
+                   write_jsonl)
 from .errors import IntegrityError, InvalidInputError, ParseError
-from .prompts import (
-    DatasetPromptConfig,
-    PromptVariant,
-    render,
-    rendered_options,
-    valid_variant_ids,
-)
+from .prompts import render, rendered_options
 
 SEP_MARK = "[SEP]"
 IMG_MARK = "[img]"
@@ -44,6 +38,8 @@ OPTIONS_MARK = ";;;["
 _DIM = re.compile(r"\d+", re.ASCII)
 _FLOAT_1DP = re.compile(r"-?\d+\.\d", re.ASCII)
 _AVG_5DP = re.compile(r"\d+\.\d{5}", re.ASCII)
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -162,6 +158,13 @@ def serialize_example(
     model_pool: Sequence[str] | None = None,
 ) -> str:
     """Serialize one (query, model outcome) pair into the exact line format."""
+    response = _response_segment(model_id, correct, avg_accuracy, model_pool)
+    return serialize_input(metadata, prompt_text, options, flags) + response
+
+
+def _response_segment(model_id: str, correct: bool, avg_accuracy: float,
+                      model_pool: Sequence[str] | None = None) -> str:
+    """The ``[SEP]model::...[response]...`` tail that follows a router input."""
     if model_pool is not None and model_id not in model_pool:
         raise InvalidInputError(
             f"model {model_id!r} is not in the registered pool {sorted(model_pool)}"
@@ -169,11 +172,8 @@ def serialize_example(
     _check_field("model_id", model_id, (SEP_MARK, RESPONSE_MARK))
     if not 0.0 <= avg_accuracy <= 1.0:
         raise InvalidInputError(f"avg_accuracy must be in [0, 1], got {avg_accuracy}")
-    return (
-        serialize_input(metadata, prompt_text, options, flags)
-        + f"{SEP_MARK}model::{model_id}{RESPONSE_MARK}"
-        + f"correct::{correct};;;avg_accuracy::{avg_accuracy:.5f}"
-    )
+    return (f"{SEP_MARK}model::{model_id}{RESPONSE_MARK}"
+            f"correct::{correct};;;avg_accuracy::{avg_accuracy:.5f}")
 
 
 @dataclass(frozen=True)
@@ -341,25 +341,6 @@ def _parse_options(body: str, line: str, body_pos: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Labeling and corpus construction.
 
-def filter_valid_prompts(
-    records: Iterable[ExecutionRecord],
-    configs: Mapping[str, DatasetPromptConfig],
-) -> list[ExecutionRecord]:
-    """Drop records whose prompt variant has an empty question form; those
-    variants cannot be issued to every model family, so they are removed
-    for all models."""
-    valid_by_ds = {ds: valid_variant_ids(cfg) for ds, cfg in configs.items()}
-    kept = []
-    for rec in records:
-        if rec.dataset_id not in valid_by_ds:
-            raise IntegrityError(
-                f"record references dataset {rec.dataset_id!r} with no prompt config"
-            )
-        if rec.prompt_variant_id in valid_by_ds[rec.dataset_id]:
-            kept.append(rec)
-    return kept
-
-
 def select_best_model(
     per_model_correct: Mapping[str, bool],
     per_model_prompt_dataset_avg: Mapping[str, float],
@@ -381,6 +362,28 @@ def select_best_model(
     return min(candidates, key=lambda m: (-per_model_prompt_dataset_avg[m], m))
 
 
+def router_inputs(grid: QueryGrid, rows: Iterable[int],
+                  flags: SerializationFlags) -> list[str]:
+    """The router input of each of the grid's ``rows``: the query's image
+    metadata, rendered prompt and options, serialized under ``flags``.
+    Corpus lines and routing replay both take their inputs from here."""
+    world = grid.world
+    texts = []
+    for i in rows:
+        ds_id, sample, variant = grid.queries[i]
+        config = world.prompt_configs[ds_id]
+        metadata = world.metadata.get(sample.sample_id)
+        if metadata is None and flags.include_metadata:
+            raise InvalidInputError(
+                f"flags request metadata but sample {sample.sample_id} has none"
+            )
+        options = (rendered_options(sample, config, variant)
+                   if flags.include_response_options else None)
+        texts.append(serialize_input(metadata, render(variant.question, sample, config),
+                                     options, flags))
+    return texts
+
+
 def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[RouterExample]:
     """Router examples in grid row order: one per recorded query, labeled
     with its best model under the ``select_best_model`` rule.
@@ -389,51 +392,30 @@ def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[Rou
     the examples of a dataset are the same whichever other datasets the
     grid holds.
     """
-    world = grid.world
     grid.require_coverage()
+    rows = np.flatnonzero(grid.covered.any(axis=1))
     examples: list[RouterExample] = []
-    for i in np.flatnonzero(grid.covered.any(axis=1)):
+    for i, text in zip(rows.tolist(), router_inputs(grid, rows, flags)):
         ds_id, sample, variant = grid.queries[i]
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(
             correct, {m: grid.table.cell(m, ds_id, variant.variant_id) for m in grid.models}
         )
-        examples.append(_make_example(
-            world, sample, world.prompt_configs[ds_id], variant, label,
-            correct[label], grid.table.marginal(label, ds_id), flags,
+        response = _response_segment(label, correct[label], grid.table.marginal(label, ds_id),
+                                     grid.world.model_pool)
+        examples.append(RouterExample(
+            serialized_input=text,
+            label_model_id=label,
+            provenance=(sample.sample_id, sample.dataset_id, variant.variant_id),
+            raw_line=text + response,
         ))
     return examples
 
 
-def _make_example(world, sample, config, variant: PromptVariant, label,
-                  label_correct, label_marginal, flags) -> RouterExample:
-    metadata = None
-    if flags.include_metadata:
-        metadata = world.metadata.get(sample.sample_id)
-        if metadata is None:
-            raise InvalidInputError(
-                f"flags request metadata but sample {sample.sample_id} has none"
-            )
-    prompt_text = render(variant.question, sample, config)
-    options = None
-    if flags.include_response_options:
-        options = rendered_options(sample, config, variant)
-    raw = serialize_example(
-        metadata, prompt_text, options, label, label_correct, label_marginal,
-        flags, model_pool=world.model_pool,
-    )
-    return RouterExample(
-        serialized_input=raw.split(SEP_MARK, 1)[0],
-        label_model_id=label,
-        provenance=(sample.sample_id, sample.dataset_id, variant.variant_id),
-        raw_line=raw,
-    )
-
-
-def split_80_10_10(
-    examples: Sequence[RouterExample], seed: int
-) -> tuple[list[RouterExample], list[RouterExample], list[RouterExample]]:
-    """Deterministic shuffled split into floor(0.8n) / floor(0.1n) / rest."""
+def split_80_10_10(examples: Sequence[_T], seed: int) -> tuple[list[_T], list[_T], list[_T]]:
+    """Deterministic shuffled split into floor(0.8n) / floor(0.1n) / rest.
+    The permutation depends only on ``seed`` and the length, so a split of
+    corpus positions picks the same examples as a split of the corpus."""
     n = len(examples)
     if n < 10:
         raise InvalidInputError(f"need at least 10 examples to split, got {n}")

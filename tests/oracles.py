@@ -3,15 +3,14 @@ and a backend wrapper that injects failures."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from taskrouter import BackendError, IntegrityError, InvalidInputError
-from taskrouter.core import ExecutionRecord, _read_rows, group_records
-from taskrouter.prompts import prompt_variants, valid_variant_ids
+from taskrouter.core import ExecutionRecord, group_records, read_numbered_jsonl
+from taskrouter.prompts import DatasetPromptConfig, prompt_variants, valid_variant_ids
 from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
-from taskrouter.routerdata import filter_valid_prompts
 
 
 def char_ngrams(text: str, order: int) -> list[str]:
@@ -94,10 +93,36 @@ def column_grads(weights, bias, feats, labels) -> dict[int, np.ndarray]:
     return grad_cols
 
 
+def filter_valid_prompts(
+    records: Iterable[ExecutionRecord],
+    configs: Mapping[str, DatasetPromptConfig],
+) -> list[ExecutionRecord]:
+    """Drop records whose prompt variant has an empty question form; those
+    variants cannot be issued to every model family, so they are removed
+    for all models. The reference for the variant filter inside
+    ``QueryGrid.build``."""
+    valid_by_ds = {ds: valid_variant_ids(cfg) for ds, cfg in configs.items()}
+    kept = []
+    for rec in records:
+        if rec.dataset_id not in valid_by_ds:
+            raise IntegrityError(
+                f"record references dataset {rec.dataset_id!r} with no prompt config"
+            )
+        if rec.prompt_variant_id in valid_by_ds[rec.dataset_id]:
+            kept.append(rec)
+    return kept
+
+
 def object_records(path) -> list[ExecutionRecord]:
     """``records.jsonl`` read one ``ExecutionRecord.from_dict`` row at a
     time; the reference the block-wise columnar reader is checked against."""
-    return list(_read_rows(path, ExecutionRecord.from_dict))
+    rows = []
+    for lineno, row in read_numbered_jsonl(path):
+        try:
+            rows.append(ExecutionRecord.from_dict(row))
+        except KeyError as exc:
+            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+    return rows
 
 
 def _check_record(rec, sample) -> None:

@@ -293,7 +293,7 @@ def test_voting_accuracy_micro():
 
 def test_voting_accuracy_matches_per_pair_oracle(small_keyword_world):
     world = small_keyword_world
-    from taskrouter.routerdata import filter_valid_prompts
+    from oracles import filter_valid_prompts
 
     valid = filter_valid_prompts(world.records, world.prompt_configs)
     samples = world.sample_index()

@@ -281,6 +281,56 @@ def test_cut_world_json_names_the_file(world_dir, tmp_path, capsys):
     assert "world.json" in record["message"]
 
 
+@pytest.mark.parametrize("name, id_field", [("datasets.jsonl", "dataset_id"),
+                                           ("metadata.jsonl", "sample_id")])
+def test_repeated_id_in_a_world_file_names_file_and_line(name, id_field, world_dir, tmp_path,
+                                                         capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    path = world / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + lines[0])  # a later copy must not win silently
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"] == "IntegrityError"
+    assert f"{name}:{len(lines) + 1}: repeats {id_field}" in record["message"]
+
+
+def test_router_that_needs_absent_metadata_names_the_sample(world_dir, tmp_path, capsys):
+    import shutil
+
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    path = world / "metadata.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    dropped = json.loads(lines[3])["sample_id"]
+    path.write_text("".join(lines[:3] + lines[4:]))
+    models = json.loads((world / "world.json").read_text())["model_pool"]
+    feats = FeaturizerConfig(hash_dim=64)
+    router = tmp_path / "router.bin"
+    RouterModel(tuple(sorted(models)), feats, SerializationFlags(True, True), 0,
+                np.zeros((len(models), feats.hash_dim)), np.zeros(len(models))).save(router)
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world), "--router", str(router)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert f"sample {dropped} has none" in record["message"]
+
+
 @pytest.mark.parametrize("case, error", [
     ("ngram_orders", "ValueError"),
     ("config_list", "InvalidInputError"),

@@ -58,7 +58,7 @@ class TestRunLodo:
     def test_transferable_world_beats_average(self, paired_world):
         from taskrouter.baselines import average_baseline
         from taskrouter.core import aggregate_accuracy
-        from taskrouter.routerdata import filter_valid_prompts
+        from oracles import filter_valid_prompts
 
         world = paired_world
         result = run_lodo(world, flags=SerializationFlags(True, False),
@@ -185,11 +185,12 @@ class TestRunLodo:
 
         flags = SerializationFlags(True, False)
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
-        strays = list({ex.provenance[1]: ex for ex in corpus}.values())  # one per dataset
+        # one corpus position per dataset
+        strays = list({ex.provenance[1]: i for i, ex in enumerate(corpus)}.values())
         real = harness.split_80_10_10
 
-        def leaky(examples, seed):
-            train, validate, test = real(examples, seed)
+        def leaky(positions, seed):
+            train, validate, test = real(positions, seed)
             return train + strays, validate, test
 
         monkeypatch.setattr(harness, "split_80_10_10", leaky)
@@ -281,6 +282,32 @@ class TestAblation:
         )
         values = list(ind.values())
         assert sum(values) / len(values) >= 0.9
+
+    def test_run_in_distribution_replays_the_test_split(self):
+        # the test split's rows, found by provenance, routed from their corpus
+        # lines; a world without signal leaves the router short of perfect
+        from taskrouter import split_80_10_10, train_router
+
+        world = generate_world(WorldSpec(
+            n_datasets=2, samples_per_dataset=40, options_range=(3, 3),
+            competence={"x": (0.7, 0.4), "y": (0.4, 0.7), "z": (0.5, 0.5)},
+            signal_mode="none", seed=5,
+        ))
+        flags = SerializationFlags(True, True)
+        got = run_in_distribution(world, flags=flags, train_config=FAST_TRAIN,
+                                  featurizer=FAST_FEATS, seed=3)
+        grid = QueryGrid.build(world)
+        train, validate, test = split_80_10_10(build_router_dataset(grid, flags), seed=3)
+        model = train_router(train, validate, config=replace(FAST_TRAIN, seed=3), flags=flags,
+                             featurizer=FAST_FEATS, vocabulary=grid.models)
+        row = {(s.sample_id, ds, v.variant_id): i for i, (ds, s, v) in enumerate(grid.queries)}
+        hits = {}
+        for ex in test:
+            choice = grid.models.index(model.route_text(ex.serialized_input))
+            hit = bool(grid.correct[row[ex.provenance], choice])
+            hits.setdefault(ex.provenance[1], []).append(hit)
+        assert got == {ds: sum(v) / len(v) for ds, v in sorted(hits.items())}
+        assert min(got.values()) < 1.0
 
 
 class TestHeatmap:

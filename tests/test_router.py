@@ -493,7 +493,7 @@ class TestEvaluateRouter:
         grid = QueryGrid.build(world)
         replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
         from taskrouter.core import aggregate_accuracy
-        from taskrouter.routerdata import filter_valid_prompts
+        from oracles import filter_valid_prompts
 
         table = aggregate_accuracy(
             filter_valid_prompts(world.records, world.prompt_configs),
@@ -597,7 +597,7 @@ class TestEvaluateRouter:
             grid = QueryGrid.build(world)
             replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
             for ds, acc in replay.items():
-                from taskrouter.routerdata import filter_valid_prompts
+                from oracles import filter_valid_prompts
 
                 valid = filter_valid_prompts(world.records, world.prompt_configs)
                 ub = upper_bound_accuracy(

@@ -4,6 +4,7 @@ construction, and splitting."""
 import json
 import random
 
+import numpy as np
 import pytest
 
 from taskrouter import (
@@ -16,7 +17,6 @@ from taskrouter import (
     SerializationFlags,
     build_router_dataset,
     builtin_prompt_configs,
-    filter_valid_prompts,
     parse_example,
     select_best_model,
     serialize_example,
@@ -24,14 +24,18 @@ from taskrouter import (
     split_80_10_10,
 )
 from taskrouter.core import ExecutionRecord
+from taskrouter.prompts import render, rendered_options
+from taskrouter.router import FeaturizerConfig, RouterModel, route_rows
 from taskrouter.routerdata import (
     ALL_FLAG_COMBOS,
     load_corpus,
+    router_inputs,
     save_corpus,
 )
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import make_micro_world
+from oracles import filter_valid_prompts
 
 # Golden record for the serialization format, frozen byte for byte. Note:
 # no closing bracket after the options list; the [SEP] marker terminates it.
@@ -324,9 +328,8 @@ class TestBuildRouterDataset:
         flags = SerializationFlags(True, True)
         examples = build_router_dataset(QueryGrid.build(world), flags)
         from taskrouter.core import aggregate_accuracy
-        from taskrouter.routerdata import filter_valid_prompts as fvp
 
-        valid = fvp(world.records, world.prompt_configs)
+        valid = filter_valid_prompts(world.records, world.prompt_configs)
         table = aggregate_accuracy(valid, world.sample_index())
         by_group = {}
         for rec in valid:
@@ -367,6 +370,41 @@ class TestBuildRouterDataset:
         with pytest.raises(CoverageError) as err:
             build_router_dataset(QueryGrid.build(world, records), SerializationFlags(True, True))
         assert err.value.gaps == [("micro", "s0", "q1-o0", ("beta",))]
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_COMBOS, ids=lambda flags: flags.tag)
+def test_corpus_and_routing_share_one_input_per_row(small_keyword_world, flags):
+    world = small_keyword_world
+    grid = QueryGrid.build(world)
+    rows = np.flatnonzero(grid.covered.any(axis=1))
+    inputs = router_inputs(grid, rows, flags)
+    # corpus position k is covered row k, which is what LODO folds index by
+    assert [ex.serialized_input for ex in build_router_dataset(grid, flags)] == inputs
+    feats = FeaturizerConfig(hash_dim=256)
+    rng = np.random.default_rng(3)
+    router = RouterModel(grid.models, feats, flags, 0,
+                         rng.normal(size=(len(grid.models), feats.hash_dim)),
+                         rng.normal(size=len(grid.models)))
+    assert route_rows(router, grid, rows) == router.route_batch(inputs)
+    for i, text in zip(rows.tolist(), inputs):
+        ds_id, sample, variant = grid.queries[i]
+        config = world.prompt_configs[ds_id]
+        metadata = world.metadata[sample.sample_id]
+        prompt = render(variant.question, sample, config)
+        options = rendered_options(sample, config, variant)
+        # whatever the flags leave out is passed anyway, and ignored
+        assert text == serialize_input(metadata, prompt, options, flags)
+        assert router.route(metadata, prompt, options) == router.route_text(text)
+
+
+def test_router_inputs_name_a_sample_without_metadata():
+    world = make_micro_world(n_samples=2)
+    del world.metadata["s1"]
+    grid = QueryGrid.build(world)
+    rows = np.flatnonzero(grid.covered.any(axis=1))
+    assert len(router_inputs(grid, rows, SerializationFlags(False, True))) == len(rows)
+    with pytest.raises(InvalidInputError, match="sample s1 has none"):
+        router_inputs(grid, rows, SerializationFlags(True, False))
 
 
 class TestSplit:

@@ -16,17 +16,22 @@ def test_no_invariant_is_guarded_by_assert():
     assert asserts == []
 
 
+def _call_name(call: ast.Call) -> str | None:
+    """The called function's name: ``f`` in ``f(...)`` and ``x.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     """A ``write_text``/``write_bytes`` call, or an ``open`` whose mode may
     write, append or create (a mode that is not a string literal counts)."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _call_name(call)
     if name in ("write_text", "write_bytes"):
         return True
     if name != "open":
         return False
     # open(file, mode) takes the mode second; Path(...).open(mode) first
-    position = 1 if isinstance(func, ast.Name) else 0
+    position = 1 if isinstance(call.func, ast.Name) else 0
     mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
                 call.args[position] if len(call.args) > position else None)
     if mode is None:
@@ -87,11 +92,9 @@ def _calls_in_loops(fn: ast.FunctionDef, names: set[str]) -> list[str]:
                 loop.generators[0].iter)
         skip = {id(node) for node in ast.walk(once)} if once is not None else set()
         for node in ast.walk(loop):
-            if isinstance(node, ast.Call) and id(node) not in skip:
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.append(f"{fn.name}:{node.lineno} {name}")
+            if isinstance(node, ast.Call) and id(node) not in skip \
+                    and _call_name(node) in names:
+                found.append(f"{fn.name}:{node.lineno} {_call_name(node)}")
     return found
 
 
@@ -122,6 +125,26 @@ def test_training_featurizes_each_corpus_in_one_call():
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_grid_rows_become_router_inputs_in_one_place():
+    # a second serializer of grid rows could drift from the corpus lines;
+    # rows go through ``routerdata.router_inputs``, and ``RouterModel.route``
+    # serializes the one query it is given
+    package = Path(taskrouter.__file__).parent
+    serializers = {"render", "rendered_options", "serialize_input"}
+    calls = []
+    for module in ("harness.py", "router.py"):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        allowed = set()
+        if module == "router.py":
+            model = next(node for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef) and node.name == "RouterModel")
+            allowed = {id(node) for node in ast.walk(_function(model, "route"))}
+        calls += [f"{module}:{node.lineno} {_call_name(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and _call_name(node) in serializers]
+    assert calls == []
 
 
 def test_record_paths_build_no_record_objects():
