@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average,
                    write_json)
 from .errors import InvalidInputError
@@ -90,14 +92,20 @@ def upper_bound_accuracy(grid: QueryGrid, dataset_id: str) -> float:
 
 
 def voting_accuracy(grid: QueryGrid, dataset_id: str) -> float:
-    """Accuracy of the modal prediction, per (sample, variant), averaged
-    across prompt variants."""
+    """Accuracy of the modal prediction (``voting_predict``: ties break to
+    the lowest index), per (sample, variant), averaged across prompt
+    variants."""
     grid.require_coverage()
     rows = grid.rows(dataset_id)
-    return grid.variant_mean(rows, [
-        voting_predict(grid.predicted[i].tolist()) == grid.queries[i][1].gold_index
-        for i in rows
-    ])
+    if not len(rows):
+        return grid.variant_mean(rows, [])  # raises: nothing to average
+    votes = grid.predicted[rows]
+    # per cell: how many models of its row predicted the same index
+    count = (votes[:, :, None] == votes[:, None, :]).sum(axis=2)
+    modal = count == count.max(axis=1, keepdims=True)
+    # the cell with the lowest modal index; it is correct iff the vote is
+    pick = np.where(modal, votes, np.iinfo(votes.dtype).max).argmin(axis=1)
+    return grid.variant_mean(rows, grid.correct[rows, pick])
 
 
 @dataclass

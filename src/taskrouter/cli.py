@@ -2,15 +2,16 @@
 
 Subcommands: prompts expand, eval run, routerdata build, router train,
 router route, baselines report, lodo run, ablation run, synth generate.
-Global flags: --config <file> --seed <int> --out <dir>. Exit code 0 on
-success; on failure a machine-readable JSON error record goes to stderr
-and the exit code is nonzero.
+Global flags: --config <file> --seed <int> --out <dir> --log-level <level>.
+Exit code 0 on success; on failure a machine-readable JSON error record
+goes to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +43,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2
+    package_logger = logging.getLogger("taskrouter")
+    handler, level = None, package_logger.level
+    if args.log_level is not None:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        package_logger.addHandler(handler)
+        package_logger.setLevel(args.log_level.upper())
     try:
         args.config_data = _load_config(args.config)
         args.handler(args)
@@ -49,6 +57,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TaskRouterError, OSError, ValueError, TypeError, KeyError) as exc:
         _emit_error(exc)
         return 1
+    finally:
+        if handler is not None:
+            package_logger.removeHandler(handler)
+            package_logger.setLevel(level)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -68,6 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file with defaults")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--log-level", default=None,
+                        choices=["debug", "info", "warning", "error"],
+                        help="print the package's log lines at this level and above "
+                             "to stderr (default: warnings only, unformatted)")
     groups = parser.add_subparsers(dest="group")
 
     # prompts expand

@@ -885,11 +885,12 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
     return (row for _, row in read_numbered_jsonl(path))
 
 
-def _read_keyed(path: str | Path, id_field: str,
-                from_dict: Callable[[dict], _Row]) -> dict[str, _Row]:
+def _read_keyed(path: str | Path, id_field: str, from_dict: Callable[[dict], _Row],
+                check: Callable[[_Row], str | None] | None = None) -> dict[str, _Row]:
     """``from_dict`` of each JSON object in ``path``, keyed by its
-    ``id_field``. A row that lacks a field, or repeats an earlier row's id,
-    raises IntegrityError naming ``path:line``."""
+    ``id_field``. A row that lacks a field, repeats an earlier row's id, or
+    fails ``check`` (which returns a fault or None) raises IntegrityError
+    naming ``path:line``."""
     rows: dict[str, _Row] = {}
     for lineno, row in read_numbered_jsonl(path):
         try:
@@ -898,6 +899,8 @@ def _read_keyed(path: str | Path, id_field: str,
             raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
         if key in rows:
             raise IntegrityError(f"{path}:{lineno}: repeats {id_field} {key!r}")
+        if check is not None and (fault := check(value)) is not None:
+            raise IntegrityError(f"{path}:{lineno}: {fault}")
         rows[key] = value
     return rows
 
@@ -911,7 +914,20 @@ def save_manifests(manifests: Iterable[DatasetManifest], path: str | Path) -> No
 
 
 def load_manifests(path: str | Path) -> list[DatasetManifest]:
-    return list(_read_keyed(path, "dataset_id", DatasetManifest.from_dict).values())
+    """The manifests in ``path``. A sample id used by two datasets raises
+    IntegrityError naming ``path:line``: world metadata is keyed by sample
+    id alone, so the two samples would share one metadata row."""
+    owner: dict[str, str] = {}  # sample id -> the dataset that used it first
+
+    def claim(manifest: DatasetManifest) -> str | None:
+        for sample in manifest.samples:
+            first = owner.setdefault(sample.sample_id, manifest.dataset_id)
+            if first != manifest.dataset_id:
+                return (f"sample_id {sample.sample_id!r} of dataset {manifest.dataset_id!r} "
+                        f"repeats one of dataset {first!r}")
+        return None
+
+    return list(_read_keyed(path, "dataset_id", DatasetManifest.from_dict, claim).values())
 
 
 def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import DatasetManifest, ExecutionRecord, Sample
+from .core import DatasetManifest, ExecutionRecord
 from .errors import BackendError, InvalidInputError
 from .prompts import DatasetPromptConfig, PromptVariant, closed_prompt_set, prompt_variants
 
@@ -135,8 +135,8 @@ def evaluate(
     normalization: str = "sum",
     max_workers: int = 1,
 ) -> EvaluationRun:
-    """Run one backend over every (sample, variant) of a dataset, one query
-    at a time.
+    """Run one backend over every (sample, variant) of a dataset, in sample
+    order and, per sample, variant order.
 
     Prompts are built via closed_prompt_set, so option order aligns with
     gold_index. A backend failure on a sample skips that record and logs
@@ -145,7 +145,10 @@ def evaluate(
 
     For a ``deterministic`` embedding backend, each image ref and each
     distinct prompt list is embedded once per call; only results are kept,
-    so a failed call is made again for the next variant.
+    so a failed call is made again for the next variant. A generative
+    backend gets every query of the call at once when it has
+    ``option_token_logprobs_many`` (the wire client), and one query at a
+    time otherwise.
     """
     if max_workers != 1:
         raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
@@ -156,52 +159,96 @@ def evaluate(
         raise InvalidInputError(f"backend {info.name} does not implement generative ops")
 
     chosen = list(variants) if variants is not None else prompt_variants(config)
-    memo = {} if info.deterministic else None
+    queries = [(sample, variant) for sample in manifest.samples for variant in chosen]
+    if info.family == EMBEDDING:
+        outcomes = _embedding_outcomes(backend, info, config, queries)
+    else:
+        outcomes = _generative_outcomes(backend, info, config, queries, normalization)
     run = EvaluationRun(records=[])
-    for sample in manifest.samples:
-        for variant in chosen:
-            try:
-                prompts = closed_prompt_set(sample, config, variant)
-                outcome = _predict(backend, info, sample, prompts, normalization, memo)
-            except Exception as exc:  # noqa: BLE001 - backend failures are data
-                logger.warning(
-                    "backend %s failed on sample %s (%s): %s",
-                    info.name, sample.sample_id, variant.variant_id, exc,
-                )
-                run.skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(exc)))
-                continue
-            run.records.append(
-                ExecutionRecord(
-                    sample_id=sample.sample_id,
-                    dataset_id=manifest.dataset_id,
-                    model_id=info.name,
-                    prompt_variant_id=variant.variant_id,
-                    predicted_index=outcome.predicted_index,
-                    correct=outcome.predicted_index == sample.gold_index,
-                )
+    for (sample, variant), outcome in zip(queries, outcomes):
+        if isinstance(outcome, Exception):  # backend failures are data
+            logger.warning(
+                "backend %s failed on sample %s (%s): %s",
+                info.name, sample.sample_id, variant.variant_id, outcome,
             )
+            run.skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(outcome)))
+            continue
+        run.records.append(
+            ExecutionRecord(
+                sample_id=sample.sample_id,
+                dataset_id=manifest.dataset_id,
+                model_id=info.name,
+                prompt_variant_id=variant.variant_id,
+                predicted_index=outcome.predicted_index,
+                correct=outcome.predicted_index == sample.gold_index,
+            )
+        )
     if run.skipped:
         logger.warning(
             "backend %s on %s: %d of %d evaluations skipped",
-            info.name, manifest.dataset_id, run.skip_count,
-            len(manifest.samples) * len(chosen),
+            info.name, manifest.dataset_id, run.skip_count, len(queries),
         )
     return run
 
 
-def _predict(backend, info: BackendInfo, sample: Sample, prompts, normalization,
-             memo: dict | None):
-    if info.family == EMBEDDING:
-        v = _reuse(memo, ("img", sample.image_ref), backend.embed_image, sample.image_ref)
-        m = _reuse(memo, ("txt", tuple(prompts)), backend.embed_texts, prompts)
-        return predict_contrastive(v, m)
-    lps = backend.option_token_logprobs(sample.image_ref, prompts)
-    if len(lps) != len(prompts):
-        raise BackendError(
-            f"backend {info.name} returned {len(lps)} logprob lists for "
-            f"{len(prompts)} prompts"
-        )
-    return predict_generative(lps, normalization)
+def _embedding_outcomes(backend, info: BackendInfo, config, queries):
+    """The prediction, or the exception that stopped it, of each query in
+    turn; each query's backend calls are made as it is reached."""
+    memo = {} if info.deterministic else None
+    for sample, variant in queries:
+        try:
+            prompts = closed_prompt_set(sample, config, variant)
+            v = _reuse(memo, ("img", sample.image_ref), backend.embed_image, sample.image_ref)
+            m = _reuse(memo, ("txt", tuple(prompts)), backend.embed_texts, prompts)
+            yield predict_contrastive(v, m)
+        except Exception as exc:  # noqa: BLE001
+            yield exc
+
+
+def _generative_outcomes(backend, info: BackendInfo, config, queries, normalization):
+    """The prediction, or the exception that stopped it, of each query: all
+    prompts are rendered first, and every rendered query goes to the
+    backend in one ``_logprobs_many`` call."""
+    rendered = []  # the query's prompts, or the exception rendering raised
+    for sample, variant in queries:
+        try:
+            rendered.append(closed_prompt_set(sample, config, variant))
+        except Exception as exc:  # noqa: BLE001
+            rendered.append(exc)
+    answers = iter(_logprobs_many(backend, [
+        (sample.image_ref, prompts) for (sample, _), prompts in zip(queries, rendered)
+        if not isinstance(prompts, Exception)
+    ]))
+    for prompts in rendered:
+        lps = prompts if isinstance(prompts, Exception) else next(answers)
+        if isinstance(lps, Exception):
+            yield lps
+            continue
+        try:
+            if len(lps) != len(prompts):
+                raise BackendError(
+                    f"backend {info.name} returned {len(lps)} logprob lists for "
+                    f"{len(prompts)} prompts"
+                )
+            yield predict_generative(lps, normalization)
+        except Exception as exc:  # noqa: BLE001
+            yield exc
+
+
+def _logprobs_many(backend, jobs: list[tuple[str, Sequence[str]]]) -> list:
+    """``option_token_logprobs`` of each ``(image_ref, prompts)`` job, or the
+    exception it raised, in job order: through the backend's
+    ``option_token_logprobs_many`` when it has one, else job by job."""
+    many = getattr(backend, "option_token_logprobs_many", None)
+    if many is not None:
+        return many(jobs)
+    out = []
+    for image_ref, prompts in jobs:
+        try:
+            out.append(backend.option_token_logprobs(image_ref, prompts))
+        except Exception as exc:  # noqa: BLE001
+            out.append(exc)
+    return out
 
 
 def _reuse(memo: dict | None, key, call, arg):

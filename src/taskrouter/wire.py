@@ -6,17 +6,28 @@ Each message is one JSON object per line. Requests:
     {"op": "embed_image", "image_ref": "..."}
     {"op": "embed_texts", "prompts": ["...", ...]}
     {"op": "logprobs", "image_ref": "...", "prompts": ["...", ...]}
+    {"op": "batch", "jobs": [<request>, ...]}
     {"op": "shutdown"}
 
 Responses carry {"ok": true, "result": ...} with arrays of reals, or
 {"ok": false, "error": "..."}. The ``info`` result holds ``name`` (a
 string), ``family`` (``embedding`` or ``generative``) and, optionally,
-``deterministic`` (a bool, false when absent). The client waits at most
-``REPLY_TIMEOUT_S`` for each reply. The module can also serve the builtin
-mock backends on stdio: ``python -m taskrouter.wire --kind seeded --family
-embedding --world <dir>``.
-"""
+``deterministic`` (a bool, false when absent) and ``max_batch`` (a positive
+int, 1 when absent).
 
+A ``batch`` is answered with one line whose result holds one reply per job,
+in order: each the object that job would get if sent alone, so one failing
+job does not fail the others. ``batch``, ``info`` and ``shutdown`` cannot
+be jobs. A client sends at most ``max_batch`` jobs per batch, and none to a
+server that advertises no ``max_batch``.
+
+The client waits at most ``REPLY_TIMEOUT_S`` for each request to be taken
+and its reply line to come, a whole batch included, so a server picks its
+``max_batch`` to answer that many jobs well inside that deadline. The
+module can also serve the builtin mock backends on stdio: ``python -m
+taskrouter.wire --kind seeded --family embedding --world <dir>``; it
+advertises ``MAX_BATCH``.
+"""
 from __future__ import annotations
 
 import argparse
@@ -37,6 +48,7 @@ from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend
 
 REPLY_TIMEOUT_S = 60.0  # longest wait for one reply, server start-up included
 CLOSE_TIMEOUT_S = 10.0  # longest wait for a server to exit after shutdown
+MAX_BATCH = 256  # jobs per batch the builtin server advertises; 1024 was no faster
 
 
 def serve_backend(backend, rin: IO[str], rout: IO[str]) -> None:
@@ -47,30 +59,46 @@ def serve_backend(backend, rin: IO[str], rout: IO[str]) -> None:
             continue
         try:
             req = json.loads(line)
-            op = req["op"]
-            if op == "shutdown":
-                _reply(rout, {"ok": True, "result": None})
-                return
-            if op == "info":
-                info: BackendInfo = backend.info
-                result = {
-                    "name": info.name,
-                    "family": info.family,
-                    "deterministic": info.deterministic,
-                }
-            elif op == "embed_image":
-                result = [float(x) for x in backend.embed_image(req["image_ref"])]
-            elif op == "embed_texts":
-                mat = backend.embed_texts(req["prompts"])
-                result = [[float(x) for x in row] for row in mat]
-            elif op == "logprobs":
-                lps = backend.option_token_logprobs(req["image_ref"], req["prompts"])
-                result = [[float(x) for x in row] for row in lps]
-            else:
-                raise BackendError(f"unknown op {op!r}")
-            _reply(rout, {"ok": True, "result": result})
-        except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
+        except ValueError as exc:
             _reply(rout, {"ok": False, "error": str(exc)})
+            continue
+        if isinstance(req, dict) and req.get("op") == "shutdown":
+            _reply(rout, {"ok": True, "result": None})
+            return
+        _reply(rout, _answer(backend, req))
+
+
+def _answer(backend, req, in_batch: bool = False) -> dict:
+    """The reply object to one request (a job, when ``in_batch``)."""
+    try:
+        op = req["op"]
+        if op in ("batch", "info", "shutdown") and in_batch:
+            raise BackendError(f"op {op!r} cannot be a batch job")
+        if op == "logprobs":
+            lps = backend.option_token_logprobs(req["image_ref"], req["prompts"])
+            result = [[float(x) for x in row] for row in lps]
+        elif op == "embed_image":
+            result = [float(x) for x in backend.embed_image(req["image_ref"])]
+        elif op == "embed_texts":
+            mat = backend.embed_texts(req["prompts"])
+            result = [[float(x) for x in row] for row in mat]
+        elif op == "batch":
+            if not isinstance(req["jobs"], list):
+                raise BackendError("batch field 'jobs' must be a list")
+            result = [_answer(backend, job, in_batch=True) for job in req["jobs"]]
+        elif op == "info":
+            info: BackendInfo = backend.info
+            result = {
+                "name": info.name,
+                "family": info.family,
+                "deterministic": info.deterministic,
+                "max_batch": MAX_BATCH,
+            }
+        else:
+            raise BackendError(f"unknown op {op!r}")
+    except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
+        return {"ok": False, "error": str(exc)}
+    return {"ok": True, "result": result}
 
 
 def _reply(rout: IO[str], payload: dict) -> None:
@@ -82,49 +110,65 @@ class WireBackendClient:
     """Client side of the wire protocol; usable wherever an in-process
     backend is. Not safe for concurrent calls (one request in flight).
 
-    A reply that does not come within ``REPLY_TIMEOUT_S``, a closed channel
-    or a line that is not a reply object raises ``BackendError`` and breaks
-    the channel: every later call raises too, because a late or extra line
-    would be taken as the reply to the next request."""
+    A request the server does not take, or a reply that does not come,
+    within ``REPLY_TIMEOUT_S``, a closed channel or a line that is not a
+    reply object raises ``BackendError`` and breaks the channel: every later
+    call raises too, because a late or extra line would be taken as the
+    reply to the next request."""
 
     def __init__(self, rin: IO[str], rout: IO[str]):
-        # replies are read from the descriptor with os.read, never through
-        # ``rin``: a reply held in its buffer would not wake poll()
+        # both ends are used through their descriptors, never through the
+        # file objects: a reply held in ``rin``'s buffer would not wake
+        # poll(), and a blocking write to a server that stopped reading
+        # would wait without bound
         self._rin = rin
         self._rout = rout
         self._fd = rin.fileno()
+        self._out_fd = rout.fileno()
+        os.set_blocking(self._out_fd, False)
         self._poll = select.poll()
         self._poll.register(self._fd, select.POLLIN)
+        self._out_poll = select.poll()
+        self._out_poll.register(self._out_fd, select.POLLOUT)
         self._pending = bytearray()  # bytes received after the last reply line
         self._broken: str | None = None
-        self.info = _parse_info(self._call({"op": "info"}))
+        self.info, self._max_batch = _parse_info(self._call({"op": "info"}))
 
     def _call(self, req: dict):
         if self._broken is not None:
             raise BackendError(self._broken)
-        try:
-            self._rout.write(json.dumps(req, sort_keys=True) + "\n")
-            self._rout.flush()
-        except OSError as exc:
-            raise self._break(f"wire backend closed the channel ({exc})") from exc
-        line = self._read_line()
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        self._send((json.dumps(req, sort_keys=True) + "\n").encode("utf-8"), deadline)
+        line = self._read_line(deadline)
         try:
             resp = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise self._break(f"malformed wire response: {exc}") from exc
-        if not isinstance(resp, dict) or "ok" not in resp:
+        if not _is_reply(resp):
             raise self._break(f"malformed wire response: {bytes(line[:200])!r}")
         if resp["ok"] is not True:
-            raise BackendError(str(resp.get("error", "wire backend error")))
-        if "result" not in resp:
-            raise self._break("malformed wire response: no result")
+            raise _error(resp)
         return resp["result"]
 
-    def _read_line(self) -> bytearray:
-        deadline = time.monotonic() + REPLY_TIMEOUT_S
-        while (end := self._pending.find(b"\n")) < 0:
-            wait_ms = max(0, round((deadline - time.monotonic()) * 1000))
-            if not self._poll.poll(wait_ms):
+    def _send(self, data: bytes, deadline: float) -> None:
+        view = memoryview(data)
+        while True:
+            try:
+                view = view[os.write(self._out_fd, view):]
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                raise self._break(f"wire backend closed the channel ({exc})") from exc
+            if not view:
+                return
+            if not self._out_poll.poll(_wait_ms(deadline)):
+                raise self._break(f"wire backend took no request within {REPLY_TIMEOUT_S} s")
+
+    def _read_line(self, deadline: float) -> bytearray:
+        scanned = 0  # no newline before this offset
+        while (end := self._pending.find(b"\n", scanned)) < 0:
+            scanned = len(self._pending)
+            if not self._poll.poll(_wait_ms(deadline)):
                 raise self._break(f"wire backend sent no reply within {REPLY_TIMEOUT_S} s")
             chunk = os.read(self._fd, 1 << 16)
             if not chunk:
@@ -152,6 +196,32 @@ class WireBackendClient:
             {"op": "logprobs", "image_ref": image_ref, "prompts": list(prompts)}
         )
 
+    def option_token_logprobs_many(self, jobs: Sequence[tuple[str, Sequence[str]]]) -> list:
+        """``option_token_logprobs`` of each ``(image_ref, prompts)`` job, or
+        the ``BackendError`` it failed with, in job order. Jobs go
+        ``max_batch`` to a ``batch`` line, or one to a plain ``logprobs``
+        line when the server advertises no ``max_batch``. When the channel
+        breaks, every job of the batch in flight and after it fails."""
+        reqs = [{"op": "logprobs", "image_ref": ref, "prompts": list(prompts)}
+                for ref, prompts in jobs]
+        size = self._max_batch
+        out = []
+        for start in range(0, len(reqs), size):
+            chunk = reqs[start:start + size]
+            try:
+                out.extend(self._batch(chunk) if size > 1 else [self._call(chunk[0])])
+            except BackendError as exc:
+                out.extend([exc] * len(chunk))
+        return out
+
+    def _batch(self, reqs: list[dict]) -> list:
+        replies = self._call({"op": "batch", "jobs": reqs})
+        if not (isinstance(replies, list) and len(replies) == len(reqs)
+                and all(_is_reply(r) for r in replies)):
+            raise self._break(f"malformed wire response: a batch of {len(reqs)} jobs "
+                              f"answered with {str(replies)[:200]}")
+        return [r["result"] if r["ok"] is True else _error(r) for r in replies]
+
     def shutdown(self) -> None:
         try:
             self._call({"op": "shutdown"})
@@ -159,8 +229,21 @@ class WireBackendClient:
             pass
 
 
-def _parse_info(d) -> BackendInfo:
-    """The ``info`` reply, checked field by field."""
+def _wait_ms(deadline: float) -> int:
+    return max(0, round((deadline - time.monotonic()) * 1000))
+
+
+def _is_reply(obj) -> bool:
+    """A reply object: ``ok`` true with a ``result``, or ``ok`` not true."""
+    return isinstance(obj, dict) and "ok" in obj and (obj["ok"] is not True or "result" in obj)
+
+
+def _error(reply: dict) -> BackendError:
+    return BackendError(str(reply.get("error", "wire backend error")))
+
+
+def _parse_info(d) -> tuple[BackendInfo, int]:
+    """The ``info`` reply, checked field by field, and its ``max_batch``."""
     if not isinstance(d, dict):
         raise BackendError(f"info reply must be an object, got {d!r}")
     if not isinstance(d.get("name"), str):
@@ -172,7 +255,12 @@ def _parse_info(d) -> BackendInfo:
     if not isinstance(deterministic, bool):
         raise BackendError(
             f"info field 'deterministic' must be true or false, got {deterministic!r}")
-    return BackendInfo(name=d["name"], family=d["family"], deterministic=deterministic)
+    max_batch = d.get("max_batch", 1)
+    if type(max_batch) is not int or max_batch < 1:
+        raise BackendError(
+            f"info field 'max_batch' must be a positive integer, got {max_batch!r}")
+    info = BackendInfo(name=d["name"], family=d["family"], deterministic=deterministic)
+    return info, max_batch
 
 
 class SubprocessBackend(WireBackendClient):

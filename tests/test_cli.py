@@ -113,6 +113,25 @@ def test_router_train_and_route(world_dir, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "m0"
 
 
+def test_log_level_shows_the_package_info_lines(world_dir, tmp_path, capsys):
+    args = ["router", "train", "--world", str(world_dir), *FAST]
+    assert main(["--out", str(tmp_path / "quiet"), *args]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--log-level", "info", "--out", str(tmp_path / "loud"), *args]) == 0
+    err = capsys.readouterr().err
+    assert "INFO taskrouter.router: step 200: validation label accuracy" in err
+    # the level and the handler last only for the call
+    assert main(["--out", str(tmp_path / "quiet"), *args]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bad_log_level_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "loud", "synth", "generate", "--spec", "x.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'loud'" in capsys.readouterr().err
+
+
 def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkeypatch):
     from taskrouter import (QueryGrid, SerializationFlags, build_router_dataset, load_world,
                             router, split_80_10_10)
@@ -300,6 +319,29 @@ def test_repeated_id_in_a_world_file_names_file_and_line(name, id_field, world_d
     record = json.loads(err.strip())
     assert record["error"] == "IntegrityError"
     assert f"{name}:{len(lines) + 1}: repeats {id_field}" in record["message"]
+
+
+def test_sample_id_shared_by_two_datasets_names_both(world_dir, tmp_path, capsys):
+    # world metadata is keyed by sample id, so the two samples would share a row
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    path = world / "datasets.jsonl"
+    first, second, *rest = [json.loads(line) for line in path.read_text().splitlines()]
+    taken = first["samples"][0]["sample_id"]
+    second["samples"][3]["sample_id"] = taken
+    path.write_text("".join(json.dumps(m) + "\n" for m in [first, second, *rest]))
+    code = main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"] == "IntegrityError"
+    assert record["message"] == (
+        f"{path}:2: sample_id {taken!r} of dataset {second['dataset_id']!r} "
+        f"repeats one of dataset {first['dataset_id']!r}")
 
 
 def test_router_that_needs_absent_metadata_names_the_sample(world_dir, tmp_path, capsys):

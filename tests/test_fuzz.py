@@ -15,8 +15,12 @@ from hypothesis import strategies as st
 from oracles import line_features, object_records
 
 import taskrouter.router as router_module
-from taskrouter import ExecutionRecord, InvalidInputError, TaskRouterError, World, parse_example
-from taskrouter.core import Records, load_world, read_jsonl, save_records, save_world, write_jsonl
+from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, Sample,
+                        TaskRouterError, World, parse_example)
+from taskrouter.baselines import voting_accuracy, voting_predict
+from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_records,
+                             save_world, write_jsonl)
+from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
 from taskrouter.routerdata import load_corpus
 
@@ -295,3 +299,41 @@ def test_batched_featurizer_rejects_what_featurize_rejects(bad, error):
         featurize_batch(["fine", bad], FeaturizerConfig())
     with pytest.raises(error):
         featurize(bad, FeaturizerConfig())
+
+
+@st.composite
+def vote_grids(draw):
+    """(options, golds per sample, votes per (sample, variant) row): rows of
+    2 question forms by 2-5 models, many of them forced ties."""
+    options = draw(st.integers(2, 6))
+    models = draw(st.integers(2, 5))
+    samples = draw(st.integers(1, 6))
+    index = st.integers(0, options - 1)
+    tie = st.tuples(index, index).map(lambda ab: [ab[0], ab[1]] * models)
+    row = st.lists(index, min_size=models, max_size=models) | tie.flatmap(
+        lambda pairs: st.permutations(pairs[:models]))
+    golds = draw(st.lists(index, min_size=samples, max_size=samples))
+    return options, golds, draw(st.lists(row, min_size=2 * samples, max_size=2 * samples))
+
+
+@given(vote_grids())
+@example((3, [2], [[1, 2, 2, 1], [0, 1, 2, 2]]))  # two-way tie, then a lone pair
+@settings(max_examples=200, deadline=None)
+def test_voting_accuracy_equals_per_row_voting_predict(grid_spec):
+    options, golds, votes = grid_spec
+    classes = tuple(f"c{k}" for k in range(options))
+    config = DatasetPromptConfig("d", (PromptTemplate("Q? "), PromptTemplate("Pick: ")),
+                                 (PromptTemplate("{class_name}"),), classes)
+    samples = tuple(Sample(f"s{i}", "d", f"d/s{i}", {}, classes, gold)
+                    for i, gold in enumerate(golds))
+    models = [f"m{j}" for j in range(len(votes[0]))]
+    variants = prompt_variants(config)
+    queries = [(s, v) for s in samples for v in variants]
+    records = [ExecutionRecord(s.sample_id, "d", m, v.variant_id, pick, pick == s.gold_index)
+               for (s, v), row in zip(queries, votes) for m, pick in zip(models, row)]
+    world = World({"d": DatasetManifest("d", "recognition", samples, "d")}, {"d": config}, {},
+                  records, models)
+    grid = QueryGrid.build(world)
+    rows = grid.rows("d")
+    hits = [voting_predict(row) == s.gold_index for (s, _), row in zip(queries, votes)]
+    assert voting_accuracy(grid, "d") == grid.variant_mean(rows, hits)

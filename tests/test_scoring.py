@@ -21,7 +21,7 @@ from taskrouter.scoring import (
     gold_index_by_ref,
 )
 from taskrouter.core import aggregate_accuracy
-from taskrouter.prompts import closed_prompt_set, prompt_variants
+from taskrouter.prompts import PromptTemplate, closed_prompt_set, prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
 from oracles import FlakyBackend
 
@@ -294,3 +294,77 @@ class TestEvaluateMemo:
         assert counting.images["micro/s0"] == counting.images["micro/s3"] == 2
         assert counting.images["micro/s1"] == 1
         assert all(r.correct for r in run.records) and len(run.records) == 8
+
+
+class _RecordingLogprobBackend:
+    """A generative backend that logs every call it gets, in order."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.info = inner.info
+        self.calls = []
+
+    def option_token_logprobs(self, image_ref, prompts):
+        self.calls.append((image_ref, tuple(prompts)))
+        return self._inner.option_token_logprobs(image_ref, prompts)
+
+
+class TestEvaluateGenerative:
+    """Generative queries are rendered first and handed to the backend
+    together; an in-process backend still gets one call per query, in
+    sample-major order, and every failure skips only its own query."""
+
+    def _world(self):
+        # the first question form needs a context key that sample s2 lacks
+        world = make_micro_world(n_samples=6, models=("only",))
+        config = world.prompt_configs["micro"]
+        config = dataclasses.replace(
+            config, question_forms=(PromptTemplate("At {place}: "),) + config.question_forms[1:],
+            context_keys=("place",))
+        manifest = world.datasets["micro"]
+        samples = tuple(dataclasses.replace(s, context={} if s.sample_id == "s2" else
+                                            {"place": "home"}) for s in manifest.samples)
+        return dataclasses.replace(manifest, samples=samples), config
+
+    def test_calls_records_and_skips_keep_query_order(self, caplog):
+        manifest, config = self._world()
+        seeded = SeededLogprobBackend(seed=6, name="only")
+        backend = _RecordingLogprobBackend(FlakyBackend(seeded, failing_refs={"micro/s4"}))
+        with caplog.at_level("WARNING"):
+            run = evaluate(backend, manifest, config, normalization="mean")
+        variants = prompt_variants(config)
+        queries = [(s, v) for s in manifest.samples for v in variants]
+        rendered = [(s, v) for s, v in queries if s.sample_id != "s2" or v.question_index]
+        assert backend.calls == [(s.image_ref, tuple(closed_prompt_set(s, config, v)))
+                                 for s, v in rendered]
+        assert [(n.sample_id, n.prompt_variant_id) for n in run.skipped] == [
+            (s.sample_id, v.variant_id) for s, v in queries
+            if (s, v) not in rendered or s.sample_id == "s4"]
+        assert run.skipped[0].error == "sample s2 has no context key 'place'"
+        assert run.skipped[1].error == "simulated failure for micro/s4"
+        scored = [(s, v) for s, v in rendered if s.sample_id != "s4"]
+        assert [(r.sample_id, r.prompt_variant_id) for r in run.records] == [
+            (s.sample_id, v.variant_id) for s, v in scored]
+        for record, (sample, variant) in zip(run.records, scored):
+            lps = seeded.option_token_logprobs(sample.image_ref,
+                                               closed_prompt_set(sample, config, variant))
+            assert record.predicted_index == predict_generative(lps, "mean").predicted_index
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings[:3] == [
+            f"backend only failed on sample {n.sample_id} ({n.prompt_variant_id}): {n.error}"
+            for n in run.skipped]
+        assert warnings[3] == "backend only on micro: 3 of 12 evaluations skipped"
+
+    def test_wrong_number_of_logprob_lists_is_a_skip(self):
+        manifest, config = self._world()
+
+        class Short:
+            info = SeededLogprobBackend(name="only").info
+
+            def option_token_logprobs(self, image_ref, prompts):
+                return [[-1.0]] if image_ref == "micro/s0" else [[-1.0]] * len(prompts)
+
+        run = evaluate(Short(), manifest, config)
+        assert {n.error for n in run.skipped if n.sample_id == "s0"} == {
+            "backend only returned 1 logprob lists for 2 prompts"}
+        assert len(run.records) == 12 - 2 - 1  # s0's two variants, s2's first

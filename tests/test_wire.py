@@ -1,6 +1,7 @@
 """Wire protocol: client/server round trips, error propagation, and the
 stdio server subprocess."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,17 +12,19 @@ import numpy as np
 import pytest
 
 from taskrouter import BackendError
-from taskrouter.core import aggregate_accuracy, save_world
+from taskrouter.core import aggregate_accuracy, save_records, save_world
 from taskrouter.scoring import (
     GoldEmbeddingBackend,
     SeededLogprobBackend,
     evaluate,
     gold_index_by_ref,
 )
+from taskrouter.synth import generate_world
 from taskrouter import wire
 from taskrouter.wire import SubprocessBackend, WireBackendClient, serve_backend
+from oracles import FlakyBackend
 
-from conftest import make_micro_world
+from conftest import keyword_world_spec, make_micro_world
 
 
 class _PipePair:
@@ -286,6 +289,10 @@ def test_server_ignoring_shutdown_is_killed(spawned, tmp_path, monkeypatch):
     ({"name": "x", "family": "embedding", "deterministic": "yes"}, "deterministic"),
     ({"name": "x", "family": "embedding", "deterministic": 1}, "deterministic"),
     (["x", "embedding"], "object"),
+    ({"name": "x", "family": "generative", "max_batch": 0}, "max_batch"),
+    ({"name": "x", "family": "generative", "max_batch": -1}, "max_batch"),
+    ({"name": "x", "family": "generative", "max_batch": "2"}, "max_batch"),
+    ({"name": "x", "family": "generative", "max_batch": True}, "max_batch"),
 ])
 def test_info_reply_is_checked_field_by_field(info, field, spawned, tmp_path):
     with pytest.raises(BackendError, match=field):
@@ -299,3 +306,214 @@ def test_info_without_deterministic_makes_no_promise(spawned, tmp_path):
         assert backend.info.deterministic is False
     finally:
         backend.close()
+
+
+# ---------------------------------------------------------------------------
+# The batch op: many generative queries per round trip.
+
+def _run_records(runs, path):
+    save_records([r for run in runs for r in run.records], path)
+    return path.read_bytes()
+
+
+def _evaluate_all(backend, world):
+    return [evaluate(backend, manifest, world.prompt_configs[ds_id])
+            for ds_id, manifest in world.datasets.items()]
+
+
+# Answers ``info`` without ``max_batch`` and plain ``logprobs`` ops like the
+# seeded generative mock; any other op is an error.
+_UNBATCHED_SERVER = """\
+import json, sys
+from taskrouter.scoring import SeededLogprobBackend
+
+backend = SeededLogprobBackend(seed=__SEED__)
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["op"] == "info":
+        reply = {"ok": True, "result": {"name": "seeded-gen", "family": "generative",
+                                        "deterministic": True}}
+    elif req["op"] == "logprobs":
+        lps = backend.option_token_logprobs(req["image_ref"], req["prompts"])
+        reply = {"ok": True, "result": [[float(x) for x in row] for row in lps]}
+    elif req["op"] == "shutdown":
+        break
+    else:
+        reply = {"ok": False, "error": "unknown op " + req["op"]}
+    sys.stdout.write(json.dumps(reply) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_generative_records_are_the_same_in_process_batched_and_unbatched(tmp_path, spawned):
+    # two datasets of 300 queries each: every dataset takes two batches
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=300, seed=5))
+    seed = 3
+    direct = _run_records(_evaluate_all(SeededLogprobBackend(seed=seed), world),
+                          tmp_path / "direct.jsonl")
+    script = tmp_path / "unbatched.py"
+    script.write_text(_UNBATCHED_SERVER.replace("__SEED__", str(seed)))
+    commands = {
+        "batched": [sys.executable, "-m", "taskrouter.wire", "--kind", "seeded",
+                    "--family", "generative", "--seed", str(seed)],
+        "unbatched": [sys.executable, str(script)],
+    }
+    for name, command in commands.items():
+        backend = SubprocessBackend(command)
+        try:
+            assert backend._max_batch == (wire.MAX_BATCH if name == "batched" else 1)
+            runs = _evaluate_all(backend, world)
+        finally:
+            backend.close()
+        assert sum(run.skip_count for run in runs) == 0
+        assert _run_records(runs, tmp_path / f"{name}.jsonl") == direct, name
+    assert len(direct.splitlines()) == 600
+    assert _reaped(spawned)
+
+
+def test_round_trips_are_info_one_batch_per_max_batch_queries_and_shutdown(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_BATCH", 7)
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=10, seed=5))
+    ops = []
+    call = WireBackendClient._call
+
+    def counting(self, req):
+        ops.append(req["op"])
+        return call(self, req)
+
+    monkeypatch.setattr(WireBackendClient, "_call", counting)
+    pair = _PipePair(SeededLogprobBackend(seed=1))
+    try:
+        runs = _evaluate_all(pair.client, world)
+    finally:
+        pair.close()
+    queries = [len(run.records) for run in runs]
+    assert queries == [10, 10]
+    assert ops == ["info"] + ["batch"] * sum(math.ceil(q / 7) for q in queries) + ["shutdown"]
+
+
+def test_one_failing_job_skips_only_its_query(micro_world):
+    manifest, config = micro_world.datasets["micro"], micro_world.prompt_configs["micro"]
+    inner = SeededLogprobBackend(seed=2, name="only")
+    pair = _PipePair(FlakyBackend(inner, failing_refs={"micro/s1"}))
+    try:
+        run = evaluate(pair.client, manifest, config)
+    finally:
+        pair.close()
+    assert [(n.sample_id, n.error) for n in run.skipped] == [
+        ("s1", "simulated failure for micro/s1")]
+    expected = evaluate(inner, manifest, config).records
+    assert run.records == [r for r in expected if r.sample_id != "s1"]
+
+
+_GEN_INFO = {"name": "fake", "family": "generative", "deterministic": True, "max_batch": 2}
+# answer each job of a batch with equal scores for its prompts
+_ANSWER_BATCH = ("reply([{'ok': True, 'result': [[-1.0]] * len(job['prompts'])} "
+                 "for job in json.loads(line)['jobs']])")
+
+
+def test_server_dying_mid_batch_skips_that_batch_and_the_rest(spawned, tmp_path):
+    world = make_micro_world(n_samples=6, models=("only",), with_empty_question=False)
+    manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+    # the first batch is answered; the server dies on the second
+    action = ("if globals().get('answered'): sys.stderr.write('fake model lost\\n'); sys.exit(3)\n"
+              f"        answered = True; {_ANSWER_BATCH}")
+    backend = SubprocessBackend(_fake_server(tmp_path, action=action, info=_GEN_INFO))
+    try:
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    assert [r.sample_id for r in run.records] == ["s0", "s1"]
+    assert [n.sample_id for n in run.skipped] == ["s2", "s3", "s4", "s5"]
+    errors = {n.error for n in run.skipped}
+    assert len(errors) == 1 and "closed the channel" in errors.pop()
+    assert spawned[0].returncode == 3
+
+
+def test_stalled_batch_times_out_and_is_killed_on_close(spawned, tmp_path, monkeypatch):
+    backend = SubprocessBackend(_fake_server(tmp_path, action="time.sleep(600)",
+                                             info=_GEN_INFO))
+    _short_deadlines(monkeypatch)
+    start = time.monotonic()
+    outcomes = backend.option_token_logprobs_many([("a", ["x"]), ("b", ["y"]), ("c", ["z"])])
+    assert len(outcomes) == 3
+    for outcome in outcomes:
+        assert isinstance(outcome, BackendError) and "no reply within" in str(outcome)
+    with pytest.raises(BackendError, match="did not exit"):
+        backend.close()
+    assert time.monotonic() - start < 10
+    assert _reaped(spawned)
+
+
+def test_server_that_stops_reading_fails_a_large_batch_in_bounded_time(spawned, tmp_path,
+                                                                       monkeypatch):
+    # the server answers info, then reads nothing: a batch line larger than
+    # the pipe buffer cannot be written whole
+    script = ("import json, sys, time\n"
+              f"sys.stdout.write(json.dumps({{'ok': True, 'result': {_GEN_INFO!r}}}) + '\\n')\n"
+              "sys.stdout.flush(); time.sleep(600)\n")
+    backend = SubprocessBackend([sys.executable, "-c", script])
+    _short_deadlines(monkeypatch)
+    start = time.monotonic()
+    outcomes = backend.option_token_logprobs_many([("a", ["p" * (1 << 17)])] * 2)
+    assert all(isinstance(o, BackendError) and "took no request within" in str(o)
+               for o in outcomes)
+    with pytest.raises(BackendError, match="did not exit"):
+        backend.close()
+    assert time.monotonic() - start < 10
+    assert _reaped(spawned)
+
+
+@pytest.mark.parametrize("result", ["[{'ok': True, 'result': [[-1.0]]}]",
+                                    "[{'ok': True, 'result': [[-1.0]]}, 7]",
+                                    "[{'ok': True, 'result': [[-1.0]]}, {'ok': True}]",
+                                    "{'ok': True}"])
+def test_malformed_batch_reply_breaks_the_channel(result, spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(tmp_path, action=f"reply({result})",
+                                             info=_GEN_INFO))
+    jobs = [("a", ["x"]), ("b", ["y"])]
+    for _ in range(2):  # broken for good: the next call fails the same way
+        outcomes = backend.option_token_logprobs_many(jobs)
+        assert len(outcomes) == 2
+        assert all(isinstance(o, BackendError) and "malformed wire response" in str(o)
+                   for o in outcomes)
+    backend.close()
+    assert _reaped(spawned)
+
+
+def test_server_without_max_batch_gets_only_logprobs_ops(spawned, tmp_path, micro_world):
+    manifest, config = micro_world.datasets["micro"], micro_world.prompt_configs["micro"]
+    action = ("req = json.loads(line); sys.stdout.write(json.dumps("
+              "{'ok': True, 'result': [[-1.0]] * len(req['prompts'])} if req['op'] == 'logprobs' "
+              "else {'ok': False, 'error': 'unknown op ' + req['op']}) + '\\n'); "
+              "sys.stdout.flush()")
+    info = {k: v for k, v in _GEN_INFO.items() if k != "max_batch"}
+    backend = SubprocessBackend(_fake_server(tmp_path, action=action, info=info))
+    try:
+        assert backend._max_batch == 1
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    assert run.skip_count == 0 and len(run.records) == 4
+    assert {r.predicted_index for r in run.records} == {0}
+
+
+@pytest.mark.parametrize("job, error", [
+    ({"op": "batch", "jobs": []}, "'batch' cannot be a batch job"),
+    ({"op": "info"}, "'info' cannot be a batch job"),
+    ({"op": "shutdown"}, "'shutdown' cannot be a batch job"),
+    ({"op": "nope"}, "unknown op 'nope'"),
+    ({"op": "logprobs", "prompts": ["a"]}, "'image_ref'"),
+])
+def test_batch_answers_each_job_as_if_sent_alone(job, error):
+    pair = _PipePair(SeededLogprobBackend(seed=4))
+    good = {"op": "logprobs", "image_ref": "img", "prompts": ["a", "b"]}
+    try:
+        replies = pair.client._call({"op": "batch", "jobs": [good, job, good]})
+        alone = pair.client.option_token_logprobs("img", ["a", "b"])
+        # the server keeps serving after a batch holding a bad job
+        assert pair.client._call({"op": "batch", "jobs": []}) == []
+    finally:
+        pair.close()
+    assert replies[0] == replies[2] == {"ok": True, "result": alone}
+    assert replies[1]["ok"] is False and error in replies[1]["error"]
