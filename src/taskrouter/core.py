@@ -486,15 +486,25 @@ def summarize_image(pixels) -> MetadataSummary:
         raise InvalidInputError("empty pixel array")
     if arr.ndim != 3:
         raise InvalidInputError(f"expected an H x W x C array, got shape {arr.shape}")
-    h, w, c = arr.shape
-    flat = arr.reshape(h * w, c).astype(np.float64)
-    means = np.round(flat.mean(axis=0), 1)
-    stds = np.round(flat.std(axis=0), 1)  # population std (ddof=0)
-    return MetadataSummary(
-        dims=(h, w, c),
-        channel_means=tuple(float(x) for x in means),
-        channel_stds=tuple(float(x) for x in stds),
-    )
+    return summarize_images(arr[None])[0]
+
+
+def summarize_images(stack) -> list[MetadataSummary]:
+    """``summarize_image`` of each H x W x C array of an N x H x W x C
+    stack, in one numpy pass. Each sample's values are summed in the same
+    order as on its own, so every summary equals the one-sample call's bit
+    for bit."""
+    arr = np.asarray(stack)
+    if arr.size == 0:
+        raise InvalidInputError("empty pixel array")
+    if arr.ndim != 4:
+        raise InvalidInputError(f"expected an N x H x W x C stack, got shape {arr.shape}")
+    n, h, w, c = arr.shape
+    flat = arr.reshape(n, h * w, c).astype(np.float64)
+    means = np.round(flat.mean(axis=1), 1).tolist()
+    stds = np.round(flat.std(axis=1), 1).tolist()  # population std (ddof=0)
+    return [MetadataSummary(dims=(h, w, c), channel_means=tuple(m), channel_stds=tuple(sd))
+            for m, sd in zip(means, stds)]
 
 
 def _check_outcome(recs: Records, i: int, sample: Sample | None) -> None:
@@ -646,9 +656,6 @@ class World:
 
     def sizes(self) -> dict[str, int]:
         return {ds_id: m.size for ds_id, m in self.datasets.items()}
-
-    def accuracy_table(self) -> AccuracyTable:
-        return aggregate_accuracy(self.records, self.sample_index())
 
 
 @dataclass(frozen=True)

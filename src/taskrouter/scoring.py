@@ -143,12 +143,13 @@ def evaluate(
     the sample id; the returned run reports the skip count. ``max_workers``
     must be 1: scoring is serial.
 
-    For a ``deterministic`` embedding backend, each image ref and each
-    distinct prompt list is embedded once per call; only results are kept,
-    so a failed call is made again for the next variant. A generative
-    backend gets every query of the call at once when it has
-    ``option_token_logprobs_many`` (the wire client), and one query at a
-    time otherwise.
+    Every query is rendered before any backend call, and the backend gets
+    the call's work at once when it takes batches (the wire client's
+    ``embed_many`` and ``option_token_logprobs_many``), else one call at a
+    time in query order. For a ``deterministic`` embedding backend, each
+    image ref and each distinct prompt list is embedded once per call; only
+    results are kept, so a failed embedding is asked again for the next
+    variant that needs it.
     """
     if max_workers != 1:
         raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
@@ -192,33 +193,83 @@ def evaluate(
 
 
 def _embedding_outcomes(backend, info: BackendInfo, config, queries):
-    """The prediction, or the exception that stopped it, of each query in
-    turn; each query's backend calls are made as it is reached."""
-    memo = {} if info.deterministic else None
-    for sample, variant in queries:
+    """The prediction, or the exception that stopped it, of each query: all
+    prompts are rendered first, and the embedding jobs of every rendered
+    query go to the backend in one ``_call_many`` call.
+
+    A job is ``("img", image_ref)`` or ``("txt", tuple(prompts))``, in
+    first-use order, each query's image before its prompt list. A
+    ``deterministic`` backend gets each distinct job once; any other backend
+    gets every query's two jobs. Only results are reused: the first query
+    that needs a failed job gets its exception, and each later one asks
+    again with one plain call."""
+    rendered = _render_all(config, queries)
+    slots = {} if info.deterministic else None  # job -> its position in ``jobs``
+    jobs, needs = [], []  # needs: per query, its two job positions, or its render error
+    for (sample, _), prompts in zip(queries, rendered):
+        if isinstance(prompts, Exception):
+            needs.append(prompts)
+            continue
+        pair = []
+        for job in (("img", sample.image_ref), ("txt", tuple(prompts))):
+            j = len(jobs) if slots is None else slots.setdefault(job, len(jobs))
+            if j == len(jobs):
+                jobs.append(job)
+            pair.append(j)
+        needs.append(pair)
+    answers = _call_many(backend, "embed_many", lambda job: _embed_one(backend, job), jobs)
+    for need in needs:
+        if isinstance(need, Exception):
+            yield need
+            continue
         try:
-            prompts = closed_prompt_set(sample, config, variant)
-            v = _reuse(memo, ("img", sample.image_ref), backend.embed_image, sample.image_ref)
-            m = _reuse(memo, ("txt", tuple(prompts)), backend.embed_texts, prompts)
-            yield predict_contrastive(v, m)
+            v = _take(backend, jobs, answers, need[0])
+            yield predict_contrastive(v, _take(backend, jobs, answers, need[1]))
         except Exception as exc:  # noqa: BLE001
             yield exc
 
 
-def _generative_outcomes(backend, info: BackendInfo, config, queries, normalization):
-    """The prediction, or the exception that stopped it, of each query: all
-    prompts are rendered first, and every rendered query goes to the
-    backend in one ``_logprobs_many`` call."""
-    rendered = []  # the query's prompts, or the exception rendering raised
+_ASK_AGAIN = object()  # the answer slot of a job whose failure has been taken
+
+
+def _take(backend, jobs: list, answers: list, j: int):
+    """The answer to job ``j``. A failure is raised to the first taker
+    only: a later taker asks again with one plain call, and a result of
+    that call is kept."""
+    answer = answers[j]
+    if answer is _ASK_AGAIN:
+        answer = answers[j] = _embed_one(backend, jobs[j])
+    elif isinstance(answer, Exception):
+        answers[j] = _ASK_AGAIN
+        raise answer
+    return answer
+
+
+def _embed_one(backend, job: tuple):
+    kind, arg = job
+    return backend.embed_image(arg) if kind == "img" else backend.embed_texts(list(arg))
+
+
+def _render_all(config, queries) -> list:
+    """Each query's prompts, or the exception rendering them raised."""
+    rendered = []
     for sample, variant in queries:
         try:
             rendered.append(closed_prompt_set(sample, config, variant))
         except Exception as exc:  # noqa: BLE001
             rendered.append(exc)
-    answers = iter(_logprobs_many(backend, [
-        (sample.image_ref, prompts) for (sample, _), prompts in zip(queries, rendered)
-        if not isinstance(prompts, Exception)
-    ]))
+    return rendered
+
+
+def _generative_outcomes(backend, info: BackendInfo, config, queries, normalization):
+    """The prediction, or the exception that stopped it, of each query: all
+    prompts are rendered first, and every rendered query goes to the
+    backend in one ``_call_many`` call."""
+    rendered = _render_all(config, queries)
+    answers = iter(_call_many(
+        backend, "option_token_logprobs_many", lambda job: backend.option_token_logprobs(*job),
+        [(sample.image_ref, prompts) for (sample, _), prompts in zip(queries, rendered)
+         if not isinstance(prompts, Exception)]))
     for prompts in rendered:
         lps = prompts if isinstance(prompts, Exception) else next(answers)
         if isinstance(lps, Exception):
@@ -235,30 +286,20 @@ def _generative_outcomes(backend, info: BackendInfo, config, queries, normalizat
             yield exc
 
 
-def _logprobs_many(backend, jobs: list[tuple[str, Sequence[str]]]) -> list:
-    """``option_token_logprobs`` of each ``(image_ref, prompts)`` job, or the
-    exception it raised, in job order: through the backend's
-    ``option_token_logprobs_many`` when it has one, else job by job."""
-    many = getattr(backend, "option_token_logprobs_many", None)
-    if many is not None:
-        return many(jobs)
+def _call_many(backend, many: str, one, jobs: list) -> list:
+    """``one(job)`` of each job, or the exception it raised, in job order:
+    through the backend's batch method named ``many`` when it has one (the
+    wire client), else job by job."""
+    batch = getattr(backend, many, None)
+    if batch is not None:
+        return batch(jobs)
     out = []
-    for image_ref, prompts in jobs:
+    for job in jobs:
         try:
-            out.append(backend.option_token_logprobs(image_ref, prompts))
+            out.append(one(job))
         except Exception as exc:  # noqa: BLE001
             out.append(exc)
     return out
-
-
-def _reuse(memo: dict | None, key, call, arg):
-    """``call(arg)``, or the result stored under ``key`` in ``memo``. Only a
-    result is stored: a call that raised is made again next time."""
-    if memo is None:
-        return call(arg)
-    if key not in memo:
-        memo[key] = call(arg)
-    return memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .core import (
     Sample,
     World,
     read_json,
-    summarize_image,
+    summarize_images,
     write_json,
 )
 from .errors import InvalidInputError
@@ -207,8 +207,9 @@ def generate_world(spec: WorldSpec) -> World:
         configs[ds_id] = config
 
         golds = rng.integers(0, n_options, size=spec.samples_per_dataset)
+        images = _make_pixels(spec, d, rng)
         samples = []
-        for i in range(spec.samples_per_dataset):
+        for i, summary in enumerate(summarize_images(images)):
             sample_id = f"{ds_id}-s{i:05d}"
             samples.append(
                 Sample(
@@ -220,9 +221,8 @@ def generate_world(spec: WorldSpec) -> World:
                     gold_index=int(golds[i]),
                 )
             )
-            img = _make_pixels(spec, d, rng)
-            pixels[sample_id] = img
-            metadata[sample_id] = summarize_image(img)
+            pixels[sample_id] = images[i]
+            metadata[sample_id] = summary
         manifest = DatasetManifest(
             dataset_id=ds_id,
             task_kind="recognition" if d % 2 == 0 else "reasoning",
@@ -265,8 +265,10 @@ def generate_world(spec: WorldSpec) -> World:
 
 
 def _make_pixels(spec: WorldSpec, dataset_index: int, rng: np.random.Generator) -> np.ndarray:
+    """The dataset's (samples, side, side, 3) pixel stack in one draw, which
+    takes the same values from ``rng`` as one draw per sample would."""
+    shape = (spec.samples_per_dataset, _IMAGE_SIDE, _IMAGE_SIDE, 3)
     if spec.signal_mode == "metadata_band":
         center = _band_center(spec, dataset_index)
-        low, high = center - 2, center + 3
-        return rng.integers(low, high, size=(_IMAGE_SIDE, _IMAGE_SIDE, 3)).astype(np.uint8)
-    return rng.integers(0, 256, size=(_IMAGE_SIDE, _IMAGE_SIDE, 3)).astype(np.uint8)
+        return rng.integers(center - 2, center + 3, size=shape).astype(np.uint8)
+    return rng.integers(0, 256, size=shape).astype(np.uint8)

@@ -19,7 +19,15 @@ A ``batch`` is answered with one line whose result holds one reply per job,
 in order: each the object that job would get if sent alone, so one failing
 job does not fail the others. ``batch``, ``info`` and ``shutdown`` cannot
 be jobs. A client sends at most ``max_batch`` jobs per batch, and none to a
-server that advertises no ``max_batch``.
+server that advertises no ``max_batch``: that server gets the same jobs as
+plain lines, one per round trip.
+
+``evaluate`` hands the client one dataset's work at a time: its generative
+queries as ``logprobs`` jobs (``option_token_logprobs_many``), or its
+embedding jobs (``embed_many``), one ``embed_image`` per image and one
+``embed_texts`` per prompt list, each distinct one once when the server
+promises ``deterministic``. Both go through one chunker, so a dataset costs
+``ceil(jobs / max_batch)`` round trips.
 
 The client waits at most ``REPLY_TIMEOUT_S`` for each request to be taken
 and its reply line to come, a whole batch included, so a server picks its
@@ -198,12 +206,32 @@ class WireBackendClient:
 
     def option_token_logprobs_many(self, jobs: Sequence[tuple[str, Sequence[str]]]) -> list:
         """``option_token_logprobs`` of each ``(image_ref, prompts)`` job, or
-        the ``BackendError`` it failed with, in job order. Jobs go
-        ``max_batch`` to a ``batch`` line, or one to a plain ``logprobs``
-        line when the server advertises no ``max_batch``. When the channel
-        breaks, every job of the batch in flight and after it fails."""
-        reqs = [{"op": "logprobs", "image_ref": ref, "prompts": list(prompts)}
-                for ref, prompts in jobs]
+        the ``BackendError`` it failed with, in job order (see ``_many``)."""
+        return self._many([{"op": "logprobs", "image_ref": ref, "prompts": list(prompts)}
+                           for ref, prompts in jobs])
+
+    def embed_many(self, jobs: Sequence[tuple[str, object]]) -> list:
+        """The embedding of each ``("img", image_ref)`` or ``("txt",
+        prompts)`` job, as ``embed_image`` or ``embed_texts`` returns it,
+        or the exception it failed with, in job order (see ``_many``)."""
+        out = []
+        for result in self._many([
+            {"op": "embed_image", "image_ref": arg} if kind == "img"
+            else {"op": "embed_texts", "prompts": list(arg)} for kind, arg in jobs
+        ]):
+            try:
+                out.append(result if isinstance(result, BackendError)
+                           else np.asarray(result, dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                out.append(exc)
+        return out
+
+    def _many(self, reqs: list[dict]) -> list:
+        """The result of each request, or the ``BackendError`` it failed
+        with, in request order. Requests go ``max_batch`` to a ``batch``
+        line, or one to a plain line when the server advertises no
+        ``max_batch``. When the channel breaks, every request of the batch
+        in flight and after it fails."""
         size = self._max_batch
         out = []
         for start in range(0, len(reqs), size):

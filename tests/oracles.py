@@ -8,9 +8,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from taskrouter import BackendError, IntegrityError, InvalidInputError
-from taskrouter.core import ExecutionRecord, group_records, read_numbered_jsonl
-from taskrouter.prompts import DatasetPromptConfig, prompt_variants, valid_variant_ids
+from taskrouter.core import ExecutionRecord, MetadataSummary, group_records, read_numbered_jsonl
+from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
+                                valid_variant_ids)
 from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
+from taskrouter.scoring import predict_contrastive
 
 
 def char_ngrams(text: str, order: int) -> list[str]:
@@ -209,3 +211,44 @@ class FlakyBackend:
     def option_token_logprobs(self, image_ref, prompts):
         self._check(image_ref)
         return self._inner.option_token_logprobs(image_ref, prompts)
+
+
+def query_by_query_embedding_outcomes(backend, config, queries) -> list:
+    """The prediction, or the exception that stopped it, of each (sample,
+    variant) query, with each query's backend calls made as it is reached:
+    its prompts rendered, then its image and its prompt list embedded. A
+    ``deterministic`` backend's results (never its failures) are kept for
+    the rest of the call. The reference for the call sequence of the
+    batched embedding path in ``scoring.evaluate``."""
+    memo = {} if backend.info.deterministic else None
+
+    def reuse(key, call, arg):
+        if memo is None:
+            return call(arg)
+        if key not in memo:
+            memo[key] = call(arg)
+        return memo[key]
+
+    outcomes = []
+    for sample, variant in queries:
+        try:
+            prompts = closed_prompt_set(sample, config, variant)
+            v = reuse(("img", sample.image_ref), backend.embed_image, sample.image_ref)
+            m = reuse(("txt", tuple(prompts)), backend.embed_texts, prompts)
+            outcomes.append(predict_contrastive(v, m))
+        except Exception as exc:  # noqa: BLE001
+            outcomes.append(exc)
+    return outcomes
+
+
+def one_sample_summary(pixels) -> MetadataSummary:
+    """Resolution and per-channel population mean/std, rounded to one
+    decimal place, of one H x W x C array summed on its own; the reference
+    the stacked ``summarize_images`` is checked against bit for bit."""
+    h, w, c = pixels.shape
+    flat = pixels.reshape(h * w, c).astype(np.float64)
+    return MetadataSummary(
+        dims=(h, w, c),
+        channel_means=tuple(float(x) for x in np.round(flat.mean(axis=0), 1)),
+        channel_stds=tuple(float(x) for x in np.round(flat.std(axis=0), 1)),
+    )

@@ -23,7 +23,8 @@ from taskrouter import (
     weighted_average,
 )
 from taskrouter.core import (Records, load_manifests, load_metadata, read_json, read_jsonl,
-                             save_manifests, save_metadata, save_records)
+                             save_manifests, save_metadata, save_records, summarize_images)
+from oracles import one_sample_summary
 
 
 class TestSummarizeImage:
@@ -66,6 +67,20 @@ class TestSummarizeImage:
             summarize_image(np.zeros((0, 2, 3)))
         with pytest.raises(InvalidInputError):
             summarize_image(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("low, high", [(0, 256), (38, 43), (0, 2), (250, 256)])
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (7, 5, 3), (3, 9, 1)])
+    def test_stacked_summaries_equal_one_sample_sums_bit_for_bit(self, low, high, shape, rng):
+        stack = rng.integers(low, high, size=(400,) + shape).astype(np.uint8)
+        summaries = summarize_images(stack)
+        assert summaries == [one_sample_summary(img) for img in stack]
+        assert [summarize_image(img) for img in stack] == summaries
+
+    def test_stack_empty_and_bad_shape(self):
+        with pytest.raises(InvalidInputError, match="empty"):
+            summarize_images(np.zeros((0, 2, 2, 3)))
+        with pytest.raises(InvalidInputError, match="N x H x W x C"):
+            summarize_images(np.zeros((4, 4, 3)))
 
 
 def _record(model, dataset, variant, correct, sample="s0", predicted=0):

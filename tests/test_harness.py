@@ -19,6 +19,7 @@ from taskrouter import (
     selection_heatmap,
     training_label_distribution,
 )
+from taskrouter.core import aggregate_accuracy
 from taskrouter.harness import run_ablation, write_run_manifest
 from taskrouter.router import FeaturizerConfig, TrainConfig
 from taskrouter.routerdata import ALL_FLAG_COMBOS, load_corpus
@@ -50,14 +51,13 @@ class TestRunLodo:
         world = generate_world(spec)
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
-        table = world.accuracy_table()
+        table = aggregate_accuracy(world.records, world.sample_index())
         for ds, fold in result.folds.items():
             assert fold.status == "ok"
             assert fold.router_accuracy == pytest.approx(table.marginal("star", ds))
 
     def test_transferable_world_beats_average(self, paired_world):
         from taskrouter.baselines import average_baseline
-        from taskrouter.core import aggregate_accuracy
         from oracles import filter_valid_prompts
 
         world = paired_world

@@ -23,9 +23,9 @@ from taskrouter.scoring import (
 from taskrouter.core import aggregate_accuracy
 from taskrouter.prompts import PromptTemplate, closed_prompt_set, prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
-from oracles import FlakyBackend
+from oracles import FlakyBackend, query_by_query_embedding_outcomes
 
-from conftest import make_micro_world
+from conftest import keyword_world_spec, make_micro_world
 
 
 class TestPredictContrastive:
@@ -296,6 +296,104 @@ class TestEvaluateMemo:
         assert all(r.correct for r in run.records) and len(run.records) == 8
 
 
+class _RecordingEmbeddingBackend:
+    """An embedding backend that logs every call it gets, in order, with the
+    argument it was given, and makes the ``deterministic`` promise it is
+    told to."""
+
+    def __init__(self, inner, deterministic=True):
+        self._inner = inner
+        self.info = dataclasses.replace(inner.info, deterministic=deterministic)
+        self.calls = []
+
+    def embed_image(self, image_ref):
+        self.calls.append(("img", image_ref))
+        return self._inner.embed_image(image_ref)
+
+    def embed_texts(self, prompts):
+        self.calls.append(("txt", prompts))
+        return self._inner.embed_texts(prompts)
+
+
+def _with_render_failure(world):
+    """The micro world's dataset with a first question form that needs a
+    context key sample s2 lacks, so that one query fails to render."""
+    config = world.prompt_configs["micro"]
+    config = dataclasses.replace(
+        config, question_forms=(PromptTemplate("At {place}: "),) + config.question_forms[1:],
+        context_keys=("place",))
+    manifest = world.datasets["micro"]
+    samples = tuple(dataclasses.replace(s, context={} if s.sample_id == "s2" else
+                                        {"place": "home"}) for s in manifest.samples)
+    return dataclasses.replace(manifest, samples=samples), config
+
+
+def _outcome_rows(queries, outcomes):
+    return [(s.sample_id, v.variant_id, str(o) if isinstance(o, Exception) else o.predicted_index)
+            for (s, v), o in zip(queries, outcomes)]
+
+
+def _run_rows(run):
+    rows = [(r.sample_id, r.prompt_variant_id, r.predicted_index) for r in run.records]
+    rows += [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped]
+    return rows
+
+
+class TestEvaluateEmbeddingCalls:
+    """The embedding family renders every query first and hands the
+    backend one job list. Without failures, an in-process backend sees the
+    calls of the query-by-query loop, in the same order."""
+
+    def _datasets(self):
+        keyword = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=30,
+                                                    question_forms=2, seed=3))
+        yield from ((m, keyword.prompt_configs[ds]) for ds, m in keyword.datasets.items())
+        yield _with_render_failure(make_micro_world(n_samples=6, models=("only",)))
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_calls_are_those_of_the_query_by_query_loop(self, deterministic):
+        for manifest, config in self._datasets():
+            queries = [(s, v) for s in manifest.samples for v in prompt_variants(config)]
+            seeded = SeededEmbeddingBackend(seed=8, dim=8, name="only")
+            batched = _RecordingEmbeddingBackend(seeded, deterministic)
+            looped = _RecordingEmbeddingBackend(seeded, deterministic)
+            run = evaluate(batched, manifest, config)
+            outcomes = query_by_query_embedding_outcomes(looped, config, queries)
+            assert batched.calls == looped.calls
+            assert sorted(_run_rows(run)) == sorted(_outcome_rows(queries, outcomes))
+            rendered = len(queries) - run.skip_count
+            assert rendered > 0
+            if not deterministic:
+                assert len(batched.calls) == 2 * rendered
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_a_failed_image_moves_retries_and_keeps_its_text_job(self, deterministic):
+        world = make_micro_world(n_samples=6, models=("only",))
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        queries = [(s, v) for s in manifest.samples for v in prompt_variants(config)]
+        gold = GoldEmbeddingBackend(gold_index_by_ref([manifest]), dim=2, name="only")
+        batched = _RecordingEmbeddingBackend(FlakyBackend(gold, {"micro/s1"}), deterministic)
+        looped = _RecordingEmbeddingBackend(FlakyBackend(gold, {"micro/s1"}), deterministic)
+        run = evaluate(batched, manifest, config)
+        outcomes = query_by_query_embedding_outcomes(looped, config, queries)
+        assert sorted(_run_rows(run)) == sorted(_outcome_rows(queries, outcomes))
+        assert run.skip_count == 2
+
+        def counted(calls):
+            return Counter((kind, arg if kind == "img" else tuple(arg)) for kind, arg in calls)
+
+        if deterministic:
+            # the same calls; the retry for s1's second variant comes after the job list
+            assert counted(batched.calls) == counted(looped.calls)
+            assert batched.calls[-1] == ("img", "micro/s1")
+        else:
+            # each query whose image failed still asked for its prompt list
+            assert counted(batched.calls) - counted(looped.calls) == Counter(
+                ("txt", tuple(closed_prompt_set(s, config, v)))
+                for s, v in queries if s.sample_id == "s1")
+            assert not counted(looped.calls) - counted(batched.calls)
+
+
 class _RecordingLogprobBackend:
     """A generative backend that logs every call it gets, in order."""
 
@@ -315,16 +413,7 @@ class TestEvaluateGenerative:
     sample-major order, and every failure skips only its own query."""
 
     def _world(self):
-        # the first question form needs a context key that sample s2 lacks
-        world = make_micro_world(n_samples=6, models=("only",))
-        config = world.prompt_configs["micro"]
-        config = dataclasses.replace(
-            config, question_forms=(PromptTemplate("At {place}: "),) + config.question_forms[1:],
-            context_keys=("place",))
-        manifest = world.datasets["micro"]
-        samples = tuple(dataclasses.replace(s, context={} if s.sample_id == "s2" else
-                                            {"place": "home"}) for s in manifest.samples)
-        return dataclasses.replace(manifest, samples=samples), config
+        return _with_render_failure(make_micro_world(n_samples=6, models=("only",)))
 
     def test_calls_records_and_skips_keep_query_order(self, caplog):
         manifest, config = self._world()

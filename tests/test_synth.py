@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taskrouter import InvalidInputError, QueryGrid, SerializationFlags, build_router_dataset
-from taskrouter.core import save_world, load_world
+from taskrouter.core import aggregate_accuracy, load_world, save_world
 from taskrouter.prompts import prompt_variants, validate_manifest
 from taskrouter.synth import WorldSpec, generate_world
 
@@ -110,8 +110,8 @@ class TestGeneration:
             expected += manifest.size * n_variants * len(world.model_pool)
             validate_manifest(manifest, world.prompt_configs[ds])
         assert len(world.records) == expected
-        # accuracy_table() re-checks record/sample integrity
-        table = world.accuracy_table()
+        # aggregate_accuracy re-checks record/sample integrity
+        table = aggregate_accuracy(world.records, world.sample_index())
         assert set(table.models()) == set(world.model_pool)
         # predicted indices always in range and consistent with correctness
         samples = world.sample_index()
@@ -126,6 +126,20 @@ class TestGeneration:
         world = generate_world(basic_spec())
         for sid, img in world.pixels.items():
             assert world.metadata[sid] == summarize_image(img)
+
+    @pytest.mark.parametrize("low, high", [(0, 256), (38, 43), (173, 178)])
+    def test_one_pixel_draw_takes_the_stream_of_one_draw_per_sample(self, low, high):
+        # the pixel range of the keyword/none modes and two metadata bands:
+        # the metadata digests rest on this
+        for seed in range(12):
+            stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            n = 25 + seed
+            stack = stacked.integers(low, high, size=(n, 8, 8, 3))
+            draws = [single.integers(low, high, size=(8, 8, 3)) for _ in range(n)]
+            assert np.array_equal(stack, np.stack(draws))
+            # the draws after it, as generate_world makes them, see the same state
+            assert stacked.random((3, 2)).tolist() == single.random((3, 2)).tolist()
+            assert stacked.integers(1, 5, size=7).tolist() == single.integers(1, 5, size=7).tolist()
 
     def test_router_corpus_preconditions_hold(self):
         world = generate_world(basic_spec(samples_per_dataset=10))

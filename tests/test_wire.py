@@ -13,16 +13,19 @@ import pytest
 
 from taskrouter import BackendError
 from taskrouter.core import aggregate_accuracy, save_records, save_world
+from taskrouter.prompts import closed_prompt_set, prompt_variants
 from taskrouter.scoring import (
     GoldEmbeddingBackend,
+    SeededEmbeddingBackend,
     SeededLogprobBackend,
     evaluate,
     gold_index_by_ref,
+    make_mock_backend,
 )
 from taskrouter.synth import generate_world
 from taskrouter import wire
 from taskrouter.wire import SubprocessBackend, WireBackendClient, serve_backend
-from oracles import FlakyBackend
+from oracles import FlakyBackend, query_by_query_embedding_outcomes
 
 from conftest import keyword_world_spec, make_micro_world
 
@@ -517,3 +520,214 @@ def test_batch_answers_each_job_as_if_sent_alone(job, error):
         pair.close()
     assert replies[0] == replies[2] == {"ok": True, "result": alone}
     assert replies[1]["ok"] is False and error in replies[1]["error"]
+
+
+# ---------------------------------------------------------------------------
+# The embedding family on the batch op: each distinct image and prompt list
+# per dataset, max_batch jobs to a line.
+
+def _embedding_jobs(world, ds_id, deterministic=True):
+    """The embedding jobs one evaluate call makes on a dataset: each
+    query's image, then its prompt list, each distinct one once when the
+    backend is deterministic."""
+    config = world.prompt_configs[ds_id]
+    jobs = []
+    for sample in world.datasets[ds_id].samples:
+        for variant in prompt_variants(config):
+            jobs += [("img", sample.image_ref),
+                     ("txt", tuple(closed_prompt_set(sample, config, variant)))]
+    return list(dict.fromkeys(jobs)) if deterministic else jobs
+
+
+@pytest.mark.parametrize("max_batch", [wire.MAX_BATCH, 7])
+def test_embedding_round_trips_are_info_one_batch_per_max_batch_jobs_and_shutdown(
+        max_batch, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_BATCH", max_batch)
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=10,
+                                              question_forms=2, seed=5))
+    ops = []
+    call = WireBackendClient._call
+
+    def counting(self, req):
+        ops.append((req["op"], len(req.get("jobs", ()))))
+        return call(self, req)
+
+    monkeypatch.setattr(WireBackendClient, "_call", counting)
+    pair = _PipePair(SeededEmbeddingBackend(seed=1, dim=4))
+    try:
+        runs = _evaluate_all(pair.client, world)
+    finally:
+        pair.close()
+    assert [len(run.records) for run in runs] == [20, 20]
+    batches = []
+    for ds_id in world.datasets:
+        n = len(_embedding_jobs(world, ds_id))
+        assert n == 12  # 10 images and 2 prompt lists
+        batches += [("batch", min(max_batch, n - start)) for start in range(0, n, max_batch)]
+    assert len(batches) == sum(math.ceil(12 / max_batch) for _ in world.datasets)
+    assert ops == [("info", 0)] + batches + [("shutdown", 0)]
+
+
+# Serves the seeded embedding mock on plain ops only: ``info`` carries no
+# ``max_batch``, any other op is an error, and every request line is copied
+# to LOG as received.
+_UNBATCHED_EMBEDDING_SERVER = """\
+import json, sys
+from taskrouter.scoring import SeededEmbeddingBackend
+
+backend = SeededEmbeddingBackend(seed=__SEED__, dim=4)
+log = open(__LOG__, "a")
+for line in sys.stdin:
+    log.write(line)
+    log.flush()
+    req = json.loads(line)
+    if req["op"] == "info":
+        reply = {"ok": True, "result": {"name": "seeded-embed", "family": "embedding",
+                                        "deterministic": __DETERMINISTIC__}}
+    elif req["op"] == "embed_image":
+        reply = {"ok": True, "result": [float(x) for x in backend.embed_image(req["image_ref"])]}
+    elif req["op"] == "embed_texts":
+        mat = backend.embed_texts(req["prompts"])
+        reply = {"ok": True, "result": [[float(x) for x in row] for row in mat]}
+    elif req["op"] == "shutdown":
+        break
+    else:
+        reply = {"ok": False, "error": "unknown op " + req["op"]}
+    sys.stdout.write(json.dumps(reply) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_server_without_max_batch_gets_the_plain_embedding_lines(deterministic, tmp_path,
+                                                                  spawned):
+    # the same world is scored by evaluate and by the query-by-query loop,
+    # each through its own server; both servers must read the same bytes
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=15,
+                                              question_forms=2, seed=5))
+    logs = {}
+    for name in ("batched", "looped"):
+        logs[name] = tmp_path / f"{name}.log"
+        script = tmp_path / f"{name}.py"
+        script.write_text(_UNBATCHED_EMBEDDING_SERVER.replace("__SEED__", "2")
+                          .replace("__LOG__", repr(str(logs[name])))
+                          .replace("__DETERMINISTIC__", repr(deterministic)))
+        backend = SubprocessBackend([sys.executable, str(script)])
+        try:
+            assert backend._max_batch == 1 and backend.info.deterministic is deterministic
+            for ds_id, manifest in world.datasets.items():
+                config = world.prompt_configs[ds_id]
+                if name == "batched":
+                    run = evaluate(backend, manifest, config)
+                    assert run.skip_count == 0 and len(run.records) == 30
+                else:
+                    queries = [(s, v) for s in manifest.samples for v in prompt_variants(config)]
+                    query_by_query_embedding_outcomes(backend, config, queries)
+        finally:
+            backend.close()
+    sent = logs["batched"].read_bytes()
+    assert sent == logs["looped"].read_bytes()
+    lines = sent.splitlines()
+    jobs = sum(len(_embedding_jobs(world, ds, deterministic)) for ds in world.datasets)
+    assert len(lines) == 1 + jobs + 1  # info, the jobs, shutdown
+    assert not any(b'"batch"' in line for line in lines)
+    assert _reaped(spawned)
+
+
+@pytest.mark.parametrize("kind", ["gold", "seeded"])
+@pytest.mark.parametrize("max_batch", [wire.MAX_BATCH, 5])
+def test_embedding_records_are_the_same_in_process_and_over_the_wire(kind, max_batch,
+                                                                      monkeypatch, tmp_path):
+    monkeypatch.setattr(wire, "MAX_BATCH", max_batch)
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=40,
+                                              question_forms=2, seed=9))
+    inner = make_mock_backend(kind, "embedding", seed=3, manifests=world.datasets.values(),
+                              dim=4)
+    direct = _run_records(_evaluate_all(inner, world), tmp_path / "direct.jsonl")
+    pair = _PipePair(inner)
+    try:
+        runs = _evaluate_all(pair.client, world)
+    finally:
+        pair.close()
+    assert sum(run.skip_count for run in runs) == 0
+    assert _run_records(runs, tmp_path / "wired.jsonl") == direct
+    assert len(direct.splitlines()) == 160
+
+
+_EMBED_INFO = {"name": "fake", "family": "embedding", "deterministic": True, "max_batch": 2}
+# answer each job of a batch: the image as e_0, each prompt as e_0
+_ANSWER_EMBED_BATCH = ("reply([{'ok': True, 'result': [1.0, 0.0] if job['op'] == 'embed_image' "
+                       "else [[1.0, 0.0]] * len(job['prompts'])} "
+                       "for job in json.loads(line)['jobs']])")
+
+
+def test_server_dying_mid_embedding_batch_skips_that_batch_and_the_rest(spawned, tmp_path):
+    world = make_micro_world(n_samples=6, models=("only",))
+    manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+    # jobs: s0, both prompt lists, s1, ..., s5; the first batch (s0 and one
+    # prompt list) is answered and the server dies on the second
+    action = ("if globals().get('answered'): sys.stderr.write('fake model lost\\n'); sys.exit(3)\n"
+              f"        answered = True; {_ANSWER_EMBED_BATCH}")
+    backend = SubprocessBackend(_fake_server(tmp_path, action=action, info=_EMBED_INFO))
+    try:
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    variants = [v.variant_id for v in prompt_variants(config)]
+    assert [(r.sample_id, r.prompt_variant_id) for r in run.records] == [("s0", variants[0])]
+    assert len(run.skipped) == 11
+    assert run.skipped[0].sample_id == "s0" and run.skipped[0].prompt_variant_id == variants[1]
+    errors = {n.error for n in run.skipped}
+    assert len(errors) == 1 and "closed the channel" in errors.pop()
+    assert spawned[0].returncode == 3
+
+
+@pytest.mark.parametrize("result", ["[{'ok': True, 'result': [1.0]}]",
+                                    "[{'ok': True, 'result': [1.0]}, 7]",
+                                    "[{'ok': True, 'result': [1.0]}, {'ok': True}]",
+                                    "{'ok': True}", "[1.0, 0.0]"])
+def test_malformed_embedding_batch_reply_breaks_the_channel(result, spawned, tmp_path):
+    backend = SubprocessBackend(_fake_server(tmp_path, action=f"reply({result})",
+                                             info=_EMBED_INFO))
+    jobs = [("img", "a"), ("txt", ("x", "y"))]
+    for _ in range(2):  # broken for good: the next call fails the same way
+        outcomes = backend.embed_many(jobs)
+        assert len(outcomes) == 2
+        assert all(isinstance(o, BackendError) and "malformed wire response" in str(o)
+                   for o in outcomes)
+    with pytest.raises(BackendError, match="malformed wire response"):
+        backend.embed_image("a")
+    backend.close()
+    assert _reaped(spawned)
+
+
+def test_embedding_retry_contract_holds_over_the_wire(monkeypatch):
+    world = make_micro_world(n_samples=6, models=("only",))
+    manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+    reqs = []
+    call = WireBackendClient._call
+
+    def recording(self, req):
+        reqs.append(req)
+        return call(self, req)
+
+    monkeypatch.setattr(WireBackendClient, "_call", recording)
+    inner = GoldEmbeddingBackend(gold_index_by_ref([manifest]), dim=2, name="only")
+    pair = _PipePair(FlakyBackend(inner, failing_refs={"micro/s0", "micro/s3"}))
+    try:
+        run = evaluate(pair.client, manifest, config)
+    finally:
+        pair.close()
+    variants = [v.variant_id for v in prompt_variants(config)]
+    assert sorted((n.sample_id, n.prompt_variant_id) for n in run.skipped) == sorted(
+        (sample_id, v) for sample_id in ("s0", "s3") for v in variants)
+    assert {n.error for n in run.skipped} == {
+        "simulated failure for micro/s0", "simulated failure for micro/s3"}
+    assert run.records == [r for r in evaluate(inner, manifest, config).records
+                           if r.sample_id not in ("s0", "s3")]
+    # each failing image is asked once in the batch, and once more, on a
+    # plain line, for its second variant
+    assert [r["op"] for r in reqs] == ["info", "batch", "embed_image", "embed_image", "shutdown"]
+    batch_refs = [job.get("image_ref") for job in reqs[1]["jobs"]]
+    assert batch_refs.count("micro/s0") == batch_refs.count("micro/s3") == 1
+    assert sorted(r["image_ref"] for r in reqs[2:4]) == ["micro/s0", "micro/s3"]
