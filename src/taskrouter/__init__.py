@@ -50,7 +50,6 @@ from .harness import (
     run_in_distribution,
     run_lodo,
     selection_heatmap,
-    training_label_distribution,
 )
 from .presets import builtin_prompt_configs
 from .prompts import (

@@ -334,18 +334,20 @@ def _cmd_router_train(args) -> None:
 def _cmd_router_route(args) -> None:
     model = RouterModel.load(args.router)
     if args.input is not None:
+        _check_utf8(args.input, "--input")
         lines = [args.input]
     else:
         text = sys.stdin.read()
-        _check_utf8(text)
+        _check_utf8(text, "stdin")
         lines = [ln for ln in text.split("\n") if ln.strip()]
     sys.stdout.write("".join(choice + "\n" for choice in model.route_batch(lines)))
 
 
-def _check_utf8(text: str) -> None:
-    """Raise ``InvalidInputError`` naming the first line of ``text`` (stdin)
-    that is not UTF-8: stdin decodes such a byte to a lone surrogate, which
-    does not encode. All-ASCII text, the common case, passes in one step."""
+def _check_utf8(text: str, source: str) -> None:
+    """Raise ``InvalidInputError`` naming the first line of ``text`` (read
+    from ``source``) that is not UTF-8: stdin and the command line decode
+    such a byte to a lone surrogate, which does not encode. All-ASCII text,
+    the common case, passes in one step."""
     if text.isascii():
         return
     for number, line in enumerate(text.split("\n"), 1):
@@ -353,7 +355,7 @@ def _check_utf8(text: str) -> None:
             line.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise InvalidInputError(
-                f"stdin:{number}: not valid UTF-8 at character {exc.start}") from None
+                f"{source}:{number}: not valid UTF-8 at character {exc.start}") from None
 
 
 def _cmd_baselines_report(args) -> None:

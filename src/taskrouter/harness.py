@@ -3,11 +3,13 @@ metadata/response-option ablation grid, selection-distribution heatmaps,
 and run manifests.
 
 A LODO run builds one query grid, labels one corpus and featurizes it in
-one batch; a fold splits the corpus positions outside its held-out
-dataset, trains on their examples and feature rows, and replays on that
-dataset's rows. Every fold is self-contained: its corpus, router file,
-and metrics land in their own directory, so reports can be rebuilt from
-persisted artifacts and a failed fold never aborts the remaining ones.
+one batch. A dataset's examples are a contiguous range of corpus
+positions; a fold splits the positions outside its held-out dataset's
+range, trains on their examples and feature rows, and replays by routing
+the corpus lines inside it. Every fold is self-contained: its corpus,
+router file, and metrics land in their own directory, so reports can be
+rebuilt from persisted artifacts and a failed fold never aborts the
+remaining ones.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .baselines import ComparisonReport, build_comparison_report
 from .core import QueryGrid, World, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
-from .router import (FeaturizerConfig, Features, RouterModel, TrainConfig, evaluate_router,
-                     featurize_batch, route_rows, train_router)
+from .router import (FeaturizerConfig, Features, RouterModel, TrainConfig, featurize_batch,
+                     route_rows, train_router)
 from .routerdata import (
     ALL_FLAG_COMBOS,
     RouterExample,
@@ -44,7 +46,6 @@ class FoldResult:
     status: str  # "ok" | "failed"
     router_accuracy: float | None = None
     error: str | None = None
-    router_path: str | None = None
     corpus_sizes: dict = field(default_factory=dict)
 
 
@@ -82,6 +83,7 @@ def run_lodo(
 
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
+    rows = np.flatnonzero(grid.covered.any(axis=1))  # corpus position k is grid row rows[k]
     features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
@@ -94,7 +96,7 @@ def run_lodo(
             fold_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _run_fold(
-                grid, corpus, features, heldout, flags, train_config, featurizer,
+                grid, rows, corpus, features, heldout, flags, train_config, featurizer,
                 _fold_seed(seed, fold_index), fold_dir,
             )
             folds[heldout] = result
@@ -120,6 +122,7 @@ def run_lodo(
 
 def _run_fold(
     grid: QueryGrid,
+    rows: np.ndarray,
     corpus: Sequence[RouterExample],
     features: Sequence[Features],
     heldout: str,
@@ -129,9 +132,9 @@ def _run_fold(
     fold_seed: int,
     fold_dir: Path | None,
 ) -> FoldResult:
-    positions = split_80_10_10(
-        [i for i, ex in enumerate(corpus) if ex.provenance[1] != heldout], seed=fold_seed
-    )
+    span = grid.spans[heldout]
+    lo, hi = np.searchsorted(rows, [span.start, span.stop]).tolist()
+    positions = split_80_10_10([*range(lo), *range(hi, len(corpus))], seed=fold_seed)
     if any(corpus[i].provenance[1] == heldout for part in positions for i in part):
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
     train, validate, test = ([corpus[i] for i in part] for part in positions)
@@ -144,7 +147,9 @@ def _run_fold(
         vocabulary=grid.models,
         features=[features[i] for i in positions[0]],
     )
-    accuracy = evaluate_router(model, grid, heldout)
+    heldout_rows = rows[lo:hi]
+    choices = model.route_batch([ex.serialized_input for ex in corpus[lo:hi]])
+    accuracy = grid.variant_mean(heldout_rows, grid.outcome(heldout_rows, choices))
 
     result = FoldResult(
         heldout_dataset=heldout,
@@ -156,9 +161,7 @@ def _run_fold(
         save_corpus(train, fold_dir / "train.txt")
         save_corpus(validate, fold_dir / "validate.txt")
         save_corpus(test, fold_dir / "test.txt")
-        router_path = fold_dir / "router.bin"
-        model.save(router_path)
-        result.router_path = str(router_path)
+        model.save(fold_dir / "router.bin")
         write_json(fold_dir / "metrics.json", {
             "status": "ok",
             "heldout_dataset": heldout,
@@ -280,7 +283,7 @@ def run_in_distribution(
     )
     # the corpus holds one example per covered row, in row order
     rows = np.flatnonzero(grid.covered.any(axis=1))[test]
-    hits = grid.outcome(rows, route_rows(model, grid, rows))
+    hits = grid.outcome(rows, model.route_batch([corpus[i].serialized_input for i in test]))
     per_dataset: dict[str, list[bool]] = {}
     for i, hit in zip(test, hits.tolist()):
         per_dataset.setdefault(corpus[i].provenance[1], []).append(hit)
@@ -330,26 +333,6 @@ def selection_heatmap(
     return SelectionDistribution(
         model_ids=tuple(models),
         dataset_ids=tuple(chosen),
-        fractions=counts / counts.sum(axis=0, keepdims=True),
-    )
-
-
-def training_label_distribution(
-    examples: Sequence[RouterExample], model_ids: Sequence[str]
-) -> SelectionDistribution:
-    """Companion to selection_heatmap: how often each model is the label in
-    the training data, per dataset."""
-    datasets = sorted({ex.provenance[1] for ex in examples})
-    index_m = {m: i for i, m in enumerate(model_ids)}
-    index_d = {d: j for j, d in enumerate(datasets)}
-    counts = np.zeros((len(model_ids), len(datasets)))
-    for ex in examples:
-        counts[index_m[ex.label_model_id], index_d[ex.provenance[1]]] += 1
-    if (counts.sum(axis=0) == 0).any():
-        raise InvalidInputError("every dataset needs at least one example")
-    return SelectionDistribution(
-        model_ids=tuple(model_ids),
-        dataset_ids=tuple(datasets),
         fractions=counts / counts.sum(axis=0, keepdims=True),
     )
 

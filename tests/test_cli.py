@@ -251,6 +251,28 @@ def test_router_route_names_a_stdin_line_that_is_not_utf8(tmp_path, monkeypatch,
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_router_route_names_an_input_argument_that_is_not_utf8(tmp_path, capsys):
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    feats = FeaturizerConfig(hash_dim=64)
+    path = tmp_path / "router.bin"
+    RouterModel(("a", "b"), feats, SerializationFlags(False, False), 0,
+                np.ones((2, feats.hash_dim)), np.zeros(2)).save(path)
+    # an argument as Python decodes argv in UTF-8: a bad byte becomes a lone surrogate
+    bad = b"[prompt]bad \xff byte".decode("utf-8", "surrogateescape")
+    assert main(["router", "route", "--router", str(path), "--input", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "InvalidInputError"
+    assert record["message"] == "--input:1: not valid UTF-8 at character 12"
+    assert main(["router", "route", "--router", str(path), "--input", "[prompt]h\u00e9llo"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_truncated_records_file_names_file_and_line(world_dir, tmp_path, capsys):
     import shutil
 

@@ -17,7 +17,6 @@ from taskrouter import (
     run_in_distribution,
     run_lodo,
     selection_heatmap,
-    training_label_distribution,
 )
 from taskrouter.core import aggregate_accuracy
 from taskrouter.harness import run_ablation, write_run_manifest
@@ -179,6 +178,41 @@ class TestRunLodo:
         assert len(result.folds) == 4 and not result.failed_folds
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
         assert sorted(hashed) == sorted(ex.serialized_input for ex in corpus)
+
+    def test_each_covered_row_is_serialized_once(self, monkeypatch):
+        # folds replay the corpus lines instead of serializing their rows again
+        from taskrouter import routerdata
+
+        world = generate_world(keyword_world_spec(question_forms=2))
+        serialized = []
+        real = routerdata.serialize_input
+
+        def counting(*args, **kwargs):
+            serialized.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(routerdata, "serialize_input", counting)
+        result = run_lodo(world, flags=SerializationFlags(True, False),
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert len(result.folds) == 4 and not result.failed_folds
+        covered = int(QueryGrid.build(world).covered.any(axis=1).sum())
+        assert covered == 800
+        assert len(serialized) == covered
+
+    def test_heldout_dataset_without_records_fails_only_its_fold(self, monkeypatch,
+                                                                 paired_world):
+        from taskrouter import harness
+
+        # a dataset in the middle: its corpus range is empty, between two others
+        empty = list(paired_world.datasets)[1]
+        world = replace(paired_world,
+                        records=[r for r in paired_world.records if r.dataset_id != empty])
+        # the comparison report needs records of every dataset; only the folds are checked
+        monkeypatch.setattr(harness, "build_comparison_report", lambda grid, **kwargs: None)
+        result = run_lodo(world, flags=SerializationFlags(True, False),
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+        assert result.failed_folds == [empty]
+        assert result.folds[empty].error == "no recorded queries to average"
 
     def test_heldout_example_in_fold_corpus_fails_the_fold(self, monkeypatch, paired_world):
         from taskrouter import harness
@@ -387,18 +421,6 @@ class TestHeatmap:
         full, part = selection_heatmap(router, world), selection_heatmap(router, partial)
         assert part.dataset_ids == full.dataset_ids
         np.testing.assert_array_equal(part.fractions, full.fractions)
-
-    def test_training_label_distribution(self, paired_world):
-        world = paired_world
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, False))
-        dist = training_label_distribution(examples, sorted(world.model_pool))
-        np.testing.assert_allclose(dist.fractions.sum(axis=0), 1.0, atol=1e-9)
-        # designated best dominates labels in a keyword world
-        spec = keyword_world_spec(samples_per_dataset=60, paired=True, seed=31)
-        for j, ds in enumerate(dist.dataset_ids):
-            best = spec.designated_best(int(ds[2:]))
-            i = list(dist.model_ids).index(best)
-            assert dist.fractions[i, j] == 1.0
 
     def test_csv_export(self, paired_world):
         from test_router import constant_router

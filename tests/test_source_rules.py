@@ -147,6 +147,19 @@ def test_grid_rows_become_router_inputs_in_one_place():
     assert calls == []
 
 
+def test_corpus_replay_routes_the_corpus_lines():
+    # a LODO fold and the in-distribution split route the lines of the corpus
+    # they built; serializing their rows again would repeat that work
+    package = Path(taskrouter.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
+    calls = [f"{function}:{node.lineno} {_call_name(node)}"
+             for function in ("_run_fold", "run_in_distribution")
+             for node in ast.walk(_function(tree, function))
+             if isinstance(node, ast.Call)
+             and _call_name(node) in {"router_inputs", "route_rows", "evaluate_router"}]
+    assert calls == []
+
+
 def test_record_paths_build_no_record_objects():
     # an object per record costs more than parsing it; these paths keep columns
     package = Path(taskrouter.__file__).parent

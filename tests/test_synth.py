@@ -172,12 +172,17 @@ class TestSignalModes:
                 assert f"sig-{best}" in q.template_text
 
     def test_prompt_keyword_labels_follow_designated_model(self):
-        spec = keyword_world_spec(samples_per_dataset=30)
-        world = generate_world(spec)
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(False, False))
-        for ex in examples:
-            ds_index = int(ex.provenance[1][2:])
-            assert ex.label_model_id == spec.designated_best(ds_index)
+        # in the paired world consecutive datasets share their best model and keyword
+        for spec, flags in ((keyword_world_spec(samples_per_dataset=30),
+                             SerializationFlags(False, False)),
+                            (keyword_world_spec(samples_per_dataset=60, paired=True, seed=31),
+                             SerializationFlags(True, False))):
+            world = generate_world(spec)
+            examples = build_router_dataset(QueryGrid.build(world), flags)
+            assert examples
+            for ex in examples:
+                ds_index = int(ex.provenance[1][2:])
+                assert ex.label_model_id == spec.designated_best(ds_index)
 
     def test_metadata_band_separation(self):
         models = ["m0", "m1", "m2", "m3"]
