@@ -75,7 +75,8 @@ def run_lodo(
     """For each dataset D: take the corpus examples of every other dataset,
     split 80/10/10, train, and evaluate on D by recorded-outcome replay.
     Fold failures are recorded and the remaining folds continue; a bad
-    record or a coverage gap fails the run before any fold starts."""
+    record, a coverage gap or a dataset without records fails the run
+    before any fold starts."""
     if len(world.datasets) < 2:
         raise InvalidInputError("leave-one-dataset-out needs at least two datasets")
     if len(world.model_pool) < 2:
@@ -83,6 +84,9 @@ def run_lodo(
 
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
+    unrecorded = [ds for ds in world.datasets if not len(grid.rows(ds))]
+    if unrecorded:
+        raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
     rows = np.flatnonzero(grid.covered.any(axis=1))  # corpus position k is grid row rows[k]
     features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
     out = Path(out_dir) if out_dir is not None else None

@@ -38,8 +38,9 @@ class BackendInfo:
     deterministic: bool = True
     """A promise that ``embed_image`` is a function of its image ref and
     ``embed_texts`` of its whole prompt list (a row may depend on the other
-    prompts and on its position). ``evaluate`` then reuses each result for
-    the rest of its call instead of asking again."""
+    prompts and on its position). ``evaluate`` then reuses each embedding
+    for the rest of its call instead of asking again; it never merges
+    generative jobs."""
 
     def __post_init__(self):
         if self.family not in (EMBEDDING, GENERATIVE):
@@ -143,13 +144,14 @@ def evaluate(
     the sample id; the returned run reports the skip count. ``max_workers``
     must be 1: scoring is serial.
 
-    Every query is rendered before any backend call, and the backend gets
-    the call's work at once when it takes batches (the wire client's
-    ``embed_many`` and ``option_token_logprobs_many``), else one call at a
-    time in query order. For a ``deterministic`` embedding backend, each
-    image ref and each distinct prompt list is embedded once per call; only
-    results are kept, so a failed embedding is asked again for the next
-    variant that needs it.
+    Every query is rendered before any backend call. Each query becomes
+    scoring jobs named by their wire op (see ``run_job``), and the backend
+    gets the call's jobs at once when it takes batches (the wire client's
+    ``run_many``), else one call at a time in job order. For a
+    ``deterministic`` embedding backend, each image ref and each distinct
+    prompt list is embedded once per call; only results are kept, so a
+    failed embedding is asked again for the next variant that needs it.
+    Generative jobs are never merged.
     """
     if max_workers != 1:
         raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
@@ -161,12 +163,9 @@ def evaluate(
 
     chosen = list(variants) if variants is not None else prompt_variants(config)
     queries = [(sample, variant) for sample in manifest.samples for variant in chosen]
-    if info.family == EMBEDDING:
-        outcomes = _embedding_outcomes(backend, info, config, queries)
-    else:
-        outcomes = _generative_outcomes(backend, info, config, queries, normalization)
     run = EvaluationRun(records=[])
-    for (sample, variant), outcome in zip(queries, outcomes):
+    for (sample, variant), outcome in zip(
+            queries, _outcomes(backend, info, config, queries, normalization)):
         if isinstance(outcome, Exception):  # backend failures are data
             logger.warning(
                 "backend %s failed on sample %s (%s): %s",
@@ -192,39 +191,46 @@ def evaluate(
     return run
 
 
-def _embedding_outcomes(backend, info: BackendInfo, config, queries):
-    """The prediction, or the exception that stopped it, of each query: all
-    prompts are rendered first, and the embedding jobs of every rendered
-    query go to the backend in one ``_call_many`` call.
+def _outcomes(backend, info: BackendInfo, config, queries, normalization):
+    """The prediction, or the exception that stopped it, of each query.
 
-    A job is ``("img", image_ref)`` or ``("txt", tuple(prompts))``, in
-    first-use order, each query's image before its prompt list. A
-    ``deterministic`` backend gets each distinct job once; any other backend
-    gets every query's two jobs. Only results are reused: the first query
-    that needs a failed job gets its exception, and each later one asks
-    again with one plain call."""
-    rendered = _render_all(config, queries)
-    slots = {} if info.deterministic else None  # job -> its position in ``jobs``
-    jobs, needs = [], []  # needs: per query, its two job positions, or its render error
-    for (sample, _), prompts in zip(queries, rendered):
-        if isinstance(prompts, Exception):
-            needs.append(prompts)
+    Every query is rendered and its jobs collected first: an embedding
+    query's image, then its prompt list (each distinct one once for a
+    ``deterministic`` backend), or a generative query's one ``logprobs``
+    job. All jobs go to the backend in one ``_call_many`` call, and each
+    query's answers are taken through ``_take``."""
+    embedding = info.family == EMBEDDING
+    slots = {} if embedding and info.deterministic else None  # job -> its position in ``jobs``
+    jobs, needs = [], []  # needs: per query, its prompts and job positions, or its render error
+    for sample, variant in queries:
+        try:
+            prompts = closed_prompt_set(sample, config, variant)
+        except Exception as exc:  # noqa: BLE001
+            needs.append(exc)
             continue
-        pair = []
-        for job in (("img", sample.image_ref), ("txt", tuple(prompts))):
+        positions = []
+        for job in ((("embed_image", sample.image_ref), ("embed_texts", tuple(prompts)))
+                    if embedding else (("logprobs", sample.image_ref, prompts),)):
             j = len(jobs) if slots is None else slots.setdefault(job, len(jobs))
             if j == len(jobs):
                 jobs.append(job)
-            pair.append(j)
-        needs.append(pair)
-    answers = _call_many(backend, "embed_many", lambda job: _embed_one(backend, job), jobs)
+            positions.append(j)
+        needs.append((prompts, positions))
+    answers = _call_many(backend, jobs)
     for need in needs:
         if isinstance(need, Exception):
             yield need
             continue
+        prompts, positions = need
         try:
-            v = _take(backend, jobs, answers, need[0])
-            yield predict_contrastive(v, _take(backend, jobs, answers, need[1]))
+            taken = [_take(backend, jobs, answers, j) for j in positions]
+            if embedding:
+                yield predict_contrastive(*taken)
+            elif len(taken[0]) != len(prompts):
+                raise BackendError(f"backend {info.name} returned {len(taken[0])} logprob "
+                                   f"lists for {len(prompts)} prompts")
+            else:
+                yield predict_generative(taken[0], normalization)
         except Exception as exc:  # noqa: BLE001
             yield exc
 
@@ -238,65 +244,38 @@ def _take(backend, jobs: list, answers: list, j: int):
     that call is kept."""
     answer = answers[j]
     if answer is _ASK_AGAIN:
-        answer = answers[j] = _embed_one(backend, jobs[j])
+        answer = answers[j] = run_job(backend, jobs[j])
     elif isinstance(answer, Exception):
         answers[j] = _ASK_AGAIN
         raise answer
     return answer
 
 
-def _embed_one(backend, job: tuple):
-    kind, arg = job
-    return backend.embed_image(arg) if kind == "img" else backend.embed_texts(list(arg))
+def run_job(backend, job: tuple):
+    """The backend's answer to one scoring job ``(op, *args)``, named by its
+    wire op: ``("embed_image", image_ref)``, ``("embed_texts", prompts)`` or
+    ``("logprobs", image_ref, prompts)``."""
+    op = job[0]
+    if op == "embed_image":
+        return backend.embed_image(job[1])
+    if op == "embed_texts":
+        return backend.embed_texts(list(job[1]))
+    if op == "logprobs":
+        return backend.option_token_logprobs(job[1], job[2])
+    raise BackendError(f"unknown op {op!r}")
 
 
-def _render_all(config, queries) -> list:
-    """Each query's prompts, or the exception rendering them raised."""
-    rendered = []
-    for sample, variant in queries:
-        try:
-            rendered.append(closed_prompt_set(sample, config, variant))
-        except Exception as exc:  # noqa: BLE001
-            rendered.append(exc)
-    return rendered
-
-
-def _generative_outcomes(backend, info: BackendInfo, config, queries, normalization):
-    """The prediction, or the exception that stopped it, of each query: all
-    prompts are rendered first, and every rendered query goes to the
-    backend in one ``_call_many`` call."""
-    rendered = _render_all(config, queries)
-    answers = iter(_call_many(
-        backend, "option_token_logprobs_many", lambda job: backend.option_token_logprobs(*job),
-        [(sample.image_ref, prompts) for (sample, _), prompts in zip(queries, rendered)
-         if not isinstance(prompts, Exception)]))
-    for prompts in rendered:
-        lps = prompts if isinstance(prompts, Exception) else next(answers)
-        if isinstance(lps, Exception):
-            yield lps
-            continue
-        try:
-            if len(lps) != len(prompts):
-                raise BackendError(
-                    f"backend {info.name} returned {len(lps)} logprob lists for "
-                    f"{len(prompts)} prompts"
-                )
-            yield predict_generative(lps, normalization)
-        except Exception as exc:  # noqa: BLE001
-            yield exc
-
-
-def _call_many(backend, many: str, one, jobs: list) -> list:
-    """``one(job)`` of each job, or the exception it raised, in job order:
-    through the backend's batch method named ``many`` when it has one (the
-    wire client), else job by job."""
-    batch = getattr(backend, many, None)
-    if batch is not None:
-        return batch(jobs)
+def _call_many(backend, jobs: list) -> list:
+    """``run_job`` of each job, or the exception it raised, in job order:
+    through the backend's ``run_many`` when it has one (the wire client),
+    else job by job."""
+    many = getattr(backend, "run_many", None)
+    if many is not None:
+        return many(jobs)
     out = []
     for job in jobs:
         try:
-            out.append(one(job))
+            out.append(run_job(backend, job))
         except Exception as exc:  # noqa: BLE001
             out.append(exc)
     return out

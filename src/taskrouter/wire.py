@@ -22,12 +22,12 @@ be jobs. A client sends at most ``max_batch`` jobs per batch, and none to a
 server that advertises no ``max_batch``: that server gets the same jobs as
 plain lines, one per round trip.
 
-``evaluate`` hands the client one dataset's work at a time: its generative
-queries as ``logprobs`` jobs (``option_token_logprobs_many``), or its
-embedding jobs (``embed_many``), one ``embed_image`` per image and one
-``embed_texts`` per prompt list, each distinct one once when the server
-promises ``deterministic``. Both go through one chunker, so a dataset costs
-``ceil(jobs / max_batch)`` round trips.
+A scoring job is ``(op, *args)``, named by its wire op; ``_JOBS`` maps it
+to its request fields. ``evaluate`` hands the client one dataset's jobs at
+a time through ``run_many``: one ``logprobs`` job per generative query, or
+one ``embed_image`` per image and one ``embed_texts`` per prompt list, each
+distinct one once when the server promises ``deterministic``. A dataset
+costs ``ceil(jobs / max_batch)`` round trips.
 
 The client waits at most ``REPLY_TIMEOUT_S`` for each request to be taken
 and its reply line to come, a whole batch included, so a server picks its
@@ -52,7 +52,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import BackendError, InvalidInputError
-from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend
+from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend, run_job
 
 REPLY_TIMEOUT_S = 60.0  # longest wait for one reply, server start-up included
 CLOSE_TIMEOUT_S = 10.0  # longest wait for a server to exit after shutdown
@@ -82,14 +82,9 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
         op = req["op"]
         if op in ("batch", "info", "shutdown") and in_batch:
             raise BackendError(f"op {op!r} cannot be a batch job")
-        if op == "logprobs":
-            lps = backend.option_token_logprobs(req["image_ref"], req["prompts"])
-            result = [[float(x) for x in row] for row in lps]
-        elif op == "embed_image":
-            result = [float(x) for x in backend.embed_image(req["image_ref"])]
-        elif op == "embed_texts":
-            mat = backend.embed_texts(req["prompts"])
-            result = [[float(x) for x in row] for row in mat]
+        if op in _JOBS:
+            fields, encode, _ = _JOBS[op]
+            result = encode(run_job(backend, [req[f] for f in fields]))
         elif op == "batch":
             if not isinstance(req["jobs"], list):
                 raise BackendError("batch field 'jobs' must be a list")
@@ -107,6 +102,32 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
     except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
         return {"ok": False, "error": str(exc)}
     return {"ok": True, "result": result}
+
+
+def _vector(values) -> list[float]:
+    return [float(x) for x in values]
+
+
+def _rows(rows) -> list[list[float]]:
+    return [[float(x) for x in row] for row in rows]
+
+
+def _array(result) -> np.ndarray:
+    return np.asarray(result, dtype=np.float64)
+
+
+# Each scoring job ``(op, *args)`` (see ``scoring.run_job``) on the wire: the
+# request field that carries each item of the job, in order; how the server
+# writes the backend's answer; and how the client reads the reply's result.
+_JOBS = {
+    "embed_image": (("op", "image_ref"), _vector, _array),
+    "embed_texts": (("op", "prompts"), _rows, _array),
+    "logprobs": (("op", "image_ref", "prompts"), _rows, lambda result: result),
+}
+
+
+def _request(job: tuple) -> dict:
+    return dict(zip(_JOBS[job[0]][0], job))
 
 
 def _reply(rout: IO[str], payload: dict) -> None:
@@ -192,36 +213,26 @@ class WireBackendClient:
         return BackendError(message)
 
     def embed_image(self, image_ref: str) -> np.ndarray:
-        return np.asarray(self._call({"op": "embed_image", "image_ref": image_ref}),
-                          dtype=np.float64)
+        return self._one(("embed_image", image_ref))
 
     def embed_texts(self, prompts: Sequence[str]) -> np.ndarray:
-        result = self._call({"op": "embed_texts", "prompts": list(prompts)})
-        return np.asarray(result, dtype=np.float64)
+        return self._one(("embed_texts", list(prompts)))
 
     def option_token_logprobs(self, image_ref: str, prompts: Sequence[str]):
-        return self._call(
-            {"op": "logprobs", "image_ref": image_ref, "prompts": list(prompts)}
-        )
+        return self._one(("logprobs", image_ref, list(prompts)))
 
-    def option_token_logprobs_many(self, jobs: Sequence[tuple[str, Sequence[str]]]) -> list:
-        """``option_token_logprobs`` of each ``(image_ref, prompts)`` job, or
-        the ``BackendError`` it failed with, in job order (see ``_many``)."""
-        return self._many([{"op": "logprobs", "image_ref": ref, "prompts": list(prompts)}
-                           for ref, prompts in jobs])
+    def _one(self, job: tuple):
+        return _JOBS[job[0]][2](self._call(_request(job)))
 
-    def embed_many(self, jobs: Sequence[tuple[str, object]]) -> list:
-        """The embedding of each ``("img", image_ref)`` or ``("txt",
-        prompts)`` job, as ``embed_image`` or ``embed_texts`` returns it,
-        or the exception it failed with, in job order (see ``_many``)."""
+    def run_many(self, jobs: Sequence[tuple]) -> list:
+        """The answer to each scoring job, as ``scoring.run_job`` on this
+        client returns it, or the exception it failed with, in job order
+        (see ``_many``)."""
         out = []
-        for result in self._many([
-            {"op": "embed_image", "image_ref": arg} if kind == "img"
-            else {"op": "embed_texts", "prompts": list(arg)} for kind, arg in jobs
-        ]):
+        for job, result in zip(jobs, self._many([_request(job) for job in jobs])):
             try:
                 out.append(result if isinstance(result, BackendError)
-                           else np.asarray(result, dtype=np.float64))
+                           else _JOBS[job[0]][2](result))
             except (TypeError, ValueError) as exc:
                 out.append(exc)
         return out
@@ -300,14 +311,19 @@ class SubprocessBackend(WireBackendClient):
     the ``BackendError`` when the channel fails."""
 
     def __init__(self, command: Sequence[str]):
+        command = list(command)
         self._stderr = tempfile.TemporaryFile()
-        self._proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=self._stderr,
-            text=True,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                text=True,
+            )
+        except OSError as exc:
+            self._stderr.close()
+            raise BackendError(f"cannot start wire backend {command}: {exc}") from exc
         try:
             super().__init__(self._proc.stdout, self._proc.stdin)
         except BaseException:

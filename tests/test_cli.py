@@ -441,3 +441,21 @@ def test_config_file_defaults(world_dir, tmp_path, capsys):
     model = RouterModel.load(out / "router.bin")
     assert model.featurizer.hash_dim == 2048
     assert model.seed == 4
+
+
+def test_failed_allocation_ends_in_error_record(world_dir, tmp_path, capsys, monkeypatch):
+    # a real oversized allocation fails fast or not depending on the host's
+    # overcommit policy, so the training call raises it instead
+    from taskrouter import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "train_router", out_of_memory)
+    code = main(["--out", str(tmp_path / "trained"), "router", "train",
+                 "--world", str(world_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip()) == {"error": "MemoryError",
+                                       "message": "Unable to allocate 8.00 TiB for an array"}

@@ -70,7 +70,8 @@ def sidecar_entries(draw, line: int):
 def corpus_pairs(draw):
     """(corpus bytes, sidecar bytes or None) with damage in either."""
     lines = draw(st.lists(st.sampled_from(LINES) | damaged_lines(), max_size=4))
-    corpus = "".join(line + "\n" for line in lines).encode("utf-8")
+    # a drawn surrogate becomes bytes that are not UTF-8, which the reader must reject
+    corpus = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
     if draw(st.booleans()):
         corpus = draw(st.binary(max_size=8)) + corpus
     if draw(st.booleans()):

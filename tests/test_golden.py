@@ -7,7 +7,10 @@ LODO loop that alters a byte of a report, corpus or router file fails here.
 """
 
 import hashlib
+import json
+import os
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +28,15 @@ from taskrouter import (
     split_80_10_10,
     train_router,
 )
+from taskrouter import wire
 from taskrouter.prompts import PromptTemplate
 from taskrouter.router import FeaturizerConfig, TrainConfig
 from taskrouter.routerdata import save_corpus
+from taskrouter.scoring import evaluate, make_mock_backend
 from taskrouter.synth import WorldSpec
+from oracles import FlakyBackend
+
+from conftest import keyword_world_spec
 
 FLAGS = SerializationFlags(True, True)
 FEATS = FeaturizerConfig(hash_dim=256)
@@ -198,3 +206,104 @@ def test_out_of_pool_record_is_rejected():
         build_comparison_report(QueryGrid.build(world))
     with pytest.raises(IntegrityError):
         build_router_dataset(QueryGrid.build(world), FLAGS)
+
+
+# ---------------------------------------------------------------------------
+# The request lines a wire client sends while ``evaluate`` scores a fixed
+# keyword world, pinned by sha256. Recorded before scoring jobs and wire
+# requests were read from one op table; any change to which jobs are asked,
+# their order, merging, chunking or retries, or to a request's bytes fails
+# here.
+
+def _serve(backend, rin, rout, max_batch: bool) -> None:
+    """``wire.serve_backend``, or one whose ``info`` advertises no
+    ``max_batch`` (so the client sends plain lines)."""
+    if max_batch:
+        return wire.serve_backend(backend, rin, rout)
+    for line in rin:
+        req = json.loads(line)
+        reply = {"ok": True, "result": None} if req["op"] == "shutdown" else \
+            wire._answer(backend, req)
+        if req["op"] == "info":
+            del reply["result"]["max_batch"]
+        rout.write(json.dumps(reply) + "\n")
+        rout.flush()
+        if req["op"] == "shutdown":
+            return
+
+
+def request_transcript(backend, max_batch, monkeypatch) -> list[bytes]:
+    """Every request line a client sends to ``backend`` served in a thread
+    at ``max_batch`` (``None``: advertised by no ``max_batch``), from its
+    ``info`` to its ``shutdown``, while ``evaluate`` scores each dataset."""
+    world = generate_world(keyword_world_spec(n_datasets=2, samples_per_dataset=12,
+                                              question_forms=2, seed=5))
+    sent = []
+    send = wire.WireBackendClient._send
+
+    def recording(self, data, deadline):
+        sent.append(bytes(data))
+        return send(self, data, deadline)
+
+    monkeypatch.setattr(wire.WireBackendClient, "_send", recording)
+    monkeypatch.setattr(wire, "MAX_BATCH", max_batch or wire.MAX_BATCH)
+    c2s_read, c2s_write = os.pipe()
+    s2c_read, s2c_write = os.pipe()
+    files = [os.fdopen(fd, mode) for fd, mode in
+             ((c2s_read, "r"), (c2s_write, "w"), (s2c_read, "r"), (s2c_write, "w"))]
+    server = threading.Thread(target=_serve, args=(backend, files[0], files[3], bool(max_batch)),
+                              daemon=True)
+    server.start()
+    try:
+        client = wire.WireBackendClient(files[2], files[1])
+        for ds_id, manifest in world.datasets.items():
+            evaluate(client, manifest, world.prompt_configs[ds_id])
+        client.shutdown()
+        server.join(timeout=10)
+    finally:
+        for fh in files:
+            fh.close()
+    return sent
+
+
+def _request_backend(case: str):
+    """``embedding`` and ``generative``: seeded mocks; ``-flaky``: two
+    images fail (so their second variants ask again on plain lines);
+    ``-volatile``: the same failures, and no ``deterministic`` promise."""
+    family = case.split("-")[0]
+    backend = make_mock_backend("seeded", family, seed=3, dim=4)
+    if "flaky" in case or "volatile" in case:
+        backend = FlakyBackend(backend, failing_refs={"ds00/ds00-s00003", "ds01/ds01-s00007"})
+    if "volatile" in case:
+        backend.info = replace(backend.info, deterministic=False)
+    return backend
+
+
+REQUEST_GOLDEN = {
+    ("embedding", 256): (4, "c0ec148aa1dc244680e0dc38461d57f2d2d1c312572c81d005dffbd60d63b2c2"),
+    ("embedding", 7): (6, "46da2eea43c570da7d636c4a18798ac0590df1137f2627b4d48c27c368bd51c1"),
+    ("embedding", None): (30, "47d64afb0000120796efced177f0de43b9c875a57086907f9f3895ee75d4de83"),
+    ("embedding-flaky", 256): (6, "12eead129b277ae86d769ce1643904d619bdd62853554e9bd0c1eeca91d6b187"),
+    ("embedding-flaky", 7): (8, "7f651e3d42721af9334b0c5694c0d04fa25c343e423111d9736fd81e6a68abfd"),
+    ("embedding-flaky", None):
+        (32, "7e2d63806052361ebd9e814d68c01a4ad50b5c29fde0b443055bb437d7efe89e"),
+    ("embedding-volatile", 256):
+        (4, "7ab4c6d816f2833141940f34d2c6cd3114356514365c53502bb6e8972551df9a"),
+    ("embedding-volatile", 7):
+        (16, "725ee3d42f82f4e9f42d7c4b76470c0ed8356137c0eb26bb160e11042cbeb9a7"),
+    ("embedding-volatile", None):
+        (98, "ab76e3e0c0749b405761c608913319a9d62c21648be24644d831972ac65bdb4c"),
+    ("generative", 256): (4, "8e491787a004f9f8d9256c12f04d1ea44dda6de650684126a5ee2056c2dee66c"),
+    ("generative", 7): (10, "bb2ad747480ae1abb3cb6aad039e55a1f16dc5cc53189b5d991e1985ae2290fb"),
+    ("generative", None): (50, "d8b1fd2b00b2fbb4a48e6c4596bde83b5a0550873d8e7cf9d41963d6a13fd4f5"),
+}
+
+
+@pytest.mark.parametrize("max_batch", [256, 7, None])
+@pytest.mark.parametrize("case", ["embedding", "embedding-flaky", "embedding-volatile",
+                                  "generative"])
+def test_wire_requests_match_recorded_digests(case, max_batch, monkeypatch):
+    sent = request_transcript(_request_backend(case), max_batch, monkeypatch)
+    assert sent[0] == b'{"op": "info"}\n' and sent[-1] == b'{"op": "shutdown"}\n'
+    digest = hashlib.sha256(b"".join(sent)).hexdigest()
+    assert (len(sent), digest) == REQUEST_GOLDEN[case, max_batch]

@@ -199,20 +199,27 @@ class TestRunLodo:
         assert covered == 800
         assert len(serialized) == covered
 
-    def test_heldout_dataset_without_records_fails_only_its_fold(self, monkeypatch,
-                                                                 paired_world):
-        from taskrouter import harness
+    def test_dataset_without_records_fails_before_any_fold(self, tmp_path, capsys,
+                                                           paired_world):
+        from taskrouter.cli import main
+        from taskrouter.core import save_world
 
         # a dataset in the middle: its corpus range is empty, between two others
         empty = list(paired_world.datasets)[1]
         world = replace(paired_world,
                         records=[r for r in paired_world.records if r.dataset_id != empty])
-        # the comparison report needs records of every dataset; only the folds are checked
-        monkeypatch.setattr(harness, "build_comparison_report", lambda grid, **kwargs: None)
-        result = run_lodo(world, flags=SerializationFlags(True, False),
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
-        assert result.failed_folds == [empty]
-        assert result.folds[empty].error == "no recorded queries to average"
+        with pytest.raises(InvalidInputError, match=f"no recorded queries in datasets "
+                                                    f"\\['{empty}'\\]"):
+            run_lodo(world, flags=SerializationFlags(True, False), train_config=FAST_TRAIN,
+                     featurizer=FAST_FEATS, seed=0, out_dir=tmp_path / "lodo")
+        save_world(world, tmp_path / "world")
+        assert main(["--out", str(tmp_path / "cli"), "lodo", "run",
+                     "--world", str(tmp_path / "world")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "InvalidInputError",
+                                      "message": f"no recorded queries in datasets ['{empty}']"}
+        assert not list(tmp_path.glob("*/fold_*"))
 
     def test_heldout_example_in_fold_corpus_fails_the_fold(self, monkeypatch, paired_world):
         from taskrouter import harness

@@ -175,3 +175,19 @@ def test_record_paths_build_no_record_objects():
         built += [f"{path}:{node.lineno}" for stmt in tree.body for node in ast.walk(stmt)
                   if isinstance(node, ast.Name) and node.id == "ExecutionRecord"]
     assert built == []
+
+
+def test_scoring_jobs_reach_a_backend_only_through_run_job():
+    # each place that maps a job to a backend method could drift from the
+    # others; ``scoring.run_job`` is the one map, for evaluate and the wire
+    package = Path(taskrouter.__file__).parent
+    ops = {"embed_image", "embed_texts", "option_token_logprobs"}
+    calls = []
+    for module in ("scoring.py", "wire.py"):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        allowed = ({id(node) for node in ast.walk(_function(tree, "run_job"))}
+                   if module == "scoring.py" else set())
+        calls += [f"{module}:{node.lineno} {_call_name(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and _call_name(node) in ops]
+    assert calls == []

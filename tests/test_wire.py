@@ -208,6 +208,23 @@ def _short_deadlines(monkeypatch):
     monkeypatch.setattr(wire, "CLOSE_TIMEOUT_S", 0.5)
 
 
+def test_server_that_cannot_start_raises_backend_error(tmp_path, monkeypatch):
+    opened = []
+    temporary_file = wire.tempfile.TemporaryFile
+
+    def recording():
+        opened.append(temporary_file())
+        return opened[-1]
+
+    monkeypatch.setattr(wire.tempfile, "TemporaryFile", recording)
+    missing = tmp_path / "no-such-server"
+    with pytest.raises(BackendError, match="cannot start wire backend") as caught:
+        SubprocessBackend([str(missing), "--flag"])
+    assert str([str(missing), "--flag"]) in str(caught.value)
+    assert "No such file or directory" in str(caught.value)
+    assert len(opened) == 1 and opened[0].closed  # the stderr file is not leaked
+
+
 def test_server_that_exits_at_start_reports_its_stderr(spawned):
     # the gold mock cannot start without a world, and says so on stderr
     with pytest.raises(BackendError, match="gold backend needs manifests"):
@@ -438,7 +455,8 @@ def test_stalled_batch_times_out_and_is_killed_on_close(spawned, tmp_path, monke
                                              info=_GEN_INFO))
     _short_deadlines(monkeypatch)
     start = time.monotonic()
-    outcomes = backend.option_token_logprobs_many([("a", ["x"]), ("b", ["y"]), ("c", ["z"])])
+    outcomes = backend.run_many([("logprobs", "a", ["x"]), ("logprobs", "b", ["y"]),
+                                 ("logprobs", "c", ["z"])])
     assert len(outcomes) == 3
     for outcome in outcomes:
         assert isinstance(outcome, BackendError) and "no reply within" in str(outcome)
@@ -458,7 +476,7 @@ def test_server_that_stops_reading_fails_a_large_batch_in_bounded_time(spawned, 
     backend = SubprocessBackend([sys.executable, "-c", script])
     _short_deadlines(monkeypatch)
     start = time.monotonic()
-    outcomes = backend.option_token_logprobs_many([("a", ["p" * (1 << 17)])] * 2)
+    outcomes = backend.run_many([("logprobs", "a", ["p" * (1 << 17)])] * 2)
     assert all(isinstance(o, BackendError) and "took no request within" in str(o)
                for o in outcomes)
     with pytest.raises(BackendError, match="did not exit"):
@@ -474,9 +492,9 @@ def test_server_that_stops_reading_fails_a_large_batch_in_bounded_time(spawned, 
 def test_malformed_batch_reply_breaks_the_channel(result, spawned, tmp_path):
     backend = SubprocessBackend(_fake_server(tmp_path, action=f"reply({result})",
                                              info=_GEN_INFO))
-    jobs = [("a", ["x"]), ("b", ["y"])]
+    jobs = [("logprobs", "a", ["x"]), ("logprobs", "b", ["y"])]
     for _ in range(2):  # broken for good: the next call fails the same way
-        outcomes = backend.option_token_logprobs_many(jobs)
+        outcomes = backend.run_many(jobs)
         assert len(outcomes) == 2
         assert all(isinstance(o, BackendError) and "malformed wire response" in str(o)
                    for o in outcomes)
@@ -689,9 +707,9 @@ def test_server_dying_mid_embedding_batch_skips_that_batch_and_the_rest(spawned,
 def test_malformed_embedding_batch_reply_breaks_the_channel(result, spawned, tmp_path):
     backend = SubprocessBackend(_fake_server(tmp_path, action=f"reply({result})",
                                              info=_EMBED_INFO))
-    jobs = [("img", "a"), ("txt", ("x", "y"))]
+    jobs = [("embed_image", "a"), ("embed_texts", ("x", "y"))]
     for _ in range(2):  # broken for good: the next call fails the same way
-        outcomes = backend.embed_many(jobs)
+        outcomes = backend.run_many(jobs)
         assert len(outcomes) == 2
         assert all(isinstance(o, BackendError) and "malformed wire response" in str(o)
                    for o in outcomes)
