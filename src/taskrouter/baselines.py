@@ -20,7 +20,6 @@ import numpy as np
 from .core import (AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average,
                    write_json)
 from .errors import InvalidInputError
-from .router import evaluate_router
 
 STRATEGIES = ("chance", "average", "voting", "router", "oracle", "upper_bound")
 COST_ROW = {
@@ -186,16 +185,15 @@ def _fmt_pct(value: float | None) -> str:
 
 def build_comparison_report(
     grid: QueryGrid,
-    router=None,
     router_accuracies: Mapping[str, float] | None = None,
     chance_kind: str = "uniform",
     failed_folds: Sequence[str] = (),
 ) -> ComparisonReport:
     """Assemble the per-dataset strategy comparison.
 
-    The router column comes either from ``router_accuracies`` (fractions,
-    e.g. per-fold held-out replay results) or from replaying ``router``
-    over every dataset; with neither, the column is left empty.
+    The router column holds ``router_accuracies`` (fractions per dataset,
+    e.g. per-fold held-out replay results or ``router.evaluate_router``'s);
+    a dataset without one has an empty cell.
 
     Every column is read from ``grid``, whose rows are the valid prompt
     variants only (the empty-question variants are removed for all
@@ -211,10 +209,7 @@ def build_comparison_report(
         cells["chance"][ds_id] = 100.0 * chance_fn(manifest.samples)
         cells["average"][ds_id] = 100.0 * average_baseline(grid.table, ds_id)
         cells["voting"][ds_id] = 100.0 * voting_accuracy(grid, ds_id)
-        if router_accuracies is not None:
-            r = router_accuracies.get(ds_id)
-        else:
-            r = None if router is None else evaluate_router(router, grid, ds_id)
+        r = (router_accuracies or {}).get(ds_id)
         cells["router"][ds_id] = None if r is None else 100.0 * r
         cells["oracle"][ds_id] = 100.0 * oracle_accuracy(grid.table, ds_id)
         cells["upper_bound"][ds_id] = 100.0 * upper_bound_accuracy(grid, ds_id)

@@ -26,7 +26,7 @@ from .prompts import (
     closed_prompt_set,
     prompt_variants,
 )
-from .router import FeaturizerConfig, RouterModel, TrainConfig, train_router
+from .router import FeaturizerConfig, RouterModel, TrainConfig, evaluate_router, train_router
 from .routerdata import (
     SerializationFlags,
     build_router_dataset,
@@ -196,29 +196,25 @@ def _out_dir(args, default: str) -> Path:
 
 
 def _train_config(args, seed: int) -> TrainConfig:
+    """The config file's ``train`` section over ``TrainConfig``'s defaults,
+    overridden by the command-line flags and ``seed``."""
     base = dict(args.config_data.get("train", {}))
-    for key, attr in (
-        ("learning_rate", "learning_rate"),
-        ("batch_size", "batch_size"),
-        ("max_iterations", "max_iterations"),
-        ("eval_every", "eval_every"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[key] = value
+    for key in ("learning_rate", "batch_size", "max_iterations", "eval_every"):
+        if getattr(args, key) is not None:
+            base[key] = getattr(args, key)
     base["seed"] = seed
     return TrainConfig.from_dict(base)
 
 
 def _featurizer_config(args) -> FeaturizerConfig:
-    base = dict(args.config_data.get("featurizer", {}))
-    if getattr(args, "hash_dim", None) is not None:
+    """The config file's ``featurizer`` section over ``FeaturizerConfig``'s
+    defaults, overridden by the command-line flags."""
+    base = FeaturizerConfig().to_dict()
+    base.update(args.config_data.get("featurizer", {}))
+    if args.hash_dim is not None:
         base["hash_dim"] = args.hash_dim
-    if getattr(args, "ngram_orders", None) is not None:
+    if args.ngram_orders is not None:
         base["ngram_orders"] = [int(x) for x in args.ngram_orders.split(",")]
-    base.setdefault("ngram_orders", [2, 3, 4])
-    base.setdefault("hash_dim", 2 ** 18)
-    base.setdefault("lowercase", True)
     return FeaturizerConfig.from_dict(base)
 
 
@@ -362,7 +358,14 @@ def _cmd_baselines_report(args) -> None:
     world = load_world(args.world)
     out = _out_dir(args, "baselines_out")
     router = RouterModel.load(args.router) if args.router else None
-    report = build_comparison_report(QueryGrid.build(world), router=router,
+    grid = QueryGrid.build(world)
+    accuracies = None
+    if router is not None:
+        grid.require_coverage()  # a coverage gap fails before any replay
+        # the report names a dataset that has no recorded queries
+        accuracies = {ds: evaluate_router(router, grid, ds)
+                      for ds in world.datasets if len(grid.rows(ds))}
+    report = build_comparison_report(grid, router_accuracies=accuracies,
                                      chance_kind=args.chance)
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
@@ -374,15 +377,16 @@ def _cmd_lodo_run(args) -> None:
     seed = _seed(args)
     out = _out_dir(args, "lodo_out")
     flags = SerializationFlags.parse(args.flags)
+    train_config = _train_config(args, seed)
     result = harness.run_lodo(
         world, flags=flags,
-        train_config=_train_config(args, seed),
+        train_config=train_config,
         featurizer=_featurizer_config(args),
         seed=seed, out_dir=out, chance_kind=args.chance,
     )
     harness.write_run_manifest(
         out,
-        config={"flags": flags.to_dict(), "train": _train_config(args, seed).to_dict(),
+        config={"flags": flags.to_dict(), "train": train_config.to_dict(),
                 "chance": args.chance},
         seeds={"master": seed},
         input_files=[Path(args.world) / name

@@ -139,7 +139,7 @@ def _run_fold(
     span = grid.spans[heldout]
     lo, hi = np.searchsorted(rows, [span.start, span.stop]).tolist()
     positions = split_80_10_10([*range(lo), *range(hi, len(corpus))], seed=fold_seed)
-    if any(corpus[i].provenance[1] == heldout for part in positions for i in part):
+    if any(lo <= i < hi for part in positions for i in part):
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
     train, validate, test = ([corpus[i] for i in part] for part in positions)
 
@@ -288,10 +288,9 @@ def run_in_distribution(
     # the corpus holds one example per covered row, in row order
     rows = np.flatnonzero(grid.covered.any(axis=1))[test]
     hits = grid.outcome(rows, model.route_batch([corpus[i].serialized_input for i in test]))
-    per_dataset: dict[str, list[bool]] = {}
-    for i, hit in zip(test, hits.tolist()):
-        per_dataset.setdefault(corpus[i].provenance[1], []).append(hit)
-    return {ds: sum(v) / len(v) for ds, v in sorted(per_dataset.items())}
+    per_dataset = {ds: hits[(span.start <= rows) & (rows < span.stop)]
+                   for ds, span in sorted(grid.spans.items())}
+    return {ds: int(v.sum()) / len(v) for ds, v in per_dataset.items() if len(v)}
 
 
 @dataclass

@@ -12,6 +12,7 @@ processes and platforms.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import struct
@@ -60,21 +61,14 @@ class FeaturizerConfig:
         )
 
 
-def _hash_atoms(order: int) -> np.ndarray:
-    rng = np.random.default_rng(_HASH_SEED + order)
-    # odd multipliers keep the low bits well mixed under mod-2^64 products
-    return (rng.integers(0, 2 ** 62, size=order, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-
-
-_ATOM_CACHE: dict[int, np.ndarray] = {}
-
 Features = tuple[np.ndarray, np.ndarray]
 
 
+@functools.cache
 def _atoms(order: int) -> np.ndarray:
-    if order not in _ATOM_CACHE:
-        _ATOM_CACHE[order] = _hash_atoms(order)
-    return _ATOM_CACHE[order]
+    rng = np.random.default_rng(_HASH_SEED + order)
+    # odd multipliers keep the low bits well mixed under mod-2^64 products
+    return (rng.integers(0, 2 ** 62, size=order, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
 
 
 def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
@@ -95,19 +89,16 @@ _FEATURIZE_CHUNK_CHARS = 1 << 13
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
-_ATOM_TABLE_CACHE: dict[tuple[int, ...], np.ndarray] = {}
 
-
+@functools.cache
 def _atom_table(orders: tuple[int, ...]) -> np.ndarray:
     """(max order, len(orders)) uint64 matrix whose column j holds the atoms
     of ``orders[j]``, zero below them: a window of codes times this table
     is every order's n-gram hash at once."""
-    if orders not in _ATOM_TABLE_CACHE:
-        table = np.zeros((max(orders), len(orders)), dtype=np.uint64)
-        for j, order in enumerate(orders):
-            table[:order, j] = _atoms(order)
-        _ATOM_TABLE_CACHE[orders] = table
-    return _ATOM_TABLE_CACHE[orders]
+    table = np.zeros((max(orders), len(orders)), dtype=np.uint64)
+    for j, order in enumerate(orders):
+        table[:order, j] = _atoms(order)
+    return table
 
 
 def _exact_choice(weights, bias, config: FeaturizerConfig, text: str) -> int:

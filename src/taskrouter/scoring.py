@@ -198,7 +198,9 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
     query's image, then its prompt list (each distinct one once for a
     ``deterministic`` backend), or a generative query's one ``logprobs``
     job. All jobs go to the backend in one ``_call_many`` call, and each
-    query's answers are taken through ``_take``."""
+    query's answers are taken through ``_take``. An answer with another
+    number of embedding rows or logprob lists than the query has prompts
+    is a ``BackendError``."""
     embedding = info.family == EMBEDDING
     slots = {} if embedding and info.deterministic else None  # job -> its position in ``jobs``
     jobs, needs = [], []  # needs: per query, its prompts and job positions, or its render error
@@ -225,12 +227,14 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
         try:
             taken = [_take(backend, jobs, answers, j) for j in positions]
             if embedding:
-                yield predict_contrastive(*taken)
-            elif len(taken[0]) != len(prompts):
-                raise BackendError(f"backend {info.name} returned {len(taken[0])} logprob "
-                                   f"lists for {len(prompts)} prompts")
+                prediction = predict_contrastive(*taken)
+                count, unit = len(prediction.per_option_scores), "embedding rows"
             else:
-                yield predict_generative(taken[0], normalization)
+                count, unit = len(taken[0]), "logprob lists"
+            if count != len(prompts):
+                raise BackendError(f"backend {info.name} returned {count} {unit} "
+                                   f"for {len(prompts)} prompts")
+            yield prediction if embedding else predict_generative(taken[0], normalization)
         except Exception as exc:  # noqa: BLE001
             yield exc
 

@@ -10,10 +10,11 @@ Each message is one JSON object per line. Requests:
     {"op": "shutdown"}
 
 Responses carry {"ok": true, "result": ...} with arrays of reals, or
-{"ok": false, "error": "..."}. The ``info`` result holds ``name`` (a
-string), ``family`` (``embedding`` or ``generative``) and, optionally,
-``deterministic`` (a bool, false when absent) and ``max_batch`` (a positive
-int, 1 when absent).
+{"ok": false, "error": "..."}, also for an ``image_ref`` that is not a
+string or ``prompts`` that are not a list of strings. The ``info`` result
+holds ``name`` (a string), ``family`` (``embedding`` or ``generative``)
+and, optionally, ``deterministic`` (a bool, false when absent) and
+``max_batch`` (a positive int, 1 when absent).
 
 A ``batch`` is answered with one line whose result holds one reply per job,
 in order: each the object that job would get if sent alone, so one failing
@@ -84,7 +85,7 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
             raise BackendError(f"op {op!r} cannot be a batch job")
         if op in _JOBS:
             fields, encode, _ = _JOBS[op]
-            result = encode(run_job(backend, [req[f] for f in fields]))
+            result = encode(run_job(backend, [_field(req, f) for f in fields]))
         elif op == "batch":
             if not isinstance(req["jobs"], list):
                 raise BackendError("batch field 'jobs' must be a list")
@@ -102,6 +103,18 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
     except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
         return {"ok": False, "error": str(exc)}
     return {"ok": True, "result": result}
+
+
+def _field(req: dict, name: str):
+    """A job request's field, checked: a string ``image_ref`` and a list of
+    strings ``prompts``."""
+    value = req[name]
+    if name == "image_ref" and not isinstance(value, str):
+        raise BackendError("field 'image_ref' must be a string")
+    if name == "prompts" and not (isinstance(value, list)
+                                  and all(isinstance(p, str) for p in value)):
+        raise BackendError("field 'prompts' must be a list of strings")
+    return value
 
 
 def _vector(values) -> list[float]:

@@ -213,6 +213,24 @@ class FlakyBackend:
         return self._inner.option_token_logprobs(image_ref, prompts)
 
 
+class RowCountBackend:
+    """Wraps an embedding backend and answers every prompt list with
+    ``rows`` embedding rows: the inner backend's rows for the prompts and
+    made-up ones, cut to ``rows``."""
+
+    def __init__(self, inner, rows: int):
+        self._inner = inner
+        self._rows = rows
+        self.info = inner.info
+
+    def embed_image(self, image_ref: str):
+        return self._inner.embed_image(image_ref)
+
+    def embed_texts(self, prompts):
+        extra = [f"extra option {i}" for i in range(self._rows - len(prompts))]
+        return self._inner.embed_texts([*prompts, *extra])[:self._rows]
+
+
 def query_by_query_embedding_outcomes(backend, config, queries) -> list:
     """The prediction, or the exception that stopped it, of each (sample,
     variant) query, with each query's backend calls made as it is reached:

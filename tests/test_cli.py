@@ -395,6 +395,42 @@ def test_router_that_needs_absent_metadata_names_the_sample(world_dir, tmp_path,
     assert f"sample {dropped} has none" in record["message"]
 
 
+@pytest.mark.parametrize("damage, error", [("coverage_gap", "CoverageError"),
+                                           ("dataset_without_records", "InvalidInputError")])
+def test_damaged_world_fails_the_report_alike_with_a_router(damage, error, world_dir, tmp_path,
+                                                            capsys):
+    # the router column is replayed only after the coverage check, and the
+    # report names a dataset that has no records
+    import shutil
+
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    records = world / "records.jsonl"
+    rows = [json.loads(line) for line in records.read_text().splitlines()]
+    if damage == "coverage_gap":
+        del rows[-1]
+    else:
+        rows = [row for row in rows if row["dataset_id"] != "ds01"]
+    records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    models = json.loads((world / "world.json").read_text())["model_pool"]
+    feats = FeaturizerConfig(hash_dim=64)
+    router = tmp_path / "router.bin"
+    RouterModel(tuple(sorted(models)), feats, SerializationFlags(True, True), 0,
+                np.zeros((len(models), feats.hash_dim)), np.zeros(len(models))).save(router)
+    errors = []
+    for extra in ([], ["--router", str(router)]):
+        assert main(["--out", str(tmp_path / "report"), "baselines", "report",
+                     "--world", str(world), *extra]) == 1
+        errors.append(json.loads(capsys.readouterr().err.strip()))
+    assert errors[0] == errors[1]
+    assert errors[0]["error"] == error
+
+
 @pytest.mark.parametrize("case, error", [
     ("ngram_orders", "ValueError"),
     ("config_list", "InvalidInputError"),

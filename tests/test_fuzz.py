@@ -23,6 +23,8 @@ from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_re
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
 from taskrouter.routerdata import load_corpus
+from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
+from taskrouter import wire
 
 LINES = (
     "[img]dim::(2,3,1)ave::(0.5)std::(1.0)[prompt]What is this? ;;;['a cat', 'a dog'"
@@ -338,3 +340,52 @@ def test_voting_accuracy_equals_per_row_voting_predict(grid_spec):
     rows = grid.rows("d")
     hits = [voting_predict(row) == s.gold_index for (s, _), row in zip(queries, votes)]
     assert voting_accuracy(grid, "d") == grid.variant_mean(rows, hits)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# one well-typed request per scoring job, answered by a backend of its family
+GOOD_JOBS = {
+    "embed_image": {"op": "embed_image", "image_ref": "d/s0"},
+    "embed_texts": {"op": "embed_texts", "prompts": ["a", "b"]},
+    "logprobs": {"op": "logprobs", "image_ref": "d/s0", "prompts": ["a", "b"]},
+}
+BACKENDS = {"embed_image": SeededEmbeddingBackend(seed=1, dim=4),
+            "embed_texts": SeededEmbeddingBackend(seed=1, dim=4),
+            "logprobs": SeededLogprobBackend(seed=1)}
+JOBS = st.fixed_dictionaries(
+    {"op": st.sampled_from(sorted(GOOD_JOBS)) | JSON},
+    optional={"image_ref": st.text(max_size=4) | JSON,
+              "prompts": st.lists(st.text(max_size=4), max_size=3) | JSON})
+REQUESTS = JSON | JOBS | st.fixed_dictionaries(
+    {"op": st.sampled_from(["batch", "info", "shutdown"]) | JSON},
+    optional={"jobs": st.lists(JOBS | JSON, max_size=3) | JSON})
+
+
+@given(st.sampled_from(sorted(BACKENDS)), REQUESTS)
+@settings(max_examples=300, deadline=None)
+def test_every_wire_request_gets_a_reply_object(backend, req):
+    reply = wire._answer(BACKENDS[backend], req)
+    assert wire._is_reply(reply) and reply["ok"] in (True, False)
+    if reply["ok"] and isinstance(req, dict) and req.get("op") == "batch":
+        assert all(wire._is_reply(r) for r in reply["result"])
+    json.dumps(reply)  # the reply can go on the wire as it is
+
+
+def _well_typed(field: str, value) -> bool:
+    if field == "image_ref":
+        return isinstance(value, str)
+    return isinstance(value, list) and all(isinstance(p, str) for p in value)
+
+
+@given(st.sampled_from(sorted(GOOD_JOBS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_wrong_typed_job_field_gets_an_error_reply(op, data):
+    good = GOOD_JOBS[op]
+    assert wire._answer(BACKENDS[op], good)["ok"] is True
+    field = data.draw(st.sampled_from(sorted(set(good) - {"op"})))
+    value = data.draw(JSON.filter(lambda v: not _well_typed(field, v)))
+    assert wire._answer(BACKENDS[op], {**good, field: value})["ok"] is False

@@ -30,7 +30,7 @@ from taskrouter import (
 )
 from taskrouter import wire
 from taskrouter.prompts import PromptTemplate
-from taskrouter.router import FeaturizerConfig, TrainConfig
+from taskrouter.router import FeaturizerConfig, TrainConfig, evaluate_router
 from taskrouter.routerdata import save_corpus
 from taskrouter.scoring import evaluate, make_mock_backend
 from taskrouter.synth import WorldSpec
@@ -91,7 +91,9 @@ def _sha(path) -> str:
 def report_and_corpus_digests(world, out) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     grid = QueryGrid.build(world)
-    report = build_comparison_report(grid, router=fixed_router(world))
+    router = fixed_router(world)
+    report = build_comparison_report(grid, router_accuracies={
+        ds: evaluate_router(router, grid, ds) for ds in world.datasets})
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
     examples = build_router_dataset(grid, FLAGS)

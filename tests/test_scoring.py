@@ -23,7 +23,7 @@ from taskrouter.scoring import (
 from taskrouter.core import aggregate_accuracy
 from taskrouter.prompts import PromptTemplate, closed_prompt_set, prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
-from oracles import FlakyBackend, query_by_query_embedding_outcomes
+from oracles import FlakyBackend, RowCountBackend, query_by_query_embedding_outcomes
 
 from conftest import keyword_world_spec, make_micro_world
 
@@ -392,6 +392,18 @@ class TestEvaluateEmbeddingCalls:
                 ("txt", tuple(closed_prompt_set(s, config, v)))
                 for s, v in queries if s.sample_id == "s1")
             assert not counted(looped.calls) - counted(batched.calls)
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_wrong_number_of_embedding_rows_is_a_skip(self, rows):
+        world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=8))
+        (ds_id, manifest), = world.datasets.items()
+        config = world.prompt_configs[ds_id]
+        backend = RowCountBackend(SeededEmbeddingBackend(seed=2, dim=8, name="only"), rows)
+        run = evaluate(backend, manifest, config)
+        assert run.records == []
+        assert run.skip_count == len(manifest.samples) * len(prompt_variants(config))
+        assert {n.error for n in run.skipped} == {
+            f"backend only returned {rows} embedding rows for 4 prompts"}
 
 
 class _RecordingLogprobBackend:

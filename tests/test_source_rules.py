@@ -160,6 +160,37 @@ def test_corpus_replay_routes_the_corpus_lines():
     assert calls == []
 
 
+def test_baselines_import_only_core_and_errors():
+    # the report takes the router column as numbers; replaying a router is
+    # its callers' work, so the strategy table does not depend on the router
+    package = Path(taskrouter.__file__).parent
+    tree = ast.parse((package / "baselines.py").read_text(), filename="baselines.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .x import y
+            imported |= ({f"taskrouter.{node.module}"} if node.module else
+                         {f"taskrouter.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert {m for m in imported if m.split(".")[0] == "taskrouter"} <= {
+        "taskrouter.core", "taskrouter.errors"}
+
+
+def test_corpus_replay_reads_no_provenance():
+    # a fold and the in-distribution split work in corpus positions; a
+    # dataset's examples are its grid span's rows, so no example's
+    # provenance strings are read
+    package = Path(taskrouter.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
+    reads = [f"{function}:{node.lineno}"
+             for function in ("_run_fold", "run_in_distribution")
+             for node in ast.walk(_function(tree, function))
+             if isinstance(node, ast.Attribute) and node.attr == "provenance"]
+    assert reads == []
+
+
 def test_record_paths_build_no_record_objects():
     # an object per record costs more than parsing it; these paths keep columns
     package = Path(taskrouter.__file__).parent

@@ -25,7 +25,7 @@ from taskrouter.scoring import (
 from taskrouter.synth import generate_world
 from taskrouter import wire
 from taskrouter.wire import SubprocessBackend, WireBackendClient, serve_backend
-from oracles import FlakyBackend, query_by_query_embedding_outcomes
+from oracles import FlakyBackend, RowCountBackend, query_by_query_embedding_outcomes
 
 from conftest import keyword_world_spec, make_micro_world
 
@@ -98,6 +98,39 @@ def test_error_propagates_as_backend_error(micro_world):
         assert pair.client.embed_image("micro/s1") is not None
     finally:
         pair.close()
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+def test_wrong_number_of_embedding_rows_over_the_wire_is_a_skip(rows):
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=8))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    pair = _PipePair(RowCountBackend(SeededEmbeddingBackend(seed=2, dim=8, name="only"), rows))
+    try:
+        run = evaluate(pair.client, manifest, config)
+    finally:
+        pair.close()
+    assert run.records == []
+    assert run.skip_count == len(manifest.samples) * len(prompt_variants(config))
+    assert {n.error for n in run.skipped} == {
+        f"backend only returned {rows} embedding rows for 4 prompts"}
+
+
+@pytest.mark.parametrize("req, error", [
+    ({"op": "embed_texts", "prompts": "abc"}, "field 'prompts' must be a list of strings"),
+    ({"op": "embed_texts", "prompts": ["a", 1]}, "field 'prompts' must be a list of strings"),
+    ({"op": "embed_image", "image_ref": ["x"]}, "field 'image_ref' must be a string"),
+    ({"op": "logprobs", "image_ref": "x", "prompts": "ab"},
+     "field 'prompts' must be a list of strings"),
+    ({"op": "logprobs", "image_ref": 7, "prompts": ["a"]}, "field 'image_ref' must be a string"),
+])
+def test_wrong_typed_job_field_gets_an_error_reply(req, error):
+    backend = SeededEmbeddingBackend(seed=1, dim=4, name="only")
+    if req["op"] == "logprobs":
+        backend = SeededLogprobBackend(seed=1, name="only")
+    assert wire._answer(backend, req) == {"ok": False, "error": error}
+    assert wire._answer(backend, {"op": "batch", "jobs": [req]}) == {
+        "ok": True, "result": [{"ok": False, "error": error}]}
 
 
 def test_evaluate_through_wire_matches_in_process(micro_world):
