@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,8 +46,10 @@ class MetadataSummary:
                 f"expected {c} channel means/stds, got "
                 f"{len(self.channel_means)}/{len(self.channel_stds)}"
             )
-        if any(s < 0 for s in self.channel_stds):
-            raise InvalidInputError("channel stds must be non-negative")
+        if not (all(math.isfinite(m) for m in self.channel_means)
+                and all(0 <= s < math.inf for s in self.channel_stds)):
+            raise InvalidInputError("channel means must be finite, and stds finite and "
+                                    "non-negative")
 
     def to_dict(self) -> dict:
         return {
@@ -687,8 +690,8 @@ class QueryGrid:
         Records are checked as ``aggregate_accuracy`` and ``group_records``
         check them, and for models outside the pool (IntegrityError). Of
         several faults, the one raised is the first by check (prompt config,
-        duplicate, model/outcome, unknown sample), then by row, then by
-        record order."""
+        undefined prompt variant, duplicate, model/outcome, unknown sample),
+        then by row, then by record order."""
         from .prompts import prompt_variants, valid_variant_ids
 
         recs = Records.of(world.records if records is None else records)
@@ -714,12 +717,19 @@ class QueryGrid:
             variant_index.append(np.tile(np.arange(len(variants)), manifest.size))
             spans[ds_id] = range(start, len(queries))
 
-        # drop records on variants with an empty question form
+        # a record on a variant its dataset does not define is a fault; one
+        # on a variant with an empty question form is dropped
         everything = np.arange(len(recs))
         pair, pair_first = _groups(everything, recs.dataset_id, recs.prompt_variant_id)
+        pairs = [(recs.dataset_id[i], recs.prompt_variant_id[i]) for i in pair_first.tolist()]
+        defined = {ds: {v.variant_id for v in prompt_variants(world.prompt_configs[ds])}
+                   for ds in recs.dataset_id.values}
+        i = _first(np.array([v not in defined[ds] for ds, v in pairs], dtype=bool)[pair])
+        if i is not None:
+            raise IntegrityError(f"record references prompt variant {recs.prompt_variant_id[i]!r} "
+                                 f"that dataset {recs.dataset_id[i]!r} does not define")
         valid_ids = {ds: valid_variant_ids(world.prompt_configs[ds])
                      for ds in recs.dataset_id.values}
-        pairs = [(recs.dataset_id[i], recs.prompt_variant_id[i]) for i in pair_first.tolist()]
         kept = np.flatnonzero(np.array([v in valid_ids[ds] for ds, v in pairs],
                                        dtype=bool)[pair])
         position = np.array([positions.get(p, -1) for p in pairs], dtype=np.int64)[pair[kept]]

@@ -350,8 +350,11 @@ def write_run_manifest(
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     digests = {}
     for p in input_files:
-        p = Path(p)
-        digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+        p, h = Path(p), hashlib.sha256()
+        with p.open("rb") as fh:
+            while block := fh.read(1 << 20):
+                h.update(block)
+        digests[p.name] = h.hexdigest()
     manifest = {
         "config": config,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),

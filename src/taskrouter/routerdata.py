@@ -16,6 +16,7 @@ and response segments after it carry the label and bookkeeping.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -34,10 +35,6 @@ IMG_MARK = "[img]"
 PROMPT_MARK = "[prompt]"
 RESPONSE_MARK = "[response]"
 OPTIONS_MARK = ";;;["
-
-_DIM = re.compile(r"\d+", re.ASCII)
-_FLOAT_1DP = re.compile(r"-?\d+\.\d", re.ASCII)
-_AVG_5DP = re.compile(r"\d+\.\d{5}", re.ASCII)
 
 _T = TypeVar("_T")
 
@@ -139,10 +136,12 @@ def serialize_input(
     _check_field("prompt", prompt_text, (SEP_MARK, OPTIONS_MARK))
     parts.append(PROMPT_MARK + prompt_text)
     if flags.include_response_options:
-        if options is None:
+        if not options:
             raise InvalidInputError("flags request response options but none were supplied")
         for opt in options:
             _check_field("option", opt, (SEP_MARK, OPTIONS_MARK, "', '"))
+            if opt.endswith("', "):  # with the separator after it, it would read as one
+                raise InvalidInputError(f"option may not end with \"', \": {opt!r}")
         parts.append(OPTIONS_MARK + ", ".join(f"'{opt}'" for opt in options))
     return "".join(parts)
 
@@ -169,6 +168,8 @@ def _response_segment(model_id: str, correct: bool, avg_accuracy: float,
         raise InvalidInputError(
             f"model {model_id!r} is not in the registered pool {sorted(model_pool)}"
         )
+    if not model_id:
+        raise InvalidInputError("model_id may not be empty")
     _check_field("model_id", model_id, (SEP_MARK, RESPONSE_MARK))
     if not 0.0 <= avg_accuracy <= 1.0:
         raise InvalidInputError(f"avg_accuracy must be in [0, 1], got {avg_accuracy}")
@@ -209,133 +210,50 @@ def _byte_offset(line: str, pos: int) -> int:
     return len(line[:pos].encode("utf-8", "surrogatepass"))
 
 
-def _parse_paren_group(line: str, pos: int, label: str) -> tuple[str, int]:
-    if pos >= len(line) or line[pos] != "(":
-        raise ParseError(f"expected '(' after {label}", _byte_offset(line, pos))
-    end = line.find(")", pos)
-    if end == -1:
-        raise ParseError(f"unterminated {label} group", _byte_offset(line, pos))
-    return line[pos + 1:end], end + 1
+# The steps that take a line apart, each anchored where the one before it
+# ended: the optional [img] groups and [prompt], the router input, the model
+# id, and the correct flag. What follows the last step is avg_accuracy.
+_STEPS = (
+    (re.compile(r"(?:\[img\]dim::\(([^)]*)\)ave::\(([^)]*)\)std::\(([^)]*)\))?\[prompt\]"),
+     "expected [prompt] segment"),
+    (re.compile(r"(.*?)\[SEP\]model::", re.DOTALL), "expected [SEP]model::"),
+    (re.compile(r"(.*?)\[response\]correct::", re.DOTALL), "expected [response]correct::"),
+    (re.compile(r"(True|False);;;avg_accuracy::"), "expected True or False and ;;;avg_accuracy::"),
+)
 
 
 def parse_example(line: str) -> ParsedExample:
-    """Invert serialize_example; malformed lines raise ParseError with the
-    byte offset of the failure."""
-    if not line:
-        raise ParseError("empty line", 0)
-    pos = 0
-    metadata: MetadataSummary | None = None
-
-    if line.startswith(IMG_MARK):
-        pos = len(IMG_MARK)
-        if not line.startswith("dim::", pos):
-            raise ParseError("expected dim:: after [img]", _byte_offset(line, pos))
-        pos += len("dim::")
-        dims_text, pos = _parse_paren_group(line, pos, "dim")
-        dim_parts = dims_text.split(",")
-        # every number must be in the form serialization writes, so that
-        # a parsed line reserializes byte for byte
-        if len(dim_parts) != 3 or not all(_DIM.fullmatch(p) and str(int(p)) == p
-                                          for p in dim_parts):
-            raise ParseError(f"bad dims {dims_text!r}", _byte_offset(line, pos))
-        dims = tuple(int(p) for p in dim_parts)
-        if not line.startswith("ave::", pos):
-            raise ParseError("expected ave:: after dims", _byte_offset(line, pos))
-        pos += len("ave::")
-        means_text, pos = _parse_paren_group(line, pos, "ave")
-        if not line.startswith("std::", pos):
-            raise ParseError("expected std:: after means", _byte_offset(line, pos))
-        pos += len("std::")
-        stds_text, pos = _parse_paren_group(line, pos, "std")
-        try:
-            means = _parse_1dp_floats(means_text)
-            stds = _parse_1dp_floats(stds_text)
-        except ValueError as exc:
-            raise ParseError(str(exc), _byte_offset(line, pos)) from exc
-        try:
-            metadata = MetadataSummary(dims, means, stds)
-        except InvalidInputError as exc:
-            raise ParseError(f"inconsistent metadata: {exc}", _byte_offset(line, pos)) from exc
-
-    if not line.startswith(PROMPT_MARK, pos):
-        raise ParseError("expected [prompt] segment", _byte_offset(line, pos))
-    pos += len(PROMPT_MARK)
-
-    sep_at = line.find(SEP_MARK, pos)
-    if sep_at == -1:
-        raise ParseError("missing [SEP] marker", _byte_offset(line, pos))
-    input_body = line[pos:sep_at]
-
-    options: tuple[str, ...] | None = None
-    opts_at = input_body.rfind(OPTIONS_MARK)
-    if opts_at != -1:
-        prompt_text = input_body[:opts_at]
-        if OPTIONS_MARK in prompt_text:
-            raise ParseError(f"prompt holds a second {OPTIONS_MARK!r}", _byte_offset(line, pos))
-        opts_body = input_body[opts_at + len(OPTIONS_MARK):]
-        options = _parse_options(opts_body, line, pos + opts_at + len(OPTIONS_MARK))
-    else:
-        prompt_text = input_body
-
-    pos = sep_at + len(SEP_MARK)
-    if not line.startswith("model::", pos):
-        raise ParseError("expected model:: after [SEP]", _byte_offset(line, pos))
-    pos += len("model::")
-    resp_at = line.find(RESPONSE_MARK, pos)
-    if resp_at == -1:
-        raise ParseError("missing [response] segment", _byte_offset(line, pos))
-    model_id = line[pos:resp_at]
-    if not model_id or SEP_MARK in model_id:
-        raise ParseError(f"model id empty or holding {SEP_MARK!r}", _byte_offset(line, pos))
-    pos = resp_at + len(RESPONSE_MARK)
-
-    if not line.startswith("correct::", pos):
-        raise ParseError("expected correct:: in response segment", _byte_offset(line, pos))
-    pos += len("correct::")
-    if line.startswith("True", pos):
-        correct, pos = True, pos + 4
-    elif line.startswith("False", pos):
-        correct, pos = False, pos + 5
-    else:
-        raise ParseError("correct:: must be True or False", _byte_offset(line, pos))
-
-    if not line.startswith(";;;avg_accuracy::", pos):
-        raise ParseError("expected ;;;avg_accuracy::", _byte_offset(line, pos))
-    pos += len(";;;avg_accuracy::")
-    avg_text = line[pos:]
-    avg = float(avg_text) if _AVG_5DP.fullmatch(avg_text) else None
-    if avg is None or f"{avg:.5f}" != avg_text:
-        raise ParseError(
-            f"avg_accuracy must be a 5-decimal value, got {avg_text!r}",
-            _byte_offset(line, pos),
+    """Invert serialize_example. A line parses if and only if its fields
+    reserialize to it byte for byte; otherwise ParseError carries the byte
+    offset of the first byte that leaves the format, or 0 when a field is
+    one the serializer refuses."""
+    fields, pos = [], 0
+    for step, expected in _STEPS:
+        match = step.match(line, pos)
+        if match is None:
+            raise ParseError(expected, _byte_offset(line, pos))
+        fields += match.groups()
+        pos = match.end()
+    dims, means, stds, body, model_id, correct = fields
+    prompt_text, opts_mark, opts = body.partition(OPTIONS_MARK)
+    try:
+        parsed = ParsedExample(
+            metadata=None if dims is None else MetadataSummary(
+                tuple(map(int, dims.split(","))), tuple(map(float, means.split(","))),
+                tuple(map(float, stds.split(",")))),
+            prompt_text=prompt_text,
+            options=tuple(opts[1:-1].split("', '")) if opts_mark else None,
+            model_id=model_id,
+            correct=correct == "True",
+            avg_accuracy=float(line[pos:]),
         )
-    if not 0.0 <= avg <= 1.0:
-        raise ParseError(f"avg_accuracy {avg} outside [0, 1]", _byte_offset(line, pos))
-
-    return ParsedExample(
-        metadata=metadata,
-        prompt_text=prompt_text,
-        options=options,
-        model_id=model_id,
-        correct=correct,
-        avg_accuracy=avg,
-    )
-
-
-def _parse_1dp_floats(text: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    values = []
-    for p in parts:
-        if not _FLOAT_1DP.fullmatch(p) or f"{float(p):.1f}" != p:
-            raise ValueError(f"expected a 1-decimal value, got {p!r}")
-        values.append(float(p))
-    return tuple(values)
-
-
-def _parse_options(body: str, line: str, body_pos: int) -> tuple[str, ...]:
-    if len(body) < 2 or not body.startswith("'") or not body.endswith("'"):
-        raise ParseError("options list must be quoted", _byte_offset(line, body_pos))
-    return tuple(body[1:-1].split("', '"))
+        again = parsed.reserialize()
+    except ValueError as exc:  # InvalidInputError included
+        raise ParseError(f"fields the serializer refuses: {exc}", 0) from exc
+    if again != line:
+        pos = len(os.path.commonprefix((line, again)))
+        raise ParseError("fields do not reserialize to the line", _byte_offset(line, pos))
+    return parsed
 
 
 # ---------------------------------------------------------------------------

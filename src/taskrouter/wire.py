@@ -125,16 +125,27 @@ def _rows(rows) -> list[list[float]]:
     return [[float(x) for x in row] for row in rows]
 
 
-def _array(result) -> np.ndarray:
-    return np.asarray(result, dtype=np.float64)
+def _reals(op: str, ndim: int):
+    """The client's reading of an ``op`` result: an array of reals with
+    ``ndim`` axes, else BackendError naming the op and the shape."""
+    def decode(result) -> np.ndarray:
+        try:
+            array = np.asarray(result)
+        except ValueError as exc:  # a ragged list
+            raise BackendError(f"{op} result is not a {ndim}-D array: {exc}") from exc
+        if array.ndim != ndim or array.dtype.kind not in "iuf":
+            raise BackendError(f"{op} result must be a {ndim}-D array of reals, got shape "
+                               f"{array.shape} of {array.dtype}")
+        return array.astype(np.float64, copy=False)
+    return decode
 
 
 # Each scoring job ``(op, *args)`` (see ``scoring.run_job``) on the wire: the
 # request field that carries each item of the job, in order; how the server
 # writes the backend's answer; and how the client reads the reply's result.
 _JOBS = {
-    "embed_image": (("op", "image_ref"), _vector, _array),
-    "embed_texts": (("op", "prompts"), _rows, _array),
+    "embed_image": (("op", "image_ref"), _vector, _reals("embed_image", 1)),
+    "embed_texts": (("op", "prompts"), _rows, _reals("embed_texts", 2)),
     "logprobs": (("op", "image_ref", "prompts"), _rows, lambda result: result),
 }
 
@@ -246,7 +257,7 @@ class WireBackendClient:
             try:
                 out.append(result if isinstance(result, BackendError)
                            else _JOBS[job[0]][2](result))
-            except (TypeError, ValueError) as exc:
+            except BackendError as exc:
                 out.append(exc)
         return out
 

@@ -101,18 +101,22 @@ def filter_valid_prompts(
 ) -> list[ExecutionRecord]:
     """Drop records whose prompt variant has an empty question form; those
     variants cannot be issued to every model family, so they are removed
-    for all models. The reference for the variant filter inside
-    ``QueryGrid.build``."""
-    valid_by_ds = {ds: valid_variant_ids(cfg) for ds, cfg in configs.items()}
-    kept = []
+    for all models. A record on a dataset without a prompt config, then one
+    on a variant its dataset does not define, is an IntegrityError. The
+    reference for the variant filter inside ``QueryGrid.build``."""
+    records = list(records)
     for rec in records:
-        if rec.dataset_id not in valid_by_ds:
+        if rec.dataset_id not in configs:
             raise IntegrityError(
                 f"record references dataset {rec.dataset_id!r} with no prompt config"
             )
-        if rec.prompt_variant_id in valid_by_ds[rec.dataset_id]:
-            kept.append(rec)
-    return kept
+    defined = {ds: {v.variant_id for v in prompt_variants(cfg)} for ds, cfg in configs.items()}
+    for rec in records:
+        if rec.prompt_variant_id not in defined[rec.dataset_id]:
+            raise IntegrityError(f"record references prompt variant {rec.prompt_variant_id!r} "
+                                 f"that dataset {rec.dataset_id!r} does not define")
+    valid_by_ds = {ds: valid_variant_ids(cfg) for ds, cfg in configs.items()}
+    return [rec for rec in records if rec.prompt_variant_id in valid_by_ds[rec.dataset_id]]
 
 
 def object_records(path) -> list[ExecutionRecord]:

@@ -1,6 +1,7 @@
 """Fuzzing of the readers of stored lines and files: every input gives a
-value or a TaskRouterError, never another exception. Also the batched
-featurizer, row by row against the one-line reference."""
+value or a TaskRouterError, never another exception. Also every line the
+serializer writes parses back to its fields, and the batched featurizer
+matches the one-line reference row by row."""
 
 import json
 import struct
@@ -10,19 +11,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import line_features, object_records
 
 import taskrouter.router as router_module
-from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, Sample,
-                        TaskRouterError, World, parse_example)
+from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
+                        Sample, TaskRouterError, World, parse_example, serialize_example)
 from taskrouter.baselines import voting_accuracy, voting_predict
 from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_records,
                              save_world, write_jsonl)
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
-from taskrouter.routerdata import load_corpus
+from taskrouter.routerdata import ALL_FLAG_COMBOS, ParsedExample, load_corpus
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter import wire
 
@@ -178,6 +179,47 @@ def test_every_accepted_line_reserializes_byte_for_byte(line):
         parsed = parse_example(line)
     except TaskRouterError:
         return
+    assert parsed.reserialize() == line
+
+
+# field text built from separator and marker pieces, quotes and non-ASCII
+# characters, so some draws are text the serializer must refuse
+FIELD_TEXT = st.lists(st.sampled_from(["'", ", ", "', ", ";;;", "[", "]", "SEP", "é", "日", " "])
+                      | st.characters(), max_size=6).map("".join)
+TENTHS = st.integers(-5000, 5000).map(lambda k: k / 10) | st.just(-0.0)
+
+
+@st.composite
+def serializable_fields(draw):
+    """(metadata, prompt, options, model id, correct, avg_accuracy, flags)
+    under a drawn flag combination."""
+    flags = draw(st.sampled_from(ALL_FLAG_COMBOS))
+    metadata = options = None
+    if flags.include_metadata:
+        c = draw(st.integers(1, 4))
+        channels = st.lists(TENTHS, min_size=c, max_size=c).map(tuple)
+        metadata = MetadataSummary((draw(st.integers(1, 5000)), draw(st.integers(1, 5000)), c),
+                                   draw(channels), tuple(map(abs, draw(channels))))
+    if flags.include_response_options:
+        options = tuple(draw(st.lists(FIELD_TEXT, max_size=4)))
+    avg = draw(st.integers(0, 100_000).map(lambda k: k / 100_000) | st.just(-0.0))
+    return (metadata, draw(FIELD_TEXT), options, draw(FIELD_TEXT), draw(st.booleans()), avg,
+            flags)
+
+
+@given(serializable_fields())
+@example((None, "p", None, "m", True, -0.0, ALL_FLAG_COMBOS[3]))
+@example((MetadataSummary((1, 2, 1), (-0.0,), (-0.0,)), "é ;;; [", ("日", "'", ""), "m",
+          False, 1.0, ALL_FLAG_COMBOS[0]))
+@settings(max_examples=300, deadline=None)
+def test_every_serialized_line_parses_to_its_fields(fields):
+    *values, flags = fields
+    try:
+        line = serialize_example(*values, flags=flags)
+    except InvalidInputError:
+        assume(False)
+    parsed = parse_example(line)
+    assert parsed == ParsedExample(*values)
     assert parsed.reserialize() == line
 
 

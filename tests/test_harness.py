@@ -1,5 +1,6 @@
 """Harness: LODO, ablations, heatmaps, fold isolation, and determinism."""
 
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -446,11 +447,15 @@ class TestPlumbing:
     def test_run_manifest(self, tmp_path):
         f = tmp_path / "input.bin"
         f.write_bytes(b"payload")
+        large = tmp_path / "large.bin"  # hashed in several blocks
+        large.write_bytes(bytes(range(256)) * 10_000)
         path = write_run_manifest(
-            tmp_path, config={"x": 1}, seeds={"master": 5}, input_files=[f]
+            tmp_path, config={"x": 1}, seeds={"master": 5}, input_files=[f, large]
         )
         manifest = json.loads(path.read_text())
         assert manifest["seeds"] == {"master": 5}
         assert len(manifest["config_sha256"]) == 64
         assert manifest["input_digests"]["input.bin"] == \
             "239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e5"
+        assert manifest["input_digests"]["large.bin"] == \
+            hashlib.sha256(large.read_bytes()).hexdigest()

@@ -134,6 +134,9 @@ SINGLE_FAULTS = {
                      "record for ds00-s00003: predicted_index 9 outside option range"),
     "inconsistent": (lambda row: {**row, "correct": not row["correct"]},
                      "record for ds00-s00003: correct flag inconsistent with predicted_index"),
+    "invalid_variant": (lambda row: {**row, "prompt_variant_id": "q7-o0"},
+                        "record references prompt variant 'q7-o0' that dataset 'ds00' "
+                        "does not define"),
 }
 
 

@@ -131,6 +131,16 @@ class TestSerializeExample:
         with pytest.raises(InvalidInputError):
             serialize_input(None, "p", None, SerializationFlags(True, False))
 
+    @pytest.mark.parametrize("model_id, options", [
+        ("", ["x"]),  # model::[response]
+        ("m", []),  # ;;;[[SEP]
+        ("m", ["a', ", "b"]),  # reads back as ["a", ", 'b"]
+    ], ids=["empty_model_id", "no_options", "option_ending_in_separator"])
+    def test_fields_the_parser_cannot_read_back_are_rejected(self, model_id, options):
+        with pytest.raises(InvalidInputError):
+            serialize_example(None, "p", options, model_id, True, 0.5,
+                              SerializationFlags(False, True))
+
 
 class TestParseExample:
     def test_reference_block(self):

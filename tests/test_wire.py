@@ -1,6 +1,7 @@
 """Wire protocol: client/server round trips, error propagation, and the
 stdio server subprocess."""
 
+import json
 import math
 import os
 import subprocess
@@ -782,3 +783,64 @@ def test_embedding_retry_contract_holds_over_the_wire(monkeypatch):
     batch_refs = [job.get("image_ref") for job in reqs[1]["jobs"]]
     assert batch_refs.count("micro/s0") == batch_refs.count("micro/s3") == 1
     assert sorted(r["image_ref"] for r in reqs[2:4]) == ["micro/s0", "micro/s3"]
+
+
+# Serves the seeded embedding mock, except that the first answer to each job
+# in WRONG (keyed by its request's JSON) is WRONG's result; a job asked again
+# gets the mock's answer.
+_WRONG_SHAPE_SERVER = """\
+import json, sys
+from taskrouter.scoring import SeededEmbeddingBackend
+from taskrouter.wire import _answer
+
+backend = SeededEmbeddingBackend(seed=2, dim=4)
+wrong = __WRONG__
+
+def answer(req):
+    result = wrong.pop(json.dumps(req, sort_keys=True), None)
+    return _answer(backend, req) if result is None else {"ok": True, "result": result}
+
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["op"] == "shutdown":
+        break
+    reply = ({"ok": True, "result": [answer(job) for job in req["jobs"]]}
+             if req["op"] == "batch" else answer(req))
+    sys.stdout.write(json.dumps(reply) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_wrong_shape_embedding_results_skip_only_their_queries(spawned, tmp_path):
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=6,
+                                              question_forms=2))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    first, last = manifest.samples[0], manifest.samples[-1]
+    v0 = prompt_variants(config)[0]
+    prompts = closed_prompt_set(first, config, v0)
+    wrong = {  # a matrix for an image, ragged rows for a prompt list
+        json.dumps({"op": "embed_image", "image_ref": last.image_ref}, sort_keys=True):
+            [[1.0, 0.0, 0.0, 0.0]] * 2,
+        json.dumps({"op": "embed_texts", "prompts": prompts}, sort_keys=True):
+            [[1.0, 0.0, 0.0, 0.0]] * (len(prompts) - 1) + [[1.0]],
+    }
+    script = tmp_path / "server.py"
+    script.write_text(_WRONG_SHAPE_SERVER.replace("__WRONG__", repr(wrong)))
+    backend = SubprocessBackend([sys.executable, str(script)])
+    try:
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    (ragged, matrix) = run.skipped
+    assert (ragged.sample_id, ragged.prompt_variant_id) == (first.sample_id, v0.variant_id)
+    assert ragged.error.startswith("embed_texts result is not a 2-D array: ")
+    assert (matrix.sample_id, matrix.prompt_variant_id) == (last.sample_id, v0.variant_id)
+    assert matrix.error == ("embed_image result must be a 1-D array of reals, "
+                            "got shape (2, 4) of float64")
+    skipped = {(n.sample_id, n.prompt_variant_id) for n in run.skipped}
+    expected = evaluate(SeededEmbeddingBackend(seed=2, dim=4), manifest, config).records
+    assert run.records == [r for r in expected
+                           if (r.sample_id, r.prompt_variant_id) not in skipped]
+    assert len(run.records) == len(expected) - 2
+    assert _reaped(spawned)
