@@ -5,11 +5,11 @@ and run manifests.
 A LODO run builds one query grid, labels one corpus and featurizes it in
 one batch. A dataset's examples are a contiguous range of corpus
 positions; a fold splits the positions outside its held-out dataset's
-range, trains on their examples and feature rows, and replays by routing
-the corpus lines inside it. Every fold is self-contained: its corpus,
-router file, and metrics land in their own directory, so reports can be
-rebuilt from persisted artifacts and a failed fold never aborts the
-remaining ones.
+range, trains and validates on their feature rows, and replays by scoring
+the feature rows inside it, so no corpus line is hashed twice. Every fold
+is self-contained: its corpus, router file, and metrics land in their own
+directory, so reports can be rebuilt from persisted artifacts and a failed
+fold never aborts the remaining ones.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .baselines import ComparisonReport, build_comparison_report
 from .core import QueryGrid, World, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
-from .router import (FeaturizerConfig, Features, RouterModel, TrainConfig, featurize_batch,
+from .router import (FeatureRows, FeaturizerConfig, RouterModel, TrainConfig, featurize_batch,
                      route_rows, train_router)
 from .routerdata import (
     ALL_FLAG_COMBOS,
@@ -82,13 +82,10 @@ def run_lodo(
     if len(world.model_pool) < 2:
         raise InvalidInputError("leave-one-dataset-out needs at least two models")
 
-    grid = QueryGrid.build(world)
-    corpus = build_router_dataset(grid, flags)
+    grid, corpus, rows, features = _featurized_corpus(world, flags, featurizer)
     unrecorded = [ds for ds in world.datasets if not len(grid.rows(ds))]
     if unrecorded:
         raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
-    rows = np.flatnonzero(grid.covered.any(axis=1))  # corpus position k is grid row rows[k]
-    features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
@@ -124,11 +121,21 @@ def run_lodo(
     return LodoResult(report=report, folds=folds)
 
 
+def _featurized_corpus(world: World, flags: SerializationFlags, featurizer: FeaturizerConfig):
+    """(grid, corpus, rows, features): the world's query grid, its corpus,
+    the grid row of each corpus position (the corpus holds one example per
+    covered row, in row order) and the corpus lines featurized once."""
+    grid = QueryGrid.build(world)
+    corpus = build_router_dataset(grid, flags)
+    features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
+    return grid, corpus, np.flatnonzero(grid.covered.any(axis=1)), features
+
+
 def _run_fold(
     grid: QueryGrid,
     rows: np.ndarray,
     corpus: Sequence[RouterExample],
-    features: Sequence[Features],
+    features: FeatureRows,
     heldout: str,
     flags: SerializationFlags,
     train_config: TrainConfig,
@@ -138,8 +145,9 @@ def _run_fold(
 ) -> FoldResult:
     span = grid.spans[heldout]
     lo, hi = np.searchsorted(rows, [span.start, span.stop]).tolist()
-    positions = split_80_10_10([*range(lo), *range(hi, len(corpus))], seed=fold_seed)
-    if any(lo <= i < hi for part in positions for i in part):
+    positions = [np.array(part, dtype=np.intp) for part in
+                 split_80_10_10([*range(lo), *range(hi, len(corpus))], seed=fold_seed)]
+    if any(((lo <= part) & (part < hi)).any() for part in positions):
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
     train, validate, test = ([corpus[i] for i in part] for part in positions)
 
@@ -149,10 +157,11 @@ def _run_fold(
         flags=flags,
         featurizer=featurizer,
         vocabulary=grid.models,
-        features=[features[i] for i in positions[0]],
+        features=features,
+        positions=positions[:2],
     )
     heldout_rows = rows[lo:hi]
-    choices = model.route_batch([ex.serialized_input for ex in corpus[lo:hi]])
+    choices = model.route_features(features, range(lo, hi))
     accuracy = grid.variant_mean(heldout_rows, grid.outcome(heldout_rows, choices))
 
     result = FoldResult(
@@ -277,17 +286,16 @@ def run_in_distribution(
 ) -> dict[str, float]:
     """Train one router on an 80/10/10 split of every dataset and replay
     it on the test split, grouped per dataset."""
-    grid = QueryGrid.build(world)
-    corpus = build_router_dataset(grid, flags)
+    grid, corpus, rows, features = _featurized_corpus(world, flags, featurizer)
     train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
     model = train_router(
         [corpus[i] for i in train], [corpus[i] for i in validate],
         config=replace(train_config, seed=seed), flags=flags,
         featurizer=featurizer, vocabulary=grid.models,
+        features=features, positions=(train, validate),
     )
-    # the corpus holds one example per covered row, in row order
-    rows = np.flatnonzero(grid.covered.any(axis=1))[test]
-    hits = grid.outcome(rows, model.route_batch([corpus[i].serialized_input for i in test]))
+    rows = rows[test]
+    hits = grid.outcome(rows, model.route_features(features, test))
     per_dataset = {ds: hits[(span.start <= rows) & (rows < span.stop)]
                    for ds, span in sorted(grid.spans.items())}
     return {ds: int(v.sum()) / len(v) for ds, v in per_dataset.items() if len(v)}

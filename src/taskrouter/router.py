@@ -75,16 +75,19 @@ def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
     """Signed hashed n-gram counts of a serialized input.
 
     Returns (indices, values): sorted unique bucket indices and the signed
-    counts that landed in them. It is row 0 of ``featurize_batch([text])``.
+    counts that landed in them. It is row 0 of ``featurize_batch([text])``,
+    with int64 indices.
     """
-    return featurize_batch([text], config)[0]
+    idx, vals = featurize_batch([text], config).row(0)
+    return idx.astype(np.int64), vals
 
 
-# Lines are scored in chunks of at most this many characters (a longer line
-# is a chunk of its own), so scoring memory does not grow with the input.
+# Lines are scored in chunks of at most this many characters, and feature
+# rows in chunks of at most this many terms (a longer line or row is a chunk
+# of its own), so scoring memory does not grow with the input.
 _CHUNK_CHARS = 1 << 15
-# Featurized rows outlive their chunk, and the chunk's temporaries leave heap
-# holes between them; smaller chunks measured a lower peak RSS, no slower.
+# A chunk's hashing temporaries are several times the size of its rows;
+# smaller chunks measured a lower peak RSS, no slower.
 _FEATURIZE_CHUNK_CHARS = 1 << 13
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
@@ -108,14 +111,14 @@ def _exact_choice(weights, bias, config: FeaturizerConfig, text: str) -> int:
     return int(np.argmax(weights[:, idx] @ vals + bias))
 
 
-def _chunks(texts: Sequence[str], limit: int) -> Iterable[tuple[int, int]]:
-    """(start, stop) spans of ``texts`` holding at most ``limit``
-    characters each; a longer line is a span of its own."""
+def _chunks(sizes: Sequence[int], limit: int) -> Iterable[tuple[int, int]]:
+    """(start, stop) spans of items of these ``sizes`` holding at most
+    ``limit`` in all; a larger item is a span of its own."""
     start = 0
-    while start < len(texts):
-        stop, size = start + 1, len(texts[start])
-        while stop < len(texts) and size + len(texts[stop]) <= limit:
-            size += len(texts[stop])
+    while start < len(sizes):
+        stop, size = start + 1, sizes[start]
+        while stop < len(sizes) and size + sizes[stop] <= limit:
+            size += sizes[stop]
             stop += 1
         yield start, stop
         start = stop
@@ -152,34 +155,68 @@ def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
     return lengths, ends, buckets, signs
 
 
-def featurize_batch(texts: Sequence[str],
-                    config: FeaturizerConfig = FeaturizerConfig()) -> list[Features]:
-    """``featurize`` of each of ``texts``, hashed a chunk of lines at a time.
+@dataclass(frozen=True)
+class FeatureRows:
+    """Featurized lines as one compressed sparse row (CSR) matrix: row i's
+    sorted unique buckets are ``indices[indptr[i]:indptr[i + 1]]`` and its
+    signed counts the same slice of ``values``."""
 
-    A chunk becomes one compressed sparse row (CSR) matrix: one
-    ``np.unique`` of ``row * hash_dim + bucket`` over its fitting n-grams
-    gives each row's sorted unique buckets, and one ``np.bincount`` sums
-    their signs. Sums of +-1.0 are exact in any order, so every row equals
-    the one-line result bit for bit, a bucket whose signs cancel keeps its
-    0.0, and a line shorter than every order gets an empty row. Row i is
-    a view ``(indices[indptr[i]:indptr[i + 1]], values[...])`` of its
-    chunk's arrays. A chunk of more than one line has fewer rows than
+    indptr: np.ndarray  # (n_rows + 1,) int64
+    indices: np.ndarray  # int32, or int64 for a hash_dim past int32
+    values: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i) -> Features:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.values[lo:hi]
+
+
+def featurize_batch(texts: Sequence[str],
+                    config: FeaturizerConfig = FeaturizerConfig()) -> FeatureRows:
+    """``featurize`` of each of ``texts`` as the rows of one CSR matrix,
+    hashed a chunk of lines at a time.
+
+    In each chunk, one ``np.unique`` of ``row * hash_dim + bucket`` over its
+    fitting n-grams gives each row's sorted unique buckets, and one
+    ``np.bincount`` sums their signs. Sums of +-1.0 are exact in any order,
+    so every row equals the one-line result bit for bit, a bucket whose
+    signs cancel keeps its 0.0, and a line shorter than every order gets an
+    empty row. A chunk of more than one line has fewer rows than
     ``_FEATURIZE_CHUNK_CHARS``, so keys stay below that times ``hash_dim``:
     far inside int64 for any ``hash_dim`` a weight matrix can hold.
+
+    Each chunk's rows are written straight into the matrix's arrays, sized
+    for one bucket per n-gram of the lines as given (grown if lowercasing
+    lengthens them) and cut to the buckets found at the end, in place: the
+    unwritten tail is never touched, and no second copy of the matrix is
+    made.
     """
-    rows: list[Features] = []
     dim = config.hash_dim
-    for start, stop in _chunks(texts, _FEATURIZE_CHUNK_CHARS):
+    index_dtype = np.int32 if dim <= 1 << 31 else np.int64
+    capacity = len(config.ngram_orders) * sum(map(len, texts))
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    indices, values = np.empty(capacity, dtype=index_dtype), np.empty(capacity)
+    nnz = 0
+    for start, stop in _chunks(list(map(len, texts)), _FEATURIZE_CHUNK_CHARS):
         lengths, _, buckets, signs = _hash_chunk(config, texts[start:stop])
         fits = signs != 0
         keys = (np.repeat(np.arange(stop - start, dtype=np.int64), lengths)[:, None] * dim
                 + buckets)[fits]
         keys, inverse = np.unique(keys, return_inverse=True)
-        # astype: a bincount of no items is int64 even with float weights
-        values = np.bincount(inverse, weights=signs[fits], minlength=len(keys)).astype(np.float64)
-        row_ends = np.cumsum(np.bincount(keys // dim, minlength=stop - start))
-        rows += zip(np.split(keys % dim, row_ends[:-1]), np.split(values, row_ends[:-1]))
-    return rows
+        end = nnz + len(keys)
+        if end > len(indices):
+            indices.resize(2 * end, refcheck=False)
+            values.resize(2 * end, refcheck=False)
+        indices[nnz:end] = keys % dim
+        values[nnz:end] = np.bincount(inverse, weights=signs[fits], minlength=len(keys))
+        indptr[start + 1:stop + 1] = nnz + np.cumsum(np.bincount(keys // dim,
+                                                                 minlength=stop - start))
+        nnz = end
+    indices.resize(nnz, refcheck=False)
+    values.resize(nnz, refcheck=False)
+    return FeatureRows(indptr, indices, values)
 
 
 def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
@@ -187,7 +224,7 @@ def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
     """The index of the highest-scoring class for each of ``texts``; equal
     to ``_exact_choice`` on every line (see ``_choose_chunk``)."""
     choices = np.empty(len(texts), dtype=np.intp)
-    for start, stop in _chunks(texts, _CHUNK_CHARS):
+    for start, stop in _chunks(list(map(len, texts)), _CHUNK_CHARS):
         choices[start:stop] = _choose_chunk(weights, bias, config, texts[start:stop])
     return choices
 
@@ -197,43 +234,98 @@ def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
 
     ``_hash_chunk`` gives every n-gram's bucket and sign, as ``featurize``
     would. Each line's score is then the sum of its gathered
-    ``weights[c, bucket] * sign`` terms plus the bias.
-
-    The sum is rounded in another order than the reference
-    ``weights[:, idx] @ vals + bias``, so the two scores may differ in the
-    last bits. Let u = 2^-53, n the line's term count, A_c the sum of its
-    |weights[c, bucket] * sign| and S_c = A_c + |bias[c]|. Any order of
-    summing n terms errs by at most gamma_{n-1} * A_c, with gamma_k =
-    k*u / (1 - k*u), and the bias add rounds once more, so this score lies
-    within gamma_n * S_c of the true one. The reference's products fold the
-    same terms bucket by bucket (|vals[j]| is at most the number of terms
-    in bucket j, so its absolute terms also sum to at most A_c) and it sums
-    at most n of them, so it lies within gamma_{n+1} * S_c. The two scores
-    of a class thus differ by at most 2 * gamma_{n+1} * S_c, and if the
-    top score here beats the runner-up by more than 4 * gamma_{n+1} *
-    max_c S_c, the reference has the same unique argmax. Since gamma_{n+1}
-    <= 1.01 * (n + 1) * u, ``bound`` below (with eps = 2u) is twice that
-    margin, which also covers the rounding of the bound and the gap
-    themselves; the subnormal term covers underflow in the reference's
-    products. A line whose gap is not above its bound (a tie, a near tie, a
-    NaN) is rescored by ``_exact_choice``.
+    ``weights[c, bucket] * sign`` terms plus the bias, and a line that
+    fails ``_gap_test`` is rescored by ``_exact_choice``.
     """
     lengths, ends, buckets, signs = _hash_chunk(config, texts)
     terms = weights.take(buckets.ravel(), axis=1)
     terms *= signs.ravel()
     n_orders = len(config.ngram_orders)
-    starts = (ends - lengths) * n_orders
+    best, unsure = _gap_test(terms, (ends - lengths) * n_orders, lengths * n_orders, bias)
+    for i in unsure.tolist():
+        best[i] = _exact_choice(weights, bias, config, texts[i])
+    return best
+
+
+def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+              bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's best class from its signed terms, and the lines whose
+    choice may differ from the reference's.
+
+    ``terms`` is (n_classes, total terms); line i owns the ``counts[i] >
+    0`` columns from ``starts[i]``, in order. Returns the argmax of each
+    line's summed terms plus the bias, and the lines to rescore exactly.
+    ``terms`` is overwritten.
+
+    The sum is rounded in another order than the reference
+    ``weights[:, idx] @ vals + bias``, so the two scores may differ in the
+    last bits. Let u = 2^-53, n the line's term count, A_c the sum of its
+    |terms| and S_c = A_c + |bias[c]|. Any order of summing n terms errs by
+    at most gamma_{n-1} * A_c, with gamma_k = k*u / (1 - k*u), and the bias
+    add rounds once more, so this score lies within gamma_n * S_c of the
+    true one. The reference's products fold the same terms bucket by bucket
+    (|vals[j]| is at most the number of terms in bucket j, so its absolute
+    terms also sum to at most A_c; a row of ``FeatureRows`` has the
+    reference's own products as its terms) and it sums at most n of them,
+    so it lies within gamma_{n+1} * S_c. The two scores of a class thus
+    differ by at most 2 * gamma_{n+1} * S_c, and if the top score here
+    beats the runner-up by more than 4 * gamma_{n+1} * max_c S_c, the
+    reference has the same unique argmax. Since gamma_{n+1} <= 1.01 * (n +
+    1) * u, ``bound`` below (with eps = 2u) is twice that margin, which
+    also covers the rounding of the bound and the gap themselves; the
+    subnormal term covers underflow in the products. A line whose gap is
+    not above its bound (a tie, a near tie, a NaN) is to be rescored.
+    """
     scores = np.add.reduceat(terms, starts, axis=1)
     scores += bias[:, None]
     best = scores.argmax(axis=0)
-    if len(bias) > 1:
-        scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1)
-        scale += np.abs(bias)[:, None]
-        bound = 4.0 * (lengths * n_orders + 2) * (_EPS * scale.max(axis=0) + _TINY)
-        top2 = np.sort(scores, axis=0)[-2:]
-        for i in np.flatnonzero(~(top2[1] - top2[0] > bound)).tolist():
-            best[i] = _exact_choice(weights, bias, config, texts[i])
-    return best
+    if len(bias) == 1:
+        return best, np.empty(0, dtype=np.intp)
+    scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1)
+    scale += np.abs(bias)[:, None]
+    bound = 4.0 * (counts + 2) * (_EPS * scale.max(axis=0) + _TINY)
+    top2 = np.sort(scores, axis=0)[-2:]
+    return best, np.flatnonzero(~(top2[1] - top2[0] > bound))
+
+
+def _choose_rows(weights: np.ndarray, bias: np.ndarray, features: FeatureRows,
+                 positions) -> np.ndarray:
+    """The index of the highest-scoring class for each row of ``features``
+    at ``positions``, scored from its stored terms: equal on every row to
+    the reference argmax of ``weights[:, idx] @ vals + bias``, whose ties
+    go to the lowest index. ``weights`` is (n_classes, hash_dim) in any
+    memory layout (see ``_choose_rows_chunk``)."""
+    positions = np.asarray(positions, dtype=np.intp)
+    counts = features.indptr[positions + 1] - features.indptr[positions]
+    choices = np.empty(len(positions), dtype=np.intp)
+    for start, stop in _chunks(counts.tolist(), _CHUNK_CHARS):
+        choices[start:stop] = _choose_rows_chunk(weights, bias, features,
+                                                 positions[start:stop])
+    return choices
+
+
+def _choose_rows_chunk(weights, bias, features: FeatureRows, positions) -> np.ndarray:
+    """Score a chunk of feature rows: each row's terms are its gathered
+    ``weights[c, idx] * vals`` products, the reference's own, and a row
+    that fails ``_gap_test`` or has no terms gets the reference product."""
+    starts = features.indptr[positions]
+    counts = features.indptr[positions + 1] - starts
+    choices = np.zeros(len(positions), dtype=np.intp)
+    full = np.flatnonzero(counts)
+    exact = np.flatnonzero(counts == 0)
+    if len(full):
+        ends = np.cumsum(counts[full])
+        firsts = ends - counts[full]
+        # every term of the chunk's rows, as positions in the store
+        flat = np.arange(ends[-1]) + np.repeat(starts[full] - firsts, counts[full])
+        terms = weights[:, features.indices[flat]]
+        terms *= features.values[flat]
+        choices[full], unsure = _gap_test(terms, firsts, counts[full], bias)
+        exact = np.concatenate([exact, full[unsure]])
+    for i in exact.tolist():
+        idx, vals = features.row(positions[i])
+        choices[i] = np.argmax(weights[:, idx] @ vals + bias)
+    return choices
 
 
 @dataclass(frozen=True)
@@ -269,49 +361,62 @@ class TrainConfig:
                        "eval_every", "seed") if k in d})
 
 
-def softmax_loss_and_grads(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    feats: Sequence[Features],
-    labels: Sequence[int],
-):
-    """Mean cross-entropy over a mini-batch plus its analytic gradients.
+def _delta(block: np.ndarray, vals: np.ndarray, bias: np.ndarray, label) -> np.ndarray:
+    """One example's softmax probabilities minus its one-hot label: the
+    cross-entropy gradient of its scores. ``block`` is its buckets'
+    gathered (n, n_classes) weight rows; ``block.T`` is F-ordered, like
+    ``weights[:, idx]``, so the product has the reference's bits."""
+    scores = block.T @ vals + bias
+    scores -= scores.max()
+    exp = np.exp(scores)
+    delta = exp / exp.sum()
+    delta[label] -= 1.0
+    return delta
 
-    Returns (loss, grad_bias, cols, grad_cols): ``cols`` is the sorted union
-    of the batch's feature columns and ``grad_cols`` the (n_classes,
-    len(cols)) weight gradient over them. Every other column's gradient is
-    identically zero. Each column sums its examples' ``delta * value`` terms
-    in batch order, then scales by 1/n. A batch of one takes its example's
-    columns and terms as they are, which gives the same bits.
+
+def _sgd_step(rows: np.ndarray, items: np.ndarray, bias: np.ndarray,
+              features: FeatureRows, batch: np.ndarray, labels: np.ndarray,
+              lr: float) -> None:
+    """One SGD step on the mean cross-entropy of the ``features`` rows in
+    ``batch``, in place on the bucket-major ``rows`` (hash_dim, n_classes)
+    and on ``bias``. ``items`` views each row of ``rows`` as one item.
+
+    The weight gradient is nonzero only on the rows of the batch's buckets:
+    they are gathered once, updated as a block and put back once. Each
+    bucket sums its examples' ``delta * value`` terms in batch order from
+    0.0, then scales by 1/n. A batch of one takes its example's sorted
+    unique buckets and terms as they are, which gives the same bits: adding
+    0.0 turns a -0.0 into the 0.0 such a sum gives, and 1/n is 1.
     """
-    n = len(feats)
-    if n == 0:
-        raise InvalidInputError("empty mini-batch")
-    k = weights.shape[0]
-    loss = 0.0
-    grad_bias = np.zeros(k)
-    terms = []
-    for (idx, vals), label in zip(feats, labels):
-        scores = weights[:, idx] @ vals + bias
-        scores -= scores.max()
-        exp = np.exp(scores)
-        delta = exp / exp.sum()
-        loss -= float(np.log(max(delta[label], 1e-300)))
-        delta[label] -= 1.0
-        grad_bias += delta
-        terms.append(np.outer(delta, vals))
-    if n == 1:
-        # one example's columns are sorted and unique already, and 1/n is 1;
-        # adding 0.0 turns a -0.0 term into the 0.0 the general path sums to
-        terms[0] += 0.0
-        return loss, grad_bias, feats[0][0], terms[0]
-    cols, where = np.unique(np.concatenate([idx for idx, _ in feats]), return_inverse=True)
-    grad_cols = np.zeros((k, len(cols)))
-    # unbuffered, so a column shared by several examples adds them in batch order
-    np.add.at(grad_cols, (slice(None), where), np.concatenate(terms, axis=1))
-    inv = 1.0 / n
-    grad_cols *= inv
-    return loss * inv, grad_bias * inv, cols, grad_cols
+    k = len(bias)
+    if len(batch) == 1:
+        cols, vals = features.row(batch[0])
+        block = rows.take(cols, axis=0)
+        delta = _delta(block, vals, bias, labels[0])
+        grad_bias = np.zeros(k) + delta
+        grad = np.multiply.outer(delta, vals).T
+        grad += 0.0
+    else:
+        grad_bias = np.zeros(k)
+        terms = []
+        for i, label in zip(batch.tolist(), labels.tolist()):
+            idx, vals = features.row(i)
+            delta = _delta(rows.take(idx, axis=0), vals, bias, label)
+            grad_bias += delta
+            terms.append(np.multiply.outer(delta, vals).T)
+        cols, where = np.unique(np.concatenate([features.row(i)[0] for i in batch.tolist()]),
+                                return_inverse=True)
+        grad = np.zeros((len(cols), k))
+        # unbuffered, so a bucket shared by several examples adds them in batch order
+        np.add.at(grad, where, np.concatenate(terms))
+        inv = 1.0 / len(batch)
+        grad *= inv
+        grad_bias *= inv
+        block = rows.take(cols, axis=0)
+    bias -= lr * grad_bias
+    grad *= lr
+    block -= grad
+    items.put(cols, block.view(items.dtype).reshape(-1))
 
 
 @dataclass
@@ -338,9 +443,17 @@ class RouterModel:
 
     def route_batch(self, texts: Sequence[str]) -> list[str]:
         """The model picked for each serialized input line: every line
-        scored in one batched pass, with near ties rescored exactly."""
+        hashed and scored in one batched pass, with near ties rescored
+        exactly. Lines already featurized go through ``route_features``."""
         return [self.vocabulary[i]
                 for i in _choose(self.weights, self.bias, self.featurizer, texts).tolist()]
+
+    def route_features(self, features: FeatureRows, positions) -> list[str]:
+        """The model picked for each row of ``features`` at ``positions``,
+        scored from the stored rows with no line hashed again; the same
+        choice ``route_batch`` makes on the rows' lines."""
+        return [self.vocabulary[i]
+                for i in _choose_rows(self.weights, self.bias, features, positions).tolist()]
 
     def route_text(self, serialized_input: str) -> str:
         return self.route_batch([serialized_input])[0]
@@ -434,16 +547,22 @@ def train_router(
     flags: SerializationFlags | None = None,
     featurizer: FeaturizerConfig = FeaturizerConfig(),
     vocabulary: Sequence[str] | None = None,
-    features: Sequence[Features] | None = None,
+    features: FeatureRows | None = None,
+    positions: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> RouterModel:
     """Fit the default learner with seeded SGD over the training examples.
 
-    ``features`` holds each training example's ``featurize`` row, for a
-    caller that featurized a larger corpus once; without it the training
-    set is featurized in one ``featurize_batch`` call. Every ``eval_every``
-    steps (and at the final step) the validation label accuracy is
-    measured and the best checkpoint kept. With no validation examples the
-    final parameters are returned with a warning.
+    ``features`` holds the examples' ``featurize`` rows: by default the
+    training rows, then the validation rows; a caller that featurized a
+    larger corpus once passes it with ``positions``, the training and the
+    validation examples' rows in it. Without ``features`` the training and
+    validation lines are featurized in one ``featurize_batch`` call.
+
+    The weights are trained bucket-major, one (n_classes,) row per bucket,
+    and transposed once at the end. Every ``eval_every`` steps (and at the
+    final step) the validation label accuracy is measured from the
+    validation rows and the best checkpoint kept. With no validation
+    examples the final parameters are returned with a warning.
     """
     if not train:
         raise InvalidInputError("empty training set")
@@ -460,20 +579,28 @@ def train_router(
         flags = _infer_flags(train[0])
 
     if features is None:
-        features = featurize_batch([ex.serialized_input for ex in train], featurizer)
-    elif len(features) != len(train):
+        features = featurize_batch([ex.serialized_input for ex in [*train, *validate]],
+                                   featurizer)
+    if positions is None:
+        positions = (range(len(train)), range(len(train), len(train) + len(validate)))
+    train_rows, val_rows = (np.asarray(p, dtype=np.intp) for p in positions)
+    if (len(train_rows), len(val_rows)) != (len(train), len(validate)) or any(
+            len(p) and not 0 <= p.min() <= p.max() < len(features)
+            for p in (train_rows, val_rows)):
         raise InvalidInputError(
-            f"{len(features)} feature rows for {len(train)} training examples")
-    labels = [vocab_index[ex.label_model_id] for ex in train]
-    val_texts = [ex.serialized_input for ex in validate]
+            f"{len(train_rows)} training and {len(val_rows)} validation rows of "
+            f"{len(features)} for {len(train)} training and {len(validate)} validation examples")
+    labels = np.array([vocab_index[ex.label_model_id] for ex in train], dtype=np.intp)
     val_labels = np.array([vocab_index[ex.label_model_id] for ex in validate], dtype=np.intp)
 
     k = len(vocab)
-    weights = np.zeros((k, featurizer.hash_dim))
+    rows = np.zeros((featurizer.hash_dim, k))
+    items = rows.view(np.dtype((np.void, rows.itemsize * k))).reshape(-1)
     bias = np.zeros(k)
     rng = np.random.default_rng(config.seed)
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    best: tuple[float, np.ndarray] | None = None
+    best_rows = None
     order = np.arange(len(train))
     pos = len(train)  # force a shuffle before the first step
     lr = config.learning_rate
@@ -484,24 +611,24 @@ def train_router(
             pos = 0
         batch = order[pos:pos + config.batch_size]
         pos += config.batch_size
-        batch_feats = [features[i] for i in batch]
-        batch_labels = [labels[i] for i in batch]
-        _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
-            weights, bias, batch_feats, batch_labels
-        )
-        bias -= lr * grad_bias
-        weights[:, cols] -= lr * grad_cols
+        _sgd_step(rows, items, bias, features, train_rows[batch], labels[batch], lr)
 
         if step % config.eval_every == 0 or step == config.max_iterations:
-            if val_texts:
-                hits = int((_choose(weights, bias, featurizer, val_texts) == val_labels).sum())
-                acc = hits / len(val_texts)
+            if len(val_rows):
+                hits = int((_choose_rows(rows.T, bias, features, val_rows) == val_labels).sum())
+                acc = hits / len(val_rows)
                 logger.info("step %d: validation label accuracy %.4f", step, acc)
                 if best is None or acc > best[0]:
-                    best = (acc, weights.copy(), bias.copy())
+                    # one checkpoint buffer, refilled: at most two weight-sized arrays
+                    if best_rows is None:
+                        best_rows = rows.copy()
+                    else:
+                        np.copyto(best_rows, rows)
+                    best = (acc, bias.copy())
 
     if best is not None:
-        _, weights, bias = best
+        # drop the live rows (``items`` views them) before the transpose copies
+        rows, items, bias = best_rows, None, best[1]
     else:
         logger.warning("no validation examples; keeping final-iteration parameters")
 
@@ -510,7 +637,7 @@ def train_router(
         featurizer=featurizer,
         flags=flags,
         seed=config.seed,
-        weights=weights,
+        weights=rows.T.copy(),
         bias=bias,
     )
 

@@ -140,13 +140,42 @@ def _reals(op: str, ndim: int):
     return decode
 
 
+def _token_rows(result) -> list:
+    """The client's reading of a ``logprobs`` result: one non-empty list
+    of finite reals per prompt, passed on as it came, else BackendError
+    naming the op and the shape."""
+    if not isinstance(result, list):
+        raise BackendError(f"logprobs result must be a list of token lists, "
+                           f"got {type(result).__name__}")
+    for i, row in enumerate(result):
+        if not (isinstance(row, list) and row):
+            raise BackendError(f"logprobs result row {i} must be a non-empty list of reals, "
+                               f"got {_shape(row)}")
+        for x in row:
+            # a bool is an int to Python; 1e400 and NaN parse as floats, and
+            # x - x is NaN for them; an int past 2^53 may not sum as a float
+            if not (type(x) is float and x - x == 0.0
+                    or type(x) is int and -2 ** 53 <= x <= 2 ** 53):
+                raise BackendError(f"logprobs result row {i} must hold finite reals, "
+                                   f"got {_shape(x)} in a row of {len(row)}")
+    return result
+
+
+def _shape(value) -> str:
+    if isinstance(value, list):
+        return f"a list of {len(value)}"
+    if type(value) is int:
+        return "an int beyond 2^53"
+    return repr(value) if type(value) is float else type(value).__name__
+
+
 # Each scoring job ``(op, *args)`` (see ``scoring.run_job``) on the wire: the
 # request field that carries each item of the job, in order; how the server
 # writes the backend's answer; and how the client reads the reply's result.
 _JOBS = {
     "embed_image": (("op", "image_ref"), _vector, _reals("embed_image", 1)),
     "embed_texts": (("op", "prompts"), _rows, _reals("embed_texts", 2)),
-    "logprobs": (("op", "image_ref", "prompts"), _rows, lambda result: result),
+    "logprobs": (("op", "image_ref", "prompts"), _rows, _token_rows),
 }
 
 

@@ -11,7 +11,7 @@ from taskrouter import BackendError, IntegrityError, InvalidInputError
 from taskrouter.core import ExecutionRecord, MetadataSummary, group_records, read_numbered_jsonl
 from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
                                 valid_variant_ids)
-from taskrouter.router import _atoms, featurize, softmax_loss_and_grads
+from taskrouter.router import _atoms, _choose, featurize
 from taskrouter.scoring import predict_contrastive
 
 
@@ -64,6 +64,85 @@ def exact_choice(router, text: str) -> int:
     bias, and the first maximum, so that ties go to the lowest index."""
     idx, vals = featurize(text, router.featurizer)
     return int(np.argmax(router.weights[:, idx] @ vals + router.bias))
+
+
+def softmax_loss_and_grads(weights, bias, feats, labels):
+    """Mean cross-entropy over a mini-batch plus its analytic gradients, on
+    class-major (n_classes, hash_dim) weights.
+
+    Returns (loss, grad_bias, cols, grad_cols): ``cols`` is the sorted union
+    of the batch's feature columns and ``grad_cols`` the (n_classes,
+    len(cols)) weight gradient over them. Every other column's gradient is
+    identically zero. Each column sums its examples' ``delta * value`` terms
+    in batch order, then scales by 1/n. A batch of one takes its example's
+    columns and terms as they are, which gives the same bits. The reference
+    for the package's bucket-major SGD step.
+    """
+    n = len(feats)
+    if n == 0:
+        raise InvalidInputError("empty mini-batch")
+    k = weights.shape[0]
+    loss = 0.0
+    grad_bias = np.zeros(k)
+    terms = []
+    for (idx, vals), label in zip(feats, labels):
+        scores = weights[:, idx] @ vals + bias
+        scores -= scores.max()
+        exp = np.exp(scores)
+        delta = exp / exp.sum()
+        loss -= float(np.log(max(delta[label], 1e-300)))
+        delta[label] -= 1.0
+        grad_bias += delta
+        terms.append(np.outer(delta, vals))
+    if n == 1:
+        # one example's columns are sorted and unique already, and 1/n is 1;
+        # adding 0.0 turns a -0.0 term into the 0.0 the general path sums to
+        terms[0] += 0.0
+        return loss, grad_bias, feats[0][0], terms[0]
+    cols, where = np.unique(np.concatenate([idx for idx, _ in feats]), return_inverse=True)
+    grad_cols = np.zeros((k, len(cols)))
+    # unbuffered, so a column shared by several examples adds them in batch order
+    np.add.at(grad_cols, (slice(None), where), np.concatenate(terms, axis=1))
+    inv = 1.0 / n
+    grad_cols *= inv
+    return loss * inv, grad_bias * inv, cols, grad_cols
+
+
+def reference_train(train, validate, config, featurizer, vocabulary):
+    """Seeded SGD on class-major weights, as one loop: each example
+    featurized on its own line, each step's gradient from
+    ``softmax_loss_and_grads`` applied to the weight columns, and the
+    validation lines scored from their text by ``_choose`` every
+    ``eval_every`` steps, keeping the best checkpoint. Returns (weights,
+    bias); the reference ``train_router`` is checked against bit for bit."""
+    index = {m: i for i, m in enumerate(vocabulary)}
+    features = [featurize(ex.serialized_input, featurizer) for ex in train]
+    labels = [index[ex.label_model_id] for ex in train]
+    val_texts = [ex.serialized_input for ex in validate]
+    val_labels = np.array([index[ex.label_model_id] for ex in validate], dtype=np.intp)
+    weights = np.zeros((len(vocabulary), featurizer.hash_dim))
+    bias = np.zeros(len(vocabulary))
+    rng = np.random.default_rng(config.seed)
+    best = None
+    order = np.arange(len(train))
+    pos = len(train)
+    lr = config.learning_rate
+    for step in range(1, config.max_iterations + 1):
+        if pos + config.batch_size > len(order):
+            rng.shuffle(order)
+            pos = 0
+        batch = order[pos:pos + config.batch_size]
+        pos += config.batch_size
+        _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
+            weights, bias, [features[i] for i in batch], [labels[i] for i in batch])
+        bias -= lr * grad_bias
+        weights[:, cols] -= lr * grad_cols
+        if (step % config.eval_every == 0 or step == config.max_iterations) and val_texts:
+            acc = int((_choose(weights, bias, featurizer, val_texts) == val_labels).sum()) \
+                / len(val_texts)
+            if best is None or acc > best[0]:
+                best = (acc, weights.copy(), bias.copy())
+    return (weights, bias) if best is None else best[1:]
 
 
 def batch_loss(weights, bias, feats, labels) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from taskrouter import (
+    RouterExample,
     SerializationFlags,
     builtin_prompt_configs,
     build_router_dataset,
@@ -39,13 +40,12 @@ from taskrouter.router import (
     RouterModel,
     TrainConfig,
     featurize,
-    softmax_loss_and_grads,
 )
 from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec
-from oracles import batch_loss
+from oracles import batch_loss, reference_train, softmax_loss_and_grads
 from test_routerdata import (
     REFERENCE_FIELDS,
     REFERENCE_LINE,
@@ -213,6 +213,23 @@ def test_criterion_4_scoring_oracles():
                     a = grad_cols[j, pos]
                     rel = abs(fd - a) / max(abs(fd), abs(a), 1e-10)
                     assert rel <= 1e-4
+
+        # those gradients are the reference's; the package's bucket-major SGD
+        # takes the reference loop's steps bit for bit, at batch sizes 1 and 3
+        vocab = tuple(f"m{j}" for j in range(k))
+        examples = [RouterExample(t, vocab[i % k], ("s", "d", "q"),
+                                  f"{t}[SEP]model::{vocab[i % k]}[response]"
+                                  f"correct::True;;;avg_accuracy::1.00000")
+                    for i, t in enumerate(texts)]
+        for batch_size in (1, 3):
+            train_config = TrainConfig(learning_rate=0.5, batch_size=batch_size,
+                                       max_iterations=40, eval_every=10, seed=batch_size)
+            model = train_router(examples[:9], examples[9:], config=train_config,
+                                 featurizer=config, vocabulary=vocab)
+            weights, bias = reference_train(examples[:9], examples[9:], train_config, config,
+                                            vocab)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias.tobytes() == bias.tobytes()
 
 
 def test_criterion_5_baseline_ordering():

@@ -133,23 +133,25 @@ def test_bad_log_level_is_an_argparse_error(capsys):
 
 
 def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkeypatch):
+    # validation is scored from the rows featurized before the first step,
+    # at every evaluation, so no line is hashed twice
     from taskrouter import (QueryGrid, SerializationFlags, build_router_dataset, load_world,
                             router, split_80_10_10)
 
     hashed = []
-    real = router.featurize_batch
+    real = router._hash_chunk
 
-    def counting(texts, config):
+    def counting(config, texts):
         hashed.extend(texts)
-        return real(texts, config)
+        return real(config, texts)
 
-    monkeypatch.setattr(router, "featurize_batch", counting)
+    monkeypatch.setattr(router, "_hash_chunk", counting)
     assert main(["--out", str(tmp_path), "--seed", "3", "router", "train",
                  "--world", str(world_dir), "--flags", "md=off,ro=off", *FAST]) == 0
     corpus = build_router_dataset(QueryGrid.build(load_world(world_dir)),
                                   SerializationFlags(False, False))
-    train, _, _ = split_80_10_10(corpus, seed=3)
-    assert sorted(hashed) == sorted(ex.serialized_input for ex in train)
+    train, validate, _ = split_80_10_10(corpus, seed=3)
+    assert sorted(hashed) == sorted(ex.serialized_input for ex in [*train, *validate])
 
 
 def test_baselines_report(world_dir, tmp_path, capsys):

@@ -319,22 +319,36 @@ def featurizer_configs(draw):
 # a line longer than a chunk, and a batch spanning several real chunks
 @example(FeaturizerConfig(), ["x", "İ\U0001f600" * (1 << 14) + "y", "Mixed Case"], 1 << 13)
 @example(FeaturizerConfig(), [f"[prompt]line {i} " * 300 for i in range(8)], 1 << 13)
+# lowercasing lengthens İ to two code points: more buckets than the lines as
+# given have n-grams, so the matrix's arrays grow
+@example(FeaturizerConfig(), ["".join(f"İ{chr(0x4E00 + i)}" for i in range(200)), "Short"],
+         1 << 13)
 @settings(max_examples=300, deadline=None)
 def test_every_batched_row_equals_the_one_line_featurizer(config, texts, chunk_chars):
     with mock.patch.object(router_module, "_FEATURIZE_CHUNK_CHARS", chunk_chars):
         rows = featurize_batch(texts, config)
     assert len(rows) == len(texts)
-    for text, (idx, vals) in zip(texts, rows):
+    assert (rows.indptr.dtype, rows.indices.dtype, rows.values.dtype) == \
+        (np.dtype(np.int64), np.dtype(np.int32), np.dtype(np.float64))
+    assert rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices) == len(rows.values)
+    for i, text in enumerate(texts):
+        idx, vals = rows.row(i)
         for ref_idx, ref_vals in (featurize(text, config), line_features(text, config)):
-            assert (idx.dtype, vals.dtype) == (ref_idx.dtype, ref_vals.dtype) == \
-                (np.dtype(np.int64), np.dtype(np.float64))
-            assert idx.tobytes() == ref_idx.tobytes()
+            assert (ref_idx.dtype, ref_vals.dtype) == (np.dtype(np.int64), np.dtype(np.float64))
+            assert idx.astype(np.int64).tobytes() == ref_idx.tobytes()
             assert vals.tobytes() == ref_vals.tobytes()
 
 
 def test_batched_featurizer_keeps_a_cancelled_bucket():
-    (idx, vals), = featurize_batch(["ac"], FeaturizerConfig((1,), 2, lowercase=False))
+    rows = featurize_batch(["ac"], FeaturizerConfig((1,), 2, lowercase=False))
+    idx, vals = rows.row(0)
     assert idx.tolist() == [1] and vals.tolist() == [0.0]
+
+
+def test_batched_featurizer_of_no_lines_is_an_empty_matrix():
+    rows = featurize_batch([], FeaturizerConfig())
+    assert len(rows) == 0 and rows.indptr.tolist() == [0]
+    assert len(rows.indices) == len(rows.values) == 0
 
 
 @pytest.mark.parametrize("bad, error", [("", InvalidInputError),

@@ -162,17 +162,9 @@ class TestRunLodo:
         assert result.report.cell("ds00", "oracle") is not None
 
     def test_each_corpus_line_is_hashed_once(self, monkeypatch, paired_world):
-        from taskrouter import harness, router
-
-        hashed = []
-        real = router.featurize_batch
-
-        def counting(texts, config):
-            hashed.extend(texts)
-            return real(texts, config)
-
-        for module in (harness, router):
-            monkeypatch.setattr(module, "featurize_batch", counting)
+        # counted at the one hashing primitive: training, validation and
+        # fold replay all read the run's one feature matrix
+        hashed = _count_hashed_lines(monkeypatch)
         flags = SerializationFlags(True, False)
         result = run_lodo(paired_world, flags=flags,
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
@@ -286,6 +278,21 @@ class TestRunLodo:
             run_lodo(world)
 
 
+def _count_hashed_lines(monkeypatch) -> list[str]:
+    """Every line ``router._hash_chunk`` hashes from now on, in call order."""
+    from taskrouter import router
+
+    hashed = []
+    real = router._hash_chunk
+
+    def counting(config, texts):
+        hashed.extend(texts)
+        return real(config, texts)
+
+    monkeypatch.setattr(router, "_hash_chunk", counting)
+    return hashed
+
+
 class TestAblation:
     def test_four_corpora_match_flag_rules(self, tmp_path, paired_world):
         result = run_ablation(
@@ -305,6 +312,19 @@ class TestAblation:
         csv_text = (tmp_path / "ablation.csv").read_text()
         assert csv_text.startswith("dataset,md-on_ro-on,md-on_ro-off,"
                                    "md-off_ro-on,md-off_ro-off")
+
+    def test_each_corpus_line_is_hashed_once_per_flag_combination(self, monkeypatch,
+                                                                   paired_world):
+        # once per combination's corpus, and once more for the in-distribution
+        # split of the first combination's corpus
+        hashed = _count_hashed_lines(monkeypatch)
+        grid = (SerializationFlags(True, False), SerializationFlags(False, True))
+        run_ablation(paired_world, train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=7,
+                     flag_grid=grid, include_in_distribution=True)
+        query_grid = QueryGrid.build(paired_world)
+        lines = [ex.serialized_input for flags in (*grid, grid[0])
+                 for ex in build_router_dataset(query_grid, flags)]
+        assert sorted(hashed) == sorted(lines)
 
     def test_in_distribution_column(self, paired_world):
         result = run_ablation(

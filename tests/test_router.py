@@ -25,10 +25,10 @@ from taskrouter.router import (
     FeaturizerConfig,
     RouterModel,
     TrainConfig,
-    softmax_loss_and_grads,
 )
 from conftest import make_micro_world
-from oracles import batch_loss, char_ngrams, column_grads, exact_choice, ngram_hash
+from oracles import (batch_loss, char_ngrams, column_grads, exact_choice, ngram_hash,
+                     reference_train, softmax_loss_and_grads)
 
 SMALL = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=1024)
 
@@ -267,6 +267,67 @@ class TestTraining:
         assert model.flags == SerializationFlags(False, False)
 
 
+class TestBucketMajorTraining:
+    """``train_router`` against the class-major reference loop, bit for bit."""
+
+    VOCAB = ("m0", "m1", "m2")
+    # 64 buckets: n-grams collide, so values exceed 1 and some cancel to 0.0
+    FEATS = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=64)
+
+    def _examples(self, n=60):
+        rng = np.random.default_rng(11)
+        words = ["alpha", "bravo", "charlie", "delta", "echo"]
+        return [example(f"{words[i % 5]} {rng.integers(1000)} {'z' * (i % 7)}",
+                        self.VOCAB[int(rng.integers(3))]) for i in range(n)]
+
+    @pytest.mark.parametrize("with_validation", [True, False], ids=["validated", "final"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_weights_and_bias_equal_the_reference_loop(self, batch_size, with_validation):
+        examples = self._examples()
+        train, validate = examples[:48], examples[48:] if with_validation else []
+        config = TrainConfig(learning_rate=0.5, batch_size=batch_size, max_iterations=150,
+                             eval_every=25, seed=4)
+        rows = router_module.featurize_batch([ex.serialized_input for ex in train], self.FEATS)
+        assert (np.abs(rows.values) > 1.0).any() and (rows.values == 0.0).any()
+        weights, bias = reference_train(train, validate, config, self.FEATS, self.VOCAB)
+        model = train_router(train, validate, config=config,
+                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
+                             vocabulary=self.VOCAB)
+        assert model.weights.shape == weights.shape and model.weights.flags.c_contiguous
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_rows_read_by_position_from_a_larger_corpus(self, batch_size):
+        # as a LODO fold reads them: one matrix for a shuffled corpus
+        examples = self._examples()
+        corpus = [examples[i] for i in np.random.default_rng(3).permutation(len(examples))]
+        features = router_module.featurize_batch([ex.serialized_input for ex in corpus],
+                                                 self.FEATS)
+        at = {id(ex): i for i, ex in enumerate(corpus)}
+        train, validate = examples[:40], examples[40:50]
+        config = TrainConfig(learning_rate=0.5, batch_size=batch_size, max_iterations=90,
+                             eval_every=30, seed=2)
+        model = train_router(train, validate, config=config,
+                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
+                             vocabulary=self.VOCAB, features=features,
+                             positions=([at[id(ex)] for ex in train],
+                                        [at[id(ex)] for ex in validate]))
+        weights, bias = reference_train(train, validate, config, self.FEATS, self.VOCAB)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    def test_positions_must_match_the_examples(self):
+        examples = self._examples(20)
+        features = router_module.featurize_batch([ex.serialized_input for ex in examples],
+                                                 self.FEATS)
+        for positions in [(range(10), range(10, 15)), (range(10, 20), range(15, 21)),
+                          (range(-1, 9), range(10, 20))]:
+            with pytest.raises(InvalidInputError):
+                train_router(examples[:10], examples[10:], featurizer=self.FEATS,
+                             vocabulary=self.VOCAB, features=features, positions=positions)
+
+
 class TestRoute:
     def _model(self, vocab=("a", "b"), flags=SerializationFlags(False, False)):
         rng = np.random.default_rng(0)
@@ -396,6 +457,54 @@ class TestRouteBatch:
             got = router.route_batch(texts)
             assert [router.route_text(t) for t in texts] == got
         assert got == [router.vocabulary[exact_choice(router, t)] for t in texts]
+
+    @given(routers(), ROUTE_LINES, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_scored_from_features_equal_the_text_path_and_oracle(self, router, texts,
+                                                                     data):
+        # the same rows in any order, repeated or left out, and from
+        # bucket-major weights, as training validates with
+        features = router_module.featurize_batch(texts, router.featurizer)
+        positions = data.draw(st.lists(st.integers(0, len(texts) - 1), max_size=12))
+        got = router.route_features(features, positions)
+        lines = [texts[i] for i in positions]
+        assert got == router.route_batch(lines)
+        assert got == [router.vocabulary[exact_choice(router, t)] for t in lines]
+        bucket_major = np.ascontiguousarray(router.weights.T)
+        assert [router.vocabulary[i] for i in router_module._choose_rows(
+            bucket_major.T, router.bias, features, positions).tolist()] == got
+
+    def test_rows_within_the_bound_fall_back_to_the_reference_product(self, monkeypatch):
+        unsure = []
+        real = router_module._gap_test
+
+        def spying(*args):
+            best, rescored = real(*args)
+            unsure.append(rescored.tolist())
+            return best, rescored
+
+        monkeypatch.setattr(router_module, "_gap_test", spying)
+        texts = ["[prompt]one", "[prompt]two", "x"]
+        features = router_module.featurize_batch(texts, SMALL)
+        # every score ties on an all-zero router: both rows are rescored, and
+        # the empty row "x" never reaches the gap test
+        zero = RouterModel(vocabulary=("a", "b"), featurizer=SMALL,
+                           flags=SerializationFlags(False, False), seed=0,
+                           weights=np.zeros((2, SMALL.hash_dim)), bias=np.zeros(2))
+        assert zero.route_features(features, [0, 1, 2]) == ["a", "a", "a"]
+        assert unsure == [[0, 1]]
+        unsure.clear()
+        # class 1 is class 0 raised by one ulp: near ties the bound catches
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            weights, bias = rng.normal(size=(2, SMALL.hash_dim)), rng.normal(size=2)
+            weights[1], bias[1] = np.nextafter(weights[0], np.inf), bias[0]
+            router = RouterModel(vocabulary=("a", "b"), featurizer=SMALL,
+                                 flags=SerializationFlags(False, False), seed=0,
+                                 weights=weights, bias=bias)
+            assert router.route_features(features, [0, 1, 2]) == \
+                [router.vocabulary[exact_choice(router, t)] for t in texts]
+        assert all(rescored for rescored in unsure)
 
     def test_batch_longer_than_a_chunk(self):
         router = RouterModel(vocabulary=("a", "b", "c"), featurizer=FeaturizerConfig(),

@@ -122,6 +122,22 @@ def test_training_featurizes_each_corpus_in_one_call():
     assert looped == []
 
 
+def test_training_and_replay_score_the_run_feature_rows():
+    # validation and replay read the rows the run featurized once; hashing
+    # their lines again, or featurizing in a fold, repeats that work
+    package = Path(taskrouter.__file__).parent
+    rehash = {"_choose", "_choose_chunk", "route_batch", "route_text", "featurize",
+              "featurize_batch"}
+    tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
+    calls = [f"{function}:{node.lineno} {_call_name(node)}"
+             for function in ("_run_fold", "run_in_distribution")
+             for node in ast.walk(_function(tree, function))
+             if isinstance(node, ast.Call) and _call_name(node) in rehash]
+    tree = ast.parse((package / "router.py").read_text(), filename="router.py")
+    calls += _calls_in_loops(_function(tree, "train_router"), rehash)
+    assert calls == []
+
+
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)

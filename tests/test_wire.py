@@ -785,16 +785,16 @@ def test_embedding_retry_contract_holds_over_the_wire(monkeypatch):
     assert sorted(r["image_ref"] for r in reqs[2:4]) == ["micro/s0", "micro/s3"]
 
 
-# Serves the seeded embedding mock, except that the first answer to each job
-# in WRONG (keyed by its request's JSON) is WRONG's result; a job asked again
-# gets the mock's answer.
+# Serves BACKEND, a seeded mock, except that the first answer to each job
+# in WRONG (JSON text of an object keyed by its request's JSON) is WRONG's
+# result; a job asked again gets the mock's answer.
 _WRONG_SHAPE_SERVER = """\
 import json, sys
-from taskrouter.scoring import SeededEmbeddingBackend
+from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter.wire import _answer
 
-backend = SeededEmbeddingBackend(seed=2, dim=4)
-wrong = __WRONG__
+backend = __BACKEND__
+wrong = json.loads(__WRONG__)
 
 def answer(req):
     result = wrong.pop(json.dumps(req, sort_keys=True), None)
@@ -809,6 +809,11 @@ for line in sys.stdin:
     sys.stdout.write(json.dumps(reply) + "\\n")
     sys.stdout.flush()
 """
+
+
+def _wrong_shape_server(backend: str, wrong: dict) -> str:
+    return (_WRONG_SHAPE_SERVER.replace("__BACKEND__", backend)
+            .replace("__WRONG__", repr(json.dumps(wrong))))
 
 
 def test_wrong_shape_embedding_results_skip_only_their_queries(spawned, tmp_path):
@@ -826,7 +831,7 @@ def test_wrong_shape_embedding_results_skip_only_their_queries(spawned, tmp_path
             [[1.0, 0.0, 0.0, 0.0]] * (len(prompts) - 1) + [[1.0]],
     }
     script = tmp_path / "server.py"
-    script.write_text(_WRONG_SHAPE_SERVER.replace("__WRONG__", repr(wrong)))
+    script.write_text(_wrong_shape_server("SeededEmbeddingBackend(seed=2, dim=4)", wrong))
     backend = SubprocessBackend([sys.executable, str(script)])
     try:
         run = evaluate(backend, manifest, config)
@@ -843,4 +848,46 @@ def test_wrong_shape_embedding_results_skip_only_their_queries(spawned, tmp_path
     assert run.records == [r for r in expected
                            if (r.sample_id, r.prompt_variant_id) not in skipped]
     assert len(run.records) == len(expected) - 2
+    assert _reaped(spawned)
+
+
+def test_wrong_shape_logprob_results_skip_only_their_queries(spawned, tmp_path):
+    # a bool, a dict, a ragged row and a JSON NaN, each in one query's answer
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=6,
+                                              question_forms=2))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    v0 = prompt_variants(config)[0]
+    samples = manifest.samples[:4]
+    wrong_rows = [
+        lambda n: [[True]] * n,
+        lambda n: [{"a": 1}] + [[-1.0]] * (n - 1),
+        lambda n: [[-1.0, [-2.0]]] + [[-1.0]] * (n - 1),
+        lambda n: [[-1.0, math.nan]] * n,
+    ]
+    wrong = {}
+    for sample, rows in zip(samples, wrong_rows):
+        prompts = closed_prompt_set(sample, config, v0)
+        request = {"op": "logprobs", "image_ref": sample.image_ref, "prompts": prompts}
+        wrong[json.dumps(request, sort_keys=True)] = rows(len(prompts))
+    script = tmp_path / "server.py"
+    script.write_text(_wrong_shape_server("SeededLogprobBackend(seed=2)", wrong))
+    backend = SubprocessBackend([sys.executable, str(script)])
+    try:
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    assert [(n.sample_id, n.prompt_variant_id) for n in run.skipped] == \
+        [(s.sample_id, v0.variant_id) for s in samples]
+    assert [n.error for n in run.skipped] == [
+        "logprobs result row 0 must hold finite reals, got bool in a row of 1",
+        "logprobs result row 0 must be a non-empty list of reals, got dict",
+        "logprobs result row 0 must hold finite reals, got a list of 1 in a row of 2",
+        "logprobs result row 0 must hold finite reals, got nan in a row of 2",
+    ]
+    skipped = {(n.sample_id, n.prompt_variant_id) for n in run.skipped}
+    expected = evaluate(SeededLogprobBackend(seed=2), manifest, config).records
+    assert run.records == [r for r in expected
+                           if (r.sample_id, r.prompt_variant_id) not in skipped]
+    assert len(run.records) == len(expected) - 4
     assert _reaped(spawned)
