@@ -11,10 +11,10 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -261,11 +261,16 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
 
 _READ_BLOCK_BYTES = 1 << 20  # records.jsonl is read this many bytes of lines at a time
 _WRITE_BLOCK_ROWS = 1 << 16
-_scan_json = json.JSONDecoder().scan_once
-_row_fields = itemgetter(*RECORD_FIELDS)
 # json.dumps(rec.to_dict(), sort_keys=True), with each id already JSON-quoted
 _RECORD_LINE = ('{"correct": %s, "dataset_id": %s, "model_id": %s, "predicted_index": %d, '
                 '"prompt_variant_id": %s, "sample_id": %s}\n')
+# _RECORD_LINE as a pattern that matches one whole line of a block. A string
+# body is runs of plain characters between escapes, an unrolled loop that no
+# input makes backtrack; an integer is as JSON writes it (no leading zero).
+_JSON_STRING = r'"([^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*)"'
+_RECORD_PATTERN = re.compile("^" + re.escape(_RECORD_LINE[:-1]).replace("%d", "%s") % (
+    "(true|false)", _JSON_STRING, _JSON_STRING, "(-?(?:0|[1-9][0-9]*))", _JSON_STRING,
+    _JSON_STRING) + "$", re.MULTILINE)
 
 
 class Records:
@@ -295,11 +300,12 @@ class Records:
 
     @classmethod
     def load(cls, path: str | Path) -> "Records":
-        """Read a ``records.jsonl`` in blocks of lines, each line through the
-        C JSON scanner, straight into columns; no row outlives its block. A
-        block with any irregular line is read again line by line, so a bad
-        line fails as ``read_numbered_jsonl`` and ``ExecutionRecord.from_dict``
-        fail on it, naming ``path:line`` where they do."""
+        """Read a ``records.jsonl`` in blocks of lines straight into columns;
+        no row outlives its block. A block whose lines all match the one
+        line ``save`` writes is read by one compiled pattern. A block with
+        any other line is read again line by line, so a bad line fails as
+        ``read_numbered_jsonl`` and ``ExecutionRecord.from_dict`` fail on
+        it, naming ``path:line`` where they do."""
         with open(path, "rb") as fh:
             return cls._from_blocks(_read_blocks(path, fh))
 
@@ -365,27 +371,36 @@ def _read_blocks(path: str | Path, fh: IO[bytes]) -> Iterator[tuple]:
 
 
 def _scan_block(lines: list[bytes]) -> tuple | None:
-    """The columns of a block whose every line is blank or exactly one
-    record object as ``save`` writes it (well-typed, no surrounding
-    space); None for any other block."""
-    rows = []
+    """The columns of a block whose every line is blank or exactly a line
+    ``save`` writes (``_RECORD_LINE`` with well-formed ids and an int64
+    prediction); None for any other block."""
     try:
-        for text in b"".join(lines).decode("utf-8").split("\n"):
-            if text:
-                row, end = _scan_json(text, 0)  # each row dict is dropped at once
-                if end != len(text):
-                    return None
-                rows.append(_row_fields(row))
-    except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
+        text = b"".join(lines).decode("utf-8")
+    except ValueError:
+        return None
+    rows = _RECORD_PATTERN.findall(text)  # a match is one whole line
+    if len(rows) != len(lines) - lines.count(b"\n"):
         return None
     if not rows:
         return ()
-    *ids, preds, flags = columns = tuple(zip(*rows))
-    if (set(map(type, flags)) != {bool} or set(map(type, preds)) != {int}
-            or set(map(type, chain(*ids))) != {str}
-            or not _INT64.min <= min(preds) <= max(preds) <= _INT64.max):
+    flags, dataset, model, preds, variant, sample = zip(*rows)
+    ids = (sample, dataset, model, variant)
+    try:
+        if "\\" in text:
+            ids = tuple(map(_unescaped, ids))
+        preds = list(map(int, preds))
+    except ValueError:  # a bad escape, or more digits than int() reads
         return None
-    return columns
+    if not _INT64.min <= min(preds) <= max(preds) <= _INT64.max:
+        return None
+    return (*ids, preds, list(map("true".__eq__, flags)))
+
+
+def _unescaped(bodies: Sequence[str]) -> list[str]:
+    """The strings of captured JSON string bodies; each distinct body with
+    an escape is decoded once (ValueError for a bad escape)."""
+    decoded = {body: json.loads(f'"{body}"') for body in set(bodies) if "\\" in body}
+    return [decoded.get(body, body) for body in bodies]
 
 
 def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tuple:
@@ -425,6 +440,17 @@ class AccuracyTable:
         if not cells:
             raise KeyError((model_id, dataset_id))
         return sum(correct / total for _, correct, total in cells) / len(cells)
+
+    def cells(self, dataset_id: str, variant_ids: Sequence[str],
+              models: Sequence[str]) -> np.ndarray:
+        """``cell`` of each (variant, model) pair of the dataset, as a
+        (variant x model) array."""
+        return np.array([[self.cell(m, dataset_id, v) for m in models] for v in variant_ids],
+                        dtype=np.float64).reshape(len(variant_ids), len(models))
+
+    def marginals(self, dataset_id: str, models: Sequence[str]) -> list[float]:
+        """``marginal`` of each model on the dataset."""
+        return [self.marginal(m, dataset_id) for m in models]
 
     def models(self) -> list[str]:
         return sorted({m for m, _, _ in self._counts})

@@ -6,10 +6,11 @@ A LODO run builds one query grid, labels one corpus and featurizes it in
 one batch. A dataset's examples are a contiguous range of corpus
 positions; a fold splits the positions outside its held-out dataset's
 range, trains and validates on their feature rows, and replays by scoring
-the feature rows inside it, so no corpus line is hashed twice. Every fold
-is self-contained: its corpus, router file, and metrics land in their own
-directory, so reports can be rebuilt from persisted artifacts and a failed
-fold never aborts the remaining ones.
+the feature rows inside it, so no corpus line is hashed twice. An ablation
+builds the grid and the corpus labels once for all its flag combinations.
+Every fold is self-contained: its corpus, router file, and metrics land in
+their own directory, so reports can be rebuilt from persisted artifacts and
+a failed fold never aborts the remaining ones.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .routerdata import (
     RouterExample,
     SerializationFlags,
     build_router_dataset,
+    router_corpora,
     save_corpus,
     split_80_10_10,
 )
@@ -77,20 +79,25 @@ def run_lodo(
     Fold failures are recorded and the remaining folds continue; a bad
     record, a coverage gap or a dataset without records fails the run
     before any fold starts."""
-    if len(world.datasets) < 2:
-        raise InvalidInputError("leave-one-dataset-out needs at least two datasets")
-    if len(world.model_pool) < 2:
-        raise InvalidInputError("leave-one-dataset-out needs at least two models")
+    _require_lodo_world(world)
+    return _lodo(*_featurized_corpus(world, flags, featurizer), flags, train_config,
+                 featurizer, seed, out_dir, chance_kind)
 
-    grid, corpus, rows, features = _featurized_corpus(world, flags, featurizer)
-    unrecorded = [ds for ds in world.datasets if not len(grid.rows(ds))]
+
+def _lodo(grid: QueryGrid, corpus: Sequence[RouterExample], features: FeatureRows,
+          flags: SerializationFlags, train_config: TrainConfig, featurizer: FeaturizerConfig,
+          seed: int, out_dir: str | Path | None, chance_kind: str = "uniform") -> LodoResult:
+    """The folds and report of ``run_lodo`` on the grid's corpus under
+    ``flags`` and its lines featurized in one batch."""
+    unrecorded = [ds for ds in grid.world.datasets if not len(grid.rows(ds))]
     if unrecorded:
         raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
     out = Path(out_dir) if out_dir is not None else None
+    rows = np.flatnonzero(grid.covered.any(axis=1))  # each corpus position's grid row
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
 
-    for fold_index, heldout in enumerate(world.datasets):
+    for fold_index, heldout in enumerate(grid.world.datasets):
         fold_dir = None
         if out is not None:
             fold_dir = out / f"fold_{heldout}"
@@ -121,14 +128,19 @@ def run_lodo(
     return LodoResult(report=report, folds=folds)
 
 
+def _require_lodo_world(world: World) -> None:
+    if len(world.datasets) < 2:
+        raise InvalidInputError("leave-one-dataset-out needs at least two datasets")
+    if len(world.model_pool) < 2:
+        raise InvalidInputError("leave-one-dataset-out needs at least two models")
+
+
 def _featurized_corpus(world: World, flags: SerializationFlags, featurizer: FeaturizerConfig):
-    """(grid, corpus, rows, features): the world's query grid, its corpus,
-    the grid row of each corpus position (the corpus holds one example per
-    covered row, in row order) and the corpus lines featurized once."""
+    """(grid, corpus, features): the world's query grid, its corpus and the
+    corpus lines featurized once."""
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
-    features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
-    return grid, corpus, np.flatnonzero(grid.covered.any(axis=1)), features
+    return grid, corpus, featurize_batch([ex.serialized_input for ex in corpus], featurizer)
 
 
 def _run_fold(
@@ -245,25 +257,25 @@ def run_ablation(
 ) -> AblationResult:
     """Train and evaluate routers under every flag combination with the
     held-out protocol; optionally add the in-distribution protocol, where
-    the router sees every dataset and is evaluated on held-out samples."""
+    the router sees every dataset and is evaluated on held-out samples.
+    The query grid and the corpus labels are built once for every
+    combination, and the in-distribution router trains on the first
+    combination's corpus and feature rows while they are at hand."""
+    _require_lodo_world(world)
     out = Path(out_dir) if out_dir is not None else None
+    grid = QueryGrid.build(world)
     columns: dict[str, dict[str, float | None]] = {}
-    for flags in flag_grid:
-        sub_dir = out / flags.tag if out is not None else None
-        lodo = run_lodo(
-            world, flags=flags, train_config=train_config, featurizer=featurizer,
-            seed=seed, out_dir=sub_dir,
-        )
+    ind = None
+    for k, (flags, corpus) in enumerate(zip(flag_grid, router_corpora(grid, flag_grid))):
+        features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
+        lodo = _lodo(grid, corpus, features, flags, train_config, featurizer, seed,
+                     out / flags.tag if out is not None else None)
         columns[flags.tag] = {
             ds: fold.router_accuracy for ds, fold in lodo.folds.items()
         }
-
-    ind = None
-    if include_in_distribution:
-        ind = run_in_distribution(
-            world, flags=flag_grid[0], train_config=train_config,
-            featurizer=featurizer, seed=seed,
-        )
+        if include_in_distribution and k == 0:
+            ind = _in_distribution(grid, corpus, features, flags, train_config, featurizer,
+                                   seed)
 
     result = AblationResult(
         dataset_ids=tuple(world.datasets),
@@ -286,7 +298,14 @@ def run_in_distribution(
 ) -> dict[str, float]:
     """Train one router on an 80/10/10 split of every dataset and replay
     it on the test split, grouped per dataset."""
-    grid, corpus, rows, features = _featurized_corpus(world, flags, featurizer)
+    return _in_distribution(*_featurized_corpus(world, flags, featurizer), flags, train_config,
+                            featurizer, seed)
+
+
+def _in_distribution(grid: QueryGrid, corpus: Sequence[RouterExample], features: FeatureRows,
+                     flags: SerializationFlags, train_config: TrainConfig,
+                     featurizer: FeaturizerConfig, seed: int) -> dict[str, float]:
+    """``run_in_distribution`` on the grid's corpus and its feature rows."""
     train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
     model = train_router(
         [corpus[i] for i in train], [corpus[i] for i in validate],
@@ -294,7 +313,7 @@ def run_in_distribution(
         featurizer=featurizer, vocabulary=grid.models,
         features=features, positions=(train, validate),
     )
-    rows = rows[test]
+    rows = np.flatnonzero(grid.covered.any(axis=1))[test]
     hits = grid.outcome(rows, model.route_features(features, test))
     per_dataset = {ds: hits[(span.start <= rows) & (rows < span.stop)]
                    for ds, span in sorted(grid.spans.items())}

@@ -16,17 +16,17 @@ and response segments after it carry the label and bookkeeping.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import (MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl,
-                   write_jsonl)
+from .core import MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl
 from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import render, rendered_options
 
@@ -123,27 +123,35 @@ def serialize_input(
 ) -> str:
     """The router-input portion of a serialized example (no [SEP] or
     response segments)."""
-    parts: list[str] = []
+    img = ""
     if flags.include_metadata:
         if metadata is None:
             raise InvalidInputError("flags request metadata but none was supplied")
-        h, w, c = metadata.dims
-        parts.append(
-            f"{IMG_MARK}dim::({h},{w},{c})"
+        img = _img_segment(metadata)
+    return img + _query_segments(prompt_text, options, flags)
+
+
+def _img_segment(metadata: MetadataSummary) -> str:
+    """The ``[img]`` segment of a sample's metadata."""
+    h, w, c = metadata.dims
+    return (f"{IMG_MARK}dim::({h},{w},{c})"
             f"ave::({_fmt_floats(metadata.channel_means)})"
-            f"std::({_fmt_floats(metadata.channel_stds)})"
-        )
+            f"std::({_fmt_floats(metadata.channel_stds)})")
+
+
+def _query_segments(prompt_text: str, options: Sequence[str] | None,
+                    flags: SerializationFlags) -> str:
+    """The ``[prompt]`` segment and, under ``flags``, the options segment."""
     _check_field("prompt", prompt_text, (SEP_MARK, OPTIONS_MARK))
-    parts.append(PROMPT_MARK + prompt_text)
-    if flags.include_response_options:
-        if not options:
-            raise InvalidInputError("flags request response options but none were supplied")
-        for opt in options:
-            _check_field("option", opt, (SEP_MARK, OPTIONS_MARK, "', '"))
-            if opt.endswith("', "):  # with the separator after it, it would read as one
-                raise InvalidInputError(f"option may not end with \"', \": {opt!r}")
-        parts.append(OPTIONS_MARK + ", ".join(f"'{opt}'" for opt in options))
-    return "".join(parts)
+    if not flags.include_response_options:
+        return PROMPT_MARK + prompt_text
+    if not options:
+        raise InvalidInputError("flags request response options but none were supplied")
+    for opt in options:
+        _check_field("option", opt, (SEP_MARK, OPTIONS_MARK, "', '"))
+        if opt.endswith("', "):  # with the separator after it, it would read as one
+            raise InvalidInputError(f"option may not end with \"', \": {opt!r}")
+    return PROMPT_MARK + prompt_text + OPTIONS_MARK + ", ".join(f"'{opt}'" for opt in options)
 
 
 def serialize_example(
@@ -284,21 +292,30 @@ def router_inputs(grid: QueryGrid, rows: Iterable[int],
                   flags: SerializationFlags) -> list[str]:
     """The router input of each of the grid's ``rows``: the query's image
     metadata, rendered prompt and options, serialized under ``flags``.
-    Corpus lines and routing replay both take their inputs from here."""
+    Corpus lines and routing replay both take their inputs from here. A
+    sample's variants are consecutive rows, which share one formatted
+    ``[img]`` segment and render each option form once."""
     world = grid.world
-    texts = []
+    texts, last, img, options = [], None, "", None
     for i in rows:
         ds_id, sample, variant = grid.queries[i]
         config = world.prompt_configs[ds_id]
-        metadata = world.metadata.get(sample.sample_id)
-        if metadata is None and flags.include_metadata:
-            raise InvalidInputError(
-                f"flags request metadata but sample {sample.sample_id} has none"
-            )
-        options = (rendered_options(sample, config, variant)
-                   if flags.include_response_options else None)
-        texts.append(serialize_input(metadata, render(variant.question, sample, config),
-                                     options, flags))
+        if sample is not last:
+            last, rendered = sample, {}  # option form index -> options
+            if flags.include_metadata:
+                metadata = world.metadata.get(sample.sample_id)
+                if metadata is None:
+                    raise InvalidInputError(
+                        f"flags request metadata but sample {sample.sample_id} has none"
+                    )
+                img = _img_segment(metadata)
+        if flags.include_response_options:
+            options = rendered.get(variant.option_index)
+            if options is None:
+                options = rendered[variant.option_index] = rendered_options(sample, config,
+                                                                           variant)
+        texts.append(img + _query_segments(render(variant.question, sample, config),
+                                           options, flags))
     return texts
 
 
@@ -310,24 +327,58 @@ def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[Rou
     the examples of a dataset are the same whichever other datasets the
     grid holds.
     """
+    return next(router_corpora(grid, (flags,)))
+
+
+def router_corpora(grid: QueryGrid,
+                   flag_grid: Sequence[SerializationFlags]) -> Iterator[list[RouterExample]]:
+    """``build_router_dataset`` under each of ``flag_grid`` in turn. Labels,
+    response segments and provenance, which no flag changes, are built once,
+    with the first corpus."""
     grid.require_coverage()
     rows = np.flatnonzero(grid.covered.any(axis=1))
-    examples: list[RouterExample] = []
-    for i, text in zip(rows.tolist(), router_inputs(grid, rows, flags)):
-        ds_id, sample, variant = grid.queries[i]
-        correct = dict(zip(grid.models, grid.correct[i].tolist()))
-        label = select_best_model(
-            correct, {m: grid.table.cell(m, ds_id, variant.variant_id) for m in grid.models}
-        )
-        response = _response_segment(label, correct[label], grid.table.marginal(label, ds_id),
-                                     grid.world.model_pool)
-        examples.append(RouterExample(
-            serialized_input=text,
-            label_model_id=label,
-            provenance=(sample.sample_id, sample.dataset_id, variant.variant_id),
-            raw_line=text + response,
-        ))
-    return examples
+    labels = responses = provenance = None
+    for flags in flag_grid:
+        texts = router_inputs(grid, rows, flags)
+        if labels is None:
+            labels, responses = _corpus_labels(grid)
+            provenance = [(sample.sample_id, sample.dataset_id, variant.variant_id)
+                          for _, sample, variant in map(grid.queries.__getitem__, rows.tolist())]
+        yield [RouterExample(serialized_input=text, label_model_id=label, provenance=prov,
+                             raw_line=text + tail)
+               for text, label, tail, prov in zip(texts, labels, responses, provenance)]
+
+
+def _corpus_labels(grid: QueryGrid) -> tuple[list[str], list[str]]:
+    """The ``select_best_model`` label and the response segment of every
+    covered row, in row order, labeled a dataset at a time: among the models
+    that got the row right (every model when none did), the one with the
+    best cell average for the row's prompt variant, the first of the sorted
+    pool on an exact tie. Each (label, correct) segment of a dataset is
+    built once."""
+    labels, responses = [], []
+    for ds_id, span in grid.spans.items():
+        rows = grid.rows(ds_id)
+        if not len(rows):
+            continue
+        positions, of_row = np.unique(grid.variant_index[rows], return_inverse=True)
+        variant_ids = [grid.queries[span.start + k][2].variant_id for k in positions.tolist()]
+        averages = grid.table.cells(ds_id, variant_ids, grid.models)[of_row]
+        correct = grid.correct[rows]
+        candidates = correct | ~correct.any(axis=1, keepdims=True)
+        best = np.where(candidates, averages, -np.inf).argmax(axis=1)  # first of a tie
+        # a segment per (label, correct) key, built in the order rows first use them
+        keys, first, of_key = np.unique(2 * best + correct[np.arange(len(best)), best],
+                                        return_index=True, return_inverse=True)
+        marginals = grid.table.marginals(ds_id, grid.models)
+        segments = [""] * len(keys)
+        for k in np.argsort(first).tolist():
+            model, ok = divmod(int(keys[k]), 2)
+            segments[k] = _response_segment(grid.models[model], bool(ok), marginals[model],
+                                            grid.world.model_pool)
+        labels += map(grid.models.__getitem__, best.tolist())
+        responses += map(segments.__getitem__, of_key.tolist())
+    return labels, responses
 
 
 def split_80_10_10(examples: Sequence[_T], seed: int) -> tuple[list[_T], list[_T], list[_T]]:
@@ -352,21 +403,26 @@ def split_80_10_10(examples: Sequence[_T], seed: int) -> tuple[list[_T], list[_T
 # Corpus persistence: one raw line per line, with a sidecar index mapping
 # line numbers to provenance.
 
+# json.dumps(entry, sort_keys=True) of a sidecar entry, with each id already JSON-quoted
+_SIDECAR_LINE = ('{"dataset_id": %s, "label_model_id": %s, "line": %d, '
+                 '"prompt_variant_id": %s, "sample_id": %s}\n')
+
+
 def save_corpus(examples: Sequence[RouterExample], path: str | Path) -> None:
-    """Write the corpus and its sidecar. Both are complete in temporary
+    """Write the corpus and its sidecar, each sidecar line from one template
+    and each distinct id JSON-quoted once. Both are complete in temporary
     files before either replaces its old file, so a failed write leaves
     the old pair as it was."""
     path = Path(path)
+    ids = {x for ex in examples for x in (*ex.provenance, ex.label_model_id)}
+    quoted = dict(zip(ids, map(json.dumps, ids)))
     with atomic_open(path) as fh:
-        for ex in examples:
-            fh.write(ex.raw_line + "\n")
-        write_jsonl(_sidecar(path), ({
-            "line": i,
-            "sample_id": ex.provenance[0],
-            "dataset_id": ex.provenance[1],
-            "prompt_variant_id": ex.provenance[2],
-            "label_model_id": ex.label_model_id,
-        } for i, ex in enumerate(examples)))
+        fh.writelines(ex.raw_line + "\n" for ex in examples)
+        with atomic_open(_sidecar(path)) as index:
+            for line, ex in enumerate(examples):
+                sample, dataset, variant = map(quoted.__getitem__, ex.provenance)
+                index.write(_SIDECAR_LINE % (dataset, quoted[ex.label_model_id], line, variant,
+                                             sample))
 
 
 def load_corpus(path: str | Path) -> list[RouterExample]:

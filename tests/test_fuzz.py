@@ -23,7 +23,8 @@ from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_re
                              save_world, write_jsonl)
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
-from taskrouter.routerdata import ALL_FLAG_COMBOS, ParsedExample, load_corpus
+from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
+                                   build_router_dataset, load_corpus, select_best_model)
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter import wire
 
@@ -272,8 +273,31 @@ def record_lines(draw):
     return line.encode("utf-8", "surrogatepass")
 
 
+def saved_line(**fields) -> bytes:
+    """RECORD_LINE with ``fields`` replaced, as ``Records.save`` writes it."""
+    return json.dumps({**json.loads(RECORD_LINE), **fields}, sort_keys=True).encode()
+
+
+def predicted_line(text: str) -> bytes:
+    """RECORD_LINE with ``text`` written as its predicted_index."""
+    return RECORD_LINE.replace('"predicted_index": 1', f'"predicted_index": {text}').encode()
+
+
 @given(st.lists(st.sampled_from([RECORD_LINE.encode(), b"", b" ", b"\r", b"{", b"[1]"])
                 | record_lines() | st.binary(max_size=12), max_size=6).map(b"\n".join))
+# saved lines whose ids hold escapes, one holding a field separator, and a
+# line with an escape JSON does not define
+@example(saved_line(sample_id='"') + b"\n" + saved_line(model_id="\\"))
+@example(saved_line(sample_id="\u2028", dataset_id="\U0001f600", prompt_variant_id="\ud800"))
+@example(saved_line(sample_id='a", "model_id": "b'))
+@example(RECORD_LINE.replace('"s0"', r'"\x"').encode())
+# predictions JSON reads as ints, at and past the int64 bounds, and one it refuses
+@example(predicted_line("-0") + b"\n" + predicted_line(str(-2 ** 63)) + b"\n"
+         + predicted_line(str(2 ** 63 - 1)))
+@example(predicted_line("01"))
+@example(predicted_line(str(2 ** 63)))
+@example(predicted_line(str(-2 ** 63 - 1)))
+@example(predicted_line("1" * 20))
 @example(b"\xef\xbb\xbf" + RECORD_LINE.encode())
 @example(RECORD_LINE.encode() + b"\r\n" + RECORD_LINE.replace(" ", "\n").encode())
 @example(RECORD_LINE.replace("1", "9" * 5000).encode())
@@ -396,6 +420,57 @@ def test_voting_accuracy_equals_per_row_voting_predict(grid_spec):
     rows = grid.rows("d")
     hits = [voting_predict(row) == s.gold_index for (s, _), row in zip(queries, votes)]
     assert voting_accuracy(grid, "d") == grid.variant_mean(rows, hits)
+
+
+@st.composite
+def label_grids(draw):
+    """(model pool, per dataset the rows of its samples' 2 prompt variants):
+    a row is each model's correct flag, or None for a query without
+    records. 2-5 models on 1-4 samples give cell averages few values, so
+    exact ties are common; some rows have every model wrong."""
+    models = draw(st.lists(st.sampled_from(["a", "b", "B", "ab", "m1", "m10", "m2"]),
+                           min_size=2, max_size=5, unique=True))
+    row = (st.lists(st.booleans(), min_size=len(models), max_size=len(models))
+           | st.just([False] * len(models)) | st.none())
+    return models, [draw(st.lists(row, min_size=2 * n, max_size=2 * n))
+                    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
+
+
+@given(label_grids())
+# a tie of two right models, and a row with both wrong
+@example((["b", "a"], [[[True, True], [False, False]]]))
+@settings(max_examples=200, deadline=None)
+def test_corpus_labels_equal_per_row_select_best_model(spec):
+    models, datasets = spec
+    world = World({}, {}, {}, [], models)
+    records = []
+    for d, rows in enumerate(datasets):
+        ds = f"d{d}"
+        config = DatasetPromptConfig(ds, (PromptTemplate("Q? "), PromptTemplate("Pick: ")),
+                                     (PromptTemplate("{class_name}"),), ("c0", "c1"))
+        samples = tuple(Sample(f"{ds}s{i}", ds, f"{ds}/s{i}", {}, ("c0", "c1"), 0)
+                        for i in range(len(rows) // 2))
+        world.datasets[ds] = DatasetManifest(ds, "recognition", samples, ds)
+        world.prompt_configs[ds] = config
+        queries = [(s, v) for s in samples for v in prompt_variants(config)]
+        records += [ExecutionRecord(s.sample_id, ds, m, v.variant_id, 1 - ok, bool(ok))
+                    for (s, v), outcome in zip(queries, rows) if outcome is not None
+                    for m, ok in zip(models, outcome)]
+    world.records = Records.of(records)
+    grid = QueryGrid.build(world)
+    corpus = build_router_dataset(grid, SerializationFlags(False, True))
+    rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
+    assert len(corpus) == len(rows)
+    for ex, i in zip(corpus, rows):
+        ds, sample, variant = grid.queries[i]
+        correct = dict(zip(grid.models, grid.correct[i].tolist()))
+        label = select_best_model(correct, {m: grid.table.cell(m, ds, variant.variant_id)
+                                            for m in grid.models})
+        assert ex.label_model_id == label
+        assert ex.provenance == (sample.sample_id, ds, variant.variant_id)
+        assert ex.raw_line == (f"{ex.serialized_input}[SEP]model::{label}[response]correct::"
+                               f"{correct[label]};;;avg_accuracy::"
+                               f"{grid.table.marginal(label, ds):.5f}")
 
 
 JSON = st.recursive(

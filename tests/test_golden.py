@@ -29,9 +29,9 @@ from taskrouter import (
     train_router,
 )
 from taskrouter import wire
-from taskrouter.prompts import PromptTemplate
+from taskrouter.prompts import PromptTemplate, render, rendered_options
 from taskrouter.router import FeaturizerConfig, TrainConfig, evaluate_router
-from taskrouter.routerdata import save_corpus
+from taskrouter.routerdata import ALL_FLAG_COMBOS, router_inputs, save_corpus, serialize_input
 from taskrouter.scoring import evaluate, make_mock_backend
 from taskrouter.synth import WorldSpec
 from oracles import FlakyBackend
@@ -175,6 +175,23 @@ def test_artifacts_match_recorded_digests(name, tmp_path):
     got = report_and_corpus_digests(world, tmp_path / "report")
     got.update({f"lodo/{k}": v for k, v in lodo_digests(world, tmp_path / "lodo").items()})
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_COMBOS, ids=lambda flags: flags.tag)
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_router_inputs_equal_serialize_input_row_by_row(name, flags):
+    # router_inputs formats a sample's [img] segment once for all its rows
+    world = WORLDS[name]()
+    grid = QueryGrid.build(world)
+    expected = []
+    for ds, sample, variant in grid.queries:
+        config = world.prompt_configs[ds]
+        options = rendered_options(sample, config, variant)
+        expected.append(serialize_input(world.metadata[sample.sample_id],
+                                        render(variant.question, sample, config),
+                                        options if flags.include_response_options else None,
+                                        flags))
+    assert router_inputs(grid, range(len(grid.queries)), flags) == expected
 
 
 def test_mini_batch_router_matches_recorded_digest(tmp_path):

@@ -221,6 +221,24 @@ class TestRecords:
         assert Records.load(path) == world.records
         assert list(Records.load(path)) == object_records(path)
 
+    def test_saved_non_ascii_ids_load_without_the_line_by_line_reader(self, tmp_path,
+                                                                      monkeypatch):
+        # save writes such ids as \uXXXX escapes, which the line pattern reads
+        import taskrouter.core as core
+
+        def line_by_line(path, first_lineno, lines):
+            raise AssertionError(f"block at line {first_lineno} left the line pattern")
+
+        monkeypatch.setattr(core, "_check_block", line_by_line)
+        world = small_world()
+        world.records = [replace(r, sample_id=f"é{r.sample_id}\U0001f600",
+                                 dataset_id=f"数据{r.dataset_id}", model_id=f'"{r.model_id}\\',
+                                 prompt_variant_id=f"{r.prompt_variant_id}\u2028")
+                         for r in world.records]
+        save_world(world, tmp_path)
+        assert b"\\u00e9" in (tmp_path / "records.jsonl").read_bytes()
+        assert list(load_world(tmp_path).records) == world.records
+
     @pytest.mark.parametrize("line, error, words", [
         (b'{"correct": tru', InvalidInputError, "records.jsonl:8: malformed JSON"),
         (b"[1, 2]", InvalidInputError, "records.jsonl:8: not a JSON object"),

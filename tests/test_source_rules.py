@@ -116,7 +116,7 @@ def test_training_featurizes_each_corpus_in_one_call():
     package = Path(taskrouter.__file__).parent
     looped = []
     for module, function in (("router.py", "train_router"), ("harness.py", "run_lodo"),
-                             ("harness.py", "_run_fold")):
+                             ("harness.py", "_lodo"), ("harness.py", "_run_fold")):
         tree = ast.parse((package / module).read_text(), filename=module)
         looped += _calls_in_loops(_function(tree, function), {"featurize", "featurize_batch"})
     assert looped == []
@@ -130,12 +130,24 @@ def test_training_and_replay_score_the_run_feature_rows():
               "featurize_batch"}
     tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
     calls = [f"{function}:{node.lineno} {_call_name(node)}"
-             for function in ("_run_fold", "run_in_distribution")
+             for function in ("_run_fold", "_in_distribution")
              for node in ast.walk(_function(tree, function))
              if isinstance(node, ast.Call) and _call_name(node) in rehash]
     tree = ast.parse((package / "router.py").read_text(), filename="router.py")
     calls += _calls_in_loops(_function(tree, "train_router"), rehash)
     assert calls == []
+
+
+def test_corpus_labels_are_array_work():
+    # labeling row by row pays a rule call and a table lookup per row and
+    # model; the corpus labels each dataset at once from its cell array
+    package = Path(taskrouter.__file__).parent
+    tree = ast.parse((package / "routerdata.py").read_text(), filename="routerdata.py")
+    looped = []
+    for function in ("build_router_dataset", "router_corpora", "_corpus_labels"):
+        looped += _calls_in_loops(_function(tree, function),
+                                  {"select_best_model", "cell", "marginal"})
+    assert looped == []
 
 
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
@@ -169,7 +181,7 @@ def test_corpus_replay_routes_the_corpus_lines():
     package = Path(taskrouter.__file__).parent
     tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
     calls = [f"{function}:{node.lineno} {_call_name(node)}"
-             for function in ("_run_fold", "run_in_distribution")
+             for function in ("_run_fold", "_in_distribution")
              for node in ast.walk(_function(tree, function))
              if isinstance(node, ast.Call)
              and _call_name(node) in {"router_inputs", "route_rows", "evaluate_router"}]
@@ -201,7 +213,7 @@ def test_corpus_replay_reads_no_provenance():
     package = Path(taskrouter.__file__).parent
     tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
     reads = [f"{function}:{node.lineno}"
-             for function in ("_run_fold", "run_in_distribution")
+             for function in ("_run_fold", "_in_distribution")
              for node in ast.walk(_function(tree, function))
              if isinstance(node, ast.Attribute) and node.attr == "provenance"]
     assert reads == []
