@@ -143,10 +143,6 @@ class ComparisonReport:
                 self.averages[strategy] = None
                 self.weighted_averages[strategy] = None
 
-    @property
-    def cost_row(self) -> dict[str, str]:
-        return dict(COST_ROW)
-
     def cell(self, dataset_id: str, strategy: str) -> float | None:
         return self.cells[strategy].get(dataset_id)
 

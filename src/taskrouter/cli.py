@@ -54,7 +54,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.config_data = _load_config(args.config)
         args.handler(args)
         return 0
-    except (TaskRouterError, OSError, ValueError, TypeError, KeyError, MemoryError) as exc:
+    except (TaskRouterError, OSError, ValueError, TypeError, KeyError, ArithmeticError,
+            MemoryError) as exc:
         _emit_error(exc)
         return 1
     finally:

@@ -124,10 +124,6 @@ class DatasetPromptConfig:
                         f"undeclared context key {key!r}"
                     )
 
-    @property
-    def variant_count(self) -> int:
-        return len(self.question_forms) * max(1, len(self.option_forms))
-
     def to_dict(self) -> dict:
         return {
             "dataset_id": self.dataset_id,
@@ -289,16 +285,3 @@ def _check_variant(config: DatasetPromptConfig, variant: PromptVariant) -> None:
             f"variant {variant.variant_id} does not belong to config "
             f"{config.dataset_id}"
         )
-
-
-def validate_manifest(manifest, config: DatasetPromptConfig) -> None:
-    """Check that every sample's context keys fall inside the dataset's
-    declared key set."""
-    declared = set(config.context_keys)
-    for sample in manifest.samples:
-        extra = set(sample.context) - declared
-        if extra:
-            raise InvalidInputError(
-                f"sample {sample.sample_id} carries undeclared context keys "
-                f"{sorted(extra)}"
-            )

@@ -104,13 +104,6 @@ def _atom_table(orders: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _exact_choice(weights, bias, config: FeaturizerConfig, text: str) -> int:
-    """The reference choice: featurize, one matrix-vector product, and the
-    argmax, whose ties go to the lowest index."""
-    idx, vals = featurize(text, config)
-    return int(np.argmax(weights[:, idx] @ vals + bias))
-
-
 def _chunks(sizes: Sequence[int], limit: int) -> Iterable[tuple[int, int]]:
     """(start, stop) spans of items of these ``sizes`` holding at most
     ``limit`` in all; a larger item is a span of its own."""
@@ -222,7 +215,7 @@ def featurize_batch(texts: Sequence[str],
 def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
             texts: Sequence[str]) -> np.ndarray:
     """The index of the highest-scoring class for each of ``texts``; equal
-    to ``_exact_choice`` on every line (see ``_choose_chunk``)."""
+    to the reference argmax on every line (see ``_choose_chunk``)."""
     choices = np.empty(len(texts), dtype=np.intp)
     for start, stop in _chunks(list(map(len, texts)), _CHUNK_CHARS):
         choices[start:stop] = _choose_chunk(weights, bias, config, texts[start:stop])
@@ -234,16 +227,18 @@ def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
 
     ``_hash_chunk`` gives every n-gram's bucket and sign, as ``featurize``
     would. Each line's score is then the sum of its gathered
-    ``weights[c, bucket] * sign`` terms plus the bias, and a line that
-    fails ``_gap_test`` is rescored by ``_exact_choice``.
+    ``weights[c, bucket] * sign`` terms plus the bias. The lines that fail
+    ``_gap_test`` are featurized in one ``featurize_batch`` call and
+    rescored from their rows by ``_choose_rows``.
     """
     lengths, ends, buckets, signs = _hash_chunk(config, texts)
     terms = weights.take(buckets.ravel(), axis=1)
     terms *= signs.ravel()
     n_orders = len(config.ngram_orders)
     best, unsure = _gap_test(terms, (ends - lengths) * n_orders, lengths * n_orders, bias)
-    for i in unsure.tolist():
-        best[i] = _exact_choice(weights, bias, config, texts[i])
+    if len(unsure):
+        rows = featurize_batch([texts[i] for i in unsure.tolist()], config)
+        best[unsure] = _choose_rows(weights, bias, rows, range(len(unsure)))
     return best
 
 
@@ -341,9 +336,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or \
+        if not 0 < self.learning_rate < float("inf") or self.batch_size < 1 or \
                 self.max_iterations < 1 or self.eval_every < 1:
-            raise InvalidInputError("all training parameters must be positive")
+            raise InvalidInputError("all training parameters must be positive and finite")
 
     def to_dict(self) -> dict:
         return {
@@ -385,17 +380,16 @@ def _sgd_step(rows: np.ndarray, items: np.ndarray, bias: np.ndarray,
     they are gathered once, updated as a block and put back once. Each
     bucket sums its examples' ``delta * value`` terms in batch order from
     0.0, then scales by 1/n. A batch of one takes its example's sorted
-    unique buckets and terms as they are, which gives the same bits: adding
-    0.0 turns a -0.0 into the 0.0 such a sum gives, and 1/n is 1.
+    unique buckets and terms as they are: 1/n is 1, and a -0.0 term where
+    the sum gives +0.0 leaves the same bits, because the parameters start
+    at +0.0 and ``x - y`` is -0.0 only when ``x`` already is.
     """
     k = len(bias)
     if len(batch) == 1:
         cols, vals = features.row(batch[0])
         block = rows.take(cols, axis=0)
-        delta = _delta(block, vals, bias, labels[0])
-        grad_bias = np.zeros(k) + delta
-        grad = np.multiply.outer(delta, vals).T
-        grad += 0.0
+        grad_bias = _delta(block, vals, bias, labels[0])
+        grad = np.multiply.outer(grad_bias, vals).T
     else:
         grad_bias = np.zeros(k)
         terms = []
@@ -544,13 +538,15 @@ def train_router(
     train: Sequence[RouterExample],
     validate: Sequence[RouterExample],
     config: TrainConfig = TrainConfig(),
-    flags: SerializationFlags | None = None,
+    *,
+    flags: SerializationFlags,
+    vocabulary: Sequence[str],
     featurizer: FeaturizerConfig = FeaturizerConfig(),
-    vocabulary: Sequence[str] | None = None,
     features: FeatureRows | None = None,
     positions: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> RouterModel:
-    """Fit the default learner with seeded SGD over the training examples.
+    """Fit the default learner with seeded SGD over the training examples,
+    labelled within ``vocabulary`` and serialized with ``flags``.
 
     ``features`` holds the examples' ``featurize`` rows: by default the
     training rows, then the validation rows; a caller that featurized a
@@ -566,17 +562,13 @@ def train_router(
     """
     if not train:
         raise InvalidInputError("empty training set")
-    vocab = tuple(vocabulary) if vocabulary is not None else tuple(
-        sorted({ex.label_model_id for ex in train})
-    )
+    vocab = tuple(vocabulary)
     vocab_index = {m: i for i, m in enumerate(vocab)}
     for ex in list(train) + list(validate):
         if ex.label_model_id not in vocab_index:
             raise InvalidInputError(
                 f"label {ex.label_model_id!r} outside the model vocabulary {vocab}"
             )
-    if flags is None:
-        flags = _infer_flags(train[0])
 
     if features is None:
         features = featurize_batch([ex.serialized_input for ex in [*train, *validate]],
@@ -639,15 +631,6 @@ def train_router(
         seed=config.seed,
         weights=rows.T.copy(),
         bias=bias,
-    )
-
-
-def _infer_flags(example: RouterExample) -> SerializationFlags:
-    from .routerdata import IMG_MARK, OPTIONS_MARK
-
-    return SerializationFlags(
-        include_metadata=example.serialized_input.startswith(IMG_MARK),
-        include_response_options=OPTIONS_MARK in example.serialized_input,
     )
 
 

@@ -225,7 +225,8 @@ def test_criterion_4_scoring_oracles():
             train_config = TrainConfig(learning_rate=0.5, batch_size=batch_size,
                                        max_iterations=40, eval_every=10, seed=batch_size)
             model = train_router(examples[:9], examples[9:], config=train_config,
-                                 featurizer=config, vocabulary=vocab)
+                                 flags=SerializationFlags(False, False), featurizer=config,
+                                 vocabulary=vocab)
             weights, bias = reference_train(examples[:9], examples[9:], train_config, config,
                                             vocab)
             assert model.weights.tobytes() == weights.tobytes()

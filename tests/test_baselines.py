@@ -211,7 +211,7 @@ class TestComparisonReport:
 
     def test_cost_row(self, small_keyword_world):
         report = build_comparison_report(QueryGrid.build(small_keyword_world))
-        assert report.cost_row == {
+        assert report.to_dict()["cost_over_n_models"] == {
             "chance": "-", "average": "O(1)", "voting": "O(N)",
             "router": "O(1)", "oracle": "O(N)", "upper_bound": "O(N)",
         }

@@ -452,6 +452,52 @@ def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path,
     assert record["error"] == error
 
 
+@pytest.mark.parametrize("case", ["spec_count", "metadata_dims", "config_hash_dim",
+                                  "config_seed"])
+def test_overflowing_json_number_ends_in_error_record(case, world_dir, tmp_path, capsys):
+    # JSON 1e400 parses to infinity, and int() of it raises OverflowError
+    import shutil
+
+    huge = tmp_path / "huge.json"
+    if case == "spec_count":
+        huge.write_text(json.dumps(keyword_world_spec().to_dict()).replace(
+            '"n_datasets": 4', '"n_datasets": 1e400'))
+        argv = ["--out", str(tmp_path / "world"), "synth", "generate", "--spec", str(huge)]
+    elif case == "metadata_dims":
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        path = world / "metadata.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        row = json.loads(first)
+        row["dims"] = "DIMS"
+        path.write_text(json.dumps(row).replace('"DIMS"', "[1e400, 8, 3]") + "\n"
+                        + "".join(rest))
+        argv = ["--out", str(tmp_path / "rd"), "routerdata", "build", "--world", str(world)]
+    else:
+        huge.write_text('{"featurizer": {"hash_dim": 1e400}}' if case == "config_hash_dim"
+                        else '{"seed": 1e400}')
+        # FAST without its --hash-dim, which would override the config's
+        argv = ["--config", str(huge), "--out", str(tmp_path / "out"), "router", "train",
+                "--world", str(world_dir), *FAST[:6]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_ends_in_error_record(value, world_dir, tmp_path, capsys):
+    out = tmp_path / "router"
+    argv = ["--out", str(out), "router", "train", "--world", str(world_dir), *FAST]
+    argv[argv.index("--learning-rate") + 1] = value
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip())["error"] == "InvalidInputError"
+    assert not (out / "router.bin").exists()
+
+
 def test_error_record_on_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     spec = keyword_world_spec().to_dict()

@@ -198,7 +198,9 @@ def test_mini_batch_router_matches_recorded_digest(tmp_path):
     train, validate, _ = split_80_10_10(
         build_router_dataset(QueryGrid.build(four_form_world()), FLAGS), seed=5)
     config = replace(TRAIN, batch_size=3, max_iterations=150, eval_every=50, seed=4)
-    train_router(train, validate, config, FLAGS, FEATS).save(tmp_path / "router.bin")
+    model = train_router(train, validate, config=config, flags=FLAGS, featurizer=FEATS,
+                         vocabulary=sorted({ex.label_model_id for ex in train}))
+    model.save(tmp_path / "router.bin")
     assert _sha(tmp_path / "router.bin") == MINI_BATCH_ROUTER
 
 

@@ -219,7 +219,7 @@ class TestTraining:
             examples.append(example(f"token-{label} {filler} #{i}", label))
         train, val, test = split_80_10_10(examples, seed=1)
         model = train_router(train, val, config=TrainConfig(seed=2),
-                             flags=SerializationFlags(False, False))
+                             flags=SerializationFlags(False, False), vocabulary=labels)
         accuracy = sum(
             model.route_text(e.serialized_input) == e.label_model_id for e in test
         ) / len(test)
@@ -229,7 +229,8 @@ class TestTraining:
         train = [example(f"t{i} {'x' * (i % 5)}", f"m{i % 2}") for i in range(40)]
         val = train[:6]
         kwargs = dict(config=TrainConfig(max_iterations=300, eval_every=100, seed=7),
-                      flags=SerializationFlags(False, False), featurizer=SMALL)
+                      flags=SerializationFlags(False, False), featurizer=SMALL,
+                      vocabulary=["m0", "m1"])
         a = train_router(train, val, **kwargs)
         b = train_router(train, val, **kwargs)
         assert a.weights.tobytes() == b.weights.tobytes()
@@ -246,7 +247,13 @@ class TestTraining:
 
     def test_empty_train(self):
         with pytest.raises(InvalidInputError):
-            train_router([], [], featurizer=SMALL)
+            train_router([], [], flags=SerializationFlags(False, False), featurizer=SMALL,
+                         vocabulary=["m0"])
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
+        with pytest.raises(InvalidInputError):
+            TrainConfig(learning_rate=learning_rate)
 
     def test_empty_validation_warns_and_trains(self, caplog):
         train = [example(f"t{i}", "m0") for i in range(12)]
@@ -258,13 +265,6 @@ class TestTraining:
             )
         assert "no validation examples" in caplog.text
         assert model.route_text("[prompt]t1") == "m0"
-
-    def test_flags_inferred_from_corpus(self):
-        train = [example(f"t{i}", "m0") for i in range(12)]
-        model = train_router(train, train[:2],
-                             config=TrainConfig(max_iterations=20, eval_every=10),
-                             featurizer=SMALL)
-        assert model.flags == SerializationFlags(False, False)
 
 
 class TestBucketMajorTraining:
@@ -324,7 +324,8 @@ class TestBucketMajorTraining:
         for positions in [(range(10), range(10, 15)), (range(10, 20), range(15, 21)),
                           (range(-1, 9), range(10, 20))]:
             with pytest.raises(InvalidInputError):
-                train_router(examples[:10], examples[10:], featurizer=self.FEATS,
+                train_router(examples[:10], examples[10:],
+                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
                              vocabulary=self.VOCAB, features=features, positions=positions)
 
 
@@ -567,19 +568,21 @@ class TestRouteBatch:
 
     def test_rescoring_only_where_the_gap_is_within_the_bound(self, monkeypatch):
         calls = []
+        featurize_batch = router_module.featurize_batch
 
-        def counting_featurize(text, config):
-            calls.append(text)
-            return featurize(text, config)
+        def counting_featurize_batch(texts, config):
+            calls.append(list(texts))
+            return featurize_batch(texts, config)
 
-        monkeypatch.setattr(router_module, "featurize", counting_featurize)
+        monkeypatch.setattr(router_module, "featurize_batch", counting_featurize_batch)
         texts = ["[prompt]one", "[prompt]two", "x"]
-        # every score ties on an all-zero router, so every line is rescored
+        # every score ties on an all-zero router, so every line is rescored,
+        # all in one call
         zero = RouterModel(vocabulary=("a", "b"), featurizer=SMALL,
                            flags=SerializationFlags(False, False), seed=0,
                            weights=np.zeros((2, SMALL.hash_dim)), bias=np.zeros(2))
         assert zero.route_batch(texts) == ["a", "a", "a"]
-        assert calls == texts
+        assert calls == [texts]
         calls.clear()
         assert constant_router("b", ("a", "b")).route_batch(texts) == ["b", "b", "b"]
         assert calls == []

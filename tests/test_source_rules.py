@@ -138,6 +138,30 @@ def test_training_and_replay_score_the_run_feature_rows():
     assert calls == []
 
 
+def test_router_reads_no_corpus_line_marker():
+    # the corpus line's markers are routerdata's; a router that parsed its
+    # lines would be a second reader of their flags
+    markers = {"IMG_MARK", "PROMPT_MARK", "OPTIONS_MARK", "SEP_MARK", "RESPONSE_MARK"}
+    path = Path(taskrouter.__file__).parent / "router.py"
+    named = [f"router.py:{node.lineno} {name}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name in ([node.id] if isinstance(node, ast.Name) else
+                          [alias.name for alias in node.names]
+                          if isinstance(node, ast.ImportFrom) else [])
+             if name in markers]
+    assert named == []
+
+
+def test_nothing_featurizes_one_line_at_a_time():
+    # lines are hashed with ``featurize_batch``; ``featurize`` is its row 0,
+    # kept as public API only
+    sources = sorted(Path(taskrouter.__file__).parent.glob("*.py"))
+    calls = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and _call_name(node) == "featurize"]
+    assert calls == []
+
+
 def test_corpus_labels_are_array_work():
     # labeling row by row pays a rule call and a table lookup per row and
     # model; the corpus labels each dataset at once from its cell array
