@@ -18,7 +18,8 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import QueryGrid, load_world, read_json, save_records, save_world, write_json
+from .core import (QueryGrid, load_world, read_json, save_records, save_world, typed_field,
+                   write_json)
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -26,7 +27,8 @@ from .prompts import (
     closed_prompt_set,
     prompt_variants,
 )
-from .router import FeaturizerConfig, RouterModel, TrainConfig, evaluate_router, train_router
+from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
+                     featurize_batch, train_router)
 from .routerdata import (
     SerializationFlags,
     build_router_dataset,
@@ -186,7 +188,7 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(args.config_data.get("seed", 0))
+    return typed_field(args.config_data, "seed", int) if "seed" in args.config_data else 0
 
 
 def _out_dir(args, default: str) -> Path:
@@ -288,16 +290,16 @@ def _cmd_routerdata_build(args) -> None:
     seed = _seed(args)
     out = _out_dir(args, "routerdata_out")
     grid = QueryGrid.build(world)
-    examples = build_router_dataset(grid, flags)
-    train, validate, test = split_80_10_10(examples, seed=seed)
-    save_corpus(train, out / "train.txt")
-    save_corpus(validate, out / "validate.txt")
-    save_corpus(test, out / "test.txt")
+    corpus = build_router_dataset(grid, flags)
+    train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
+    save_corpus(corpus, train, out / "train.txt")
+    save_corpus(corpus, validate, out / "validate.txt")
+    save_corpus(corpus, test, out / "test.txt")
     payload = {
         "flags": flags.to_dict(),
         "seed": seed,
         "counts": {"raw_records": len(world.records),
-                   "valid_records": int(grid.covered.sum()), "examples": len(examples)},
+                   "valid_records": int(grid.covered.sum()), "examples": len(corpus)},
         "splits": {"train": len(train), "validate": len(validate), "test": len(test)},
     }
     write_json(out / "counts.json", payload)
@@ -309,14 +311,14 @@ def _cmd_router_train(args) -> None:
     flags = SerializationFlags.parse(args.flags)
     seed = _seed(args)
     out = _out_dir(args, "router_out")
-    examples = build_router_dataset(QueryGrid.build(world), flags)
-    train, validate, _ = split_80_10_10(examples, seed=seed)
+    corpus = build_router_dataset(QueryGrid.build(world), flags)
+    train, validate, _ = split_80_10_10(range(len(corpus)), seed=seed)
+    config, featurizer = _train_config(args, seed), _featurizer_config(args)
+    kept = train + validate  # only these lines are hashed
     model = train_router(
-        train, validate,
-        config=_train_config(args, seed),
-        flags=flags,
-        featurizer=_featurizer_config(args),
-        vocabulary=sorted(world.model_pool),
+        featurize_batch([corpus.inputs[p] for p in kept], featurizer), corpus.labels[kept],
+        range(len(train)), range(len(train), len(kept)),
+        config=config, flags=flags, vocabulary=corpus.grid.models, featurizer=featurizer,
     )
     router_path = out / "router.bin"
     model.save(router_path)

@@ -885,6 +885,33 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
+# JSON kind -> (its name in an error, its test); a bool is never an int or a float
+_KINDS = {
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
+}
+
+
+def typed_field(d: Mapping, name: str, kind: type, item: type | None = None):
+    """``d[name]``, checked to be of the JSON ``kind``: a ``bool``, an
+    ``int`` that is not a ``bool``, a ``float`` as any finite real (an
+    ``int`` included), or a ``list`` whose items are each of the kind
+    ``item``. A value of another kind raises InvalidInputError naming the
+    field; a missing field raises KeyError."""
+    value = d[name]
+    what, test = _KINDS[item if kind is list else kind]
+    if kind is list:
+        what = f"a list of items each {what}"
+        ok = isinstance(value, list) and all(map(test, value))
+    else:
+        ok = test(value)
+    if not ok:
+        raise InvalidInputError(f"field {name!r} must be {what}, got {value!r}")
+    return value
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Each line of ``path`` with its number (from 1), decoded as UTF-8 and
     without its line end. A line that is not UTF-8 raises InvalidInputError

@@ -2,12 +2,13 @@
 metadata/response-option ablation grid, selection-distribution heatmaps,
 and run manifests.
 
-A LODO run builds one query grid, labels one corpus and featurizes it in
-one batch. A dataset's examples are a contiguous range of corpus
-positions; a fold splits the positions outside its held-out dataset's
-range, trains and validates on their feature rows, and replays by scoring
-the feature rows inside it, so no corpus line is hashed twice. An ablation
-builds the grid and the corpus labels once for all its flag combinations.
+A LODO run builds one query grid and one columnar corpus, and featurizes
+its inputs in one batch. A dataset's examples are a contiguous range of
+corpus positions; a fold splits the positions outside its held-out
+dataset's range, trains and validates on their feature rows and label
+codes, and replays by scoring the feature rows inside it, so no corpus
+line is hashed twice. An ablation builds the grid and the corpus labels
+once for all its flag combinations.
 Every fold is self-contained: its corpus, router file, and metrics land in
 their own directory, so reports can be rebuilt from persisted artifacts and
 a failed fold never aborts the remaining ones.
@@ -31,7 +32,7 @@ from .router import (FeatureRows, FeaturizerConfig, RouterModel, TrainConfig, fe
                      route_rows, train_router)
 from .routerdata import (
     ALL_FLAG_COMBOS,
-    RouterExample,
+    Corpus,
     SerializationFlags,
     build_router_dataset,
     router_corpora,
@@ -84,16 +85,16 @@ def run_lodo(
                  featurizer, seed, out_dir, chance_kind)
 
 
-def _lodo(grid: QueryGrid, corpus: Sequence[RouterExample], features: FeatureRows,
-          flags: SerializationFlags, train_config: TrainConfig, featurizer: FeaturizerConfig,
-          seed: int, out_dir: str | Path | None, chance_kind: str = "uniform") -> LodoResult:
-    """The folds and report of ``run_lodo`` on the grid's corpus under
-    ``flags`` and its lines featurized in one batch."""
+def _lodo(corpus: Corpus, features: FeatureRows, flags: SerializationFlags,
+          train_config: TrainConfig, featurizer: FeaturizerConfig, seed: int,
+          out_dir: str | Path | None, chance_kind: str = "uniform") -> LodoResult:
+    """The folds and report of ``run_lodo`` on the corpus its grid gives
+    under ``flags`` and its lines featurized in one batch."""
+    grid = corpus.grid
     unrecorded = [ds for ds in grid.world.datasets if not len(grid.rows(ds))]
     if unrecorded:
         raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
     out = Path(out_dir) if out_dir is not None else None
-    rows = np.flatnonzero(grid.covered.any(axis=1))  # each corpus position's grid row
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}
 
@@ -103,10 +104,8 @@ def _lodo(grid: QueryGrid, corpus: Sequence[RouterExample], features: FeatureRow
             fold_dir = out / f"fold_{heldout}"
             fold_dir.mkdir(parents=True, exist_ok=True)
         try:
-            result = _run_fold(
-                grid, rows, corpus, features, heldout, flags, train_config, featurizer,
-                _fold_seed(seed, fold_index), fold_dir,
-            )
+            result = _run_fold(corpus, features, heldout, flags, train_config, featurizer,
+                               _fold_seed(seed, fold_index), fold_dir)
             folds[heldout] = result
             if result.router_accuracy is not None:
                 router_accuracies[heldout] = result.router_accuracy
@@ -136,17 +135,14 @@ def _require_lodo_world(world: World) -> None:
 
 
 def _featurized_corpus(world: World, flags: SerializationFlags, featurizer: FeaturizerConfig):
-    """(grid, corpus, features): the world's query grid, its corpus and the
-    corpus lines featurized once."""
-    grid = QueryGrid.build(world)
-    corpus = build_router_dataset(grid, flags)
-    return grid, corpus, featurize_batch([ex.serialized_input for ex in corpus], featurizer)
+    """(corpus, features): the corpus of the world's query grid and its
+    inputs featurized once."""
+    corpus = build_router_dataset(QueryGrid.build(world), flags)
+    return corpus, featurize_batch(corpus.inputs, featurizer)
 
 
 def _run_fold(
-    grid: QueryGrid,
-    rows: np.ndarray,
-    corpus: Sequence[RouterExample],
+    corpus: Corpus,
     features: FeatureRows,
     heldout: str,
     flags: SerializationFlags,
@@ -155,24 +151,21 @@ def _run_fold(
     fold_seed: int,
     fold_dir: Path | None,
 ) -> FoldResult:
-    span = grid.spans[heldout]
-    lo, hi = np.searchsorted(rows, [span.start, span.stop]).tolist()
-    positions = [np.array(part, dtype=np.intp) for part in
-                 split_80_10_10([*range(lo), *range(hi, len(corpus))], seed=fold_seed)]
-    if any(((lo <= part) & (part < hi)).any() for part in positions):
+    grid, span = corpus.grid, corpus.grid.spans[heldout]
+    lo, hi = np.searchsorted(corpus.rows, [span.start, span.stop]).tolist()
+    train, validate, test = split_80_10_10([*range(lo), *range(hi, len(corpus))], fold_seed)
+    kept = np.concatenate((train, validate, test))
+    if ((lo <= kept) & (kept < hi)).any():
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
-    train, validate, test = ([corpus[i] for i in part] for part in positions)
 
     model = train_router(
-        train, validate,
+        features, corpus.labels, train, validate,
         config=replace(train_config, seed=fold_seed),
         flags=flags,
-        featurizer=featurizer,
         vocabulary=grid.models,
-        features=features,
-        positions=positions[:2],
+        featurizer=featurizer,
     )
-    heldout_rows = rows[lo:hi]
+    heldout_rows = corpus.rows[lo:hi]
     choices = model.route_features(features, range(lo, hi))
     accuracy = grid.variant_mean(heldout_rows, grid.outcome(heldout_rows, choices))
 
@@ -183,9 +176,9 @@ def _run_fold(
         corpus_sizes={"train": len(train), "validate": len(validate), "test": len(test)},
     )
     if fold_dir is not None:
-        save_corpus(train, fold_dir / "train.txt")
-        save_corpus(validate, fold_dir / "validate.txt")
-        save_corpus(test, fold_dir / "test.txt")
+        save_corpus(corpus, train, fold_dir / "train.txt")
+        save_corpus(corpus, validate, fold_dir / "validate.txt")
+        save_corpus(corpus, test, fold_dir / "test.txt")
         model.save(fold_dir / "router.bin")
         write_json(fold_dir / "metrics.json", {
             "status": "ok",
@@ -267,15 +260,14 @@ def run_ablation(
     columns: dict[str, dict[str, float | None]] = {}
     ind = None
     for k, (flags, corpus) in enumerate(zip(flag_grid, router_corpora(grid, flag_grid))):
-        features = featurize_batch([ex.serialized_input for ex in corpus], featurizer)
-        lodo = _lodo(grid, corpus, features, flags, train_config, featurizer, seed,
+        features = featurize_batch(corpus.inputs, featurizer)
+        lodo = _lodo(corpus, features, flags, train_config, featurizer, seed,
                      out / flags.tag if out is not None else None)
         columns[flags.tag] = {
             ds: fold.router_accuracy for ds, fold in lodo.folds.items()
         }
         if include_in_distribution and k == 0:
-            ind = _in_distribution(grid, corpus, features, flags, train_config, featurizer,
-                                   seed)
+            ind = _in_distribution(corpus, features, flags, train_config, featurizer, seed)
 
     result = AblationResult(
         dataset_ids=tuple(world.datasets),
@@ -302,22 +294,25 @@ def run_in_distribution(
                             featurizer, seed)
 
 
-def _in_distribution(grid: QueryGrid, corpus: Sequence[RouterExample], features: FeatureRows,
-                     flags: SerializationFlags, train_config: TrainConfig,
-                     featurizer: FeaturizerConfig, seed: int) -> dict[str, float]:
-    """``run_in_distribution`` on the grid's corpus and its feature rows."""
+def _in_distribution(corpus: Corpus, features: FeatureRows, flags: SerializationFlags,
+                     train_config: TrainConfig, featurizer: FeaturizerConfig,
+                     seed: int) -> dict[str, float]:
+    """``run_in_distribution`` on a corpus and its feature rows."""
+    grid = corpus.grid
     train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
     model = train_router(
-        [corpus[i] for i in train], [corpus[i] for i in validate],
+        features, corpus.labels, train, validate,
         config=replace(train_config, seed=seed), flags=flags,
-        featurizer=featurizer, vocabulary=grid.models,
-        features=features, positions=(train, validate),
+        vocabulary=grid.models, featurizer=featurizer,
     )
-    rows = np.flatnonzero(grid.covered.any(axis=1))[test]
+    rows = corpus.rows[test]
     hits = grid.outcome(rows, model.route_features(features, test))
-    per_dataset = {ds: hits[(span.start <= rows) & (rows < span.stop)]
-                   for ds, span in sorted(grid.spans.items())}
-    return {ds: int(v.sum()) / len(v) for ds, v in per_dataset.items() if len(v)}
+    accuracies = {}
+    for ds, span in sorted(grid.spans.items()):
+        held = hits[(span.start <= rows) & (rows < span.stop)]
+        if len(held):
+            accuracies[ds] = int(held.sum()) / len(held)
+    return accuracies
 
 
 @dataclass

@@ -22,9 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MetadataSummary, QueryGrid, atomic_open
+from .core import MetadataSummary, QueryGrid, atomic_open, typed_field
 from .errors import InvalidInputError
-from .routerdata import RouterExample, SerializationFlags, router_inputs, serialize_input
+from .routerdata import SerializationFlags, router_inputs, serialize_input
 
 logger = logging.getLogger(__name__)
 
@@ -55,9 +55,9 @@ class FeaturizerConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeaturizerConfig":
         return cls(
-            ngram_orders=tuple(d["ngram_orders"]),
-            hash_dim=int(d["hash_dim"]),
-            lowercase=bool(d["lowercase"]),
+            ngram_orders=tuple(typed_field(d, "ngram_orders", list, int)),
+            hash_dim=typed_field(d, "hash_dim", int),
+            lowercase=typed_field(d, "lowercase", bool),
         )
 
 
@@ -351,9 +351,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
-        return cls(**{k: d[k] for k in
-                      ("learning_rate", "batch_size", "max_iterations",
-                       "eval_every", "seed") if k in d})
+        kinds = {"learning_rate": float, "batch_size": int, "max_iterations": int,
+                 "eval_every": int, "seed": int}
+        return cls(**{k: typed_field(d, k, kind) for k, kind in kinds.items() if k in d})
 
 
 def _delta(block: np.ndarray, vals: np.ndarray, bias: np.ndarray, label) -> np.ndarray:
@@ -535,55 +535,41 @@ class RouterModel:
 
 
 def train_router(
-    train: Sequence[RouterExample],
-    validate: Sequence[RouterExample],
-    config: TrainConfig = TrainConfig(),
+    features: FeatureRows,
+    labels: np.ndarray,
+    train: Sequence[int],
+    validate: Sequence[int],
     *,
+    config: TrainConfig = TrainConfig(),
     flags: SerializationFlags,
     vocabulary: Sequence[str],
-    featurizer: FeaturizerConfig = FeaturizerConfig(),
-    features: FeatureRows | None = None,
-    positions: tuple[Sequence[int], Sequence[int]] | None = None,
+    featurizer: FeaturizerConfig,
 ) -> RouterModel:
-    """Fit the default learner with seeded SGD over the training examples,
-    labelled within ``vocabulary`` and serialized with ``flags``.
-
-    ``features`` holds the examples' ``featurize`` rows: by default the
-    training rows, then the validation rows; a caller that featurized a
-    larger corpus once passes it with ``positions``, the training and the
-    validation examples' rows in it. Without ``features`` the training and
-    validation lines are featurized in one ``featurize_batch`` call.
+    """Fit the default learner with seeded SGD on the rows of ``features``
+    at positions ``train``. ``labels`` holds each row's label as a code into
+    ``vocabulary``; ``featurizer`` hashed the rows and ``flags`` serialized
+    their lines, and the model records both.
 
     The weights are trained bucket-major, one (n_classes,) row per bucket,
     and transposed once at the end. Every ``eval_every`` steps (and at the
-    final step) the validation label accuracy is measured from the
-    validation rows and the best checkpoint kept. With no validation
-    examples the final parameters are returned with a warning.
+    final step) the label accuracy on the rows at positions ``validate`` is
+    measured and the best checkpoint kept. With no validation rows the
+    final parameters are returned with a warning.
     """
-    if not train:
-        raise InvalidInputError("empty training set")
     vocab = tuple(vocabulary)
-    vocab_index = {m: i for i, m in enumerate(vocab)}
-    for ex in list(train) + list(validate):
-        if ex.label_model_id not in vocab_index:
-            raise InvalidInputError(
-                f"label {ex.label_model_id!r} outside the model vocabulary {vocab}"
-            )
-
-    if features is None:
-        features = featurize_batch([ex.serialized_input for ex in [*train, *validate]],
-                                   featurizer)
-    if positions is None:
-        positions = (range(len(train)), range(len(train), len(train) + len(validate)))
-    train_rows, val_rows = (np.asarray(p, dtype=np.intp) for p in positions)
-    if (len(train_rows), len(val_rows)) != (len(train), len(validate)) or any(
+    labels, train_rows, val_rows = (np.asarray(x, dtype=np.intp)
+                                    for x in (labels, train, validate))
+    if not len(train_rows):
+        raise InvalidInputError("empty training set")
+    if ((labels < 0) | (labels >= len(vocab))).any():
+        raise InvalidInputError(f"label codes outside the model vocabulary {vocab}")
+    if len(labels) != len(features) or any(
             len(p) and not 0 <= p.min() <= p.max() < len(features)
             for p in (train_rows, val_rows)):
         raise InvalidInputError(
-            f"{len(train_rows)} training and {len(val_rows)} validation rows of "
-            f"{len(features)} for {len(train)} training and {len(validate)} validation examples")
-    labels = np.array([vocab_index[ex.label_model_id] for ex in train], dtype=np.intp)
-    val_labels = np.array([vocab_index[ex.label_model_id] for ex in validate], dtype=np.intp)
+            f"{len(labels)} labels, {len(train_rows)} training and {len(val_rows)} "
+            f"validation positions for {len(features)} feature rows")
+    train_labels, val_labels = labels[train_rows], labels[val_rows]
 
     k = len(vocab)
     rows = np.zeros((featurizer.hash_dim, k))
@@ -593,8 +579,8 @@ def train_router(
 
     best: tuple[float, np.ndarray] | None = None
     best_rows = None
-    order = np.arange(len(train))
-    pos = len(train)  # force a shuffle before the first step
+    order = np.arange(len(train_rows))
+    pos = len(order)  # force a shuffle before the first step
     lr = config.learning_rate
 
     for step in range(1, config.max_iterations + 1):
@@ -603,7 +589,7 @@ def train_router(
             pos = 0
         batch = order[pos:pos + config.batch_size]
         pos += config.batch_size
-        _sgd_step(rows, items, bias, features, train_rows[batch], labels[batch], lr)
+        _sgd_step(rows, items, bias, features, train_rows[batch], train_labels[batch], lr)
 
         if step % config.eval_every == 0 or step == config.max_iterations:
             if len(val_rows):

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl
+from .core import (MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl,
+                   typed_field)
 from .errors import IntegrityError, InvalidInputError, ParseError
 from .prompts import render, rendered_options
 
@@ -62,8 +63,8 @@ class SerializationFlags:
     @classmethod
     def from_dict(cls, d: Mapping) -> "SerializationFlags":
         return cls(
-            include_metadata=bool(d["include_metadata"]),
-            include_response_options=bool(d["include_response_options"]),
+            include_metadata=typed_field(d, "include_metadata", bool),
+            include_response_options=typed_field(d, "include_response_options", bool),
         )
 
     @classmethod
@@ -94,8 +95,8 @@ ALL_FLAG_COMBOS = (
 
 @dataclass(frozen=True)
 class RouterExample:
-    """One router training line: the input text (before [SEP]), its
-    best-model label, provenance, and the full serialized line."""
+    """One line of a saved corpus, as ``load_corpus`` reads it: the input
+    text (before [SEP]), its label, provenance, and the full line."""
 
     serialized_input: str
     label_model_id: str
@@ -128,7 +129,8 @@ def serialize_input(
         if metadata is None:
             raise InvalidInputError("flags request metadata but none was supplied")
         img = _img_segment(metadata)
-    return img + _query_segments(prompt_text, options, flags)
+    text = img + _prompt_segment(prompt_text)
+    return text + _options_segment(options) if flags.include_response_options else text
 
 
 def _img_segment(metadata: MetadataSummary) -> str:
@@ -139,19 +141,22 @@ def _img_segment(metadata: MetadataSummary) -> str:
             f"std::({_fmt_floats(metadata.channel_stds)})")
 
 
-def _query_segments(prompt_text: str, options: Sequence[str] | None,
-                    flags: SerializationFlags) -> str:
-    """The ``[prompt]`` segment and, under ``flags``, the options segment."""
+def _prompt_segment(prompt_text: str) -> str:
+    """The ``[prompt]`` segment."""
     _check_field("prompt", prompt_text, (SEP_MARK, OPTIONS_MARK))
-    if not flags.include_response_options:
-        return PROMPT_MARK + prompt_text
+    return PROMPT_MARK + prompt_text
+
+
+def _options_segment(options: Sequence[str] | None) -> str:
+    """The options segment that follows the ``[prompt]`` segment when
+    response options are included."""
     if not options:
         raise InvalidInputError("flags request response options but none were supplied")
     for opt in options:
         _check_field("option", opt, (SEP_MARK, OPTIONS_MARK, "', '"))
         if opt.endswith("', "):  # with the separator after it, it would read as one
             raise InvalidInputError(f"option may not end with \"', \": {opt!r}")
-    return PROMPT_MARK + prompt_text + OPTIONS_MARK + ", ".join(f"'{opt}'" for opt in options)
+    return OPTIONS_MARK + ", ".join(f"'{opt}'" for opt in options)
 
 
 def serialize_example(
@@ -294,14 +299,15 @@ def router_inputs(grid: QueryGrid, rows: Iterable[int],
     metadata, rendered prompt and options, serialized under ``flags``.
     Corpus lines and routing replay both take their inputs from here. A
     sample's variants are consecutive rows, which share one formatted
-    ``[img]`` segment and render each option form once."""
+    ``[img]`` segment and render, check and join each option form's options
+    once, at the form's first row, after its prompt is checked."""
     world = grid.world
-    texts, last, img, options = [], None, "", None
+    texts, last, img = [], None, ""
     for i in rows:
         ds_id, sample, variant = grid.queries[i]
         config = world.prompt_configs[ds_id]
         if sample is not last:
-            last, rendered = sample, {}  # option form index -> options
+            last, tails = sample, {}  # option form index -> its options segment
             if flags.include_metadata:
                 metadata = world.metadata.get(sample.sample_id)
                 if metadata is None:
@@ -309,18 +315,34 @@ def router_inputs(grid: QueryGrid, rows: Iterable[int],
                         f"flags request metadata but sample {sample.sample_id} has none"
                     )
                 img = _img_segment(metadata)
-        if flags.include_response_options:
-            options = rendered.get(variant.option_index)
-            if options is None:
-                options = rendered[variant.option_index] = rendered_options(sample, config,
-                                                                           variant)
-        texts.append(img + _query_segments(render(variant.question, sample, config),
-                                           options, flags))
+        options = None
+        if flags.include_response_options and variant.option_index not in tails:
+            options = rendered_options(sample, config, variant)
+        prompt = _prompt_segment(render(variant.question, sample, config))
+        if options is not None:
+            tails[variant.option_index] = _options_segment(options)
+        texts.append(img + prompt + tails.get(variant.option_index, ""))
     return texts
 
 
-def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[RouterExample]:
-    """Router examples in grid row order: one per recorded query, labeled
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A router corpus as columns, in grid row order: example ``p`` is the
+    query at grid row ``rows[p]``, with router input ``inputs[p]``, label
+    ``grid.models[labels[p]]`` and line ``inputs[p] + responses[p]``."""
+
+    grid: QueryGrid
+    rows: np.ndarray  # intp
+    inputs: list[str]
+    labels: np.ndarray  # intp codes into grid.models
+    responses: list[str]  # the [SEP]model::...[response]... segments
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+
+def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> Corpus:
+    """The corpus of the grid's covered rows, in row order, each labeled
     with its best model under the ``select_best_model`` rule.
 
     A label and its ``avg_accuracy`` read only their own dataset's cells, so
@@ -331,32 +353,27 @@ def build_router_dataset(grid: QueryGrid, flags: SerializationFlags) -> list[Rou
 
 
 def router_corpora(grid: QueryGrid,
-                   flag_grid: Sequence[SerializationFlags]) -> Iterator[list[RouterExample]]:
-    """``build_router_dataset`` under each of ``flag_grid`` in turn. Labels,
-    response segments and provenance, which no flag changes, are built once,
-    with the first corpus."""
+                   flag_grid: Sequence[SerializationFlags]) -> Iterator[Corpus]:
+    """``build_router_dataset`` under each of ``flag_grid`` in turn. The
+    corpora share their rows, labels and response segments, which no flag
+    changes; those are built once, with the first corpus."""
     grid.require_coverage()
     rows = np.flatnonzero(grid.covered.any(axis=1))
-    labels = responses = provenance = None
-    for flags in flag_grid:
-        texts = router_inputs(grid, rows, flags)
-        if labels is None:
+    for k, flags in enumerate(flag_grid):
+        inputs = router_inputs(grid, rows, flags)
+        if k == 0:
             labels, responses = _corpus_labels(grid)
-            provenance = [(sample.sample_id, sample.dataset_id, variant.variant_id)
-                          for _, sample, variant in map(grid.queries.__getitem__, rows.tolist())]
-        yield [RouterExample(serialized_input=text, label_model_id=label, provenance=prov,
-                             raw_line=text + tail)
-               for text, label, tail, prov in zip(texts, labels, responses, provenance)]
+        yield Corpus(grid, rows, inputs, labels, responses)
 
 
-def _corpus_labels(grid: QueryGrid) -> tuple[list[str], list[str]]:
-    """The ``select_best_model`` label and the response segment of every
-    covered row, in row order, labeled a dataset at a time: among the models
-    that got the row right (every model when none did), the one with the
-    best cell average for the row's prompt variant, the first of the sorted
-    pool on an exact tie. Each (label, correct) segment of a dataset is
-    built once."""
-    labels, responses = [], []
+def _corpus_labels(grid: QueryGrid) -> tuple[np.ndarray, list[str]]:
+    """The ``select_best_model`` label code and the response segment of
+    every covered row, in row order, labeled a dataset at a time: among the
+    models that got the row right (every model when none did), the one with
+    the best cell average for the row's prompt variant, the first of the
+    sorted pool on an exact tie. Each (label, correct) segment of a dataset
+    is built once."""
+    labels, responses = [np.empty(0, dtype=np.intp)], []
     for ds_id, span in grid.spans.items():
         rows = grid.rows(ds_id)
         if not len(rows):
@@ -376,9 +393,9 @@ def _corpus_labels(grid: QueryGrid) -> tuple[list[str], list[str]]:
             model, ok = divmod(int(keys[k]), 2)
             segments[k] = _response_segment(grid.models[model], bool(ok), marginals[model],
                                             grid.world.model_pool)
-        labels += map(grid.models.__getitem__, best.tolist())
+        labels.append(best)
         responses += map(segments.__getitem__, of_key.tolist())
-    return labels, responses
+    return np.concatenate(labels), responses
 
 
 def split_80_10_10(examples: Sequence[_T], seed: int) -> tuple[list[_T], list[_T], list[_T]]:
@@ -408,21 +425,23 @@ _SIDECAR_LINE = ('{"dataset_id": %s, "label_model_id": %s, "line": %d, '
                  '"prompt_variant_id": %s, "sample_id": %s}\n')
 
 
-def save_corpus(examples: Sequence[RouterExample], path: str | Path) -> None:
-    """Write the corpus and its sidecar, each sidecar line from one template
-    and each distinct id JSON-quoted once. Both are complete in temporary
-    files before either replaces its old file, so a failed write leaves
-    the old pair as it was."""
-    path = Path(path)
-    ids = {x for ex in examples for x in (*ex.provenance, ex.label_model_id)}
-    quoted = dict(zip(ids, map(json.dumps, ids)))
+def save_corpus(corpus: Corpus, positions: Sequence[int], path: str | Path) -> None:
+    """Write the examples of ``corpus`` at ``positions`` and their sidecar,
+    each sidecar line from one template and each distinct id JSON-quoted
+    once. Both are complete in temporary files before either replaces its
+    old file, so a failed write leaves the old pair as it was."""
+    path, grid = Path(path), corpus.grid
+    queries = [grid.queries[i] for i in corpus.rows[positions].tolist()]
+    ids = {x for _, sample, variant in queries
+           for x in (sample.sample_id, sample.dataset_id, variant.variant_id)}
+    quoted, models = dict(zip(ids, map(json.dumps, ids))), list(map(json.dumps, grid.models))
+    labels = corpus.labels[positions].tolist()
     with atomic_open(path) as fh:
-        fh.writelines(ex.raw_line + "\n" for ex in examples)
+        fh.writelines(corpus.inputs[p] + corpus.responses[p] + "\n" for p in positions)
         with atomic_open(_sidecar(path)) as index:
-            for line, ex in enumerate(examples):
-                sample, dataset, variant = map(quoted.__getitem__, ex.provenance)
-                index.write(_SIDECAR_LINE % (dataset, quoted[ex.label_model_id], line, variant,
-                                             sample))
+            for line, ((_, sample, variant), label) in enumerate(zip(queries, labels)):
+                index.write(_SIDECAR_LINE % (quoted[sample.dataset_id], models[label], line,
+                                             quoted[variant.variant_id], quoted[sample.sample_id]))
 
 
 def load_corpus(path: str | Path) -> list[RouterExample]:

@@ -13,6 +13,7 @@ from taskrouter import (
     World,
 )
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
+from taskrouter.router import featurize_batch, train_router
 from taskrouter.synth import WorldSpec, generate_world
 
 
@@ -106,6 +107,18 @@ def keyword_world_spec(
         question_forms_per_dataset=question_forms,
         seed=seed,
     )
+
+
+def train_on_examples(train, validate, *, vocabulary, featurizer, **kwargs):
+    """``train_router`` on example objects: the lines of ``train`` then
+    ``validate`` featurized in one batch, and their labels as codes into
+    ``vocabulary`` (-1 for a label outside it)."""
+    examples = [*train, *validate]
+    index = {m: i for i, m in enumerate(vocabulary)}
+    features = featurize_batch([ex.serialized_input for ex in examples], featurizer)
+    labels = np.array([index.get(ex.label_model_id, -1) for ex in examples], dtype=np.intp)
+    return train_router(features, labels, range(len(train)), range(len(train), len(examples)),
+                        vocabulary=vocabulary, featurizer=featurizer, **kwargs)
 
 
 @pytest.fixture(scope="session")

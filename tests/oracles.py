@@ -3,6 +3,8 @@ and a backend wrapper that injects failures."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -12,6 +14,7 @@ from taskrouter.core import ExecutionRecord, MetadataSummary, group_records, rea
 from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
                                 valid_variant_ids)
 from taskrouter.router import _atoms, _choose, featurize
+from taskrouter.routerdata import RouterExample, router_inputs, select_best_model
 from taskrouter.scoring import predict_contrastive
 
 
@@ -143,6 +146,44 @@ def reference_train(train, validate, config, featurizer, vocabulary):
             if best is None or acc > best[0]:
                 best = (acc, weights.copy(), bias.copy())
     return (weights, bias) if best is None else best[1:]
+
+
+def reference_corpus(grid, flags) -> list[RouterExample]:
+    """The corpus as one object per covered grid row, in row order: the
+    row's router input, its label by ``select_best_model`` over the row's
+    correct flags and cell averages, its provenance and its full line. The
+    reference the columnar corpus is checked against."""
+    grid.require_coverage()
+    rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
+    examples = []
+    for i, text in zip(rows, router_inputs(grid, rows, flags)):
+        ds, sample, variant = grid.queries[i]
+        correct = dict(zip(grid.models, grid.correct[i].tolist()))
+        label = select_best_model(correct, {m: grid.table.cell(m, ds, variant.variant_id)
+                                            for m in grid.models})
+        examples.append(RouterExample(
+            serialized_input=text,
+            label_model_id=label,
+            provenance=(sample.sample_id, sample.dataset_id, variant.variant_id),
+            raw_line=(f"{text}[SEP]model::{label}[response]correct::{correct[label]};;;"
+                      f"avg_accuracy::{grid.table.marginal(label, ds):.5f}"),
+        ))
+    return examples
+
+
+def reference_save_corpus(examples: Iterable[RouterExample], path) -> None:
+    """Write example objects as a corpus file and its sidecar, one
+    ``json.dumps(entry, sort_keys=True)`` per sidecar line; the reference
+    for ``save_corpus``."""
+    path, lines, entries = Path(path), [], []
+    for line, ex in enumerate(examples):
+        sample_id, dataset_id, variant_id = ex.provenance
+        lines.append(ex.raw_line + "\n")
+        entries.append(json.dumps({"line": line, "sample_id": sample_id,
+                                   "dataset_id": dataset_id, "prompt_variant_id": variant_id,
+                                   "label_model_id": ex.label_model_id}, sort_keys=True) + "\n")
+    path.write_bytes("".join(lines).encode())
+    path.with_name(path.name + ".index.jsonl").write_bytes("".join(entries).encode())
 
 
 def batch_loss(weights, bias, feats, labels) -> float:

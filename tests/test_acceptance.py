@@ -40,11 +40,12 @@ from taskrouter.router import (
     RouterModel,
     TrainConfig,
     featurize,
+    featurize_batch,
 )
 from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
-from conftest import keyword_world_spec
+from conftest import keyword_world_spec, train_on_examples
 from oracles import batch_loss, reference_train, softmax_loss_and_grads
 from test_routerdata import (
     REFERENCE_FIELDS,
@@ -224,9 +225,9 @@ def test_criterion_4_scoring_oracles():
         for batch_size in (1, 3):
             train_config = TrainConfig(learning_rate=0.5, batch_size=batch_size,
                                        max_iterations=40, eval_every=10, seed=batch_size)
-            model = train_router(examples[:9], examples[9:], config=train_config,
-                                 flags=SerializationFlags(False, False), featurizer=config,
-                                 vocabulary=vocab)
+            model = train_on_examples(examples[:9], examples[9:], config=train_config,
+                                      flags=SerializationFlags(False, False),
+                                      featurizer=config, vocabulary=vocab)
             weights, bias = reference_train(examples[:9], examples[9:], train_config, config,
                                             vocab)
             assert model.weights.tobytes() == weights.tobytes()
@@ -287,15 +288,16 @@ def test_criterion_6_router_learning():
         )
         world = generate_world(spec)
         grid = QueryGrid.build(world)
-        examples = build_router_dataset(grid, flags)
-        assert len(examples) == 2000
-        train, validate, test = split_80_10_10(examples, seed=6)
+        corpus = build_router_dataset(grid, flags)
+        assert len(corpus) == 2000
+        train, validate, test = split_80_10_10(range(len(corpus)), seed=6)
         model = train_router(  # default TrainConfig: the reference budget
-            train, validate, config=TrainConfig(),
-            flags=flags, vocabulary=sorted(world.model_pool),
+            featurize_batch(corpus.inputs, FeaturizerConfig()), corpus.labels, train, validate,
+            config=TrainConfig(), flags=flags, vocabulary=grid.models,
+            featurizer=FeaturizerConfig(),
         )
         label_acc = sum(
-            model.route_text(e.serialized_input) == e.label_model_id for e in test
+            model.route_text(corpus.inputs[p]) == grid.models[corpus.labels[p]] for p in test
         ) / len(test)
         assert label_acc >= 0.99
 

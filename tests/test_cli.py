@@ -150,8 +150,8 @@ def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkey
                  "--world", str(world_dir), "--flags", "md=off,ro=off", *FAST]) == 0
     corpus = build_router_dataset(QueryGrid.build(load_world(world_dir)),
                                   SerializationFlags(False, False))
-    train, validate, _ = split_80_10_10(corpus, seed=3)
-    assert sorted(hashed) == sorted(ex.serialized_input for ex in [*train, *validate])
+    train, validate, _ = split_80_10_10(range(len(corpus)), seed=3)
+    assert sorted(hashed) == sorted(corpus.inputs[p] for p in [*train, *validate])
 
 
 def test_baselines_report(world_dir, tmp_path, capsys):
@@ -436,7 +436,7 @@ def test_damaged_world_fails_the_report_alike_with_a_router(damage, error, world
 @pytest.mark.parametrize("case, error", [
     ("ngram_orders", "ValueError"),
     ("config_list", "InvalidInputError"),
-    ("config_batch_size", "TypeError"),
+    ("config_batch_size", "InvalidInputError"),
 ])
 def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path, capsys):
     argv = ["--out", str(tmp_path / "lodo"), "lodo", "run", "--world", str(world_dir), *FAST]
@@ -455,7 +455,8 @@ def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path,
 @pytest.mark.parametrize("case", ["spec_count", "metadata_dims", "config_hash_dim",
                                   "config_seed"])
 def test_overflowing_json_number_ends_in_error_record(case, world_dir, tmp_path, capsys):
-    # JSON 1e400 parses to infinity, and int() of it raises OverflowError
+    # JSON 1e400 parses to infinity: int() of it raises OverflowError, and a
+    # --config field that must be an int refuses it as a float
     import shutil
 
     huge = tmp_path / "huge.json"
@@ -483,7 +484,33 @@ def test_overflowing_json_number_ends_in_error_record(case, world_dir, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
-    assert json.loads(line)["error"] == "OverflowError"
+    assert json.loads(line)["error"] == ("InvalidInputError" if case.startswith("config")
+                                         else "OverflowError")
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"featurizer": {"lowercase": "false"}}, "lowercase"),
+    ({"featurizer": {"hash_dim": 4096.7}}, "hash_dim"),
+    ({"featurizer": {"ngram_orders": [2, "3"]}}, "ngram_orders"),
+    ({"train": {"learning_rate": True}}, "learning_rate"),
+    ({"seed": "3"}, "seed"),
+], ids=["lowercase", "hash_dim", "ngram_orders", "learning_rate", "seed"])
+def test_mistyped_config_field_ends_in_error_record(config, field, world_dir, tmp_path,
+                                                    capsys):
+    # a value of the wrong JSON type is refused, not coerced into another router
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "router"
+    # FAST without its --learning-rate and --hash-dim, which would override the config's
+    assert main(["--config", str(path), "--out", str(out), "router", "train",
+                 "--world", str(world_dir), *FAST[2:6]]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "InvalidInputError"
+    assert f"field {field!r}" in record["message"]
+    assert not (out / "router.bin").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

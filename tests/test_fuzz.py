@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import line_features, object_records
+from oracles import line_features, object_records, reference_corpus, reference_save_corpus
 
 import taskrouter.router as router_module
 from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
@@ -24,7 +24,8 @@ from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_re
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
 from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
-                                   build_router_dataset, load_corpus, select_best_model)
+                                   build_router_dataset, load_corpus, router_corpora,
+                                   save_corpus, select_best_model)
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter import wire
 
@@ -436,11 +437,9 @@ def label_grids(draw):
                     for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
 
 
-@given(label_grids())
-# a tie of two right models, and a row with both wrong
-@example((["b", "a"], [[[True, True], [False, False]]]))
-@settings(max_examples=200, deadline=None)
-def test_corpus_labels_equal_per_row_select_best_model(spec):
+def _label_world(spec) -> World:
+    """The world of a ``label_grids`` draw: its datasets' samples, each
+    with metadata, and a record per model on every row that has one."""
     models, datasets = spec
     world = World({}, {}, {}, [], models)
     records = []
@@ -452,25 +451,58 @@ def test_corpus_labels_equal_per_row_select_best_model(spec):
                         for i in range(len(rows) // 2))
         world.datasets[ds] = DatasetManifest(ds, "recognition", samples, ds)
         world.prompt_configs[ds] = config
+        world.metadata.update((s.sample_id, MetadataSummary((2, 3, 1), (0.5 + i,), (1.0,)))
+                              for i, s in enumerate(samples))
         queries = [(s, v) for s in samples for v in prompt_variants(config)]
         records += [ExecutionRecord(s.sample_id, ds, m, v.variant_id, 1 - ok, bool(ok))
                     for (s, v), outcome in zip(queries, rows) if outcome is not None
                     for m, ok in zip(models, outcome)]
     world.records = Records.of(records)
-    grid = QueryGrid.build(world)
+    return world
+
+
+@given(label_grids())
+# a tie of two right models, and a row with both wrong
+@example((["b", "a"], [[[True, True], [False, False]]]))
+@settings(max_examples=200, deadline=None)
+def test_corpus_labels_equal_per_row_select_best_model(spec):
+    grid = QueryGrid.build(_label_world(spec))
     corpus = build_router_dataset(grid, SerializationFlags(False, True))
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
-    assert len(corpus) == len(rows)
-    for ex, i in zip(corpus, rows):
+    assert corpus.rows.tolist() == rows
+    assert len(corpus) == len(rows) == len(corpus.labels) == len(corpus.responses)
+    for p, i in enumerate(rows):
         ds, sample, variant = grid.queries[i]
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(correct, {m: grid.table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
-        assert ex.label_model_id == label
-        assert ex.provenance == (sample.sample_id, ds, variant.variant_id)
-        assert ex.raw_line == (f"{ex.serialized_input}[SEP]model::{label}[response]correct::"
-                               f"{correct[label]};;;avg_accuracy::"
-                               f"{grid.table.marginal(label, ds):.5f}")
+        assert grid.models[corpus.labels[p]] == label
+        assert corpus.inputs[p] + corpus.responses[p] == (
+            f"{corpus.inputs[p]}[SEP]model::{label}[response]correct::{correct[label]};;;"
+            f"avg_accuracy::{grid.table.marginal(label, ds):.5f}")
+
+
+@given(label_grids(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_saved_corpus_equals_the_reference_objects(spec, data):
+    # under every flag combination, the columns give the reference's inputs,
+    # labels and provenance, and save_corpus writes its corpus and sidecar
+    grid = QueryGrid.build(_label_world(spec))
+    for flags, corpus in zip(ALL_FLAG_COMBOS, router_corpora(grid, ALL_FLAG_COMBOS)):
+        reference = reference_corpus(grid, flags)
+        assert corpus.inputs == [ex.serialized_input for ex in reference]
+        assert [grid.models[c] for c in corpus.labels] == [ex.label_model_id for ex in reference]
+        assert [(sample.sample_id, sample.dataset_id, variant.variant_id)
+                for _, sample, variant in map(grid.queries.__getitem__, corpus.rows)] == [
+            ex.provenance for ex in reference]
+        order = data.draw(st.permutations(range(len(corpus))))
+        positions = order[:data.draw(st.integers(0, len(order)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            save_corpus(corpus, positions, Path(tmp) / "got.txt")
+            reference_save_corpus([reference[p] for p in positions], Path(tmp) / "want.txt")
+            for name in ("{}.txt", "{}.txt.index.jsonl"):
+                got, want = (Path(tmp, name.format(side)).read_bytes() for side in ("got", "want"))
+                assert got == want
 
 
 JSON = st.recursive(

@@ -30,7 +30,7 @@ from taskrouter import (
 )
 from taskrouter import wire
 from taskrouter.prompts import PromptTemplate, render, rendered_options
-from taskrouter.router import FeaturizerConfig, TrainConfig, evaluate_router
+from taskrouter.router import FeaturizerConfig, TrainConfig, evaluate_router, featurize_batch
 from taskrouter.routerdata import ALL_FLAG_COMBOS, router_inputs, save_corpus, serialize_input
 from taskrouter.scoring import evaluate, make_mock_backend
 from taskrouter.synth import WorldSpec
@@ -96,9 +96,10 @@ def report_and_corpus_digests(world, out) -> dict[str, str]:
         ds: evaluate_router(router, grid, ds) for ds in world.datasets})
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
-    examples = build_router_dataset(grid, FLAGS)
-    for name, split in zip(("train", "validate", "test"), split_80_10_10(examples, seed=5)):
-        save_corpus(split, out / f"{name}.txt")
+    corpus = build_router_dataset(grid, FLAGS)
+    for name, split in zip(("train", "validate", "test"),
+                           split_80_10_10(range(len(corpus)), seed=5)):
+        save_corpus(corpus, split, out / f"{name}.txt")
     return {p.name: _sha(p) for p in sorted(out.iterdir())}
 
 
@@ -195,11 +196,15 @@ def test_router_inputs_equal_serialize_input_row_by_row(name, flags):
 
 
 def test_mini_batch_router_matches_recorded_digest(tmp_path):
-    train, validate, _ = split_80_10_10(
-        build_router_dataset(QueryGrid.build(four_form_world()), FLAGS), seed=5)
+    corpus = build_router_dataset(QueryGrid.build(four_form_world()), FLAGS)
+    train, validate, _ = split_80_10_10(range(len(corpus)), seed=5)
+    # every model labels a training example, so the vocabulary of the
+    # training labels is the grid's model pool and the codes index it as they are
+    assert {corpus.grid.models[c] for c in corpus.labels[train]} == set(corpus.grid.models)
     config = replace(TRAIN, batch_size=3, max_iterations=150, eval_every=50, seed=4)
-    model = train_router(train, validate, config=config, flags=FLAGS, featurizer=FEATS,
-                         vocabulary=sorted({ex.label_model_id for ex in train}))
+    model = train_router(featurize_batch(corpus.inputs, FEATS), corpus.labels, train, validate,
+                         config=config, flags=FLAGS, featurizer=FEATS,
+                         vocabulary=corpus.grid.models)
     model.save(tmp_path / "router.bin")
     assert _sha(tmp_path / "router.bin") == MINI_BATCH_ROUTER
 

@@ -170,7 +170,7 @@ class TestRunLodo:
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
         assert len(result.folds) == 4 and not result.failed_folds
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
-        assert sorted(hashed) == sorted(ex.serialized_input for ex in corpus)
+        assert sorted(hashed) == sorted(corpus.inputs)
 
     def test_each_covered_row_is_serialized_once(self, monkeypatch):
         # folds replay the corpus lines instead of serializing their rows again
@@ -178,13 +178,13 @@ class TestRunLodo:
 
         world = generate_world(keyword_world_spec(question_forms=2))
         serialized = []
-        real = routerdata._query_segments  # a row's input after its sample's [img] segment
+        real = routerdata._prompt_segment  # made once for each row's input
 
         def counting(*args, **kwargs):
             serialized.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(routerdata, "_query_segments", counting)
+        monkeypatch.setattr(routerdata, "_prompt_segment", counting)
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
         assert len(result.folds) == 4 and not result.failed_folds
@@ -220,7 +220,8 @@ class TestRunLodo:
         flags = SerializationFlags(True, False)
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
         # one corpus position per dataset
-        strays = list({ex.provenance[1]: i for i, ex in enumerate(corpus)}.values())
+        strays = list({corpus.grid.queries[row][0]: i
+                       for i, row in enumerate(corpus.rows.tolist())}.values())
         real = harness.split_80_10_10
 
         def leaky(positions, seed):
@@ -322,8 +323,7 @@ class TestAblation:
         run_ablation(paired_world, train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=7,
                      flag_grid=grid, include_in_distribution=True)
         query_grid = QueryGrid.build(paired_world)
-        lines = [ex.serialized_input for flags in grid
-                 for ex in build_router_dataset(query_grid, flags)]
+        lines = [line for flags in grid for line in build_router_dataset(query_grid, flags).inputs]
         assert sorted(hashed) == sorted(lines)
 
     def test_in_distribution_column(self, paired_world):
@@ -348,7 +348,9 @@ class TestAblation:
     def test_run_in_distribution_replays_the_test_split(self):
         # the test split's rows, found by provenance, routed from their corpus
         # lines; a world without signal leaves the router short of perfect
-        from taskrouter import split_80_10_10, train_router
+        from taskrouter import split_80_10_10
+        from conftest import train_on_examples
+        from oracles import reference_corpus
 
         world = generate_world(WorldSpec(
             n_datasets=2, samples_per_dataset=40, options_range=(3, 3),
@@ -359,9 +361,10 @@ class TestAblation:
         got = run_in_distribution(world, flags=flags, train_config=FAST_TRAIN,
                                   featurizer=FAST_FEATS, seed=3)
         grid = QueryGrid.build(world)
-        train, validate, test = split_80_10_10(build_router_dataset(grid, flags), seed=3)
-        model = train_router(train, validate, config=replace(FAST_TRAIN, seed=3), flags=flags,
-                             featurizer=FAST_FEATS, vocabulary=grid.models)
+        examples = reference_corpus(grid, flags)
+        train, validate, test = split_80_10_10(examples, seed=3)
+        model = train_on_examples(train, validate, config=replace(FAST_TRAIN, seed=3),
+                                  flags=flags, featurizer=FAST_FEATS, vocabulary=grid.models)
         row = {(s.sample_id, ds, v.variant_id): i for i, (ds, s, v) in enumerate(grid.queries)}
         hits = {}
         for ex in test:

@@ -1,6 +1,8 @@
 """Featurizer, learner gradients, training, routing, and replay
 evaluation."""
 
+import json
+import struct
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,7 @@ from taskrouter.router import (
     RouterModel,
     TrainConfig,
 )
-from conftest import make_micro_world
+from conftest import make_micro_world, train_on_examples
 from oracles import (batch_loss, char_ngrams, column_grads, exact_choice, ngram_hash,
                      reference_train, softmax_loss_and_grads)
 
@@ -200,11 +202,11 @@ class TestGradients:
 class TestTraining:
     def test_constant_label_predicts_constant(self):
         train = [example(f"text number {i}", "only") for i in range(20)]
-        model = train_router(train, train[:2],
-                             config=TrainConfig(max_iterations=50, eval_every=25),
-                             flags=SerializationFlags(False, False),
-                             featurizer=SMALL,
-                             vocabulary=["only", "other"])
+        model = train_on_examples(train, train[:2],
+                                  config=TrainConfig(max_iterations=50, eval_every=25),
+                                  flags=SerializationFlags(False, False),
+                                  featurizer=SMALL,
+                                  vocabulary=["only", "other"])
         for text in ("[prompt]anything at all", "[prompt]unseen input"):
             assert model.route_text(text) == "only"
 
@@ -218,8 +220,9 @@ class TestTraining:
             filler = fillers[int(rng.integers(3))]
             examples.append(example(f"token-{label} {filler} #{i}", label))
         train, val, test = split_80_10_10(examples, seed=1)
-        model = train_router(train, val, config=TrainConfig(seed=2),
-                             flags=SerializationFlags(False, False), vocabulary=labels)
+        model = train_on_examples(train, val, config=TrainConfig(seed=2),
+                                  flags=SerializationFlags(False, False), vocabulary=labels,
+                                  featurizer=FeaturizerConfig())
         accuracy = sum(
             model.route_text(e.serialized_input) == e.label_model_id for e in test
         ) / len(test)
@@ -231,8 +234,8 @@ class TestTraining:
         kwargs = dict(config=TrainConfig(max_iterations=300, eval_every=100, seed=7),
                       flags=SerializationFlags(False, False), featurizer=SMALL,
                       vocabulary=["m0", "m1"])
-        a = train_router(train, val, **kwargs)
-        b = train_router(train, val, **kwargs)
+        a = train_on_examples(train, val, **kwargs)
+        b = train_on_examples(train, val, **kwargs)
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
         a.save(tmp_path / "a.bin")
@@ -240,15 +243,17 @@ class TestTraining:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_label_outside_vocabulary(self):
-        train = [example("x", "mystery")]
-        with pytest.raises(InvalidInputError):
-            train_router(train, [], flags=SerializationFlags(False, False),
-                         featurizer=SMALL, vocabulary=["a", "b"])
+        features = router_module.featurize_batch(["[prompt]x", "[prompt]y"], SMALL)
+        for code in (-1, 2):
+            with pytest.raises(InvalidInputError, match="outside the model vocabulary"):
+                train_router(features, [0, code], [0], [1],
+                             flags=SerializationFlags(False, False), featurizer=SMALL,
+                             vocabulary=["a", "b"])
 
     def test_empty_train(self):
         with pytest.raises(InvalidInputError):
-            train_router([], [], flags=SerializationFlags(False, False), featurizer=SMALL,
-                         vocabulary=["m0"])
+            train_on_examples([], [], flags=SerializationFlags(False, False), featurizer=SMALL,
+                              vocabulary=["m0"])
 
     @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
     def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
@@ -258,7 +263,7 @@ class TestTraining:
     def test_empty_validation_warns_and_trains(self, caplog):
         train = [example(f"t{i}", "m0") for i in range(12)]
         with caplog.at_level("WARNING"):
-            model = train_router(
+            model = train_on_examples(
                 train, [], config=TrainConfig(max_iterations=30, eval_every=10),
                 flags=SerializationFlags(False, False), featurizer=SMALL,
                 vocabulary=["m0", "m1"],
@@ -290,9 +295,9 @@ class TestBucketMajorTraining:
         rows = router_module.featurize_batch([ex.serialized_input for ex in train], self.FEATS)
         assert (np.abs(rows.values) > 1.0).any() and (rows.values == 0.0).any()
         weights, bias = reference_train(train, validate, config, self.FEATS, self.VOCAB)
-        model = train_router(train, validate, config=config,
-                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
-                             vocabulary=self.VOCAB)
+        model = train_on_examples(train, validate, config=config,
+                                  flags=SerializationFlags(False, False),
+                                  featurizer=self.FEATS, vocabulary=self.VOCAB)
         assert model.weights.shape == weights.shape and model.weights.flags.c_contiguous
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
@@ -304,15 +309,15 @@ class TestBucketMajorTraining:
         corpus = [examples[i] for i in np.random.default_rng(3).permutation(len(examples))]
         features = router_module.featurize_batch([ex.serialized_input for ex in corpus],
                                                  self.FEATS)
+        labels = [self.VOCAB.index(ex.label_model_id) for ex in corpus]
         at = {id(ex): i for i, ex in enumerate(corpus)}
         train, validate = examples[:40], examples[40:50]
         config = TrainConfig(learning_rate=0.5, batch_size=batch_size, max_iterations=90,
                              eval_every=30, seed=2)
-        model = train_router(train, validate, config=config,
+        model = train_router(features, labels, [at[id(ex)] for ex in train],
+                             [at[id(ex)] for ex in validate], config=config,
                              flags=SerializationFlags(False, False), featurizer=self.FEATS,
-                             vocabulary=self.VOCAB, features=features,
-                             positions=([at[id(ex)] for ex in train],
-                                        [at[id(ex)] for ex in validate]))
+                             vocabulary=self.VOCAB)
         weights, bias = reference_train(train, validate, config, self.FEATS, self.VOCAB)
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
@@ -321,12 +326,15 @@ class TestBucketMajorTraining:
         examples = self._examples(20)
         features = router_module.featurize_batch([ex.serialized_input for ex in examples],
                                                  self.FEATS)
-        for positions in [(range(10), range(10, 15)), (range(10, 20), range(15, 21)),
-                          (range(-1, 9), range(10, 20))]:
+        labels = [self.VOCAB.index(ex.label_model_id) for ex in examples]
+        # positions past either end of the rows, and one label short of them
+        for codes, train, validate in [(labels, range(10, 20), range(15, 21)),
+                                       (labels, range(-1, 9), range(10, 20)),
+                                       (labels[:-1], range(10), range(10, 15))]:
             with pytest.raises(InvalidInputError):
-                train_router(examples[:10], examples[10:],
+                train_router(features, codes, train, validate,
                              flags=SerializationFlags(False, False), featurizer=self.FEATS,
-                             vocabulary=self.VOCAB, features=features, positions=positions)
+                             vocabulary=self.VOCAB)
 
 
 class TestRoute:
@@ -413,6 +421,27 @@ class TestRoute:
         (tmp_path / "junk.bin").write_bytes(b"not a router")
         with pytest.raises(InvalidInputError):
             RouterModel.load(tmp_path / "junk.bin")
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("flags", "include_metadata", "false"),
+        ("featurization", "lowercase", "false"),
+        ("featurization", "hash_dim", 1024.0),
+        ("featurization", "ngram_orders", [2, "3"]),
+    ])
+    def test_load_rejects_a_mistyped_header_field(self, tmp_path, section, field, value):
+        # a header value of the wrong JSON type would load as another router
+        path = tmp_path / "r.bin"
+        self._model().save(path)
+        data = path.read_bytes()
+        start = len(RouterModel.MAGIC) + 4
+        (length,) = struct.unpack_from("<I", data, len(RouterModel.MAGIC))
+        header = json.loads(data[start:start + length])
+        header[section][field] = value
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(RouterModel.MAGIC + struct.pack("<I", len(blob)) + blob
+                         + data[start + length:])
+        with pytest.raises(InvalidInputError, match=f"bad router header: field '{field}'"):
+            RouterModel.load(path)
 
 
 # characters whose lowercase form is longer (İ) or depends on context (Σ),
@@ -621,15 +650,15 @@ class TestEvaluateRouter:
             ("gamma", 2, "q1-o0"): False,
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+        corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
         # a lookup router that answers with the corpus label per input text
         class LabelLookupRouter:
             vocabulary = tuple(sorted(world.model_pool))
             flags = SerializationFlags(True, True)
 
             def __init__(self):
-                self.by_input = {e.serialized_input: e.label_model_id
-                                 for e in examples}
+                self.by_input = dict(zip(corpus.inputs,
+                                         map(corpus.grid.models.__getitem__, corpus.labels)))
 
             def route_batch(self, texts):
                 return [self.by_input[text] for text in texts]

@@ -3,6 +3,7 @@ construction, and splitting."""
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from taskrouter import (
     serialize_input,
     split_80_10_10,
 )
-from taskrouter.core import ExecutionRecord
-from taskrouter.prompts import render, rendered_options
+from taskrouter.core import DatasetManifest, ExecutionRecord, Sample, World
+from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, render, rendered_options
 from taskrouter.router import FeaturizerConfig, RouterModel, route_rows
 from taskrouter.routerdata import (
     ALL_FLAG_COMBOS,
@@ -35,7 +36,7 @@ from taskrouter.routerdata import (
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import make_micro_world
-from oracles import filter_valid_prompts
+from oracles import filter_valid_prompts, reference_corpus
 
 # Golden record for the serialization format, frozen byte for byte. Note:
 # no closing bracket after the options list; the [SEP] marker terminates it.
@@ -315,8 +316,8 @@ class TestBuildRouterDataset:
         # micro world has 2 question forms (one empty) x 1 option form
         valid_records = [r for r in world.records if r.prompt_variant_id == "q1-o0"]
         assert len(valid_records) == 6  # 3 models x 2 samples x 1 valid variant
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
-        assert len(examples) == 2  # 2 samples x 1 valid variant
+        corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+        assert len(corpus) == 2  # 2 samples x 1 valid variant
 
     def test_dominant_model_labels(self):
         correctness = {
@@ -324,9 +325,9 @@ class TestBuildRouterDataset:
             for i in range(3) for v in ("q0-o0", "q1-o0")
         }
         world = make_micro_world(n_samples=3, correctness=correctness)
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
-        assert examples
-        assert all(ex.label_model_id == "alpha" for ex in examples)
+        corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+        assert len(corpus)
+        assert all(corpus.grid.models[c] == "alpha" for c in corpus.labels)
 
     def test_labels_match_brute_force_on_synthetic_world(self):
         spec = WorldSpec(
@@ -336,7 +337,7 @@ class TestBuildRouterDataset:
         )
         world = generate_world(spec)
         flags = SerializationFlags(True, True)
-        examples = build_router_dataset(QueryGrid.build(world), flags)
+        corpus = build_router_dataset(QueryGrid.build(world), flags)
         from taskrouter.core import aggregate_accuracy
 
         valid = filter_valid_prompts(world.records, world.prompt_configs)
@@ -346,28 +347,30 @@ class TestBuildRouterDataset:
             by_group.setdefault(
                 (rec.dataset_id, rec.sample_id, rec.prompt_variant_id), {}
             )[rec.model_id] = rec
-        assert len(examples) == len(by_group)
-        for ex in examples:
-            sid, ds, vid = ex.provenance
+        assert len(corpus) == len(by_group)
+        for row, code in zip(corpus.rows.tolist(), corpus.labels.tolist()):
+            ds, sample, variant = corpus.grid.queries[row]
+            sid, vid = sample.sample_id, variant.variant_id
             per_model = by_group[(ds, sid, vid)]
             correct = {m: r.correct for m, r in per_model.items()}
             avgs = {m: table.cell(m, ds, vid) for m in per_model}
-            assert ex.label_model_id == brute_force_label(correct, avgs)
+            assert corpus.grid.models[code] == brute_force_label(correct, avgs)
 
     def test_example_lines_parse_and_match_flags(self):
         world = make_micro_world(n_samples=2)
         for flags in ALL_FLAG_COMBOS:
-            for ex in build_router_dataset(QueryGrid.build(world), flags):
-                parsed = parse_example(ex.raw_line)
+            corpus = build_router_dataset(QueryGrid.build(world), flags)
+            for text, code, response in zip(corpus.inputs, corpus.labels, corpus.responses):
+                parsed = parse_example(text + response)
                 assert parsed.flags == flags
-                assert parsed.model_id == ex.label_model_id
-                assert ex.raw_line.startswith(ex.serialized_input)
+                assert parsed.model_id == corpus.grid.models[code]
+                assert response.startswith("[SEP]")
 
     def test_avg_accuracy_is_label_marginal(self):
         correctness = {("alpha", i, "q1-o0"): i == 0 for i in range(4)}
         world = make_micro_world(n_samples=4, correctness=correctness)
-        examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(False, False))
-        parsed = parse_example(examples[0].raw_line)
+        corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(False, False))
+        parsed = parse_example(corpus.inputs[0] + corpus.responses[0])
         # alpha is correct on 1 of 4 samples of the only valid variant
         assert parsed.avg_accuracy == pytest.approx(0.25)
 
@@ -389,7 +392,7 @@ def test_corpus_and_routing_share_one_input_per_row(small_keyword_world, flags):
     rows = np.flatnonzero(grid.covered.any(axis=1))
     inputs = router_inputs(grid, rows, flags)
     # corpus position k is covered row k, which is what LODO folds index by
-    assert [ex.serialized_input for ex in build_router_dataset(grid, flags)] == inputs
+    assert build_router_dataset(grid, flags).inputs == inputs
     feats = FeaturizerConfig(hash_dim=256)
     rng = np.random.default_rng(3)
     router = RouterModel(grid.models, feats, flags, 0,
@@ -417,10 +420,57 @@ def test_router_inputs_name_a_sample_without_metadata():
         router_inputs(grid, rows, SerializationFlags(True, False))
 
 
+def _two_form_world(option_forms: tuple[str, ...]) -> World:
+    """Four samples of three options under two question forms and the given
+    option forms, with metadata and no records."""
+    options = ("red", "blue", "green")
+    config = DatasetPromptConfig("two", (PromptTemplate("What is it? "),
+                                         PromptTemplate("Name it: ")),
+                                 tuple(map(PromptTemplate, option_forms)),
+                                 class_names=options)
+    samples = tuple(Sample(f"s{i}", "two", f"two/s{i}", {}, options, 0) for i in range(4))
+    return World({"two": DatasetManifest("two", "recognition", samples, "two")},
+                 {"two": config},
+                 {s.sample_id: MetadataSummary((4, 4, 3), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
+                  for s in samples}, [], ["alpha", "beta"])
+
+
+@pytest.mark.parametrize("option_forms", [("{class_name}",), ("{class_name}", "a {class_name}")])
+def test_options_are_checked_once_per_option_form(option_forms, monkeypatch):
+    from taskrouter import routerdata
+
+    grid = QueryGrid.build(_two_form_world(option_forms), ())
+    rows = range(len(grid.queries))
+    flags = SerializationFlags(True, True)
+    expected = router_inputs(grid, rows, flags)
+    checked = []
+    real = routerdata._check_field
+
+    def counting(name, value, forbidden):
+        checked.append(name)
+        return real(name, value, forbidden)
+
+    monkeypatch.setattr(routerdata, "_check_field", counting)
+    assert router_inputs(grid, rows, flags) == expected
+    # each row's prompt, and each sample's three options once per option form
+    assert len(grid.queries) == 4 * 2 * len(option_forms)
+    assert checked.count("prompt") == len(grid.queries)
+    assert checked.count("option") == 4 * len(option_forms) * 3
+
+
+def test_bad_option_on_the_second_option_form_is_refused():
+    grid = QueryGrid.build(_two_form_world(("{class_name}", "{class_name}[SEP]")), ())
+    rows = range(len(grid.queries))
+    with pytest.raises(InvalidInputError, match=r"option may not contain .*'red\[SEP\]'"):
+        router_inputs(grid, rows, SerializationFlags(True, True))
+    # an input without options never reads them
+    assert len(router_inputs(grid, rows, SerializationFlags(True, False))) == len(rows)
+
+
 class TestSplit:
     def _examples(self, n):
         world = make_micro_world(n_samples=n, with_empty_question=False)
-        return build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+        return reference_corpus(QueryGrid.build(world), SerializationFlags(True, True))
 
     def test_sizes_1000(self):
         train, val, test = split_80_10_10(self._examples(1000), seed=0)
@@ -450,21 +500,22 @@ class TestSplit:
 
 
 def test_failed_corpus_save_keeps_old_files(tmp_path):
-    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                    SerializationFlags(True, True))
+    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                  SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    save_corpus(examples, path)
+    save_corpus(corpus, range(len(corpus)), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    with pytest.raises(AttributeError):
-        save_corpus([examples[0], None], path)  # the corpus write fails on its second line
+    damaged = replace(corpus, inputs=[corpus.inputs[0], None, *corpus.inputs[2:]])
+    with pytest.raises(TypeError):
+        save_corpus(damaged, range(len(corpus)), path)  # the corpus write fails on line 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_failed_sidecar_write_keeps_old_corpus_pair(tmp_path, monkeypatch):
-    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                    SerializationFlags(True, True))
+    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                  SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    save_corpus(examples[:3], path)
+    save_corpus(corpus, range(3), path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     def disk_full(*args, **kwargs):
@@ -472,7 +523,7 @@ def test_failed_sidecar_write_keeps_old_corpus_pair(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dumps", disk_full)  # only the sidecar is JSON
     with pytest.raises(OSError):
-        save_corpus(examples[:1], path)
+        save_corpus(corpus, range(1), path)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert len(load_corpus(path)) == 3
@@ -480,10 +531,10 @@ def test_failed_sidecar_write_keeps_old_corpus_pair(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("edit", ["drop_entry", "extra_entry", "other_label"])
 def test_mismatched_sidecar_fails_to_load(edit, tmp_path):
-    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                    SerializationFlags(True, True))
+    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                  SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    save_corpus(examples[:3], path)
+    save_corpus(corpus, range(3), path)
     sidecar = tmp_path / "corpus.txt.index.jsonl"
     entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
     if edit == "drop_entry":
@@ -501,10 +552,10 @@ def test_mismatched_sidecar_fails_to_load(edit, tmp_path):
 @pytest.mark.parametrize("edit", ["no_line", "no_label", "no_sample_id", "list_line",
                                   "second_entry"])
 def test_damaged_sidecar_entry_names_sidecar_line(edit, tmp_path):
-    examples = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                    SerializationFlags(True, True))
+    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
+                                  SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    save_corpus(examples[:3], path)
+    save_corpus(corpus, range(3), path)
     sidecar = tmp_path / "corpus.txt.index.jsonl"
     entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
     if edit == "list_line":
@@ -521,21 +572,24 @@ def test_damaged_sidecar_entry_names_sidecar_line(edit, tmp_path):
 
 def test_corpus_save_and_load(tmp_path):
     world = make_micro_world(n_samples=3)
-    examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+    grid = QueryGrid.build(world)
+    corpus = build_router_dataset(grid, SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    save_corpus(examples, path)
+    save_corpus(corpus, range(len(corpus)), path)
     assert (tmp_path / "corpus.txt.index.jsonl").exists()
     loaded = load_corpus(path)
+    examples = reference_corpus(grid, SerializationFlags(True, True))
     assert [e.raw_line for e in loaded] == [e.raw_line for e in examples]
+    assert [e.serialized_input for e in loaded] == corpus.inputs
     assert [e.provenance for e in loaded] == [e.provenance for e in examples]
     assert [e.label_model_id for e in loaded] == [e.label_model_id for e in examples]
 
 
 def test_unparsable_corpus_line_names_path_and_line(tmp_path):
     world = make_micro_world(n_samples=3)
-    examples = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
+    corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
     path = tmp_path / "corpus.txt"
-    path.write_text(examples[0].raw_line + "\ngarbage line\n")
+    path.write_text(corpus.inputs[0] + corpus.responses[0] + "\ngarbage line\n")
     with pytest.raises(ParseError, match=r"corpus\.txt:2: expected \[prompt\] segment "
                                          r"\(byte offset 0\)"):
         load_corpus(path)

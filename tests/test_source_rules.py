@@ -231,16 +231,39 @@ def test_baselines_import_only_core_and_errors():
 
 
 def test_corpus_replay_reads_no_provenance():
-    # a fold and the in-distribution split work in corpus positions; a
-    # dataset's examples are its grid span's rows, so no example's
-    # provenance strings are read
+    # a corpus is columns read by position, and a dataset's examples are its
+    # grid span's rows: the flows that train and replay build no example
+    # object and read no example field, provenance among them
     package = Path(taskrouter.__file__).parent
-    tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
-    reads = [f"{function}:{node.lineno}"
-             for function in ("_run_fold", "_in_distribution")
-             for node in ast.walk(_function(tree, function))
-             if isinstance(node, ast.Attribute) and node.attr == "provenance"]
+    fields = {"serialized_input", "label_model_id", "raw_line", "provenance"}
+    reads = []
+    for module in ("harness.py", "router.py", "cli.py"):
+        tree = ast.parse((package / module).read_text(), filename=module)
+        for node in ast.walk(tree):
+            named = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "RouterExample" in named or isinstance(node, ast.Attribute) and named[0] in fields:
+                reads.append(f"{module}:{node.lineno} {named}")
     assert reads == []
+
+
+def test_corpus_rows_and_fold_parts_are_array_work():
+    # the corpus finds its covered rows once, and a fold or the
+    # in-distribution split slices the corpus columns and the feature rows
+    # by position instead of building a list per example
+    package = Path(taskrouter.__file__).parent
+    finders = [path.name for path in sorted(package.glob("*.py"))
+               if "grid.covered.any(" in path.read_text()]
+    assert finders == ["routerdata.py"]
+    tree = ast.parse((package / "harness.py").read_text(), filename="harness.py")
+    comprehensions = [f"{function}:{node.lineno}"
+                      for function in ("_run_fold", "_in_distribution")
+                      for node in ast.walk(_function(tree, function))
+                      if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                           ast.GeneratorExp))]
+    assert comprehensions == []
 
 
 def test_record_paths_build_no_record_objects():

@@ -177,11 +177,11 @@ class TestSignalModes:
                             (keyword_world_spec(samples_per_dataset=60, paired=True, seed=31),
                              SerializationFlags(True, False))):
             world = generate_world(spec)
-            examples = build_router_dataset(QueryGrid.build(world), flags)
-            assert examples
-            for ex in examples:
-                ds_index = int(ex.provenance[1][2:])
-                assert ex.label_model_id == spec.designated_best(ds_index)
+            corpus = build_router_dataset(QueryGrid.build(world), flags)
+            assert len(corpus)
+            for row, label in zip(corpus.rows.tolist(), corpus.labels.tolist()):
+                ds_index = int(corpus.grid.queries[row][0][2:])
+                assert corpus.grid.models[label] == spec.designated_best(ds_index)
 
     def test_metadata_band_separation(self):
         models = ["m0", "m1", "m2", "m3"]
