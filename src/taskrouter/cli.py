@@ -13,13 +13,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import (QueryGrid, load_world, read_json, save_records, save_world, typed_field,
-                   write_json)
+from .core import (QueryGrid, load_world, read_json, reading, save_records, save_world,
+                   typed_field, write_json)
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -185,15 +186,18 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated n-gram orders, e.g. 2,3,4")
 
 
+def _config(args, name: str, kind: type, default):
+    """The ``--config`` file's ``name`` section, of the JSON ``kind``, or ``default``."""
+    with reading(args.config):
+        return typed_field(args.config_data, name, kind, default=default)
+
+
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return typed_field(args.config_data, "seed", int) if "seed" in args.config_data else 0
+    return args.seed if args.seed is not None else _config(args, "seed", int, 0)
 
 
 def _out_dir(args, default: str) -> Path:
-    out = args.out or args.config_data.get("out") or default
-    path = Path(out)
+    path = Path(args.out or _config(args, "out", str, None) or default)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -201,24 +205,24 @@ def _out_dir(args, default: str) -> Path:
 def _train_config(args, seed: int) -> TrainConfig:
     """The config file's ``train`` section over ``TrainConfig``'s defaults,
     overridden by the command-line flags and ``seed``."""
-    base = dict(args.config_data.get("train", {}))
-    for key in ("learning_rate", "batch_size", "max_iterations", "eval_every"):
-        if getattr(args, key) is not None:
-            base[key] = getattr(args, key)
-    base["seed"] = seed
-    return TrainConfig.from_dict(base)
+    with reading(f"{args.config}: section 'train'"):
+        config = TrainConfig.from_dict(typed_field(args.config_data, "train", dict, default={}))
+    flags = ("learning_rate", "batch_size", "max_iterations", "eval_every")
+    return replace(config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None},
+                   seed=seed)
 
 
 def _featurizer_config(args) -> FeaturizerConfig:
     """The config file's ``featurizer`` section over ``FeaturizerConfig``'s
     defaults, overridden by the command-line flags."""
-    base = FeaturizerConfig().to_dict()
-    base.update(args.config_data.get("featurizer", {}))
+    with reading(f"{args.config}: section 'featurizer'"):
+        section = typed_field(args.config_data, "featurizer", dict, default={})
+        config = FeaturizerConfig.from_dict({**FeaturizerConfig().to_dict(), **section})
     if args.hash_dim is not None:
-        base["hash_dim"] = args.hash_dim
+        config = replace(config, hash_dim=args.hash_dim)
     if args.ngram_orders is not None:
-        base["ngram_orders"] = [int(x) for x in args.ngram_orders.split(",")]
-    return FeaturizerConfig.from_dict(base)
+        config = replace(config, ngram_orders=[int(x) for x in args.ngram_orders.split(",")])
+    return config
 
 
 def _resolve_prompt_config(spec: str) -> DatasetPromptConfig:
@@ -227,7 +231,7 @@ def _resolve_prompt_config(spec: str) -> DatasetPromptConfig:
         return builtin[spec]
     path = Path(spec)
     if path.exists():
-        return DatasetPromptConfig.from_dict(read_json(path))
+        return read_json(path, DatasetPromptConfig.from_dict)
     raise InvalidInputError(
         f"{spec!r} is neither a builtin dataset id {sorted(builtin)} nor a config file"
     )
@@ -421,7 +425,7 @@ def _cmd_ablation_run(args) -> None:
 def _cmd_synth_generate(args) -> None:
     spec = WorldSpec.load(args.spec)
     if args.seed is not None:
-        spec = WorldSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     out = _out_dir(args, "world_out")
     world = generate_world(spec)
     save_world(world, out)

@@ -12,15 +12,16 @@ import json
 import math
 import os
 import re
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CoverageError, IntegrityError, InvalidInputError
+from .errors import CoverageError, IntegrityError, InvalidInputError, TaskRouterError
 
 TASK_KINDS = ("recognition", "reasoning")
 ID_FIELDS = ("sample_id", "dataset_id", "model_id", "prompt_variant_id")
@@ -38,9 +39,9 @@ class MetadataSummary:
     channel_stds: tuple[float, ...]
 
     def __post_init__(self):
-        h, w, c = self.dims
-        if min(h, w, c) < 1:
-            raise InvalidInputError(f"dims must all be >= 1, got {self.dims}")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise InvalidInputError(f"dims must be three sizes >= 1, got {self.dims}")
+        c = self.dims[2]
         if len(self.channel_means) != c or len(self.channel_stds) != c:
             raise InvalidInputError(
                 f"expected {c} channel means/stds, got "
@@ -61,9 +62,9 @@ class MetadataSummary:
     @classmethod
     def from_dict(cls, d: Mapping) -> "MetadataSummary":
         return cls(
-            dims=tuple(int(x) for x in d["dims"]),
-            channel_means=tuple(float(x) for x in d["channel_means"]),
-            channel_stds=tuple(float(x) for x in d["channel_stds"]),
+            dims=tuple(typed_field(d, "dims", list, int)),
+            channel_means=tuple(typed_field(d, "channel_means", list, float)),
+            channel_stds=tuple(typed_field(d, "channel_stds", list, float)),
         )
 
 
@@ -106,16 +107,13 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Sample":
-        gold = d["gold_index"]
-        if isinstance(gold, bool) or not isinstance(gold, int):
-            raise InvalidInputError(f"gold_index must be an integer, got {gold!r}")
         return cls(
-            sample_id=d["sample_id"],
-            dataset_id=d["dataset_id"],
-            image_ref=d["image_ref"],
-            context=dict(d.get("context", {})),
-            response_options=tuple(d["response_options"]),
-            gold_index=gold,
+            sample_id=typed_field(d, "sample_id", str),
+            dataset_id=typed_field(d, "dataset_id", str),
+            image_ref=typed_field(d, "image_ref", str),
+            context=typed_field(d, "context", dict, str, default={}),
+            response_options=typed_field(d, "response_options", list, str),
+            gold_index=typed_field(d, "gold_index", int),
         )
 
 
@@ -163,17 +161,16 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DatasetManifest":
+        size = typed_field(d, "size", int, default=None)
         manifest = cls(
-            dataset_id=d["dataset_id"],
-            task_kind=d["task_kind"],
-            samples=tuple(Sample.from_dict(s) for s in d["samples"]),
-            prompt_config_ref=d["prompt_config_ref"],
+            dataset_id=typed_field(d, "dataset_id", str),
+            task_kind=typed_field(d, "task_kind", str),
+            samples=tuple(map(Sample.from_dict, typed_field(d, "samples", list, dict))),
+            prompt_config_ref=typed_field(d, "prompt_config_ref", str),
         )
-        if "size" in d and int(d["size"]) != manifest.size:
-            raise IntegrityError(
-                f"{manifest.dataset_id}: declared size {d['size']} != "
-                f"{manifest.size} samples"
-            )
+        if size not in (None, manifest.size):
+            raise IntegrityError(f"{manifest.dataset_id}: declared size {size} != "
+                                 f"{manifest.size} samples")
         return manifest
 
 
@@ -189,14 +186,7 @@ class ExecutionRecord:
     correct: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "dataset_id": self.dataset_id,
-            "model_id": self.model_id,
-            "prompt_variant_id": self.prompt_variant_id,
-            "predicted_index": self.predicted_index,
-            "correct": self.correct,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExecutionRecord":
@@ -209,15 +199,9 @@ _INT64 = np.iinfo(np.int64)
 def _record_fields(d: Mapping) -> tuple:
     """A record row's ``RECORD_FIELDS``. A missing field raises KeyError; a
     field of the wrong type, InvalidInputError."""
-    predicted, correct = d["predicted_index"], d["correct"]
-    if isinstance(predicted, bool) or not isinstance(predicted, int):
-        raise InvalidInputError(f"predicted_index must be an integer, got {predicted!r}")
-    if not isinstance(correct, bool):
-        raise InvalidInputError(f"correct must be true or false, got {correct!r}")
-    ids = tuple(d[name] for name in ID_FIELDS)
-    for name, value in zip(ID_FIELDS, ids):
-        if not isinstance(value, str):
-            raise InvalidInputError(f"{name} must be a string, got {value!r}")
+    predicted = typed_field(d, "predicted_index", int)
+    correct = typed_field(d, "correct", bool)
+    ids = tuple(typed_field(d, name, str) for name in ID_FIELDS)
     if not _INT64.min <= predicted <= _INT64.max:
         raise InvalidInputError(f"predicted_index {predicted} outside the int64 range")
     return (*ids, predicted, correct)
@@ -409,8 +393,9 @@ def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tup
     for lineno, row in _numbered_objects(path, enumerate(lines, first_lineno)):
         try:
             rows.append(_record_fields(row))
-        except KeyError as exc:
-            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (KeyError, TaskRouterError):
+            with reading(f"{path}:{lineno}"):
+                raise
     return tuple(zip(*rows))
 
 
@@ -873,43 +858,70 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path) -> dict:
-    """The JSON object in ``path``; anything else raises InvalidInputError
-    naming ``path``."""
+def read_json(path: str | Path, from_dict: Callable[[dict], _Row] | None = None):
+    """The JSON object in ``path``, or ``from_dict`` of it; anything else,
+    or a field error from ``from_dict`` (see ``reading``), names ``path``."""
     try:
         obj = json.loads(Path(path).read_bytes())
     except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: not a JSON object")
-    return obj
+    with reading(path):
+        return obj if from_dict is None else from_dict(obj)
 
 
-# JSON kind -> (its name in an error, its test); a bool is never an int or a float
-_KINDS = {
-    bool: ("a bool", lambda v: isinstance(v, bool)),
-    int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", lambda v: not isinstance(v, bool) and (
-        isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
-}
+_NAMES = {bool: "a bool", int: "an int", float: "a finite number", str: "a string",
+          list: "a list", dict: "an object"}  # each JSON kind's name in an error
+_REQUIRED = object()
 
 
-def typed_field(d: Mapping, name: str, kind: type, item: type | None = None):
-    """``d[name]``, checked to be of the JSON ``kind``: a ``bool``, an
-    ``int`` that is not a ``bool``, a ``float`` as any finite real (an
-    ``int`` included), or a ``list`` whose items are each of the kind
-    ``item``. A value of another kind raises InvalidInputError naming the
-    field; a missing field raises KeyError."""
+def typed_field(d: Mapping, name: str, kind: type, item=None, default=_REQUIRED):
+    """``d[name]``, checked to be of the JSON ``kind``: ``bool``; ``int``,
+    not a bool; ``float``, any finite number; ``str``; or a ``list`` or
+    ``dict`` (an object) whose items or values are each of the kind
+    ``item``, which may be a pair: ``dict, (list, float)`` is an object of
+    lists of numbers. The package's one JSON type check: a value of another
+    kind raises InvalidInputError naming the field. A missing field gives
+    ``default``, or without one raises KeyError."""
+    if default is not _REQUIRED and name not in d:
+        return default
     value = d[name]
-    what, test = _KINDS[item if kind is list else kind]
-    if kind is list:
-        what = f"a list of items each {what}"
-        ok = isinstance(value, list) and all(map(test, value))
-    else:
-        ok = test(value)
-    if not ok:
-        raise InvalidInputError(f"field {name!r} must be {what}, got {value!r}")
-    return value
+    if (_finite(value) if kind is float else type(value) is kind) and (
+            item is None or _each(value.values() if kind is dict else value, item)):
+        return value
+    items = item if type(item) is tuple else () if item is None else (item,)
+    what = _NAMES[kind] + "".join(f" of {_NAMES[k].split(' ', 1)[1]}s" for k in items)
+    raise InvalidInputError(f"field {name!r} must be {what}")
+
+
+def _each(values, item) -> bool:
+    """Whether each of ``values`` is of the JSON kind ``item``; types are
+    exact, as ``json`` makes them."""
+    if item is float:
+        return all(map(_finite, values))
+    if type(item) is tuple:
+        kind, inner = item
+        return all(type(v) is kind and _each(v.values() if kind is dict else v, inner)
+                   for v in values)
+    return all(type(v) is item for v in values)
+
+
+def _finite(value) -> bool:
+    """A JSON number in the range of a finite float (NaN compares false)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+@contextmanager
+def reading(where: str | Path):
+    """Name ``where`` in a missing field (KeyError, raised as IntegrityError),
+    a mistyped one (InvalidInputError) or an inconsistent one raised here."""
+    try:
+        yield
+    except KeyError as exc:
+        raise IntegrityError(f"{where}: missing field {exc}") from exc
+    except (InvalidInputError, IntegrityError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -960,13 +972,14 @@ def _read_keyed(path: str | Path, id_field: str, from_dict: Callable[[dict], _Ro
     """``from_dict`` of each JSON object in ``path``, keyed by its
     ``id_field``. A row that lacks a field, repeats an earlier row's id, or
     fails ``check`` (which returns a fault or None) raises IntegrityError
-    naming ``path:line``."""
+    naming ``path:line``; a mistyped field, InvalidInputError naming it."""
     rows: dict[str, _Row] = {}
     for lineno, row in read_numbered_jsonl(path):
         try:
             key, value = row[id_field], from_dict(row)
-        except KeyError as exc:
-            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (KeyError, TaskRouterError):
+            with reading(f"{path}:{lineno}"):
+                raise
         if key in rows:
             raise IntegrityError(f"{path}:{lineno}: repeats {id_field} {key!r}")
         if check is not None and (fault := check(value)) is not None:
@@ -1015,16 +1028,11 @@ WORLD_FILES = ("datasets.jsonl", "prompt_configs.json", "metadata.jsonl",
 
 def save_world(world: World, out_dir: str | Path) -> Path:
     """Persist a world directory. Pixel arrays are intentionally dropped."""
-    from .prompts import DatasetPromptConfig  # local import to avoid a cycle
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_manifests(world.datasets.values(), out / "datasets.jsonl")
-    configs = {
-        ds: cfg.to_dict() if isinstance(cfg, DatasetPromptConfig) else cfg
-        for ds, cfg in world.prompt_configs.items()
-    }
-    write_json(out / "prompt_configs.json", configs)
+    write_json(out / "prompt_configs.json",
+               {ds: cfg.to_dict() for ds, cfg in world.prompt_configs.items()})
     save_metadata(world.metadata, out / "metadata.jsonl")
     save_records(world.records, out / "records.jsonl")
     write_json(out / "world.json", {"model_pool": list(world.model_pool), "seed": world.seed})
@@ -1032,20 +1040,28 @@ def save_world(world: World, out_dir: str | Path) -> Path:
 
 
 def load_world(world_dir: str | Path) -> World:
+    """The world in ``world_dir``; a prompt config under another dataset's
+    id is an IntegrityError."""
     from .prompts import DatasetPromptConfig
 
     root = Path(world_dir)
     manifests = load_manifests(root / "datasets.jsonl")
-    configs = {ds: DatasetPromptConfig.from_dict(d)
-               for ds, d in read_json(root / "prompt_configs.json").items()}
+    raw, configs = read_json(root / "prompt_configs.json"), {}
+    with reading(root / "prompt_configs.json"):
+        for ds in raw:
+            with reading(ds):
+                configs[ds] = DatasetPromptConfig.from_dict(typed_field(raw, ds, dict))
+                if configs[ds].dataset_id != ds:
+                    raise IntegrityError(f"holds the config of {configs[ds].dataset_id!r}")
     meta = load_metadata(root / "metadata.jsonl")
     records = Records.load(root / "records.jsonl")
     info = read_json(root / "world.json")
-    return World(
-        datasets={m.dataset_id: m for m in manifests},
-        prompt_configs=configs,
-        metadata=meta,
-        records=records,
-        model_pool=list(info["model_pool"]),
-        seed=info.get("seed"),
-    )
+    with reading(root / "world.json"):
+        return World(
+            datasets={m.dataset_id: m for m in manifests},
+            prompt_configs=configs,
+            metadata=meta,
+            records=records,
+            model_pool=typed_field(info, "model_pool", list, str),
+            seed=None if info.get("seed") is None else typed_field(info, "seed", int),
+        )

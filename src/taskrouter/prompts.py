@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import Sample
+from .core import Sample, typed_field
 from .errors import InvalidInputError, RenderError
 
 VALID_ARGS = frozenset({"a_an", "rename_classes"})
@@ -138,13 +138,14 @@ class DatasetPromptConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "DatasetPromptConfig":
         return cls(
-            dataset_id=d["dataset_id"],
-            question_forms=tuple(PromptTemplate(t) for t in d["question_forms"]),
-            option_forms=tuple(PromptTemplate(t) for t in d.get("option_forms", [])),
-            renames=dict(d.get("renames", {})),
-            class_names=tuple(d.get("class_names", [])),
-            context_keys=tuple(d.get("context_keys", [])),
-            article_exceptions=dict(d.get("article_exceptions", {})),
+            dataset_id=typed_field(d, "dataset_id", str),
+            question_forms=tuple(map(PromptTemplate, typed_field(d, "question_forms", list, str))),
+            option_forms=tuple(map(PromptTemplate,
+                                   typed_field(d, "option_forms", list, str, default=()))),
+            renames=typed_field(d, "renames", dict, str, default={}),
+            class_names=typed_field(d, "class_names", list, str, default=()),
+            context_keys=typed_field(d, "context_keys", list, str, default=()),
+            article_exceptions=typed_field(d, "article_exceptions", dict, str, default={}),
         )
 
 

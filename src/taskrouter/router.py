@@ -16,7 +16,7 @@ import functools
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -341,13 +341,7 @@ class TrainConfig:
             raise InvalidInputError("all training parameters must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_iterations": self.max_iterations,
-            "eval_every": self.eval_every,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
@@ -502,11 +496,11 @@ class RouterModel:
             kind = (header.get("format_version"), header.get("learner_kind"))
             if kind != (1, cls.LEARNER_KIND):
                 raise InvalidInputError(f"unsupported router file version/learner {kind}")
-            vocabulary = tuple(header["vocabulary"])
-            featurizer = FeaturizerConfig.from_dict(header["featurization"])
-            flags = SerializationFlags.from_dict(header["flags"])
-            seed = int(header["seed"])
-            shape = header["weights_shape"]
+            vocabulary = tuple(typed_field(header, "vocabulary", list, str))
+            featurizer = FeaturizerConfig.from_dict(typed_field(header, "featurization", dict))
+            flags = SerializationFlags.from_dict(typed_field(header, "flags", dict))
+            seed = typed_field(header, "seed", int)
+            shape = typed_field(header, "weights_shape", list, int)
         except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError,
                 RecursionError) as exc:
             raise InvalidInputError(f"{path}: bad router header: {exc}") from exc

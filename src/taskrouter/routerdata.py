@@ -20,7 +20,7 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -55,10 +55,7 @@ class SerializationFlags:
         return f"md-{md}_ro-{ro}"
 
     def to_dict(self) -> dict:
-        return {
-            "include_metadata": self.include_metadata,
-            "include_response_options": self.include_response_options,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SerializationFlags":
@@ -483,12 +480,13 @@ def _read_sidecar(sidecar: Path) -> dict[int, tuple[str, tuple[str, str, str]]]:
     index = {}
     for lineno, d in read_numbered_jsonl(sidecar):
         try:
-            line, label = d["line"], d["label_model_id"]
-            provenance = (d["sample_id"], d["dataset_id"], d["prompt_variant_id"])
+            line, label = typed_field(d, "line", int), typed_field(d, "label_model_id", str)
+            provenance = tuple(typed_field(d, name, str)
+                               for name in ("sample_id", "dataset_id", "prompt_variant_id"))
         except KeyError as exc:
             raise IntegrityError(f"{sidecar}:{lineno}: entry lacks {exc}") from exc
-        if type(line) is not int or not all(isinstance(x, str) for x in (label, *provenance)):
-            raise IntegrityError(f"{sidecar}:{lineno}: malformed entry {d}")
+        except InvalidInputError as exc:
+            raise IntegrityError(f"{sidecar}:{lineno}: {exc}") from exc
         if line in index:
             raise IntegrityError(f"{sidecar}:{lineno}: second entry for line {line}")
         index[line] = (label, provenance)

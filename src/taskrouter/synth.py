@@ -36,6 +36,7 @@ from .core import (
     World,
     read_json,
     summarize_images,
+    typed_field,
     write_json,
 )
 from .errors import InvalidInputError
@@ -66,10 +67,9 @@ class WorldSpec:
         )
         if self.n_datasets < 1 or self.samples_per_dataset < 1:
             raise InvalidInputError("need at least one dataset and one sample")
-        lo, hi = self.options_range
-        if not 2 <= lo <= hi:
+        if len(self.options_range) != 2 or not 2 <= self.options_range[0] <= self.options_range[1]:
             raise InvalidInputError(
-                f"options range must satisfy 2 <= lo <= hi, got {self.options_range}"
+                f"options range must be (lo, hi) with 2 <= lo <= hi, got {self.options_range}"
             )
         if not self.competence:
             raise InvalidInputError("model pool must be non-empty")
@@ -128,18 +128,18 @@ class WorldSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "WorldSpec":
         return cls(
-            n_datasets=int(d["n_datasets"]),
-            samples_per_dataset=int(d["samples_per_dataset"]),
-            options_range=tuple(d["options_range"]),
-            competence={m: tuple(ps) for m, ps in d["competence"].items()},
-            signal_mode=d.get("signal_mode", "none"),
-            question_forms_per_dataset=int(d.get("question_forms_per_dataset", 2)),
-            seed=int(d.get("seed", 0)),
+            n_datasets=typed_field(d, "n_datasets", int),
+            samples_per_dataset=typed_field(d, "samples_per_dataset", int),
+            options_range=tuple(typed_field(d, "options_range", list, int)),
+            competence=typed_field(d, "competence", dict, (list, float)),
+            signal_mode=typed_field(d, "signal_mode", str, default="none"),
+            question_forms_per_dataset=typed_field(d, "question_forms_per_dataset", int, default=2),
+            seed=typed_field(d, "seed", int, default=0),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "WorldSpec":
-        return cls.from_dict(read_json(path))
+        return read_json(path, cls.from_dict)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

@@ -52,7 +52,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import BackendError, InvalidInputError
+from .core import reading, typed_field
+from .errors import BackendError, InvalidInputError, TaskRouterError
 from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend, run_job
 
 REPLY_TIMEOUT_S = 60.0  # longest wait for one reply, server start-up included
@@ -85,11 +86,11 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
             raise BackendError(f"op {op!r} cannot be a batch job")
         if op in _JOBS:
             fields, encode, _ = _JOBS[op]
-            result = encode(run_job(backend, [_field(req, f) for f in fields]))
+            job = [op, *(typed_field(req, f, *_FIELD_KINDS[f]) for f in fields[1:])]
+            result = encode(run_job(backend, job))
         elif op == "batch":
-            if not isinstance(req["jobs"], list):
-                raise BackendError("batch field 'jobs' must be a list")
-            result = [_answer(backend, job, in_batch=True) for job in req["jobs"]]
+            result = [_answer(backend, job, in_batch=True)
+                      for job in typed_field(req, "jobs", list)]
         elif op == "info":
             info: BackendInfo = backend.info
             result = {
@@ -103,18 +104,6 @@ def _answer(backend, req, in_batch: bool = False) -> dict:
     except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
         return {"ok": False, "error": str(exc)}
     return {"ok": True, "result": result}
-
-
-def _field(req: dict, name: str):
-    """A job request's field, checked: a string ``image_ref`` and a list of
-    strings ``prompts``."""
-    value = req[name]
-    if name == "image_ref" and not isinstance(value, str):
-        raise BackendError("field 'image_ref' must be a string")
-    if name == "prompts" and not (isinstance(value, list)
-                                  and all(isinstance(p, str) for p in value)):
-        raise BackendError("field 'prompts' must be a list of strings")
-    return value
 
 
 def _vector(values) -> list[float]:
@@ -177,6 +166,7 @@ _JOBS = {
     "embed_texts": (("op", "prompts"), _rows, _reals("embed_texts", 2)),
     "logprobs": (("op", "image_ref", "prompts"), _rows, _token_rows),
 }
+_FIELD_KINDS = {"image_ref": (str,), "prompts": (list, str)}  # typed_field kind, item
 
 
 def _request(job: tuple) -> dict:
@@ -338,20 +328,15 @@ def _parse_info(d) -> tuple[BackendInfo, int]:
     """The ``info`` reply, checked field by field, and its ``max_batch``."""
     if not isinstance(d, dict):
         raise BackendError(f"info reply must be an object, got {d!r}")
-    if not isinstance(d.get("name"), str):
-        raise BackendError(f"info field 'name' must be a string, got {d.get('name')!r}")
-    if d.get("family") not in (EMBEDDING, GENERATIVE):
-        raise BackendError(f"info field 'family' must be {EMBEDDING!r} or "
-                           f"{GENERATIVE!r}, got {d.get('family')!r}")
-    deterministic = d.get("deterministic", False)
-    if not isinstance(deterministic, bool):
-        raise BackendError(
-            f"info field 'deterministic' must be true or false, got {deterministic!r}")
-    max_batch = d.get("max_batch", 1)
-    if type(max_batch) is not int or max_batch < 1:
-        raise BackendError(
-            f"info field 'max_batch' must be a positive integer, got {max_batch!r}")
-    info = BackendInfo(name=d["name"], family=d["family"], deterministic=deterministic)
+    try:
+        with reading("info reply"):
+            info = BackendInfo(typed_field(d, "name", str), typed_field(d, "family", str),
+                               typed_field(d, "deterministic", bool, default=False))
+            max_batch = typed_field(d, "max_batch", int, default=1)
+    except TaskRouterError as exc:
+        raise BackendError(str(exc)) from exc
+    if max_batch < 1:
+        raise BackendError(f"info field 'max_batch' must be a positive integer, got {max_batch}")
     return info, max_batch
 
 

@@ -248,6 +248,8 @@ def object_records(path) -> list[ExecutionRecord]:
             rows.append(ExecutionRecord.from_dict(row))
         except KeyError as exc:
             raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

@@ -455,8 +455,8 @@ def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path,
 @pytest.mark.parametrize("case", ["spec_count", "metadata_dims", "config_hash_dim",
                                   "config_seed"])
 def test_overflowing_json_number_ends_in_error_record(case, world_dir, tmp_path, capsys):
-    # JSON 1e400 parses to infinity: int() of it raises OverflowError, and a
-    # --config field that must be an int refuses it as a float
+    # JSON 1e400 parses to infinity, a float: a field that must be an int
+    # refuses it
     import shutil
 
     huge = tmp_path / "huge.json"
@@ -484,8 +484,7 @@ def test_overflowing_json_number_ends_in_error_record(case, world_dir, tmp_path,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
-    assert json.loads(line)["error"] == ("InvalidInputError" if case.startswith("config")
-                                         else "OverflowError")
+    assert json.loads(line)["error"] == "InvalidInputError"
 
 
 @pytest.mark.parametrize("config, field", [
@@ -570,3 +569,173 @@ def test_failed_allocation_ends_in_error_record(world_dir, tmp_path, capsys, mon
     assert "Traceback" not in err
     assert json.loads(err.strip()) == {"error": "MemoryError",
                                        "message": "Unable to allocate 8.00 TiB for an array"}
+
+
+def _rewrite_jsonl(path, lineno, edit):
+    """Apply ``edit`` to the JSON object on line ``lineno`` (from 1) of ``path``."""
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines))
+
+
+def _rewrite_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _router_file(path, **header_fields):
+    """A two-model router file whose header has ``header_fields`` replaced."""
+    import struct
+
+    import numpy as np
+
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    RouterModel(vocabulary=("a", "b"), featurizer=FeaturizerConfig(hash_dim=8),
+                flags=SerializationFlags(False, False), seed=0, weights=np.zeros((2, 8)),
+                bias=np.zeros(2)).save(path)
+    data = path.read_bytes()
+    start = len(RouterModel.MAGIC) + 4
+    (length,) = struct.unpack_from("<I", data, len(RouterModel.MAGIC))
+    header = {**json.loads(data[start:start + length]), **header_fields}
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(RouterModel.MAGIC + struct.pack("<I", len(blob)) + blob
+                     + data[start + length:])
+
+
+def _damage_datasets(world):
+    _rewrite_jsonl(world / "datasets.jsonl", 2,
+                   lambda row: row["samples"][3].update(response_options="abc"))
+
+
+def _damage_metadata(world):
+    _rewrite_jsonl(world / "metadata.jsonl", 5, lambda row: row.update(dims=[8, 8, True]))
+
+
+def _damage_records(world):
+    _rewrite_jsonl(world / "records.jsonl", 3, lambda row: row.update(correct=1))
+
+
+def _damage_prompt_configs(world):
+    _rewrite_json(world / "prompt_configs.json",
+                  lambda configs: configs["ds01"].update(question_forms="ab"))
+
+
+def _damage_world_pool(world):
+    _rewrite_json(world / "world.json", lambda info: info.update(model_pool="m0"))
+
+
+def _damage_world_seed(world):
+    _rewrite_json(world / "world.json", lambda info: info.update(seed=True))
+
+
+# (case, damage to a copy of the world, where the message must point, the field)
+WORLD_FAULTS = [
+    ("datasets", _damage_datasets, "datasets.jsonl:2: ", "response_options"),
+    ("metadata", _damage_metadata, "metadata.jsonl:5: ", "dims"),
+    ("records", _damage_records, "records.jsonl:3: ", "correct"),
+    ("prompt_configs", _damage_prompt_configs, "prompt_configs.json: ds01: ", "question_forms"),
+    ("world_pool", _damage_world_pool, "world.json: ", "model_pool"),
+    ("world_seed", _damage_world_seed, "world.json: ", "seed"),
+]
+# (case, --config file, where the message must point, the field)
+CONFIG_FAULTS = [
+    ("seed", {"seed": "3"}, "config.json: ", "seed"),
+    ("out", {"out": 5}, "config.json: ", "out"),
+    ("train_pairs", {"train": [["batch_size", 2]]}, "config.json: section 'train': ", "train"),
+    ("train_field", {"train": {"batch_size": True}}, "config.json: section 'train': ",
+     "batch_size"),
+    ("featurizer_field", {"featurizer": {"hash_dim": "4096"}},
+     "config.json: section 'featurizer': ", "hash_dim"),
+]
+# (case, spec field replaced, the value)
+SPEC_FAULTS = [("spec_count", "n_datasets", 2.9), ("spec_seed", "seed", True),
+               ("spec_range", "options_range", "24")]
+HEADER_FAULTS = [("header_vocabulary", "vocabulary", "ab"), ("header_seed", "seed", "3"),
+                 ("header_shape", "weights_shape", [2, 8.0])]
+
+
+def _error_record(capsys) -> dict:
+    """The one JSON error record on stderr, which holds no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("damage, where, field", [c[1:] for c in WORLD_FAULTS],
+                         ids=[c[0] for c in WORLD_FAULTS])
+def test_mistyped_world_field_names_file_line_and_field(damage, where, field, world_dir,
+                                                        tmp_path, capsys):
+    # a field of the wrong JSON type is refused, not coerced into another world
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    damage(world)
+    assert main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert f"{where}field {field!r} must be" in record["message"]
+
+
+@pytest.mark.parametrize("config, where, field", [c[1:] for c in CONFIG_FAULTS],
+                         ids=[c[0] for c in CONFIG_FAULTS])
+def test_mistyped_config_section_names_file_section_and_field(config, where, field, world_dir,
+                                                              tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a refused "out" must not leave a directory behind elsewhere
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["--config", "config.json", "router", "train", "--world", str(world_dir),
+                 "--flags", "md=off,ro=off"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert record["message"].startswith(f"{where}field {field!r} must be")
+    assert not (tmp_path / "router_out" / "router.bin").exists()
+
+
+@pytest.mark.parametrize("field, value", [c[1:] for c in SPEC_FAULTS],
+                         ids=[c[0] for c in SPEC_FAULTS])
+def test_mistyped_spec_field_names_file_and_field(field, value, tmp_path, capsys):
+    spec = keyword_world_spec().to_dict()
+    spec[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--out", str(tmp_path / "world"), "synth", "generate",
+                 "--spec", str(path)]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert record["message"] == f"{path}: field {field!r} must be " + {
+        "n_datasets": "an int", "seed": "an int", "options_range": "a list of ints"}[field]
+    assert not (tmp_path / "world").exists()
+
+
+@pytest.mark.parametrize("field, value", [c[1:] for c in HEADER_FAULTS],
+                         ids=[c[0] for c in HEADER_FAULTS])
+def test_mistyped_router_header_field_names_file_and_field(field, value, tmp_path, capsys):
+    path = tmp_path / "router.bin"
+    _router_file(path, **{field: value})
+    assert main(["router", "route", "--router", str(path), "--input", "[prompt]x"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert record["message"].startswith(f"{path}: bad router header: field {field!r} must be")
+
+
+def test_prompt_config_under_another_dataset_id_names_file_and_key(world_dir, tmp_path,
+                                                                    capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    _rewrite_json(world / "prompt_configs.json",
+                  lambda configs: configs["ds00"].update(dataset_id="ds01"))
+    assert main(["--out", str(tmp_path / "report"), "baselines", "report",
+                 "--world", str(world)]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "IntegrityError"
+    assert "prompt_configs.json: ds00: " in record["message"]
+    assert "'ds01'" in record["message"]

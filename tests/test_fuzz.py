@@ -4,7 +4,9 @@ serializer writes parses back to its fields, and the batched featurizer
 matches the one-line reference row by row."""
 
 import json
+import math
 import struct
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,14 +21,16 @@ import taskrouter.router as router_module
 from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
                         Sample, TaskRouterError, World, parse_example, serialize_example)
 from taskrouter.baselines import voting_accuracy, voting_predict
-from taskrouter.core import (QueryGrid, Records, load_world, read_jsonl, save_records,
-                             save_world, write_jsonl)
+from taskrouter.core import (TASK_KINDS, QueryGrid, Records, load_world, read_jsonl,
+                             save_records, save_world, write_jsonl)
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
-from taskrouter.router import FeaturizerConfig, RouterModel, featurize, featurize_batch
+from taskrouter.router import (FeaturizerConfig, RouterModel, TrainConfig, featurize,
+                               featurize_batch)
 from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
                                    build_router_dataset, load_corpus, router_corpora,
                                    save_corpus, select_best_model)
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
+from taskrouter.synth import WorldSpec
 from taskrouter import wire
 
 LINES = (
@@ -552,3 +556,135 @@ def test_a_wrong_typed_job_field_gets_an_error_reply(op, data):
     field = data.draw(st.sampled_from(sorted(set(good) - {"op"})))
     value = data.draw(JSON.filter(lambda v: not _well_typed(field, v)))
     assert wire._answer(BACKENDS[op], {**good, field: value})["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# Every from_dict inverts its to_dict, and refuses a field of another JSON
+# type instead of coercing it into a different value.
+
+def _is_kind(value, kind, *items) -> bool:
+    """Whether ``value`` is of the JSON ``kind`` of ``items``: a finite
+    number for ``float``, an int that is not a bool for ``int``."""
+    if kind is float:  # an int is a number too, as far as a float goes
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if type(value) is not kind:
+        return False
+    return all(_is_kind(v, *items) for v in (value.values() if kind is dict else value)) \
+        if items else True
+
+
+# the wrong values any reader must refuse, besides arbitrary JSON of another kind
+MISTYPED = {int: [True, "3", 2.5, 1e400], bool: ["false", 0, 1], str: [1, None, ["a"]],
+            float: [True, "0.5", None, math.nan, math.inf, 10 ** 400],
+            list: ["abc", {"0": 1}, 7],
+            dict: [[["a", "b"]], "ab", None]}
+
+
+def mistyped(kind, *items):
+    """A JSON value that is not of the ``kind`` of ``items``: one of
+    ``MISTYPED``, arbitrary JSON of another kind, or a container holding
+    one mistyped item."""
+    wrong = st.sampled_from(MISTYPED[kind]) | JSON_VALUES.filter(
+        lambda v: not _is_kind(v, kind, *items))
+    if items:
+        inner = mistyped(*items)
+        wrong |= inner.map(lambda v: [v]) if kind is list else inner.map(lambda v: {"k": v})
+    return wrong
+
+
+TEXT = st.text(max_size=6)
+NAMES = st.text(st.characters(exclude_characters="{}"), max_size=6)  # plain templates
+
+
+@st.composite
+def metadata_summaries(draw):
+    c = draw(st.integers(1, 4))
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    return MetadataSummary((draw(st.integers(1, 2 ** 40)), draw(st.integers(1, 9)), c),
+                           tuple(draw(st.lists(reals, min_size=c, max_size=c))),
+                           tuple(draw(st.lists(reals.map(abs), min_size=c, max_size=c))))
+
+
+@st.composite
+def samples(draw, dataset_id=None):
+    options = draw(st.lists(TEXT, min_size=1, max_size=4))
+    return Sample(draw(TEXT), draw(TEXT) if dataset_id is None else dataset_id, draw(TEXT),
+                  draw(st.dictionaries(TEXT, TEXT, max_size=2)), tuple(options),
+                  draw(st.integers(0, len(options) - 1)))
+
+
+@st.composite
+def manifests(draw):
+    dataset_id = draw(TEXT)
+    rows = draw(st.lists(samples(dataset_id), max_size=3, unique_by=lambda s: s.sample_id))
+    return DatasetManifest(dataset_id, draw(st.sampled_from(TASK_KINDS)), tuple(rows),
+                           draw(TEXT))
+
+
+@st.composite
+def world_specs(draw):
+    n = draw(st.integers(1, 3))
+    lo = draw(st.integers(2, 5))
+    probs = st.lists(st.floats(0, 1), min_size=n, max_size=n).map(tuple)
+    return WorldSpec(n, draw(st.integers(1, 5)), (lo, draw(st.integers(lo, 6))),
+                     draw(st.dictionaries(TEXT, probs, min_size=1, max_size=3)),
+                     draw(st.sampled_from(["none", "metadata_band"])),
+                     draw(st.integers(1, 3)), draw(st.integers(-2 ** 63, 2 ** 63)))
+
+
+PROMPT_CONFIGS = st.builds(
+    DatasetPromptConfig, dataset_id=TEXT,
+    question_forms=st.lists(NAMES.map(PromptTemplate), min_size=1, max_size=3).map(tuple),
+    option_forms=st.lists(NAMES.map(PromptTemplate), max_size=2).map(tuple),
+    renames=st.dictionaries(TEXT, TEXT.filter(bool), max_size=2),
+    class_names=st.lists(TEXT, max_size=3).map(tuple),
+    context_keys=st.lists(TEXT, max_size=3).map(tuple),
+    article_exceptions=st.dictionaries(TEXT, TEXT, max_size=2))
+POSITIVE = st.integers(1, 2 ** 31)
+IDS = {name: str for name in ("sample_id", "dataset_id", "model_id", "prompt_variant_id")}
+# class -> (its instances, the JSON kinds of each field its from_dict reads)
+READERS = {
+    MetadataSummary: (metadata_summaries(), {
+        "dims": (list, int), "channel_means": (list, float), "channel_stds": (list, float)}),
+    Sample: (samples(), {
+        "sample_id": (str,), "dataset_id": (str,), "image_ref": (str,),
+        "context": (dict, str), "response_options": (list, str), "gold_index": (int,)}),
+    DatasetManifest: (manifests(), {
+        "dataset_id": (str,), "task_kind": (str,), "samples": (list, dict),
+        "prompt_config_ref": (str,), "size": (int,)}),
+    ExecutionRecord: (st.builds(ExecutionRecord, TEXT, TEXT, TEXT, TEXT,
+                                st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()),
+                      {**{k: (v,) for k, v in IDS.items()}, "predicted_index": (int,),
+                       "correct": (bool,)}),
+    DatasetPromptConfig: (PROMPT_CONFIGS, {
+        "dataset_id": (str,), "question_forms": (list, str), "option_forms": (list, str),
+        "renames": (dict, str), "class_names": (list, str), "context_keys": (list, str),
+        "article_exceptions": (dict, str)}),
+    WorldSpec: (world_specs(), {
+        "n_datasets": (int,), "samples_per_dataset": (int,), "options_range": (list, int),
+        "competence": (dict, list, float), "signal_mode": (str,),
+        "question_forms_per_dataset": (int,), "seed": (int,)}),
+    FeaturizerConfig: (st.builds(FeaturizerConfig, st.lists(POSITIVE, min_size=1, max_size=3),
+                                 st.integers(2, 2 ** 31), st.booleans()),
+                       {"ngram_orders": (list, int), "hash_dim": (int,), "lowercase": (bool,)}),
+    TrainConfig: (st.builds(TrainConfig, st.floats(1e-9, 1e3), POSITIVE, POSITIVE, POSITIVE,
+                            st.integers(-2 ** 63, 2 ** 63)),
+                  {"learning_rate": (float,), "batch_size": (int,), "max_iterations": (int,),
+                   "eval_every": (int,), "seed": (int,)}),
+    SerializationFlags: (st.builds(SerializationFlags, st.booleans(), st.booleans()),
+                         {"include_metadata": (bool,), "include_response_options": (bool,)}),
+}
+
+
+@pytest.mark.parametrize("cls", READERS, ids=[cls.__name__ for cls in READERS])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_dict_inverts_to_dict_and_refuses_a_mistyped_field(cls, data):
+    instances, kinds = READERS[cls]
+    value = data.draw(instances)
+    d = json.loads(json.dumps(value.to_dict()))
+    assert cls.from_dict(d) == value
+    name = data.draw(st.sampled_from(sorted(kinds)))
+    wrong = data.draw(mistyped(*kinds[name]))
+    with pytest.raises(InvalidInputError, match=f"field {name!r} must be"):
+        cls.from_dict({**d, name: wrong})

@@ -245,13 +245,13 @@ class TestRecords:
         (b'{"a": "\xff"}', InvalidInputError, "records.jsonl:8: not UTF-8"),
         (b'{"correct": true}', IntegrityError, "records.jsonl:8: missing field 'predicted_index'"),
         (b'{"correct": 1, "predicted_index": 0}', InvalidInputError,
-         "correct must be true or false, got 1"),
+         "records.jsonl:8: field 'correct' must be a bool"),
         (b'{"correct": true, "predicted_index": 0, "sample_id": 5, "dataset_id": "d", '
          b'"model_id": "m", "prompt_variant_id": "v"}', InvalidInputError,
-         "sample_id must be a string, got 5"),
+         "records.jsonl:8: field 'sample_id' must be a string"),
         (b'{"correct": true, "predicted_index": 9223372036854775808, "sample_id": "s", '
          b'"dataset_id": "d", "model_id": "m", "prompt_variant_id": "v"}', InvalidInputError,
-         "predicted_index 9223372036854775808 outside the int64 range"),
+         "records.jsonl:8: predicted_index 9223372036854775808 outside the int64 range"),
     ])
     def test_a_bad_line_fails_as_line_by_line(self, tmp_path, monkeypatch, line, error, words):
         import taskrouter.core as core

@@ -427,6 +427,11 @@ class TestRoute:
         ("featurization", "lowercase", "false"),
         ("featurization", "hash_dim", 1024.0),
         ("featurization", "ngram_orders", [2, "3"]),
+        (None, "vocabulary", "ab"),  # tuple("ab") would be the vocabulary ('a', 'b')
+        (None, "vocabulary", ["a", 2]),
+        (None, "seed", "3"),
+        (None, "seed", True),
+        (None, "weights_shape", [2, 4096.0]),
     ])
     def test_load_rejects_a_mistyped_header_field(self, tmp_path, section, field, value):
         # a header value of the wrong JSON type would load as another router
@@ -436,7 +441,7 @@ class TestRoute:
         start = len(RouterModel.MAGIC) + 4
         (length,) = struct.unpack_from("<I", data, len(RouterModel.MAGIC))
         header = json.loads(data[start:start + length])
-        header[section][field] = value
+        (header if section is None else header[section])[field] = value
         blob = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(RouterModel.MAGIC + struct.pack("<I", len(blob)) + blob
                          + data[start + length:])

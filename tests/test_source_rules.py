@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+import sys
 from pathlib import Path
 
 import taskrouter
@@ -297,3 +298,84 @@ def test_scoring_jobs_reach_a_backend_only_through_run_job():
                   if isinstance(node, ast.Call) and id(node) not in allowed
                   and _call_name(node) in ops]
     assert calls == []
+
+
+_COERCIONS = {"int", "float", "bool", "tuple", "list", "dict"}
+# readers of JSON objects besides the from_dicts: (module, function, the object it reads)
+_HEADER_READERS = [("router.py", "load", "header"), ("wire.py", "_parse_info", "d"),
+                   ("routerdata.py", "_read_sidecar", "d"), ("core.py", "_record_fields", "d"),
+                   ("core.py", "load_world", "raw"), ("core.py", "load_world", "info")]
+
+
+def _reads_raw(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` reads one of ``names`` other than through
+    ``typed_field``."""
+    if isinstance(node, ast.Call) and _call_name(node) == "typed_field":
+        return False
+    if isinstance(node, ast.Name) and node.id in names:
+        return True
+    return any(_reads_raw(child, names) for child in ast.iter_child_nodes(node))
+
+
+def _raw_coercions(fn: ast.FunctionDef, mapping: str) -> list[int]:
+    """The lines of ``fn`` that coerce a value read from ``mapping``, or from
+    a name bound to one, with ``int(``, ``tuple(`` and the like instead of
+    checking it with ``typed_field``."""
+    tainted = {mapping}
+    for node in ast.walk(fn):
+        source = (node.iter if isinstance(node, (ast.comprehension, ast.For))
+                  else node.value if isinstance(node, ast.Assign) else None)
+        if source is not None and _reads_raw(source, tainted):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            tainted |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _COERCIONS and any(_reads_raw(a, tainted) for a in node.args)]
+
+
+def test_json_readers_coerce_no_field():
+    # int("3"), tuple("ab") or dict([[k, v]]) turn a mistyped field into a
+    # different value; every field is checked by ``core.typed_field`` instead
+    package = Path(taskrouter.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [(path.name, fn, fn.args.args[1].arg) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "from_dict"]
+    assert len(readers) >= 9
+    for module, name, mapping in _HEADER_READERS:
+        tree = ast.parse((package / module).read_text(), filename=module)
+        readers.append((module, _function(tree, name), mapping))
+    coercions = [f"{module}:{line} in {fn.name}" for module, fn, mapping in readers
+                 for line in _raw_coercions(fn, mapping)]
+    assert coercions == []
+
+
+def test_wire_checks_no_field_type_itself():
+    # the wire's request and info fields go through ``core.typed_field``
+    path = Path(taskrouter.__file__).parent / "wire.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checkers = [fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and "field" in fn.name]
+    field_tests = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _call_name(node) in ("isinstance", "type")
+                   and any(isinstance(n, ast.Subscript) or isinstance(n, ast.Call)
+                           and _call_name(n) == "get" for a in node.args for n in ast.walk(a))]
+    assert checkers == [] and field_tests == []
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "core"
+               and "typed_field" in {a.name for a in node.names} for node in ast.walk(tree))
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the runtime needs numpy alone; an import of another installed package
+    # (scipy, say) would pass here and fail where only numpy is installed
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imports = []
+    for path in sorted(Path(taskrouter.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, node.lineno, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.lineno, node.module))
+    assert imports
+    assert [i for i in imports if i[2].split(".")[0] not in allowed] == []
