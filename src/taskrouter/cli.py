@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +54,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         package_logger.addHandler(handler)
         package_logger.setLevel(args.log_level.upper())
     try:
-        args.config_data = _load_config(args.config)
+        _resolve_settings(args)
         args.handler(args)
         return 0
     except (TaskRouterError, OSError, ValueError, TypeError, KeyError, ArithmeticError,
@@ -70,10 +70,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _emit_error(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
-
-
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else read_json(path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,43 +182,55 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated n-gram orders, e.g. 2,3,4")
 
 
-def _config(args, name: str, kind: type, default):
-    """The ``--config`` file's ``name`` section, of the JSON ``kind``, or ``default``."""
+def _resolve_settings(args) -> None:
+    """Read and check the whole ``--config`` file once, before any work,
+    and put the run's settings on ``args``, each the flag over the file
+    over the default: ``seed`` (None if neither gives one), ``out``,
+    ``train_config`` and ``featurizer_config``. ``train_config.seed`` is
+    ``seed``, or ``TrainConfig``'s default: the run's one seed. A key that
+    nothing reads is refused, and so is a ``seed`` in the ``train``
+    section."""
+    data = {} if args.config is None else read_json(args.config)
     with reading(args.config):
-        return typed_field(args.config_data, name, kind, default=default)
+        _refuse_unknown_keys(data, ("seed", "out", "train", "featurizer"), "top-level key")
+        seed = typed_field(data, "seed", int, default=None)
+        args.out = args.out or typed_field(data, "out", str, default=None)
+    if args.seed is None:
+        args.seed = seed
+    with reading(f"{args.config}: section 'train'"):
+        section = typed_field(data, "train", dict, default={})
+        if "seed" in section:
+            raise InvalidInputError(
+                "field 'seed' is refused: the run's seed is the top-level 'seed' or --seed")
+        _refuse_unknown_keys(section, [f.name for f in fields(TrainConfig) if f.name != "seed"])
+        config = TrainConfig.from_dict(section)
+    given = {k: getattr(args, k, None)
+             for k in ("learning_rate", "batch_size", "max_iterations", "eval_every", "seed")}
+    args.train_config = replace(config, **{k: v for k, v in given.items() if v is not None})
+    with reading(f"{args.config}: section 'featurizer'"):
+        section = typed_field(data, "featurizer", dict, default={})
+        _refuse_unknown_keys(section, [f.name for f in fields(FeaturizerConfig)])
+        config = FeaturizerConfig.from_dict({**FeaturizerConfig().to_dict(), **section})
+    if getattr(args, "hash_dim", None) is not None:
+        config = replace(config, hash_dim=args.hash_dim)
+    if getattr(args, "ngram_orders", None) is not None:
+        config = replace(config, ngram_orders=[int(x) for x in args.ngram_orders.split(",")])
+    args.featurizer_config = config
 
 
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else _config(args, "seed", int, 0)
+def _refuse_unknown_keys(section: dict, known: Sequence[str], what: str = "key") -> None:
+    """Raise InvalidInputError naming the first of ``section``'s keys
+    outside ``known``: a key that nothing reads."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown {what} {unknown[0]!r}; known: {', '.join(sorted(known))}")
 
 
 def _out_dir(args, default: str) -> Path:
-    path = Path(args.out or _config(args, "out", str, None) or default)
+    path = Path(args.out or default)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _train_config(args, seed: int) -> TrainConfig:
-    """The config file's ``train`` section over ``TrainConfig``'s defaults,
-    overridden by the command-line flags and ``seed``."""
-    with reading(f"{args.config}: section 'train'"):
-        config = TrainConfig.from_dict(typed_field(args.config_data, "train", dict, default={}))
-    flags = ("learning_rate", "batch_size", "max_iterations", "eval_every")
-    return replace(config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None},
-                   seed=seed)
-
-
-def _featurizer_config(args) -> FeaturizerConfig:
-    """The config file's ``featurizer`` section over ``FeaturizerConfig``'s
-    defaults, overridden by the command-line flags."""
-    with reading(f"{args.config}: section 'featurizer'"):
-        section = typed_field(args.config_data, "featurizer", dict, default={})
-        config = FeaturizerConfig.from_dict({**FeaturizerConfig().to_dict(), **section})
-    if args.hash_dim is not None:
-        config = replace(config, hash_dim=args.hash_dim)
-    if args.ngram_orders is not None:
-        config = replace(config, ngram_orders=[int(x) for x in args.ngram_orders.split(",")])
-    return config
 
 
 def _resolve_prompt_config(spec: str) -> DatasetPromptConfig:
@@ -262,10 +270,9 @@ def _cmd_prompts_expand(args) -> None:
 
 def _cmd_eval_run(args) -> None:
     world = load_world(args.world)
-    seed = _seed(args)
     out = _out_dir(args, "eval_out")
     backend = make_mock_backend(
-        args.backend, args.family, name=args.model_id, seed=seed,
+        args.backend, args.family, name=args.model_id, seed=args.train_config.seed,
         manifests=list(world.datasets.values()),
         dim=max(len(s.response_options)
                 for m in world.datasets.values() for s in m.samples),
@@ -291,7 +298,7 @@ def _cmd_eval_run(args) -> None:
 def _cmd_routerdata_build(args) -> None:
     world = load_world(args.world)
     flags = SerializationFlags.parse(args.flags)
-    seed = _seed(args)
+    seed = args.train_config.seed
     out = _out_dir(args, "routerdata_out")
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
@@ -313,16 +320,15 @@ def _cmd_routerdata_build(args) -> None:
 def _cmd_router_train(args) -> None:
     world = load_world(args.world)
     flags = SerializationFlags.parse(args.flags)
-    seed = _seed(args)
+    config = args.train_config
     out = _out_dir(args, "router_out")
     corpus = build_router_dataset(QueryGrid.build(world), flags)
-    train, validate, _ = split_80_10_10(range(len(corpus)), seed=seed)
-    config, featurizer = _train_config(args, seed), _featurizer_config(args)
+    train, validate, _ = split_80_10_10(range(len(corpus)), seed=config.seed)
     kept = train + validate  # only these lines are hashed
     model = train_router(
-        featurize_batch([corpus.inputs[p] for p in kept], featurizer), corpus.labels[kept],
-        range(len(train)), range(len(train), len(kept)),
-        config=config, flags=flags, vocabulary=corpus.grid.models, featurizer=featurizer,
+        featurize_batch([corpus.inputs[p] for p in kept], args.featurizer_config),
+        corpus.labels[kept], range(len(train)), range(len(train), len(kept)),
+        config=config, flags=flags, vocabulary=corpus.grid.models,
     )
     router_path = out / "router.bin"
     model.save(router_path)
@@ -381,21 +387,18 @@ def _cmd_baselines_report(args) -> None:
 
 def _cmd_lodo_run(args) -> None:
     world = load_world(args.world)
-    seed = _seed(args)
     out = _out_dir(args, "lodo_out")
     flags = SerializationFlags.parse(args.flags)
-    train_config = _train_config(args, seed)
+    train_config = args.train_config
     result = harness.run_lodo(
-        world, flags=flags,
-        train_config=train_config,
-        featurizer=_featurizer_config(args),
-        seed=seed, out_dir=out, chance_kind=args.chance,
+        world, flags=flags, train_config=train_config, featurizer=args.featurizer_config,
+        out_dir=out, chance_kind=args.chance,
     )
     harness.write_run_manifest(
         out,
         config={"flags": flags.to_dict(), "train": train_config.to_dict(),
                 "chance": args.chance},
-        seeds={"master": seed},
+        seeds={"master": train_config.seed},
         input_files=[Path(args.world) / name
                      for name in ("datasets.jsonl", "records.jsonl")],
     )
@@ -407,14 +410,10 @@ def _cmd_lodo_run(args) -> None:
 
 def _cmd_ablation_run(args) -> None:
     world = load_world(args.world)
-    seed = _seed(args)
     out = _out_dir(args, "ablation_out")
     result = harness.run_ablation(
-        world,
-        train_config=_train_config(args, seed),
-        featurizer=_featurizer_config(args),
-        seed=seed, out_dir=out,
-        include_in_distribution=args.in_distribution,
+        world, train_config=args.train_config, featurizer=args.featurizer_config,
+        out_dir=out, include_in_distribution=args.in_distribution,
     )
     print(json.dumps({
         "ablation": str(out / "ablation.csv"),

@@ -62,34 +62,29 @@ class LodoResult:
         return [ds for ds, f in self.folds.items() if f.status == "failed"]
 
 
-def _fold_seed(base_seed: int, fold_index: int) -> int:
-    return base_seed + fold_index
-
-
 def run_lodo(
     world: World,
     flags: SerializationFlags = SerializationFlags(),
     train_config: TrainConfig = TrainConfig(),
     featurizer: FeaturizerConfig = FeaturizerConfig(),
-    seed: int = 0,
     out_dir: str | Path | None = None,
     chance_kind: str = "uniform",
 ) -> LodoResult:
     """For each dataset D: take the corpus examples of every other dataset,
     split 80/10/10, train, and evaluate on D by recorded-outcome replay.
+    Fold i splits and trains with seed ``train_config.seed + i``.
     Fold failures are recorded and the remaining folds continue; a bad
     record, a coverage gap or a dataset without records fails the run
     before any fold starts."""
     _require_lodo_world(world)
-    return _lodo(*_featurized_corpus(world, flags, featurizer), flags, train_config,
-                 featurizer, seed, out_dir, chance_kind)
+    return _lodo(*_featurized_corpus(world, flags, featurizer), train_config, out_dir,
+                 chance_kind)
 
 
-def _lodo(corpus: Corpus, features: FeatureRows, flags: SerializationFlags,
-          train_config: TrainConfig, featurizer: FeaturizerConfig, seed: int,
+def _lodo(corpus: Corpus, features: FeatureRows, train_config: TrainConfig,
           out_dir: str | Path | None, chance_kind: str = "uniform") -> LodoResult:
-    """The folds and report of ``run_lodo`` on the corpus its grid gives
-    under ``flags`` and its lines featurized in one batch."""
+    """The folds and report of ``run_lodo`` on a corpus and its lines
+    featurized in one batch."""
     grid = corpus.grid
     unrecorded = [ds for ds in grid.world.datasets if not len(grid.rows(ds))]
     if unrecorded:
@@ -104,8 +99,8 @@ def _lodo(corpus: Corpus, features: FeatureRows, flags: SerializationFlags,
             fold_dir = out / f"fold_{heldout}"
             fold_dir.mkdir(parents=True, exist_ok=True)
         try:
-            result = _run_fold(corpus, features, heldout, flags, train_config, featurizer,
-                               _fold_seed(seed, fold_index), fold_dir)
+            fold_config = replace(train_config, seed=train_config.seed + fold_index)
+            result = _run_fold(corpus, features, heldout, fold_config, fold_dir)
             folds[heldout] = result
             if result.router_accuracy is not None:
                 router_accuracies[heldout] = result.router_accuracy
@@ -145,26 +140,19 @@ def _run_fold(
     corpus: Corpus,
     features: FeatureRows,
     heldout: str,
-    flags: SerializationFlags,
     train_config: TrainConfig,
-    featurizer: FeaturizerConfig,
-    fold_seed: int,
     fold_dir: Path | None,
 ) -> FoldResult:
     grid, span = corpus.grid, corpus.grid.spans[heldout]
     lo, hi = np.searchsorted(corpus.rows, [span.start, span.stop]).tolist()
-    train, validate, test = split_80_10_10([*range(lo), *range(hi, len(corpus))], fold_seed)
+    train, validate, test = split_80_10_10([*range(lo), *range(hi, len(corpus))],
+                                           train_config.seed)
     kept = np.concatenate((train, validate, test))
     if ((lo <= kept) & (kept < hi)).any():
         raise IntegrityError(f"fold {heldout}: the training corpus holds held-out examples")
 
-    model = train_router(
-        features, corpus.labels, train, validate,
-        config=replace(train_config, seed=fold_seed),
-        flags=flags,
-        vocabulary=grid.models,
-        featurizer=featurizer,
-    )
+    model = train_router(features, corpus.labels, train, validate, config=train_config,
+                         flags=corpus.flags, vocabulary=grid.models)
     heldout_rows = corpus.rows[lo:hi]
     choices = model.route_features(features, range(lo, hi))
     accuracy = grid.variant_mean(heldout_rows, grid.outcome(heldout_rows, choices))
@@ -185,8 +173,8 @@ def _run_fold(
             "heldout_dataset": heldout,
             "router_accuracy": accuracy,
             "corpus_sizes": result.corpus_sizes,
-            "flags": flags.to_dict(),
-            "seed": fold_seed,
+            "flags": corpus.flags.to_dict(),
+            "seed": train_config.seed,
         })
     return result
 
@@ -243,7 +231,6 @@ def run_ablation(
     world: World,
     train_config: TrainConfig = TrainConfig(),
     featurizer: FeaturizerConfig = FeaturizerConfig(),
-    seed: int = 0,
     out_dir: str | Path | None = None,
     flag_grid: Sequence[SerializationFlags] = ALL_FLAG_COMBOS,
     include_in_distribution: bool = False,
@@ -259,15 +246,15 @@ def run_ablation(
     grid = QueryGrid.build(world)
     columns: dict[str, dict[str, float | None]] = {}
     ind = None
-    for k, (flags, corpus) in enumerate(zip(flag_grid, router_corpora(grid, flag_grid))):
+    for k, corpus in enumerate(router_corpora(grid, flag_grid)):
         features = featurize_batch(corpus.inputs, featurizer)
-        lodo = _lodo(corpus, features, flags, train_config, featurizer, seed,
-                     out / flags.tag if out is not None else None)
-        columns[flags.tag] = {
+        tag = corpus.flags.tag
+        lodo = _lodo(corpus, features, train_config, out / tag if out is not None else None)
+        columns[tag] = {
             ds: fold.router_accuracy for ds, fold in lodo.folds.items()
         }
         if include_in_distribution and k == 0:
-            ind = _in_distribution(corpus, features, flags, train_config, featurizer, seed)
+            ind = _in_distribution(corpus, features, train_config)
 
     result = AblationResult(
         dataset_ids=tuple(world.datasets),
@@ -286,25 +273,20 @@ def run_in_distribution(
     flags: SerializationFlags = SerializationFlags(),
     train_config: TrainConfig = TrainConfig(),
     featurizer: FeaturizerConfig = FeaturizerConfig(),
-    seed: int = 0,
 ) -> dict[str, float]:
     """Train one router on an 80/10/10 split of every dataset and replay
-    it on the test split, grouped per dataset."""
-    return _in_distribution(*_featurized_corpus(world, flags, featurizer), flags, train_config,
-                            featurizer, seed)
+    it on the test split, grouped per dataset; the split and the training
+    both take ``train_config.seed``."""
+    return _in_distribution(*_featurized_corpus(world, flags, featurizer), train_config)
 
 
-def _in_distribution(corpus: Corpus, features: FeatureRows, flags: SerializationFlags,
-                     train_config: TrainConfig, featurizer: FeaturizerConfig,
-                     seed: int) -> dict[str, float]:
+def _in_distribution(corpus: Corpus, features: FeatureRows,
+                     train_config: TrainConfig) -> dict[str, float]:
     """``run_in_distribution`` on a corpus and its feature rows."""
     grid = corpus.grid
-    train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
-    model = train_router(
-        features, corpus.labels, train, validate,
-        config=replace(train_config, seed=seed), flags=flags,
-        vocabulary=grid.models, featurizer=featurizer,
-    )
+    train, validate, test = split_80_10_10(range(len(corpus)), seed=train_config.seed)
+    model = train_router(features, corpus.labels, train, validate, config=train_config,
+                         flags=corpus.flags, vocabulary=grid.models)
     rows = corpus.rows[test]
     hits = grid.outcome(rows, model.route_features(features, test))
     accuracies = {}

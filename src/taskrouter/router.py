@@ -152,11 +152,12 @@ def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
 class FeatureRows:
     """Featurized lines as one compressed sparse row (CSR) matrix: row i's
     sorted unique buckets are ``indices[indptr[i]:indptr[i + 1]]`` and its
-    signed counts the same slice of ``values``."""
+    signed counts the same slice of ``values``. ``config`` hashed them."""
 
     indptr: np.ndarray  # (n_rows + 1,) int64
     indices: np.ndarray  # int32, or int64 for a hash_dim past int32
     values: np.ndarray  # float64
+    config: FeaturizerConfig
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -209,7 +210,7 @@ def featurize_batch(texts: Sequence[str],
         nnz = end
     indices.resize(nnz, refcheck=False)
     values.resize(nnz, refcheck=False)
-    return FeatureRows(indptr, indices, values)
+    return FeatureRows(indptr, indices, values, config)
 
 
 def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
@@ -493,6 +494,8 @@ class RouterModel:
         (hlen,) = struct.unpack_from("<I", data, len(cls.MAGIC))
         try:
             header = json.loads(data[start:start + hlen].decode("utf-8"))
+            if type(header) is not dict:
+                raise InvalidInputError("not a JSON object")
             kind = (header.get("format_version"), header.get("learner_kind"))
             if kind != (1, cls.LEARNER_KIND):
                 raise InvalidInputError(f"unsupported router file version/learner {kind}")
@@ -501,8 +504,9 @@ class RouterModel:
             flags = SerializationFlags.from_dict(typed_field(header, "flags", dict))
             seed = typed_field(header, "seed", int)
             shape = typed_field(header, "weights_shape", list, int)
-        except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError,
-                RecursionError) as exc:
+        except KeyError as exc:
+            raise InvalidInputError(f"{path}: bad router header: missing field {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # malformed JSON or a mistyped field
             raise InvalidInputError(f"{path}: bad router header: {exc}") from exc
         k, dim = len(vocabulary), featurizer.hash_dim
         if shape != [k, dim]:
@@ -537,12 +541,11 @@ def train_router(
     config: TrainConfig = TrainConfig(),
     flags: SerializationFlags,
     vocabulary: Sequence[str],
-    featurizer: FeaturizerConfig,
 ) -> RouterModel:
     """Fit the default learner with seeded SGD on the rows of ``features``
     at positions ``train``. ``labels`` holds each row's label as a code into
-    ``vocabulary``; ``featurizer`` hashed the rows and ``flags`` serialized
-    their lines, and the model records both.
+    ``vocabulary``; ``flags`` serialized the rows' lines, and the model
+    records them and ``features.config``, which hashed the rows.
 
     The weights are trained bucket-major, one (n_classes,) row per bucket,
     and transposed once at the end. Every ``eval_every`` steps (and at the
@@ -566,7 +569,7 @@ def train_router(
     train_labels, val_labels = labels[train_rows], labels[val_rows]
 
     k = len(vocab)
-    rows = np.zeros((featurizer.hash_dim, k))
+    rows = np.zeros((features.config.hash_dim, k))
     items = rows.view(np.dtype((np.void, rows.itemsize * k))).reshape(-1)
     bias = np.zeros(k)
     rng = np.random.default_rng(config.seed)
@@ -606,7 +609,7 @@ def train_router(
 
     return RouterModel(
         vocabulary=vocab,
-        featurizer=featurizer,
+        featurizer=features.config,
         flags=flags,
         seed=config.seed,
         weights=rows.T.copy(),

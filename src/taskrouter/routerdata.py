@@ -326,9 +326,11 @@ def router_inputs(grid: QueryGrid, rows: Iterable[int],
 class Corpus:
     """A router corpus as columns, in grid row order: example ``p`` is the
     query at grid row ``rows[p]``, with router input ``inputs[p]``, label
-    ``grid.models[labels[p]]`` and line ``inputs[p] + responses[p]``."""
+    ``grid.models[labels[p]]`` and line ``inputs[p] + responses[p]``. The
+    inputs are serialized under ``flags``."""
 
     grid: QueryGrid
+    flags: SerializationFlags
     rows: np.ndarray  # intp
     inputs: list[str]
     labels: np.ndarray  # intp codes into grid.models
@@ -360,7 +362,7 @@ def router_corpora(grid: QueryGrid,
         inputs = router_inputs(grid, rows, flags)
         if k == 0:
             labels, responses = _corpus_labels(grid)
-        yield Corpus(grid, rows, inputs, labels, responses)
+        yield Corpus(grid, flags, rows, inputs, labels, responses)
 
 
 def _corpus_labels(grid: QueryGrid) -> tuple[np.ndarray, list[str]]:

@@ -118,7 +118,7 @@ def train_on_examples(train, validate, *, vocabulary, featurizer, **kwargs):
     features = featurize_batch([ex.serialized_input for ex in examples], featurizer)
     labels = np.array([index.get(ex.label_model_id, -1) for ex in examples], dtype=np.intp)
     return train_router(features, labels, range(len(train)), range(len(train), len(examples)),
-                        vocabulary=vocabulary, featurizer=featurizer, **kwargs)
+                        vocabulary=vocabulary, **kwargs)
 
 
 @pytest.fixture(scope="session")

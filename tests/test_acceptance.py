@@ -294,7 +294,6 @@ def test_criterion_6_router_learning():
         model = train_router(  # default TrainConfig: the reference budget
             featurize_batch(corpus.inputs, FeaturizerConfig()), corpus.labels, train, validate,
             config=TrainConfig(), flags=flags, vocabulary=grid.models,
-            featurizer=FeaturizerConfig(),
         )
         label_acc = sum(
             model.route_text(corpus.inputs[p]) == grid.models[corpus.labels[p]] for p in test
@@ -313,8 +312,7 @@ def test_criterion_6_router_learning():
             n_datasets=4, samples_per_dataset=250, paired=True,
             question_forms=1, seed=62,
         ))
-        result = run_lodo(lodo_world, flags=flags, train_config=TrainConfig(),
-                          seed=63)
+        result = run_lodo(lodo_world, flags=flags, train_config=TrainConfig(seed=63))
         table = aggregate_accuracy(lodo_world.records, lodo_world.sample_index())
         assert not result.failed_folds
         for ds, fold in result.folds.items():
@@ -345,9 +343,8 @@ def test_criterion_7_ablation_directionality():
         result = run_ablation(
             world,
             train_config=TrainConfig(learning_rate=0.05, max_iterations=1500,
-                                     eval_every=500),
+                                     eval_every=500, seed=72),
             featurizer=FeaturizerConfig(ngram_orders=(2, 3, 4), hash_dim=2 ** 14),
-            seed=72,
             flag_grid=ALL_FLAG_COMBOS,
         )
         avg = {tag: result.average(tag) for tag in result.columns}

@@ -698,6 +698,86 @@ def test_mistyped_config_section_names_file_section_and_field(config, where, fie
     assert not (tmp_path / "router_out" / "router.bin").exists()
 
 
+# (case, --config file, the message's start): keys that nothing reads
+UNREAD_CONFIG_KEYS = [
+    ("sed", {"sed": 3}, "config.json: unknown top-level key 'sed'"),
+    ("train_max_iteration", {"train": {"max_iteration": 5}},
+     "config.json: section 'train': unknown key 'max_iteration'"),
+    ("featurizr", {"featurizr": {"hash_dim": 8}},
+     "config.json: unknown top-level key 'featurizr'"),
+    ("featurizer_hashdim", {"featurizer": {"hashdim": 8}},
+     "config.json: section 'featurizer': unknown key 'hashdim'"),
+    ("train_seed", {"train": {"seed": 9}},
+     "config.json: section 'train': field 'seed' is refused: the run's seed is the top-level "
+     "'seed' or --seed"),
+]
+
+
+@pytest.mark.parametrize("config, message", [c[1:] for c in UNREAD_CONFIG_KEYS],
+                         ids=[c[0] for c in UNREAD_CONFIG_KEYS])
+def test_config_key_that_nothing_reads_is_refused(config, message, world_dir, tmp_path, capsys,
+                                                  monkeypatch):
+    # a mistyped key would otherwise leave its setting at the default unnoticed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["--config", "config.json", "router", "train", "--world", str(world_dir),
+                 "--flags", "md=off,ro=off", *FAST[2:6]]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert record["message"].startswith(message)
+    assert not (tmp_path / "router_out").exists()
+
+
+def _command_args(name, world_dir, tmp_path):
+    """The arguments of a run of command ``name`` on the CLI test world."""
+    if name == "synth generate":
+        keyword_world_spec().save(tmp_path / "spec.json")
+        return ["synth", "generate", "--spec", str(tmp_path / "spec.json")]
+    if name == "router route":
+        _router_file(tmp_path / "router.bin")
+        return ["router", "route", "--router", str(tmp_path / "router.bin"), "--input", "x"]
+    if name == "prompts expand":
+        return ["prompts", "expand", "--dataset", "cifar100"]
+    return [*name.split(), "--world", str(world_dir)]
+
+
+@pytest.mark.parametrize("command", ["eval run", "routerdata build", "baselines report",
+                                     "synth generate", "router route", "prompts expand"])
+def test_every_command_checks_the_whole_config_before_any_work(command, world_dir, tmp_path,
+                                                               capsys):
+    # a section the command does not use is checked all the same
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"learning_rate": "x"}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out),
+                 *_command_args(command, world_dir, tmp_path)]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "InvalidInputError"
+    assert record["message"].startswith(
+        f"{config}: section 'train': field 'learning_rate' must be")
+    assert not out.exists()
+
+
+def test_synth_generate_takes_the_config_seed_as_it_takes_the_flag(tmp_path):
+    spec = keyword_world_spec(samples_per_dataset=20)
+    assert spec.seed != 5
+    spec.save(tmp_path / "spec.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5}))
+    generate = ["synth", "generate", "--spec", str(tmp_path / "spec.json")]
+    assert main(["--config", str(config), "--out", str(tmp_path / "by_config"), *generate]) == 0
+    assert main(["--seed", "5", "--out", str(tmp_path / "by_flag"), *generate]) == 0
+    assert main(["--out", str(tmp_path / "by_spec"), *generate]) == 0
+    names = sorted(p.name for p in (tmp_path / "by_flag").iterdir())
+    assert sorted(p.name for p in (tmp_path / "by_config").iterdir()) == names
+
+    def read(where):
+        return [(tmp_path / where / name).read_bytes() for name in names]
+
+    assert read("by_config") == read("by_flag")
+    assert read("by_spec") != read("by_flag")
+
+
 @pytest.mark.parametrize("field, value", [c[1:] for c in SPEC_FAULTS],
                          ids=[c[0] for c in SPEC_FAULTS])
 def test_mistyped_spec_field_names_file_and_field(field, value, tmp_path, capsys):

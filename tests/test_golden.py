@@ -104,7 +104,7 @@ def report_and_corpus_digests(world, out) -> dict[str, str]:
 
 
 def lodo_digests(world, out) -> dict[str, str]:
-    run_lodo(world, flags=FLAGS, train_config=TRAIN, featurizer=FEATS, seed=2,
+    run_lodo(world, flags=FLAGS, train_config=replace(TRAIN, seed=2), featurizer=FEATS,
              out_dir=out)
     paths = [out / "report.json"] + sorted(out.glob("fold_*/router.bin"))
     return {str(p.relative_to(out)): _sha(p) for p in paths}
@@ -203,8 +203,7 @@ def test_mini_batch_router_matches_recorded_digest(tmp_path):
     assert {corpus.grid.models[c] for c in corpus.labels[train]} == set(corpus.grid.models)
     config = replace(TRAIN, batch_size=3, max_iterations=150, eval_every=50, seed=4)
     model = train_router(featurize_batch(corpus.inputs, FEATS), corpus.labels, train, validate,
-                         config=config, flags=FLAGS, featurizer=FEATS,
-                         vocabulary=corpus.grid.models)
+                         config=config, flags=FLAGS, vocabulary=corpus.grid.models)
     model.save(tmp_path / "router.bin")
     assert _sha(tmp_path / "router.bin") == MINI_BATCH_ROUTER
 

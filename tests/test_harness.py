@@ -50,7 +50,7 @@ class TestRunLodo:
         )
         world = generate_world(spec)
         result = run_lodo(world, flags=SerializationFlags(True, False),
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         table = aggregate_accuracy(world.records, world.sample_index())
         for ds, fold in result.folds.items():
             assert fold.status == "ok"
@@ -62,7 +62,7 @@ class TestRunLodo:
 
         world = paired_world
         result = run_lodo(world, flags=SerializationFlags(True, False),
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=1)
+                          train_config=replace(FAST_TRAIN, seed=1), featurizer=FAST_FEATS)
         table = aggregate_accuracy(
             filter_valid_prompts(world.records, world.prompt_configs),
             world.sample_index(),
@@ -74,8 +74,7 @@ class TestRunLodo:
     def test_fold_corpora_never_contain_heldout_dataset(self, tmp_path, paired_world):
         world = paired_world
         run_lodo(world, flags=SerializationFlags(True, False),
-                 train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=2,
-                 out_dir=tmp_path)
+                 train_config=replace(FAST_TRAIN, seed=2), featurizer=FAST_FEATS, out_dir=tmp_path)
         for ds in world.datasets:
             fold_dir = tmp_path / f"fold_{ds}"
             for split in ("train", "validate", "test"):
@@ -91,8 +90,7 @@ class TestRunLodo:
         for name in ("run1", "run2"):
             out = tmp_path / name
             run_lodo(world, flags=SerializationFlags(True, False),
-                     train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=3,
-                     out_dir=out)
+                     train_config=replace(FAST_TRAIN, seed=3), featurizer=FAST_FEATS, out_dir=out)
             outs.append(out)
         a, b = outs
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
@@ -106,7 +104,7 @@ class TestRunLodo:
 
         world = paired_world
         run_lodo(world, flags=SerializationFlags(True, False),
-                 train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=11,
+                 train_config=replace(FAST_TRAIN, seed=11), featurizer=FAST_FEATS,
                  out_dir=tmp_path)
         accuracies = {}
         failed = []
@@ -150,8 +148,8 @@ class TestRunLodo:
             r for r in big.records if r.dataset_id == "ds00"
         ]
         result = run_lodo(world, flags=SerializationFlags(True, False),
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS,
-                          seed=5, out_dir=tmp_path)
+                          train_config=replace(FAST_TRAIN, seed=5), featurizer=FAST_FEATS,
+                          out_dir=tmp_path)
         assert result.folds["ds00"].status == "failed"
         assert "ds00" in result.report.failed_folds
         assert result.folds["ds01"].status == "ok"
@@ -167,7 +165,7 @@ class TestRunLodo:
         hashed = _count_hashed_lines(monkeypatch)
         flags = SerializationFlags(True, False)
         result = run_lodo(paired_world, flags=flags,
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(result.folds) == 4 and not result.failed_folds
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
         assert sorted(hashed) == sorted(corpus.inputs)
@@ -186,7 +184,7 @@ class TestRunLodo:
 
         monkeypatch.setattr(routerdata, "_prompt_segment", counting)
         result = run_lodo(world, flags=SerializationFlags(True, False),
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(result.folds) == 4 and not result.failed_folds
         covered = int(QueryGrid.build(world).covered.any(axis=1).sum())
         assert covered == 800
@@ -204,7 +202,7 @@ class TestRunLodo:
         with pytest.raises(InvalidInputError, match=f"no recorded queries in datasets "
                                                     f"\\['{empty}'\\]"):
             run_lodo(world, flags=SerializationFlags(True, False), train_config=FAST_TRAIN,
-                     featurizer=FAST_FEATS, seed=0, out_dir=tmp_path / "lodo")
+                     featurizer=FAST_FEATS, out_dir=tmp_path / "lodo")
         save_world(world, tmp_path / "world")
         assert main(["--out", str(tmp_path / "cli"), "lodo", "run",
                      "--world", str(tmp_path / "world")]) == 1
@@ -230,7 +228,7 @@ class TestRunLodo:
 
         monkeypatch.setattr(harness, "split_80_10_10", leaky)
         result = run_lodo(paired_world, flags=flags,
-                          train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                          train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert result.failed_folds == list(paired_world.datasets)
         assert all("held-out" in fold.error for fold in result.folds.values())
 
@@ -245,8 +243,7 @@ class TestRunLodo:
         world = replace(paired_world, records=records)
         with pytest.raises(error):
             run_lodo(world, flags=SerializationFlags(True, False),
-                     train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0,
-                     out_dir=tmp_path)
+                     train_config=FAST_TRAIN, featurizer=FAST_FEATS, out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_one_grid_per_entry_point(self, monkeypatch, tmp_path, paired_world):
@@ -263,10 +260,10 @@ class TestRunLodo:
         monkeypatch.setattr(QueryGrid, "build", classmethod(counted))
         assert len(paired_world.datasets) == 4
         run_lodo(paired_world, flags=SerializationFlags(True, False),
-                 train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                 train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(builds) == 1
         run_in_distribution(paired_world, flags=SerializationFlags(True, False),
-                            train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=0)
+                            train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(builds) == 2
         save_world(paired_world, tmp_path / "world")
         assert main(["--out", str(tmp_path / "report"), "baselines", "report",
@@ -297,8 +294,8 @@ def _count_hashed_lines(monkeypatch) -> list[str]:
 class TestAblation:
     def test_four_corpora_match_flag_rules(self, tmp_path, paired_world):
         result = run_ablation(
-            paired_world, train_config=FAST_TRAIN, featurizer=FAST_FEATS,
-            seed=6, out_dir=tmp_path, flag_grid=ALL_FLAG_COMBOS,
+            paired_world, train_config=replace(FAST_TRAIN, seed=6), featurizer=FAST_FEATS,
+            out_dir=tmp_path, flag_grid=ALL_FLAG_COMBOS,
         )
         assert set(result.columns) == {
             "md-on_ro-on", "md-on_ro-off", "md-off_ro-on", "md-off_ro-off"
@@ -320,7 +317,7 @@ class TestAblation:
         # the first combination's feature rows
         hashed = _count_hashed_lines(monkeypatch)
         grid = (SerializationFlags(True, False), SerializationFlags(False, True))
-        run_ablation(paired_world, train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=7,
+        run_ablation(paired_world, train_config=replace(FAST_TRAIN, seed=7), featurizer=FAST_FEATS,
                      flag_grid=grid, include_in_distribution=True)
         query_grid = QueryGrid.build(paired_world)
         lines = [line for flags in grid for line in build_router_dataset(query_grid, flags).inputs]
@@ -328,8 +325,8 @@ class TestAblation:
 
     def test_in_distribution_column(self, paired_world):
         result = run_ablation(
-            paired_world, train_config=FAST_TRAIN, featurizer=FAST_FEATS,
-            seed=7, flag_grid=(SerializationFlags(True, False),),
+            paired_world, train_config=replace(FAST_TRAIN, seed=7), featurizer=FAST_FEATS,
+            flag_grid=(SerializationFlags(True, False),),
             include_in_distribution=True,
         )
         assert result.in_distribution is not None
@@ -340,7 +337,7 @@ class TestAblation:
     def test_run_in_distribution_close_to_perfect_on_keyword_world(self, paired_world):
         ind = run_in_distribution(
             paired_world, flags=SerializationFlags(False, False),
-            train_config=FAST_TRAIN, featurizer=FAST_FEATS, seed=8,
+            train_config=replace(FAST_TRAIN, seed=8), featurizer=FAST_FEATS,
         )
         values = list(ind.values())
         assert sum(values) / len(values) >= 0.9
@@ -358,8 +355,8 @@ class TestAblation:
             signal_mode="none", seed=5,
         ))
         flags = SerializationFlags(True, True)
-        got = run_in_distribution(world, flags=flags, train_config=FAST_TRAIN,
-                                  featurizer=FAST_FEATS, seed=3)
+        got = run_in_distribution(world, flags=flags, train_config=replace(FAST_TRAIN, seed=3),
+                                  featurizer=FAST_FEATS)
         grid = QueryGrid.build(world)
         examples = reference_corpus(grid, flags)
         train, validate, test = split_80_10_10(examples, seed=3)

@@ -247,8 +247,7 @@ class TestTraining:
         for code in (-1, 2):
             with pytest.raises(InvalidInputError, match="outside the model vocabulary"):
                 train_router(features, [0, code], [0], [1],
-                             flags=SerializationFlags(False, False), featurizer=SMALL,
-                             vocabulary=["a", "b"])
+                             flags=SerializationFlags(False, False), vocabulary=["a", "b"])
 
     def test_empty_train(self):
         with pytest.raises(InvalidInputError):
@@ -316,8 +315,7 @@ class TestBucketMajorTraining:
                              eval_every=30, seed=2)
         model = train_router(features, labels, [at[id(ex)] for ex in train],
                              [at[id(ex)] for ex in validate], config=config,
-                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
-                             vocabulary=self.VOCAB)
+                             flags=SerializationFlags(False, False), vocabulary=self.VOCAB)
         weights, bias = reference_train(train, validate, config, self.FEATS, self.VOCAB)
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
@@ -333,8 +331,7 @@ class TestBucketMajorTraining:
                                        (labels[:-1], range(10), range(10, 15))]:
             with pytest.raises(InvalidInputError):
                 train_router(features, codes, train, validate,
-                             flags=SerializationFlags(False, False), featurizer=self.FEATS,
-                             vocabulary=self.VOCAB)
+                             flags=SerializationFlags(False, False), vocabulary=self.VOCAB)
 
 
 class TestRoute:
@@ -435,18 +432,40 @@ class TestRoute:
     ])
     def test_load_rejects_a_mistyped_header_field(self, tmp_path, section, field, value):
         # a header value of the wrong JSON type would load as another router
+        def edit(header):
+            (header if section is None else header[section])[field] = value
+            return header
+
+        path = self._saved_with_header(tmp_path, edit)
+        with pytest.raises(InvalidInputError, match=f"bad router header: field '{field}'"):
+            RouterModel.load(path)
+
+    @pytest.mark.parametrize("field", ["vocabulary", "featurization", "flags", "seed",
+                                       "weights_shape"])
+    def test_load_names_a_missing_header_field(self, tmp_path, field):
+        path = self._saved_with_header(
+            tmp_path, lambda header: {k: v for k, v in header.items() if k != field})
+        with pytest.raises(InvalidInputError) as info:
+            RouterModel.load(path)
+        assert str(info.value) == f"{path}: bad router header: missing field {field!r}"
+
+    def test_load_rejects_a_header_that_is_not_an_object(self, tmp_path):
+        path = self._saved_with_header(tmp_path, lambda header: sorted(header.items()))
+        with pytest.raises(InvalidInputError) as info:
+            RouterModel.load(path)
+        assert str(info.value) == f"{path}: bad router header: not a JSON object"
+
+    def _saved_with_header(self, tmp_path, edit):
+        """A saved router file whose JSON header is ``edit`` of its own."""
         path = tmp_path / "r.bin"
         self._model().save(path)
         data = path.read_bytes()
         start = len(RouterModel.MAGIC) + 4
         (length,) = struct.unpack_from("<I", data, len(RouterModel.MAGIC))
-        header = json.loads(data[start:start + length])
-        (header if section is None else header[section])[field] = value
-        blob = json.dumps(header, sort_keys=True).encode()
+        blob = json.dumps(edit(json.loads(data[start:start + length]))).encode()
         path.write_bytes(RouterModel.MAGIC + struct.pack("<I", len(blob)) + blob
                          + data[start + length:])
-        with pytest.raises(InvalidInputError, match=f"bad router header: field '{field}'"):
-            RouterModel.load(path)
+        return path
 
 
 # characters whose lowercase form is longer (İ) or depends on context (Σ),

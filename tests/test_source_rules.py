@@ -379,3 +379,42 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 imports.append((path.name, node.lineno, node.module))
     assert imports
     assert [i for i in imports if i[2].split(".")[0] not in allowed] == []
+
+
+def _parameters(fn: ast.FunctionDef) -> list[ast.arg]:
+    return [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+
+
+def test_harness_takes_no_seed_of_its_own():
+    # a run's seed is ``TrainConfig.seed``; a second seed parameter would
+    # overwrite it or be overwritten by it
+    path = Path(taskrouter.__file__).parent / "harness.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    seeded = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and any(a.arg == "seed" for a in _parameters(fn))]
+    assert seeded == []
+
+
+def test_feature_rows_are_never_passed_with_a_featurizer():
+    # ``FeatureRows.config`` hashed the rows; a featurizer passed beside
+    # them could name another config
+    both = []
+    for path in sorted(Path(taskrouter.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                kinds = {ast.unparse(a.annotation) for a in _parameters(fn) if a.annotation}
+                if {"FeatureRows", "FeaturizerConfig"} <= kinds:
+                    both.append(f"{path.name}:{fn.name}")
+    assert both == []
+
+
+def test_cli_reads_the_config_file_in_one_place():
+    # ``--config`` is read and checked once, before any handler runs; a
+    # handler that read it again could skip a section or read it late
+    path = Path(taskrouter.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "config"
+               and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert readers == {"_resolve_settings"}
