@@ -19,8 +19,8 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import (QueryGrid, load_world, read_json, reading, save_records, save_world,
-                   typed_field, write_json)
+from .core import (QueryGrid, Records, load_world, read_json, reading, save_records,
+                   save_world, typed_field, write_json)
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -274,22 +274,19 @@ def _cmd_eval_run(args) -> None:
     backend = make_mock_backend(
         args.backend, args.family, name=args.model_id, seed=args.train_config.seed,
         manifests=list(world.datasets.values()),
-        dim=max(len(s.response_options)
-                for m in world.datasets.values() for s in m.samples),
+        dim=max((len(s.response_options)
+                 for m in world.datasets.values() for s in m.samples), default=1),
     )
-    all_records = []
-    total_skips = 0
-    for ds_id, manifest in world.datasets.items():
-        run = evaluate(backend, manifest, world.prompt_configs[ds_id],
-                       normalization=args.normalization)
-        all_records.extend(run.records)
-        total_skips += run.skip_count
-    save_records(all_records, out / "records.jsonl")
+    runs = [evaluate(backend, manifest, world.prompt_configs[ds_id],
+                     normalization=args.normalization)
+            for ds_id, manifest in world.datasets.items()]
+    records = Records.concat(run.records for run in runs)
+    save_records(records, out / "records.jsonl")
     summary = {
         "backend": backend.info.name,
         "family": args.family,
-        "records": len(all_records),
-        "skipped": total_skips,
+        "records": len(records),
+        "skipped": sum(run.skip_count for run in runs),
     }
     write_json(out / "eval_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))

@@ -221,22 +221,24 @@ class IdColumn:
     def tolist(self) -> list[str]:
         return list(map(self.values.__getitem__, self.codes.tolist()))
 
+    @classmethod
+    def encode(cls, ids: Sequence[str]) -> "IdColumn":
+        """The column of ``ids``; its values are the distinct ids in order
+        of first appearance."""
+        index = {value: code for code, value in enumerate(dict.fromkeys(ids))}
+        return cls(np.fromiter(map(index.__getitem__, ids), np.int32, len(ids)), tuple(index))
 
-class _Encoder:
-    """Builds one IdColumn block by block, keeping each distinct id once."""
-
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.parts: list[np.ndarray] = []
-
-    def add(self, ids: Sequence[str]) -> None:
-        index = self.index
-        for value in dict.fromkeys(ids):
-            index.setdefault(value, len(index))
-        self.parts.append(np.fromiter(map(index.__getitem__, ids), np.int32, len(ids)))
-
-    def column(self) -> IdColumn:
-        return IdColumn(_concat(self.parts, np.int32), tuple(self.index))
+    @classmethod
+    def concat(cls, columns: Sequence["IdColumn"]) -> "IdColumn":
+        """The columns one after another. Each input's values must be the
+        ids its rows use in order of first appearance, as in every column
+        the package builds; the result's values are then too."""
+        index: dict[str, int] = {}
+        parts = []
+        for column in columns:
+            lookup = [index.setdefault(value, len(index)) for value in column.values]
+            parts.append(np.array(lookup, dtype=np.int32)[column.codes])
+        return cls(_concat(parts, np.int32), tuple(index))
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -276,38 +278,38 @@ class Records:
             raise InvalidInputError("record columns differ in length")
 
     @classmethod
+    def from_columns(cls, *columns: Sequence) -> "Records":
+        """The table of one sequence per ``RECORD_FIELDS``, or of none for
+        an empty table; each id column is ``IdColumn.encode``d."""
+        *ids, predicted, correct = columns or ((),) * len(RECORD_FIELDS)
+        return cls(*map(IdColumn.encode, ids), predicted, correct)
+
+    @classmethod
     def of(cls, records: "Records | Iterable[ExecutionRecord]") -> "Records":
         """``records`` itself when it is a table, else a table of its rows."""
         if isinstance(records, Records):
             return records
-        return cls._from_blocks([tuple(zip(*map(attrgetter(*RECORD_FIELDS), records)))])
+        return cls.from_columns(*zip(*map(attrgetter(*RECORD_FIELDS), records)))
+
+    @classmethod
+    def concat(cls, tables: Iterable["Records"]) -> "Records":
+        """The tables' rows one after another (see ``IdColumn.concat``)."""
+        tables = list(tables)
+        ids = (IdColumn.concat([t.ids()[f] for t in tables]) for f in range(len(ID_FIELDS)))
+        return cls(*ids, _concat([t.predicted for t in tables], np.int64),
+                   _concat([t.correct for t in tables], bool))
 
     @classmethod
     def load(cls, path: str | Path) -> "Records":
-        """Read a ``records.jsonl`` in blocks of lines straight into columns;
-        no row outlives its block. A block whose lines all match the one
-        line ``save`` writes is read by one compiled pattern. A block with
-        any other line is read again line by line, so a bad line fails as
-        ``read_numbered_jsonl`` and ``ExecutionRecord.from_dict`` fail on
-        it, naming ``path:line`` where they do."""
+        """Read a ``records.jsonl`` in blocks of lines, each straight into
+        a table, and join them; no row outlives its block. A block whose
+        lines all match the one line ``save`` writes is read by one compiled
+        pattern. A block with any other line is read again line by line, so
+        a bad line fails as ``read_numbered_jsonl`` and
+        ``ExecutionRecord.from_dict`` fail on it, naming ``path:line`` where
+        they do."""
         with open(path, "rb") as fh:
-            return cls._from_blocks(_read_blocks(path, fh))
-
-    @classmethod
-    def _from_blocks(cls, blocks: Iterable[tuple]) -> "Records":
-        """A table of blocks, each a sequence per ``RECORD_FIELDS`` (or
-        empty)."""
-        encoders = [_Encoder() for _ in ID_FIELDS]
-        predicted, correct = [], []
-        for block in blocks:
-            if block:
-                *ids, preds, flags = block
-                for encoder, column in zip(encoders, ids):
-                    encoder.add(column)
-                predicted.append(np.array(preds, dtype=np.int64))
-                correct.append(np.array(flags, dtype=bool))
-        return cls(*(encoder.column() for encoder in encoders),
-                   _concat(predicted, np.int64), _concat(correct, bool))
+            return cls.concat(cls.from_columns(*block) for block in _read_blocks(path, fh))
 
     def save(self, path: str | Path) -> None:
         """Write one key-sorted JSON object per record: the bytes
@@ -1020,10 +1022,6 @@ def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> 
 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
     return _read_keyed(path, "sample_id", MetadataSummary.from_dict)
-
-
-WORLD_FILES = ("datasets.jsonl", "prompt_configs.json", "metadata.jsonl",
-               "records.jsonl", "world.json")
 
 
 def save_world(world: World, out_dir: str | Path) -> Path:

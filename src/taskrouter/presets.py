@@ -161,17 +161,3 @@ def builtin_prompt_configs() -> dict[str, DatasetPromptConfig]:
     ]
     return {c.dataset_id: c for c in configs}
 
-
-# recognition vs reasoning split used when building manifests for the suite
-TASK_KIND_BY_DATASET = {
-    "cifar100": "recognition",
-    "oodcv": "recognition",
-    "weather": "recognition",
-    "skin_cancer": "recognition",
-    "hateful_memes": "reasoning",
-    "scienceqa": "reasoning",
-    "vg_attribution": "reasoning",
-    "vg_relation": "reasoning",
-    "abstract_scenes_vqa": "reasoning",
-    "binary_abstract_scenes": "reasoning",
-}

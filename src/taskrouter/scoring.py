@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import DatasetManifest, ExecutionRecord
+from .core import DatasetManifest, Records
 from .errors import BackendError, InvalidInputError
 from .prompts import DatasetPromptConfig, PromptVariant, closed_prompt_set, prompt_variants
 
@@ -118,9 +118,9 @@ class SkipNote:
 
 @dataclass
 class EvaluationRun:
-    """Records produced by an evaluate() call plus its skip summary."""
+    """The records table of an evaluate() call plus its skip summary."""
 
-    records: list[ExecutionRecord]
+    records: Records
     skipped: list[SkipNote] = field(default_factory=list)
 
     @property
@@ -137,7 +137,8 @@ def evaluate(
     max_workers: int = 1,
 ) -> EvaluationRun:
     """Run one backend over every (sample, variant) of a dataset, in sample
-    order and, per sample, variant order.
+    order and, per sample, variant order. The run's records are a
+    ``Records`` table with one row per scored query.
 
     Prompts are built via closed_prompt_set, so option order aligns with
     gold_index. A backend failure on a sample skips that record and logs
@@ -163,7 +164,7 @@ def evaluate(
 
     chosen = list(variants) if variants is not None else prompt_variants(config)
     queries = [(sample, variant) for sample in manifest.samples for variant in chosen]
-    run = EvaluationRun(records=[])
+    rows, skipped = [], []  # rows: one RECORD_FIELDS tuple per scored query
     for (sample, variant), outcome in zip(
             queries, _outcomes(backend, info, config, queries, normalization)):
         if isinstance(outcome, Exception):  # backend failures are data
@@ -171,18 +172,11 @@ def evaluate(
                 "backend %s failed on sample %s (%s): %s",
                 info.name, sample.sample_id, variant.variant_id, outcome,
             )
-            run.skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(outcome)))
+            skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(outcome)))
             continue
-        run.records.append(
-            ExecutionRecord(
-                sample_id=sample.sample_id,
-                dataset_id=manifest.dataset_id,
-                model_id=info.name,
-                prompt_variant_id=variant.variant_id,
-                predicted_index=outcome.predicted_index,
-                correct=outcome.predicted_index == sample.gold_index,
-            )
-        )
+        rows.append((sample.sample_id, manifest.dataset_id, info.name, variant.variant_id,
+                     outcome.predicted_index, outcome.predicted_index == sample.gold_index))
+    run = EvaluationRun(Records.from_columns(*zip(*rows)), skipped)
     if run.skipped:
         logger.warning(
             "backend %s on %s: %d of %d evaluations skipped",

@@ -189,9 +189,7 @@ def generate_world(spec: WorldSpec) -> World:
     configs: dict[str, DatasetPromptConfig] = {}
     metadata: dict[str, MetadataSummary] = {}
     pixels: dict[str, np.ndarray] = {}
-    sample_ids: list[str] = []
-    variant_codes: dict[str, int] = {}
-    blocks = []  # per (dataset, model): (sample, dataset, model, variant) codes, predicted, correct
+    tables = []  # one Records per dataset, in (model, sample, variant) order
 
     for d, ds_id in enumerate(spec.dataset_ids()):
         n_options = int(rng.integers(spec.options_range[0], spec.options_range[1] + 1))
@@ -231,33 +229,29 @@ def generate_world(spec: WorldSpec) -> World:
         )
         datasets[ds_id] = manifest
 
-        variants = np.array([variant_codes.setdefault(v.variant_id, len(variant_codes))
-                             for v in prompt_variants(config)], dtype=np.int32)
-        shape = (spec.samples_per_dataset, len(variants))
-        sample_codes = np.repeat(np.arange(len(sample_ids), len(sample_ids) + len(samples),
-                                           dtype=np.int32), len(variants))
-        sample_ids.extend(s.sample_id for s in samples)
+        variant_ids = tuple(v.variant_id for v in prompt_variants(config))
+        shape = (spec.samples_per_dataset, len(variant_ids))
         gold = golds[:, None]
-        for m, model in enumerate(pool):
-            correct = rng.random(shape) < spec.competence[model][d]
+        predicted, correct = [], []
+        for model in pool:
+            hits = rng.random(shape) < spec.competence[model][d]
             wrong_step = rng.integers(1, n_options, size=shape)
-            predicted = np.where(correct, gold, (gold + wrong_step) % n_options)
-            blocks.append((sample_codes, np.full(correct.size, d, dtype=np.int32),
-                           np.full(correct.size, m, dtype=np.int32),
-                           np.tile(variants, len(samples)), predicted.ravel(), correct.ravel()))
+            predicted.append(np.where(hits, gold, (gold + wrong_step) % n_options).ravel())
+            correct.append(hits.ravel())
+        model_codes, sample_codes, variant_codes = np.indices(
+            (len(pool), *shape), dtype=np.int32).reshape(3, -1)
+        tables.append(Records(
+            IdColumn(sample_codes, tuple(s.sample_id for s in samples)),
+            IdColumn(np.zeros_like(model_codes), (ds_id,)), IdColumn(model_codes, tuple(pool)),
+            IdColumn(variant_codes, variant_ids),
+            np.concatenate(predicted), np.concatenate(correct),
+        ))
 
-    sample_col, dataset_col, model_col, variant_col, predicted, correct = map(
-        np.concatenate, zip(*blocks))
-    records = Records(
-        IdColumn(sample_col, tuple(sample_ids)), IdColumn(dataset_col, tuple(datasets)),
-        IdColumn(model_col, tuple(pool)), IdColumn(variant_col, tuple(variant_codes)),
-        predicted, correct,
-    )
     return World(
         datasets=datasets,
         prompt_configs=configs,
         metadata=metadata,
-        records=records,
+        records=Records.concat(tables),
         model_pool=pool,
         seed=spec.seed,
         pixels=pixels,

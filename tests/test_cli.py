@@ -5,6 +5,8 @@ import json
 import pytest
 
 from taskrouter.cli import main
+from taskrouter.core import DatasetManifest, World, save_world
+from taskrouter.prompts import DatasetPromptConfig
 
 from conftest import keyword_world_spec
 
@@ -70,6 +72,25 @@ def test_eval_run_gold_backend(world_dir, tmp_path, capsys):
     records = (out / "records.jsonl").read_text().strip().splitlines()
     assert len(records) == summary["records"]
     assert all(json.loads(r)["correct"] for r in records)
+
+
+@pytest.mark.parametrize("datasets", [0, 1])
+def test_eval_run_on_a_world_without_samples_writes_no_records(datasets, world_dir, tmp_path,
+                                                                capsys):
+    ids = ["ds00"][:datasets]
+    configs = json.loads((world_dir / "prompt_configs.json").read_text())
+    save_world(World(datasets={ds: DatasetManifest(ds, "recognition", (), ds) for ds in ids},
+                     prompt_configs={ds: DatasetPromptConfig.from_dict(configs[ds]) for ds in ids},
+                     metadata={}, records=[], model_pool=["m0"], seed=0), tmp_path / "world")
+    if not datasets:  # the report already reads such a world
+        assert main(["--out", str(tmp_path / "base"), "baselines", "report",
+                     "--world", str(tmp_path / "world")]) == 0
+    out = tmp_path / "eval"
+    assert main(["--out", str(out), "eval", "run", "--world", str(tmp_path / "world"),
+                 "--backend", "gold", "--family", "embedding"]) == 0
+    summary = {"backend": "gold-embed", "family": "embedding", "records": 0, "skipped": 0}
+    assert json.loads((out / "eval_summary.json").read_text()) == summary
+    assert (out / "records.jsonl").read_bytes() == b""
 
 
 def test_routerdata_build_counts(world_dir, tmp_path, capsys):

@@ -5,16 +5,24 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import object_grid, object_records
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import FlakyBackend, object_grid, object_records
 
+import taskrouter.core as core
 from conftest import make_micro_world
 from taskrouter import IntegrityError, InvalidInputError, PromptTemplate
-from taskrouter.core import (QueryGrid, Records, aggregate_accuracy, load_world, save_records,
-                             save_world, write_jsonl)
+from taskrouter.core import (ExecutionRecord, IdColumn, QueryGrid, Records, aggregate_accuracy,
+                             load_world, save_records, save_world, write_jsonl)
+from taskrouter.prompts import prompt_variants
+from taskrouter.scoring import SeededEmbeddingBackend, evaluate
 from taskrouter.synth import WorldSpec, generate_world
 
 
@@ -218,8 +226,10 @@ class TestRecords:
         lines.insert(12, b"\n")
         lines.insert(20, b" \t\n")
         path.write_bytes(b"".join(lines))
-        assert Records.load(path) == world.records
-        assert list(Records.load(path)) == object_records(path)
+        loaded = Records.load(path)
+        assert loaded == world.records
+        assert list(loaded) == object_records(path)
+        assert_encoded(loaded)  # the blocks' ids, in order of first appearance
 
     def test_saved_non_ascii_ids_load_without_the_line_by_line_reader(self, tmp_path,
                                                                       monkeypatch):
@@ -268,3 +278,47 @@ class TestRecords:
         with pytest.raises(error) as want:
             object_records(path)
         assert str(got.value) == str(want.value)
+
+
+def assert_encoded(table):
+    """Each id column holds the ids its rows use, in order of first
+    appearance, exactly as ``IdColumn.encode`` of its rows does."""
+    for column in table.ids():
+        want = IdColumn.encode(column.tolist())
+        assert column.values == want.values
+        assert column.codes.dtype == np.int32
+        np.testing.assert_array_equal(column.codes, want.codes)
+
+
+# few letters, so tables share ids as well as hold their own
+_IDS = st.text(st.sampled_from('ab\\"é数\U0001f600\u2028'), max_size=3)
+_ROWS = st.tuples(_IDS, _IDS, _IDS, _IDS, st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans())
+
+
+@given(st.lists(st.lists(_ROWS, max_size=6), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_concat_is_the_table_of_the_chained_rows(row_lists):
+    tables = [Records.from_columns(*zip(*rows)) for rows in row_lists]
+    chained = [ExecutionRecord(*row) for rows in row_lists for row in rows]
+    joined = Records.concat(tables)
+    assert joined == Records.of(chained) and list(joined) == chained
+    assert_encoded(joined)
+    # a file read in blocks of a line or two joins its blocks alike
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_READ_BLOCK_BYTES", 300):
+        save_records(joined, Path(tmp) / "records.jsonl")
+        loaded = Records.load(Path(tmp) / "records.jsonl")
+    assert list(loaded) == chained
+    assert_encoded(loaded)
+
+
+@pytest.mark.parametrize("failing", [{"micro/s1"}, {"micro/s0", "micro/s1", "micro/s2"}])
+def test_a_sample_skipped_on_every_variant_is_in_no_value_list(failing):
+    world = make_micro_world(n_samples=3, with_empty_question=False)
+    manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+    run = evaluate(FlakyBackend(SeededEmbeddingBackend(seed=1, dim=4), failing), manifest, config)
+    scored = [s.sample_id for s in manifest.samples if s.image_ref not in failing]
+    assert isinstance(run.records, Records)
+    assert run.skip_count == len(failing) * len(prompt_variants(config))
+    assert run.records.sample_id.values == tuple(scored)
+    assert run.records.dataset_id.values == (("micro",) if scored else ())
+    assert_encoded(run.records)

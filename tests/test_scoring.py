@@ -400,7 +400,7 @@ class TestEvaluateEmbeddingCalls:
         config = world.prompt_configs[ds_id]
         backend = RowCountBackend(SeededEmbeddingBackend(seed=2, dim=8, name="only"), rows)
         run = evaluate(backend, manifest, config)
-        assert run.records == []
+        assert list(run.records) == []
         assert run.skip_count == len(manifest.samples) * len(prompt_variants(config))
         assert {n.error for n in run.skipped} == {
             f"backend only returned {rows} embedding rows for 4 prompts"}

@@ -418,3 +418,23 @@ def test_cli_reads_the_config_file_in_one_place():
                if isinstance(node, ast.Attribute) and node.attr == "config"
                and isinstance(node.value, ast.Name) and node.value.id == "args"}
     assert readers == {"_resolve_settings"}
+
+
+def test_record_tables_are_built_and_joined_one_way():
+    # a table is built from strings by ``Records.from_columns`` (through
+    # ``IdColumn.encode``) and joined by ``Records.concat``; a private
+    # encoder beside them could order or keep ids differently
+    package = Path(taskrouter.__file__).parent
+    defined, calls, imports = [], [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in ("_Encoder", "_from_blocks"):
+                defined.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.Call) and _call_name(node) == "ExecutionRecord" \
+                    and path.name != "core.py":
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and path.name in ("scoring.py", "synth.py") \
+                    and any(alias.name == "ExecutionRecord" for alias in node.names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert (defined, calls, imports) == ([], [], [])

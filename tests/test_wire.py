@@ -111,7 +111,7 @@ def test_wrong_number_of_embedding_rows_over_the_wire_is_a_skip(rows):
         run = evaluate(pair.client, manifest, config)
     finally:
         pair.close()
-    assert run.records == []
+    assert list(run.records) == []
     assert run.skip_count == len(manifest.samples) * len(prompt_variants(config))
     assert {n.error for n in run.skipped} == {
         f"backend only returned {rows} embedding rows for 4 prompts"}
@@ -457,7 +457,7 @@ def test_one_failing_job_skips_only_its_query(micro_world):
     assert [(n.sample_id, n.error) for n in run.skipped] == [
         ("s1", "simulated failure for micro/s1")]
     expected = evaluate(inner, manifest, config).records
-    assert run.records == [r for r in expected if r.sample_id != "s1"]
+    assert list(run.records) == [r for r in expected if r.sample_id != "s1"]
 
 
 _GEN_INFO = {"name": "fake", "family": "generative", "deterministic": True, "max_batch": 2}
@@ -775,8 +775,8 @@ def test_embedding_retry_contract_holds_over_the_wire(monkeypatch):
         (sample_id, v) for sample_id in ("s0", "s3") for v in variants)
     assert {n.error for n in run.skipped} == {
         "simulated failure for micro/s0", "simulated failure for micro/s3"}
-    assert run.records == [r for r in evaluate(inner, manifest, config).records
-                           if r.sample_id not in ("s0", "s3")]
+    assert list(run.records) == [r for r in evaluate(inner, manifest, config).records
+                                 if r.sample_id not in ("s0", "s3")]
     # each failing image is asked once in the batch, and once more, on a
     # plain line, for its second variant
     assert [r["op"] for r in reqs] == ["info", "batch", "embed_image", "embed_image", "shutdown"]
@@ -845,8 +845,8 @@ def test_wrong_shape_embedding_results_skip_only_their_queries(spawned, tmp_path
                             "got shape (2, 4) of float64")
     skipped = {(n.sample_id, n.prompt_variant_id) for n in run.skipped}
     expected = evaluate(SeededEmbeddingBackend(seed=2, dim=4), manifest, config).records
-    assert run.records == [r for r in expected
-                           if (r.sample_id, r.prompt_variant_id) not in skipped]
+    assert list(run.records) == [r for r in expected
+                                 if (r.sample_id, r.prompt_variant_id) not in skipped]
     assert len(run.records) == len(expected) - 2
     assert _reaped(spawned)
 
@@ -887,7 +887,7 @@ def test_wrong_shape_logprob_results_skip_only_their_queries(spawned, tmp_path):
     ]
     skipped = {(n.sample_id, n.prompt_variant_id) for n in run.skipped}
     expected = evaluate(SeededLogprobBackend(seed=2), manifest, config).records
-    assert run.records == [r for r in expected
-                           if (r.sample_id, r.prompt_variant_id) not in skipped]
+    assert list(run.records) == [r for r in expected
+                                 if (r.sample_id, r.prompt_variant_id) not in skipped]
     assert len(run.records) == len(expected) - 4
     assert _reaped(spawned)
