@@ -201,6 +201,9 @@ def build_comparison_report(
     world = grid.world
     chance_fn = chance_uniform if chance_kind == "uniform" else chance_majority
     cells: dict[str, dict[str, float | None]] = {s: {} for s in STRATEGIES}
+    empty = [ds_id for ds_id, manifest in world.datasets.items() if not manifest.samples]
+    if empty:
+        raise InvalidInputError(f"dataset {empty[0]!r} holds no samples")
     for ds_id, manifest in world.datasets.items():
         cells["chance"][ds_id] = 100.0 * chance_fn(manifest.samples)
         cells["average"][ds_id] = 100.0 * average_baseline(grid.table, ds_id)

@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["embedding", "generative"])
     p_run.add_argument("--model-id", default=None)
     p_run.add_argument("--normalization", default="sum", choices=["sum", "mean"])
-    p_run.set_defaults(handler=_cmd_eval_run)
+    p_run.set_defaults(handler=_cmd_eval_run, default_out="eval_out")
 
     # routerdata build
     p_rd = groups.add_parser("routerdata", help="router corpus construction")
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--world", required=True)
     p_build.add_argument("--flags", default="md=on,ro=on",
                          help="serialization flags, e.g. md=on,ro=off")
-    p_build.set_defaults(handler=_cmd_routerdata_build)
+    p_build.set_defaults(handler=_cmd_routerdata_build, default_out="routerdata_out")
 
     # router train / route
     p_router = groups.add_parser("router", help="train or query a router")
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--world", required=True)
     p_train.add_argument("--flags", default="md=on,ro=on")
     _add_train_args(p_train)
-    p_train.set_defaults(handler=_cmd_router_train)
+    p_train.set_defaults(handler=_cmd_router_train, default_out="router_out")
     p_route = sub.add_parser("route", help="route serialized inputs to a model id")
     p_route.add_argument("--router", required=True, help="trained router file")
     p_route.add_argument("--input", default=None,
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--router", default=None, help="trained router file")
     p_report.add_argument("--chance", default="uniform",
                           choices=["uniform", "majority"])
-    p_report.set_defaults(handler=_cmd_baselines_report)
+    p_report.set_defaults(handler=_cmd_baselines_report, default_out="baselines_out")
 
     # lodo run
     p_lodo = groups.add_parser("lodo", help="leave-one-dataset-out runs")
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lrun.add_argument("--flags", default="md=on,ro=on")
     p_lrun.add_argument("--chance", default="uniform", choices=["uniform", "majority"])
     _add_train_args(p_lrun)
-    p_lrun.set_defaults(handler=_cmd_lodo_run)
+    p_lrun.set_defaults(handler=_cmd_lodo_run, default_out="lodo_out")
 
     # ablation run
     p_abl = groups.add_parser("ablation", help="MD/RO ablation grid")
@@ -160,14 +160,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_arun.add_argument("--world", required=True)
     p_arun.add_argument("--in-distribution", action="store_true")
     _add_train_args(p_arun)
-    p_arun.set_defaults(handler=_cmd_ablation_run)
+    p_arun.set_defaults(handler=_cmd_ablation_run, default_out="ablation_out")
 
     # synth generate
     p_synth = groups.add_parser("synth", help="synthetic worlds")
     sub = p_synth.add_subparsers(dest="verb")
     p_gen = sub.add_parser("generate", help="generate a world from a spec")
     p_gen.add_argument("--spec", required=True, help="world spec JSON file")
-    p_gen.set_defaults(handler=_cmd_synth_generate)
+    p_gen.set_defaults(handler=_cmd_synth_generate, default_out="world_out")
 
     return parser
 
@@ -189,12 +189,21 @@ def _resolve_settings(args) -> None:
     ``train_config`` and ``featurizer_config``. ``train_config.seed`` is
     ``seed``, or ``TrainConfig``'s default: the run's one seed. A key that
     nothing reads is refused, and so is a ``seed`` in the ``train``
-    section."""
+    section. For a command that writes, ``out`` is a Path (its default is
+    the command's ``default_out``) that neither is nor lies under a file;
+    ``--flags``, where the command has it, becomes SerializationFlags."""
     data = {} if args.config is None else read_json(args.config)
     with reading(args.config):
         _refuse_unknown_keys(data, ("seed", "out", "train", "featurizer"), "top-level key")
         seed = typed_field(data, "seed", int, default=None)
         args.out = args.out or typed_field(data, "out", str, default=None)
+    if hasattr(args, "default_out"):
+        args.out = Path(args.out or args.default_out)
+        blocker = next((p for p in (args.out, *args.out.parents)
+                        if p.exists() and not p.is_dir()), None)
+        if blocker is not None:
+            raise InvalidInputError(f"cannot make output directory {str(args.out)!r}: "
+                                    f"{str(blocker)!r} is an existing file")
     if args.seed is None:
         args.seed = seed
     with reading(f"{args.config}: section 'train'"):
@@ -216,6 +225,8 @@ def _resolve_settings(args) -> None:
     if getattr(args, "ngram_orders", None) is not None:
         config = replace(config, ngram_orders=[int(x) for x in args.ngram_orders.split(",")])
     args.featurizer_config = config
+    if hasattr(args, "flags"):
+        args.flags = SerializationFlags.parse(args.flags)
 
 
 def _refuse_unknown_keys(section: dict, known: Sequence[str], what: str = "key") -> None:
@@ -225,12 +236,6 @@ def _refuse_unknown_keys(section: dict, known: Sequence[str], what: str = "key")
     if unknown:
         raise InvalidInputError(
             f"unknown {what} {unknown[0]!r}; known: {', '.join(sorted(known))}")
-
-
-def _out_dir(args, default: str) -> Path:
-    path = Path(args.out or default)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _resolve_prompt_config(spec: str) -> DatasetPromptConfig:
@@ -270,7 +275,6 @@ def _cmd_prompts_expand(args) -> None:
 
 def _cmd_eval_run(args) -> None:
     world = load_world(args.world)
-    out = _out_dir(args, "eval_out")
     backend = make_mock_backend(
         args.backend, args.family, name=args.model_id, seed=args.train_config.seed,
         manifests=list(world.datasets.values()),
@@ -281,28 +285,26 @@ def _cmd_eval_run(args) -> None:
                      normalization=args.normalization)
             for ds_id, manifest in world.datasets.items()]
     records = Records.concat(run.records for run in runs)
-    save_records(records, out / "records.jsonl")
+    save_records(records, args.out / "records.jsonl")
     summary = {
         "backend": backend.info.name,
         "family": args.family,
         "records": len(records),
         "skipped": sum(run.skip_count for run in runs),
     }
-    write_json(out / "eval_summary.json", summary)
+    write_json(args.out / "eval_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
 
 
 def _cmd_routerdata_build(args) -> None:
     world = load_world(args.world)
-    flags = SerializationFlags.parse(args.flags)
-    seed = args.train_config.seed
-    out = _out_dir(args, "routerdata_out")
+    flags, seed = args.flags, args.train_config.seed
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, flags)
     train, validate, test = split_80_10_10(range(len(corpus)), seed=seed)
-    save_corpus(corpus, train, out / "train.txt")
-    save_corpus(corpus, validate, out / "validate.txt")
-    save_corpus(corpus, test, out / "test.txt")
+    save_corpus(corpus, train, args.out / "train.txt")
+    save_corpus(corpus, validate, args.out / "validate.txt")
+    save_corpus(corpus, test, args.out / "test.txt")
     payload = {
         "flags": flags.to_dict(),
         "seed": seed,
@@ -310,24 +312,22 @@ def _cmd_routerdata_build(args) -> None:
                    "valid_records": int(grid.covered.sum()), "examples": len(corpus)},
         "splits": {"train": len(train), "validate": len(validate), "test": len(test)},
     }
-    write_json(out / "counts.json", payload)
+    write_json(args.out / "counts.json", payload)
     print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_router_train(args) -> None:
     world = load_world(args.world)
-    flags = SerializationFlags.parse(args.flags)
     config = args.train_config
-    out = _out_dir(args, "router_out")
-    corpus = build_router_dataset(QueryGrid.build(world), flags)
+    corpus = build_router_dataset(QueryGrid.build(world), args.flags)
     train, validate, _ = split_80_10_10(range(len(corpus)), seed=config.seed)
     kept = train + validate  # only these lines are hashed
     model = train_router(
         featurize_batch([corpus.inputs[p] for p in kept], args.featurizer_config),
         corpus.labels[kept], range(len(train)), range(len(train), len(kept)),
-        config=config, flags=flags, vocabulary=corpus.grid.models,
+        config=config, flags=args.flags, vocabulary=corpus.grid.models,
     )
-    router_path = out / "router.bin"
+    router_path = args.out / "router.bin"
     model.save(router_path)
     print(json.dumps({
         "router": str(router_path),
@@ -366,7 +366,6 @@ def _check_utf8(text: str, source: str) -> None:
 
 def _cmd_baselines_report(args) -> None:
     world = load_world(args.world)
-    out = _out_dir(args, "baselines_out")
     router = RouterModel.load(args.router) if args.router else None
     grid = QueryGrid.build(world)
     accuracies = None
@@ -377,22 +376,20 @@ def _cmd_baselines_report(args) -> None:
                       for ds in world.datasets if len(grid.rows(ds))}
     report = build_comparison_report(grid, router_accuracies=accuracies,
                                      chance_kind=args.chance)
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "report.json")
-    print((out / "report.csv").read_text(), end="")
+    report.write_csv(args.out / "report.csv")
+    report.write_json(args.out / "report.json")
+    print((args.out / "report.csv").read_text(), end="")
 
 
 def _cmd_lodo_run(args) -> None:
     world = load_world(args.world)
-    out = _out_dir(args, "lodo_out")
-    flags = SerializationFlags.parse(args.flags)
-    train_config = args.train_config
+    flags, train_config = args.flags, args.train_config
     result = harness.run_lodo(
         world, flags=flags, train_config=train_config, featurizer=args.featurizer_config,
-        out_dir=out, chance_kind=args.chance,
+        out_dir=args.out, chance_kind=args.chance,
     )
     harness.write_run_manifest(
-        out,
+        args.out,
         config={"flags": flags.to_dict(), "train": train_config.to_dict(),
                 "chance": args.chance},
         seeds={"master": train_config.seed},
@@ -400,20 +397,19 @@ def _cmd_lodo_run(args) -> None:
                      for name in ("datasets.jsonl", "records.jsonl")],
     )
     print(json.dumps({
-        "report": str(out / "report.csv"),
+        "report": str(args.out / "report.csv"),
         "failed_folds": result.failed_folds,
     }, sort_keys=True))
 
 
 def _cmd_ablation_run(args) -> None:
     world = load_world(args.world)
-    out = _out_dir(args, "ablation_out")
     result = harness.run_ablation(
         world, train_config=args.train_config, featurizer=args.featurizer_config,
-        out_dir=out, include_in_distribution=args.in_distribution,
+        out_dir=args.out, include_in_distribution=args.in_distribution,
     )
     print(json.dumps({
-        "ablation": str(out / "ablation.csv"),
+        "ablation": str(args.out / "ablation.csv"),
         "columns": {t: result.average(t) for t in result.columns},
     }, sort_keys=True))
 
@@ -422,12 +418,11 @@ def _cmd_synth_generate(args) -> None:
     spec = WorldSpec.load(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out = _out_dir(args, "world_out")
     world = generate_world(spec)
-    save_world(world, out)
-    spec.save(out / "world_spec.json")
+    save_world(world, args.out)
+    spec.save(args.out / "world_spec.json")
     print(json.dumps({
-        "world": str(out),
+        "world": str(args.out),
         "datasets": len(world.datasets),
         "records": len(world.records),
         "model_pool": world.model_pool,

@@ -478,8 +478,11 @@ def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None):
     """A file handle on a temporary file in ``path``'s directory, which
     replaces ``path`` once the block completes. A failed write removes the
     temporary file and leaves any earlier file at ``path`` as it was.
-    This is the package's one way of writing a file."""
+    This is the package's one way of writing a file and of making a
+    directory: it makes ``path``'s directory first, so a directory exists
+    only once a file is written into it."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, newline=newline) as fh:
@@ -1027,7 +1030,6 @@ def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
 def save_world(world: World, out_dir: str | Path) -> Path:
     """Persist a world directory. Pixel arrays are intentionally dropped."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_manifests(world.datasets.values(), out / "datasets.jsonl")
     write_json(out / "prompt_configs.json",
                {ds: cfg.to_dict() for ds, cfg in world.prompt_configs.items()})
@@ -1039,7 +1041,7 @@ def save_world(world: World, out_dir: str | Path) -> Path:
 
 def load_world(world_dir: str | Path) -> World:
     """The world in ``world_dir``; a prompt config under another dataset's
-    id is an IntegrityError."""
+    id, or a dataset without a prompt config, is an IntegrityError."""
     from .prompts import DatasetPromptConfig
 
     root = Path(world_dir)
@@ -1051,6 +1053,9 @@ def load_world(world_dir: str | Path) -> World:
                 configs[ds] = DatasetPromptConfig.from_dict(typed_field(raw, ds, dict))
                 if configs[ds].dataset_id != ds:
                     raise IntegrityError(f"holds the config of {configs[ds].dataset_id!r}")
+        unconfigured = [m.dataset_id for m in manifests if m.dataset_id not in configs]
+        if unconfigured:
+            raise IntegrityError(f"no prompt config for dataset {unconfigured[0]!r}")
     meta = load_metadata(root / "metadata.jsonl")
     records = Records.load(root / "records.jsonl")
     info = read_json(root / "world.json")

@@ -45,7 +45,6 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class FoldResult:
-    heldout_dataset: str
     status: str  # "ok" | "failed"
     router_accuracy: float | None = None
     error: str | None = None
@@ -94,10 +93,7 @@ def _lodo(corpus: Corpus, features: FeatureRows, train_config: TrainConfig,
     router_accuracies: dict[str, float] = {}
 
     for fold_index, heldout in enumerate(grid.world.datasets):
-        fold_dir = None
-        if out is not None:
-            fold_dir = out / f"fold_{heldout}"
-            fold_dir.mkdir(parents=True, exist_ok=True)
+        fold_dir = out / f"fold_{heldout}" if out is not None else None
         try:
             fold_config = replace(train_config, seed=train_config.seed + fold_index)
             result = _run_fold(corpus, features, heldout, fold_config, fold_dir)
@@ -106,7 +102,7 @@ def _lodo(corpus: Corpus, features: FeatureRows, train_config: TrainConfig,
                 router_accuracies[heldout] = result.router_accuracy
         except TaskRouterError as exc:
             logger.warning("fold %s failed: %s", heldout, exc)
-            folds[heldout] = FoldResult(heldout, "failed", error=str(exc))
+            folds[heldout] = FoldResult("failed", error=str(exc))
             if fold_dir is not None:
                 write_json(fold_dir / "metrics.json", {"status": "failed", "error": str(exc)})
 
@@ -158,7 +154,6 @@ def _run_fold(
     accuracy = grid.variant_mean(heldout_rows, grid.outcome(heldout_rows, choices))
 
     result = FoldResult(
-        heldout_dataset=heldout,
         status="ok",
         router_accuracy=accuracy,
         corpus_sizes={"train": len(train), "validate": len(validate), "test": len(test)},
@@ -320,26 +315,21 @@ class SelectionDistribution:
                 writer.writerow([model, *(repr(float(x)) for x in self.fractions[i])])
 
 
-def selection_heatmap(
-    router: RouterModel,
-    world: World,
-    datasets: Sequence[str] | None = None,
-) -> SelectionDistribution:
-    """How often the router picks each model per dataset, over every
-    (sample, valid variant) query; records play no part."""
+def selection_heatmap(router: RouterModel, world: World) -> SelectionDistribution:
+    """How often the router picks each model per dataset of ``world``, in
+    order, over every (sample, valid variant) query; records play no part."""
     grid = QueryGrid.build(world, ())
-    chosen = list(datasets) if datasets is not None else list(world.datasets)
     models = list(router.vocabulary)
     index = {m: i for i, m in enumerate(models)}
-    counts = np.zeros((len(models), len(chosen)))
-    for j, ds_id in enumerate(chosen):
+    counts = np.zeros((len(models), len(world.datasets)))
+    for j, ds_id in enumerate(world.datasets):
         for choice in route_rows(router, grid, grid.spans[ds_id]):
             counts[index[choice], j] += 1
         if counts[:, j].sum() == 0:
             raise InvalidInputError(f"no queries for dataset {ds_id!r}")
     return SelectionDistribution(
         model_ids=tuple(models),
-        dataset_ids=tuple(chosen),
+        dataset_ids=tuple(world.datasets),
         fractions=counts / counts.sum(axis=0, keepdims=True),
     )
 
@@ -365,8 +355,6 @@ def write_run_manifest(
         "seeds": dict(seeds),
         "input_digests": digests,
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "run_manifest.json"
+    path = Path(out_dir) / "run_manifest.json"
     write_json(path, manifest)
     return path

@@ -362,18 +362,18 @@ class GoldLogprobBackend:
 
 
 class SeededLogprobBackend:
-    """Deterministic pseudo-random per-token log-probabilities."""
+    """Deterministic pseudo-random log-probabilities of four tokens per
+    prompt."""
 
-    def __init__(self, seed: int = 0, tokens: int = 4, name: str = "seeded-gen"):
+    def __init__(self, seed: int = 0, name: str = "seeded-gen"):
         self._seed = seed
-        self._tokens = tokens
         self.info = BackendInfo(name=name, family=GENERATIVE)
 
     def option_token_logprobs(self, image_ref, prompts):
         out = []
         for p in prompts:
             rng = np.random.default_rng(_stable_seed(self._seed, "lp", image_ref, p))
-            out.append(list(-rng.uniform(0.01, 3.0, size=self._tokens)))
+            out.append(list(-rng.uniform(0.01, 3.0, size=4)))
         return out
 
 

@@ -840,3 +840,84 @@ def test_prompt_config_under_another_dataset_id_names_file_and_key(world_dir, tm
     assert record["error"] == "IntegrityError"
     assert "prompt_configs.json: ds00: " in record["message"]
     assert "'ds01'" in record["message"]
+
+
+def _drop_last_record(world):
+    records = world / "records.jsonl"
+    records.write_text("".join(records.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _drop_prompt_config(world):
+    _rewrite_json(world / "prompt_configs.json", lambda configs: configs.pop("ds01"))
+
+
+def _empty_dataset(world):
+    _rewrite_jsonl(world / "datasets.jsonl", 2, lambda row: row.update(samples=[], size=0))
+    records = world / "records.jsonl"
+    records.write_text("".join(line for line in records.read_text().splitlines(keepends=True)
+                               if json.loads(line)["dataset_id"] != "ds01"))
+
+
+def _out_names_a_file(world):
+    import shutil
+
+    shutil.rmtree(world)  # a command that read the world would fail on that instead
+    (world.parent / "out").mkdir()
+    (world.parent / "out" / "run").write_text("a file\n")
+
+
+def _out_lies_under_a_file(world):
+    import shutil
+
+    shutil.rmtree(world)
+    (world.parent / "out").write_text("a file\n")
+
+
+# (case, command, damage to a copy of the world, error, part of the message)
+FAILING_COMMANDS = [
+    ("lodo_flags", ["lodo", "run", "--flags", "md=maybe"], None, "InvalidInputError",
+     "bad flag 'md=maybe'"),
+    ("routerdata_flags", ["routerdata", "build", "--flags", "ro=maybe"], None,
+     "InvalidInputError", "bad flag 'ro=maybe'"),
+    ("router_train_flags", ["router", "train", "--flags", "md"], None, "InvalidInputError",
+     "bad flag 'md'"),
+    ("report_unreadable_router", ["baselines", "report", "--router", "junk.bin"], None,
+     "InvalidInputError", "junk.bin"),
+    ("eval_constant_generative", ["eval", "run", "--backend", "constant",
+                                  "--family", "generative"], None, "InvalidInputError",
+     "constant mock is embedding-only"),
+    ("lodo_coverage_gap", ["lodo", "run", *FAST], _drop_last_record, "CoverageError", ""),
+    ("ablation_coverage_gap", ["ablation", "run", *FAST], _drop_last_record, "CoverageError",
+     ""),
+    ("missing_prompt_config", ["eval", "run"], _drop_prompt_config, "IntegrityError",
+     "prompt_configs.json: no prompt config for dataset 'ds01'"),
+    ("empty_dataset", ["baselines", "report"], _empty_dataset, "InvalidInputError",
+     "dataset 'ds01' holds no samples"),
+    ("out_names_a_file", ["lodo", "run"], _out_names_a_file, "InvalidInputError",
+     "out/run' is an existing file"),
+    ("out_lies_under_a_file", ["lodo", "run"], _out_lies_under_a_file, "InvalidInputError",
+     "out' is an existing file"),
+]
+
+
+@pytest.mark.parametrize("command, damage, error, message", [c[1:] for c in FAILING_COMMANDS],
+                         ids=[c[0] for c in FAILING_COMMANDS])
+def test_failing_command_leaves_no_output_directory(command, damage, error, message, world_dir,
+                                                    tmp_path, capsys, monkeypatch):
+    # an output directory appears with the first file written into it, so a
+    # command that fails on a later input leaves none behind
+    import shutil
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "junk.bin").write_bytes(b"junk")
+    world, out = tmp_path / "world", tmp_path / "out" / "run"
+    shutil.copytree(world_dir, world)
+    if damage is not None:
+        damage(world)
+    verb, rest = command[:2], command[2:]
+    assert main(["--out", str(out), *verb, "--world", str(world), *rest]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == error
+    assert message in record["message"]
+    assert not out.is_dir()
+    assert (tmp_path / "out").exists() == (damage in (_out_names_a_file, _out_lies_under_a_file))

@@ -24,10 +24,11 @@ def _call_name(call: ast.Call) -> str | None:
 
 
 def _writes_a_file(call: ast.Call) -> bool:
-    """A ``write_text``/``write_bytes`` call, or an ``open`` whose mode may
-    write, append or create (a mode that is not a string literal counts)."""
+    """A ``write_text``/``write_bytes``/``mkdir``/``makedirs`` call, or an
+    ``open`` whose mode may write, append or create (a mode that is not a
+    string literal counts)."""
     name = _call_name(call)
-    if name in ("write_text", "write_bytes"):
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
         return True
     if name != "open":
         return False
@@ -43,7 +44,8 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 
 def test_files_are_written_only_through_atomic_open():
-    # a write in place leaves a torn file when it fails part way
+    # a write in place leaves a torn file when it fails part way, and a
+    # directory made before its first file outlives a command that fails
     sources = sorted(Path(taskrouter.__file__).parent.glob("*.py"))
     writes = []
     for path in sources:
@@ -418,6 +420,21 @@ def test_cli_reads_the_config_file_in_one_place():
                if isinstance(node, ast.Attribute) and node.attr == "config"
                and isinstance(node.value, ast.Name) and node.value.id == "args"}
     assert readers == {"_resolve_settings"}
+
+
+def test_cli_resolves_flags_and_the_output_directory_with_the_other_settings():
+    # ``--flags`` parsed in a handler is checked only after the world is
+    # read, and a handler that made its output directory left it behind
+    # when a later input failed
+    path = Path(taskrouter.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    parsers = {fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "parse" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "SerializationFlags"}
+    assert parsers == {"_resolve_settings"}
+    assert "_out_dir" not in {fn.name for fn in functions}
 
 
 def test_record_tables_are_built_and_joined_one_way():
