@@ -213,20 +213,34 @@ def _resolve_settings(args) -> None:
                 "field 'seed' is refused: the run's seed is the top-level 'seed' or --seed")
         _refuse_unknown_keys(section, [f.name for f in fields(TrainConfig) if f.name != "seed"])
         config = TrainConfig.from_dict(section)
-    given = {k: getattr(args, k, None)
-             for k in ("learning_rate", "batch_size", "max_iterations", "eval_every", "seed")}
-    args.train_config = replace(config, **{k: v for k, v in given.items() if v is not None})
+    config = _with_flags(args, config,
+                         ("learning_rate", "batch_size", "max_iterations", "eval_every"))
+    args.train_config = config if args.seed is None else replace(config, seed=args.seed)
     with reading(f"{args.config}: section 'featurizer'"):
         section = typed_field(data, "featurizer", dict, default={})
         _refuse_unknown_keys(section, [f.name for f in fields(FeaturizerConfig)])
         config = FeaturizerConfig.from_dict({**FeaturizerConfig().to_dict(), **section})
-    if getattr(args, "hash_dim", None) is not None:
-        config = replace(config, hash_dim=args.hash_dim)
-    if getattr(args, "ngram_orders", None) is not None:
-        config = replace(config, ngram_orders=[int(x) for x in args.ngram_orders.split(",")])
-    args.featurizer_config = config
+    args.featurizer_config = _with_flags(
+        args, config, ("hash_dim", "ngram_orders"),
+        ngram_orders=lambda text: [int(x) for x in text.split(",")])
     if hasattr(args, "flags"):
         args.flags = SerializationFlags.parse(args.flags)
+
+
+def _with_flags(args, config, names: Sequence[str], **parsers):
+    """``config`` with the value of each given flag among ``names`` in the
+    field of that name, read by ``parsers[name]`` if there is one. A value
+    that the parser or the config refuses ends in an InvalidInputError
+    naming the flag and the value."""
+    for name in names:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        try:
+            config = replace(config, **{name: parsers.get(name, lambda v: v)(value)})
+        except ValueError as e:
+            raise InvalidInputError(f"--{name.replace('_', '-')} {value!r}: {e}") from None
+    return config
 
 
 def _refuse_unknown_keys(section: dict, known: Sequence[str], what: str = "key") -> None:

@@ -42,8 +42,9 @@ class FeaturizerConfig:
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
             raise InvalidInputError(f"bad n-gram orders {self.ngram_orders}")
-        if self.hash_dim < 2:
-            raise InvalidInputError("hash_dim must be at least 2")
+        # featurize_batch's int64 keys hold a row, a bucket and a sign bit
+        if not 2 <= self.hash_dim <= 2 ** 48:
+            raise InvalidInputError("hash_dim must be between 2 and 2^48")
 
     def to_dict(self) -> dict:
         return {
@@ -89,18 +90,25 @@ _CHUNK_CHARS = 1 << 15
 # A chunk's hashing temporaries are several times the size of its rows;
 # smaller chunks measured a lower peak RSS, no slower.
 _FEATURIZE_CHUNK_CHARS = 1 << 13
+# A chunk of at least this many code points hashes one order at a time; a
+# shorter one in one matrix product, whose fewer numpy calls cost less
+# there. The two crossed between 1,000 and 1,900 code points for orders
+# (2, 3, 4), (1, ..., 5) and (3,) on one 2.1 GHz Xeon vCPU; hashing every
+# chunk one order at a time made a single routed line's p50 latency about
+# a quarter slower.
+_PRODUCTS_MIN_CODES = 1 << 11
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @functools.cache
 def _atom_table(orders: tuple[int, ...]) -> np.ndarray:
-    """(max order, len(orders)) uint64 matrix whose column j holds the atoms
-    of ``orders[j]``, zero below them: a window of codes times this table
-    is every order's n-gram hash at once."""
-    table = np.zeros((max(orders), len(orders)), dtype=np.uint64)
+    """(len(orders), max order) uint64 matrix whose row j holds the atoms
+    of ``orders[j]``, zero past them: this table times the transposed
+    windows of a chunk's codes is every order's n-gram hash at once."""
+    table = np.zeros((len(orders), max(orders)), dtype=np.uint64)
     for j, order in enumerate(orders):
-        table[:order, j] = _atoms(order)
+        table[j, :order] = _atoms(order)
     return table
 
 
@@ -120,32 +128,49 @@ def _chunks(sizes: Sequence[int], limit: int) -> Iterable[tuple[int, int]]:
 def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
     """Every n-gram of a chunk of lines, hashed in one pass.
 
-    Each position of the chunk's joined code points hashes one n-gram of
-    each order, as a uint64 product of a strided window view with
-    ``_atom_table``. Returns (lengths, ends, buckets, signs): each line's
-    code point count and end offset in the chunk, and the (position, order)
-    buckets and signs, where an n-gram that runs past the end of its line
-    gets sign 0.
+    Each position i of the chunk's joined code points hashes one n-gram of
+    each order, sum_k codes[i + k] * atoms[k] mod 2^64. A chunk of at least
+    ``_PRODUCTS_MIN_CODES`` code points sums each order's in-place products
+    of shifted code views; a shorter one takes the uint64 product of
+    ``_atom_table`` with a strided window view. Both sums are exact mod
+    2^64, so the two give the same bits. Returns (lengths, ends, buckets,
+    signs): each line's code point count and end offset in the chunk, and
+    the buckets and signs laid out order-major, (len(orders), positions),
+    where an n-gram that runs past the end of its line gets sign 0.
     """
     if not all(texts):
         raise InvalidInputError("cannot featurize an empty string")
     lines = [t.lower() for t in texts] if config.lowercase else texts
     lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
     codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
-    orders = config.ngram_orders
-    span = max(orders)
-    padded = np.zeros(len(codes) + span - 1, dtype=np.uint64)
-    padded[:len(codes)] = codes
-    windows = np.ndarray((len(codes), span), dtype=np.uint64, buffer=padded,
-                         strides=(8, 8))
-    # the hash of the n-gram at i: sum_k codes[i + k] * atoms[k] mod 2^64
-    hashes = windows @ _atom_table(orders)
+    orders, n = config.ngram_orders, len(codes)
+    padded = np.zeros(n + max(orders) - 1, dtype=np.uint64)
+    padded[:n] = codes
+    if n >= _PRODUCTS_MIN_CODES:
+        hashes = np.empty((len(orders), n), dtype=np.uint64)
+        product = np.empty(n, dtype=np.uint64)
+        for row, order in zip(hashes, orders):
+            atoms = _atoms(order)
+            np.multiply(padded[:n], atoms[0], out=row)
+            for k in range(1, order):
+                np.multiply(padded[k:k + n], atoms[k], out=product)
+                row += product
+    else:
+        windows = np.ndarray((max(orders), n), dtype=np.uint64, buffer=padded,
+                             strides=(8, 8))
+        hashes = _atom_table(orders) @ windows
     ends = np.cumsum(lengths)
-    fits = (np.repeat(ends, lengths) - np.arange(len(codes)))[:, None] >= np.array(orders)
+    fits = np.repeat(ends, lengths) - np.arange(n) >= np.array(orders)[:, None]
     # a hash's top bit sets its sign, and so does the sign of its int64 view
     signs = np.copysign(fits, hashes.view(np.int64))
-    buckets = (hashes % np.uint64(config.hash_dim)).astype(np.int64)
-    return lengths, ends, buckets, signs
+    # every bucket is below hash_dim <= 2^63, so its int64 view is its
+    # value; a mask is much cheaper than a uint64 remainder
+    dim = config.hash_dim
+    if dim & (dim - 1):
+        np.remainder(hashes, np.uint64(dim), out=hashes)
+    else:
+        np.bitwise_and(hashes, np.uint64(dim - 1), out=hashes)
+    return lengths, ends, hashes.view(np.int64), signs
 
 
 @dataclass(frozen=True)
@@ -172,14 +197,17 @@ def featurize_batch(texts: Sequence[str],
     """``featurize`` of each of ``texts`` as the rows of one CSR matrix,
     hashed a chunk of lines at a time.
 
-    In each chunk, one ``np.unique`` of ``row * hash_dim + bucket`` over its
-    fitting n-grams gives each row's sorted unique buckets, and one
-    ``np.bincount`` sums their signs. Sums of +-1.0 are exact in any order,
-    so every row equals the one-line result bit for bit, a bucket whose
-    signs cancel keeps its 0.0, and a line shorter than every order gets an
-    empty row. A chunk of more than one line has fewer rows than
-    ``_FEATURIZE_CHUNK_CHARS``, so keys stay below that times ``hash_dim``:
-    far inside int64 for any ``hash_dim`` a weight matrix can hold.
+    In each chunk, every fitting n-gram packs its row, bucket and sign into
+    one key, ``(row * hash_dim + bucket) * 2 + (sign < 0)``, and one
+    ``np.sort`` of the keys groups them: each run of keys equal but for the
+    low bit is one of a row's sorted unique buckets, and its value is its
+    count minus twice its negatives. That is the exact sum of its +-1.0
+    signs, so every row equals the one-line result bit for bit, a bucket
+    whose signs cancel keeps its 0.0, and a line shorter than every order
+    gets an empty row. A chunk of more than one line has fewer rows than
+    ``_FEATURIZE_CHUNK_CHARS``, so keys stay below that times ``hash_dim *
+    2``, at most 2^62 for the largest ``hash_dim`` a config allows: inside
+    int64.
 
     Each chunk's rows are written straight into the matrix's arrays, sized
     for one bucket per n-gram of the lines as given (grown if lowercasing
@@ -194,18 +222,22 @@ def featurize_batch(texts: Sequence[str],
     indices, values = np.empty(capacity, dtype=index_dtype), np.empty(capacity)
     nnz = 0
     for start, stop in _chunks(list(map(len, texts)), _FEATURIZE_CHUNK_CHARS):
-        lengths, _, buckets, signs = _hash_chunk(config, texts[start:stop])
-        fits = signs != 0
-        keys = (np.repeat(np.arange(stop - start, dtype=np.int64), lengths)[:, None] * dim
-                + buckets)[fits]
-        keys, inverse = np.unique(keys, return_inverse=True)
-        end = nnz + len(keys)
+        lengths, _, keys, signs = _hash_chunk(config, texts[start:stop])
+        keys <<= 1
+        keys += np.repeat(np.arange(stop - start, dtype=np.int64) * (2 * dim), lengths)
+        keys += signs < 0
+        keys = keys[signs != 0]
+        keys.sort()
+        firsts = np.flatnonzero(np.diff(keys >> 1, prepend=-1))
+        pairs = keys[firsts] >> 1
+        end = nnz + len(pairs)
         if end > len(indices):
             indices.resize(2 * end, refcheck=False)
             values.resize(2 * end, refcheck=False)
-        indices[nnz:end] = keys % dim
-        values[nnz:end] = np.bincount(inverse, weights=signs[fits], minlength=len(keys))
-        indptr[start + 1:stop + 1] = nnz + np.cumsum(np.bincount(keys // dim,
+        indices[nnz:end] = pairs % dim
+        values[nnz:end] = (np.diff(firsts, append=len(keys))
+                           - 2 * np.add.reduceat(keys & 1, firsts))
+        indptr[start + 1:stop + 1] = nnz + np.cumsum(np.bincount(pairs // dim,
                                                                  minlength=stop - start))
         nnz = end
     indices.resize(nnz, refcheck=False)
@@ -235,8 +267,8 @@ def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
     lengths, ends, buckets, signs = _hash_chunk(config, texts)
     terms = weights.take(buckets.ravel(), axis=1)
     terms *= signs.ravel()
-    n_orders = len(config.ngram_orders)
-    best, unsure = _gap_test(terms, (ends - lengths) * n_orders, lengths * n_orders, bias)
+    best, unsure = _gap_test(terms.reshape(len(bias), *buckets.shape), ends - lengths,
+                             lengths * len(config.ngram_orders), bias)
     if len(unsure):
         rows = featurize_batch([texts[i] for i in unsure.tolist()], config)
         best[unsure] = _choose_rows(weights, bias, rows, range(len(unsure)))
@@ -248,36 +280,39 @@ def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     """Each line's best class from its signed terms, and the lines whose
     choice may differ from the reference's.
 
-    ``terms`` is (n_classes, total terms); line i owns the ``counts[i] >
-    0`` columns from ``starts[i]``, in order. Returns the argmax of each
-    line's summed terms plus the bias, and the lines to rescore exactly.
-    ``terms`` is overwritten.
+    ``terms`` is (n_classes, groups, positions); line i owns the positions
+    from ``starts[i]`` up to the next line's start in every group, and
+    ``counts[i] > 0`` terms in all. ``_choose_chunk`` passes one group per
+    n-gram order, and ``_choose_rows_chunk`` one group. Returns the argmax
+    of each line's summed terms plus the bias, and the lines to rescore
+    exactly. ``terms`` is overwritten.
 
-    The sum is rounded in another order than the reference
-    ``weights[:, idx] @ vals + bias``, so the two scores may differ in the
-    last bits. Let u = 2^-53, n the line's term count, A_c the sum of its
-    |terms| and S_c = A_c + |bias[c]|. Any order of summing n terms errs by
-    at most gamma_{n-1} * A_c, with gamma_k = k*u / (1 - k*u), and the bias
-    add rounds once more, so this score lies within gamma_n * S_c of the
-    true one. The reference's products fold the same terms bucket by bucket
-    (|vals[j]| is at most the number of terms in bucket j, so its absolute
-    terms also sum to at most A_c; a row of ``FeatureRows`` has the
-    reference's own products as its terms) and it sums at most n of them,
-    so it lies within gamma_{n+1} * S_c. The two scores of a class thus
-    differ by at most 2 * gamma_{n+1} * S_c, and if the top score here
-    beats the runner-up by more than 4 * gamma_{n+1} * max_c S_c, the
-    reference has the same unique argmax. Since gamma_{n+1} <= 1.01 * (n +
-    1) * u, ``bound`` below (with eps = 2u) is twice that margin, which
-    also covers the rounding of the bound and the gap themselves; the
-    subnormal term covers underflow in the products. A line whose gap is
-    not above its bound (a tie, a near tie, a NaN) is to be rescored.
+    The sum, taken over each group and then across groups, is rounded in
+    another order than the reference ``weights[:, idx] @ vals + bias``, so
+    the two scores may differ in the last bits. Let u = 2^-53, n the line's
+    term count, A_c the sum of its |terms| and S_c = A_c + |bias[c]|. Any
+    order of summing n terms, this one too, errs by at most gamma_{n-1} *
+    A_c, with gamma_k = k*u / (1 - k*u), and the bias add rounds once more,
+    so this score lies within gamma_n * S_c of the true one. The
+    reference's products fold the same terms bucket by bucket (|vals[j]| is
+    at most the number of terms in bucket j, so its absolute terms also sum
+    to at most A_c; a row of ``FeatureRows`` has the reference's own
+    products as its terms) and it sums at most n of them, so it lies within
+    gamma_{n+1} * S_c. The two scores of a class thus differ by at most 2 *
+    gamma_{n+1} * S_c, and if the top score here beats the runner-up by
+    more than 4 * gamma_{n+1} * max_c S_c, the reference has the same
+    unique argmax. Since gamma_{n+1} <= 1.01 * (n + 1) * u, ``bound`` below
+    (with eps = 2u) is twice that margin, which also covers the rounding of
+    the bound and the gap themselves; the subnormal term covers underflow
+    in the products. A line whose gap is not above its bound (a tie, a near
+    tie, a NaN) is to be rescored.
     """
-    scores = np.add.reduceat(terms, starts, axis=1)
+    scores = np.add.reduceat(terms, starts, axis=2).sum(axis=1)
     scores += bias[:, None]
     best = scores.argmax(axis=0)
     if len(bias) == 1:
         return best, np.empty(0, dtype=np.intp)
-    scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1)
+    scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=2).sum(axis=1)
     scale += np.abs(bias)[:, None]
     bound = 4.0 * (counts + 2) * (_EPS * scale.max(axis=0) + _TINY)
     top2 = np.sort(scores, axis=0)[-2:]
@@ -316,7 +351,7 @@ def _choose_rows_chunk(weights, bias, features: FeatureRows, positions) -> np.nd
         flat = np.arange(ends[-1]) + np.repeat(starts[full] - firsts, counts[full])
         terms = weights[:, features.indices[flat]]
         terms *= features.values[flat]
-        choices[full], unsure = _gap_test(terms, firsts, counts[full], bias)
+        choices[full], unsure = _gap_test(terms[:, None], firsts, counts[full], bias)
         exact = np.concatenate([exact, full[unsure]])
     for i in exact.tolist():
         idx, vals = features.row(positions[i])

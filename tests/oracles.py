@@ -61,6 +61,54 @@ def line_features(text: str, config) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.bincount(inverse, weights=np.concatenate(all_signs), minlength=len(uniq))
 
 
+def matmul_hash_chunk(config, texts):
+    """Every n-gram of a chunk of lines hashed as one uint64 product of a
+    strided (positions, max order) window view of the joined code points
+    with a (max order, orders) table of each order's atoms, zero below
+    them. Returns (lengths, buckets, signs) with the last two transposed to
+    the order-major (orders, positions) layout of ``router._hash_chunk``,
+    which is checked against it bit for bit; an n-gram that runs past the
+    end of its line gets sign 0."""
+    if not all(texts):
+        raise InvalidInputError("cannot featurize an empty string")
+    lines = [t.lower() for t in texts] if config.lowercase else texts
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
+    orders = config.ngram_orders
+    span = max(orders)
+    table = np.zeros((span, len(orders)), dtype=np.uint64)
+    for j, order in enumerate(orders):
+        table[:order, j] = _atoms(order)
+    padded = np.zeros(len(codes) + span - 1, dtype=np.uint64)
+    padded[:len(codes)] = codes
+    windows = np.ndarray((len(codes), span), dtype=np.uint64, buffer=padded,
+                         strides=(8, 8))
+    hashes = windows @ table
+    fits = (np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes)))[:, None] \
+        >= np.array(orders)
+    signs = np.copysign(fits, hashes.view(np.int64))
+    buckets = (hashes % np.uint64(config.hash_dim)).astype(np.int64)
+    return lengths, buckets.T.copy(), signs.T.copy()
+
+
+def unique_feature_rows(texts, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (indptr, indices, values) CSR arrays of ``texts`` hashed as one
+    chunk by ``matmul_hash_chunk``: one ``np.unique`` of ``row * hash_dim +
+    bucket`` over the fitting n-grams gives each row's sorted unique
+    buckets and one ``np.bincount`` sums their signs. The reference
+    ``featurize_batch`` is checked against bit for bit."""
+    dim = config.hash_dim
+    lengths, buckets, signs = matmul_hash_chunk(config, texts)
+    fits = signs != 0
+    keys = (np.repeat(np.arange(len(texts), dtype=np.int64), lengths) * dim + buckets)[fits]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(keys // dim, minlength=len(texts)))
+    # float64 even when no n-gram fits, where bincount gives int64
+    values = np.bincount(inverse, weights=signs[fits], minlength=len(keys)).astype(np.float64)
+    return indptr, (keys % dim).astype(np.int32 if dim <= 1 << 31 else np.int64), values
+
+
 def exact_choice(router, text: str) -> int:
     """The vocabulary index one line routes to when scored on its own: its
     feature vector, one matrix-vector product with the weights plus the

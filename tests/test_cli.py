@@ -455,7 +455,7 @@ def test_damaged_world_fails_the_report_alike_with_a_router(damage, error, world
 
 
 @pytest.mark.parametrize("case, error", [
-    ("ngram_orders", "ValueError"),
+    ("ngram_orders", "InvalidInputError"),
     ("config_list", "InvalidInputError"),
     ("config_batch_size", "InvalidInputError"),
 ])
@@ -471,6 +471,25 @@ def test_bad_option_values_end_in_error_record(case, error, world_dir, tmp_path,
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == error
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ngram-orders", "2,x", "'2,x': invalid literal for int() with base 10: 'x'"),
+    ("--ngram-orders", "3,,4", "'3,,4': invalid literal for int() with base 10: ''"),
+    ("--ngram-orders", "0", "'0': bad n-gram orders (0,)"),
+    ("--ngram-orders", "2,-1", "'2,-1': bad n-gram orders (2, -1)"),
+    ("--hash-dim", "1", "1: hash_dim must be between 2 and 2^48"),
+    ("--learning-rate", "0", "0.0: all training parameters must be positive and finite"),
+    ("--batch-size", "0", "0: all training parameters must be positive and finite"),
+    ("--eval-every", "-1", "-1: all training parameters must be positive and finite"),
+])
+def test_bad_training_flags_name_the_flag_and_value(flag, value, message, world_dir,
+                                                    tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "lodo"), "lodo", "run", "--world", str(world_dir),
+                 *FAST, flag, value]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "InvalidInputError", "message": f"{flag} {message}"}
+    assert not (tmp_path / "lodo").exists()
 
 
 @pytest.mark.parametrize("case", ["spec_count", "metadata_dims", "config_hash_dim",

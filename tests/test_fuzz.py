@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import line_features, object_records, reference_corpus, reference_save_corpus
+from oracles import (line_features, matmul_hash_chunk, object_records, reference_corpus,
+                     reference_save_corpus, unique_feature_rows)
 
 import taskrouter.router as router_module
 from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
@@ -378,6 +379,60 @@ def test_batched_featurizer_of_no_lines_is_an_empty_matrix():
     rows = featurize_batch([], FeaturizerConfig())
     assert len(rows) == 0 and rows.indptr.tolist() == [0]
     assert len(rows.indices) == len(rows.values) == 0
+
+
+@st.composite
+def hash_chunks(draw):
+    """A featurizer config, with up to five distinct orders in any order,
+    and a chunk of lines whose code points fall short of
+    ``_PRODUCTS_MIN_CODES`` or, repeated, reach it."""
+    config = FeaturizerConfig(
+        ngram_orders=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5,
+                                         unique=True))),
+        hash_dim=draw(st.sampled_from([2, 3, 16, 1000, 2 ** 18])),
+        lowercase=draw(st.booleans()),
+    )
+    lines = draw(st.lists(st.text(FEATURE_CHARS, min_size=1, max_size=24), min_size=1,
+                          max_size=12))
+    if draw(st.booleans()):
+        codes = sum(len(t.lower() if config.lowercase else t) for t in lines)
+        lines *= -(-router_module._PRODUCTS_MIN_CODES // codes) + draw(st.integers(0, 2))
+    return config, lines
+
+
+def assert_equals_the_matmul_and_unique_oracles(config, texts):
+    lengths, _, buckets, signs = router_module._hash_chunk(config, texts)
+    ref_lengths, ref_buckets, ref_signs = matmul_hash_chunk(config, texts)
+    assert lengths.tolist() == ref_lengths.tolist()
+    for got, ref in ((buckets, ref_buckets), (signs, ref_signs)):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+    rows = featurize_batch(texts, config)
+    for got, ref in zip((rows.indptr, rows.indices, rows.values),
+                        unique_feature_rows(texts, config)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@given(hash_chunks())
+# several lines per featurizer chunk, each chunk past the products threshold
+@example((FeaturizerConfig(), [f"[prompt]line {i} " * 80 for i in range(20)]))
+# the largest hash space and a chunk of 8,192 one-character rows: keys near 2^62
+@example((FeaturizerConfig((1,), 2 ** 48), [chr(97 + i % 26) for i in range(9000)]))
+@settings(max_examples=300, deadline=None)
+def test_hashes_and_rows_equal_the_matmul_and_unique_oracles(chunk):
+    assert_equals_the_matmul_and_unique_oracles(*chunk)
+
+
+def test_long_chunks_keep_cancelled_buckets_and_empty_rows():
+    # unigrams of "a" and "c" share a bucket of 2 and cancel to 0.0, and "b"
+    # is shorter than every order of the second config
+    for config, texts, row in ((FeaturizerConfig((1,), 2, lowercase=False),
+                                ["ac", "AC", "a"] * 700, ([1], [0.0])),
+                               (FeaturizerConfig((3, 2), 16), ["b", "İbcdef"] * 300, ([], []))):
+        assert sum(map(len, texts)) >= router_module._PRODUCTS_MIN_CODES
+        idx, vals = featurize_batch(texts, config).row(0)
+        assert (idx.tolist(), vals.tolist()) == row
+        assert_equals_the_matmul_and_unique_oracles(config, texts)
 
 
 @pytest.mark.parametrize("bad, error", [("", InvalidInputError),

@@ -112,6 +112,8 @@ class TestFeaturize:
             FeaturizerConfig(ngram_orders=())
         with pytest.raises(InvalidInputError):
             FeaturizerConfig(hash_dim=1)
+        with pytest.raises(InvalidInputError, match="between 2 and 2\\^48"):
+            FeaturizerConfig(hash_dim=2 ** 48 + 1)
 
 
 class TestGradients:
@@ -511,6 +513,18 @@ class TestRouteBatch:
             got = router.route_batch(texts)
             assert [router.route_text(t) for t in texts] == got
         assert got == [router.vocabulary[exact_choice(router, t)] for t in texts]
+
+    @given(routers(), ROUTE_LINES, st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_long_chunks_choose_as_the_oracle(self, router, lines, extra):
+        # the lines repeated into one chunk that hashes one order at a time
+        lowercase = router.featurizer.lowercase
+        codes = sum(len(t.lower() if lowercase else t) for t in lines)
+        texts = lines * (-(-router_module._PRODUCTS_MIN_CODES // codes) + extra)
+        assert router_module._PRODUCTS_MIN_CODES <= codes * (len(texts) // len(lines)) \
+            <= router_module._CHUNK_CHARS
+        choices = {t: router.vocabulary[exact_choice(router, t)] for t in lines}
+        assert router.route_batch(texts) == [choices[t] for t in texts]
 
     @given(routers(), ROUTE_LINES, st.data())
     @settings(max_examples=300, deadline=None)
