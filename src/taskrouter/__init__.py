@@ -19,7 +19,6 @@ from .baselines import (
     voting_predict,
 )
 from .core import (
-    AccuracyTable,
     DatasetManifest,
     ExecutionRecord,
     MetadataSummary,

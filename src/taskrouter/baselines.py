@@ -17,8 +17,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (AccuracyTable, QueryGrid, Sample, csv_writer, weighted_average,
-                   write_json)
+from .core import QueryGrid, Sample, csv_writer, weighted_average, write_json
 from .errors import InvalidInputError
 
 STRATEGIES = ("chance", "average", "voting", "router", "oracle", "upper_bound")
@@ -55,13 +54,12 @@ def chance_majority(samples: Iterable[Sample]) -> float:
     return counts.most_common(1)[0][1] / len(samples)
 
 
-def average_baseline(table: AccuracyTable, dataset_id: str) -> float:
+def average_baseline(grid: QueryGrid, dataset_id: str) -> float:
     """Unweighted mean of the model x dataset marginals: the expected
     accuracy of picking a pool model at random per query."""
-    models = [m for m in table.models() if table.variants(m, dataset_id)]
-    if not models:
-        raise InvalidInputError(f"no models cover dataset {dataset_id!r}")
-    return sum(table.marginal(m, dataset_id) for m in models) / len(models)
+    grid.require_records([dataset_id])
+    marginals = grid.marginals(dataset_id).values()
+    return sum(marginals) / len(marginals)
 
 
 def voting_predict(per_model_predicted_indices: Sequence[int]) -> int:
@@ -73,13 +71,11 @@ def voting_predict(per_model_predicted_indices: Sequence[int]) -> int:
     return min(i for i, c in counts.items() if c == best_count)
 
 
-def oracle_accuracy(table: AccuracyTable, heldout_dataset: str) -> float:
+def oracle_accuracy(grid: QueryGrid, heldout_dataset: str) -> float:
     """Best single model for the whole dataset, chosen with held-out ground
     truth."""
-    models = [m for m in table.models() if table.variants(m, heldout_dataset)]
-    if not models:
-        raise InvalidInputError(f"table does not cover dataset {heldout_dataset!r}")
-    return max(table.marginal(m, heldout_dataset) for m in models)
+    grid.require_records([heldout_dataset])
+    return max(grid.marginals(heldout_dataset).values())
 
 
 def upper_bound_accuracy(grid: QueryGrid, dataset_id: str) -> float:
@@ -201,16 +197,14 @@ def build_comparison_report(
     world = grid.world
     chance_fn = chance_uniform if chance_kind == "uniform" else chance_majority
     cells: dict[str, dict[str, float | None]] = {s: {} for s in STRATEGIES}
-    empty = [ds_id for ds_id, manifest in world.datasets.items() if not manifest.samples]
-    if empty:
-        raise InvalidInputError(f"dataset {empty[0]!r} holds no samples")
+    grid.require_records()
     for ds_id, manifest in world.datasets.items():
         cells["chance"][ds_id] = 100.0 * chance_fn(manifest.samples)
-        cells["average"][ds_id] = 100.0 * average_baseline(grid.table, ds_id)
+        cells["average"][ds_id] = 100.0 * average_baseline(grid, ds_id)
         cells["voting"][ds_id] = 100.0 * voting_accuracy(grid, ds_id)
         r = (router_accuracies or {}).get(ds_id)
         cells["router"][ds_id] = None if r is None else 100.0 * r
-        cells["oracle"][ds_id] = 100.0 * oracle_accuracy(grid.table, ds_id)
+        cells["oracle"][ds_id] = 100.0 * oracle_accuracy(grid, ds_id)
         cells["upper_bound"][ds_id] = 100.0 * upper_bound_accuracy(grid, ds_id)
     return ComparisonReport(
         dataset_ids=tuple(world.datasets),

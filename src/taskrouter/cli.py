@@ -384,10 +384,10 @@ def _cmd_baselines_report(args) -> None:
     grid = QueryGrid.build(world)
     accuracies = None
     if router is not None:
-        grid.require_coverage()  # a coverage gap fails before any replay
-        # the report names a dataset that has no recorded queries
-        accuracies = {ds: evaluate_router(router, grid, ds)
-                      for ds in world.datasets if len(grid.rows(ds))}
+        # a coverage gap or a dataset without records fails before any replay
+        grid.require_coverage()
+        grid.require_records()
+        accuracies = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
     report = build_comparison_report(grid, router_accuracies=accuracies,
                                      chance_kind=args.chance)
     report.write_csv(args.out / "report.csv")

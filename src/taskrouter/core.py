@@ -401,67 +401,6 @@ def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tup
     return tuple(zip(*rows))
 
 
-class AccuracyTable:
-    """Accuracy per (model, dataset, prompt variant) cell plus the
-    (model, dataset) marginal, an unweighted mean over the prompt variants
-    present for that pair, kept as (correct, total) counts.
-    """
-
-    def __init__(self, counts: Mapping[tuple[str, str, str], tuple[int, int]] | None = None):
-        self._counts: dict[tuple[str, str, str], tuple[int, int]] = dict(counts or {})
-        # (model, dataset) -> [(variant, correct, total)], sorted: marginals ignore cell order
-        self._by_pair: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
-        for (m, d, v), (c, t) in sorted(self._counts.items()):
-            self._by_pair.setdefault((m, d), []).append((v, c, t))
-
-    @property
-    def counts(self) -> dict[tuple[str, str, str], tuple[int, int]]:
-        return dict(self._counts)
-
-    def cell(self, model_id: str, dataset_id: str, variant_id: str) -> float:
-        correct, total = self._counts[(model_id, dataset_id, variant_id)]
-        return correct / total
-
-    def marginal(self, model_id: str, dataset_id: str) -> float:
-        cells = self._by_pair.get((model_id, dataset_id))
-        if not cells:
-            raise KeyError((model_id, dataset_id))
-        return sum(correct / total for _, correct, total in cells) / len(cells)
-
-    def cells(self, dataset_id: str, variant_ids: Sequence[str],
-              models: Sequence[str]) -> np.ndarray:
-        """``cell`` of each (variant, model) pair of the dataset, as a
-        (variant x model) array."""
-        return np.array([[self.cell(m, dataset_id, v) for m in models] for v in variant_ids],
-                        dtype=np.float64).reshape(len(variant_ids), len(models))
-
-    def marginals(self, dataset_id: str, models: Sequence[str]) -> list[float]:
-        """``marginal`` of each model on the dataset."""
-        return [self.marginal(m, dataset_id) for m in models]
-
-    def models(self) -> list[str]:
-        return sorted({m for m, _, _ in self._counts})
-
-    def datasets(self) -> list[str]:
-        return sorted({d for _, d, _ in self._counts})
-
-    def variants(self, model_id: str, dataset_id: str) -> list[str]:
-        return [v for v, _, _ in self._by_pair.get((model_id, dataset_id), ())]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AccuracyTable) and self._counts == other._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def write_csv(self, target: str | Path | IO[str]) -> None:
-        """Export cells as CSV: model_id,dataset_id,prompt_variant_id,accuracy."""
-        with csv_writer(target) as writer:
-            writer.writerow(["model_id", "dataset_id", "prompt_variant_id", "accuracy"])
-            for (m, d, v) in sorted(self._counts):
-                writer.writerow([m, d, v, repr(self.cell(m, d, v))])
-
-
 @contextmanager
 def csv_writer(target: str | Path | IO[str]):
     """A csv.writer over ``target``: a path, replaced atomically once the
@@ -574,22 +513,12 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def _accuracy_counts(recs: Records, rows: np.ndarray) -> AccuracyTable:
-    """The AccuracyTable of ``rows``, counted per (model, dataset, variant)."""
-    cell, first = _groups(rows, recs.model_id, recs.dataset_id, recs.prompt_variant_id)
-    totals = np.bincount(cell, minlength=len(first))
-    rights = np.bincount(cell[recs.correct[rows]], minlength=len(first))
-    return AccuracyTable({
-        (recs.model_id[i], recs.dataset_id[i], recs.prompt_variant_id[i]): (r, t)
-        for i, r, t in zip(rows[first].tolist(), rights.tolist(), totals.tolist())
-    })
-
-
 def aggregate_accuracy(
     records: Records | Iterable[ExecutionRecord],
     samples: Mapping[tuple[str, str], Sample] | None = None,
-) -> AccuracyTable:
-    """Aggregate correctness flags into an AccuracyTable.
+) -> dict[tuple[str, str, str], tuple[int, int]]:
+    """The (correct, total) counts of the records per (model, dataset,
+    prompt variant) cell.
 
     When ``samples`` (keyed by (dataset_id, sample_id)) is supplied, every
     record is checked against it: dangling references, out-of-range
@@ -606,7 +535,11 @@ def aggregate_accuracy(
         i = _first(_bad_outcomes(recs, everything, found, of_sample))
         if i is not None:
             _check_outcome(recs, i, found[of_sample[i]])
-    return _accuracy_counts(recs, everything)
+    cell, first = _groups(everything, recs.model_id, recs.dataset_id, recs.prompt_variant_id)
+    totals = np.bincount(cell, minlength=len(first))
+    rights = np.bincount(cell[recs.correct], minlength=len(first))
+    return {(recs.model_id[i], recs.dataset_id[i], recs.prompt_variant_id[i]): (r, t)
+            for i, r, t in zip(first.tolist(), rights.tolist(), totals.tolist())}
 
 
 def weighted_average(
@@ -685,18 +618,19 @@ class QueryGrid:
     (dataset, sample, valid variant) query, in ``world.datasets``, manifest
     and ``prompt_variants`` order, so nothing read from the grid depends on
     record order. Columns are the sorted model pool; ``covered`` marks
-    cells with a record.
+    cells with a record. Every count the baselines and labels read is a sum
+    over these arrays.
     """
 
     world: World
     models: tuple[str, ...]
     queries: list[tuple[str, Sample, object]]  # (dataset_id, sample, PromptVariant)
     spans: dict[str, range]  # dataset_id -> its rows
+    variant_ids: dict[str, tuple[str, ...]]  # dataset_id -> its valid variants, canonical order
     variant_index: np.ndarray  # (n_rows,) position of the row's variant in its dataset
     correct: np.ndarray  # (n_rows, n_models) bool
     predicted: np.ndarray  # (n_rows, n_models) int
     covered: np.ndarray  # (n_rows, n_models) bool
-    table: AccuracyTable  # of the grid's records
 
     @classmethod
     def build(
@@ -718,14 +652,13 @@ class QueryGrid:
                 f"record references dataset {recs.dataset_id[i]!r} with no prompt config"
             )
         models = tuple(sorted(world.model_pool))
-        queries, spans, variant_index = [], {}, []
+        queries, spans, variant_ids, variant_index = [], {}, {}, []
         sample_rows = {}  # (dataset_id, sample_id) -> (the sample's first row, sample)
-        positions = {}  # (dataset_id, valid variant_id) -> position among the valid variants
         for ds_id, manifest in world.datasets.items():
             config = world.prompt_configs[ds_id]
             valid = valid_variant_ids(config)
             variants = [v for v in prompt_variants(config) if v.variant_id in valid]
-            positions.update(((ds_id, v.variant_id), k) for k, v in enumerate(variants))
+            variant_ids[ds_id] = tuple(v.variant_id for v in variants)
             start = len(queries)
             for sample in manifest.samples:
                 sample_rows[(ds_id, sample.sample_id)] = (len(queries), sample)
@@ -748,6 +681,8 @@ class QueryGrid:
                      for ds in recs.dataset_id.values}
         kept = np.flatnonzero(np.array([v in valid_ids[ds] for ds, v in pairs],
                                        dtype=bool)[pair])
+        # (dataset_id, valid variant_id) -> position among the dataset's valid variants
+        positions = {(ds, v): k for ds, ids in variant_ids.items() for k, v in enumerate(ids)}
         position = np.array([positions.get(p, -1) for p in pairs], dtype=np.int64)[pair[kept]]
 
         of_sample, sample_first = _groups(kept, recs.dataset_id, recs.sample_id)
@@ -784,11 +719,10 @@ class QueryGrid:
 
         shape = (len(queries), len(models))
         grid = cls(
-            world=world, models=models, queries=queries, spans=spans,
+            world=world, models=models, queries=queries, spans=spans, variant_ids=variant_ids,
             variant_index=_concat(variant_index, np.int64),
             correct=np.zeros(shape, dtype=bool),
             predicted=np.full(shape, -1, dtype=np.int64), covered=np.zeros(shape, dtype=bool),
-            table=_accuracy_counts(recs, kept),
         )
         cells = row * len(models) + col
         grid.covered.flat[cells] = True
@@ -800,6 +734,44 @@ class QueryGrid:
         """The dataset's rows that have at least one record."""
         span = self.spans.get(dataset_id, range(0))
         return span.start + np.flatnonzero(self.covered[span.start:span.stop].any(axis=1))
+
+    def counts(self, dataset_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """The dataset's (variant x model) correct and total record counts,
+        variants in canonical order: its rows are sample-major with the
+        variants inner, so each count is a sum over the samples."""
+        span = self.spans[dataset_id]
+        shape = (self.world.datasets[dataset_id].size, len(self.variant_ids[dataset_id]),
+                 len(self.models))
+        return (self.correct[span.start:span.stop].reshape(shape).sum(axis=0),
+                self.covered[span.start:span.stop].reshape(shape).sum(axis=0))
+
+    def marginals(self, dataset_id: str) -> dict[str, float]:
+        """Each model's accuracy on the dataset, in pool order: the mean of
+        its per-variant rates over the variants it has records on, summed
+        in sorted variant id order. A model with no record there is left
+        out."""
+        rights, totals = self.counts(dataset_id)
+        ids = self.variant_ids[dataset_id]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        marginals = {}
+        for model, r, t in zip(self.models, rights[order].T.tolist(), totals[order].T.tolist()):
+            rates = [c / n for c, n in zip(r, t) if n]
+            if rates:
+                marginals[model] = sum(rates) / len(rates)
+        return marginals
+
+    def require_records(self, dataset_ids: Iterable[str] | None = None) -> None:
+        """InvalidInputError for the first of ``dataset_ids`` (default: the
+        world's datasets) that holds no samples, else naming every one
+        without a recorded query."""
+        dataset_ids = list(self.world.datasets if dataset_ids is None else dataset_ids)
+        empty = [ds for ds in dataset_ids
+                 if ds in self.world.datasets and not self.world.datasets[ds].samples]
+        if empty:
+            raise InvalidInputError(f"dataset {empty[0]!r} holds no samples")
+        unrecorded = [ds for ds in dataset_ids if not len(self.rows(ds))]
+        if unrecorded:
+            raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
 
     def require_coverage(self) -> None:
         """CoverageError listing (dataset, sample, variant, missing models)

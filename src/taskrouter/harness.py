@@ -85,9 +85,7 @@ def _lodo(corpus: Corpus, features: FeatureRows, train_config: TrainConfig,
     """The folds and report of ``run_lodo`` on a corpus and its lines
     featurized in one batch."""
     grid = corpus.grid
-    unrecorded = [ds for ds in grid.world.datasets if not len(grid.rows(ds))]
-    if unrecorded:
-        raise InvalidInputError(f"no recorded queries in datasets {unrecorded}")
+    grid.require_records()
     out = Path(out_dir) if out_dir is not None else None
     folds: dict[str, FoldResult] = {}
     router_accuracies: dict[str, float] = {}

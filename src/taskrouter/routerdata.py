@@ -373,25 +373,30 @@ def _corpus_labels(grid: QueryGrid) -> tuple[np.ndarray, list[str]]:
     sorted pool on an exact tie. Each (label, correct) segment of a dataset
     is built once."""
     labels, responses = [np.empty(0, dtype=np.intp)], []
-    for ds_id, span in grid.spans.items():
+    for ds_id in grid.spans:
         rows = grid.rows(ds_id)
         if not len(rows):
             continue
-        positions, of_row = np.unique(grid.variant_index[rows], return_inverse=True)
-        variant_ids = [grid.queries[span.start + k][2].variant_id for k in positions.tolist()]
-        averages = grid.table.cells(ds_id, variant_ids, grid.models)[of_row]
+        rights, totals = grid.counts(ds_id)
+        positions = grid.variant_index[rows]
+        used = np.unique(positions)
+        missing = np.argwhere(totals[used] == 0)  # a cell without records has no average
+        if len(missing):
+            v, m = missing[0].tolist()
+            raise KeyError((grid.models[m], ds_id, grid.variant_ids[ds_id][used[v]]))
+        averages = rights[positions] / totals[positions]
         correct = grid.correct[rows]
         candidates = correct | ~correct.any(axis=1, keepdims=True)
         best = np.where(candidates, averages, -np.inf).argmax(axis=1)  # first of a tie
         # a segment per (label, correct) key, built in the order rows first use them
         keys, first, of_key = np.unique(2 * best + correct[np.arange(len(best)), best],
                                         return_index=True, return_inverse=True)
-        marginals = grid.table.marginals(ds_id, grid.models)
+        marginals = grid.marginals(ds_id)
         segments = [""] * len(keys)
         for k in np.argsort(first).tolist():
             model, ok = divmod(int(keys[k]), 2)
-            segments[k] = _response_segment(grid.models[model], bool(ok), marginals[model],
-                                            grid.world.model_pool)
+            segments[k] = _response_segment(grid.models[model], bool(ok),
+                                            marginals[grid.models[model]], grid.world.model_pool)
         labels.append(best)
         responses += map(segments.__getitem__, of_key.tolist())
     return np.concatenate(labels), responses

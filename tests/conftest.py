@@ -79,6 +79,26 @@ def make_micro_world(
     )
 
 
+# which records of ``partial_micro_world`` a grid keeps, by case
+PARTIAL_RECORDS = {
+    "one_record_short": lambda r: not (r.model_id == "gamma" and r.sample_id == "s1"),
+    "variant_short": lambda r: not (r.model_id == "gamma" and r.prompt_variant_id == "q1-o0"),
+    "model_short": lambda r: r.model_id != "gamma",
+    "no_records": lambda r: False,
+    "empty_question_only": lambda r: r.prompt_variant_id == "q0-o0",
+}
+
+
+def partial_micro_world(case: str) -> tuple[World, list[ExecutionRecord]]:
+    """A 6-sample micro world with mixed outcomes, and the records of it
+    that ``PARTIAL_RECORDS[case]`` keeps."""
+    correctness = {(m, i, v): (i + len(m) + len(v)) % 3 == 0
+                   for m in ("alpha", "beta", "gamma") for i in range(6)
+                   for v in ("q0-o0", "q1-o0")}
+    world = make_micro_world(n_samples=6, correctness=correctness)
+    return world, [r for r in world.records if PARTIAL_RECORDS[case](r)]
+
+
 def keyword_world_spec(
     n_datasets: int = 4,
     samples_per_dataset: int = 100,

@@ -10,7 +10,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from taskrouter import BackendError, IntegrityError, InvalidInputError
-from taskrouter.core import ExecutionRecord, MetadataSummary, group_records, read_numbered_jsonl
+from taskrouter.core import (ExecutionRecord, MetadataSummary, aggregate_accuracy, group_records,
+                             read_numbered_jsonl)
 from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
                                 valid_variant_ids)
 from taskrouter.router import _atoms, _choose, featurize
@@ -196,25 +197,93 @@ def reference_train(train, validate, config, featurizer, vocabulary):
     return (weights, bias) if best is None else best[1:]
 
 
+class AccuracyTable:
+    """Accuracy per (model, dataset, prompt variant) cell plus the
+    (model, dataset) marginal, an unweighted mean over the prompt variants
+    present for that pair, kept as (correct, total) counts. The reference
+    the query grid's ``counts`` and ``marginals`` are checked against.
+    """
+
+    def __init__(self, counts: Mapping[tuple[str, str, str], tuple[int, int]] | None = None):
+        self._counts: dict[tuple[str, str, str], tuple[int, int]] = dict(counts or {})
+        # (model, dataset) -> [(variant, correct, total)], sorted: marginals ignore cell order
+        self._by_pair: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+        for (m, d, v), (c, t) in sorted(self._counts.items()):
+            self._by_pair.setdefault((m, d), []).append((v, c, t))
+
+    def cell(self, model_id: str, dataset_id: str, variant_id: str) -> float:
+        correct, total = self._counts[(model_id, dataset_id, variant_id)]
+        return correct / total
+
+    def marginal(self, model_id: str, dataset_id: str) -> float:
+        cells = self._by_pair.get((model_id, dataset_id))
+        if not cells:
+            raise KeyError((model_id, dataset_id))
+        return sum(correct / total for _, correct, total in cells) / len(cells)
+
+    def models(self) -> list[str]:
+        return sorted({m for m, _, _ in self._counts})
+
+    def variants(self, model_id: str, dataset_id: str) -> list[str]:
+        return [v for v, _, _ in self._by_pair.get((model_id, dataset_id), ())]
+
+
+def accuracy_table(records, samples=None) -> AccuracyTable:
+    """The AccuracyTable of ``aggregate_accuracy``'s counts of ``records``,
+    checked against ``samples`` when given."""
+    return AccuracyTable(aggregate_accuracy(records, samples))
+
+
+def table_average(table: AccuracyTable, dataset_id: str) -> float:
+    """The average baseline read from a table: the unweighted mean of the
+    marginals of the models with records on the dataset."""
+    models = [m for m in table.models() if table.variants(m, dataset_id)]
+    if not models:
+        raise InvalidInputError(f"no models cover dataset {dataset_id!r}")
+    return sum(table.marginal(m, dataset_id) for m in models) / len(models)
+
+
+def table_oracle(table: AccuracyTable, dataset_id: str) -> float:
+    """The oracle baseline read from a table: the best of those marginals."""
+    models = [m for m in table.models() if table.variants(m, dataset_id)]
+    if not models:
+        raise InvalidInputError(f"table does not cover dataset {dataset_id!r}")
+    return max(table.marginal(m, dataset_id) for m in models)
+
+
+def grid_table(grid) -> AccuracyTable:
+    """The AccuracyTable of a query grid's records, counted one covered
+    cell at a time."""
+    counts: dict[tuple[str, str, str], tuple[int, int]] = {}
+    for i, (ds, _, variant) in enumerate(grid.queries):
+        for j, model in enumerate(grid.models):
+            if grid.covered[i, j]:
+                key = (model, ds, variant.variant_id)
+                correct, total = counts.get(key, (0, 0))
+                counts[key] = (correct + bool(grid.correct[i, j]), total + 1)
+    return AccuracyTable(counts)
+
+
 def reference_corpus(grid, flags) -> list[RouterExample]:
     """The corpus as one object per covered grid row, in row order: the
     row's router input, its label by ``select_best_model`` over the row's
     correct flags and cell averages, its provenance and its full line. The
     reference the columnar corpus is checked against."""
     grid.require_coverage()
+    table = grid_table(grid)
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
     examples = []
     for i, text in zip(rows, router_inputs(grid, rows, flags)):
         ds, sample, variant = grid.queries[i]
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
-        label = select_best_model(correct, {m: grid.table.cell(m, ds, variant.variant_id)
+        label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
         examples.append(RouterExample(
             serialized_input=text,
             label_model_id=label,
             provenance=(sample.sample_id, sample.dataset_id, variant.variant_id),
             raw_line=(f"{text}[SEP]model::{label}[response]correct::{correct[label]};;;"
-                      f"avg_accuracy::{grid.table.marginal(label, ds):.5f}"),
+                      f"avg_accuracy::{table.marginal(label, ds):.5f}"),
         ))
     return examples
 
@@ -322,7 +391,9 @@ def object_grid(world, records=None) -> dict:
     """The query grid as record objects build it: keep the valid variants,
     group the records by (dataset, sample, variant), then walk the rows and
     place each group's records, checking each. The reference the columnar
-    ``QueryGrid.build`` is checked against; returns its fields by name."""
+    ``QueryGrid.build`` is checked against; returns its fields by name, and
+    as ``counts`` each dataset's (variant x model) correct and total record
+    counts."""
     groups = group_records(filter_valid_prompts(
         world.records if records is None else records, world.prompt_configs
     ))
@@ -333,6 +404,8 @@ def object_grid(world, records=None) -> dict:
         config = world.prompt_configs[ds_id]
         valid = valid_variant_ids(config)
         variants = [v for v in prompt_variants(config) if v.variant_id in valid]
+        rights = np.zeros((len(variants), len(models)), dtype=np.int64)
+        totals = np.zeros((len(variants), len(models)), dtype=np.int64)
         start = len(queries)
         for sample in manifest.samples:
             for v, variant in enumerate(variants):
@@ -343,12 +416,12 @@ def object_grid(world, records=None) -> dict:
                                              f"pool {list(models)}")
                     _check_record(rec, sample)
                     placed.append((len(queries), column[model], rec))
-                    cell = counts.setdefault((model, ds_id, variant.variant_id), [0, 0])
-                    cell[0] += rec.correct
-                    cell[1] += 1
+                    rights[v, column[model]] += rec.correct
+                    totals[v, column[model]] += 1
                 queries.append((ds_id, sample.sample_id, variant.variant_id))
                 variant_index.append(v)
         spans[ds_id] = range(start, len(queries))
+        counts[ds_id] = (rights, totals)
     for ds_id, sample_id, _ in groups:
         raise IntegrityError(f"record references unknown sample {ds_id}/{sample_id}")
     shape = (len(queries), len(models))
@@ -358,8 +431,7 @@ def object_grid(world, records=None) -> dict:
         covered[i, j], correct[i, j], predicted[i, j] = True, rec.correct, rec.predicted_index
     return {"models": models, "queries": queries, "spans": spans,
             "variant_index": np.array(variant_index, dtype=np.int64), "covered": covered,
-            "correct": correct, "predicted": predicted,
-            "counts": {k: (c, t) for k, (c, t) in counts.items()}}
+            "correct": correct, "predicted": predicted, "counts": counts}
 
 
 class FlakyBackend:

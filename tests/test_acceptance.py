@@ -33,7 +33,7 @@ from taskrouter.baselines import (
     voting_accuracy,
 )
 from taskrouter.cli import main as cli_main
-from taskrouter.core import QueryGrid, Sample, aggregate_accuracy
+from taskrouter.core import QueryGrid, Sample
 from taskrouter.harness import run_ablation, run_lodo
 from taskrouter.router import (
     FeaturizerConfig,
@@ -46,7 +46,8 @@ from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec, train_on_examples
-from oracles import batch_loss, reference_train, softmax_loss_and_grads
+from oracles import (accuracy_table, batch_loss, reference_train, softmax_loss_and_grads,
+                     table_average, table_oracle)
 from test_routerdata import (
     REFERENCE_FIELDS,
     REFERENCE_LINE,
@@ -249,7 +250,7 @@ def test_criterion_5_baseline_ordering():
                 competence=competence, signal_mode="none",
                 question_forms_per_dataset=1, seed=9000 + trial,
             ))
-            table = aggregate_accuracy(world.records, world.sample_index())
+            table = accuracy_table(world.records, world.sample_index())
             router = RouterModel(
                 vocabulary=tuple(sorted(world.model_pool)), featurizer=feats,
                 flags=SerializationFlags(True, True), seed=trial,
@@ -260,8 +261,9 @@ def test_criterion_5_baseline_ordering():
             for ds in world.datasets:
                 replay = evaluate_router(router, grid, ds)
                 upper = upper_bound_accuracy(grid, ds)
-                oracle = oracle_accuracy(table, ds)
-                average = average_baseline(table, ds)
+                oracle = table_oracle(table, ds)
+                average = table_average(table, ds)
+                assert (oracle_accuracy(grid, ds), average_baseline(grid, ds)) == (oracle, average)
                 voting = voting_accuracy(grid, ds)
                 if not (upper + tol >= oracle and oracle + tol >= average
                         and upper + tol >= voting and upper + tol >= replay):
@@ -313,10 +315,10 @@ def test_criterion_6_router_learning():
             question_forms=1, seed=62,
         ))
         result = run_lodo(lodo_world, flags=flags, train_config=TrainConfig(seed=63))
-        table = aggregate_accuracy(lodo_world.records, lodo_world.sample_index())
+        table = accuracy_table(lodo_world.records, lodo_world.sample_index())
         assert not result.failed_folds
         for ds, fold in result.folds.items():
-            assert fold.router_accuracy >= average_baseline(table, ds), ds
+            assert fold.router_accuracy >= table_average(table, ds), ds
 
 
 def _band_world(seed: int, option_signal_free: bool = True) -> WorldSpec:

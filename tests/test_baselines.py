@@ -20,10 +20,10 @@ from taskrouter import (
     voting_accuracy,
     voting_predict,
 )
-from taskrouter.core import AccuracyTable
 from taskrouter.synth import WorldSpec, generate_world
 
-from conftest import make_micro_world
+from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
+from oracles import accuracy_table, filter_valid_prompts, table_average, table_oracle
 
 
 def sample_with_k_options(k, gold=0, sid="s0"):
@@ -76,35 +76,59 @@ class TestChance:
 
 
 class TestAverageAndOracle:
-    def _table(self, marginals):
-        return AccuracyTable({
-            (m, "d", "v"): (int(acc * 100), 100) for m, acc in marginals.items()
-        })
+    def _grid(self, marginals):
+        # 100 samples on one variant; model m is right on the first
+        # round(100 * marginals[m]) of them
+        correctness = {(m, i, "q0-o0"): i < round(acc * 100)
+                       for m, acc in marginals.items() for i in range(100)}
+        return QueryGrid.build(make_micro_world(n_samples=100, models=tuple(marginals),
+                                                correctness=correctness,
+                                                with_empty_question=False))
 
     def test_average_two_models(self):
-        assert average_baseline(self._table({"a": 0.6, "b": 0.8}), "d") == pytest.approx(0.7)
+        assert average_baseline(self._grid({"a": 0.6, "b": 0.8}), "micro") == pytest.approx(0.7)
 
     def test_average_single_model_identity(self):
-        assert average_baseline(self._table({"a": 0.42}), "d") == pytest.approx(0.42)
+        assert average_baseline(self._grid({"a": 0.42}), "micro") == pytest.approx(0.42)
 
     def test_average_matches_independent_mean(self, rng):
         marginals = {f"m{i}": float(rng.integers(101)) / 100 for i in range(7)}
         expected = float(np.mean(list(marginals.values())))
-        assert average_baseline(self._table(marginals), "d") == pytest.approx(expected)
+        assert average_baseline(self._grid(marginals), "micro") == pytest.approx(expected)
 
     def test_oracle_max(self):
-        assert oracle_accuracy(self._table({"a": 0.6, "b": 0.9}), "d") == pytest.approx(0.9)
+        assert oracle_accuracy(self._grid({"a": 0.6, "b": 0.9}), "micro") == pytest.approx(0.9)
 
     def test_oracle_degenerate(self):
-        assert oracle_accuracy(self._table({"a": 0.5, "b": 0.5}), "d") == pytest.approx(0.5)
+        assert oracle_accuracy(self._grid({"a": 0.5, "b": 0.5}), "micro") == pytest.approx(0.5)
 
     def test_oracle_matches_brute_force(self, rng):
         marginals = {f"m{i}": float(rng.integers(101)) / 100 for i in range(9)}
-        assert oracle_accuracy(self._table(marginals), "d") == max(marginals.values())
+        assert oracle_accuracy(self._grid(marginals), "micro") == max(marginals.values())
 
     def test_unknown_dataset(self):
-        with pytest.raises(InvalidInputError):
-            oracle_accuracy(self._table({"a": 0.5}), "elsewhere")
+        for strategy in (average_baseline, oracle_accuracy):
+            with pytest.raises(InvalidInputError,
+                               match=r"^no recorded queries in datasets \['elsewhere'\]$"):
+                strategy(self._grid({"a": 0.5}), "elsewhere")
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_RECORDS))
+def test_average_and_oracle_on_partial_and_unrecorded_grids(case):
+    # the mean and the max of the reference table's marginals over the
+    # models with records; a grid without records on the dataset refuses it
+    world, records = partial_micro_world(case)
+    grid = QueryGrid.build(world, records)
+    valid = filter_valid_prompts(records, world.prompt_configs)
+    if not valid:
+        for strategy in (average_baseline, oracle_accuracy):
+            with pytest.raises(InvalidInputError,
+                               match=r"^no recorded queries in datasets \['micro'\]$"):
+                strategy(grid, "micro")
+        return
+    table = accuracy_table(valid)
+    assert average_baseline(grid, "micro") == table_average(table, "micro")
+    assert oracle_accuracy(grid, "micro") == table_oracle(table, "micro")
 
 
 class TestVoting:

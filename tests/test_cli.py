@@ -870,11 +870,15 @@ def _drop_prompt_config(world):
     _rewrite_json(world / "prompt_configs.json", lambda configs: configs.pop("ds01"))
 
 
-def _empty_dataset(world):
-    _rewrite_jsonl(world / "datasets.jsonl", 2, lambda row: row.update(samples=[], size=0))
+def _unrecorded_dataset(world):
     records = world / "records.jsonl"
     records.write_text("".join(line for line in records.read_text().splitlines(keepends=True)
                                if json.loads(line)["dataset_id"] != "ds01"))
+
+
+def _empty_dataset(world):
+    _rewrite_jsonl(world / "datasets.jsonl", 2, lambda row: row.update(samples=[], size=0))
+    _unrecorded_dataset(world)
 
 
 def _out_names_a_file(world):
@@ -940,3 +944,24 @@ def test_failing_command_leaves_no_output_directory(command, damage, error, mess
     assert message in record["message"]
     assert not out.is_dir()
     assert (tmp_path / "out").exists() == (damage in (_out_names_a_file, _out_lies_under_a_file))
+
+
+def test_a_dataset_without_records_is_refused_alike(world_dir, tmp_path, capsys):
+    # lodo run and baselines report, with a router or without, refuse a
+    # dataset that has samples but no records with one error record, and
+    # before any output
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    _unrecorded_dataset(world)
+    _router_file(tmp_path / "router.bin")
+    commands = {"lodo": ["lodo", "run", "--world", str(world), *FAST],
+                "report": ["baselines", "report", "--world", str(world)],
+                "replay": ["baselines", "report", "--world", str(world),
+                           "--router", str(tmp_path / "router.bin")]}
+    for name, command in commands.items():
+        assert main(["--out", str(tmp_path / name), *command]) == 1
+        assert _error_record(capsys) == {"error": "InvalidInputError",
+                                         "message": "no recorded queries in datasets ['ds01']"}
+        assert not (tmp_path / name).exists()

@@ -1,7 +1,6 @@
 """Core data model: image summaries, accuracy aggregation, weighted means,
 and persistence."""
 
-import io
 import json
 import math
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskrouter import (
-    AccuracyTable,
     DatasetManifest,
     ExecutionRecord,
     IntegrityError,
@@ -22,8 +20,9 @@ from taskrouter import (
     summarize_image,
     weighted_average,
 )
-from taskrouter.core import (Records, load_manifests, load_metadata, read_json, read_jsonl,
-                             save_manifests, save_metadata, save_records, summarize_images)
+from taskrouter.core import (Records, csv_writer, load_manifests, load_metadata, read_json,
+                             read_jsonl, save_manifests, save_metadata, save_records,
+                             summarize_images)
 from oracles import one_sample_summary
 
 
@@ -91,20 +90,17 @@ class TestAggregateAccuracy:
     def test_direct_count(self):
         records = [_record("m", "d", "v", c, sample=f"s{i}")
                    for i, c in enumerate([True, False, True, False])]
-        table = aggregate_accuracy(records)
-        assert table.cell("m", "d", "v") == 0.5
+        assert aggregate_accuracy(records) == {("m", "d", "v"): (2, 4)}
 
-    def test_marginal_is_mean_over_variants(self):
+    def test_counts_per_variant(self):
         records = (
             [_record("m", "d", "v0", c, sample=f"s{i}")
              for i, c in enumerate([True, True, False, False, False])]
             + [_record("m", "d", "v1", c, sample=f"s{i}")
                for i, c in enumerate([True, True, True, True, False])]
         )
-        table = aggregate_accuracy(records)
-        assert table.cell("m", "d", "v0") == 0.4
-        assert table.cell("m", "d", "v1") == 0.8
-        assert table.marginal("m", "d") == pytest.approx(0.6)
+        assert aggregate_accuracy(records) == {("m", "d", "v0"): (2, 5),
+                                               ("m", "d", "v1"): (4, 5)}
 
     def test_matches_brute_force_recount(self, rng):
         records = []
@@ -113,20 +109,13 @@ class TestAggregateAccuracy:
                 f"m{rng.integers(3)}", f"d{rng.integers(2)}", f"v{rng.integers(2)}",
                 bool(rng.integers(2)), sample=f"s{i}",
             ))
-        table = aggregate_accuracy(records)
         # brute-force recount, written independently of the production path
+        expected = {}
         for key in {(r.model_id, r.dataset_id, r.prompt_variant_id) for r in records}:
             matching = [r for r in records
                         if (r.model_id, r.dataset_id, r.prompt_variant_id) == key]
-            expected = sum(r.correct for r in matching) / len(matching)
-            assert table.cell(*key) == expected
-            assert 0.0 <= table.cell(*key) <= 1.0
-        for m in table.models():
-            for d in table.datasets():
-                variants = table.variants(m, d)
-                if variants:
-                    expected = sum(table.cell(m, d, v) for v in variants) / len(variants)
-                    assert table.marginal(m, d) == pytest.approx(expected)
+            expected[key] = (sum(r.correct for r in matching), len(matching))
+        assert aggregate_accuracy(records) == expected
 
     def test_unknown_sample_is_integrity_error(self):
         sample = Sample("s0", "d", "img", {}, ("a", "b"), 0)
@@ -143,14 +132,6 @@ class TestAggregateAccuracy:
     def test_empty_records(self):
         with pytest.raises(InvalidInputError):
             aggregate_accuracy([])
-
-    def test_csv_export(self):
-        table = aggregate_accuracy([_record("m", "d", "v", True)])
-        buf = io.StringIO()
-        table.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "model_id,dataset_id,prompt_variant_id,accuracy"
-        assert lines[1] == "m,d,v,1.0"
 
 
 class TestWeightedAverage:
@@ -311,14 +292,12 @@ class TestTypes:
 
     def test_failed_csv_export_keeps_old_bytes(self, tmp_path):
         path = tmp_path / "cells.csv"
-        AccuracyTable({("m", "d", "v"): (3, 4)}).write_csv(path)
+        with csv_writer(path) as writer:
+            writer.writerow(["m", "d", "v", 0.75])
         before = path.read_bytes()
-        with pytest.raises(ZeroDivisionError):  # fails after the header row
-            AccuracyTable({("m", "d", "v"): (0, 0)}).write_csv(path)
+        with pytest.raises(RuntimeError):  # fails after the first row
+            with csv_writer(path) as writer:
+                writer.writerow(["m", "d", "v", 1.0])
+                raise RuntimeError("interrupted")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cells.csv"]
-
-    def test_accuracy_table_counts_exposed(self):
-        table = AccuracyTable({("m", "d", "v"): (3, 4)})
-        assert table.cell("m", "d", "v") == 0.75
-        assert table.counts == {("m", "d", "v"): (3, 4)}

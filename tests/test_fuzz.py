@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (line_features, matmul_hash_chunk, object_records, reference_corpus,
-                     reference_save_corpus, unique_feature_rows)
+from oracles import (grid_table, line_features, matmul_hash_chunk, object_records,
+                     reference_corpus, reference_save_corpus, unique_feature_rows)
 
 import taskrouter.router as router_module
 from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
@@ -526,6 +526,7 @@ def _label_world(spec) -> World:
 @settings(max_examples=200, deadline=None)
 def test_corpus_labels_equal_per_row_select_best_model(spec):
     grid = QueryGrid.build(_label_world(spec))
+    table = grid_table(grid)
     corpus = build_router_dataset(grid, SerializationFlags(False, True))
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
     assert corpus.rows.tolist() == rows
@@ -533,12 +534,12 @@ def test_corpus_labels_equal_per_row_select_best_model(spec):
     for p, i in enumerate(rows):
         ds, sample, variant = grid.queries[i]
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
-        label = select_best_model(correct, {m: grid.table.cell(m, ds, variant.variant_id)
+        label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
         assert grid.models[corpus.labels[p]] == label
         assert corpus.inputs[p] + corpus.responses[p] == (
             f"{corpus.inputs[p]}[SEP]model::{label}[response]correct::{correct[label]};;;"
-            f"avg_accuracy::{grid.table.marginal(label, ds):.5f}")
+            f"avg_accuracy::{table.marginal(label, ds):.5f}")
 
 
 @given(label_grids(), st.data())

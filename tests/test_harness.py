@@ -19,13 +19,13 @@ from taskrouter import (
     run_lodo,
     selection_heatmap,
 )
-from taskrouter.core import aggregate_accuracy
 from taskrouter.harness import run_ablation, write_run_manifest
 from taskrouter.router import FeaturizerConfig, TrainConfig
 from taskrouter.routerdata import ALL_FLAG_COMBOS, load_corpus
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec, make_micro_world
+from oracles import accuracy_table, filter_valid_prompts, table_average
 
 # unit-test schedule: hotter learning rate, fewer steps, smaller hash space
 FAST_TRAIN = TrainConfig(learning_rate=0.05, max_iterations=800, eval_every=200)
@@ -51,25 +51,22 @@ class TestRunLodo:
         world = generate_world(spec)
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS)
-        table = aggregate_accuracy(world.records, world.sample_index())
+        table = accuracy_table(world.records, world.sample_index())
         for ds, fold in result.folds.items():
             assert fold.status == "ok"
             assert fold.router_accuracy == pytest.approx(table.marginal("star", ds))
 
     def test_transferable_world_beats_average(self, paired_world):
-        from taskrouter.baselines import average_baseline
-        from oracles import filter_valid_prompts
-
         world = paired_world
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=replace(FAST_TRAIN, seed=1), featurizer=FAST_FEATS)
-        table = aggregate_accuracy(
+        table = accuracy_table(
             filter_valid_prompts(world.records, world.prompt_configs),
             world.sample_index(),
         )
         assert not result.failed_folds
         for ds, fold in result.folds.items():
-            assert fold.router_accuracy >= average_baseline(table, ds)
+            assert fold.router_accuracy >= table_average(table, ds)
 
     def test_fold_corpora_never_contain_heldout_dataset(self, tmp_path, paired_world):
         world = paired_world

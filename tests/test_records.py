@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FlakyBackend, object_grid, object_records
+from oracles import (AccuracyTable, FlakyBackend, accuracy_table, filter_valid_prompts,
+                     object_grid, object_records)
 
 import taskrouter.core as core
 from conftest import make_micro_world
@@ -32,6 +33,16 @@ def small_world():
         n_datasets=2, samples_per_dataset=5, options_range=(2, 4),
         competence={"a": (0.8, 0.3), "b": (0.4, 0.7), "c": (0.5, 0.5)},
         signal_mode="none", question_forms_per_dataset=2, seed=7,
+    ))
+
+
+def many_forms_world():
+    """small_world with 7 samples and 12 question forms, whose variant ids
+    sort in another order than the canonical one (q10-o0 before q2-o0)."""
+    return generate_world(WorldSpec(
+        n_datasets=2, samples_per_dataset=7, options_range=(2, 4),
+        competence={"a": (0.8, 0.3), "b": (0.4, 0.7), "c": (0.5, 0.5)},
+        signal_mode="none", question_forms_per_dataset=12, seed=7,
     ))
 
 
@@ -68,7 +79,16 @@ def assert_same_grid(world, records=None):
     np.testing.assert_array_equal(got.variant_index, want["variant_index"])
     for name in ("covered", "correct", "predicted"):
         np.testing.assert_array_equal(getattr(got, name), want[name])
-    assert got.table.counts == want["counts"]
+    assert_same_counts(got, want["counts"])
+
+
+def assert_same_counts(grid, counts):
+    """``grid.counts`` of each dataset equals ``object_grid``'s ``counts``."""
+    assert list(grid.variant_ids) == list(counts)
+    for ds, (rights, totals) in counts.items():
+        got_rights, got_totals = grid.counts(ds)
+        assert got_rights.tolist() == rights.tolist()
+        assert got_totals.tolist() == totals.tolist()
 
 
 class TestGridMatchesObjectPath:
@@ -102,7 +122,9 @@ class TestGridMatchesObjectPath:
         world = small_world()
         assert_same_grid(world, [])
         grid = QueryGrid.build(world, [])
-        assert len(grid.table) == 0 and not grid.covered.any()
+        assert not grid.covered.any()
+        for ds in world.datasets:
+            assert not grid.counts(ds)[1].any() and grid.marginals(ds) == {}
 
     @pytest.mark.parametrize("seed", range(40))
     def test_several_faults_report_the_same_first_one(self, seed):
@@ -117,6 +139,26 @@ class TestGridMatchesObjectPath:
             records.append(records[rng.randrange(len(records))])
         rng.shuffle(records)
         assert_same_grid(world, records)
+
+
+@given(make=st.sampled_from([small_world, empty_question_world, make_micro_world,
+                             many_forms_world]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_counts_and_marginals_equal_the_references(make, data):
+    # any subset of the records, in any order: each dataset's counts are the
+    # record-object path's and its marginals the reference table's, bit for bit
+    world = make()
+    records = list(world.records)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    records = data.draw(st.permutations([r for r, k in zip(records, keep) if k]))
+    grid = QueryGrid.build(world, records)
+    assert_same_counts(grid, object_grid(world, records)["counts"])
+    valid = filter_valid_prompts(records, world.prompt_configs)
+    table = accuracy_table(valid) if valid else AccuracyTable()
+    for ds in world.datasets:
+        expected = {m: table.marginal(m, ds) for m in grid.models if table.variants(m, ds)}
+        assert grid.marginals(ds) == expected
 
 
 FAULTS = {

@@ -671,10 +671,9 @@ class TestEvaluateRouter:
         router = constant_router("m1", world.model_pool)
         grid = QueryGrid.build(world)
         replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
-        from taskrouter.core import aggregate_accuracy
-        from oracles import filter_valid_prompts
+        from oracles import accuracy_table, filter_valid_prompts
 
-        table = aggregate_accuracy(
+        table = accuracy_table(
             filter_valid_prompts(world.records, world.prompt_configs),
             world.sample_index(),
         )

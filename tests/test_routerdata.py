@@ -29,14 +29,15 @@ from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, render, rend
 from taskrouter.router import FeaturizerConfig, RouterModel, route_rows
 from taskrouter.routerdata import (
     ALL_FLAG_COMBOS,
+    _corpus_labels,
     load_corpus,
     router_inputs,
     save_corpus,
 )
 from taskrouter.synth import WorldSpec, generate_world
 
-from conftest import make_micro_world
-from oracles import filter_valid_prompts, reference_corpus
+from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
+from oracles import accuracy_table, filter_valid_prompts, reference_corpus
 
 # Golden record for the serialization format, frozen byte for byte. Note:
 # no closing bracket after the options list; the [SEP] marker terminates it.
@@ -338,10 +339,8 @@ class TestBuildRouterDataset:
         world = generate_world(spec)
         flags = SerializationFlags(True, True)
         corpus = build_router_dataset(QueryGrid.build(world), flags)
-        from taskrouter.core import aggregate_accuracy
-
         valid = filter_valid_prompts(world.records, world.prompt_configs)
-        table = aggregate_accuracy(valid, world.sample_index())
+        table = accuracy_table(valid, world.sample_index())
         by_group = {}
         for rec in valid:
             by_group.setdefault(
@@ -593,3 +592,30 @@ def test_unparsable_corpus_line_names_path_and_line(tmp_path):
     with pytest.raises(ParseError, match=r"corpus\.txt:2: expected \[prompt\] segment "
                                          r"\(byte offset 0\)"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_RECORDS))
+def test_corpus_labels_on_partial_and_unrecorded_grids(case):
+    # each covered row is labeled by the reference table's cells and
+    # marginals, also where some cells lack a record; a (variant, model)
+    # cell with no record at all has no average and raises KeyError naming it
+    world, records = partial_micro_world(case)
+    grid = QueryGrid.build(world, records)
+    if case in ("variant_short", "model_short"):
+        with pytest.raises(KeyError) as raised:
+            _corpus_labels(grid)
+        assert raised.value.args == (("gamma", "micro", "q1-o0"),)
+        return
+    valid = filter_valid_prompts(records, world.prompt_configs)
+    table = accuracy_table(valid) if valid else None
+    want_labels, want_responses = [], []
+    for i in np.flatnonzero(grid.covered.any(axis=1)).tolist():
+        ds, _, variant = grid.queries[i]
+        correct = dict(zip(grid.models, grid.correct[i].tolist()))
+        label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
+                                            for m in grid.models})
+        want_labels.append(grid.models.index(label))
+        want_responses.append(f"[SEP]model::{label}[response]correct::{correct[label]};;;"
+                              f"avg_accuracy::{table.marginal(label, ds):.5f}")
+    labels, responses = _corpus_labels(grid)
+    assert (labels.tolist(), responses) == (want_labels, want_responses)

@@ -20,10 +20,10 @@ from taskrouter.scoring import (
     evaluate,
     gold_index_by_ref,
 )
-from taskrouter.core import aggregate_accuracy
 from taskrouter.prompts import PromptTemplate, closed_prompt_set, prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
-from oracles import FlakyBackend, RowCountBackend, query_by_query_embedding_outcomes
+from oracles import (FlakyBackend, RowCountBackend, accuracy_table,
+                     query_by_query_embedding_outcomes)
 
 from conftest import keyword_world_spec, make_micro_world
 
@@ -135,8 +135,7 @@ class TestEvaluate:
         run = evaluate(backend, manifest, world.prompt_configs["micro"])
         assert run.skip_count == 0
         assert all(r.correct for r in run.records)
-        table = aggregate_accuracy(run.records)
-        assert table.marginal("only", "micro") == 1.0
+        assert accuracy_table(run.records).marginal("only", "micro") == 1.0
 
     def test_gold_generative_backend_is_perfect(self):
         world = self._world()

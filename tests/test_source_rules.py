@@ -455,3 +455,16 @@ def test_record_tables_are_built_and_joined_one_way():
                     and any(alias.name == "ExecutionRecord" for alias in node.names):
                 imports.append(f"{path.name}:{node.lineno}")
     assert (defined, calls, imports) == ([], [], [])
+
+
+def test_counts_are_read_from_the_query_grid():
+    # a second table of the grid's counts would be built and regrouped
+    # beside the arrays that hold them; every strategy reads the grid
+    package = Path(taskrouter.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "AccuracyTable" in path.read_text()] == []
+    tree = ast.parse((package / "baselines.py").read_text(), filename="baselines.py")
+    firsts = {name: ast.unparse(_parameters(_function(tree, name))[0].annotation)
+              for name in ("average_baseline", "voting_accuracy", "oracle_accuracy",
+                           "upper_bound_accuracy")}
+    assert firsts == dict.fromkeys(firsts, "QueryGrid")

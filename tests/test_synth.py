@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from taskrouter import InvalidInputError, QueryGrid, SerializationFlags, build_router_dataset
-from taskrouter.core import aggregate_accuracy, load_world, save_world
+from taskrouter.core import load_world, save_world
 from taskrouter.prompts import prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec
+from oracles import accuracy_table
 
 
 def basic_spec(**overrides):
@@ -110,7 +111,7 @@ class TestGeneration:
             expected += manifest.size * n_variants * len(world.model_pool)
         assert len(world.records) == expected
         # aggregate_accuracy re-checks record/sample integrity
-        table = aggregate_accuracy(world.records, world.sample_index())
+        table = accuracy_table(world.records, world.sample_index())
         assert set(table.models()) == set(world.model_pool)
         # predicted indices always in range and consistent with correctness
         samples = world.sample_index()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from taskrouter import BackendError
-from taskrouter.core import aggregate_accuracy, save_records, save_world
+from taskrouter.core import save_records, save_world
 from taskrouter.prompts import closed_prompt_set, prompt_variants
 from taskrouter.scoring import (
     GoldEmbeddingBackend,
@@ -26,7 +26,8 @@ from taskrouter.scoring import (
 from taskrouter.synth import generate_world
 from taskrouter import wire
 from taskrouter.wire import SubprocessBackend, WireBackendClient, serve_backend
-from oracles import FlakyBackend, RowCountBackend, query_by_query_embedding_outcomes
+from oracles import (FlakyBackend, RowCountBackend, accuracy_table,
+                     query_by_query_embedding_outcomes)
 
 from conftest import keyword_world_spec, make_micro_world
 
@@ -145,8 +146,7 @@ def test_evaluate_through_wire_matches_in_process(micro_world):
     finally:
         pair.close()
     assert wired.records == direct.records
-    table = aggregate_accuracy(wired.records)
-    assert table.marginal("only", "micro") == 1.0
+    assert accuracy_table(wired.records).marginal("only", "micro") == 1.0
 
 
 def test_stdio_server_subprocess(tmp_path, micro_world):
