@@ -82,6 +82,7 @@ def upper_bound_accuracy(grid: QueryGrid, dataset_id: str) -> float:
     """Per-query any-model-correct rate, averaged across prompt variants;
     the ceiling for any selection strategy."""
     grid.require_coverage()
+    grid.require_records([dataset_id])
     rows = grid.rows(dataset_id)
     return grid.variant_mean(rows, grid.correct[rows].any(axis=1))
 
@@ -91,9 +92,8 @@ def voting_accuracy(grid: QueryGrid, dataset_id: str) -> float:
     the lowest index), per (sample, variant), averaged across prompt
     variants."""
     grid.require_coverage()
+    grid.require_records([dataset_id])
     rows = grid.rows(dataset_id)
-    if not len(rows):
-        return grid.variant_mean(rows, [])  # raises: nothing to average
     votes = grid.predicted[rows]
     # per cell: how many models of its row predicted the same index
     count = (votes[:, :, None] == votes[:, None, :]).sum(axis=2)

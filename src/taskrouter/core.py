@@ -617,17 +617,17 @@ class QueryGrid:
     run; every function below them takes the built grid. Rows are every
     (dataset, sample, valid variant) query, in ``world.datasets``, manifest
     and ``prompt_variants`` order, so nothing read from the grid depends on
-    record order. Columns are the sorted model pool; ``covered`` marks
-    cells with a record. Every count the baselines and labels read is a sum
-    over these arrays.
+    record order; a row is codes, read through ``queries``. Columns are the
+    sorted model pool; ``covered`` marks cells with a record. Every count
+    the baselines and labels read is a sum over these arrays.
     """
 
     world: World
     models: tuple[str, ...]
-    queries: list[tuple[str, Sample, object]]  # (dataset_id, sample, PromptVariant)
     spans: dict[str, range]  # dataset_id -> its rows
-    variant_ids: dict[str, tuple[str, ...]]  # dataset_id -> its valid variants, canonical order
-    variant_index: np.ndarray  # (n_rows,) position of the row's variant in its dataset
+    variants: dict[str, tuple]  # dataset_id -> its valid PromptVariants, canonical order
+    sample_index: np.ndarray  # (n_rows,) position of the row's sample in its manifest
+    variant_index: np.ndarray  # (n_rows,) position of the row's variant in ``variants``
     correct: np.ndarray  # (n_rows, n_models) bool
     predicted: np.ndarray  # (n_rows, n_models) int
     covered: np.ndarray  # (n_rows, n_models) bool
@@ -652,19 +652,18 @@ class QueryGrid:
                 f"record references dataset {recs.dataset_id[i]!r} with no prompt config"
             )
         models = tuple(sorted(world.model_pool))
-        queries, spans, variant_ids, variant_index = [], {}, {}, []
+        spans, variants, sample_index, variant_index, start = {}, {}, [], [], 0
         sample_rows = {}  # (dataset_id, sample_id) -> (the sample's first row, sample)
         for ds_id, manifest in world.datasets.items():
             config = world.prompt_configs[ds_id]
             valid = valid_variant_ids(config)
-            variants = [v for v in prompt_variants(config) if v.variant_id in valid]
-            variant_ids[ds_id] = tuple(v.variant_id for v in variants)
-            start = len(queries)
-            for sample in manifest.samples:
-                sample_rows[(ds_id, sample.sample_id)] = (len(queries), sample)
-                queries.extend([(ds_id, sample, variant) for variant in variants])
-            variant_index.append(np.tile(np.arange(len(variants)), manifest.size))
-            spans[ds_id] = range(start, len(queries))
+            variants[ds_id] = tuple(v for v in prompt_variants(config) if v.variant_id in valid)
+            n = len(variants[ds_id])
+            sample_rows.update({(ds_id, sample.sample_id): (start + k * n, sample)
+                                for k, sample in enumerate(manifest.samples)})
+            sample_index.append(np.repeat(np.arange(manifest.size), n))
+            variant_index.append(np.tile(np.arange(n), manifest.size))
+            spans[ds_id] = range(start, start := start + manifest.size * n)
 
         # a record on a variant its dataset does not define is a fault; one
         # on a variant with an empty question form is dropped
@@ -682,7 +681,7 @@ class QueryGrid:
         kept = np.flatnonzero(np.array([v in valid_ids[ds] for ds, v in pairs],
                                        dtype=bool)[pair])
         # (dataset_id, valid variant_id) -> position among the dataset's valid variants
-        positions = {(ds, v): k for ds, ids in variant_ids.items() for k, v in enumerate(ids)}
+        positions = {(ds, v.variant_id): k for ds in variants for k, v in enumerate(variants[ds])}
         position = np.array([positions.get(p, -1) for p in pairs], dtype=np.int64)[pair[kept]]
 
         of_sample, sample_first = _groups(kept, recs.dataset_id, recs.sample_id)
@@ -717,9 +716,10 @@ class QueryGrid:
         if i is not None:
             _check_outcome(recs, kept[i], None)
 
-        shape = (len(queries), len(models))
+        shape = (start, len(models))
         grid = cls(
-            world=world, models=models, queries=queries, spans=spans, variant_ids=variant_ids,
+            world=world, models=models, spans=spans, variants=variants,
+            sample_index=_concat(sample_index, np.int64),
             variant_index=_concat(variant_index, np.int64),
             correct=np.zeros(shape, dtype=bool),
             predicted=np.full(shape, -1, dtype=np.int64), covered=np.zeros(shape, dtype=bool),
@@ -729,6 +729,17 @@ class QueryGrid:
         grid.correct.flat[cells] = recs.correct[kept]
         grid.predicted.flat[cells] = recs.predicted[kept]
         return grid
+
+    def queries(self, rows: Sequence[int]) -> Iterator[tuple[str, Sample, object]]:
+        """The (dataset_id, sample, PromptVariant) of each of ``rows``, read
+        from its codes; a row's dataset is the first whose span ends past it."""
+        rows = np.asarray(rows, dtype=np.intp)
+        datasets = [(ds, self.world.datasets[ds].samples, self.variants[ds]) for ds in self.spans]
+        which = np.searchsorted([span.stop for span in self.spans.values()], rows, side="right")
+        for d, s, v in zip(which.tolist(), self.sample_index[rows].tolist(),
+                           self.variant_index[rows].tolist()):
+            ds_id, samples, variants = datasets[d]
+            yield ds_id, samples[s], variants[v]
 
     def rows(self, dataset_id: str) -> np.ndarray:
         """The dataset's rows that have at least one record."""
@@ -740,7 +751,7 @@ class QueryGrid:
         variants in canonical order: its rows are sample-major with the
         variants inner, so each count is a sum over the samples."""
         span = self.spans[dataset_id]
-        shape = (self.world.datasets[dataset_id].size, len(self.variant_ids[dataset_id]),
+        shape = (self.world.datasets[dataset_id].size, len(self.variants[dataset_id]),
                  len(self.models))
         return (self.correct[span.start:span.stop].reshape(shape).sum(axis=0),
                 self.covered[span.start:span.stop].reshape(shape).sum(axis=0))
@@ -751,7 +762,7 @@ class QueryGrid:
         in sorted variant id order. A model with no record there is left
         out."""
         rights, totals = self.counts(dataset_id)
-        ids = self.variant_ids[dataset_id]
+        ids = [v.variant_id for v in self.variants[dataset_id]]
         order = sorted(range(len(ids)), key=ids.__getitem__)
         marginals = {}
         for model, r, t in zip(self.models, rights[order].T.tolist(), totals[order].T.tolist()):
@@ -776,9 +787,8 @@ class QueryGrid:
     def require_coverage(self) -> None:
         """CoverageError listing (dataset, sample, variant, missing models)
         for every row with some records but not one of each pool model."""
-        gaps = []
-        for i in np.flatnonzero(self.covered.any(axis=1) & ~self.covered.all(axis=1)):
-            ds_id, sample, variant = self.queries[i]
+        gaps, rows = [], np.flatnonzero(self.covered.any(axis=1) & ~self.covered.all(axis=1))
+        for i, (ds_id, sample, variant) in zip(rows.tolist(), self.queries(rows)):
             missing = tuple(m for m, ok in zip(self.models, self.covered[i]) if not ok)
             gaps.append((ds_id, sample.sample_id, variant.variant_id, missing))
         if gaps:
@@ -799,7 +809,7 @@ class QueryGrid:
         for i, model in zip(rows, choices):
             j = column.get(model)
             if j is None or not self.covered[i, j]:
-                ds_id, sample, variant = self.queries[i]
+                ds_id, sample, variant = next(self.queries([i]))
                 raise CoverageError(f"no recorded outcome for routed model {model!r} on "
                                     f"{ds_id}/{sample.sample_id}/{variant.variant_id}")
             hits.append(self.correct[i, j])

@@ -652,7 +652,7 @@ def train_router(
     )
 
 
-def route_rows(router, grid: QueryGrid, rows: Iterable[int]) -> list[str]:
+def route_rows(router, grid: QueryGrid, rows: Sequence[int]) -> list[str]:
     """The model ``router.route_batch`` picks for each of the grid's
     ``rows``, from their ``router_inputs`` under the router's flags."""
     return router.route_batch(router_inputs(grid, rows, router.flags))

@@ -22,13 +22,13 @@ import random
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .core import (MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl,
                    typed_field)
-from .errors import IntegrityError, InvalidInputError, ParseError
+from .errors import CoverageError, IntegrityError, InvalidInputError, ParseError
 from .prompts import render, rendered_options
 
 SEP_MARK = "[SEP]"
@@ -290,7 +290,7 @@ def select_best_model(
     return min(candidates, key=lambda m: (-per_model_prompt_dataset_avg[m], m))
 
 
-def router_inputs(grid: QueryGrid, rows: Iterable[int],
+def router_inputs(grid: QueryGrid, rows: Sequence[int],
                   flags: SerializationFlags) -> list[str]:
     """The router input of each of the grid's ``rows``: the query's image
     metadata, rendered prompt and options, serialized under ``flags``.
@@ -300,8 +300,7 @@ def router_inputs(grid: QueryGrid, rows: Iterable[int],
     once, at the form's first row, after its prompt is checked."""
     world = grid.world
     texts, last, img = [], None, ""
-    for i in rows:
-        ds_id, sample, variant = grid.queries[i]
+    for ds_id, sample, variant in grid.queries(rows):
         config = world.prompt_configs[ds_id]
         if sample is not last:
             last, tails = sample, {}  # option form index -> its options segment
@@ -383,7 +382,8 @@ def _corpus_labels(grid: QueryGrid) -> tuple[np.ndarray, list[str]]:
         missing = np.argwhere(totals[used] == 0)  # a cell without records has no average
         if len(missing):
             v, m = missing[0].tolist()
-            raise KeyError((grid.models[m], ds_id, grid.variant_ids[ds_id][used[v]]))
+            raise CoverageError(f"no record of model {grid.models[m]!r} on any sample of "
+                                f"{ds_id}/{grid.variants[ds_id][used[v]].variant_id}")
         averages = rights[positions] / totals[positions]
         correct = grid.correct[rows]
         candidates = correct | ~correct.any(axis=1, keepdims=True)
@@ -435,7 +435,7 @@ def save_corpus(corpus: Corpus, positions: Sequence[int], path: str | Path) -> N
     once. Both are complete in temporary files before either replaces its
     old file, so a failed write leaves the old pair as it was."""
     path, grid = Path(path), corpus.grid
-    queries = [grid.queries[i] for i in corpus.rows[positions].tolist()]
+    queries = list(grid.queries(corpus.rows[positions]))
     ids = {x for _, sample, variant in queries
            for x in (sample.sample_id, sample.dataset_id, variant.variant_id)}
     quoted, models = dict(zip(ids, map(json.dumps, ids))), list(map(json.dumps, grid.models))

@@ -255,7 +255,7 @@ def grid_table(grid) -> AccuracyTable:
     """The AccuracyTable of a query grid's records, counted one covered
     cell at a time."""
     counts: dict[tuple[str, str, str], tuple[int, int]] = {}
-    for i, (ds, _, variant) in enumerate(grid.queries):
+    for i, (ds, _, variant) in enumerate(grid.queries(range(len(grid.variant_index)))):
         for j, model in enumerate(grid.models):
             if grid.covered[i, j]:
                 key = (model, ds, variant.variant_id)
@@ -273,8 +273,8 @@ def reference_corpus(grid, flags) -> list[RouterExample]:
     table = grid_table(grid)
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
     examples = []
-    for i, text in zip(rows, router_inputs(grid, rows, flags)):
-        ds, sample, variant = grid.queries[i]
+    for i, (ds, sample, variant), text in zip(rows, grid.queries(rows),
+                                              router_inputs(grid, rows, flags)):
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
@@ -399,7 +399,7 @@ def object_grid(world, records=None) -> dict:
     ))
     models = tuple(sorted(world.model_pool))
     column = {m: j for j, m in enumerate(models)}
-    queries, spans, variant_index, placed, counts = [], {}, [], [], {}
+    queries, spans, sample_index, variant_index, placed, counts = [], {}, [], [], [], {}
     for ds_id, manifest in world.datasets.items():
         config = world.prompt_configs[ds_id]
         valid = valid_variant_ids(config)
@@ -407,7 +407,7 @@ def object_grid(world, records=None) -> dict:
         rights = np.zeros((len(variants), len(models)), dtype=np.int64)
         totals = np.zeros((len(variants), len(models)), dtype=np.int64)
         start = len(queries)
-        for sample in manifest.samples:
+        for k, sample in enumerate(manifest.samples):
             for v, variant in enumerate(variants):
                 for model, rec in groups.pop((ds_id, sample.sample_id, variant.variant_id),
                                              {}).items():
@@ -419,6 +419,7 @@ def object_grid(world, records=None) -> dict:
                     rights[v, column[model]] += rec.correct
                     totals[v, column[model]] += 1
                 queries.append((ds_id, sample.sample_id, variant.variant_id))
+                sample_index.append(k)
                 variant_index.append(v)
         spans[ds_id] = range(start, len(queries))
         counts[ds_id] = (rights, totals)
@@ -430,6 +431,7 @@ def object_grid(world, records=None) -> dict:
     for i, j, rec in placed:
         covered[i, j], correct[i, j], predicted[i, j] = True, rec.correct, rec.predicted_index
     return {"models": models, "queries": queries, "spans": spans,
+            "sample_index": np.array(sample_index, dtype=np.int64),
             "variant_index": np.array(variant_index, dtype=np.int64), "covered": covered,
             "correct": correct, "predicted": predicted, "counts": counts}
 

@@ -115,16 +115,24 @@ class TestAverageAndOracle:
 
 @pytest.mark.parametrize("case", sorted(PARTIAL_RECORDS))
 def test_average_and_oracle_on_partial_and_unrecorded_grids(case):
-    # the mean and the max of the reference table's marginals over the
-    # models with records; a grid without records on the dataset refuses it
+    # average and oracle are the mean and the max of the reference table's
+    # marginals over the models with records; voting and the upper bound
+    # refuse a partial grid first. Every strategy refuses a dataset without
+    # records, and an unknown one, with the same words
     world, records = partial_micro_world(case)
     grid = QueryGrid.build(world, records)
     valid = filter_valid_prompts(records, world.prompt_configs)
+    partial = case in ("one_record_short", "variant_short", "model_short")
+    for strategy in (average_baseline, oracle_accuracy, voting_accuracy, upper_bound_accuracy):
+        for ds in ("micro", "elsewhere"):
+            if partial and strategy in (voting_accuracy, upper_bound_accuracy):
+                with pytest.raises(CoverageError, match=r"lack full model coverage"):
+                    strategy(grid, ds)
+            elif ds == "elsewhere" or not valid:
+                with pytest.raises(InvalidInputError,
+                                   match=rf"^no recorded queries in datasets \['{ds}'\]$"):
+                    strategy(grid, ds)
     if not valid:
-        for strategy in (average_baseline, oracle_accuracy):
-            with pytest.raises(InvalidInputError,
-                               match=r"^no recorded queries in datasets \['micro'\]$"):
-                strategy(grid, "micro")
         return
     table = accuracy_table(valid)
     assert average_baseline(grid, "micro") == table_average(table, "micro")

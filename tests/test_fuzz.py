@@ -531,8 +531,7 @@ def test_corpus_labels_equal_per_row_select_best_model(spec):
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
     assert corpus.rows.tolist() == rows
     assert len(corpus) == len(rows) == len(corpus.labels) == len(corpus.responses)
-    for p, i in enumerate(rows):
-        ds, sample, variant = grid.queries[i]
+    for p, (i, (ds, sample, variant)) in enumerate(zip(rows, grid.queries(rows))):
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
@@ -553,7 +552,7 @@ def test_saved_corpus_equals_the_reference_objects(spec, data):
         assert corpus.inputs == [ex.serialized_input for ex in reference]
         assert [grid.models[c] for c in corpus.labels] == [ex.label_model_id for ex in reference]
         assert [(sample.sample_id, sample.dataset_id, variant.variant_id)
-                for _, sample, variant in map(grid.queries.__getitem__, corpus.rows)] == [
+                for _, sample, variant in grid.queries(corpus.rows)] == [
             ex.provenance for ex in reference]
         order = data.draw(st.permutations(range(len(corpus))))
         positions = order[:data.draw(st.integers(0, len(order)))]

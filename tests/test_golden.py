@@ -184,15 +184,15 @@ def test_router_inputs_equal_serialize_input_row_by_row(name, flags):
     # router_inputs formats a sample's [img] segment once for all its rows
     world = WORLDS[name]()
     grid = QueryGrid.build(world)
-    expected = []
-    for ds, sample, variant in grid.queries:
+    rows, expected = range(len(grid.variant_index)), []
+    for ds, sample, variant in grid.queries(rows):
         config = world.prompt_configs[ds]
         options = rendered_options(sample, config, variant)
         expected.append(serialize_input(world.metadata[sample.sample_id],
                                         render(variant.question, sample, config),
                                         options if flags.include_response_options else None,
                                         flags))
-    assert router_inputs(grid, range(len(grid.queries)), flags) == expected
+    assert router_inputs(grid, rows, flags) == expected
 
 
 def test_mini_batch_router_matches_recorded_digest(tmp_path):

@@ -215,8 +215,8 @@ class TestRunLodo:
         flags = SerializationFlags(True, False)
         corpus = build_router_dataset(QueryGrid.build(paired_world), flags)
         # one corpus position per dataset
-        strays = list({corpus.grid.queries[row][0]: i
-                       for i, row in enumerate(corpus.rows.tolist())}.values())
+        strays = list({ds: i for i, (ds, _, _) in
+                       enumerate(corpus.grid.queries(corpus.rows))}.values())
         real = harness.split_80_10_10
 
         def leaky(positions, seed):
@@ -359,7 +359,8 @@ class TestAblation:
         train, validate, test = split_80_10_10(examples, seed=3)
         model = train_on_examples(train, validate, config=replace(FAST_TRAIN, seed=3),
                                   flags=flags, featurizer=FAST_FEATS, vocabulary=grid.models)
-        row = {(s.sample_id, ds, v.variant_id): i for i, (ds, s, v) in enumerate(grid.queries)}
+        row = {(s.sample_id, ds, v.variant_id): i for i, (ds, s, v)
+               in enumerate(grid.queries(range(len(grid.variant_index))))}
         hits = {}
         for ex in test:
             choice = grid.models.index(model.route_text(ex.serialized_input))

@@ -19,9 +19,10 @@ from oracles import (AccuracyTable, FlakyBackend, accuracy_table, filter_valid_p
 
 import taskrouter.core as core
 from conftest import make_micro_world
-from taskrouter import IntegrityError, InvalidInputError, PromptTemplate
-from taskrouter.core import (ExecutionRecord, IdColumn, QueryGrid, Records, aggregate_accuracy,
-                             load_world, save_records, save_world, write_jsonl)
+from taskrouter import CoverageError, IntegrityError, InvalidInputError, PromptTemplate
+from taskrouter.core import (DatasetManifest, ExecutionRecord, IdColumn, QueryGrid, Records,
+                             aggregate_accuracy, load_world, save_records, save_world,
+                             write_jsonl)
 from taskrouter.prompts import prompt_variants
 from taskrouter.scoring import SeededEmbeddingBackend, evaluate
 from taskrouter.synth import WorldSpec, generate_world
@@ -59,6 +60,29 @@ def empty_question_world():
     return world
 
 
+def with_empty_dataset(make, at):
+    """``make`` with a dataset of no samples at position ``at`` of
+    ``world.datasets``: its span is empty, so it must claim no row."""
+    def make_world():
+        world = make()
+        datasets = list(world.datasets.items())
+        datasets.insert(at, ("empty", DatasetManifest("empty", "recognition", (), "empty")))
+        world.datasets = dict(datasets)
+        config = next(iter(world.prompt_configs.values()))
+        world.prompt_configs = {**world.prompt_configs,
+                                "empty": replace(config, dataset_id="empty")}
+        return world
+    make_world.__name__ = f"{make.__name__}_empty_at_{at}"
+    return make_world
+
+
+# every row of these is read at a dataset boundary: many variants per sample,
+# and an empty dataset first, in the middle and last
+WORLDS = [small_world, empty_question_world, make_micro_world, many_forms_world,
+          with_empty_dataset(make_micro_world, 0), with_empty_dataset(make_micro_world, 1),
+          with_empty_dataset(small_world, 1), with_empty_dataset(small_world, 2)]
+
+
 def _outcome(build, *args):
     try:
         return build(*args)
@@ -74,17 +98,42 @@ def assert_same_grid(world, records=None):
         return
     assert isinstance(got, QueryGrid)
     assert got.models == want["models"]
-    assert [(ds, s.sample_id, v.variant_id) for ds, s, v in got.queries] == want["queries"]
+    rows = range(len(got.variant_index))
+    assert [(ds, s.sample_id, v.variant_id) for ds, s, v in got.queries(rows)] == want["queries"]
     assert got.spans == want["spans"]
+    np.testing.assert_array_equal(got.sample_index, want["sample_index"])
     np.testing.assert_array_equal(got.variant_index, want["variant_index"])
     for name in ("covered", "correct", "predicted"):
         np.testing.assert_array_equal(getattr(got, name), want[name])
     assert_same_counts(got, want["counts"])
+    assert_errors_name_the_rows(got, want["queries"])
+
+
+def assert_errors_name_the_rows(grid, queries):
+    """``require_coverage`` and ``outcome`` name the first and last row of
+    the last dataset with rows as ``object_grid``'s ``queries`` name them."""
+    spans = [span for span in grid.spans.values() if len(span)]
+    if not spans:
+        return
+    ends = sorted({spans[-1].start, spans[-1].stop - 1})
+    for i in ends:
+        with pytest.raises(CoverageError) as raised:
+            grid.outcome([i], ["nobody"])
+        assert str(raised.value) == ("no recorded outcome for routed model 'nobody' on "
+                                     + "/".join(queries[i]))
+    covered = np.ones_like(grid.covered)
+    covered[ends, 0] = False
+    with pytest.raises(CoverageError) as raised:
+        replace(grid, covered=covered).require_coverage()
+    assert str(raised.value) == (
+        f"{len(ends)} (sample, variant) groups lack full model coverage: "
+        + ", ".join(f"{'/'.join(queries[i])} missing [{grid.models[0]!r}]" for i in ends))
+    assert raised.value.gaps == [(*queries[i], (grid.models[0],)) for i in ends]
 
 
 def assert_same_counts(grid, counts):
     """``grid.counts`` of each dataset equals ``object_grid``'s ``counts``."""
-    assert list(grid.variant_ids) == list(counts)
+    assert list(grid.variants) == list(counts)
     for ds, (rights, totals) in counts.items():
         got_rights, got_totals = grid.counts(ds)
         assert got_rights.tolist() == rights.tolist()
@@ -92,7 +141,7 @@ def assert_same_counts(grid, counts):
 
 
 class TestGridMatchesObjectPath:
-    @pytest.mark.parametrize("make", [small_world, empty_question_world, make_micro_world])
+    @pytest.mark.parametrize("make", WORLDS)
     def test_whole_and_shuffled(self, make):
         world = make()
         assert_same_grid(world)
@@ -101,7 +150,7 @@ class TestGridMatchesObjectPath:
             random.Random(seed).shuffle(records)
             assert_same_grid(world, records)
 
-    @pytest.mark.parametrize("make", [small_world, empty_question_world])
+    @pytest.mark.parametrize("make", WORLDS)
     def test_partial(self, make):
         world = make()
         records = list(world.records)

@@ -347,8 +347,8 @@ class TestBuildRouterDataset:
                 (rec.dataset_id, rec.sample_id, rec.prompt_variant_id), {}
             )[rec.model_id] = rec
         assert len(corpus) == len(by_group)
-        for row, code in zip(corpus.rows.tolist(), corpus.labels.tolist()):
-            ds, sample, variant = corpus.grid.queries[row]
+        for (ds, sample, variant), code in zip(corpus.grid.queries(corpus.rows),
+                                               corpus.labels.tolist()):
             sid, vid = sample.sample_id, variant.variant_id
             per_model = by_group[(ds, sid, vid)]
             correct = {m: r.correct for m, r in per_model.items()}
@@ -398,8 +398,7 @@ def test_corpus_and_routing_share_one_input_per_row(small_keyword_world, flags):
                          rng.normal(size=(len(grid.models), feats.hash_dim)),
                          rng.normal(size=len(grid.models)))
     assert route_rows(router, grid, rows) == router.route_batch(inputs)
-    for i, text in zip(rows.tolist(), inputs):
-        ds_id, sample, variant = grid.queries[i]
+    for (ds_id, sample, variant), text in zip(grid.queries(rows), inputs):
         config = world.prompt_configs[ds_id]
         metadata = world.metadata[sample.sample_id]
         prompt = render(variant.question, sample, config)
@@ -439,7 +438,7 @@ def test_options_are_checked_once_per_option_form(option_forms, monkeypatch):
     from taskrouter import routerdata
 
     grid = QueryGrid.build(_two_form_world(option_forms), ())
-    rows = range(len(grid.queries))
+    rows = range(len(grid.variant_index))
     flags = SerializationFlags(True, True)
     expected = router_inputs(grid, rows, flags)
     checked = []
@@ -452,14 +451,14 @@ def test_options_are_checked_once_per_option_form(option_forms, monkeypatch):
     monkeypatch.setattr(routerdata, "_check_field", counting)
     assert router_inputs(grid, rows, flags) == expected
     # each row's prompt, and each sample's three options once per option form
-    assert len(grid.queries) == 4 * 2 * len(option_forms)
-    assert checked.count("prompt") == len(grid.queries)
+    assert len(rows) == 4 * 2 * len(option_forms)
+    assert checked.count("prompt") == len(rows)
     assert checked.count("option") == 4 * len(option_forms) * 3
 
 
 def test_bad_option_on_the_second_option_form_is_refused():
     grid = QueryGrid.build(_two_form_world(("{class_name}", "{class_name}[SEP]")), ())
-    rows = range(len(grid.queries))
+    rows = range(len(grid.variant_index))
     with pytest.raises(InvalidInputError, match=r"option may not contain .*'red\[SEP\]'"):
         router_inputs(grid, rows, SerializationFlags(True, True))
     # an input without options never reads them
@@ -598,19 +597,19 @@ def test_unparsable_corpus_line_names_path_and_line(tmp_path):
 def test_corpus_labels_on_partial_and_unrecorded_grids(case):
     # each covered row is labeled by the reference table's cells and
     # marginals, also where some cells lack a record; a (variant, model)
-    # cell with no record at all has no average and raises KeyError naming it
+    # cell with no record at all has no average and raises CoverageError naming it
     world, records = partial_micro_world(case)
     grid = QueryGrid.build(world, records)
     if case in ("variant_short", "model_short"):
-        with pytest.raises(KeyError) as raised:
+        with pytest.raises(CoverageError,
+                           match=r"^no record of model 'gamma' on any sample of micro/q1-o0$"):
             _corpus_labels(grid)
-        assert raised.value.args == (("gamma", "micro", "q1-o0"),)
         return
     valid = filter_valid_prompts(records, world.prompt_configs)
     table = accuracy_table(valid) if valid else None
     want_labels, want_responses = [], []
-    for i in np.flatnonzero(grid.covered.any(axis=1)).tolist():
-        ds, _, variant = grid.queries[i]
+    rows = np.flatnonzero(grid.covered.any(axis=1))
+    for i, (ds, _, variant) in zip(rows.tolist(), grid.queries(rows)):
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})

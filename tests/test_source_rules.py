@@ -1,10 +1,12 @@
 """Rules the package source keeps."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import taskrouter
+from taskrouter.core import QueryGrid
 
 
 def test_no_invariant_is_guarded_by_assert():
@@ -468,3 +470,33 @@ def test_counts_are_read_from_the_query_grid():
               for name in ("average_baseline", "voting_accuracy", "oracle_accuracy",
                            "upper_bound_accuracy")}
     assert firsts == dict.fromkeys(firsts, "QueryGrid")
+
+
+def _nested_in_sample_loops(fn: ast.FunctionDef) -> list[int]:
+    """Lines of the loops and comprehensions inside ``fn``'s loops over a
+    manifest's ``.samples``, and of comprehensions over them with a second
+    ``for``."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    nested = []
+    for node in ast.walk(fn):
+        iters = ([node.iter] if isinstance(node, ast.For) else
+                 [g.iter for g in node.generators] if isinstance(node, loops[2:]) else [])
+        if any(".samples" in ast.unparse(it) for it in iters):
+            nested += [inner.lineno for inner in ast.walk(node)
+                       if inner is not node and isinstance(inner, loops)]
+            nested += [node.lineno] * (len(iters) > 1)
+    return nested
+
+
+def test_grid_rows_are_codes():
+    # a list of (dataset, sample, variant) objects per row repeats what the
+    # row codes and spans already say, and costs an object per row to build;
+    # rows become objects only through ``QueryGrid.queries``
+    assert {f.name for f in dataclasses.fields(QueryGrid)} & {"queries", "variant_ids"} == set()
+    package = Path(taskrouter.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if ".queries[" in path.read_text()] == []
+    tree = ast.parse((package / "core.py").read_text(), filename="core.py")
+    grid = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "QueryGrid")
+    assert _nested_in_sample_loops(_function(grid, "build")) == []

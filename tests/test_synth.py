@@ -180,9 +180,9 @@ class TestSignalModes:
             world = generate_world(spec)
             corpus = build_router_dataset(QueryGrid.build(world), flags)
             assert len(corpus)
-            for row, label in zip(corpus.rows.tolist(), corpus.labels.tolist()):
-                ds_index = int(corpus.grid.queries[row][0][2:])
-                assert corpus.grid.models[label] == spec.designated_best(ds_index)
+            for (ds, _, _), label in zip(corpus.grid.queries(corpus.rows),
+                                         corpus.labels.tolist()):
+                assert corpus.grid.models[label] == spec.designated_best(int(ds[2:]))
 
     def test_metadata_band_separation(self):
         models = ["m0", "m1", "m2", "m3"]
