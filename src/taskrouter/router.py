@@ -83,9 +83,8 @@ def featurize(text: str, config: FeaturizerConfig = FeaturizerConfig()):
     return idx.astype(np.int64), vals
 
 
-# Lines are scored in chunks of at most this many characters, and feature
-# rows in chunks of at most this many terms (a longer line or row is a chunk
-# of its own), so scoring memory does not grow with the input.
+# Lines are scored in chunks of at most this many characters (a longer line
+# is a chunk of its own), so scoring memory does not grow with the input.
 _CHUNK_CHARS = 1 << 15
 # A chunk's hashing temporaries are several times the size of its rows;
 # smaller chunks measured a lower peak RSS, no slower.
@@ -282,10 +281,9 @@ def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
 
     ``terms`` is (n_classes, groups, positions); line i owns the positions
     from ``starts[i]`` up to the next line's start in every group, and
-    ``counts[i] > 0`` terms in all. ``_choose_chunk`` passes one group per
-    n-gram order, and ``_choose_rows_chunk`` one group. Returns the argmax
-    of each line's summed terms plus the bias, and the lines to rescore
-    exactly. ``terms`` is overwritten.
+    ``counts[i] > 0`` terms in all; ``_choose_chunk`` passes one group per
+    n-gram order. Returns the argmax of each line's summed terms plus the
+    bias, and the lines to rescore exactly. ``terms`` is overwritten.
 
     The sum, taken over each group and then across groups, is rounded in
     another order than the reference ``weights[:, idx] @ vals + bias``, so
@@ -296,8 +294,7 @@ def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     so this score lies within gamma_n * S_c of the true one. The
     reference's products fold the same terms bucket by bucket (|vals[j]| is
     at most the number of terms in bucket j, so its absolute terms also sum
-    to at most A_c; a row of ``FeatureRows`` has the reference's own
-    products as its terms) and it sums at most n of them, so it lies within
+    to at most A_c) and it sums at most n of them, so it lies within
     gamma_{n+1} * S_c. The two scores of a class thus differ by at most 2 *
     gamma_{n+1} * S_c, and if the top score here beats the runner-up by
     more than 4 * gamma_{n+1} * max_c S_c, the reference has the same
@@ -321,42 +318,11 @@ def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
 
 def _choose_rows(weights: np.ndarray, bias: np.ndarray, features: FeatureRows,
                  positions) -> np.ndarray:
-    """The index of the highest-scoring class for each row of ``features``
-    at ``positions``, scored from its stored terms: equal on every row to
-    the reference argmax of ``weights[:, idx] @ vals + bias``, whose ties
-    go to the lowest index. ``weights`` is (n_classes, hash_dim) in any
-    memory layout (see ``_choose_rows_chunk``)."""
-    positions = np.asarray(positions, dtype=np.intp)
-    counts = features.indptr[positions + 1] - features.indptr[positions]
-    choices = np.empty(len(positions), dtype=np.intp)
-    for start, stop in _chunks(counts.tolist(), _CHUNK_CHARS):
-        choices[start:stop] = _choose_rows_chunk(weights, bias, features,
-                                                 positions[start:stop])
-    return choices
-
-
-def _choose_rows_chunk(weights, bias, features: FeatureRows, positions) -> np.ndarray:
-    """Score a chunk of feature rows: each row's terms are its gathered
-    ``weights[c, idx] * vals`` products, the reference's own, and a row
-    that fails ``_gap_test`` or has no terms gets the reference product."""
-    starts = features.indptr[positions]
-    counts = features.indptr[positions + 1] - starts
-    choices = np.zeros(len(positions), dtype=np.intp)
-    full = np.flatnonzero(counts)
-    exact = np.flatnonzero(counts == 0)
-    if len(full):
-        ends = np.cumsum(counts[full])
-        firsts = ends - counts[full]
-        # every term of the chunk's rows, as positions in the store
-        flat = np.arange(ends[-1]) + np.repeat(starts[full] - firsts, counts[full])
-        terms = weights[:, features.indices[flat]]
-        terms *= features.values[flat]
-        choices[full], unsure = _gap_test(terms[:, None], firsts, counts[full], bias)
-        exact = np.concatenate([exact, full[unsure]])
-    for i in exact.tolist():
-        idx, vals = features.row(positions[i])
-        choices[i] = np.argmax(weights[:, idx] @ vals + bias)
-    return choices
+    """The reference choice for each row of ``features`` at ``positions``:
+    the argmax of ``weights[:, idx] @ vals + bias``, ties to the lowest
+    index. ``weights`` is (n_classes, hash_dim) in any memory layout."""
+    return np.array([np.argmax(weights[:, idx] @ vals + bias)
+                     for idx, vals in map(features.row, positions)], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -464,6 +430,9 @@ class RouterModel:
                 f"weights shape {self.weights.shape} does not match "
                 f"{len(self.vocabulary)} models x {self.featurizer.hash_dim} buckets"
             )
+        if self.bias.shape != (len(self.vocabulary),):
+            raise InvalidInputError(
+                f"bias shape {self.bias.shape} does not match {len(self.vocabulary)} models")
 
     def route_batch(self, texts: Sequence[str]) -> list[str]:
         """The model picked for each serialized input line: every line
@@ -474,8 +443,11 @@ class RouterModel:
 
     def route_features(self, features: FeatureRows, positions) -> list[str]:
         """The model picked for each row of ``features`` at ``positions``,
-        scored from the stored rows with no line hashed again; the same
-        choice ``route_batch`` makes on the rows' lines."""
+        by the reference product on the stored rows; the same choice
+        ``route_batch`` makes on the rows' lines."""
+        positions = np.asarray(positions, dtype=np.intp)
+        if len(positions) and not 0 <= positions.min() <= positions.max() < len(features):
+            raise InvalidInputError(f"positions outside the {len(features)} feature rows")
         return [self.vocabulary[i]
                 for i in _choose_rows(self.weights, self.bias, features, positions).tolist()]
 

@@ -2,6 +2,7 @@
 evaluation."""
 
 import json
+import re
 import struct
 from unittest import mock
 
@@ -348,6 +349,14 @@ class TestRoute:
             bias=np.zeros(len(vocab)),
         )
 
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 3), ()])
+    def test_bias_of_another_shape_raises(self, shape):
+        with pytest.raises(InvalidInputError,
+                           match=f"bias shape {re.escape(str(shape))} does not match 3 models"):
+            RouterModel(vocabulary=("a", "b", "c"), featurizer=SMALL,
+                        flags=SerializationFlags(False, False), seed=0,
+                        weights=np.zeros((3, SMALL.hash_dim)), bias=np.zeros(shape))
+
     def test_single_model_vocabulary(self):
         model = self._model(vocab=("solo",))
         assert model.route(None, "whatever", None) == "solo"
@@ -542,27 +551,15 @@ class TestRouteBatch:
         assert [router.vocabulary[i] for i in router_module._choose_rows(
             bucket_major.T, router.bias, features, positions).tolist()] == got
 
-    def test_rows_within_the_bound_fall_back_to_the_reference_product(self, monkeypatch):
-        unsure = []
-        real = router_module._gap_test
-
-        def spying(*args):
-            best, rescored = real(*args)
-            unsure.append(rescored.tolist())
-            return best, rescored
-
-        monkeypatch.setattr(router_module, "_gap_test", spying)
+    def test_rows_choose_as_the_reference_product_on_ties_and_near_ties(self):
         texts = ["[prompt]one", "[prompt]two", "x"]
         features = router_module.featurize_batch(texts, SMALL)
-        # every score ties on an all-zero router: both rows are rescored, and
-        # the empty row "x" never reaches the gap test
+        # every score ties on an all-zero router, the empty row "x" too
         zero = RouterModel(vocabulary=("a", "b"), featurizer=SMALL,
                            flags=SerializationFlags(False, False), seed=0,
                            weights=np.zeros((2, SMALL.hash_dim)), bias=np.zeros(2))
         assert zero.route_features(features, [0, 1, 2]) == ["a", "a", "a"]
-        assert unsure == [[0, 1]]
-        unsure.clear()
-        # class 1 is class 0 raised by one ulp: near ties the bound catches
+        # class 1 is class 0 raised by one ulp
         for seed in range(30):
             rng = np.random.default_rng(seed)
             weights, bias = rng.normal(size=(2, SMALL.hash_dim)), rng.normal(size=2)
@@ -572,7 +569,16 @@ class TestRouteBatch:
                                  weights=weights, bias=bias)
             assert router.route_features(features, [0, 1, 2]) == \
                 [router.vocabulary[exact_choice(router, t)] for t in texts]
-        assert all(rescored for rescored in unsure)
+
+    def test_positions_outside_the_rows_raise(self):
+        router = constant_router("b", ("a", "b"))
+        features = router_module.featurize_batch(["[prompt]one", "[prompt]two", "x"], SMALL)
+        n = len(features)
+        assert router.route_features(features, []) == []
+        assert router.route_features(features, [0, n - 1]) == ["b", "b"]
+        for positions in ([-1], [0, -n - 1], [n], [1, n, 0]):
+            with pytest.raises(InvalidInputError, match="positions outside the 3 feature rows"):
+                router.route_features(features, positions)
 
     def test_batch_longer_than_a_chunk(self):
         router = RouterModel(vocabulary=("a", "b", "c"), featurizer=FeaturizerConfig(),

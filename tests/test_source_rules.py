@@ -143,6 +143,18 @@ def test_training_and_replay_score_the_run_feature_rows():
     assert calls == []
 
 
+def test_only_hashed_lines_take_the_gap_test():
+    # stored feature rows are scored by the reference product itself; a
+    # second fast row scorer would carry its own copy of the rounding bound
+    tree = ast.parse((Path(taskrouter.__file__).parent / "router.py").read_text(),
+                     filename="router.py")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    callers = sorted({fn.name for fn in functions for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and _call_name(node) == "_gap_test"})
+    assert callers == ["_choose_chunk"]
+    assert "_choose_rows_chunk" not in {fn.name for fn in functions}
+
+
 def test_router_reads_no_corpus_line_marker():
     # the corpus line's markers are routerdata's; a router that parsed its
     # lines would be a second reader of their flags
