@@ -27,6 +27,7 @@ from .core import (
     Sample,
     World,
     aggregate_accuracy,
+    load_tasks,
     load_world,
     save_world,
     summarize_image,

@@ -19,8 +19,8 @@ from typing import Sequence
 
 from . import harness
 from .baselines import build_comparison_report
-from .core import (QueryGrid, Records, load_world, read_json, reading, save_records,
-                   save_world, typed_field, write_json)
+from .core import (QueryGrid, Records, load_tasks, load_world, read_json, reading,
+                   save_records, save_world, typed_field, write_json)
 from .errors import InvalidInputError, TaskRouterError
 from .presets import builtin_prompt_configs
 from .prompts import (
@@ -274,9 +274,9 @@ def _cmd_prompts_expand(args) -> None:
         return
     if args.world is None:
         raise InvalidInputError("--sample-id needs --world to look the sample up")
-    world = load_world(args.world)
+    datasets, _ = load_tasks(args.world)
     sample = next(
-        (s for m in world.datasets.values() for s in m.samples
+        (s for m in datasets.values() for s in m.samples
          if s.sample_id == args.sample_id),
         None,
     )
@@ -288,16 +288,15 @@ def _cmd_prompts_expand(args) -> None:
 
 
 def _cmd_eval_run(args) -> None:
-    world = load_world(args.world)
+    datasets, configs = load_tasks(args.world)
     backend = make_mock_backend(
         args.backend, args.family, name=args.model_id, seed=args.train_config.seed,
-        manifests=list(world.datasets.values()),
+        manifests=list(datasets.values()),
         dim=max((len(s.response_options)
-                 for m in world.datasets.values() for s in m.samples), default=1),
+                 for m in datasets.values() for s in m.samples), default=1),
     )
-    runs = [evaluate(backend, manifest, world.prompt_configs[ds_id],
-                     normalization=args.normalization)
-            for ds_id, manifest in world.datasets.items()]
+    runs = [evaluate(backend, manifest, configs[ds_id], normalization=args.normalization)
+            for ds_id, manifest in datasets.items()]
     records = Records.concat(run.records for run in runs)
     save_records(records, args.out / "records.jsonl")
     summary = {

@@ -599,13 +599,6 @@ class World:
     def __post_init__(self):
         self.records = Records.of(self.records)
 
-    def sample_index(self) -> dict[tuple[str, str], Sample]:
-        return {
-            (ds_id, s.sample_id): s
-            for ds_id, manifest in self.datasets.items()
-            for s in manifest.samples
-        }
-
     def sizes(self) -> dict[str, int]:
         return {ds_id: m.size for ds_id, m in self.datasets.items()}
 
@@ -1021,8 +1014,9 @@ def save_world(world: World, out_dir: str | Path) -> Path:
     return out
 
 
-def load_world(world_dir: str | Path) -> World:
-    """The world in ``world_dir``; a prompt config under another dataset's
+def load_tasks(world_dir: str | Path) -> tuple[dict[str, DatasetManifest], dict]:
+    """The manifests and prompt configs in ``world_dir``, as ``World`` holds
+    them: all that scoring reads. A prompt config under another dataset's
     id, or a dataset without a prompt config, is an IntegrityError."""
     from .prompts import DatasetPromptConfig
 
@@ -1038,12 +1032,20 @@ def load_world(world_dir: str | Path) -> World:
         unconfigured = [m.dataset_id for m in manifests if m.dataset_id not in configs]
         if unconfigured:
             raise IntegrityError(f"no prompt config for dataset {unconfigured[0]!r}")
+    return {m.dataset_id: m for m in manifests}, configs
+
+
+def load_world(world_dir: str | Path) -> World:
+    """The world in ``world_dir``: ``load_tasks``, then the metadata,
+    records and ``world.json``, each checked in that order."""
+    root = Path(world_dir)
+    datasets, configs = load_tasks(root)
     meta = load_metadata(root / "metadata.jsonl")
     records = Records.load(root / "records.jsonl")
     info = read_json(root / "world.json")
     with reading(root / "world.json"):
         return World(
-            datasets={m.dataset_id: m for m in manifests},
+            datasets=datasets,
             prompt_configs=configs,
             metadata=meta,
             records=records,

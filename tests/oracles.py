@@ -228,6 +228,12 @@ class AccuracyTable:
         return [v for v, _, _ in self._by_pair.get((model_id, dataset_id), ())]
 
 
+def sample_index(world) -> dict:
+    """``{(dataset_id, sample_id): Sample}`` over every manifest of ``world``."""
+    return {(ds_id, s.sample_id): s
+            for ds_id, manifest in world.datasets.items() for s in manifest.samples}
+
+
 def accuracy_table(records, samples=None) -> AccuracyTable:
     """The AccuracyTable of ``aggregate_accuracy``'s counts of ``records``,
     checked against ``samples`` when given."""

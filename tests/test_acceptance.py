@@ -46,8 +46,8 @@ from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec, train_on_examples
-from oracles import (accuracy_table, batch_loss, reference_train, softmax_loss_and_grads,
-                     table_average, table_oracle)
+from oracles import (accuracy_table, batch_loss, reference_train, sample_index,
+                     softmax_loss_and_grads, table_average, table_oracle)
 from test_routerdata import (
     REFERENCE_FIELDS,
     REFERENCE_LINE,
@@ -250,7 +250,7 @@ def test_criterion_5_baseline_ordering():
                 competence=competence, signal_mode="none",
                 question_forms_per_dataset=1, seed=9000 + trial,
             ))
-            table = accuracy_table(world.records, world.sample_index())
+            table = accuracy_table(world.records, sample_index(world))
             router = RouterModel(
                 vocabulary=tuple(sorted(world.model_pool)), featurizer=feats,
                 flags=SerializationFlags(True, True), seed=trial,
@@ -315,7 +315,7 @@ def test_criterion_6_router_learning():
             question_forms=1, seed=62,
         ))
         result = run_lodo(lodo_world, flags=flags, train_config=TrainConfig(seed=63))
-        table = accuracy_table(lodo_world.records, lodo_world.sample_index())
+        table = accuracy_table(lodo_world.records, sample_index(lodo_world))
         assert not result.failed_folds
         for ds, fold in result.folds.items():
             assert fold.router_accuracy >= table_average(table, ds), ds

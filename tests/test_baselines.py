@@ -23,7 +23,8 @@ from taskrouter import (
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
-from oracles import accuracy_table, filter_valid_prompts, table_average, table_oracle
+from oracles import (accuracy_table, filter_valid_prompts, sample_index, table_average,
+                     table_oracle)
 
 
 def sample_with_k_options(k, gold=0, sid="s0"):
@@ -328,7 +329,7 @@ def test_voting_accuracy_matches_per_pair_oracle(small_keyword_world):
     from oracles import filter_valid_prompts
 
     valid = filter_valid_prompts(world.records, world.prompt_configs)
-    samples = world.sample_index()
+    samples = sample_index(world)
     for ds in world.datasets:
         got = voting_accuracy(QueryGrid.build(world, valid), ds)
         by_pair = {}

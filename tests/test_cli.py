@@ -1,6 +1,7 @@
 """CLI: the full pipeline end to end, plus error-record behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,71 @@ def test_eval_run_gold_backend(world_dir, tmp_path, capsys):
     records = (out / "records.jsonl").read_text().strip().splitlines()
     assert len(records) == summary["records"]
     assert all(json.loads(r)["correct"] for r in records)
+
+
+def _tasks_only(world):
+    for name in ("records.jsonl", "metadata.jsonl", "world.json"):
+        (world / name).unlink()
+
+
+def _cut_mid_line(name):
+    def cut(world):
+        path = world / name
+        data = path.read_bytes()
+        path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 20])
+    return cut
+
+
+@pytest.mark.parametrize("damage", [_tasks_only, _cut_mid_line("records.jsonl"),
+                                    _cut_mid_line("metadata.jsonl")],
+                         ids=["tasks_only", "cut_records", "cut_metadata"])
+def test_eval_run_reads_only_the_task_files(damage, world_dir, tmp_path, capsys):
+    # scoring reads datasets.jsonl and prompt_configs.json alone, so a world
+    # not scored yet, or one whose other files are damaged, scores the same
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    damage(world)
+    outputs = []
+    for where in (world_dir, world):
+        out = tmp_path / f"eval{len(outputs)}"
+        assert main(["--out", str(out), "eval", "run", "--world", str(where),
+                     "--backend", "seeded", "--family", "embedding"]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("records.jsonl", "eval_summary.json")])
+    assert outputs[0][0] and outputs[1] == outputs[0]
+
+
+def test_prompts_expand_reads_only_the_task_files(world_dir, tmp_path, capsys):
+    import shutil
+
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    _tasks_only(world)
+    config = tmp_path / "ds00_config.json"
+    config.write_text(json.dumps(json.loads((world / "prompt_configs.json").read_text())["ds00"]))
+    printed = []
+    for where in (world_dir, world):
+        assert main(["prompts", "expand", "--dataset", str(config), "--world", str(where),
+                     "--sample-id", "ds00-s00000"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] and printed[1] == printed[0]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import taskrouter
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taskrouter.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "taskrouter", "prompts", "expand",
+                           "--dataset", "cifar100"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith("q0-o0\t")
 
 
 @pytest.mark.parametrize("datasets", [0, 1])

@@ -25,7 +25,7 @@ from taskrouter.routerdata import ALL_FLAG_COMBOS, load_corpus
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec, make_micro_world
-from oracles import accuracy_table, filter_valid_prompts, table_average
+from oracles import accuracy_table, filter_valid_prompts, sample_index, table_average
 
 # unit-test schedule: hotter learning rate, fewer steps, smaller hash space
 FAST_TRAIN = TrainConfig(learning_rate=0.05, max_iterations=800, eval_every=200)
@@ -51,7 +51,7 @@ class TestRunLodo:
         world = generate_world(spec)
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS)
-        table = accuracy_table(world.records, world.sample_index())
+        table = accuracy_table(world.records, sample_index(world))
         for ds, fold in result.folds.items():
             assert fold.status == "ok"
             assert fold.router_accuracy == pytest.approx(table.marginal("star", ds))
@@ -62,7 +62,7 @@ class TestRunLodo:
                           train_config=replace(FAST_TRAIN, seed=1), featurizer=FAST_FEATS)
         table = accuracy_table(
             filter_valid_prompts(world.records, world.prompt_configs),
-            world.sample_index(),
+            sample_index(world),
         )
         assert not result.failed_folds
         for ds, fold in result.folds.items():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (AccuracyTable, FlakyBackend, accuracy_table, filter_valid_prompts,
-                     object_grid, object_records)
+                     object_grid, object_records, sample_index)
 
 import taskrouter.core as core
 from conftest import make_micro_world
@@ -257,7 +257,7 @@ def test_single_fault_file_fails_as_before(tmp_path, fault):
 
 def test_accuracy_check_reports_the_first_faulty_record():
     world = small_world()
-    samples = world.sample_index()
+    samples = sample_index(world)
     records = list(world.records)
     records[20] = replace(records[20], correct=not records[20].correct)
     records[5] = replace(records[5], predicted_index=-3)
@@ -291,7 +291,7 @@ class TestRecords:
         keys = [(r.dataset_id, r.model_id, r.sample_id, r.prompt_variant_id)
                 for r in world.records]
         assert keys == sorted(set(keys)) and len(keys) == 2 * 3 * 5 * 2
-        samples = world.sample_index()
+        samples = sample_index(world)
         for r in world.records:
             sample = samples[(r.dataset_id, r.sample_id)]
             assert r.correct == (r.predicted_index == sample.gold_index)

@@ -677,11 +677,11 @@ class TestEvaluateRouter:
         router = constant_router("m1", world.model_pool)
         grid = QueryGrid.build(world)
         replay = {ds: evaluate_router(router, grid, ds) for ds in world.datasets}
-        from oracles import accuracy_table, filter_valid_prompts
+        from oracles import accuracy_table, filter_valid_prompts, sample_index
 
         table = accuracy_table(
             filter_valid_prompts(world.records, world.prompt_configs),
-            world.sample_index(),
+            sample_index(world),
         )
         for ds, acc in replay.items():
             assert acc == pytest.approx(table.marginal("m1", ds))

@@ -37,7 +37,7 @@ from taskrouter.routerdata import (
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
-from oracles import accuracy_table, filter_valid_prompts, reference_corpus
+from oracles import accuracy_table, filter_valid_prompts, reference_corpus, sample_index
 
 # Golden record for the serialization format, frozen byte for byte. Note:
 # no closing bracket after the options list; the [SEP] marker terminates it.
@@ -340,7 +340,7 @@ class TestBuildRouterDataset:
         flags = SerializationFlags(True, True)
         corpus = build_router_dataset(QueryGrid.build(world), flags)
         valid = filter_valid_prompts(world.records, world.prompt_configs)
-        table = accuracy_table(valid, world.sample_index())
+        table = accuracy_table(valid, sample_index(world))
         by_group = {}
         for rec in valid:
             by_group.setdefault(

@@ -320,7 +320,7 @@ _COERCIONS = {"int", "float", "bool", "tuple", "list", "dict"}
 # readers of JSON objects besides the from_dicts: (module, function, the object it reads)
 _HEADER_READERS = [("router.py", "load", "header"), ("wire.py", "_parse_info", "d"),
                    ("routerdata.py", "_read_sidecar", "d"), ("core.py", "_record_fields", "d"),
-                   ("core.py", "load_world", "raw"), ("core.py", "load_world", "info")]
+                   ("core.py", "load_tasks", "raw"), ("core.py", "load_world", "info")]
 
 
 def _reads_raw(node: ast.AST, names: set[str]) -> bool:
@@ -512,3 +512,24 @@ def test_grid_rows_are_codes():
     grid = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.ClassDef) and node.name == "QueryGrid")
     assert _nested_in_sample_loops(_function(grid, "build")) == []
+
+
+def test_scoring_reads_the_task_files_through_one_reader():
+    # scoring needs only the manifests and prompt configs, so ``eval run``
+    # and ``prompts expand`` do not read a world's records or metadata;
+    # ``load_world`` reads those two files only through ``load_tasks``, so
+    # the two readers check them alike
+    package = Path(taskrouter.__file__).parent
+    cli = ast.parse((package / "cli.py").read_text(), filename="cli.py")
+    named = [f"{fn}:{node.lineno}" for fn in ("_cmd_eval_run", "_cmd_prompts_expand")
+             for node in ast.walk(_function(cli, fn))
+             if isinstance(node, ast.Name) and node.id == "load_world"
+             or isinstance(node, ast.Attribute) and node.attr == "load_world"]
+    assert named == []
+    load_world = _function(ast.parse((package / "core.py").read_text(), filename="core.py"),
+                           "load_world")
+    calls = {_call_name(node) for node in ast.walk(load_world) if isinstance(node, ast.Call)}
+    assert "load_tasks" in calls
+    assert calls & {"load_manifests", "DatasetPromptConfig", "from_dict"} == set()
+    assert [node.value for node in ast.walk(load_world) if isinstance(node, ast.Constant)
+            and node.value in ("datasets.jsonl", "prompt_configs.json")] == []

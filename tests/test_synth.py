@@ -9,7 +9,7 @@ from taskrouter.prompts import prompt_variants
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec
-from oracles import accuracy_table
+from oracles import accuracy_table, sample_index
 
 
 def basic_spec(**overrides):
@@ -111,10 +111,10 @@ class TestGeneration:
             expected += manifest.size * n_variants * len(world.model_pool)
         assert len(world.records) == expected
         # aggregate_accuracy re-checks record/sample integrity
-        table = accuracy_table(world.records, world.sample_index())
+        table = accuracy_table(world.records, sample_index(world))
         assert set(table.models()) == set(world.model_pool)
         # predicted indices always in range and consistent with correctness
-        samples = world.sample_index()
+        samples = sample_index(world)
         for rec in world.records:
             sample = samples[(rec.dataset_id, rec.sample_id)]
             assert 0 <= rec.predicted_index < len(sample.response_options)
