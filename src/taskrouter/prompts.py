@@ -279,9 +279,11 @@ def closed_prompt_set(
 
 
 def _check_variant(config: DatasetPromptConfig, variant: PromptVariant) -> None:
-    n_q = len(config.question_forms)
-    n_o = max(1, len(config.option_forms))
-    if not (0 <= variant.question_index < n_q and 0 <= variant.option_index < n_o):
+    qi, oi = variant.question_index, variant.option_index
+    option_forms = config.option_forms or (None,)
+    if not (0 <= qi < len(config.question_forms) and 0 <= oi < len(option_forms)
+            and config.question_forms[qi] == variant.question
+            and option_forms[oi] == variant.option):
         raise InvalidInputError(
             f"variant {variant.variant_id} does not belong to config "
             f"{config.dataset_id}"

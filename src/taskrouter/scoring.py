@@ -103,7 +103,10 @@ def predict_generative(
     for i, lps in enumerate(token_logprobs):
         if len(lps) == 0:
             raise InvalidInputError(f"option {i} has an empty token list")
-        total = float(sum(lps))
+        total = 0.0
+        for lp in lps:  # left to right: sum() compensates since Python 3.12
+            total += lp
+        total = float(total)
         scores.append(total if normalization == "sum" else total / len(lps))
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
     return Prediction(best, tuple(scores))
@@ -162,7 +165,12 @@ def evaluate(
     if info.family == GENERATIVE and not isinstance(backend, GenerativeBackend):
         raise InvalidInputError(f"backend {info.name} does not implement generative ops")
 
-    chosen = list(variants) if variants is not None else prompt_variants(config)
+    own = prompt_variants(config)
+    chosen = own if variants is None else list(variants)
+    for variant in chosen:
+        if variant not in own:
+            raise InvalidInputError(f"variant {variant.variant_id} does not belong to config "
+                                    f"{config.dataset_id}")
     queries = [(sample, variant) for sample in manifest.samples for variant in chosen]
     rows, skipped = [], []  # rows: one RECORD_FIELDS tuple per scored query
     for (sample, variant), outcome in zip(
@@ -175,7 +183,7 @@ def evaluate(
             skipped.append(SkipNote(sample.sample_id, variant.variant_id, str(outcome)))
             continue
         rows.append((sample.sample_id, manifest.dataset_id, info.name, variant.variant_id,
-                     outcome.predicted_index, outcome.predicted_index == sample.gold_index))
+                     outcome, outcome == sample.gold_index))
     run = EvaluationRun(Records.from_columns(*zip(*rows)), skipped)
     if run.skipped:
         logger.warning(
@@ -186,15 +194,17 @@ def evaluate(
 
 
 def _outcomes(backend, info: BackendInfo, config, queries, normalization):
-    """The prediction, or the exception that stopped it, of each query.
+    """The predicted index, or the exception that stopped it, of each query.
 
     Every query is rendered and its jobs collected first: an embedding
     query's image, then its prompt list (each distinct one once for a
     ``deterministic`` backend), or a generative query's one ``logprobs``
-    job. All jobs go to the backend in one ``_call_many`` call, and each
-    query's answers are taken through ``_take``. An answer with another
-    number of embedding rows or logprob lists than the query has prompts
-    is a ``BackendError``."""
+    job. All jobs go to the backend in one ``_call_many`` call. The
+    embedding queries whose answers both fit are scored together by
+    ``_stacked_picks``; every other query takes its answers through
+    ``_take``, in query order, and is scored on its own. An answer with
+    another number of embedding rows or logprob lists than the query has
+    prompts is a ``BackendError``."""
     embedding = info.family == EMBEDDING
     slots = {} if embedding and info.deterministic else None  # job -> its position in ``jobs``
     jobs, needs = [], []  # needs: per query, its prompts and job positions, or its render error
@@ -213,7 +223,11 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
             positions.append(j)
         needs.append((prompts, positions))
     answers = _call_many(backend, jobs)
-    for need in needs:
+    picks = _stacked_picks(answers, needs) if embedding else {}
+    for q, need in enumerate(needs):
+        if q in picks:
+            yield picks[q]
+            continue
         if isinstance(need, Exception):
             yield need
             continue
@@ -228,9 +242,58 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
             if count != len(prompts):
                 raise BackendError(f"backend {info.name} returned {count} {unit} "
                                    f"for {len(prompts)} prompts")
-            yield prediction if embedding else predict_generative(taken[0], normalization)
+            yield (prediction if embedding
+                   else predict_generative(taken[0], normalization)).predicted_index
         except Exception as exc:  # noqa: BLE001
             yield exc
+
+
+_STACK_FLOATS = 1 << 18  # option-embedding floats per stacked product, to bound its copy
+
+
+def _stacked_picks(answers: list, needs: list) -> dict:
+    """The predicted index, by query position, of each embedding query
+    whose image answer is a ``(d,)`` array and whose prompt-list answer is
+    a ``(k, d)`` array, ``k`` its prompt count, both C-contiguous once read
+    as float64. Each distinct answer is read once. The queries of one
+    shape are scored together: ``np.matmul`` of their stacked option
+    embeddings and image vectors runs, for each query, the BLAS product
+    that ``m @ v`` runs in ``predict_contrastive`` on the same layout, so
+    every pick is that query's own, ties to the lowest index included."""
+    arrays = [None if isinstance(answer, Exception) else _c_float64(answer)
+              for answer in answers]
+    groups = {}  # (k, d) -> (query position, image job, prompt-list job) of each query
+    for q, need in enumerate(needs):
+        if isinstance(need, Exception):
+            continue
+        prompts, (i, t) = need
+        v, m = arrays[i], arrays[t]
+        if (v is not None and m is not None and v.ndim == 1 and prompts
+                and m.shape == (len(prompts), len(v))):
+            groups.setdefault(m.shape, []).append((q, i, t))
+    picks = {}
+    for (k, d), members in groups.items():
+        step = max(1, _STACK_FLOATS // max(1, k * d))
+        for lo in range(0, len(members), step):
+            qs, images, texts = zip(*members[lo:lo + step])
+            try:
+                scores = np.matmul(np.stack([arrays[t] for t in texts]),
+                                   np.stack([arrays[i] for i in images])[:, :, None])
+            except Exception:  # noqa: BLE001 - a float warning made an error
+                continue  # each of these queries meets its own in predict_contrastive
+            picks.update(zip(qs, scores.argmax(axis=1)[:, 0].tolist()))
+    return picks
+
+
+def _c_float64(answer):
+    """An answer as a C-contiguous float64 array, else None: the query
+    then takes the path of ``predict_contrastive``, which raises its error
+    or reads its layout."""
+    try:
+        array = np.asarray(answer, dtype=np.float64)
+    except Exception:  # noqa: BLE001
+        return None
+    return array if array.flags.c_contiguous else None
 
 
 _ASK_AGAIN = object()  # the answer slot of a job whose failure has been taken

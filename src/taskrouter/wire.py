@@ -115,8 +115,9 @@ def _rows(rows) -> list[list[float]]:
 
 
 def _reals(op: str, ndim: int):
-    """The client's reading of an ``op`` result: an array of reals with
-    ``ndim`` axes, else BackendError naming the op and the shape."""
+    """The client's reading of an ``op`` result: an array of finite reals
+    with ``ndim`` axes, else BackendError naming the op and the shape or
+    the first value that is not finite."""
     def decode(result) -> np.ndarray:
         try:
             array = np.asarray(result)
@@ -125,7 +126,12 @@ def _reals(op: str, ndim: int):
         if array.ndim != ndim or array.dtype.kind not in "iuf":
             raise BackendError(f"{op} result must be a {ndim}-D array of reals, got shape "
                                f"{array.shape} of {array.dtype}")
-        return array.astype(np.float64, copy=False)
+        array = array.astype(np.float64, copy=False)
+        finite = np.isfinite(array)
+        if not finite.all():  # JSON NaN, Infinity and 1e400 parse as floats
+            raise BackendError(f"{op} result must hold finite reals, "
+                               f"got {float(array[~finite][0])!r}")
+        return array
     return decode
 
 

@@ -490,8 +490,9 @@ def query_by_query_embedding_outcomes(backend, config, queries) -> list:
     variant) query, with each query's backend calls made as it is reached:
     its prompts rendered, then its image and its prompt list embedded. A
     ``deterministic`` backend's results (never its failures) are kept for
-    the rest of the call. The reference for the call sequence of the
-    batched embedding path in ``scoring.evaluate``."""
+    the rest of the call; another number of embedding rows than prompts is
+    a ``BackendError``. The reference for the call sequence and the
+    outcomes of the batched, stacked embedding path in ``scoring.evaluate``."""
     memo = {} if backend.info.deterministic else None
 
     def reuse(key, call, arg):
@@ -507,7 +508,12 @@ def query_by_query_embedding_outcomes(backend, config, queries) -> list:
             prompts = closed_prompt_set(sample, config, variant)
             v = reuse(("img", sample.image_ref), backend.embed_image, sample.image_ref)
             m = reuse(("txt", tuple(prompts)), backend.embed_texts, prompts)
-            outcomes.append(predict_contrastive(v, m))
+            prediction = predict_contrastive(v, m)
+            rows = len(prediction.per_option_scores)
+            if rows != len(prompts):
+                raise BackendError(f"backend {backend.info.name} returned {rows} embedding "
+                                   f"rows for {len(prompts)} prompts")
+            outcomes.append(prediction)
         except Exception as exc:  # noqa: BLE001
             outcomes.append(exc)
     return outcomes

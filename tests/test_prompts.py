@@ -1,6 +1,8 @@
 """Prompt grammar: renames, articles, rendering, variants, and the
 shipped dataset configurations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,17 @@ class TestClosedPromptSet:
                             context={"class_question": "?", "class_hint": "!"}),
                 config, foreign,
             )
+
+    def test_variant_with_other_templates_rejected(self):
+        # in-range indices do not make a variant this config's own
+        config = CONFIGS["scienceqa"]
+        other = dataclasses.replace(config, question_forms=(PromptTemplate("Other: "),)
+                                    + config.question_forms[1:])
+        sample = make_sample(["a"], dataset="scienceqa",
+                             context={"class_question": "?", "class_hint": "!"})
+        assert closed_prompt_set(sample, config, variant_by_id(config, "q0-o0"))
+        with pytest.raises(InvalidInputError, match="does not belong"):
+            closed_prompt_set(sample, config, variant_by_id(other, "q0-o0"))
 
 
 class TestConfigPlumbing:

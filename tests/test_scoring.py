@@ -1,17 +1,27 @@
 """Prediction procedures and batch evaluation."""
 
+import contextlib
 import dataclasses
+import itertools
+import zlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrouter import (
+    DatasetManifest,
     InvalidInputError,
+    Sample,
     predict_contrastive,
     predict_generative,
+    scoring,
 )
 from taskrouter.scoring import (
+    BackendInfo,
     ConstantEmbeddingBackend,
     GoldEmbeddingBackend,
     GoldLogprobBackend,
@@ -20,7 +30,8 @@ from taskrouter.scoring import (
     evaluate,
     gold_index_by_ref,
 )
-from taskrouter.prompts import PromptTemplate, closed_prompt_set, prompt_variants
+from taskrouter.prompts import (DatasetPromptConfig, PromptTemplate, closed_prompt_set,
+                                prompt_variants)
 from taskrouter.synth import WorldSpec, generate_world
 from oracles import (FlakyBackend, RowCountBackend, accuracy_table,
                      query_by_query_embedding_outcomes)
@@ -119,6 +130,12 @@ class TestPredictGenerative:
         with pytest.raises(InvalidInputError):
             predict_generative([[-1.0]], "median")
 
+    def test_sums_run_left_to_right(self):
+        # a compensated sum (Python 3.12's sum()) would total option 0 as 1.0
+        pred = predict_generative([[1e16, 1.0, -1e16], [0.5]])
+        assert pred.predicted_index == 1
+        assert pred.per_option_scores == (0.0, 0.5)
+
 
 class TestEvaluate:
     def _world(self):
@@ -207,6 +224,20 @@ class TestEvaluate:
         backend = ConstantEmbeddingBackend(dim=2, name="only")
         run = evaluate(backend, manifest, config, variants=variants)
         assert {r.prompt_variant_id for r in run.records} == {variants[0].variant_id}
+
+    def test_variants_of_another_config_are_refused_before_any_call(self):
+        world = self._world()
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        other = dataclasses.replace(config, question_forms=(PromptTemplate("Name it: "),))
+        beyond = dataclasses.replace(prompt_variants(config)[0], variant_id="q5-o0",
+                                     question_index=5)
+        for foreign in (prompt_variants(other)[0], beyond):
+            counting = _CountingBackend(ConstantEmbeddingBackend(dim=2, name="only"))
+            with pytest.raises(InvalidInputError,
+                               match=f"variant {foreign.variant_id} does not belong"):
+                evaluate(counting, manifest, config,
+                         variants=[prompt_variants(config)[0], foreign])
+            assert not counting.images and not counting.texts
 
 
 class _CountingBackend:
@@ -403,6 +434,133 @@ class TestEvaluateEmbeddingCalls:
         assert run.skip_count == len(manifest.samples) * len(prompt_variants(config))
         assert {n.error for n in run.skipped} == {
             f"backend only returned {rows} embedding rows for 4 prompts"}
+
+
+# Values whose dot products round: rows built from them tie or nearly tie.
+# 1e300 overflows, which the test run's warning filter makes an error.
+_NEAR_TIES = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 0.5, -1.0, 3.0,
+                              1e16, -1e16, 0.0, 1e300])
+
+
+class _TableEmbeddingBackend:
+    """Embeds each image ref and each prompt as one of a few fixed vectors,
+    picked by a checksum of its text; with ``drift``, the pick also moves
+    with the number of calls so far, so that answers depend on call order."""
+
+    def __init__(self, vectors, drift):
+        self._vectors = np.array(vectors)
+        self._drift = drift
+        self._calls = 0
+        self.info = BackendInfo(name="only", family="embedding")
+
+    def _pick(self, text):
+        return self._vectors[(zlib.crc32(text.encode()) + self._calls) % len(self._vectors)]
+
+    def embed_image(self, image_ref):
+        self._calls += self._drift
+        return self._pick(image_ref)
+
+    def embed_texts(self, prompts):
+        self._calls += self._drift
+        return np.stack([self._pick(p) for p in prompts])
+
+
+@st.composite
+def _embedding_cases(draw):
+    """A dataset of 2-5 options per sample over a small vocabulary (so some
+    prompt lists repeat), some samples lacking the context key one question
+    form needs, and a backend: seeded, constant (all ties) or near-tie
+    vectors, with or without the ``deterministic`` promise, failing on some
+    images and answering with a wrong number of rows."""
+    forms = draw(st.sampled_from([("Is it ",), ("At {place}: ",), ("Is it ", "At {place}: ")]))
+    config = DatasetPromptConfig(
+        dataset_id="probe", question_forms=tuple(map(PromptTemplate, forms)),
+        option_forms=tuple(map(PromptTemplate, draw(st.sampled_from(
+            [(), ("{class_name}",), ("{class_name}", "{a_an|class_name}")])))),
+        context_keys=("place",))
+    samples = []
+    for i in range(draw(st.integers(1, 8))):
+        options = draw(st.lists(st.sampled_from(["red", "blue", "green", "amber", "owl", "sky"]),
+                                min_size=2, max_size=5, unique=True))
+        place = draw(st.sampled_from([{}, {"place": "home"}, {"place": "sea"}]))
+        samples.append(Sample(f"s{i}", "probe", f"probe/img{i % 3}",  # images repeat
+                              place, options, draw(st.integers(0, len(options) - 1))))
+    manifest = DatasetManifest("probe", "recognition", samples, "probe")
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["seeded", "constant", "table"]))
+    vectors = draw(st.lists(st.lists(_NEAR_TIES, min_size=dim, max_size=dim),
+                            min_size=1, max_size=4))
+    drift = kind == "table" and draw(st.booleans())
+    deterministic = draw(st.booleans())
+    failing = draw(st.sets(st.sampled_from([s.image_ref for s in samples])))
+    rows = draw(st.none() | st.integers(1, 6))
+
+    def make():
+        backend = {"seeded": lambda: SeededEmbeddingBackend(seed=3, dim=dim, name="only"),
+                   "constant": lambda: ConstantEmbeddingBackend(dim=dim, name="only"),
+                   "table": lambda: _TableEmbeddingBackend(vectors, drift)}[kind]()
+        if failing:
+            backend = FlakyBackend(backend, failing)
+        if rows is not None:
+            backend = RowCountBackend(backend, rows)
+        return _RecordingEmbeddingBackend(backend, deterministic)
+
+    return manifest, config, make, drift and bool(failing)
+
+
+def _plain(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return getattr(outcome, "predicted_index", outcome)
+
+
+@given(_embedding_cases())
+@settings(max_examples=150, deadline=None)
+def test_stacked_scores_are_those_of_the_query_by_query_path(case):
+    manifest, config, make, order_bound = case
+    queries = [(s, v) for s in manifest.samples for v in prompt_variants(config)]
+
+    def outcomes(stacked):
+        backend = make()
+        with contextlib.ExitStack() as patches:
+            if not stacked:  # every query takes the per-query path
+                patches.enter_context(mock.patch.object(scoring, "_stacked_picks",
+                                                        lambda answers, needs: {}))
+            got = scoring._outcomes(backend, backend.info, config, queries, "sum")
+            return backend.calls, [_plain(o) for o in got]
+
+    # the stacked product changes no pick, error, retry or call
+    calls, got = outcomes(stacked=True)
+    assert (calls, got) == outcomes(stacked=False)
+    looped = make()
+    expected = [_plain(o) for o in query_by_query_embedding_outcomes(looped, config, queries)]
+    if not any(isinstance(o, tuple) and "simulated failure" in o[1] for o in expected):
+        assert calls == looped.calls
+    if not order_bound:  # with failures, a drifting backend's answers follow the call order
+        assert got == expected
+    run = evaluate(make(), manifest, config)
+    assert [(r.sample_id, r.prompt_variant_id, r.predicted_index) for r in run.records] == [
+        (s.sample_id, v.variant_id, o) for (s, v), o in zip(queries, got) if isinstance(o, int)]
+    assert [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped] == [
+        (s.sample_id, v.variant_id, o[1]) for (s, v), o in zip(queries, got)
+        if isinstance(o, tuple)]
+
+
+@pytest.mark.parametrize("pad", [0, 8])
+def test_stacked_picks_keep_the_per_query_rounding(pad):
+    # option 0 scores 0.0 or 1.0 by the order its three terms are summed
+    # in, option 1 scores 0.5: a product that sums in another order than
+    # ``m @ v`` picks otherwise for some image
+    answers, needs = [], []
+    for v in itertools.permutations([1e16, -1e16, 1.0]):
+        answers.append(np.array([*v, *[0.0] * pad]))
+        half = [0.5 * (x == 1.0) for x in v]  # 0.5 where the image has 1.0
+        answers.append(np.array([[1.0] * (3 + pad), [*half, *[0.0] * pad]]))
+        needs.append((["a", "b"], [len(answers) - 2, len(answers) - 1]))
+    expected = {q: predict_contrastive(answers[2 * q], answers[2 * q + 1]).predicted_index
+                for q in range(len(needs))}
+    assert set(expected.values()) == {0, 1}
+    assert scoring._stacked_picks(answers, needs) == expected
 
 
 class _RecordingLogprobBackend:

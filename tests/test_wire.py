@@ -891,3 +891,48 @@ def test_wrong_shape_logprob_results_skip_only_their_queries(spawned, tmp_path):
                                  if (r.sample_id, r.prompt_variant_id) not in skipped]
     assert len(run.records) == len(expected) - 4
     assert _reaped(spawned)
+
+
+def test_non_finite_embedding_results_skip_only_their_queries(spawned, tmp_path):
+    # JSON NaN, Infinity and 1e400 decode as floats; an embedding holding
+    # one is refused like a logprob row holding one
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=6,
+                                              question_forms=2))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    first, last = manifest.samples[0], manifest.samples[-1]
+    v0 = prompt_variants(config)[0]
+    prompts = closed_prompt_set(first, config, v0)
+    wrong = {
+        json.dumps({"op": "embed_texts", "prompts": prompts}, sort_keys=True):
+            [[math.nan, 1.0, 0.0, 0.0], [2.0, math.inf, 0.0, 0.0]]
+            + [[1.0, 0.0, 0.0, 0.0]] * (len(prompts) - 2),
+        json.dumps({"op": "embed_image", "image_ref": last.image_ref}, sort_keys=True):
+            [1.0, -math.inf, 0.0, 0.0],
+    }
+    script = tmp_path / "server.py"
+    script.write_text(_wrong_shape_server("SeededEmbeddingBackend(seed=2, dim=4)", wrong))
+    backend = SubprocessBackend([sys.executable, str(script)])
+    try:
+        run = evaluate(backend, manifest, config)
+    finally:
+        backend.close()
+    assert [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped] == [
+        (first.sample_id, v0.variant_id, "embed_texts result must hold finite reals, got nan"),
+        (last.sample_id, v0.variant_id, "embed_image result must hold finite reals, got -inf"),
+    ]
+    skipped = {(n.sample_id, n.prompt_variant_id) for n in run.skipped}
+    expected = evaluate(SeededEmbeddingBackend(seed=2, dim=4), manifest, config).records
+    assert list(run.records) == [r for r in expected
+                                 if (r.sample_id, r.prompt_variant_id) not in skipped]
+    assert _reaped(spawned)
+
+
+@pytest.mark.parametrize("op, ndim", [("embed_image", 1), ("embed_texts", 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_embedding_decoders_refuse_non_finite_values(op, ndim, bad):
+    result = [1.0, bad] if ndim == 1 else [[1.0, 2.0], [3.0, bad]]
+    decode = wire._JOBS[op][2]
+    with pytest.raises(BackendError, match=f"^{op} result must hold finite reals, got "):
+        decode(json.loads(json.dumps(result)))
+    assert decode([1e308, -2] if ndim == 1 else [[1e308], [-2]]).dtype == np.float64
