@@ -15,6 +15,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -47,7 +48,7 @@ class MetadataSummary:
                 f"expected {c} channel means/stds, got "
                 f"{len(self.channel_means)}/{len(self.channel_stds)}"
             )
-        if not (all(math.isfinite(m) for m in self.channel_means)
+        if not (all(map(math.isfinite, self.channel_means))
                 and all(0 <= s < math.inf for s in self.channel_stds)):
             raise InvalidInputError("channel means must be finite, and stds finite and "
                                     "non-negative")
@@ -245,18 +246,48 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
 
-_READ_BLOCK_BYTES = 1 << 20  # records.jsonl is read this many bytes of lines at a time
+_READ_BLOCK_BYTES = 1 << 20  # records and metadata are read this many bytes of lines at a time
 _WRITE_BLOCK_ROWS = 1 << 16
 # json.dumps(rec.to_dict(), sort_keys=True), with each id already JSON-quoted
 _RECORD_LINE = ('{"correct": %s, "dataset_id": %s, "model_id": %s, "predicted_index": %d, '
                 '"prompt_variant_id": %s, "sample_id": %s}\n')
-# _RECORD_LINE as a pattern that matches one whole line of a block. A string
+# save_metadata's line: json.dumps of the summary's to_dict and its sample id, keys sorted
+_METADATA_LINE = '{"channel_means": [%s], "channel_stds": [%s], "dims": [%s], "sample_id": %s}'
+# The fast tier's patterns each match one whole line of a block. A string
 # body is runs of plain characters between escapes, an unrolled loop that no
-# input makes backtrack; an integer is as JSON writes it (no leading zero).
-_JSON_STRING = r'"([^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*)"'
-_RECORD_PATTERN = re.compile("^" + re.escape(_RECORD_LINE[:-1]).replace("%d", "%s") % (
-    "(true|false)", _JSON_STRING, _JSON_STRING, "(-?(?:0|[1-9][0-9]*))", _JSON_STRING,
-    _JSON_STRING) + "$", re.MULTILINE)
+# input makes backtrack; numbers are as JSON writes them (no leading zero),
+# a float with a fraction or an exponent, the numbers ``json`` reads as floats.
+_BODY = r'[^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*'
+_STRING = f'"({_BODY})"'
+_INT = "-?(?:0|[1-9][0-9]*)"
+_FLOAT = _INT + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+
+
+def _template_pattern(template: str, *fields: str) -> str:
+    """``template`` as a pattern: its text, each ``%s`` or ``%d`` the next of
+    ``fields``."""
+    return re.escape(template).replace("%d", "%s") % fields
+
+
+# a record line's head: its fields before the sample id, which few lines differ in
+_HEAD = _RECORD_LINE[1:_RECORD_LINE.index(', "sample_id"')]
+
+
+def _head_pattern(group: str) -> str:
+    """The pattern of a record line's head, each field in ``group``: a
+    capturing or a non-capturing group's format."""
+    string = f'"{group.format(_BODY)}"'
+    return _template_pattern(_HEAD, group.format("true|false"), string, string,
+                             group.format(_INT), string)
+
+
+_HEAD_PATTERN = re.compile(_head_pattern("({})"))
+_RECORD_PATTERN = re.compile("^" + _template_pattern(
+    _RECORD_LINE[:-1].replace(_HEAD, "%s"), "(%s)" % _head_pattern("(?:{})"), _STRING) + "$",
+    re.MULTILINE)
+_METADATA_PATTERN = re.compile("^" + _template_pattern(
+    _METADATA_LINE, *(f"({n}(?:, {n})*)" for n in (_FLOAT, _FLOAT, _INT)), _STRING) + "$",
+    re.MULTILINE)
 
 
 class Records:
@@ -304,12 +335,13 @@ class Records:
         """Read a ``records.jsonl`` in blocks of lines, each straight into
         a table, and join them; no row outlives its block. A block whose
         lines all match the one line ``save`` writes is read by one compiled
-        pattern. A block with any other line is read again line by line, so
-        a bad line fails as ``read_numbered_jsonl`` and
+        pattern, which parses each distinct head (the fields before the
+        sample id) once. Any other block is read again line by line, so a
+        bad line fails as ``read_numbered_jsonl`` and
         ``ExecutionRecord.from_dict`` fail on it, naming ``path:line`` where
         they do."""
-        with open(path, "rb") as fh:
-            return cls.concat(cls.from_columns(*block) for block in _read_blocks(path, fh))
+        return cls.concat(_read_blocks(path, _RECORD_PATTERN, _scan_records,
+                                       partial(_check_block, path)))
 
     def save(self, path: str | Path) -> None:
         """Write one key-sorted JSON object per record: the bytes
@@ -348,38 +380,58 @@ class Records:
         return f"Records(<{len(self)} rows>)"
 
 
-def _read_blocks(path: str | Path, fh: IO[bytes]) -> Iterator[tuple]:
-    """The columns of each block of lines of an open ``records.jsonl``."""
-    lineno = 1
-    while lines := fh.readlines(_READ_BLOCK_BYTES):
-        yield _scan_block(lines) or _check_block(path, lineno, lines)
-        lineno += len(lines)
+def _read_blocks(path: str | Path, pattern: re.Pattern,
+                 scan: Callable[[list, bool], _Row | None],
+                 check: Callable[[int, list[bytes]], _Row]) -> Iterator[_Row]:
+    """The value of each block of lines of ``path``, about
+    ``_READ_BLOCK_BYTES`` each. When the block is UTF-8 and each of its
+    non-blank lines matches ``pattern`` whole, that is ``scan`` of the
+    matches and of whether the block holds a backslash. For any other
+    block, or when ``scan`` finds a fault and gives None, it is ``check``
+    of the block's first line number and its lines, which reads them one
+    by one and raises, naming ``path:line``, at the first bad line."""
+    with open(path, "rb") as fh:
+        lineno = 1
+        while lines := fh.readlines(_READ_BLOCK_BYTES):
+            block = None
+            try:
+                text = b"".join(lines).decode("utf-8")
+            except ValueError:
+                pass
+            else:
+                rows = pattern.findall(text)  # a match is one whole line
+                if len(rows) == len(lines) - lines.count(b"\n"):
+                    block = scan(rows, "\\" in text)
+            yield check(lineno, lines) if block is None else block
+            lineno += len(lines)
 
 
-def _scan_block(lines: list[bytes]) -> tuple | None:
-    """The columns of a block whose every line is blank or exactly a line
-    ``save`` writes (``_RECORD_LINE`` with well-formed ids and an int64
-    prediction); None for any other block."""
-    try:
-        text = b"".join(lines).decode("utf-8")
-    except ValueError:
-        return None
-    rows = _RECORD_PATTERN.findall(text)  # a match is one whole line
-    if len(rows) != len(lines) - lines.count(b"\n"):
-        return None
+def _scan_records(rows: list[tuple[str, str]], escaped: bool) -> Records | None:
+    """The table of a block's (head, sample id) matches of
+    ``_RECORD_PATTERN``. Each distinct head is parsed once, and its fields
+    are gathered through the head codes, so each id column's values keep
+    the order of first appearance; None for a bad escape or a prediction
+    outside int64."""
     if not rows:
-        return ()
-    flags, dataset, model, preds, variant, sample = zip(*rows)
-    ids = (sample, dataset, model, variant)
+        return Records.from_columns()
+    heads, samples = zip(*rows)
+    head = IdColumn.encode(heads)
+    flags, datasets, models, preds, variants = zip(
+        *(_HEAD_PATTERN.fullmatch(h).groups() for h in head.values))
     try:
-        if "\\" in text:
-            ids = tuple(map(_unescaped, ids))
+        if escaped:
+            samples, datasets, models, variants = map(
+                _unescaped, (samples, datasets, models, variants))
         preds = list(map(int, preds))
     except ValueError:  # a bad escape, or more digits than int() reads
         return None
     if not _INT64.min <= min(preds) <= max(preds) <= _INT64.max:
         return None
-    return (*ids, preds, list(map("true".__eq__, flags)))
+    dataset, model, variant = (IdColumn(col.codes[head.codes], col.values)
+                               for col in map(IdColumn.encode, (datasets, models, variants)))
+    return Records(IdColumn.encode(samples), dataset, model, variant,
+                   np.array(preds, dtype=np.int64)[head.codes],
+                   np.array(list(map("true".__eq__, flags)), dtype=bool)[head.codes])
 
 
 def _unescaped(bodies: Sequence[str]) -> list[str]:
@@ -389,8 +441,8 @@ def _unescaped(bodies: Sequence[str]) -> list[str]:
     return [decoded.get(body, body) for body in bodies]
 
 
-def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tuple:
-    """The columns of a block, read line by line; the first bad line raises."""
+def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> Records:
+    """The table of a block, read line by line; the first bad line raises."""
     rows = []
     for lineno, row in _numbered_objects(path, enumerate(lines, first_lineno)):
         try:
@@ -398,7 +450,7 @@ def _check_block(path: str | Path, first_lineno: int, lines: list[bytes]) -> tup
         except (KeyError, TaskRouterError):
             with reading(f"{path}:{lineno}"):
                 raise
-    return tuple(zip(*rows))
+    return Records.from_columns(*zip(*rows))
 
 
 @contextmanager
@@ -953,14 +1005,24 @@ def _read_keyed(path: str | Path, id_field: str, from_dict: Callable[[dict], _Ro
     ``id_field``. A row that lacks a field, repeats an earlier row's id, or
     fails ``check`` (which returns a fault or None) raises IntegrityError
     naming ``path:line``; a mistyped field, InvalidInputError naming it."""
+    with open(path, "rb") as fh:
+        return _keyed_lines(path, id_field, from_dict, check, {}, 1, fh)
+
+
+def _keyed_lines(path: str | Path, id_field: str, from_dict: Callable[[dict], _Row],
+                 check: Callable[[_Row], str | None] | None, earlier: Mapping[str, _Row],
+                 first_lineno: int, lines: Iterable[bytes]) -> dict[str, _Row]:
+    """``_read_keyed`` of ``lines``, the lines of ``path`` from
+    ``first_lineno`` on, which follow the rows ``earlier``: an id of those
+    rows is repeated too."""
     rows: dict[str, _Row] = {}
-    for lineno, row in read_numbered_jsonl(path):
+    for lineno, row in _numbered_objects(path, enumerate(lines, first_lineno)):
         try:
             key, value = row[id_field], from_dict(row)
         except (KeyError, TaskRouterError):
             with reading(f"{path}:{lineno}"):
                 raise
-        if key in rows:
+        if key in rows or key in earlier:
             raise IntegrityError(f"{path}:{lineno}: repeats {id_field} {key!r}")
         if check is not None and (fault := check(value)) is not None:
             raise IntegrityError(f"{path}:{lineno}: {fault}")
@@ -999,7 +1061,38 @@ def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> 
 
 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
-    return _read_keyed(path, "sample_id", MetadataSummary.from_dict)
+    """The summaries in ``path``, keyed by sample id, read in blocks of
+    lines. A block whose lines all match the one line ``save_metadata``
+    writes is read by one compiled pattern. Any other block, or one that
+    fails a check or repeats a sample id, is read again line by line, as
+    ``_read_keyed`` reads a file, so every fault raises its error there."""
+    metadata: dict[str, MetadataSummary] = {}
+    check = partial(_keyed_lines, path, "sample_id", MetadataSummary.from_dict, None, metadata)
+    for block in _read_blocks(path, _METADATA_PATTERN, partial(_scan_metadata, metadata), check):
+        metadata.update(block)
+    return metadata
+
+
+def _scan_metadata(earlier: Mapping[str, MetadataSummary], rows: list[tuple[str, ...]],
+                   escaped: bool) -> dict[str, MetadataSummary] | None:
+    """The summaries of a block's matches of ``_METADATA_PATTERN``, each
+    built by its constructor; None when one fails there, or a sample id
+    repeats one of the block or of ``earlier``."""
+    if not rows:
+        return {}
+    means, stds, dims, ids = zip(*rows)
+    try:
+        if escaped:
+            ids = _unescaped(ids)
+        block = {sample_id: MetadataSummary(tuple(map(int, d.split(", "))),
+                                            tuple(map(float, m.split(", "))),
+                                            tuple(map(float, s.split(", "))))
+                 for m, s, d, sample_id in zip(means, stds, dims, ids)}
+    except (ValueError, InvalidInputError):  # also more digits than int() reads
+        return None
+    if len(block) < len(rows) or not earlier.keys().isdisjoint(block):
+        return None
+    return block
 
 
 def save_world(world: World, out_dir: str | Path) -> Path:

@@ -272,8 +272,17 @@ def closed_prompt_set(
 ) -> list[str]:
     """One prompt per response option: the rendered question concatenated
     with the rendered option. Element i corresponds to option i, so
-    prediction indices align with gold_index."""
+    prediction indices align with gold_index. A variant of another config
+    is refused."""
     _check_variant(config, variant)
+    return _prompt_set(sample, config, variant)
+
+
+def _prompt_set(
+    sample: Sample, config: DatasetPromptConfig, variant: PromptVariant
+) -> list[str]:
+    """``closed_prompt_set`` for a variant already known to be one of
+    ``prompt_variants(config)``."""
     question_text = render(variant.question, sample, config)
     return [question_text + opt for opt in rendered_options(sample, config, variant)]
 

@@ -16,6 +16,7 @@ and response segments after it carry the label and bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -101,10 +102,6 @@ class RouterExample:
     raw_line: str
 
 
-def _fmt_floats(values: Sequence[float]) -> str:
-    return ",".join(f"{v:.1f}" for v in values)
-
-
 def _check_field(name: str, value: str, forbidden: Sequence[str]) -> None:
     for marker in forbidden:
         if marker in value:
@@ -132,10 +129,17 @@ def serialize_input(
 
 def _img_segment(metadata: MetadataSummary) -> str:
     """The ``[img]`` segment of a sample's metadata."""
-    h, w, c = metadata.dims
-    return (f"{IMG_MARK}dim::({h},{w},{c})"
-            f"ave::({_fmt_floats(metadata.channel_means)})"
-            f"std::({_fmt_floats(metadata.channel_stds)})")
+    return _img_template(len(metadata.channel_means)) % (
+        *metadata.dims, *metadata.channel_means, *metadata.channel_stds)
+
+
+@functools.lru_cache(maxsize=16)
+def _img_template(channels: int) -> str:
+    """The ``%`` template of the ``[img]`` segment for ``channels`` channel
+    means and stds: ``%s`` formats each size as ``f"{size}"`` does, and
+    ``%.1f`` each mean and std as ``f"{value:.1f}"`` does."""
+    floats = ",".join(["%.1f"] * channels)
+    return f"{IMG_MARK}dim::(%s,%s,%s)ave::({floats})std::({floats})"
 
 
 def _prompt_segment(prompt_text: str) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DatasetManifest, Records
 from .errors import BackendError, InvalidInputError
-from .prompts import DatasetPromptConfig, PromptVariant, closed_prompt_set, prompt_variants
+from .prompts import DatasetPromptConfig, PromptVariant, _prompt_set, prompt_variants
 
 logger = logging.getLogger(__name__)
 
@@ -143,10 +143,11 @@ def evaluate(
     order and, per sample, variant order. The run's records are a
     ``Records`` table with one row per scored query.
 
-    Prompts are built via closed_prompt_set, so option order aligns with
-    gold_index. A backend failure on a sample skips that record and logs
-    the sample id; the returned run reports the skip count. ``max_workers``
-    must be 1: scoring is serial.
+    Prompts are built as closed_prompt_set builds them, so option order
+    aligns with gold_index; a variant of another config is refused once,
+    before any query is rendered. A backend failure on a sample skips that
+    record and logs the sample id; the returned run reports the skip count.
+    ``max_workers`` must be 1: scoring is serial.
 
     Every query is rendered before any backend call. Each query becomes
     scoring jobs named by their wire op (see ``run_job``), and the backend
@@ -210,7 +211,7 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
     jobs, needs = [], []  # needs: per query, its prompts and job positions, or its render error
     for sample, variant in queries:
         try:
-            prompts = closed_prompt_set(sample, config, variant)
+            prompts = _prompt_set(sample, config, variant)  # evaluate checked the variants
         except Exception as exc:  # noqa: BLE001
             needs.append(exc)
             continue

@@ -10,8 +10,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from taskrouter import BackendError, IntegrityError, InvalidInputError
-from taskrouter.core import (ExecutionRecord, MetadataSummary, aggregate_accuracy, group_records,
-                             read_numbered_jsonl)
+from taskrouter.core import (ExecutionRecord, MetadataSummary, Records, _check_block,
+                             aggregate_accuracy, group_records, read_numbered_jsonl)
 from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
                                 valid_variant_ids)
 from taskrouter.router import _atoms, _choose, featurize
@@ -374,6 +374,41 @@ def object_records(path) -> list[ExecutionRecord]:
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     return rows
+
+
+def line_by_line_records(path) -> Records:
+    """``records.jsonl`` read as one block by the line-by-line reader,
+    ``core._check_block``; the reference the pattern-read blocks are
+    checked against."""
+    with open(path, "rb") as fh:
+        return _check_block(path, 1, fh.readlines())
+
+
+def keyed_metadata(path) -> dict[str, MetadataSummary]:
+    """``metadata.jsonl`` read one ``MetadataSummary.from_dict`` row at a
+    time, keyed by its sample id; the reference the block-wise reader is
+    checked against."""
+    rows = {}
+    for lineno, row in read_numbered_jsonl(path):
+        try:
+            key, value = row["sample_id"], MetadataSummary.from_dict(row)
+        except KeyError as exc:
+            raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+        if key in rows:
+            raise IntegrityError(f"{path}:{lineno}: repeats sample_id {key!r}")
+        rows[key] = value
+    return rows
+
+
+def img_segment(metadata: MetadataSummary) -> str:
+    """A sample's ``[img]`` segment, formatted by f-strings; the reference
+    the cached ``%`` templates are checked against."""
+    h, w, c = metadata.dims
+    means = ",".join(f"{v:.1f}" for v in metadata.channel_means)
+    stds = ",".join(f"{v:.1f}" for v in metadata.channel_stds)
+    return f"[img]dim::({h},{w},{c})ave::({means})std::({stds})"
 
 
 def _check_record(rec, sample) -> None:

@@ -281,6 +281,43 @@ class TestTypes:
         with pytest.raises(IntegrityError, match=f"{kind}.jsonl:2: missing field '{field}'"):
             load(path)
 
+    def test_saved_metadata_loads_without_the_line_by_line_reader(self, tmp_path, monkeypatch):
+        # save_metadata writes non-ASCII ids as \uXXXX escapes and each float
+        # with a point or an exponent, which the line pattern reads; a block
+        # with an integer mean is read line by line, and the mean stays an int
+        import taskrouter.core as core
+
+        fallbacks = []
+        line_by_line = core._keyed_lines
+        monkeypatch.setattr(core, "_keyed_lines",
+                            lambda *args: fallbacks.append(args[-2]) or line_by_line(*args))
+        metadata = {f'é"{i}\\\U0001f600': MetadataSummary((2 ** 40, 3, 2), (-0.0, 1e300),
+                                                            (0.05, 1.5e-7))
+                    for i in range(3)}
+        path = tmp_path / "metadata.jsonl"
+        save_metadata(metadata, path)
+        assert b"\\u00e9" in path.read_bytes()
+        loaded = load_metadata(path)
+        assert loaded == metadata and list(loaded) == list(metadata) and fallbacks == []
+        assert math.copysign(1, loaded[next(iter(metadata))].channel_means[0]) == -1
+        metadata["s"] = MetadataSummary((1, 1, 1), (5,), (0.0,))
+        save_metadata(metadata, path)
+        assert type(load_metadata(path)["s"].channel_means[0]) is int and fallbacks == [1]
+
+    def test_a_repeated_sample_id_names_its_line_in_any_block(self, tmp_path, monkeypatch):
+        import taskrouter.core as core
+
+        path = tmp_path / "metadata.jsonl"
+        save_metadata({f"s{i}": MetadataSummary((1, 1, 1), (0.5,), (0.0,)) for i in range(4)},
+                      path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([*lines, lines[1]]))
+        for block_bytes in (1, 200, 1 << 20):
+            monkeypatch.setattr(core, "_READ_BLOCK_BYTES", block_bytes)
+            with pytest.raises(IntegrityError) as refused:
+                load_metadata(path)
+            assert str(refused.value) == f"{path}:5: repeats sample_id 's1'"
+
     @pytest.mark.parametrize("data", [b'{"a": 1', b"[1, 2]", b'{"a": "\xff"}'])
     def test_read_json_names_the_file(self, tmp_path, data):
         path = tmp_path / "spec.json"

@@ -15,21 +15,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (grid_table, line_features, matmul_hash_chunk, object_records,
-                     reference_corpus, reference_save_corpus, unique_feature_rows)
+from oracles import (grid_table, img_segment, keyed_metadata, line_by_line_records,
+                     line_features, matmul_hash_chunk, object_records, reference_corpus,
+                     reference_save_corpus, unique_feature_rows)
 
+import taskrouter.core as core
 import taskrouter.router as router_module
 from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, MetadataSummary,
                         Sample, TaskRouterError, World, parse_example, serialize_example)
 from taskrouter.baselines import voting_accuracy, voting_predict
-from taskrouter.core import (TASK_KINDS, QueryGrid, Records, load_world, read_jsonl,
-                             save_records, save_world, write_jsonl)
+from taskrouter.core import (TASK_KINDS, QueryGrid, Records, load_metadata, load_world,
+                             read_jsonl, save_records, save_world, write_jsonl)
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import (FeaturizerConfig, RouterModel, TrainConfig, featurize,
                                featurize_batch)
 from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
-                                   build_router_dataset, load_corpus, router_corpora,
-                                   save_corpus, select_best_model)
+                                   _img_segment, build_router_dataset, load_corpus,
+                                   router_corpora, save_corpus, select_best_model)
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter.synth import WorldSpec
 from taskrouter import wire
@@ -322,6 +324,173 @@ def test_records_file_gives_a_value_or_an_error_as_line_by_line(data):
             except TaskRouterError as exc:
                 outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def _read_in_blocks(reads, data: bytes, block_bytes: int, name: str, value) -> list:
+    """For each of ``reads``, ``value`` of what it gives for ``data`` saved
+    as ``name`` and read in blocks of about ``block_bytes``, or the type
+    and text of the error it raises."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(core, "_READ_BLOCK_BYTES", block_bytes):
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        for read in reads:
+            try:
+                outcomes.append(value(read(path)))
+            except Exception as exc:  # noqa: BLE001 - the reader and its reference fail alike
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _columns(table: Records) -> list:
+    return [*((col.codes.dtype, col.codes.tolist(), col.values) for col in table.ids()),
+            table.predicted.dtype, table.predicted.tolist(), table.correct.dtype,
+            table.correct.tolist()]
+
+
+# ids from few characters, so heads and ids repeat within and across
+# blocks; among them characters JSON escapes and text outside ASCII
+FEW_IDS = st.text(st.sampled_from('a"\\é\U0001f600\u2028\x00'), max_size=2)
+
+
+@st.composite
+def saved_record_lines(draw):
+    """A line ``Records.save`` writes, with CRLF, other spacing, or a
+    whitespace-only line in its place at times."""
+    rec = draw(st.builds(ExecutionRecord, FEW_IDS, FEW_IDS, FEW_IDS, FEW_IDS,
+                         st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-9, 9),
+                         st.booleans()))
+    line = json.dumps(rec.to_dict(), sort_keys=True)
+    fault = draw(st.sampled_from(["", "", "", "crlf", "spacing", "blank"]))
+    if fault == "crlf":
+        line += "\r"
+    elif fault == "spacing":
+        line = json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
+    elif fault == "blank":
+        line = draw(st.sampled_from(["", " ", "\t", "\r"]))
+    return line.encode()
+
+
+@given(st.lists(saved_record_lines() | saved_record_lines() | record_lines(), max_size=10),
+       st.integers(0, 40), st.integers(1, 600))
+@example([saved_line(sample_id="s1"), b" \t", saved_line(sample_id="s1", model_id="\u00e9")],
+         0, 1)
+@example([saved_line(prompt_variant_id="\U0001f600\u2028")] * 3, 10, 300)
+@example([saved_line(), predicted_line(str(2 ** 63))], 0, 1)
+@example([saved_line(), RECORD_LINE.replace('"s0"', r'"\x"').encode()], 0, 1)
+@example([saved_line() + b"\r", saved_line(correct=True)], 0, 200)
+@settings(max_examples=300, deadline=None)
+def test_records_file_reads_as_the_line_by_line_reader(lines, cut, block_bytes):
+    # blocks split anywhere in the file; the table equals the one that
+    # ``_check_block`` reads line by line from the whole file, codes and
+    # values included, or both fail with the same error
+    data = b"\n".join(lines) + b"\n"
+    data = data[:len(data) - cut]  # cut into the last lines
+    loaded, reference = _read_in_blocks((Records.load, line_by_line_records), data,
+                                        block_bytes, "records.jsonl", _columns)
+    assert loaded == reference
+
+
+# floats, -0.0, huge finite values and integers, which ``json`` reads as ints
+MEANS = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e308])
+         | st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def metadata_lines(draw):
+    """A line ``save_metadata`` writes for a drawn summary, integer means
+    included, or one with a non-finite number, a wrong channel count, a
+    CRLF end, other spacing, a whitespace-only line or a damaged span."""
+    c = draw(st.integers(1, 4))
+    row = {"sample_id": draw(FEW_IDS), "dims": [draw(st.integers(1, 2 ** 40)), 2, c],
+           "channel_means": draw(st.lists(MEANS, min_size=c, max_size=c)),
+           "channel_stds": draw(st.lists(MEANS.map(abs), min_size=c, max_size=c))}
+    fault = draw(st.sampled_from(["", "", "", "non-finite", "channels", "crlf", "spacing",
+                                  "blank", "span"]))
+    if fault == "non-finite":
+        row[draw(st.sampled_from(["channel_means", "channel_stds"]))][0] = "@"
+    elif fault == "channels":
+        row["dims"][2] = draw(st.sampled_from([c - 1, c + 1]))
+    line = json.dumps(row, sort_keys=True)
+    if fault == "non-finite":
+        line = line.replace('"@"', draw(st.sampled_from(["NaN", "Infinity", "-Infinity",
+                                                          "1e400", "-1e400"])))
+    elif fault == "crlf":
+        line += "\r"
+    elif fault == "spacing":
+        line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    elif fault == "blank":
+        line = draw(st.sampled_from(["", " ", "\t", "\r"]))
+    elif fault == "span":
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(len(line), start + 8)))
+        line = line[:start] + draw(st.text(RECORD_CHARS, max_size=6)) + line[end:]
+    return line.encode("utf-8", "surrogatepass")
+
+
+def metadata_line(sample_id='"s0"', means="[1.5]", stds="[0.5]", dims="[2, 2, 1]") -> bytes:
+    """A metadata line with its fields' JSON texts as given."""
+    return (f'{{"channel_means": {means}, "channel_stds": {stds}, "dims": {dims}, '
+            f'"sample_id": {sample_id}}}').encode()
+
+
+def _summaries(metadata: dict) -> list:
+    # repr tells an int mean from a float and -0.0 from 0.0
+    return [(sample_id, repr(summary)) for sample_id, summary in metadata.items()]
+
+
+@given(st.lists(metadata_lines(), max_size=10), st.integers(0, 40), st.integers(1, 600))
+# a sample id repeated in a later block, and one repeated within a block,
+# once escaped and once not
+@example([metadata_line('"a"'), metadata_line('"b"'), metadata_line('"a"')], 0, 1)
+@example([metadata_line('"a"'), metadata_line('"\\u00e9"'), metadata_line('"é"')], 0, 10 ** 6)
+@example([metadata_line(means="[1, 2.5]", stds="[0.5, 0.0]", dims="[2, 2, 2]")], 0, 1)
+@example([metadata_line(means="[NaN]")], 0, 1)
+@example([metadata_line('"a"'), metadata_line('"b"', stds="[Infinity]")], 0, 1)
+@example([metadata_line(means="[1e400]")], 0, 10 ** 6)
+@example([metadata_line('"\\u00e9\\ud83d\\ude00\\\\\\""'), metadata_line('"é\U0001f600"'),
+          metadata_line('"x"') + b"\r", b" "], 0, 1)
+@example([metadata_line(dims="[2, 2, 3]"), metadata_line(means="[-0.0]", stds="[-0.0]")], 0, 1)
+@example([metadata_line('"a"'), metadata_line('"b"')], 12, 1)
+@example([metadata_line(dims="[2, 2, 1]", means="[1" + "0" * 5000 + ".5]")], 0, 1)
+@example([metadata_line(dims="[1" + "0" * 5000 + ", 2, 1]")], 0, 1)
+@settings(max_examples=300, deadline=None)
+def test_metadata_file_reads_as_the_line_by_line_reader(lines, cut, block_bytes):
+    # blocks split anywhere in the file; the summaries, each mean's int or
+    # float type included, equal those of today's line-by-line read, or
+    # both fail with the same error
+    data = b"\n".join(lines) + b"\n"
+    data = data[:len(data) - cut]  # cut into the last lines
+    loaded, reference = _read_in_blocks((load_metadata, keyed_metadata), data, block_bytes,
+                                        "metadata.jsonl", _summaries)
+    assert loaded == reference
+
+
+@st.composite
+def image_summaries(draw):
+    """Summaries of 1 to 4 channels, with -0.0, integer and huge finite
+    means and stds."""
+    c = draw(st.integers(1, 4))
+    means = draw(st.lists(MEANS | st.integers(-2 ** 1000, 2 ** 1000), min_size=c, max_size=c))
+    stds = draw(st.lists(MEANS.map(abs), min_size=c, max_size=c))
+    return MetadataSummary((draw(st.integers(1, 2 ** 70)), draw(st.integers(1, 9)), c),
+                           tuple(means), tuple(stds))
+
+
+def _formatted(fn, metadata):
+    try:
+        return fn(metadata)
+    except Exception as exc:  # noqa: BLE001 - both must fail alike
+        return type(exc)
+
+
+@given(image_summaries())
+@example(MetadataSummary((1, 1, 1), (-0.0,), (0.0,)))
+@example(MetadataSummary((3, 2, 3), (5, -0.05, 1e308), (0.05, 2 ** 900, 0.25)))
+@settings(max_examples=300, deadline=None)
+def test_img_segment_equals_the_f_string_format(metadata):
+    assert _formatted(_img_segment, metadata) == _formatted(img_segment, metadata)
 
 
 # cased letters, one whose lowercase form is longer (İ), non-BMP code

@@ -229,8 +229,9 @@ class TestClosedPromptSet:
         sample = make_sample(["a"], dataset="scienceqa",
                              context={"class_question": "?", "class_hint": "!"})
         assert closed_prompt_set(sample, config, variant_by_id(config, "q0-o0"))
-        with pytest.raises(InvalidInputError, match="does not belong"):
+        with pytest.raises(InvalidInputError) as refused:
             closed_prompt_set(sample, config, variant_by_id(other, "q0-o0"))
+        assert str(refused.value) == "variant q0-o0 does not belong to config scienceqa"
 
 
 class TestConfigPlumbing:

@@ -239,6 +239,27 @@ class TestEvaluate:
                          variants=[prompt_variants(config)[0], foreign])
             assert not counting.images and not counting.texts
 
+    @pytest.mark.parametrize("family", ["embedding", "generative"])
+    def test_evaluate_checks_each_variant_once_up_front(self, monkeypatch, family):
+        # evaluate refuses a foreign variant before any query; rendering
+        # each query does not check its variant again
+        import taskrouter.prompts as prompts
+
+        calls = []
+        check = prompts._check_variant
+        monkeypatch.setattr(prompts, "_check_variant",
+                            lambda *args: calls.append(args) or check(*args))
+        world = self._world()
+        manifest, config = world.datasets["micro"], world.prompt_configs["micro"]
+        backend = (SeededEmbeddingBackend(seed=2, dim=4, name="only") if family == "embedding"
+                   else SeededLogprobBackend(seed=2, name="only"))
+        run = evaluate(backend, manifest, config)
+        assert len(run.records) == manifest.size * len(prompt_variants(config))
+        assert calls == []
+        sample, variant = manifest.samples[0], prompt_variants(config)[0]
+        assert closed_prompt_set(sample, config, variant)
+        assert calls == [(config, variant)]
+
 
 class _CountingBackend:
     """Wraps an embedding backend, counts its calls per input, and makes

@@ -533,3 +533,33 @@ def test_scoring_reads_the_task_files_through_one_reader():
     assert calls & {"load_manifests", "DatasetPromptConfig", "from_dict"} == set()
     assert [node.value for node in ast.walk(load_world) if isinstance(node, ast.Constant)
             and node.value in ("datasets.jsonl", "prompt_configs.json")] == []
+
+
+def test_world_readers_read_saved_blocks_through_one_pattern():
+    # a JSON object per line costs more than one compiled pattern over a
+    # block of saved lines; ``json`` reads only the blocks that fall back to
+    # the line-by-line readers, and ``_unescaped`` decodes each distinct
+    # escaped id once
+    tree = ast.parse((Path(taskrouter.__file__).parent / "core.py").read_text(),
+                     filename="core.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    records = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Records")
+    fallbacks = {"_check_block", "_keyed_lines", "_unescaped"}
+    parsers = []
+    for entry in (_function(records, "load"), functions["load_metadata"]):
+        reached, todo = {}, [entry]  # the module's functions the entry calls or passes on
+        while todo:
+            for node in ast.walk(todo.pop()):
+                if isinstance(node, ast.Name) and node.id in functions.keys() - fallbacks \
+                        and node.id not in reached:
+                    reached[node.id] = functions[node.id]
+                    todo.append(functions[node.id])
+        assert "_read_blocks" in reached, entry.name
+        parsers += [f"{entry.name} -> {fn.name}:{node.lineno}"
+                    for fn in (entry, *reached.values()) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and (_call_name(node) in {"read_numbered_jsonl", "_numbered_objects",
+                                              "read_jsonl", "_read_keyed"}
+                         or ast.unparse(node.func) == "json.loads")]
+    assert parsers == []
