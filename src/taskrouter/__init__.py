@@ -45,11 +45,8 @@ from .errors import (
 from .harness import (
     AblationResult,
     LodoResult,
-    SelectionDistribution,
     run_ablation,
-    run_in_distribution,
     run_lodo,
-    selection_heatmap,
 )
 from .presets import builtin_prompt_configs
 from .prompts import (

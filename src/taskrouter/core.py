@@ -657,14 +657,14 @@ class World:
 
 @dataclass(frozen=True)
 class QueryGrid:
-    """The (query, model) outcome grid that labeling, the baselines, router
-    replay and the selection heatmap read. Entry points build it once per
-    run; every function below them takes the built grid. Rows are every
-    (dataset, sample, valid variant) query, in ``world.datasets``, manifest
-    and ``prompt_variants`` order, so nothing read from the grid depends on
-    record order; a row is codes, read through ``queries``. Columns are the
-    sorted model pool; ``covered`` marks cells with a record. Every count
-    the baselines and labels read is a sum over these arrays.
+    """The (query, model) outcome grid that labeling, the baselines and
+    router replay read. Entry points build it once per run; every function
+    below them takes the built grid. Rows are every (dataset, sample, valid
+    variant) query, in ``world.datasets``, manifest and ``prompt_variants``
+    order, so nothing read from the grid depends on record order; a row is
+    codes, read through ``queries``. Columns are the sorted model pool;
+    ``covered`` marks cells with a record. Every count the baselines and
+    labels read is a sum over these arrays.
     """
 
     world: World
@@ -956,23 +956,6 @@ def reading(where: str | Path):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each line of ``path`` with its number (from 1), decoded as UTF-8 and
-    without its line end. A line that is not UTF-8 raises InvalidInputError
-    naming ``path:line``."""
-    with open(path, "rb") as fh:
-        yield from _decoded(path, enumerate(fh, 1))
-
-
-def _decoded(path: str | Path, lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in lines:
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-        yield lineno, line.rstrip("\r\n")
-
-
 def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each non-blank line of ``path``. A line
     that is not a JSON object raises InvalidInputError naming ``path:line``."""
@@ -982,7 +965,11 @@ def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def _numbered_objects(path: str | Path,
                       lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, dict]]:
-    for lineno, line in _decoded(path, lines):
+    for lineno, raw in lines:
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
         if line.strip():
             try:
                 row = json.loads(line)
@@ -991,12 +978,6 @@ def _numbered_objects(path: str | Path,
             if not isinstance(row, dict):
                 raise InvalidInputError(f"{path}:{lineno}: not a JSON object")
             yield lineno, row
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """The JSON object on each non-blank line of ``path`` (see
-    ``read_numbered_jsonl``)."""
-    return (row for _, row in read_numbered_jsonl(path))
 
 
 def _read_keyed(path: str | Path, id_field: str, from_dict: Callable[[dict], _Row],
@@ -1018,7 +999,8 @@ def _keyed_lines(path: str | Path, id_field: str, from_dict: Callable[[dict], _R
     rows: dict[str, _Row] = {}
     for lineno, row in _numbered_objects(path, enumerate(lines, first_lineno)):
         try:
-            key, value = row[id_field], from_dict(row)
+            value = from_dict(row)
+            key = typed_field(row, id_field, str)
         except (KeyError, TaskRouterError):
             with reading(f"{path}:{lineno}"):
                 raise

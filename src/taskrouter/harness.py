@@ -1,6 +1,5 @@
 """Experiment orchestration: leave-one-dataset-out cross-validation, the
-metadata/response-option ablation grid, selection-distribution heatmaps,
-and run manifests.
+metadata/response-option ablation grid, and run manifests.
 
 A LODO run builds one query grid and one columnar corpus, and featurizes
 its inputs in one batch. A dataset's examples are a contiguous range of
@@ -28,8 +27,7 @@ import numpy as np
 from .baselines import ComparisonReport, build_comparison_report
 from .core import QueryGrid, World, csv_writer, write_json
 from .errors import IntegrityError, InvalidInputError, TaskRouterError
-from .router import (FeatureRows, FeaturizerConfig, RouterModel, TrainConfig, featurize_batch,
-                     route_rows, train_router)
+from .router import FeatureRows, FeaturizerConfig, TrainConfig, featurize_batch, train_router
 from .routerdata import (
     ALL_FLAG_COMBOS,
     Corpus,
@@ -261,21 +259,11 @@ def run_ablation(
     return result
 
 
-def run_in_distribution(
-    world: World,
-    flags: SerializationFlags = SerializationFlags(),
-    train_config: TrainConfig = TrainConfig(),
-    featurizer: FeaturizerConfig = FeaturizerConfig(),
-) -> dict[str, float]:
-    """Train one router on an 80/10/10 split of every dataset and replay
-    it on the test split, grouped per dataset; the split and the training
-    both take ``train_config.seed``."""
-    return _in_distribution(*_featurized_corpus(world, flags, featurizer), train_config)
-
-
 def _in_distribution(corpus: Corpus, features: FeatureRows,
                      train_config: TrainConfig) -> dict[str, float]:
-    """``run_in_distribution`` on a corpus and its feature rows."""
+    """Train one router on an 80/10/10 split of the corpus and replay it on
+    the test split, grouped per dataset; the split and the training both
+    take ``train_config.seed``."""
     grid = corpus.grid
     train, validate, test = split_80_10_10(range(len(corpus)), seed=train_config.seed)
     model = train_router(features, corpus.labels, train, validate, config=train_config,
@@ -288,48 +276,6 @@ def _in_distribution(corpus: Corpus, features: FeatureRows,
         if len(held):
             accuracies[ds] = int(held.sum()) / len(held)
     return accuracies
-
-
-@dataclass
-class SelectionDistribution:
-    """model x dataset matrix of selection fractions; every dataset column
-    sums to one."""
-
-    model_ids: tuple[str, ...]
-    dataset_ids: tuple[str, ...]
-    fractions: np.ndarray  # (n_models, n_datasets)
-
-    def __post_init__(self):
-        sums = self.fractions.sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise InvalidInputError(
-                f"selection fractions must sum to 1 per dataset, got {sums}"
-            )
-
-    def write_csv(self, target: str | Path | IO[str]) -> None:
-        with csv_writer(target) as writer:
-            writer.writerow(["model_id", *self.dataset_ids])
-            for i, model in enumerate(self.model_ids):
-                writer.writerow([model, *(repr(float(x)) for x in self.fractions[i])])
-
-
-def selection_heatmap(router: RouterModel, world: World) -> SelectionDistribution:
-    """How often the router picks each model per dataset of ``world``, in
-    order, over every (sample, valid variant) query; records play no part."""
-    grid = QueryGrid.build(world, ())
-    models = list(router.vocabulary)
-    index = {m: i for i, m in enumerate(models)}
-    counts = np.zeros((len(models), len(world.datasets)))
-    for j, ds_id in enumerate(world.datasets):
-        for choice in route_rows(router, grid, grid.spans[ds_id]):
-            counts[index[choice], j] += 1
-        if counts[:, j].sum() == 0:
-            raise InvalidInputError(f"no queries for dataset {ds_id!r}")
-    return SelectionDistribution(
-        model_ids=tuple(models),
-        dataset_ids=tuple(world.datasets),
-        fractions=counts / counts.sum(axis=0, keepdims=True),
-    )
 
 
 def write_run_manifest(

@@ -624,16 +624,11 @@ def train_router(
     )
 
 
-def route_rows(router, grid: QueryGrid, rows: Sequence[int]) -> list[str]:
-    """The model ``router.route_batch`` picks for each of the grid's
-    ``rows``, from their ``router_inputs`` under the router's flags."""
-    return router.route_batch(router_inputs(grid, rows, router.flags))
-
-
 def evaluate_router(router: RouterModel, grid: QueryGrid, dataset_id: str) -> float:
     """Recorded-outcome replay on one dataset: per recorded query, ask the
     router for a model and score the query by that model's stored
     correctness. No model is executed. Returns the accuracy averaged
     across prompt variants."""
     rows = grid.rows(dataset_id)
-    return grid.variant_mean(rows, grid.outcome(rows, route_rows(router, grid, rows)))
+    choices = router.route_batch(router_inputs(grid, rows, router.flags))
+    return grid.variant_mean(rows, grid.outcome(rows, choices))

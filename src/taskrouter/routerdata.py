@@ -27,9 +27,8 @@ from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import (MetadataSummary, QueryGrid, atomic_open, read_lines, read_numbered_jsonl,
-                   typed_field)
-from .errors import CoverageError, IntegrityError, InvalidInputError, ParseError
+from .core import MetadataSummary, QueryGrid, atomic_open, typed_field
+from .errors import CoverageError, InvalidInputError, ParseError
 from .prompts import render, rendered_options
 
 SEP_MARK = "[SEP]"
@@ -93,8 +92,8 @@ ALL_FLAG_COMBOS = (
 
 @dataclass(frozen=True)
 class RouterExample:
-    """One line of a saved corpus, as ``load_corpus`` reads it: the input
-    text (before [SEP]), its label, provenance, and the full line."""
+    """One corpus line as objects: the input text (before [SEP]), its
+    label, provenance, and the full line."""
 
     serialized_input: str
     label_model_id: str
@@ -450,58 +449,6 @@ def save_corpus(corpus: Corpus, positions: Sequence[int], path: str | Path) -> N
             for line, ((_, sample, variant), label) in enumerate(zip(queries, labels)):
                 index.write(_SIDECAR_LINE % (quoted[sample.dataset_id], models[label], line,
                                              quoted[variant.variant_id], quoted[sample.sample_id]))
-
-
-def load_corpus(path: str | Path) -> list[RouterExample]:
-    """Load a corpus; when its sidecar exists, every corpus line must have
-    one sidecar entry with the same label, and no entry another line
-    (IntegrityError otherwise)."""
-    path = Path(path)
-    sidecar = _sidecar(path)
-    index = _read_sidecar(sidecar) if sidecar.exists() else None
-    examples = []
-    for lineno, raw in read_lines(path):
-        if not raw:
-            continue
-        try:
-            parsed = parse_example(raw)
-        except ParseError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc.reason}", exc.offset) from exc
-        provenance = ("?", "?", "?")
-        if index is not None:
-            entry = index.pop(lineno - 1, None)
-            if entry is None or entry[0] != parsed.model_id:
-                raise IntegrityError(f"{sidecar} does not match {path} at line {lineno - 1}")
-            provenance = entry[1]
-        examples.append(RouterExample(
-            serialized_input=raw.split(SEP_MARK, 1)[0],
-            label_model_id=parsed.model_id,
-            provenance=provenance,
-            raw_line=raw,
-        ))
-    if index:
-        raise IntegrityError(f"{sidecar} indexes lines {sorted(index)[:5]} that {path} lacks")
-    return examples
-
-
-def _read_sidecar(sidecar: Path) -> dict[int, tuple[str, tuple[str, str, str]]]:
-    """Corpus line -> (label, provenance). An entry without an int ``line``
-    or string label and provenance fields, or a second entry for a line,
-    raises IntegrityError naming ``sidecar:line``."""
-    index = {}
-    for lineno, d in read_numbered_jsonl(sidecar):
-        try:
-            line, label = typed_field(d, "line", int), typed_field(d, "label_model_id", str)
-            provenance = tuple(typed_field(d, name, str)
-                               for name in ("sample_id", "dataset_id", "prompt_variant_id"))
-        except KeyError as exc:
-            raise IntegrityError(f"{sidecar}:{lineno}: entry lacks {exc}") from exc
-        except InvalidInputError as exc:
-            raise IntegrityError(f"{sidecar}:{lineno}: {exc}") from exc
-        if line in index:
-            raise IntegrityError(f"{sidecar}:{lineno}: second entry for line {line}")
-        index[line] = (label, provenance)
-    return index
 
 
 def _sidecar(path: Path) -> Path:

@@ -21,7 +21,7 @@ from taskrouter import (
     weighted_average,
 )
 from taskrouter.core import (Records, csv_writer, load_manifests, load_metadata, read_json,
-                             read_jsonl, save_manifests, save_metadata, save_records,
+                             read_numbered_jsonl, save_manifests, save_metadata, save_records,
                              summarize_images)
 from oracles import one_sample_summary
 
@@ -240,19 +240,20 @@ class TestTypes:
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
     @pytest.mark.parametrize("bad_line", ['{"a": 2', '[1, 2]'])
-    def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(self, tmp_path, bad_line):
+    def test_read_numbered_jsonl_skips_blank_lines_and_names_a_bad_line(self, tmp_path,
+                                                                         bad_line):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n' + bad_line + "\n")
-        rows = read_jsonl(path)
-        assert next(rows) == {"a": 1}
+        rows = read_numbered_jsonl(path)
+        assert next(rows) == (1, {"a": 1})
         with pytest.raises(InvalidInputError, match="rows.jsonl:4"):
             next(rows)
 
-    def test_read_jsonl_names_a_line_that_is_not_utf8(self, tmp_path):
+    def test_read_numbered_jsonl_names_a_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
-        rows = read_jsonl(path)
-        assert next(rows) == {"a": 1}
+        rows = read_numbered_jsonl(path)
+        assert next(rows) == (1, {"a": 1})
         with pytest.raises(InvalidInputError, match="rows.jsonl:2"):
             next(rows)
 
@@ -317,6 +318,15 @@ class TestTypes:
             with pytest.raises(IntegrityError) as refused:
                 load_metadata(path)
             assert str(refused.value) == f"{path}:5: repeats sample_id 's1'"
+
+    @pytest.mark.parametrize("sample_id", [5, [1], None], ids=["int", "list", "null"])
+    def test_a_mistyped_sample_id_names_its_line(self, tmp_path, sample_id):
+        path = tmp_path / "metadata.jsonl"
+        row = {"sample_id": sample_id, **MetadataSummary((1, 1, 1), (0.5,), (0.0,)).to_dict()}
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(InvalidInputError) as refused:
+            load_metadata(path)
+        assert str(refused.value) == f"{path}:1: field 'sample_id' must be a string"
 
     @pytest.mark.parametrize("data", [b'{"a": 1', b"[1, 2]", b'{"a": "\xff"}'])
     def test_read_json_names_the_file(self, tmp_path, data):

@@ -25,13 +25,13 @@ from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, Met
                         Sample, TaskRouterError, World, parse_example, serialize_example)
 from taskrouter.baselines import voting_accuracy, voting_predict
 from taskrouter.core import (TASK_KINDS, QueryGrid, Records, load_metadata, load_world,
-                             read_jsonl, save_records, save_world, write_jsonl)
+                             read_numbered_jsonl, save_records, save_world, write_jsonl)
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
 from taskrouter.router import (FeaturizerConfig, RouterModel, TrainConfig, featurize,
                                featurize_batch)
 from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
-                                   _img_segment, build_router_dataset, load_corpus,
-                                   router_corpora, save_corpus, select_best_model)
+                                   _img_segment, build_router_dataset, router_corpora,
+                                   save_corpus, select_best_model)
 from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
 from taskrouter.synth import WorldSpec
 from taskrouter import wire
@@ -62,51 +62,13 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
-SIDECAR_KEYS = ("line", "sample_id", "dataset_id", "prompt_variant_id", "label_model_id")
 
 
-@st.composite
-def sidecar_entries(draw, line: int):
-    """A well-formed entry for ``line`` with some fields dropped or replaced."""
-    entry = {"line": line, "sample_id": "s0", "dataset_id": "d", "prompt_variant_id": "q0",
-             "label_model_id": draw(st.sampled_from(["alpha", "beta"]))}
-    for key in draw(st.lists(st.sampled_from(SIDECAR_KEYS), max_size=2)):
-        if draw(st.booleans()):
-            entry.pop(key, None)
-        else:
-            entry[key] = draw(JSON_VALUES)
-    return entry
-
-
-@st.composite
-def corpus_pairs(draw):
-    """(corpus bytes, sidecar bytes or None) with damage in either."""
-    lines = draw(st.lists(st.sampled_from(LINES) | damaged_lines(), max_size=4))
-    # a drawn surrogate becomes bytes that are not UTF-8, which the reader must reject
-    corpus = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
-    if draw(st.booleans()):
-        corpus = draw(st.binary(max_size=8)) + corpus
-    if draw(st.booleans()):
-        return corpus, None
-    entries = [draw(sidecar_entries(i)) for i in range(len(lines))]
-    sidecar = "".join(json.dumps(e) + "\n" for e in draw(st.permutations(entries)))
-    return corpus, sidecar.encode("utf-8") + draw(st.binary(max_size=4))
-
-
-def _load_corpus(corpus: bytes, sidecar: bytes | None):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.txt"
-        path.write_bytes(corpus)
-        if sidecar is not None:
-            Path(tmp, "corpus.txt.index.jsonl").write_bytes(sidecar)
-        return load_corpus(path)
-
-
-def _read_jsonl(data: bytes):
+def _read_numbered_jsonl(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
         path.write_bytes(data)
-        return list(read_jsonl(path))
+        return list(read_numbered_jsonl(path))
 
 
 def _load_router(data: bytes):
@@ -133,21 +95,12 @@ def test_parse_example_gives_a_value_or_an_error(line):
     _value_or_error(parse_example, line)
 
 
-@given(corpus_pairs())
-@example(((LINES[1] + "\n").encode(), b'{"line": 0, "label_model_id": "beta"}\n'))
-@example(((LINES[1] + "\n").encode(), b'{"line": [0], "label_model_id": "beta"}\n'))
-@example((b"\xff\n", None))
-@settings(max_examples=200, deadline=None)
-def test_load_corpus_gives_a_value_or_an_error(pair):
-    _value_or_error(_load_corpus, *pair)
-
-
 @given(st.lists(st.sampled_from([b'{"a": 1}', b"[1]", b"", b"  ", b"{", b"\xff\xfe"])
                 | st.binary(max_size=12), max_size=5).map(b"\n".join))
 @example(b'{"a": 1}\n{"a": "\xff"}\n')
 @settings(max_examples=200, deadline=None)
-def test_read_jsonl_gives_a_value_or_an_error(data):
-    _value_or_error(_read_jsonl, data)
+def test_read_numbered_jsonl_gives_a_value_or_an_error(data):
+    _value_or_error(_read_numbered_jsonl, data)
 
 
 VALID_HEADER = {

@@ -1,11 +1,9 @@
-"""Harness: LODO, ablations, heatmaps, fold isolation, and determinism."""
+"""Harness: LODO, ablations, fold isolation, and determinism."""
 
 import hashlib
-import io
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from taskrouter import (
@@ -15,13 +13,11 @@ from taskrouter import (
     QueryGrid,
     SerializationFlags,
     build_router_dataset,
-    run_in_distribution,
     run_lodo,
-    selection_heatmap,
 )
 from taskrouter.harness import run_ablation, write_run_manifest
 from taskrouter.router import FeaturizerConfig, TrainConfig
-from taskrouter.routerdata import ALL_FLAG_COMBOS, load_corpus
+from taskrouter.routerdata import ALL_FLAG_COMBOS
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import keyword_world_spec, make_micro_world
@@ -75,8 +71,11 @@ class TestRunLodo:
         for ds in world.datasets:
             fold_dir = tmp_path / f"fold_{ds}"
             for split in ("train", "validate", "test"):
-                for ex in load_corpus(fold_dir / f"{split}.txt"):
-                    assert ex.provenance[1] != ds
+                corpus = fold_dir / f"{split}.txt"
+                index = corpus.with_name(corpus.name + ".index.jsonl").read_text().splitlines()
+                assert len(index) == len(corpus.read_text().splitlines())
+                for line in index:
+                    assert json.loads(line)["dataset_id"] != ds
             metrics = json.loads((fold_dir / "metrics.json").read_text())
             assert metrics["status"] == "ok"
             assert (fold_dir / "router.bin").exists()
@@ -259,8 +258,8 @@ class TestRunLodo:
         run_lodo(paired_world, flags=SerializationFlags(True, False),
                  train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(builds) == 1
-        run_in_distribution(paired_world, flags=SerializationFlags(True, False),
-                            train_config=FAST_TRAIN, featurizer=FAST_FEATS)
+        in_distribution(paired_world, SerializationFlags(True, False),
+                        train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(builds) == 2
         save_world(paired_world, tmp_path / "world")
         assert main(["--out", str(tmp_path / "report"), "baselines", "report",
@@ -271,6 +270,12 @@ class TestRunLodo:
         world = make_micro_world()
         with pytest.raises(InvalidInputError):
             run_lodo(world)
+
+
+def in_distribution(world, flags, **kwargs) -> dict[str, float]:
+    """The in-distribution column of a one-combination ablation under ``flags``."""
+    return run_ablation(world, flag_grid=(flags,), include_in_distribution=True,
+                        **kwargs).in_distribution
 
 
 def _count_hashed_lines(monkeypatch) -> list[str]:
@@ -331,15 +336,15 @@ class TestAblation:
         for acc in result.in_distribution.values():
             assert 0.0 <= acc <= 1.0
 
-    def test_run_in_distribution_close_to_perfect_on_keyword_world(self, paired_world):
-        ind = run_in_distribution(
-            paired_world, flags=SerializationFlags(False, False),
+    def test_in_distribution_close_to_perfect_on_keyword_world(self, paired_world):
+        ind = in_distribution(
+            paired_world, SerializationFlags(False, False),
             train_config=replace(FAST_TRAIN, seed=8), featurizer=FAST_FEATS,
         )
         values = list(ind.values())
         assert sum(values) / len(values) >= 0.9
 
-    def test_run_in_distribution_replays_the_test_split(self):
+    def test_in_distribution_replays_the_test_split(self):
         # the test split's rows, found by provenance, routed from their corpus
         # lines; a world without signal leaves the router short of perfect
         from taskrouter import split_80_10_10
@@ -352,8 +357,8 @@ class TestAblation:
             signal_mode="none", seed=5,
         ))
         flags = SerializationFlags(True, True)
-        got = run_in_distribution(world, flags=flags, train_config=replace(FAST_TRAIN, seed=3),
-                                  featurizer=FAST_FEATS)
+        got = in_distribution(world, flags, train_config=replace(FAST_TRAIN, seed=3),
+                              featurizer=FAST_FEATS)
         grid = QueryGrid.build(world)
         examples = reference_corpus(grid, flags)
         train, validate, test = split_80_10_10(examples, seed=3)
@@ -368,97 +373,6 @@ class TestAblation:
             hits.setdefault(ex.provenance[1], []).append(hit)
         assert got == {ds: sum(v) / len(v) for ds, v in sorted(hits.items())}
         assert min(got.values()) < 1.0
-
-
-class TestHeatmap:
-    def test_constant_router_one_hot_rows(self, paired_world):
-        from test_router import constant_router
-
-        world = paired_world
-        router = constant_router("m2", sorted(world.model_pool))
-        dist = selection_heatmap(router, world)
-        row = list(dist.model_ids).index("m2")
-        np.testing.assert_allclose(dist.fractions[row], 1.0)
-        other = np.delete(dist.fractions, row, axis=0)
-        np.testing.assert_allclose(other, 0.0)
-
-    def test_columns_sum_to_one(self, paired_world):
-        from test_router import constant_router
-
-        dist = selection_heatmap(
-            constant_router("m0", sorted(paired_world.model_pool)), paired_world
-        )
-        np.testing.assert_allclose(dist.fractions.sum(axis=0), 1.0, atol=1e-9)
-
-    def test_matches_brute_force_tally(self, paired_world):
-        from taskrouter.prompts import (
-            prompt_variants, render, rendered_options, valid_variant_ids,
-        )
-        from taskrouter.router import RouterModel
-
-        world = paired_world
-        rng = np.random.default_rng(9)
-        router = RouterModel(
-            vocabulary=tuple(sorted(world.model_pool)),
-            featurizer=FAST_FEATS,
-            flags=SerializationFlags(True, False),
-            seed=0,
-            weights=rng.normal(size=(len(world.model_pool), FAST_FEATS.hash_dim)),
-            bias=np.zeros(len(world.model_pool)),
-        )
-        dist = selection_heatmap(router, world)
-        for j, ds in enumerate(dist.dataset_ids):
-            config = world.prompt_configs[ds]
-            tally = {m: 0 for m in dist.model_ids}
-            total = 0
-            for v in prompt_variants(config):
-                if v.variant_id not in valid_variant_ids(config):
-                    continue
-                for s in world.datasets[ds].samples:
-                    choice = router.route(
-                        world.metadata[s.sample_id],
-                        render(v.question, s, config),
-                        rendered_options(s, config, v),
-                    )
-                    tally[choice] += 1
-                    total += 1
-            for i, m in enumerate(dist.model_ids):
-                assert dist.fractions[i, j] == pytest.approx(tally[m] / total)
-
-    def test_independent_of_records(self, paired_world):
-        # the heatmap routes every valid query from the manifests, so a
-        # world with records for one dataset only gives the same fractions
-        from dataclasses import replace
-
-        from taskrouter.router import RouterModel
-
-        world = paired_world
-        rng = np.random.default_rng(4)
-        router = RouterModel(
-            vocabulary=tuple(sorted(world.model_pool)),
-            featurizer=FAST_FEATS,
-            flags=SerializationFlags(True, False),
-            seed=0,
-            weights=rng.normal(size=(len(world.model_pool), FAST_FEATS.hash_dim)),
-            bias=np.zeros(len(world.model_pool)),
-        )
-        first = next(iter(world.datasets))
-        partial = replace(world, records=[r for r in world.records if r.dataset_id == first])
-        full, part = selection_heatmap(router, world), selection_heatmap(router, partial)
-        assert part.dataset_ids == full.dataset_ids
-        np.testing.assert_array_equal(part.fractions, full.fractions)
-
-    def test_csv_export(self, paired_world):
-        from test_router import constant_router
-
-        dist = selection_heatmap(
-            constant_router("m0", sorted(paired_world.model_pool)), paired_world
-        )
-        buf = io.StringIO()
-        dist.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "model_id," + ",".join(dist.dataset_ids)
-        assert len(lines) == 1 + len(dist.model_ids)
 
 
 class TestPlumbing:

@@ -26,18 +26,18 @@ from taskrouter import (
 )
 from taskrouter.core import DatasetManifest, ExecutionRecord, Sample, World
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, render, rendered_options
-from taskrouter.router import FeaturizerConfig, RouterModel, route_rows
+from taskrouter.router import FeaturizerConfig, RouterModel, evaluate_router
 from taskrouter.routerdata import (
     ALL_FLAG_COMBOS,
     _corpus_labels,
-    load_corpus,
     router_inputs,
     save_corpus,
 )
 from taskrouter.synth import WorldSpec, generate_world
 
 from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
-from oracles import accuracy_table, filter_valid_prompts, reference_corpus, sample_index
+from oracles import (accuracy_table, filter_valid_prompts, reference_corpus, reference_save_corpus,
+                     sample_index)
 
 # Golden record for the serialization format, frozen byte for byte. Note:
 # no closing bracket after the options list; the [SEP] marker terminates it.
@@ -397,7 +397,11 @@ def test_corpus_and_routing_share_one_input_per_row(small_keyword_world, flags):
     router = RouterModel(grid.models, feats, flags, 0,
                          rng.normal(size=(len(grid.models), feats.hash_dim)),
                          rng.normal(size=len(grid.models)))
-    assert route_rows(router, grid, rows) == router.route_batch(inputs)
+    choices = dict(zip(rows.tolist(), router.route_batch(inputs)))
+    for ds_id in world.datasets:
+        replayed = grid.rows(ds_id)
+        outcome = grid.outcome(replayed, [choices[r] for r in replayed.tolist()])
+        assert evaluate_router(router, grid, ds_id) == grid.variant_mean(replayed, outcome)
     for (ds_id, sample, variant), text in zip(grid.queries(rows), inputs):
         config = world.prompt_configs[ds_id]
         metadata = world.metadata[sample.sample_id]
@@ -524,73 +528,18 @@ def test_failed_sidecar_write_keeps_old_corpus_pair(tmp_path, monkeypatch):
         save_corpus(corpus, range(1), path)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert len(load_corpus(path)) == 3
 
 
-@pytest.mark.parametrize("edit", ["drop_entry", "extra_entry", "other_label"])
-def test_mismatched_sidecar_fails_to_load(edit, tmp_path):
-    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                  SerializationFlags(True, True))
-    path = tmp_path / "corpus.txt"
-    save_corpus(corpus, range(3), path)
-    sidecar = tmp_path / "corpus.txt.index.jsonl"
-    entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
-    if edit == "drop_entry":
-        entries.pop(1)
-    elif edit == "extra_entry":
-        entries.append({**entries[0], "line": 3})
-    else:
-        entries[2]["label_model_id"] = next(
-            m for m in ("alpha", "beta") if m != entries[2]["label_model_id"])
-    sidecar.write_text("".join(json.dumps(e) + "\n" for e in entries))
-    with pytest.raises(IntegrityError, match="index.jsonl"):
-        load_corpus(path)
-
-
-@pytest.mark.parametrize("edit", ["no_line", "no_label", "no_sample_id", "list_line",
-                                  "second_entry"])
-def test_damaged_sidecar_entry_names_sidecar_line(edit, tmp_path):
-    corpus = build_router_dataset(QueryGrid.build(make_micro_world(n_samples=3)),
-                                  SerializationFlags(True, True))
-    path = tmp_path / "corpus.txt"
-    save_corpus(corpus, range(3), path)
-    sidecar = tmp_path / "corpus.txt.index.jsonl"
-    entries = [json.loads(line) for line in sidecar.read_text().splitlines()]
-    if edit == "list_line":
-        entries[1]["line"] = [1]
-    elif edit == "second_entry":
-        entries[1]["line"] = 0
-    else:
-        del entries[1][{"no_line": "line", "no_label": "label_model_id",
-                        "no_sample_id": "sample_id"}[edit]]
-    sidecar.write_text("".join(json.dumps(e) + "\n" for e in entries))
-    with pytest.raises(IntegrityError, match=r"index\.jsonl:2"):
-        load_corpus(path)
-
-
-def test_corpus_save_and_load(tmp_path):
+def test_saved_corpus_matches_the_reference_writer(tmp_path):
     world = make_micro_world(n_samples=3)
     grid = QueryGrid.build(world)
     corpus = build_router_dataset(grid, SerializationFlags(True, True))
-    path = tmp_path / "corpus.txt"
-    save_corpus(corpus, range(len(corpus)), path)
-    assert (tmp_path / "corpus.txt.index.jsonl").exists()
-    loaded = load_corpus(path)
-    examples = reference_corpus(grid, SerializationFlags(True, True))
-    assert [e.raw_line for e in loaded] == [e.raw_line for e in examples]
-    assert [e.serialized_input for e in loaded] == corpus.inputs
-    assert [e.provenance for e in loaded] == [e.provenance for e in examples]
-    assert [e.label_model_id for e in loaded] == [e.label_model_id for e in examples]
-
-
-def test_unparsable_corpus_line_names_path_and_line(tmp_path):
-    world = make_micro_world(n_samples=3)
-    corpus = build_router_dataset(QueryGrid.build(world), SerializationFlags(True, True))
-    path = tmp_path / "corpus.txt"
-    path.write_text(corpus.inputs[0] + corpus.responses[0] + "\ngarbage line\n")
-    with pytest.raises(ParseError, match=r"corpus\.txt:2: expected \[prompt\] segment "
-                                         r"\(byte offset 0\)"):
-        load_corpus(path)
+    save_corpus(corpus, range(len(corpus)), tmp_path / "got.txt")
+    reference_save_corpus(reference_corpus(grid, SerializationFlags(True, True)),
+                          tmp_path / "want.txt")
+    for name in ("{}.txt", "{}.txt.index.jsonl"):
+        got, want = ((tmp_path / name.format(side)).read_bytes() for side in ("got", "want"))
+        assert got == want
 
 
 @pytest.mark.parametrize("case", sorted(PARTIAL_RECORDS))

@@ -9,6 +9,21 @@ import taskrouter
 from taskrouter.core import QueryGrid
 
 
+# code that no CLI flow ran, deleted; a saved corpus is written, never read back
+_REMOVED = {"run_in_distribution", "SelectionDistribution", "selection_heatmap", "load_corpus",
+            "_read_sidecar", "route_rows", "read_jsonl", "read_lines"}
+
+
+def test_removed_code_stays_removed():
+    package = Path(taskrouter.__file__).parent
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _REMOVED]
+    exported = sorted(_REMOVED & set(dir(taskrouter)))
+    assert found == [] and exported == []
+
+
 def test_no_invariant_is_guarded_by_assert():
     # ``python -O`` strips assert statements, so invariants raise errors instead
     sources = sorted(Path(taskrouter.__file__).parent.glob("*.py"))
@@ -107,7 +122,7 @@ def test_routing_scores_each_batch_in_one_call():
     # routing many lines one at a time pays the scorer's set-up per line
     package = Path(taskrouter.__file__).parent
     looped = []
-    for module, function in (("router.py", "route_rows"), ("cli.py", "_cmd_router_route")):
+    for module, function in (("router.py", "evaluate_router"), ("cli.py", "_cmd_router_route")):
         tree = ast.parse((package / module).read_text(), filename=module)
         fn = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == function)
@@ -225,7 +240,7 @@ def test_corpus_replay_routes_the_corpus_lines():
              for function in ("_run_fold", "_in_distribution")
              for node in ast.walk(_function(tree, function))
              if isinstance(node, ast.Call)
-             and _call_name(node) in {"router_inputs", "route_rows", "evaluate_router"}]
+             and _call_name(node) in {"router_inputs", "evaluate_router"}]
     assert calls == []
 
 
@@ -319,8 +334,8 @@ def test_scoring_jobs_reach_a_backend_only_through_run_job():
 _COERCIONS = {"int", "float", "bool", "tuple", "list", "dict"}
 # readers of JSON objects besides the from_dicts: (module, function, the object it reads)
 _HEADER_READERS = [("router.py", "load", "header"), ("wire.py", "_parse_info", "d"),
-                   ("routerdata.py", "_read_sidecar", "d"), ("core.py", "_record_fields", "d"),
-                   ("core.py", "load_tasks", "raw"), ("core.py", "load_world", "info")]
+                   ("core.py", "_record_fields", "d"), ("core.py", "load_tasks", "raw"),
+                   ("core.py", "load_world", "info")]
 
 
 def _reads_raw(node: ast.AST, names: set[str]) -> bool:
@@ -560,6 +575,6 @@ def test_world_readers_read_saved_blocks_through_one_pattern():
                     for fn in (entry, *reached.values()) for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
                     and (_call_name(node) in {"read_numbered_jsonl", "_numbered_objects",
-                                              "read_jsonl", "_read_keyed"}
+                                              "_read_keyed"}
                          or ast.unparse(node.func) == "json.loads")]
     assert parsers == []
