@@ -386,16 +386,18 @@ def line_by_line_records(path) -> Records:
 
 def keyed_metadata(path) -> dict[str, MetadataSummary]:
     """``metadata.jsonl`` read one ``MetadataSummary.from_dict`` row at a
-    time, keyed by its sample id; the reference the block-wise reader is
-    checked against."""
+    time, keyed by its sample id, which must be a string; the reference the
+    block-wise reader is checked against."""
     rows = {}
     for lineno, row in read_numbered_jsonl(path):
         try:
-            key, value = row["sample_id"], MetadataSummary.from_dict(row)
+            value, key = MetadataSummary.from_dict(row), row["sample_id"]
         except KeyError as exc:
             raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+        if type(key) is not str:
+            raise InvalidInputError(f"{path}:{lineno}: field 'sample_id' must be a string")
         if key in rows:
             raise IntegrityError(f"{path}:{lineno}: repeats sample_id {key!r}")
         rows[key] = value

@@ -200,6 +200,31 @@ def test_router_train_and_route(world_dir, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "m0"
 
 
+def test_router_routes_each_held_out_corpus_line_to_its_label(world_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    # with one seed, routerdata build and router train split the corpus
+    # alike, so the test split's lines are held out from training; the
+    # keyword world's label is in each prompt, and routing a line's input
+    # (the part before [SEP]) picks it
+    import io
+
+    args = ["--world", str(world_dir), "--flags", "md=on,ro=off"]
+    assert main(["--out", str(tmp_path / "corpus"), "--seed", "3", "routerdata", "build",
+                 *args]) == 0
+    assert main(["--out", str(tmp_path / "router"), "--seed", "3", "router", "train", *args,
+                 *FAST]) == 0
+    router = str(tmp_path / "router" / "router.bin")
+    inputs, labels = zip(*(line.split("[SEP]model::")
+                           for line in (tmp_path / "corpus" / "test.txt").read_text().splitlines()))
+    labels = [label.split("[response]")[0] for label in labels]
+    capsys.readouterr()
+    assert main(["router", "route", "--router", router, "--input", inputs[0]]) == 0
+    assert capsys.readouterr().out == labels[0] + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(i + "\n" for i in inputs)))
+    assert main(["router", "route", "--router", router]) == 0
+    assert capsys.readouterr().out.splitlines() == labels and len(set(labels)) > 1
+
+
 def test_log_level_shows_the_package_info_lines(world_dir, tmp_path, capsys):
     args = ["router", "train", "--world", str(world_dir), *FAST]
     assert main(["--out", str(tmp_path / "quiet"), *args]) == 0
@@ -252,6 +277,51 @@ def test_baselines_report(world_dir, tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_baselines_report_router_column_replays_each_recorded_query(world_dir, tmp_path,
+                                                                     capsys):
+    # each dataset's router cell: per prompt variant, the rate of queries on
+    # which the model the router picks for the query's line alone was
+    # recorded correct, averaged over the variants, to the report's 0.1 point.
+    # A router of random weights picks unlike a trained one, which is right
+    # on every query of this world.
+    import csv
+
+    import numpy as np
+
+    from oracles import exact_choice, reference_corpus
+    from taskrouter.core import QueryGrid, load_world
+    from taskrouter.router import FeaturizerConfig, RouterModel
+    from taskrouter.routerdata import SerializationFlags
+
+    world = load_world(world_dir)
+    rng, feats = np.random.default_rng(5), FeaturizerConfig(hash_dim=64)
+    models = tuple(sorted(world.model_pool))
+    router_path = tmp_path / "router.bin"
+    RouterModel(models, feats, SerializationFlags(True, False), 0,
+                rng.normal(size=(len(models), feats.hash_dim)),
+                rng.normal(size=len(models))).save(router_path)
+    out = tmp_path / "report"
+    assert main(["--out", str(out), "baselines", "report", "--world", str(world_dir),
+                 "--router", str(router_path)]) == 0
+    router = RouterModel.load(router_path)
+    correct = {(r.model_id, r.sample_id, r.prompt_variant_id): r.correct
+               for r in world.records}
+    hits: dict[str, dict[str, list[bool]]] = {}
+    for example in reference_corpus(QueryGrid.build(world), router.flags):
+        sample_id, ds_id, variant_id = example.provenance
+        model = router.vocabulary[exact_choice(router, example.serialized_input)]
+        hits.setdefault(ds_id, {}).setdefault(variant_id, []).append(
+            correct[(model, sample_id, variant_id)])
+    with open(out / "report.csv", newline="") as fh:
+        cells = {row["dataset"]: row["router"] for row in csv.DictReader(fh)}
+    assert sorted(hits) == sorted(world.datasets)
+    wants = []
+    for ds_id, by_variant in hits.items():
+        wants.append(100 * sum(sum(h) / len(h) for h in by_variant.values()) / len(by_variant))
+        assert abs(float(cells[ds_id]) - wants[-1]) <= 0.05 + 1e-9, ds_id
+    assert 0 < min(wants) and max(wants) < 100
+
+
 def test_lodo_run(world_dir, tmp_path, capsys):
     out = tmp_path / "lodo"
     code = main(["--out", str(out), "--seed", "2", "lodo", "run",
@@ -275,6 +345,26 @@ def test_ablation_run(world_dir, tmp_path, capsys):
     assert set(payload["columns"]) == {
         "md-on_ro-on", "md-on_ro-off", "md-off_ro-on", "md-off_ro-off"
     }
+
+
+def test_ablation_run_in_distribution_adds_one_column(world_dir, tmp_path, capsys):
+    # the in-distribution split of the first combination's corpus adds a
+    # last column and leaves the held-out columns as a run without it
+    import csv
+
+    tables = []
+    for extra in ([], ["--in-distribution"]):
+        out = tmp_path / f"abl{len(tables)}"
+        assert main(["--out", str(out), "--seed", "2", "ablation", "run",
+                     "--world", str(world_dir), *FAST, *extra]) == 0
+        with open(out / "ablation.csv", newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    assert [row[:-1] for row in tables[1]] == tables[0]
+    assert tables[1][0][-1] == "in_distribution"
+    datasets = [row[0] for row in tables[1][1:-1]]
+    assert datasets == ["ds00", "ds01", "ds02", "ds03"]
+    cells = [float(row[-1]) for row in tables[1][1:]]
+    assert min(cells) >= 90.0 and cells[-1] == pytest.approx(sum(cells[:-1]) / 4, abs=0.1)
 
 
 def test_error_record_on_failure(tmp_path, capsys):
@@ -722,6 +812,14 @@ def _damage_metadata(world):
     _rewrite_jsonl(world / "metadata.jsonl", 5, lambda row: row.update(dims=[8, 8, True]))
 
 
+def _damage_datasets_id(world):
+    _rewrite_jsonl(world / "datasets.jsonl", 2, lambda row: row.update(dataset_id=["ds01"]))
+
+
+def _damage_metadata_id(world):
+    _rewrite_jsonl(world / "metadata.jsonl", 5, lambda row: row.update(sample_id=5))
+
+
 def _damage_records(world):
     _rewrite_jsonl(world / "records.jsonl", 3, lambda row: row.update(correct=1))
 
@@ -742,7 +840,9 @@ def _damage_world_seed(world):
 # (case, damage to a copy of the world, where the message must point, the field)
 WORLD_FAULTS = [
     ("datasets", _damage_datasets, "datasets.jsonl:2: ", "response_options"),
+    ("datasets_id", _damage_datasets_id, "datasets.jsonl:2: ", "dataset_id"),
     ("metadata", _damage_metadata, "metadata.jsonl:5: ", "dims"),
+    ("metadata_id", _damage_metadata_id, "metadata.jsonl:5: ", "sample_id"),
     ("records", _damage_records, "records.jsonl:3: ", "correct"),
     ("prompt_configs", _damage_prompt_configs, "prompt_configs.json: ds01: ", "question_forms"),
     ("world_pool", _damage_world_pool, "world.json: ", "model_pool"),

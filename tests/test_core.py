@@ -249,6 +249,13 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match="rows.jsonl:4"):
             next(rows)
 
+    def test_read_numbered_jsonl_numbers_each_line_of_the_file(self, tmp_path):
+        # blank lines are skipped but counted, and a CRLF end is not part of the row
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\r\n\t\n{"b": "\\r"}\r\n{"c": 3}')
+        assert list(read_numbered_jsonl(path)) == [(1, {"a": 1}), (4, {"b": "\r"}),
+                                                   (5, {"c": 3})]
+
     def test_read_numbered_jsonl_names_a_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
@@ -327,6 +334,41 @@ class TestTypes:
         with pytest.raises(InvalidInputError) as refused:
             load_metadata(path)
         assert str(refused.value) == f"{path}:1: field 'sample_id' must be a string"
+
+    def test_a_mistyped_sample_id_names_its_line_in_any_block(self, tmp_path, monkeypatch):
+        # the line pattern does not match a number, so its block is read
+        # again line by line, which names the line
+        import taskrouter.core as core
+
+        path = tmp_path / "metadata.jsonl"
+        save_metadata({f"s{i}": MetadataSummary((1, 1, 1), (0.5,), (0.0,)) for i in range(4)},
+                      path)
+        path.write_bytes(path.read_bytes().replace(b'"s2"', b"2"))
+        for block_bytes in (1, 200, 1 << 20):
+            monkeypatch.setattr(core, "_READ_BLOCK_BYTES", block_bytes)
+            with pytest.raises(InvalidInputError) as refused:
+                load_metadata(path)
+            assert str(refused.value) == f"{path}:3: field 'sample_id' must be a string"
+
+    @pytest.mark.parametrize("dataset_id", [5, [1], None], ids=["int", "list", "null"])
+    def test_a_mistyped_dataset_id_names_its_line(self, tmp_path, dataset_id):
+        path = tmp_path / "manifests.jsonl"
+        rows = [DatasetManifest(d, "recognition", (Sample(f"{d}0", d, "img", {}, ("a", "b"), 0),),
+                                d).to_dict() for d in ("d", "e")]
+        rows[1]["dataset_id"] = dataset_id
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(InvalidInputError) as refused:
+            load_manifests(path)
+        assert str(refused.value) == f"{path}:2: field 'dataset_id' must be a string"
+
+    def test_a_manifest_names_a_mistyped_size_before_a_mistyped_dataset_id(self, tmp_path):
+        path = tmp_path / "manifests.jsonl"
+        row = DatasetManifest("d", "recognition", (Sample("s0", "d", "img", {}, ("a", "b"), 0),),
+                              "d").to_dict()
+        path.write_text(json.dumps({**row, "size": "1", "dataset_id": 5}) + "\n")
+        with pytest.raises(InvalidInputError) as refused:
+            load_manifests(path)
+        assert str(refused.value) == f"{path}:1: field 'size' must be an int"
 
     @pytest.mark.parametrize("data", [b'{"a": 1', b"[1, 2]", b'{"a": "\xff"}'])
     def test_read_json_names_the_file(self, tmp_path, data):

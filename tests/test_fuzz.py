@@ -408,6 +408,9 @@ def _summaries(metadata: dict) -> list:
 @example([metadata_line('"a"'), metadata_line('"b"')], 12, 1)
 @example([metadata_line(dims="[2, 2, 1]", means="[1" + "0" * 5000 + ".5]")], 0, 1)
 @example([metadata_line(dims="[1" + "0" * 5000 + ", 2, 1]")], 0, 1)
+# a sample id that is not a string, in a block of its own and in a file-wide one
+@example([metadata_line('"a"'), metadata_line("5")], 0, 1)
+@example([metadata_line("[1]"), metadata_line('"a"')], 0, 10 ** 6)
 @settings(max_examples=300, deadline=None)
 def test_metadata_file_reads_as_the_line_by_line_reader(lines, cut, block_bytes):
     # blocks split anywhere in the file; the summaries, each mean's int or

@@ -542,6 +542,30 @@ def test_saved_corpus_matches_the_reference_writer(tmp_path):
         assert got == want
 
 
+def test_saved_corpus_lines_parse_back_to_their_examples(tmp_path):
+    # positions in any order: line i parses back to the example at the i-th
+    # position, and sidecar line i names that example's provenance and label
+    flags = SerializationFlags(True, True)
+    grid = QueryGrid.build(make_micro_world(n_samples=3))
+    corpus = build_router_dataset(grid, flags)
+    examples = reference_corpus(grid, flags)
+    positions = list(range(len(corpus)))[::-2]
+    path = tmp_path / "corpus.txt"
+    save_corpus(corpus, positions, path)
+    lines = path.read_text().splitlines()
+    entries = [json.loads(line)
+               for line in (tmp_path / "corpus.txt.index.jsonl").read_text().splitlines()]
+    assert len(lines) == len(entries) == len(positions) > 1
+    for i, (p, line, entry) in enumerate(zip(positions, lines, entries)):
+        parsed = parse_example(line)
+        assert line.startswith(corpus.inputs[p] + "[SEP]") and parsed.reserialize() == line
+        assert parsed.model_id == examples[p].label_model_id == grid.models[corpus.labels[p]]
+        sample_id, dataset_id, variant_id = examples[p].provenance
+        assert entry == {"line": i, "sample_id": sample_id, "dataset_id": dataset_id,
+                         "prompt_variant_id": variant_id,
+                         "label_model_id": examples[p].label_model_id}
+
+
 @pytest.mark.parametrize("case", sorted(PARTIAL_RECORDS))
 def test_corpus_labels_on_partial_and_unrecorded_grids(case):
     # each covered row is labeled by the reference table's cells and
