@@ -29,7 +29,7 @@ from .prompts import (
     prompt_variants,
 )
 from .router import (FeaturizerConfig, RouterModel, TrainConfig, evaluate_router,
-                     featurize_batch, train_router)
+                     featurize_batch, read_positions, train_router)
 from .routerdata import (
     SerializationFlags,
     build_router_dataset,
@@ -334,11 +334,15 @@ def _cmd_router_train(args) -> None:
     config = args.train_config
     corpus = build_router_dataset(QueryGrid.build(world), args.flags)
     train, validate, _ = split_80_10_10(range(len(corpus)), seed=config.seed)
-    kept = train + validate  # only these lines are hashed
+    kept = train + validate
+    # only the training lines SGD reads and the validation lines are hashed;
+    # the other training rows are left empty
+    hashed = [*read_positions(len(train), config).tolist(), *range(len(train), len(kept))]
+    rows = featurize_batch([corpus.inputs[kept[i]] for i in hashed], args.featurizer_config)
     model = train_router(
-        featurize_batch([corpus.inputs[p] for p in kept], args.featurizer_config),
-        corpus.labels[kept], range(len(train)), range(len(train), len(kept)),
-        config=config, flags=args.flags, vocabulary=corpus.grid.models,
+        rows.placed(hashed, len(kept)), corpus.labels[kept], range(len(train)),
+        range(len(train), len(kept)), config=config, flags=args.flags,
+        vocabulary=corpus.grid.models,
     )
     router_path = args.out / "router.bin"
     model.save(router_path)

@@ -1037,9 +1037,26 @@ def load_manifests(path: str | Path) -> list[DatasetManifest]:
     return list(_read_keyed(path, "dataset_id", DatasetManifest.from_dict, claim).values())
 
 
+# ``json`` writes an int, or a finite float, by its repr
+_JSON_NUMBER = {int: int.__repr__, float: float.__repr__}
+
+
+def _json_items(values: Iterable) -> str:
+    """What ``json.dumps(list(values))`` writes between its brackets, for
+    values whose floats are finite: each plain int or float by its repr,
+    any other value by ``json.dumps``."""
+    return ", ".join([_JSON_NUMBER.get(type(v), json.dumps)(v) for v in values])
+
+
 def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> None:
-    write_jsonl(path, ({"sample_id": sample_id, **summary.to_dict()}
-                       for sample_id, summary in metadata.items()))
+    """Write one key-sorted JSON object per summary: the bytes
+    ``write_jsonl`` gives for ``{"sample_id": sample_id, **summary.to_dict()}``,
+    each line from ``_METADATA_LINE``. A summary's numbers are finite."""
+    with atomic_open(path) as fh:
+        fh.writelines(_METADATA_LINE % (_json_items(summary.channel_means),
+                                        _json_items(summary.channel_stds),
+                                        _json_items(summary.dims), json.dumps(sample_id)) + "\n"
+                      for sample_id, summary in metadata.items())
 
 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:

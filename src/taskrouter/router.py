@@ -18,7 +18,7 @@ import logging
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -190,6 +190,16 @@ class FeatureRows:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
+    def placed(self, positions: Sequence[int], n: int) -> "FeatureRows":
+        """These rows at the increasing ``positions`` of ``n`` rows, every
+        other row empty (zero-length); the bucket and value arrays are
+        shared."""
+        sizes = np.zeros(n, dtype=np.int64)
+        sizes[positions] = np.diff(self.indptr)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        return FeatureRows(indptr, self.indices, self.values, self.config)
+
 
 def featurize_batch(texts: Sequence[str],
                     config: FeaturizerConfig = FeaturizerConfig()) -> FeatureRows:
@@ -350,6 +360,38 @@ class TrainConfig:
         kinds = {"learning_rate": float, "batch_size": int, "max_iterations": int,
                  "eval_every": int, "seed": int}
         return cls(**{k: typed_field(d, k, kind) for k, kind in kinds.items() if k in d})
+
+
+def sgd_batches(n: int, config: TrainConfig) -> Iterator[np.ndarray]:
+    """The positions in a training split of ``n`` rows that each of the
+    ``config.max_iterations`` SGD steps reads, in step order: a shuffle
+    seeded by ``config.seed`` read ``batch_size`` at a time, and a new
+    shuffle whenever the rest of the current one cannot fill a batch (a
+    batch larger than the split is the whole shuffle). Each batch views the
+    shuffle, so it holds only until the next is drawn."""
+    rng = np.random.default_rng(config.seed)
+    order = np.arange(n)
+    pos = n  # force a shuffle before the first step
+    for _ in range(config.max_iterations):
+        if pos + config.batch_size > n:
+            rng.shuffle(order)
+            pos = 0
+        yield order[pos:pos + config.batch_size]
+        pos += config.batch_size
+
+
+def read_positions(n: int, config: TrainConfig) -> np.ndarray:
+    """The sorted positions in a training split of ``n`` rows that
+    ``train_router`` reads under ``config``; steps are drawn only until
+    every row has been read."""
+    read = np.zeros(n, dtype=bool)
+    unread = n
+    for batch in sgd_batches(n, config):
+        unread -= len(batch) - np.count_nonzero(read[batch])
+        read[batch] = True
+        if not unread:
+            break
+    return np.flatnonzero(read)
 
 
 def _delta(block: np.ndarray, vals: np.ndarray, bias: np.ndarray, label) -> np.ndarray:
@@ -554,6 +596,11 @@ def train_router(
     ``vocabulary``; ``flags`` serialized the rows' lines, and the model
     records them and ``features.config``, which hashed the rows.
 
+    Step i reads the rows at ``train[b]`` for the i-th batch ``b`` of
+    ``sgd_batches(len(train), config)``. No step reads a training row
+    outside ``read_positions(len(train), config)``, so a caller may leave
+    those rows empty: ``router train`` hashes only the lines SGD reads.
+
     The weights are trained bucket-major, one (n_classes,) row per bucket,
     and transposed once at the end. Every ``eval_every`` steps (and at the
     final step) the label accuracy on the rows at positions ``validate`` is
@@ -579,20 +626,12 @@ def train_router(
     rows = np.zeros((features.config.hash_dim, k))
     items = rows.view(np.dtype((np.void, rows.itemsize * k))).reshape(-1)
     bias = np.zeros(k)
-    rng = np.random.default_rng(config.seed)
 
     best: tuple[float, np.ndarray] | None = None
     best_rows = None
-    order = np.arange(len(train_rows))
-    pos = len(order)  # force a shuffle before the first step
     lr = config.learning_rate
 
-    for step in range(1, config.max_iterations + 1):
-        if pos + config.batch_size > len(order):
-            rng.shuffle(order)
-            pos = 0
-        batch = order[pos:pos + config.batch_size]
-        pos += config.batch_size
+    for step, batch in enumerate(sgd_batches(len(train_rows), config), start=1):
         _sgd_step(rows, items, bias, features, train_rows[batch], train_labels[batch], lr)
 
         if step % config.eval_every == 0 or step == config.max_iterations:

@@ -14,7 +14,7 @@ from taskrouter.core import (ExecutionRecord, MetadataSummary, Records, _check_b
                              aggregate_accuracy, group_records, read_numbered_jsonl)
 from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
                                 valid_variant_ids)
-from taskrouter.router import _atoms, _choose, featurize
+from taskrouter.router import _atoms, _choose, featurize, featurize_batch, train_router
 from taskrouter.routerdata import RouterExample, router_inputs, select_best_model
 from taskrouter.scoring import predict_contrastive
 
@@ -160,13 +160,44 @@ def softmax_loss_and_grads(weights, bias, feats, labels):
     return loss * inv, grad_bias * inv, cols, grad_cols
 
 
+def reference_batches(n: int, config) -> list[np.ndarray]:
+    """The positions in a training split of ``n`` rows that each SGD step
+    reads, as ``train_router`` once drew them in its own loop: a seeded
+    shuffle read ``batch_size`` at a time, shuffled again whenever its rest
+    cannot fill a batch."""
+    rng = np.random.default_rng(config.seed)
+    order = np.arange(n)
+    pos = n
+    batches = []
+    for _ in range(config.max_iterations):
+        if pos + config.batch_size > len(order):
+            rng.shuffle(order)
+            pos = 0
+        batches.append(order[pos:pos + config.batch_size].copy())
+        pos += config.batch_size
+    return batches
+
+
+def reference_router_train(corpus, train, validate, config, featurizer, flags):
+    """``router train``'s model from its split of ``corpus``, as it was
+    trained when every training and validation line was hashed: all of
+    them featurized in one batch."""
+    kept = train + validate
+    return train_router(
+        featurize_batch([corpus.inputs[p] for p in kept], featurizer),
+        corpus.labels[kept], range(len(train)), range(len(train), len(kept)),
+        config=config, flags=flags, vocabulary=corpus.grid.models,
+    )
+
+
 def reference_train(train, validate, config, featurizer, vocabulary):
-    """Seeded SGD on class-major weights, as one loop: each example
-    featurized on its own line, each step's gradient from
-    ``softmax_loss_and_grads`` applied to the weight columns, and the
-    validation lines scored from their text by ``_choose`` every
-    ``eval_every`` steps, keeping the best checkpoint. Returns (weights,
-    bias); the reference ``train_router`` is checked against bit for bit."""
+    """Seeded SGD on class-major weights, as one loop over
+    ``reference_batches``: each example featurized on its own line, each
+    step's gradient from ``softmax_loss_and_grads`` applied to the weight
+    columns, and the validation lines scored from their text by ``_choose``
+    every ``eval_every`` steps, keeping the best checkpoint. Returns
+    (weights, bias); the reference ``train_router`` is checked against bit
+    for bit."""
     index = {m: i for i, m in enumerate(vocabulary)}
     features = [featurize(ex.serialized_input, featurizer) for ex in train]
     labels = [index[ex.label_model_id] for ex in train]
@@ -174,17 +205,9 @@ def reference_train(train, validate, config, featurizer, vocabulary):
     val_labels = np.array([index[ex.label_model_id] for ex in validate], dtype=np.intp)
     weights = np.zeros((len(vocabulary), featurizer.hash_dim))
     bias = np.zeros(len(vocabulary))
-    rng = np.random.default_rng(config.seed)
     best = None
-    order = np.arange(len(train))
-    pos = len(train)
     lr = config.learning_rate
-    for step in range(1, config.max_iterations + 1):
-        if pos + config.batch_size > len(order):
-            rng.shuffle(order)
-            pos = 0
-        batch = order[pos:pos + config.batch_size]
-        pos += config.batch_size
+    for step, batch in enumerate(reference_batches(len(train), config), start=1):
         _, grad_bias, cols, grad_cols = softmax_loss_and_grads(
             weights, bias, [features[i] for i in batch], [labels[i] for i in batch])
         bias -= lr * grad_bias

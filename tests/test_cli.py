@@ -1,9 +1,12 @@
 """CLI: the full pipeline end to end, plus error-record behavior."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taskrouter.cli import main
 from taskrouter.core import DatasetManifest, World, save_world
@@ -244,11 +247,22 @@ def test_bad_log_level_is_an_argparse_error(capsys):
     assert "invalid choice: 'loud'" in capsys.readouterr().err
 
 
-def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkeypatch):
-    # validation is scored from the rows featurized before the first step,
-    # at every evaluation, so no line is hashed twice
-    from taskrouter import (QueryGrid, SerializationFlags, build_router_dataset, load_world,
-                            router, split_80_10_10)
+@pytest.fixture(scope="module")
+def plain_corpus(world_dir):
+    """The router corpus of ``world_dir`` under ``--flags md=off,ro=off``."""
+    from taskrouter import QueryGrid, SerializationFlags, build_router_dataset, load_world
+
+    return build_router_dataset(QueryGrid.build(load_world(world_dir)),
+                                SerializationFlags(False, False))
+
+
+def test_router_train_hashes_each_training_line_once(world_dir, plain_corpus, tmp_path,
+                                                       monkeypatch):
+    # 40 steps of one line read 40 of the 128 training lines; only those and
+    # the validation lines are hashed, each once: validation is scored from
+    # the rows featurized before the first step, at every evaluation
+    from oracles import reference_batches
+    from taskrouter import TrainConfig, router, split_80_10_10
 
     hashed = []
     real = router._hash_chunk
@@ -259,11 +273,57 @@ def test_router_train_hashes_each_training_line_once(world_dir, tmp_path, monkey
 
     monkeypatch.setattr(router, "_hash_chunk", counting)
     assert main(["--out", str(tmp_path), "--seed", "3", "router", "train",
-                 "--world", str(world_dir), "--flags", "md=off,ro=off", *FAST]) == 0
-    corpus = build_router_dataset(QueryGrid.build(load_world(world_dir)),
-                                  SerializationFlags(False, False))
-    train, validate, _ = split_80_10_10(range(len(corpus)), seed=3)
-    assert sorted(hashed) == sorted(corpus.inputs[p] for p in [*train, *validate])
+                 "--world", str(world_dir), "--flags", "md=off,ro=off", *FAST,
+                 "--max-iterations", "40", "--eval-every", "20"]) == 0
+    train, validate, _ = split_80_10_10(range(len(plain_corpus)), seed=3)
+    read = {int(i) for batch in reference_batches(len(train), TrainConfig(max_iterations=40,
+                                                                          seed=3))
+            for i in batch}
+    assert len(read) == 40 < len(train)
+    assert sorted(hashed) == sorted(plain_corpus.inputs[p]
+                                    for p in [*(train[i] for i in read), *validate])
+
+
+@given(batch_size=st.integers(1, 4), n_train=st.integers(1, 30), n_validate=st.integers(0, 8),
+       max_iterations=st.integers(1, 70), seed=st.integers(0, 3))
+# one line a step for fewer and for more steps than the split has lines; a
+# batch of 3 that does not divide 20 lines, below and above the split; no
+# validation lines
+@example(batch_size=1, n_train=30, n_validate=5, max_iterations=12, seed=0)
+@example(batch_size=1, n_train=10, n_validate=5, max_iterations=45, seed=1)
+@example(batch_size=3, n_train=20, n_validate=4, max_iterations=4, seed=2)
+@example(batch_size=3, n_train=20, n_validate=4, max_iterations=50, seed=2)
+@example(batch_size=2, n_train=15, n_validate=0, max_iterations=30, seed=3)
+@settings(max_examples=25, deadline=None)
+def test_router_train_writes_the_reference_router(world_dir, plain_corpus, batch_size,
+                                                  n_train, n_validate, max_iterations, seed):
+    # the split is cut to the drawn sizes: split_80_10_10 never leaves the
+    # validation lines empty, and a small split makes the budget outrun it
+    from unittest import mock
+
+    from oracles import reference_router_train
+    from taskrouter import SerializationFlags, TrainConfig, cli
+    from taskrouter.router import FeaturizerConfig
+
+    real = cli.split_80_10_10
+    cut = []
+
+    def split(examples, seed):
+        train, validate, test = real(examples, seed)
+        cut[:] = train[:n_train], validate[:n_validate]
+        return (*cut, test)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "split_80_10_10", split):
+        assert main(["--out", tmp, "--seed", str(seed), "router", "train",
+                     "--world", str(world_dir), "--flags", "md=off,ro=off",
+                     "--learning-rate", "0.05", "--batch-size", str(batch_size),
+                     "--max-iterations", str(max_iterations), "--eval-every", "7",
+                     "--hash-dim", "4096"]) == 0
+        config = TrainConfig(learning_rate=0.05, batch_size=batch_size,
+                             max_iterations=max_iterations, eval_every=7, seed=seed)
+        reference_router_train(plain_corpus, *cut, config, FeaturizerConfig(hash_dim=4096),
+                               SerializationFlags(False, False)).save(Path(tmp) / "ref.bin")
+        assert (Path(tmp) / "router.bin").read_bytes() == (Path(tmp) / "ref.bin").read_bytes()
 
 
 def test_baselines_report(world_dir, tmp_path, capsys):

@@ -449,6 +449,32 @@ def test_img_segment_equals_the_f_string_format(metadata):
     assert _formatted(_img_segment, metadata) == _formatted(img_segment, metadata)
 
 
+@st.composite
+def saved_summaries(draw):
+    """``image_summaries`` with some float means and stds as np.float64."""
+    summary = draw(image_summaries())
+
+    def some_numpy(values):
+        return tuple(np.float64(v) if type(v) is float and draw(st.booleans()) else v
+                     for v in values)
+
+    return MetadataSummary(summary.dims, some_numpy(summary.channel_means),
+                           some_numpy(summary.channel_stds))
+
+
+@given(st.dictionaries(FEW_IDS | st.text(max_size=6), saved_summaries(), max_size=6))
+# int means, np.float64 values, and ids with escapes and non-ASCII characters
+@example({'"\\é\x00': MetadataSummary((2, 3, 2), (7, np.float64(-0.05)), (np.float64(0.0), 3)),
+          "\U0001f600\u2028\ud800": MetadataSummary((1, 1, 1), (1e308,), (0.5,))})
+@settings(max_examples=200, deadline=None)
+def test_saved_metadata_is_write_jsonl_of_its_rows(metadata):
+    with tempfile.TemporaryDirectory() as tmp:
+        core.save_metadata(metadata, Path(tmp, "metadata.jsonl"))
+        write_jsonl(Path(tmp, "rows.jsonl"), ({"sample_id": sample_id, **summary.to_dict()}
+                                              for sample_id, summary in metadata.items()))
+        assert Path(tmp, "metadata.jsonl").read_bytes() == Path(tmp, "rows.jsonl").read_bytes()
+
+
 # cased letters, one whose lowercase form is longer (İ), non-BMP code
 # points, and any other character that UTF-32 can encode
 FEATURE_CHARS = (st.sampled_from("aAbBzZ İΣσ[];:") | st.characters(min_codepoint=0x10000)

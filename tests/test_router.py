@@ -31,7 +31,7 @@ from taskrouter.router import (
 )
 from conftest import make_micro_world, train_on_examples
 from oracles import (batch_loss, char_ngrams, column_grads, exact_choice, ngram_hash,
-                     reference_train, softmax_loss_and_grads)
+                     reference_batches, reference_train, softmax_loss_and_grads)
 
 SMALL = FeaturizerConfig(ngram_orders=(2, 3), hash_dim=1024)
 
@@ -335,6 +335,50 @@ class TestBucketMajorTraining:
             with pytest.raises(InvalidInputError):
                 train_router(features, codes, train, validate,
                              flags=SerializationFlags(False, False), vocabulary=self.VOCAB)
+
+
+class TestReadSchedule:
+    """``sgd_batches`` and ``read_positions`` against the loop they replace."""
+
+    @given(n=st.integers(0, 40), batch_size=st.integers(1, 9),
+           max_iterations=st.integers(1, 120), seed=st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_batches_and_read_positions_equal_the_reference_loop(self, n, batch_size,
+                                                                 max_iterations, seed):
+        config = TrainConfig(batch_size=batch_size, max_iterations=max_iterations, seed=seed)
+        batches = reference_batches(n, config)
+        assert [b.tolist() for b in router_module.sgd_batches(n, config)] == \
+            [b.tolist() for b in batches]
+        read = router_module.read_positions(n, config)
+        assert read.tolist() == sorted(set(np.concatenate(batches).tolist()))
+
+    def test_a_short_budget_reads_part_of_the_split(self):
+        # one step per row, and a batch that does not divide the split
+        config = TrainConfig(batch_size=3, max_iterations=5, seed=1)
+        read = router_module.read_positions(40, config)
+        assert len(read) == 15 and len(set(read.tolist())) == 15
+
+    def test_reading_stops_once_every_row_is_read(self, monkeypatch):
+        drawn = []
+        real = router_module.sgd_batches
+
+        def counting(n, config):
+            for batch in real(n, config):
+                drawn.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(router_module, "sgd_batches", counting)
+        read = router_module.read_positions(12, TrainConfig(batch_size=4, max_iterations=5000))
+        assert read.tolist() == list(range(12)) and len(drawn) == 3
+
+    def test_placed_rows_keep_their_buckets_and_leave_the_others_empty(self):
+        rows = router_module.featurize_batch(["abc", "de", "fghij"], SMALL)
+        placed = rows.placed([1, 4, 5], 7)
+        assert len(placed) == 7
+        for i in (0, 2, 3, 6):
+            assert len(placed.row(i)[0]) == 0 and len(placed.row(i)[1]) == 0
+        for i, at in enumerate((1, 4, 5)):
+            assert all(np.array_equal(a, b) for a, b in zip(placed.row(at), rows.row(i)))
 
 
 class TestRoute:
