@@ -43,16 +43,19 @@ class PromptTemplate:
 
     template_text: str
     segments: tuple = field(init=False, repr=False, compare=False)
+    _context_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", _parse_template(self.template_text))
+        object.__setattr__(self, "_context_keys",
+                           tuple(t.key for t in self.tags if t.key != CLASS_NAME_KEY))
 
     @property
     def tags(self) -> tuple[Tag, ...]:
         return tuple(s for s in self.segments if isinstance(s, Tag))
 
     def context_keys(self) -> tuple[str, ...]:
-        return tuple(t.key for t in self.tags if t.key != CLASS_NAME_KEY)
+        return self._context_keys
 
 
 def _parse_template(text: str):
@@ -216,6 +219,31 @@ def render(
     return "".join(parts)
 
 
+def question_key(sample: Sample, variant: PromptVariant):
+    """What rendering the variant's question form reads of the sample, as a
+    key under which a caller may keep the render for the rest of one call:
+    the form's index, with the sample's values of the context keys its
+    template reads (the index alone when it reads none). Within one config,
+    renders under equal keys are equal. A context key the sample lacks
+    reads as None: its render raises naming the sample, and a render that
+    raises must not be kept."""
+    reads = variant.question.context_keys()
+    if not reads:
+        return variant.question_index
+    return (variant.question_index, *map(sample.context.get, reads))
+
+
+def options_key(sample: Sample, variant: PromptVariant):
+    """What ``rendered_options`` reads of the sample, as ``question_key``
+    keys the question: the option form's index, the response options and
+    the form's context values, or the response options alone when they
+    come verbatim."""
+    if variant.option is None:
+        return sample.response_options
+    return (variant.option_index, sample.response_options,
+            *map(sample.context.get, variant.option.context_keys()))
+
+
 def prompt_variants(config: DatasetPromptConfig) -> list[PromptVariant]:
     """The full cartesian product of question and option forms, with
     deterministic variant ids ``q<i>-o<j>``."""
@@ -275,14 +303,6 @@ def closed_prompt_set(
     prediction indices align with gold_index. A variant of another config
     is refused."""
     _check_variant(config, variant)
-    return _prompt_set(sample, config, variant)
-
-
-def _prompt_set(
-    sample: Sample, config: DatasetPromptConfig, variant: PromptVariant
-) -> list[str]:
-    """``closed_prompt_set`` for a variant already known to be one of
-    ``prompt_variants(config)``."""
     question_text = render(variant.question, sample, config)
     return [question_text + opt for opt in rendered_options(sample, config, variant)]
 

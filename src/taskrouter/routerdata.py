@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import MetadataSummary, QueryGrid, atomic_open, typed_field
 from .errors import CoverageError, InvalidInputError, ParseError
-from .prompts import render, rendered_options
+from .prompts import options_key, question_key, render, rendered_options
 
 SEP_MARK = "[SEP]"
 IMG_MARK = "[img]"
@@ -297,16 +297,23 @@ def router_inputs(grid: QueryGrid, rows: Sequence[int],
                   flags: SerializationFlags) -> list[str]:
     """The router input of each of the grid's ``rows``: the query's image
     metadata, rendered prompt and options, serialized under ``flags``.
-    Corpus lines and routing replay both take their inputs from here. A
-    sample's variants are consecutive rows, which share one formatted
-    ``[img]`` segment and render, check and join each option form's options
-    once, at the form's first row, after its prompt is checked."""
+    Corpus lines and routing replay both take their inputs from here.
+
+    A sample's variants are consecutive rows, which share one formatted
+    ``[img]`` segment. Each dataset's checked ``[prompt]`` and options
+    segments are kept for the rest of the call under ``question_key`` and
+    ``options_key``, so each distinct question context is rendered and
+    checked once, and each distinct option context is rendered, checked and
+    joined once. A row whose segments are new renders its options, then its
+    question, checks its prompt, then its options; a render or check that
+    raises is not kept."""
     world = grid.world
     texts, last, img = [], None, ""
+    memo = {}  # dataset -> its [prompt] and options segments, by render key
     for ds_id, sample, variant in grid.queries(rows):
-        config = world.prompt_configs[ds_id]
         if sample is not last:
-            last, tails = sample, {}  # option form index -> its options segment
+            last, config = sample, world.prompt_configs[ds_id]
+            prompts, tails = memo.setdefault(ds_id, ({}, {}))
             if flags.include_metadata:
                 metadata = world.metadata.get(sample.sample_id)
                 if metadata is None:
@@ -314,13 +321,17 @@ def router_inputs(grid: QueryGrid, rows: Sequence[int],
                         f"flags request metadata but sample {sample.sample_id} has none"
                     )
                 img = _img_segment(metadata)
-        options = None
-        if flags.include_response_options and variant.option_index not in tails:
-            options = rendered_options(sample, config, variant)
-        prompt = _prompt_segment(render(variant.question, sample, config))
-        if options is not None:
-            tails[variant.option_index] = _options_segment(options)
-        texts.append(img + prompt + tails.get(variant.option_index, ""))
+        tail = ""
+        if flags.include_response_options:
+            tail = tails.get(option := options_key(sample, variant))
+            if tail is None:
+                options = rendered_options(sample, config, variant)
+        prompt = prompts.get(question := question_key(sample, variant))
+        if prompt is None:
+            prompt = prompts[question] = _prompt_segment(render(variant.question, sample, config))
+        if tail is None:
+            tail = tails[option] = _options_segment(options)
+        texts.append(img + prompt + tail)
     return texts
 
 

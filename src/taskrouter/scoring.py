@@ -12,7 +12,9 @@ break to the lowest option index.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from .core import DatasetManifest, Records
 from .errors import BackendError, InvalidInputError
-from .prompts import DatasetPromptConfig, PromptVariant, _prompt_set, prompt_variants
+from .prompts import (DatasetPromptConfig, PromptVariant, options_key, prompt_variants,
+                      question_key, render, rendered_options)
 
 logger = logging.getLogger(__name__)
 
@@ -93,10 +96,7 @@ def predict_generative(
     token_logprobs: Sequence[Sequence[float]], normalization: str = "sum"
 ) -> Prediction:
     """Score each option's prompt by summed (or per-token mean) log-probability."""
-    if normalization not in NORMALIZATIONS:
-        raise InvalidInputError(
-            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
-        )
+    _check_normalization(normalization)
     if not token_logprobs:
         raise InvalidInputError("at least one option required")
     scores = []
@@ -110,6 +110,13 @@ def predict_generative(
         scores.append(total if normalization == "sum" else total / len(lps))
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
     return Prediction(best, tuple(scores))
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATIONS:
+        raise InvalidInputError(
+            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
+        )
 
 
 @dataclass
@@ -144,12 +151,15 @@ def evaluate(
     ``Records`` table with one row per scored query.
 
     Prompts are built as closed_prompt_set builds them, so option order
-    aligns with gold_index; a variant of another config is refused once,
-    before any query is rendered. A backend failure on a sample skips that
-    record and logs the sample id; the returned run reports the skip count.
+    aligns with gold_index; a variant of another config and an unknown
+    ``normalization`` are refused once, before any query is rendered. A
+    backend failure on a sample skips that record and logs the sample id;
+    so does an answer holding a value that is not finite, with the error
+    the wire client gives it. The returned run reports the skip count.
     ``max_workers`` must be 1: scoring is serial.
 
-    Every query is rendered before any backend call. Each query becomes
+    Every query's prompts are built before any backend call, from renders
+    kept for the rest of the call (see ``_outcomes``). Each query becomes
     scoring jobs named by their wire op (see ``run_job``), and the backend
     gets the call's jobs at once when it takes batches (the wire client's
     ``run_many``), else one call at a time in job order. For a
@@ -160,6 +170,7 @@ def evaluate(
     """
     if max_workers != 1:
         raise InvalidInputError(f"scoring is serial: max_workers must be 1, got {max_workers!r}")
+    _check_normalization(normalization)
     info: BackendInfo = backend.info
     if info.family == EMBEDDING and not isinstance(backend, EmbeddingBackend):
         raise InvalidInputError(f"backend {info.name} does not implement embedding ops")
@@ -197,32 +208,61 @@ def evaluate(
 def _outcomes(backend, info: BackendInfo, config, queries, normalization):
     """The predicted index, or the exception that stopped it, of each query.
 
-    Every query is rendered and its jobs collected first: an embedding
-    query's image, then its prompt list (each distinct one once for a
-    ``deterministic`` backend), or a generative query's one ``logprobs``
-    job. All jobs go to the backend in one ``_call_many`` call. The
-    embedding queries whose answers both fit are scored together by
+    Every query's prompts are built and its jobs collected first: an
+    embedding query's image, then its prompt list (each distinct one once
+    for a ``deterministic`` backend), or a generative query's one
+    ``logprobs`` job. The prompts come from a memo that lives for this
+    call, keyed by ``question_key`` and ``options_key``: each question form
+    is rendered once per distinct context its template reads, each option
+    form once per distinct context and response options, and each distinct
+    pair of those is joined into a prompt tuple once, which also keeps its
+    ``embed_texts`` job position for a ``deterministic`` backend. A render
+    that raises is not kept, so each query it fails fails with its own
+    error.
+
+    All jobs go to the backend in one ``_call_many`` call. The embedding
+    queries whose answers both fit are scored together by
     ``_stacked_picks``; every other query takes its answers through
     ``_take``, in query order, and is scored on its own. An answer with
     another number of embedding rows or logprob lists than the query has
-    prompts is a ``BackendError``."""
+    prompts is a ``BackendError``, and so is one holding a value that is not
+    finite, with the text the wire client's decoders give it."""
     embedding = info.family == EMBEDDING
     slots = {} if embedding and info.deterministic else None  # job -> its position in ``jobs``
     jobs, needs = [], []  # needs: per query, its prompts and job positions, or its render error
-    for sample, variant in queries:
-        try:
-            prompts = _prompt_set(sample, config, variant)  # evaluate checked the variants
-        except Exception as exc:  # noqa: BLE001
-            needs.append(exc)
+    questions, options, prompt_sets = {}, {}, {}  # the memo, by render key
+
+    def place(job) -> int:
+        j = len(jobs) if slots is None else slots.setdefault(job, len(jobs))
+        if j == len(jobs):
+            jobs.append(job)
+        return j
+
+    for sample, variant in queries:  # evaluate checked the variants
+        key = question, option = question_key(sample, variant), options_key(sample, variant)
+        known = prompt_sets.get(key)
+        if known is None:
+            try:
+                text = questions.get(question)
+                if text is None:
+                    text = questions[question] = render(variant.question, sample, config)
+                opts = options.get(option)
+                if opts is None:
+                    opts = options[option] = rendered_options(sample, config, variant)
+            except Exception as exc:  # noqa: BLE001
+                needs.append(exc)
+                continue
+            known = prompt_sets[key] = (tuple([text + opt for opt in opts]), None)
+        prompts, t = known
+        if not embedding:
+            needs.append((prompts, [place(("logprobs", sample.image_ref, list(prompts)))]))
             continue
-        positions = []
-        for job in ((("embed_image", sample.image_ref), ("embed_texts", tuple(prompts)))
-                    if embedding else (("logprobs", sample.image_ref, prompts),)):
-            j = len(jobs) if slots is None else slots.setdefault(job, len(jobs))
-            if j == len(jobs):
-                jobs.append(job)
-            positions.append(j)
-        needs.append((prompts, positions))
+        i = place(("embed_image", sample.image_ref))
+        if t is None:
+            t = place(("embed_texts", prompts))
+            if slots is not None:
+                prompt_sets[key] = (prompts, t)
+        needs.append((prompts, [i, t]))
     answers = _call_many(backend, jobs)
     picks = _stacked_picks(answers, needs) if embedding else {}
     for q, need in enumerate(needs):
@@ -234,19 +274,55 @@ def _outcomes(backend, info: BackendInfo, config, queries, normalization):
             continue
         prompts, positions = need
         try:
-            taken = [_take(backend, jobs, answers, j) for j in positions]
             if embedding:
-                prediction = predict_contrastive(*taken)
+                prediction = predict_contrastive(*(
+                    _finite_reals(jobs[j][0], _take(backend, jobs, answers, j))
+                    for j in positions))
                 count, unit = len(prediction.per_option_scores), "embedding rows"
             else:
-                count, unit = len(taken[0]), "logprob lists"
+                rows = _finite_token_rows(_take(backend, jobs, answers, positions[0]))
+                count, unit = len(rows), "logprob lists"
             if count != len(prompts):
                 raise BackendError(f"backend {info.name} returned {count} {unit} "
                                    f"for {len(prompts)} prompts")
             yield (prediction if embedding
-                   else predict_generative(taken[0], normalization)).predicted_index
+                   else predict_generative(rows, normalization)).predicted_index
         except Exception as exc:  # noqa: BLE001
             yield exc
+
+
+def _finite_reals(op: str, answer):
+    """``answer``, unless it reads as an array of reals that holds a value
+    that is not finite: then a ``BackendError`` naming the ``op`` and the
+    first such value, as the wire client's decoder raises it. An answer
+    that is no such array is left to its predictor."""
+    try:
+        array = np.asarray(answer, dtype=np.float64)
+    except Exception:  # noqa: BLE001
+        return answer
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise BackendError(f"{op} result must hold finite reals, "
+                           f"got {float(array[~finite][0])!r}")
+    return answer
+
+
+def _finite_token_rows(rows):
+    """``rows``, unless a row of token log-probabilities holds a value that
+    is not finite: then the ``BackendError`` the wire client raises for it
+    (``wire._token_rows``). Values that are not reals are left to
+    ``predict_generative``."""
+    try:
+        if all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+            return rows
+    except (TypeError, ValueError, OverflowError):  # not rows of reals
+        return rows
+    for i, row in enumerate(rows):
+        for x in row:
+            if not math.isfinite(x):
+                raise BackendError(f"logprobs result row {i} must hold finite reals, "
+                                   f"got {float(x)!r} in a row of {len(row)}")
+    return rows
 
 
 _STACK_FLOATS = 1 << 18  # option-embedding floats per stacked product, to bound its copy
@@ -260,7 +336,9 @@ def _stacked_picks(answers: list, needs: list) -> dict:
     shape are scored together: ``np.matmul`` of their stacked option
     embeddings and image vectors runs, for each query, the BLAS product
     that ``m @ v`` runs in ``predict_contrastive`` on the same layout, so
-    every pick is that query's own, ties to the lowest index included."""
+    every pick is that query's own, ties to the lowest index included.
+    Each stacked chunk is checked to be finite once; a chunk that is not
+    is left to the per-query path, which names the value."""
     arrays = [None if isinstance(answer, Exception) else _c_float64(answer)
               for answer in answers]
     groups = {}  # (k, d) -> (query position, image job, prompt-list job) of each query
@@ -277,9 +355,12 @@ def _stacked_picks(answers: list, needs: list) -> dict:
         step = max(1, _STACK_FLOATS // max(1, k * d))
         for lo in range(0, len(members), step):
             qs, images, texts = zip(*members[lo:lo + step])
+            stacked = np.stack([arrays[t] for t in texts])
+            vectors = np.stack([arrays[i] for i in images])
+            if not (np.isfinite(stacked).all() and np.isfinite(vectors).all()):
+                continue
             try:
-                scores = np.matmul(np.stack([arrays[t] for t in texts]),
-                                   np.stack([arrays[i] for i in images])[:, :, None])
+                scores = np.matmul(stacked, vectors[:, :, None])
             except Exception:  # noqa: BLE001 - a float warning made an error
                 continue  # each of these queries meets its own in predict_contrastive
             picks.update(zip(qs, scores.argmax(axis=1)[:, 0].tolist()))

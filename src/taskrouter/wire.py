@@ -54,7 +54,7 @@ import numpy as np
 
 from .core import reading, typed_field
 from .errors import BackendError, InvalidInputError, TaskRouterError
-from .scoring import EMBEDDING, GENERATIVE, BackendInfo, make_mock_backend, run_job
+from .scoring import EMBEDDING, GENERATIVE, BackendInfo, _finite_reals, make_mock_backend, run_job
 
 REPLY_TIMEOUT_S = 60.0  # longest wait for one reply, server start-up included
 CLOSE_TIMEOUT_S = 10.0  # longest wait for a server to exit after shutdown
@@ -126,12 +126,8 @@ def _reals(op: str, ndim: int):
         if array.ndim != ndim or array.dtype.kind not in "iuf":
             raise BackendError(f"{op} result must be a {ndim}-D array of reals, got shape "
                                f"{array.shape} of {array.dtype}")
-        array = array.astype(np.float64, copy=False)
-        finite = np.isfinite(array)
-        if not finite.all():  # JSON NaN, Infinity and 1e400 parse as floats
-            raise BackendError(f"{op} result must hold finite reals, "
-                               f"got {float(array[~finite][0])!r}")
-        return array
+        # JSON NaN, Infinity and 1e400 parse as floats
+        return _finite_reals(op, array.astype(np.float64, copy=False))
     return decode
 
 

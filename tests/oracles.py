@@ -12,11 +12,11 @@ import numpy as np
 from taskrouter import BackendError, IntegrityError, InvalidInputError
 from taskrouter.core import (ExecutionRecord, MetadataSummary, Records, _check_block,
                              aggregate_accuracy, group_records, read_numbered_jsonl)
-from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants,
-                                valid_variant_ids)
+from taskrouter.prompts import (DatasetPromptConfig, closed_prompt_set, prompt_variants, render,
+                                rendered_options, valid_variant_ids)
 from taskrouter.router import _atoms, _choose, featurize, featurize_batch, train_router
-from taskrouter.routerdata import RouterExample, router_inputs, select_best_model
-from taskrouter.scoring import predict_contrastive
+from taskrouter.routerdata import RouterExample, select_best_model, serialize_input
+from taskrouter.scoring import predict_contrastive, predict_generative
 
 
 def char_ngrams(text: str, order: int) -> list[str]:
@@ -293,17 +293,34 @@ def grid_table(grid) -> AccuracyTable:
     return AccuracyTable(counts)
 
 
+def reference_inputs(grid, rows, flags) -> list[str]:
+    """The router input of each of the grid's ``rows``, each rendered and
+    serialized on its own by ``serialize_input``; the reference for
+    ``router_inputs``. Of several faults in one row, the first raised is
+    the one ``router_inputs`` raises: the options' render, the question's,
+    then the checks of the prompt and of the options."""
+    texts = []
+    for ds, sample, variant in grid.queries(rows):
+        config = grid.world.prompt_configs[ds]
+        options = (rendered_options(sample, config, variant)
+                   if flags.include_response_options else None)
+        texts.append(serialize_input(grid.world.metadata.get(sample.sample_id),
+                                     render(variant.question, sample, config), options, flags))
+    return texts
+
+
 def reference_corpus(grid, flags) -> list[RouterExample]:
     """The corpus as one object per covered grid row, in row order: the
-    row's router input, its label by ``select_best_model`` over the row's
-    correct flags and cell averages, its provenance and its full line. The
-    reference the columnar corpus is checked against."""
+    row's router input by ``reference_inputs``, its label by
+    ``select_best_model`` over the row's correct flags and cell averages,
+    its provenance and its full line. The reference the columnar corpus is
+    checked against."""
     grid.require_coverage()
     table = grid_table(grid)
     rows = np.flatnonzero(grid.covered.any(axis=1)).tolist()
     examples = []
     for i, (ds, sample, variant), text in zip(rows, grid.queries(rows),
-                                              router_inputs(grid, rows, flags)):
+                                              reference_inputs(grid, rows, flags)):
         correct = dict(zip(grid.models, grid.correct[i].tolist()))
         label = select_best_model(correct, {m: table.cell(m, ds, variant.variant_id)
                                             for m in grid.models})
@@ -574,6 +591,27 @@ def query_by_query_embedding_outcomes(backend, config, queries) -> list:
                 raise BackendError(f"backend {backend.info.name} returned {rows} embedding "
                                    f"rows for {len(prompts)} prompts")
             outcomes.append(prediction)
+        except Exception as exc:  # noqa: BLE001
+            outcomes.append(exc)
+    return outcomes
+
+
+def query_by_query_generative_outcomes(backend, config, queries, normalization="sum") -> list:
+    """The prediction, or the exception that stopped it, of each (sample,
+    variant) query, with each query's prompts rendered and its one
+    ``option_token_logprobs`` call made as it is reached; another number
+    of logprob lists than prompts is a ``BackendError``. The reference for
+    the call sequence and the outcomes of generative ``scoring.evaluate``
+    on finite answers."""
+    outcomes = []
+    for sample, variant in queries:
+        try:
+            prompts = closed_prompt_set(sample, config, variant)
+            rows = backend.option_token_logprobs(sample.image_ref, prompts)
+            if len(rows) != len(prompts):
+                raise BackendError(f"backend {backend.info.name} returned {len(rows)} logprob "
+                                   f"lists for {len(prompts)} prompts")
+            outcomes.append(predict_generative(rows, normalization))
         except Exception as exc:  # noqa: BLE001
             outcomes.append(exc)
     return outcomes

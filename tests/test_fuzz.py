@@ -1,13 +1,15 @@
 """Fuzzing of the readers of stored lines and files: every input gives a
 value or a TaskRouterError, never another exception. Also every line the
-serializer writes parses back to its fields, and the batched featurizer
-matches the one-line reference row by row."""
+serializer writes parses back to its fields, the batched featurizer
+matches the one-line reference row by row, and the renders ``evaluate``
+and ``router_inputs`` keep for a call change no outcome, call or input."""
 
 import json
 import math
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (grid_table, img_segment, keyed_metadata, line_by_line_records,
-                     line_features, matmul_hash_chunk, object_records, reference_corpus,
-                     reference_save_corpus, unique_feature_rows)
+                     line_features, matmul_hash_chunk, object_records,
+                     query_by_query_embedding_outcomes, query_by_query_generative_outcomes,
+                     reference_corpus, reference_save_corpus, unique_feature_rows)
 
 import taskrouter.core as core
 import taskrouter.router as router_module
@@ -26,13 +29,14 @@ from taskrouter import (DatasetManifest, ExecutionRecord, InvalidInputError, Met
 from taskrouter.baselines import voting_accuracy, voting_predict
 from taskrouter.core import (TASK_KINDS, QueryGrid, Records, load_metadata, load_world,
                              read_numbered_jsonl, save_records, save_world, write_jsonl)
-from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, prompt_variants
+from taskrouter.prompts import (DatasetPromptConfig, PromptTemplate, prompt_variants,
+                                valid_variant_ids)
 from taskrouter.router import (FeaturizerConfig, RouterModel, TrainConfig, featurize,
                                featurize_batch)
 from taskrouter.routerdata import (ALL_FLAG_COMBOS, ParsedExample, SerializationFlags,
                                    _img_segment, build_router_dataset, router_corpora,
-                                   save_corpus, select_best_model)
-from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend
+                                   router_inputs, save_corpus, select_best_model)
+from taskrouter.scoring import SeededEmbeddingBackend, SeededLogprobBackend, evaluate
 from taskrouter.synth import WorldSpec
 from taskrouter import wire
 
@@ -894,3 +898,124 @@ def test_from_dict_inverts_to_dict_and_refuses_a_mistyped_field(cls, data):
     wrong = data.draw(mistyped(*kinds[name]))
     with pytest.raises(InvalidInputError, match=f"field {name!r} must be"):
         cls.from_dict({**d, name: wrong})
+
+
+# Templates that read nothing of the sample, a context value all samples
+# share (``shared``), one of each sample's own (``own``), or one that some
+# samples lack or hold empty (``some``); renamed and with articles.
+_QUESTION_FORMS = ("What is it? ", "At {shared}: ", "Seen {own}: ", "By {a_an|some}: ",
+                   "{rename_classes|shared} or ", "{a_an, rename_classes|own}? ", "")
+_OPTION_FORMS = ("{class_name}", "{a_an|class_name}", "{rename_classes|class_name}",
+                 "{a_an,rename_classes|class_name} at {shared}", "{class_name}, {some}")
+_WORDS = ("owl", "hour", "unicorn", "red", "apple", "sky")
+_MARKED = ("re[SEP]d", "a;;;[b", "owl', ")  # options no router input may hold
+
+
+@st.composite
+def render_worlds(draw):
+    """One to three datasets of one to six samples, with a record of each
+    of two models on every valid query. Renames and article exceptions,
+    drawn per dataset, make some renders of different inputs equal;
+    options are verbatim or rendered, drawn from a few option lists and
+    reordered, so lists repeat across samples; one option may hold a
+    reserved marker."""
+    world, records = World({}, {}, {}, [], ["alpha", "beta"]), []
+    for d in range(draw(st.integers(1, 3))):
+        ds = f"ds{d}"
+        config = DatasetPromptConfig(
+            ds, tuple(map(PromptTemplate, draw(st.lists(st.sampled_from(_QUESTION_FORMS),
+                                                         min_size=1, max_size=3)))),
+            tuple(map(PromptTemplate, draw(st.lists(st.sampled_from(_OPTION_FORMS), max_size=2)))),
+            renames=draw(st.dictionaries(st.sampled_from(_WORDS + ("home", "x1")),
+                                         st.sampled_from(_WORDS), max_size=3)),
+            context_keys=("shared", "own", "some"),
+            article_exceptions=draw(st.dictionaries(st.sampled_from(_WORDS + ("home", "x1")),
+                                                    st.sampled_from(["a", "an"]), max_size=3)))
+        lists = draw(st.lists(st.lists(st.sampled_from(_WORDS), min_size=2, max_size=3,
+                                       unique=True), min_size=1, max_size=3))
+        shared = draw(st.sampled_from(["home", "owl"]))
+        somes = ["ear", "owl"] + draw(st.sampled_from([[], [None, ""]]))  # None: no such key
+        samples = []
+        for i in range(draw(st.integers(1, 6))):
+            options = draw(st.permutations(draw(st.sampled_from(lists))))
+            context = {"shared": shared, "own": f"x{i}"}
+            some = draw(st.sampled_from(somes))
+            if some is not None:
+                context["some"] = some
+            samples.append(Sample(f"{ds}s{i}", ds, f"{ds}/img{i % 2}", context, options,
+                                  draw(st.integers(0, len(options) - 1))))
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.integers(0, len(samples) - 1))
+            options = list(samples[i].response_options)
+            options[draw(st.integers(0, len(options) - 1))] = draw(st.sampled_from(_MARKED))
+            samples[i] = Sample(samples[i].sample_id, ds, samples[i].image_ref,
+                                samples[i].context, options, samples[i].gold_index)
+        world.datasets[ds] = DatasetManifest(ds, "recognition", tuple(samples), ds)
+        world.prompt_configs[ds] = config
+        world.metadata.update((s.sample_id, MetadataSummary((4, 4, 3), (1.0 + i, 2.0, 3.0),
+                                                            (1.0, 1.0, 1.0)))
+                              for i, s in enumerate(samples))
+        valid = valid_variant_ids(config)
+        records += [ExecutionRecord(s.sample_id, ds, m, v.variant_id, predicted,
+                                          predicted == s.gold_index)
+                          for s in samples for v in prompt_variants(config)
+                          if v.variant_id in valid for m in world.model_pool
+                          for predicted in [draw(st.integers(0, len(s.response_options) - 1))]]
+    world.records = Records.of(records)
+    return world
+
+
+class _Recording:
+    """Logs every backend call, in order, and makes the ``deterministic``
+    promise it is told to."""
+
+    def __init__(self, inner, deterministic=True):
+        self._inner = inner
+        self.info = replace(inner.info, deterministic=deterministic)
+        self.calls = []
+
+    def embed_image(self, image_ref):
+        self.calls.append(("img", image_ref))
+        return self._inner.embed_image(image_ref)
+
+    def embed_texts(self, prompts):
+        self.calls.append(("txt", tuple(prompts)))
+        return self._inner.embed_texts(prompts)
+
+    def option_token_logprobs(self, image_ref, prompts):
+        self.calls.append(("lp", image_ref, tuple(prompts)))
+        return self._inner.option_token_logprobs(image_ref, prompts)
+
+
+def _raised(make):
+    try:
+        return make()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+@given(render_worlds(), st.booleans(), st.sampled_from(["sum", "mean"]))
+@settings(max_examples=150, deadline=None)
+def test_kept_renders_change_no_outcome_call_or_input(world, deterministic, normalization):
+    for ds, manifest in world.datasets.items():
+        config = world.prompt_configs[ds]
+        queries = [(s, v) for s in manifest.samples for v in prompt_variants(config)]
+        for inner, reference in (
+                (SeededEmbeddingBackend(seed=1, dim=3), query_by_query_embedding_outcomes),
+                (SeededLogprobBackend(seed=2), lambda *args: query_by_query_generative_outcomes(
+                    *args, normalization))):
+            batched, looped = _Recording(inner, deterministic), _Recording(inner, deterministic)
+            run = evaluate(batched, manifest, config, normalization=normalization)
+            expected = reference(looped, config, queries)
+            assert batched.calls == looped.calls
+            assert [(r.sample_id, r.prompt_variant_id, r.predicted_index) for r in run.records] == [
+                (s.sample_id, v.variant_id, o.predicted_index)
+                for (s, v), o in zip(queries, expected) if not isinstance(o, Exception)]
+            assert [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped] == [
+                (s.sample_id, v.variant_id, str(o))
+                for (s, v), o in zip(queries, expected) if isinstance(o, Exception)]
+    grid = QueryGrid.build(world)
+    rows = np.flatnonzero(grid.covered.any(axis=1))
+    for flags in ALL_FLAG_COMBOS:
+        assert _raised(lambda: router_inputs(grid, rows, flags)) == _raised(
+            lambda: [ex.serialized_input for ex in reference_corpus(grid, flags)])

@@ -4,6 +4,7 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from taskrouter import (
@@ -168,23 +169,24 @@ class TestRunLodo:
 
     def test_each_covered_row_is_serialized_once(self, monkeypatch):
         # folds replay the corpus lines instead of serializing their rows again
-        from taskrouter import routerdata
+        from taskrouter import router, routerdata
 
         world = generate_world(keyword_world_spec(question_forms=2))
         serialized = []
-        real = routerdata._prompt_segment  # made once for each row's input
+        real = routerdata.router_inputs  # every row's input is made here
 
-        def counting(*args, **kwargs):
-            serialized.append(1)
-            return real(*args, **kwargs)
+        def counting(grid, rows, flags):
+            serialized.extend(np.asarray(rows).tolist())
+            return real(grid, rows, flags)
 
-        monkeypatch.setattr(routerdata, "_prompt_segment", counting)
+        for module in (routerdata, router):
+            monkeypatch.setattr(module, "router_inputs", counting)
         result = run_lodo(world, flags=SerializationFlags(True, False),
                           train_config=FAST_TRAIN, featurizer=FAST_FEATS)
         assert len(result.folds) == 4 and not result.failed_folds
         covered = int(QueryGrid.build(world).covered.any(axis=1).sum())
         assert covered == 800
-        assert len(serialized) == covered
+        assert len(serialized) == len(set(serialized)) == covered
 
     def test_dataset_without_records_fails_before_any_fold(self, tmp_path, capsys,
                                                            paired_world):

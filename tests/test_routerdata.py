@@ -454,10 +454,12 @@ def test_options_are_checked_once_per_option_form(option_forms, monkeypatch):
 
     monkeypatch.setattr(routerdata, "_check_field", counting)
     assert router_inputs(grid, rows, flags) == expected
-    # each row's prompt, and each sample's three options once per option form
+    # the samples share their (empty) context and their options, so each
+    # question form's prompt is checked once, and each option form's three
+    # options once, however many rows use them
     assert len(rows) == 4 * 2 * len(option_forms)
-    assert checked.count("prompt") == len(rows)
-    assert checked.count("option") == 4 * len(option_forms) * 3
+    assert checked.count("prompt") == 2
+    assert checked.count("option") == len(option_forms) * 3
 
 
 def test_bad_option_on_the_second_option_form_is_refused():

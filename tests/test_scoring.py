@@ -240,6 +240,22 @@ class TestEvaluate:
             assert not counting.images and not counting.texts
 
     @pytest.mark.parametrize("family", ["embedding", "generative"])
+    def test_unknown_normalization_is_refused_before_any_call(self, family):
+        world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=100,
+                                                  question_forms=2))
+        (ds_id, manifest), = world.datasets.items()
+        config = world.prompt_configs[ds_id]
+        backend = (_CountingBackend(SeededEmbeddingBackend(seed=2, dim=4, name="only"))
+                   if family == "embedding"
+                   else _RecordingLogprobBackend(SeededLogprobBackend(seed=2, name="only")))
+        with pytest.raises(InvalidInputError, match=r"^normalization must be one of "
+                                                    r"\('sum', 'mean'\), got 'median'$"):
+            evaluate(backend, manifest, config, normalization="median")
+        calls = (backend.images + backend.texts if family == "embedding" else backend.calls)
+        assert not calls
+        assert len(evaluate(backend, manifest, config, normalization="mean").records) == 200
+
+    @pytest.mark.parametrize("family", ["embedding", "generative"])
     def test_evaluate_checks_each_variant_once_up_front(self, monkeypatch, family):
         # evaluate refuses a foreign variant before any query; rendering
         # each query does not check its variant again
@@ -345,6 +361,37 @@ class TestEvaluateMemo:
         assert counting.images["micro/s0"] == counting.images["micro/s3"] == 2
         assert counting.images["micro/s1"] == 1
         assert all(r.correct for r in run.records) and len(run.records) == 8
+
+
+@pytest.mark.parametrize("family", ["embedding", "generative"])
+def test_each_distinct_template_input_is_rendered_once(monkeypatch, family):
+    # a keyword world's samples share their options and read no context, so
+    # one evaluate renders each question form once and each option once
+    import sys
+    import taskrouter.prompts as prompts
+
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=50,
+                                              question_forms=3))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    inputs, real = [], prompts.render
+
+    def counting(template, sample, config, class_value=None):
+        inputs.append((template.template_text, class_value))
+        return real(template, sample, config, class_value)
+
+    for name, module in list(sys.modules.items()):  # wherever render is bound
+        if name.startswith("taskrouter") and getattr(module, "render", None) is real:
+            monkeypatch.setattr(module, "render", counting)
+    backend = (SeededEmbeddingBackend(seed=2, dim=4, name="only") if family == "embedding"
+               else SeededLogprobBackend(seed=2, name="only"))
+    run = evaluate(backend, manifest, config)
+    assert run.skip_count == 0 and len(run.records) == 50 * 3
+    options = {s.response_options for s in manifest.samples}
+    assert len(options) == 1 and len(config.option_forms) == 1
+    assert sorted(inputs) == sorted(
+        [(q.template_text, None) for q in config.question_forms]
+        + [(config.option_forms[0].template_text, o) for o in options.pop()])
 
 
 class _RecordingEmbeddingBackend:

@@ -936,3 +936,69 @@ def test_embedding_decoders_refuse_non_finite_values(op, ndim, bad):
     with pytest.raises(BackendError, match=f"^{op} result must hold finite reals, got "):
         decode(json.loads(json.dumps(result)))
     assert decode([1e308, -2] if ndim == 1 else [[1e308], [-2]]).dtype == np.float64
+
+
+class _NonFiniteBackend:
+    """A seeded backend whose answers to one image ref, and for the
+    embedding family to one prompt list, hold ``value``."""
+
+    def __init__(self, family, value, image_ref, prompts=None):
+        self._inner = make_mock_backend("seeded", family, seed=2, dim=4, name="only")
+        self.info = self._inner.info
+        self._value, self._ref, self._prompts = value, image_ref, prompts
+
+    def embed_image(self, image_ref):
+        v = self._inner.embed_image(image_ref)
+        if image_ref == self._ref:
+            v[2] = self._value
+        return v
+
+    def embed_texts(self, prompts):
+        m = self._inner.embed_texts(prompts)
+        if list(prompts) == self._prompts:
+            m[1, 0] = self._value
+        return m
+
+    def option_token_logprobs(self, image_ref, prompts):
+        rows = self._inner.option_token_logprobs(image_ref, prompts)
+        if image_ref == self._ref:
+            rows[1][3] = self._value
+        return rows
+
+
+@pytest.mark.parametrize("family", ["embedding", "generative"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_answers_are_the_same_skips_in_process_and_over_the_wire(family, value):
+    # in process, argmax would pick a NaN-scored option, and max() an
+    # option by its position; both paths skip the query with the wire's error
+    world = generate_world(keyword_world_spec(n_datasets=1, samples_per_dataset=6,
+                                              question_forms=2))
+    (ds_id, manifest), = world.datasets.items()
+    config = world.prompt_configs[ds_id]
+    first, last = manifest.samples[0], manifest.samples[-1]
+    v0, v1 = prompt_variants(config)
+    prompts = closed_prompt_set(first, config, v0)  # every sample's, under v0
+    backend = _NonFiniteBackend(family, value, last.image_ref, prompts)
+    direct = evaluate(backend, manifest, config)
+    pair = _PipePair(backend)
+    try:
+        wired = evaluate(pair.client, manifest, config)
+    finally:
+        pair.close()
+    if family == "embedding":
+        # the image is taken, and refused, before the prompt list
+        expected = [(s.sample_id, v0.variant_id, f"embed_texts result must hold finite reals, "
+                                                 f"got {value!r}") for s in manifest.samples[:-1]]
+        expected += [(last.sample_id, v.variant_id, f"embed_image result must hold finite "
+                                                    f"reals, got {value!r}") for v in (v0, v1)]
+    else:
+        expected = [(last.sample_id, v.variant_id, f"logprobs result row 1 must hold finite "
+                                                   f"reals, got {value!r} in a row of 4")
+                    for v in (v0, v1)]
+    for run in (direct, wired):
+        assert [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped] == expected
+    skipped = {(sample_id, variant_id) for sample_id, variant_id, _ in expected}
+    clean = evaluate(make_mock_backend("seeded", family, seed=2, dim=4, name="only"),
+                     manifest, config)
+    assert list(direct.records) == list(wired.records) == [
+        r for r in clean.records if (r.sample_id, r.prompt_variant_id) not in skipped]
