@@ -37,11 +37,11 @@ def chance_uniform(samples: Iterable[Sample]) -> float:
     Computed in exact rational arithmetic so fixed-K sets yield exactly
     1/K (e.g. 0.01 for 100 options) rather than an accumulation of float
     error."""
-    samples = list(samples)
-    if not samples:
+    counts = Counter(len(s.response_options) for s in samples)
+    if not counts:
         raise InvalidInputError("no samples")
-    total = sum(Fraction(1, len(s.response_options)) for s in samples)
-    return float(total / len(samples))
+    total = sum(Fraction(n, k) for k, n in counts.items())
+    return float(total / counts.total())
 
 
 def chance_majority(samples: Iterable[Sample]) -> float:

@@ -8,6 +8,7 @@ are pure functions.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -67,6 +69,19 @@ class MetadataSummary:
             channel_means=tuple(typed_field(d, "channel_means", list, float)),
             channel_stds=tuple(typed_field(d, "channel_stds", list, float)),
         )
+
+    @classmethod
+    def _checked(cls, dims: tuple[int, int, int], channel_means: tuple[float, ...],
+                 channel_stds: tuple[float, ...]) -> "MetadataSummary":
+        """The summary of fields that already pass ``__post_init__``'s
+        checks, made without running them again. Its fields are set one
+        after another, as ``__init__`` sets them, so that the instance keeps
+        its compact attribute storage."""
+        summary = object.__new__(cls)
+        object.__setattr__(summary, "dims", dims)
+        object.__setattr__(summary, "channel_means", channel_means)
+        object.__setattr__(summary, "channel_stds", channel_stds)
+        return summary
 
 
 @dataclass(frozen=True)
@@ -956,6 +971,21 @@ def reading(where: str | Path):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
+@contextmanager
+def _gc_paused():
+    """Turn the cyclic garbage collector off for the block, then back to as
+    it was, also when the block raises. A world read makes many objects
+    that live on, and a collection there would only walk them again and
+    again. Nested blocks leave it off until the outermost one ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each non-blank line of ``path``. A line
     that is not a JSON object raises InvalidInputError naming ``path:line``."""
@@ -1062,9 +1092,11 @@ def save_metadata(metadata: Mapping[str, MetadataSummary], path: str | Path) -> 
 def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
     """The summaries in ``path``, keyed by sample id, read in blocks of
     lines. A block whose lines all match the one line ``save_metadata``
-    writes is read by one compiled pattern. Any other block, or one that
-    fails a check or repeats a sample id, is read again line by line, as
-    ``_read_keyed`` reads a file, so every fault raises its error there."""
+    writes is read by one compiled pattern, its numbers parsed a column at
+    a time and checked for the whole block at once. Any other block, or one
+    that fails a check or repeats a sample id, is read again line by line,
+    as ``_read_keyed`` reads a file, so every fault raises its error there.
+    The garbage collector is left as it is; ``load_world`` pauses it."""
     metadata: dict[str, MetadataSummary] = {}
     check = partial(_keyed_lines, path, "sample_id", MetadataSummary.from_dict, None, metadata)
     for block in _read_blocks(path, _METADATA_PATTERN, partial(_scan_metadata, metadata), check):
@@ -1074,24 +1106,48 @@ def load_metadata(path: str | Path) -> dict[str, MetadataSummary]:
 
 def _scan_metadata(earlier: Mapping[str, MetadataSummary], rows: list[tuple[str, ...]],
                    escaped: bool) -> dict[str, MetadataSummary] | None:
-    """The summaries of a block's matches of ``_METADATA_PATTERN``, each
-    built by its constructor; None when one fails there, or a sample id
-    repeats one of the block or of ``earlier``."""
+    """The summaries of a block's matches of ``_METADATA_PATTERN``. Each
+    field is parsed a column at a time, and ``MetadataSummary``'s checks are
+    made for the whole block at once with numpy; None when one fails, or a
+    sample id repeats one of the block or of ``earlier``."""
     if not rows:
         return {}
     means, stds, dims, ids = zip(*rows)
     try:
         if escaped:
             ids = _unescaped(ids)
-        block = {sample_id: MetadataSummary(tuple(map(int, d.split(", "))),
-                                            tuple(map(float, m.split(", "))),
-                                            tuple(map(float, s.split(", "))))
-                 for m, s, d, sample_id in zip(means, stds, dims, ids)}
-    except (ValueError, InvalidInputError):  # also more digits than int() reads
+        dims, n_dims = _number_column(dims, int)
+        means, n_means = _number_column(means, float)
+        stds, n_stds = _number_column(stds, float)
+        sizes = np.array(dims, dtype=np.int64)
+    except (ValueError, OverflowError):  # more digits than int() reads, or than int64 holds
         return None
+    if n_dims.count(3) < len(rows) or not (sizes >= 1).all():
+        return None
+    channels, floats = sizes[2::3].tolist(), np.array(means + stds)
+    if n_means != channels or n_stds != channels or not (
+            np.isfinite(floats).all() and (floats[len(means):] >= 0).all()):
+        return None
+    block = dict(zip(ids, map(MetadataSummary._checked, _cut(dims, n_dims),
+                              _cut(means, n_means), _cut(stds, n_stds))))
     if len(block) < len(rows) or not earlier.keys().isdisjoint(block):
         return None
     return block
+
+
+def _number_column(texts: Sequence[str], kind: type) -> tuple[list, list[int]]:
+    """The numbers of a column of ``", "``-separated number texts, each read
+    by ``kind``, one after another, and how many each text holds."""
+    return (list(map(kind, ", ".join(texts).split(", "))),
+            [text.count(", ") + 1 for text in texts])
+
+
+def _cut(values: list, sizes: list[int]) -> list[tuple]:
+    """``values`` cut into consecutive tuples of ``sizes`` items each."""
+    if len(set(sizes)) == 1:
+        return list(zip(*[iter(values)] * sizes[0]))
+    items = iter(values)
+    return [tuple(islice(items, size)) for size in sizes]
 
 
 def save_world(world: World, out_dir: str | Path) -> Path:
@@ -1106,10 +1162,12 @@ def save_world(world: World, out_dir: str | Path) -> Path:
     return out
 
 
+@_gc_paused()
 def load_tasks(world_dir: str | Path) -> tuple[dict[str, DatasetManifest], dict]:
     """The manifests and prompt configs in ``world_dir``, as ``World`` holds
     them: all that scoring reads. A prompt config under another dataset's
-    id, or a dataset without a prompt config, is an IntegrityError."""
+    id, or a dataset without a prompt config, is an IntegrityError. The
+    cyclic garbage collector is paused while they are read (``_gc_paused``)."""
     from .prompts import DatasetPromptConfig
 
     root = Path(world_dir)
@@ -1127,9 +1185,12 @@ def load_tasks(world_dir: str | Path) -> tuple[dict[str, DatasetManifest], dict]
     return {m.dataset_id: m for m in manifests}, configs
 
 
+@_gc_paused()
 def load_world(world_dir: str | Path) -> World:
     """The world in ``world_dir``: ``load_tasks``, then the metadata,
-    records and ``world.json``, each checked in that order."""
+    records and ``world.json``, each checked in that order. The cyclic
+    garbage collector is paused for the whole read and then restored to its
+    state before the call, also when a file fails its checks."""
     root = Path(world_dir)
     datasets, configs = load_tasks(root)
     meta = load_metadata(root / "metadata.jsonl")

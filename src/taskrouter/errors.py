@@ -25,7 +25,9 @@ class CoverageError(TaskRouterError):
 
 
 class RenderError(TaskRouterError):
-    """A prompt template referenced a context key the sample does not carry."""
+    """A prompt template could not be rendered for a sample: it reads a
+    context key the sample does not carry, or picks an article for an empty
+    value. ``key`` is the tag's key."""
 
     def __init__(self, message: str, key: str):
         super().__init__(message)

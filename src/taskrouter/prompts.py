@@ -191,7 +191,9 @@ def render(
     class_value: str | None = None,
 ) -> str:
     """Substitute tags left to right. Renames apply before article
-    selection when a tag carries both args."""
+    selection when a tag carries both args. A context key the sample lacks,
+    or an article tag on an empty value, is a RenderError naming the
+    sample."""
     parts: list[str] = []
     for seg in template.segments:
         if isinstance(seg, str):
@@ -214,7 +216,12 @@ def render(
         if "rename_classes" in seg.args:
             value = apply_rename(value, config.renames)
         if "a_an" in seg.args:
-            value = f"{article_for(value, config.article_exceptions)} {value}"
+            try:
+                value = f"{article_for(value, config.article_exceptions)} {value}"
+            except InvalidInputError as exc:
+                raise RenderError(f"sample {sample.sample_id}, template "
+                                  f"{template.template_text!r}, key {seg.key!r}: {exc}",
+                                  key=seg.key) from exc
         parts.append(value)
     return "".join(parts)
 

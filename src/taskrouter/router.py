@@ -529,8 +529,8 @@ class RouterModel:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.bias, dtype="<f8").tobytes())
+            for params in (self.weights, self.bias):  # each buffer as it is, when C-ordered <f8
+                fh.write(np.ascontiguousarray(params, dtype="<f8").data)
 
     @classmethod
     def load(cls, path: str | Path) -> "RouterModel":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,26 @@ def make_micro_world(
         records=records,
         model_pool=list(models),
     )
+
+
+EMPTY_ARTICLE_ERROR = ("sample s1, template 'Seen at {a_an|place}: ', key 'place': "
+                       "cannot pick an article for an empty phrase")
+
+
+def empty_article_world() -> World:
+    """The 3-sample micro world whose second question form puts an article
+    before the context value ``place``, which sample s1 holds empty: that
+    form's queries of s1 fail to render with ``EMPTY_ARTICLE_ERROR``."""
+    world = make_micro_world(n_samples=3)
+    config = world.prompt_configs["micro"]
+    world.prompt_configs["micro"] = replace(
+        config, question_forms=(config.question_forms[0], PromptTemplate("Seen at {a_an|place}: ")),
+        context_keys=("place",))
+    manifest = world.datasets["micro"]
+    world.datasets["micro"] = replace(manifest, samples=tuple(
+        replace(s, context={"place": "" if s.sample_id == "s1" else "inn"})
+        for s in manifest.samples))
+    return world
 
 
 # which records of ``partial_micro_world`` a grid keeps, by case

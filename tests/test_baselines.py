@@ -2,9 +2,12 @@
 
 import io
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskrouter import (
     CoverageError,
@@ -63,6 +66,15 @@ class TestChance:
         ]
         counts = Counter(s.response_options[s.gold_index] for s in samples)
         assert chance_majority(samples) == counts.most_common(1)[0][1] / 200
+
+    @given(st.lists(st.integers(1, 8) | st.integers(9, 1000), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_equals_the_per_sample_sum(self, option_counts):
+        # one Fraction per distinct option count gives the same rational
+        # total, so the same float, as one Fraction per sample
+        samples = [sample_with_k_options(k, sid=f"s{i}") for i, k in enumerate(option_counts)]
+        per_sample = sum(Fraction(1, k) for k in option_counts) / len(option_counts)
+        assert chance_uniform(samples) == float(per_sample)
 
     def test_uniform_ignores_option_contents(self):
         a = [Sample("s0", "d", "i", {}, ("x", "y", "z"), 1)]

@@ -357,18 +357,29 @@ MEANS = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.
 @st.composite
 def metadata_lines(draw):
     """A line ``save_metadata`` writes for a drawn summary, integer means
-    included, or one with a non-finite number, a wrong channel count, a
+    included, or one with a non-finite number, a negative std, a zero dim,
+    a wrong channel count for both lists or for one, two or four dims, a
     CRLF end, other spacing, a whitespace-only line or a damaged span."""
     c = draw(st.integers(1, 4))
     row = {"sample_id": draw(FEW_IDS), "dims": [draw(st.integers(1, 2 ** 40)), 2, c],
            "channel_means": draw(st.lists(MEANS, min_size=c, max_size=c)),
            "channel_stds": draw(st.lists(MEANS.map(abs), min_size=c, max_size=c))}
-    fault = draw(st.sampled_from(["", "", "", "non-finite", "channels", "crlf", "spacing",
+    fault = draw(st.sampled_from(["", "", "", "non-finite", "negative-std", "zero-dim",
+                                  "channels", "one-list", "dims-length", "crlf", "spacing",
                                   "blank", "span"]))
     if fault == "non-finite":
         row[draw(st.sampled_from(["channel_means", "channel_stds"]))][0] = "@"
+    elif fault == "negative-std":
+        row["channel_stds"][draw(st.integers(0, c - 1))] = draw(
+            st.sampled_from([-1.0, -5e-324, -1]) | st.floats(max_value=-1e-3, allow_infinity=False))
+    elif fault == "zero-dim":
+        row["dims"][draw(st.integers(0, 2))] = 0
     elif fault == "channels":
         row["dims"][2] = draw(st.sampled_from([c - 1, c + 1]))
+    elif fault == "one-list":
+        row[draw(st.sampled_from(["channel_means", "channel_stds"]))].append(0.5)
+    elif fault == "dims-length":
+        row["dims"] = draw(st.sampled_from([row["dims"][1:], row["dims"] + [c]]))
     line = json.dumps(row, sort_keys=True)
     if fault == "non-finite":
         line = line.replace('"@"', draw(st.sampled_from(["NaN", "Infinity", "-Infinity",
@@ -412,14 +423,29 @@ def _summaries(metadata: dict) -> list:
 @example([metadata_line('"a"'), metadata_line('"b"')], 12, 1)
 @example([metadata_line(dims="[2, 2, 1]", means="[1" + "0" * 5000 + ".5]")], 0, 1)
 @example([metadata_line(dims="[1" + "0" * 5000 + ", 2, 1]")], 0, 1)
+# each in one block with a good line: a negative std, 1e400, a channel
+# count that is not dims[2] (in dims or in one list), four dims then two,
+# a zero dim, an int mean (which the line reader keeps) and a dim beyond int64
+@example([metadata_line('"a"'), metadata_line('"b"', stds="[-1.0]")], 0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', stds="[1e400]")], 0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', dims="[2, 2, 2]")], 0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', means="[1.5, 2.5]")], 0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', stds="[0.5, 0.5]")], 0, 10 ** 6)
+# four dims then two: six in all, two per channel count read from every third
+@example([metadata_line('"a"', dims="[1, 1, 1, 1]"), metadata_line('"b"', dims="[1, 1]")],
+         0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', dims="[2, 0, 1]")], 0, 10 ** 6)
+@example([metadata_line('"a"'), metadata_line('"b"', means="[2]")], 0, 10 ** 6)
+@example([metadata_line('"a"', dims="[2, 2, 2]", means="[1.5, 2.5]", stds="[0.5, 0.5]"),
+          metadata_line('"b"', dims="[9" + "9" * 20 + ", 2, 1]")], 0, 10 ** 6)
 # a sample id that is not a string, in a block of its own and in a file-wide one
 @example([metadata_line('"a"'), metadata_line("5")], 0, 1)
 @example([metadata_line("[1]"), metadata_line('"a"')], 0, 10 ** 6)
 @settings(max_examples=300, deadline=None)
 def test_metadata_file_reads_as_the_line_by_line_reader(lines, cut, block_bytes):
-    # blocks split anywhere in the file; the summaries, each mean's int or
-    # float type included, equal those of today's line-by-line read, or
-    # both fail with the same error
+    # blocks split anywhere in the file; the summaries, their order and each
+    # mean's int or float type included, equal those of the line-by-line
+    # read, or both fail with the same first error
     data = b"\n".join(lines) + b"\n"
     data = data[:len(data) - cut]  # cut into the last lines
     loaded, reference = _read_in_blocks((load_metadata, keyed_metadata), data, block_bytes,

@@ -121,6 +121,16 @@ class TestRender:
         assert err.value.key == "class_hint"
         assert "class_hint" in str(err.value)
 
+    def test_article_for_an_empty_value_names_sample_template_and_key(self):
+        config = CONFIGS["scienceqa"]
+        template = PromptTemplate("Hint: {a_an|class_hint} ")
+        sample = make_sample(["a", "b"], dataset="scienceqa", context={"class_hint": ""})
+        with pytest.raises(RenderError) as err:
+            render(template, sample, config)
+        assert err.value.key == "class_hint"
+        assert str(err.value) == (f"sample {sample.sample_id}, template {template.template_text!r}, "
+                                  "key 'class_hint': cannot pick an article for an empty phrase")
+
     def test_class_name_without_value(self):
         config = CONFIGS["cifar100"]
         with pytest.raises(InvalidInputError):

@@ -3,9 +3,11 @@ it feeds, checked against the record-object reference in ``oracles``."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -413,3 +415,66 @@ def test_a_sample_skipped_on_every_variant_is_in_no_value_list(failing):
     assert run.records.sample_id.values == tuple(scored)
     assert run.records.dataset_id.values == (("micro",) if scored else ())
     assert_encoded(run.records)
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic collector on for the test, and back as it was after."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("read", [load_world, core.load_tasks])
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("torn", [False, True])
+def test_a_world_read_leaves_the_collector_as_it_found_it(tmp_path, collector_on, read,
+                                                          enabled, torn):
+    save_world(small_world(), tmp_path)
+    if torn:  # load_tasks never reads the records, so only load_world raises
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(records.read_bytes()[:-20])
+    seen = []
+
+    def watch(real):
+        def watched(path):
+            seen.append((real.__name__, gc.isenabled()))
+            return real(path)
+        return watched
+
+    (gc.enable if enabled else gc.disable)()
+    with mock.patch.object(core, "load_manifests", watch(core.load_manifests)), \
+            mock.patch.object(core, "load_metadata", watch(core.load_metadata)):
+        if torn and read is load_world:
+            with pytest.raises(InvalidInputError, match="records.jsonl:"):
+                read(tmp_path)
+        else:
+            read(tmp_path)
+    assert gc.isenabled() is enabled
+    paused = [("load_manifests", False), ("load_metadata", False)]  # while the files are read
+    assert seen == (paused if read is load_world else paused[:1])
+
+
+def test_a_world_read_pauses_once_when_nested(tmp_path, collector_on):
+    save_world(small_world(), tmp_path)
+    with core._gc_paused():
+        load_world(tmp_path)
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_a_cycle_made_before_a_world_read_is_still_collected(tmp_path, collector_on):
+    class Node:
+        pass
+
+    save_world(small_world(), tmp_path)
+    gc.disable()  # so that nothing collects the cycle before the read
+    node = Node()
+    node.self = node
+    gone = weakref.ref(node)
+    del node
+    load_world(tmp_path)
+    assert gone() is not None
+    gc.collect()  # a frozen or otherwise kept object would survive this
+    assert gone() is None

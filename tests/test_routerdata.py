@@ -15,6 +15,7 @@ from taskrouter import (
     MetadataSummary,
     ParseError,
     QueryGrid,
+    RenderError,
     SerializationFlags,
     build_router_dataset,
     builtin_prompt_configs,
@@ -24,7 +25,7 @@ from taskrouter import (
     serialize_input,
     split_80_10_10,
 )
-from taskrouter.core import DatasetManifest, ExecutionRecord, Sample, World
+from taskrouter.core import DatasetManifest, ExecutionRecord, Sample, World, save_world
 from taskrouter.prompts import DatasetPromptConfig, PromptTemplate, render, rendered_options
 from taskrouter.router import FeaturizerConfig, RouterModel, evaluate_router
 from taskrouter.routerdata import (
@@ -35,7 +36,8 @@ from taskrouter.routerdata import (
 )
 from taskrouter.synth import WorldSpec, generate_world
 
-from conftest import PARTIAL_RECORDS, make_micro_world, partial_micro_world
+from conftest import (EMPTY_ARTICLE_ERROR, PARTIAL_RECORDS, empty_article_world,
+                      make_micro_world, partial_micro_world)
 from oracles import (accuracy_table, filter_valid_prompts, reference_corpus, reference_save_corpus,
                      sample_index)
 
@@ -420,6 +422,24 @@ def test_router_inputs_name_a_sample_without_metadata():
     assert len(router_inputs(grid, rows, SerializationFlags(False, True))) == len(rows)
     with pytest.raises(InvalidInputError, match="sample s1 has none"):
         router_inputs(grid, rows, SerializationFlags(True, False))
+
+
+def test_router_inputs_name_a_sample_whose_article_value_is_empty():
+    grid = QueryGrid.build(empty_article_world())
+    rows = np.flatnonzero(grid.covered.any(axis=1))
+    with pytest.raises(RenderError) as err:
+        router_inputs(grid, rows, SerializationFlags(False, False))
+    assert str(err.value) == EMPTY_ARTICLE_ERROR and err.value.key == "place"
+
+
+def test_routerdata_build_names_a_sample_whose_article_value_is_empty(tmp_path, capsys):
+    from taskrouter.cli import main
+
+    save_world(empty_article_world(), tmp_path / "world")
+    assert main(["--out", str(tmp_path / "corpus"), "routerdata", "build",
+                 "--world", str(tmp_path / "world")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "RenderError",
+                                                   "message": EMPTY_ARTICLE_ERROR}
 
 
 def _two_form_world(option_forms: tuple[str, ...]) -> World:

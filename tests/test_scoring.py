@@ -36,7 +36,7 @@ from taskrouter.synth import WorldSpec, generate_world
 from oracles import (FlakyBackend, RowCountBackend, accuracy_table,
                      query_by_query_embedding_outcomes)
 
-from conftest import keyword_world_spec, make_micro_world
+from conftest import EMPTY_ARTICLE_ERROR, empty_article_world, keyword_world_spec, make_micro_world
 
 
 class TestPredictContrastive:
@@ -642,6 +642,16 @@ class _RecordingLogprobBackend:
     def option_token_logprobs(self, image_ref, prompts):
         self.calls.append((image_ref, tuple(prompts)))
         return self._inner.option_token_logprobs(image_ref, prompts)
+
+
+@pytest.mark.parametrize("backend", [SeededEmbeddingBackend(seed=3, dim=4, name="only"),
+                                     SeededLogprobBackend(seed=3, name="only")])
+def test_skip_names_a_sample_whose_article_value_is_empty(backend):
+    world = empty_article_world()
+    run = evaluate(backend, world.datasets["micro"], world.prompt_configs["micro"])
+    assert [(n.sample_id, n.prompt_variant_id, n.error) for n in run.skipped] == [
+        ("s1", "q1-o0", EMPTY_ARTICLE_ERROR)]
+    assert len(run.records) == 3 * 2 - 1
 
 
 class TestEvaluateGenerative:
