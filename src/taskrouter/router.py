@@ -92,9 +92,12 @@ _FEATURIZE_CHUNK_CHARS = 1 << 13
 # A chunk of at least this many code points hashes one order at a time; a
 # shorter one in one matrix product, whose fewer numpy calls cost less
 # there. The two crossed between 1,000 and 1,900 code points for orders
-# (2, 3, 4), (1, ..., 5) and (3,) on one 2.1 GHz Xeon vCPU; hashing every
-# chunk one order at a time made a single routed line's p50 latency about
-# a quarter slower.
+# (2, 3, 4), (1, ..., 5) and (3,) on one 2.1 GHz Xeon vCPU. A shorter chunk
+# of one line also takes its fit mask from ``_line_end_fits``. Since a
+# one-line chunk is scored by BLAS products, hashing it one order at a
+# time makes a routed line of about 160 characters 38% slower at the p50
+# on one 2.0 GHz Xeon vCPU, and 60% slower with its fit mask built too;
+# when one line was scored like a batch, that cost about a quarter.
 _PRODUCTS_MIN_CODES = 1 << 11
 _EPS = float(np.finfo(np.float64).eps)  # 2^-52, twice the unit roundoff
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
@@ -109,6 +112,18 @@ def _atom_table(orders: tuple[int, ...]) -> np.ndarray:
     for j, order in enumerate(orders):
         table[j, :order] = _atoms(order)
     return table
+
+
+@functools.cache
+def _line_end_fits(orders: tuple[int, ...]) -> np.ndarray:
+    """(len(orders), _PRODUCTS_MIN_CODES) float matrix of 1.0 where the
+    n-gram of ``orders[j]`` starting at that column fits before the last
+    column's end, 0.0 where it runs past: its last n columns are the fit
+    mask of a line of n code points."""
+    remaining = np.arange(_PRODUCTS_MIN_CODES, 0, -1)
+    fits = (remaining >= np.array(orders)[:, None]).astype(np.float64)
+    fits.flags.writeable = False  # shared by every caller
+    return fits
 
 
 def _chunks(sizes: Sequence[int], limit: int) -> Iterable[tuple[int, int]]:
@@ -135,16 +150,18 @@ def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
     2^64, so the two give the same bits. Returns (lengths, ends, buckets,
     signs): each line's code point count and end offset in the chunk, and
     the buckets and signs laid out order-major, (len(orders), positions),
-    where an n-gram that runs past the end of its line gets sign 0.
+    where an n-gram that runs past the end of its line gets sign 0. A
+    shorter chunk of one line takes that fit mask from ``_line_end_fits``
+    instead of building it.
     """
     if not all(texts):
         raise InvalidInputError("cannot featurize an empty string")
     lines = [t.lower() for t in texts] if config.lowercase else texts
-    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    codes = np.frombuffer("".join(lines).encode("utf-32-le"), dtype=np.uint32)
-    orders, n = config.ngram_orders, len(codes)
-    padded = np.zeros(n + max(orders) - 1, dtype=np.uint64)
-    padded[:n] = codes
+    orders, joined = config.ngram_orders, "".join(lines)
+    n = len(joined)
+    # the code points, then max(orders) - 1 zeros for the last windows
+    padded = np.frombuffer((joined + "\0" * (max(orders) - 1)).encode("utf-32-le"),
+                           dtype=np.uint32).astype(np.uint64)
     if n >= _PRODUCTS_MIN_CODES:
         hashes = np.empty((len(orders), n), dtype=np.uint64)
         product = np.empty(n, dtype=np.uint64)
@@ -158,10 +175,16 @@ def _hash_chunk(config: FeaturizerConfig, texts: Sequence[str]):
         windows = np.ndarray((max(orders), n), dtype=np.uint64, buffer=padded,
                              strides=(8, 8))
         hashes = _atom_table(orders) @ windows
-    ends = np.cumsum(lengths)
-    fits = np.repeat(ends, lengths) - np.arange(n) >= np.array(orders)[:, None]
-    # a hash's top bit sets its sign, and so does the sign of its int64 view
-    signs = np.copysign(fits, hashes.view(np.int64))
+    if len(lines) == 1 and n < _PRODUCTS_MIN_CODES:
+        lengths = ends = np.array([n], dtype=np.intp)
+        fits = _line_end_fits(orders)[:, -n:]
+    else:
+        lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+        ends = np.cumsum(lengths)
+        fits = np.repeat(ends, lengths) - np.arange(n) >= np.array(orders)[:, None]
+    # a hash's top bit is the sign bit of its float64 view, which copysign
+    # reads without converting the hash
+    signs = np.copysign(fits, hashes.view(np.float64))
     # every bucket is below hash_dim <= 2^63, so its int64 view is its
     # value; a mask is much cheaper than a uint64 remainder
     dim = config.hash_dim
@@ -255,12 +278,12 @@ def featurize_batch(texts: Sequence[str],
 
 
 def _choose(weights: np.ndarray, bias: np.ndarray, config: FeaturizerConfig,
-            texts: Sequence[str]) -> np.ndarray:
+            texts: Sequence[str]) -> list[int]:
     """The index of the highest-scoring class for each of ``texts``; equal
     to the reference argmax on every line (see ``_choose_chunk``)."""
-    choices = np.empty(len(texts), dtype=np.intp)
+    choices = []
     for start, stop in _chunks(list(map(len, texts)), _CHUNK_CHARS):
-        choices[start:stop] = _choose_chunk(weights, bias, config, texts[start:stop])
+        choices += _choose_chunk(weights, bias, config, texts[start:stop]).tolist()
     return choices
 
 
@@ -269,61 +292,82 @@ def _choose_chunk(weights, bias, config: FeaturizerConfig, texts) -> np.ndarray:
 
     ``_hash_chunk`` gives every n-gram's bucket and sign, as ``featurize``
     would. Each line's score is then the sum of its gathered
-    ``weights[c, bucket] * sign`` terms plus the bias. The lines that fail
+    ``weights[c, bucket] * sign`` terms plus the bias. A chunk of one line
+    (a routed query) takes that sum, and the sum of the terms' absolute
+    values, as two BLAS products of the gathered weights with the signs
+    and their absolute values; a chunk of more lines sums each line's
+    terms in each order with one ``np.add.reduceat``. The lines that fail
     ``_gap_test`` are featurized in one ``featurize_batch`` call and
     rescored from their rows by ``_choose_rows``.
     """
     lengths, ends, buckets, signs = _hash_chunk(config, texts)
     terms = weights.take(buckets.ravel(), axis=1)
-    terms *= signs.ravel()
-    best, unsure = _gap_test(terms.reshape(len(bias), *buckets.shape), ends - lengths,
-                             lengths * len(config.ngram_orders), bias)
+    signs = signs.ravel()
+    if len(texts) == 1:
+        scores = terms @ signs
+        scores += bias
+        scale = np.abs(terms, out=terms) @ np.abs(signs)
+        scale += np.abs(bias)
+        counts = len(signs)
+    else:
+        terms *= signs
+        terms = terms.reshape(len(bias), *buckets.shape)
+        starts = ends - lengths
+        scores = np.add.reduceat(terms, starts, axis=2).sum(axis=1)
+        scores += bias[:, None]
+        scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=2).sum(axis=1)
+        scale += np.abs(bias)[:, None]
+        counts = lengths * len(config.ngram_orders)
+    best, unsure = _gap_test(scores, scale, counts)
     if len(unsure):
         rows = featurize_batch([texts[i] for i in unsure.tolist()], config)
         best[unsure] = _choose_rows(weights, bias, rows, range(len(unsure)))
     return best
 
 
-def _gap_test(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-              bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each line's best class from its signed terms, and the lines whose
-    choice may differ from the reference's.
+def _gap_test(scores: np.ndarray, scale: np.ndarray,
+              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's best class from its scores, and the lines whose choice
+    may differ from the reference's.
 
-    ``terms`` is (n_classes, groups, positions); line i owns the positions
-    from ``starts[i]`` up to the next line's start in every group, and
-    ``counts[i] > 0`` terms in all; ``_choose_chunk`` passes one group per
-    n-gram order. Returns the argmax of each line's summed terms plus the
-    bias, and the lines to rescore exactly. ``terms`` is overwritten.
+    ``scores`` is (n_classes, lines), or (n_classes,) for a chunk of one
+    line: each line's terms summed in any order, plus the bias. ``scale``
+    is the same sums of the terms' and the bias's absolute values, and
+    ``counts`` each line's number of terms, above 0 (an int for one line).
+    Returns the argmax of each line's scores and the lines to rescore
+    exactly.
 
-    The sum, taken over each group and then across groups, is rounded in
-    another order than the reference ``weights[:, idx] @ vals + bias``, so
-    the two scores may differ in the last bits. Let u = 2^-53, n the line's
-    term count, A_c the sum of its |terms| and S_c = A_c + |bias[c]|. Any
-    order of summing n terms, this one too, errs by at most gamma_{n-1} *
-    A_c, with gamma_k = k*u / (1 - k*u), and the bias add rounds once more,
-    so this score lies within gamma_n * S_c of the true one. The
-    reference's products fold the same terms bucket by bucket (|vals[j]| is
-    at most the number of terms in bucket j, so its absolute terms also sum
-    to at most A_c) and it sums at most n of them, so it lies within
-    gamma_{n+1} * S_c. The two scores of a class thus differ by at most 2 *
-    gamma_{n+1} * S_c, and if the top score here beats the runner-up by
-    more than 4 * gamma_{n+1} * max_c S_c, the reference has the same
-    unique argmax. Since gamma_{n+1} <= 1.01 * (n + 1) * u, ``bound`` below
-    (with eps = 2u) is twice that margin, which also covers the rounding of
+    The sum is rounded in another order than the reference ``weights[:,
+    idx] @ vals + bias``, so the two scores may differ in the last bits.
+    Let u = 2^-53, n the line's term count, A_c the sum of its |terms| and
+    S_c = A_c + |bias[c]|. Any order of summing n terms, this one too, errs
+    by at most gamma_{n-1} * A_c, with gamma_k = k*u / (1 - k*u), and the
+    bias add rounds once more, so this score lies within gamma_n * S_c of
+    the true one. Each term is a weight times a sign of +-1 or +-0, which
+    is exact, so a fused multiply-add changes none of this. The reference's
+    products fold the same terms bucket by bucket (|vals[j]| is at most the
+    number of terms in bucket j, so its absolute terms also sum to at most
+    A_c) and it sums at most n of them, so it lies within gamma_{n+1} *
+    S_c. The two scores of a class thus differ by at most 2 * gamma_{n+1} *
+    S_c, and if the top score here beats the runner-up by more than 4 *
+    gamma_{n+1} * max_c S_c, the reference has the same unique argmax.
+    Since gamma_{n+1} <= 1.01 * (n + 1) * u, ``bound`` below (with eps =
+    2u) is twice that margin, which also covers the rounding of ``scale``,
     the bound and the gap themselves; the subnormal term covers underflow
-    in the products. A line whose gap is not above its bound (a tie, a near
-    tie, a NaN) is to be rescored.
+    in the products. A line whose gap is not above its bound (a tie, a
+    near tie, a NaN) is to be rescored.
     """
-    scores = np.add.reduceat(terms, starts, axis=2).sum(axis=1)
-    scores += bias[:, None]
-    best = scores.argmax(axis=0)
-    if len(bias) == 1:
-        return best, np.empty(0, dtype=np.intp)
-    scale = np.add.reduceat(np.abs(terms, out=terms), starts, axis=2).sum(axis=1)
-    scale += np.abs(bias)[:, None]
-    bound = 4.0 * (counts + 2) * (_EPS * scale.max(axis=0) + _TINY)
+    bound = 4.0 * (counts + 2) * (_EPS * np.maximum.reduce(scale) + _TINY)
+    if scores.ndim == 1:
+        # one line: the top two of its n_classes scores as Python floats
+        values = scores.tolist()
+        top2 = sorted(values)[-2:]
+        rescore = 0 if len(top2) == 1 or top2[1] - top2[0] > bound else 1
+        return np.array([values.index(top2[-1])]), np.arange(rescore, dtype=np.intp)
+    if len(scores) == 1:
+        return np.zeros(len(counts), dtype=np.intp), np.empty(0, dtype=np.intp)
     top2 = np.sort(scores, axis=0)[-2:]
-    return best, np.flatnonzero(~(top2[1] - top2[0] > bound))
+    return scores.argmax(axis=0), np.flatnonzero(~(top2[1] - top2[0] > bound))
 
 
 def _choose_rows(weights: np.ndarray, bias: np.ndarray, features: FeatureRows,
@@ -481,7 +525,7 @@ class RouterModel:
         hashed and scored in one batched pass, with near ties rescored
         exactly. Lines already featurized go through ``route_features``."""
         return [self.vocabulary[i]
-                for i in _choose(self.weights, self.bias, self.featurizer, texts).tolist()]
+                for i in _choose(self.weights, self.bias, self.featurizer, texts)]
 
     def route_features(self, features: FeatureRows, positions) -> list[str]:
         """The model picked for each row of ``features`` at ``positions``,
@@ -494,6 +538,10 @@ class RouterModel:
                 for i in _choose_rows(self.weights, self.bias, features, positions).tolist()]
 
     def route_text(self, serialized_input: str) -> str:
+        """The model picked for one serialized input line: ``route_batch``
+        of that line alone, which scores it as a chunk of one line (see
+        ``_choose_chunk``) and makes the same choice as ``route_batch``
+        makes on the line in any batch."""
         return self.route_batch([serialized_input])[0]
 
     def route(

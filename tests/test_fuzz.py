@@ -599,6 +599,10 @@ def assert_equals_the_matmul_and_unique_oracles(config, texts):
 @example((FeaturizerConfig(), [f"[prompt]line {i} " * 80 for i in range(20)]))
 # the largest hash space and a chunk of 8,192 one-character rows: keys near 2^62
 @example((FeaturizerConfig((1,), 2 ** 48), [chr(97 + i % 26) for i in range(9000)]))
+# one line as wide as the cached one-line fit mask, and one a code point longer
+@example((FeaturizerConfig((1, 4), 1000),
+          ["aZ" * (router_module._PRODUCTS_MIN_CODES // 2 - 1) + "b"]))
+@example((FeaturizerConfig((1, 4), 1000), ["aZ" * (router_module._PRODUCTS_MIN_CODES // 2)]))
 @settings(max_examples=300, deadline=None)
 def test_hashes_and_rows_equal_the_matmul_and_unique_oracles(chunk):
     assert_equals_the_matmul_and_unique_oracles(*chunk)

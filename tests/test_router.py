@@ -537,7 +537,8 @@ def routers(draw):
     ties), or are all zero."""
     k = draw(st.integers(1, 4))
     orders = tuple(sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3))))
-    config = FeaturizerConfig(ngram_orders=orders, hash_dim=draw(st.sampled_from([2, 16, 256])),
+    config = FeaturizerConfig(ngram_orders=orders,
+                              hash_dim=draw(st.sampled_from([2, 3, 16, 256, 1000])),
                               lowercase=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["normal", "integer", "duplicated", "one_ulp", "zero"]))
@@ -578,6 +579,20 @@ class TestRouteBatch:
             <= router_module._CHUNK_CHARS
         choices = {t: router.vocabulary[exact_choice(router, t)] for t in lines}
         assert router.route_batch(texts) == [choices[t] for t in texts]
+
+    @given(routers(), ROUTE_LINES, st.sampled_from(["products", "own chunk"]))
+    @settings(max_examples=60, deadline=None)
+    def test_long_single_lines_choose_as_the_oracle(self, router, lines, length):
+        # one line that hashes one order at a time, or that is longer than
+        # a scoring chunk and so a chunk of its own
+        target = router_module._PRODUCTS_MIN_CODES if length == "products" \
+            else router_module._CHUNK_CHARS + 1
+        unit = " ".join(lines)
+        line = unit * -(-target // len(unit))
+        assert len(line.lower() if router.featurizer.lowercase else line) >= target
+        want = router.vocabulary[exact_choice(router, line)]
+        assert router.route_text(line) == want
+        assert router.route_batch([line]) == [want]
 
     @given(routers(), ROUTE_LINES, st.data())
     @settings(max_examples=300, deadline=None)
@@ -702,6 +717,13 @@ class TestRouteBatch:
         assert calls == [texts]
         calls.clear()
         assert constant_router("b", ("a", "b")).route_batch(texts) == ["b", "b", "b"]
+        assert calls == []
+        # one line at a time: each tie is rescored alone, and a certified
+        # line is never featurized
+        assert [zero.route_text(t) for t in texts] == ["a", "a", "a"]
+        assert calls == [[t] for t in texts]
+        calls.clear()
+        assert [constant_router("b", ("a", "b")).route_text(t) for t in texts] == ["b", "b", "b"]
         assert calls == []
 
 
